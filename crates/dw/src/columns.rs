@@ -13,7 +13,7 @@
 //!   (`slice_offsets` + `slice_min_wh` / `slice_max_wh`) instead of a
 //!   `Vec` allocation per offer — profiles are immutable for an offer's
 //!   whole lifecycle, so these columns are written once at ingest and
-//!   only rewritten by withdraw compaction;
+//!   only shifted by withdraw compaction;
 //! * lifecycle mutations (schedule assignment, execution metering)
 //!   rewrite only the handful of scalar columns that actually change
 //!   ([`ColumnStore::refresh`]).
@@ -24,6 +24,8 @@
 //! offers are loaded. [`FactRow`] survives as the *materialized row
 //! view* — [`ColumnStore::row`] gathers one — so row-shaped consumers
 //! and the columnar ≡ row equality gates keep a common currency.
+
+use std::ops::Range;
 
 use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, ProsumerId};
 use mirabel_timeseries::TimeSlot;
@@ -67,8 +69,8 @@ pub fn direction_code(direction: Direction) -> u32 {
 /// operations compare equal):
 ///
 /// * a member's code is its first-seen position in the push order;
-/// * the dictionary is **append-only** — `DictColumn::retain`
-///   (withdraw compaction) drops codes of dead facts but never
+/// * the dictionary is **append-only** — withdraw compaction
+///   ([`ColumnStore::compact`]) drops codes of dead facts but never
 ///   renumbers or garbage-collects the dictionary, so codes stay
 ///   stable across an epoch's lifetime and predicate masks resolved
 ///   against one epoch's dictionary index the next epoch's codes
@@ -107,11 +109,14 @@ impl DictColumn {
         self.codes.push(code);
     }
 
-    /// Withdraw compaction: drop dead facts' codes. The dictionary is
-    /// append-only (see the type docs), so only the per-fact codes
-    /// move.
-    fn retain(&mut self, dead: &[bool]) {
-        retain_by(&mut self.codes, dead);
+    /// A copy with room for `facts` more codes (see
+    /// [`ColumnStore::clone_with_room`]).
+    fn clone_with_room(&self, facts: usize) -> DictColumn {
+        DictColumn {
+            dict: self.dict.clone(),
+            code_of: self.code_of.clone(),
+            codes: copy_with_room(&self.codes, facts),
+        }
     }
 
     /// The distinct members, indexed by code.
@@ -163,9 +168,9 @@ pub struct Run {
 /// Point updates (`RleColumn::set`, the status flips of
 /// [`ColumnStore::refresh`]) split the containing run into at most
 /// three and re-merge equal-valued neighbours; withdraw compaction
-/// rebuilds the runs outright from the compacted plain column ("run
-/// invalidation on compact") because a retain can splice arbitrary
-/// run fragments together.
+/// cuts the runs at the first dead fact and re-derives the rest from
+/// the compacted plain column ("run invalidation on compact"), because
+/// removing facts can splice arbitrary run fragments together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RleColumn {
     runs: Vec<Run>,
@@ -178,12 +183,35 @@ impl RleColumn {
     }
 
     /// Rebuilds the canonical runs of `values` from scratch.
+    #[cfg(test)]
     fn from_values(values: impl Iterator<Item = u32>) -> RleColumn {
         let mut rle = RleColumn::new();
         for v in values {
             rle.push(v);
         }
         rle
+    }
+
+    /// Keeps the first `len` values: the canonical runs of a prefix are
+    /// the full runs cut at `len`, so pushing the rest again yields
+    /// exactly the runs a rebuild from scratch would.
+    fn truncate(&mut self, len: usize) {
+        let len = len as u32;
+        let k = self.run_index(len);
+        let start = if k == 0 { 0 } else { self.runs[k - 1].end };
+        if k < self.runs.len() && start < len {
+            self.runs[k].end = len;
+            self.runs.truncate(k + 1);
+        } else {
+            self.runs.truncate(k);
+        }
+        self.len = len;
+    }
+
+    /// A copy with room for `facts` more runs (see
+    /// [`ColumnStore::clone_with_room`]).
+    fn clone_with_room(&self, facts: usize) -> RleColumn {
+        RleColumn { runs: copy_with_room(&self.runs, facts), len: self.len }
     }
 
     /// Appends one value, extending the last run when it matches.
@@ -465,55 +493,115 @@ impl ColumnStore {
         self.balancing_potential_wh[idx] = fo.balancing_potential().wh();
     }
 
-    /// Drops every fact whose `dead` flag is set, preserving survivor
-    /// order — the columnar half of withdraw compaction. The CSR slice
-    /// columns compact in the same O(live) pass.
-    pub fn compact(&mut self, dead: &[bool]) {
-        assert_eq!(dead.len(), self.len(), "dead mask must cover every fact");
-        retain_by(&mut self.offer, dead);
-        retain_by(&mut self.prosumer, dead);
-        retain_by(&mut self.direction, dead);
-        retain_by(&mut self.status, dead);
-        retain_by(&mut self.earliest_start, dead);
-        retain_by(&mut self.time_leaf, dead);
-        retain_by(&mut self.geo_leaf, dead);
-        retain_by(&mut self.grid_leaf, dead);
-        retain_by(&mut self.energy_leaf, dead);
-        retain_by(&mut self.prosumer_leaf, dead);
-        retain_by(&mut self.appliance_leaf, dead);
-        retain_by(&mut self.total_min_wh, dead);
-        retain_by(&mut self.total_max_wh, dead);
-        retain_by(&mut self.energy_flex_wh, dead);
-        retain_by(&mut self.time_flex_slots, dead);
-        retain_by(&mut self.scheduled_wh, dead);
-        retain_by(&mut self.executed_wh, dead);
-        retain_by(&mut self.deviation_wh, dead);
-        retain_by(&mut self.price_cents, dead);
-        retain_by(&mut self.balancing_potential_wh, dead);
+    /// Drops the facts at the ascending, distinct positions `dead`,
+    /// preserving survivor order — the columnar half of withdraw
+    /// compaction. Only what lies after the first dead fact moves: each
+    /// column shifts its survivor ranges down with one `copy_within`
+    /// apiece, the CSR offsets of the shifted facts drop by the slice
+    /// entries removed before them, and the run-length columns are cut
+    /// at the first dead fact and re-derived from there. The
+    /// dictionaries are append-only (see [`DictColumn`]), so only their
+    /// per-fact codes move.
+    pub fn compact(&mut self, dead: &[usize]) {
+        let Some(&first) = dead.first() else { return };
+        let n = self.len();
+        assert!(
+            dead.windows(2).all(|w| w[0] < w[1]) && dead[dead.len() - 1] < n,
+            "dead positions must be ascending, distinct and in range"
+        );
+        let facts = || dead.iter().map(|&d| d..d + 1);
+        excise(&mut self.offer, facts());
+        excise(&mut self.prosumer, facts());
+        excise(&mut self.direction, facts());
+        excise(&mut self.status, facts());
+        excise(&mut self.earliest_start, facts());
+        excise(&mut self.time_leaf, facts());
+        excise(&mut self.geo_leaf, facts());
+        excise(&mut self.grid_leaf, facts());
+        excise(&mut self.energy_leaf, facts());
+        excise(&mut self.prosumer_leaf, facts());
+        excise(&mut self.appliance_leaf, facts());
+        excise(&mut self.total_min_wh, facts());
+        excise(&mut self.total_max_wh, facts());
+        excise(&mut self.energy_flex_wh, facts());
+        excise(&mut self.time_flex_slots, facts());
+        excise(&mut self.scheduled_wh, facts());
+        excise(&mut self.executed_wh, facts());
+        excise(&mut self.deviation_wh, facts());
+        excise(&mut self.price_cents, facts());
+        excise(&mut self.balancing_potential_wh, facts());
         for dict in &mut self.dicts {
-            dict.retain(dead);
+            excise(&mut dict.codes, facts());
         }
-        // Run invalidation on compact: a retain can splice arbitrary
-        // fragments of runs together, so the canonical runs are rebuilt
-        // from the already-compacted plain columns instead of patched.
-        self.direction_rle =
-            RleColumn::from_values(self.direction.iter().map(|&d| direction_code(d)));
-        self.status_rle = RleColumn::from_values(self.status.iter().map(|&s| status_code(s)));
+        // Run invalidation on compact: removing facts can splice
+        // arbitrary fragments of runs together, so the runs from the
+        // first dead fact on are re-derived from the compacted plain
+        // columns instead of patched.
+        self.direction_rle.truncate(first);
+        for &d in &self.direction[first..] {
+            self.direction_rle.push(direction_code(d));
+        }
+        self.status_rle.truncate(first);
+        for &s in &self.status[first..] {
+            self.status_rle.push(status_code(s));
+        }
 
-        // Rebuild the CSR triple by streaming the surviving ranges.
-        let old_offsets = std::mem::take(&mut self.slice_offsets);
-        let old_min = std::mem::take(&mut self.slice_min_wh);
-        let old_max = std::mem::take(&mut self.slice_max_wh);
-        self.slice_offsets.reserve(self.offer.len() + 1);
-        self.slice_offsets.push(0);
-        for (i, &gone) in dead.iter().enumerate() {
-            if gone {
-                continue;
+        // CSR: the dead facts' slice ranges leave the payload, then the
+        // end offset of each shifted survivor drops by the slice entries
+        // removed before it.
+        let offsets = &mut self.slice_offsets;
+        let gaps = || dead.iter().map(|&d| offsets[d]..offsets[d + 1]);
+        excise(&mut self.slice_min_wh, gaps());
+        excise(&mut self.slice_max_wh, gaps());
+        let (mut write, mut removed) = (first + 1, 0);
+        for (j, &d) in dead.iter().enumerate() {
+            removed += offsets[d + 1] - offsets[d];
+            // Survivors d+1 .. next dead: their end offsets sit at
+            // d+2 ..= next dead.
+            let ends = d + 2..dead.get(j + 1).map_or(n, |&next| next) + 1;
+            let len = ends.len();
+            offsets.copy_within(ends, write);
+            for end in &mut offsets[write..write + len] {
+                *end -= removed;
             }
-            let (lo, hi) = (old_offsets[i], old_offsets[i + 1]);
-            self.slice_min_wh.extend_from_slice(&old_min[lo..hi]);
-            self.slice_max_wh.extend_from_slice(&old_max[lo..hi]);
-            self.slice_offsets.push(self.slice_min_wh.len());
+            write += len;
+        }
+        offsets.truncate(write);
+    }
+
+    /// A copy of the store with spare capacity for `facts` more facts
+    /// carrying `slices` more slice entries — what unsharing the store
+    /// for an ingest batch allocates, so the batch's pushes do not
+    /// reallocate (and copy) every column a second time, as an exact-size
+    /// [`Clone`] followed by a push would.
+    pub(crate) fn clone_with_room(&self, facts: usize, slices: usize) -> ColumnStore {
+        ColumnStore {
+            offer: copy_with_room(&self.offer, facts),
+            prosumer: copy_with_room(&self.prosumer, facts),
+            direction: copy_with_room(&self.direction, facts),
+            status: copy_with_room(&self.status, facts),
+            earliest_start: copy_with_room(&self.earliest_start, facts),
+            time_leaf: copy_with_room(&self.time_leaf, facts),
+            geo_leaf: copy_with_room(&self.geo_leaf, facts),
+            grid_leaf: copy_with_room(&self.grid_leaf, facts),
+            energy_leaf: copy_with_room(&self.energy_leaf, facts),
+            prosumer_leaf: copy_with_room(&self.prosumer_leaf, facts),
+            appliance_leaf: copy_with_room(&self.appliance_leaf, facts),
+            total_min_wh: copy_with_room(&self.total_min_wh, facts),
+            total_max_wh: copy_with_room(&self.total_max_wh, facts),
+            energy_flex_wh: copy_with_room(&self.energy_flex_wh, facts),
+            time_flex_slots: copy_with_room(&self.time_flex_slots, facts),
+            scheduled_wh: copy_with_room(&self.scheduled_wh, facts),
+            executed_wh: copy_with_room(&self.executed_wh, facts),
+            deviation_wh: copy_with_room(&self.deviation_wh, facts),
+            price_cents: copy_with_room(&self.price_cents, facts),
+            balancing_potential_wh: copy_with_room(&self.balancing_potential_wh, facts),
+            slice_offsets: copy_with_room(&self.slice_offsets, facts),
+            slice_min_wh: copy_with_room(&self.slice_min_wh, slices),
+            slice_max_wh: copy_with_room(&self.slice_max_wh, slices),
+            dicts: self.dicts.each_ref().map(|d| d.clone_with_room(facts)),
+            direction_rle: self.direction_rle.clone_with_room(facts),
+            status_rle: self.status_rle.clone_with_room(facts),
         }
     }
 
@@ -630,7 +718,7 @@ impl ColumnStore {
         &self.balancing_potential_wh
     }
 
-    /// Geography leaf column — what the spatial index rebuilds from.
+    /// Geography leaf column.
     pub fn geo_leaves(&self) -> &[MemberId] {
         &self.geo_leaf
     }
@@ -683,14 +771,43 @@ fn lifecycle_measures(fo: &FlexOffer) -> (i64, i64, i64) {
     (scheduled_wh, executed_wh, deviation_wh)
 }
 
-/// In-place `retain` keyed by a parallel dead mask.
-fn retain_by<T>(column: &mut Vec<T>, dead: &[bool]) {
-    let mut i = 0;
-    column.retain(|_| {
-        let keep = !dead[i];
-        i += 1;
-        keep
-    });
+/// Removes the ascending, disjoint index ranges `gaps` from `column`,
+/// preserving the order of what remains. Nothing before the first gap
+/// moves; each survivor range after it shifts down with one
+/// `copy_within`.
+fn excise<T: Copy>(column: &mut Vec<T>, gaps: impl Iterator<Item = Range<usize>>) {
+    let mut gaps = gaps.peekable();
+    let Some(mut write) = gaps.peek().map(|g| g.start) else { return };
+    let len = column.len();
+    while let Some(gap) = gaps.next() {
+        let keep = gap.end..gaps.peek().map_or(len, |next| next.start);
+        let n = keep.len();
+        column.copy_within(keep, write);
+        write += n;
+    }
+    column.truncate(write);
+}
+
+/// Withdraw's old→new position map, kept as the batch's ascending
+/// `dead` positions rather than one entry per fact: moves the fact
+/// position `idx` to where it lands once `dead` is compacted away (down
+/// by the dead positions before it) and returns `false` when `idx` is
+/// itself dead.
+pub(crate) fn remap(dead: &[usize], idx: &mut usize) -> bool {
+    let below = dead.partition_point(|&d| d < *idx);
+    if dead.get(below) == Some(idx) {
+        return false;
+    }
+    *idx -= below;
+    true
+}
+
+/// `column` copied into an allocation with room for `extra` more
+/// entries.
+fn copy_with_room<T: Copy>(column: &[T], extra: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(column.len() + extra);
+    copy.extend_from_slice(column);
+    copy
 }
 
 #[cfg(test)]
@@ -769,7 +886,7 @@ mod tests {
         for fo in &offers {
             cs.push(fo, keys());
         }
-        cs.compact(&[false, true, false]);
+        cs.compact(&[1]);
         assert_eq!(cs.len(), 2);
         assert_eq!(cs.offer_ids(), &[FlexOfferId(1), FlexOfferId(3)]);
         assert_eq!(cs.slice_count(), 4);
@@ -777,7 +894,7 @@ mod tests {
         assert_eq!(cs.row(1).profile_len, 3);
         // Compacting nothing is a structural no-op.
         let before = cs.clone();
-        cs.compact(&[false, false]);
+        cs.compact(&[]);
         assert_eq!(cs, before);
     }
 
@@ -867,14 +984,81 @@ mod tests {
         cs.refresh(3, &offers[3]);
         assert_encoded_consistent(&cs);
 
-        // Compaction drops codes and rebuilds runs from the survivors.
-        cs.compact(&[true, false, false, true, false, false, false, false]);
+        // Compaction drops codes and re-derives runs from the survivors.
+        cs.compact(&[0, 3]);
         assert_eq!(cs.len(), 6);
         assert_encoded_consistent(&cs);
         // The dictionary never renumbers: surviving codes still decode.
         let before = cs.clone();
-        cs.compact(&[false; 6]);
+        cs.compact(&[]);
         assert_eq!(cs, before, "no-op compact must be a structural no-op");
+    }
+
+    #[test]
+    fn compact_equals_the_survivor_filter_for_seeded_dead_sets() {
+        let mut state = 0x00C0_FFEE_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for round in 0..200 {
+            let n = next(24) as usize + 1;
+            let mut cs = ColumnStore::new();
+            for i in 0..n {
+                let direction = Direction::ALL[next(2) as usize];
+                let mut fo = FlexOffer::builder(i as u64 + 1, i as u64 + 1)
+                    .earliest_start(TimeSlot::new(i as i64))
+                    .direction(direction)
+                    .slices(next(4) as usize + 1, Energy::from_wh(0), Energy::from_wh(90))
+                    .build()
+                    .unwrap();
+                if next(3) == 0 {
+                    fo.accept().unwrap();
+                }
+                let k = next(5) as u32;
+                cs.push(&fo, [k, k + 1, k % 2, 7, k + 3, 1].map(MemberId));
+            }
+            let dead: Vec<usize> = (0..n).filter(|_| next(4) == 0).collect();
+            let original = cs.clone();
+            cs.compact(&dead);
+
+            let survivors: Vec<usize> = (0..n).filter(|i| !dead.contains(i)).collect();
+            let rows: Vec<FactRow> = survivors.iter().map(|&i| original.row(i)).collect();
+            assert_eq!(cs.rows().collect::<Vec<_>>(), rows, "round {round}: rows");
+            for (k, &i) in survivors.iter().enumerate() {
+                assert_eq!(cs.slices(k), original.slices(i), "round {round}: slices of fact {i}");
+            }
+            assert_eq!(cs.slice_count(), survivors.iter().map(|&i| original.slices(i).len()).sum());
+            for dim in Dimension::ALL {
+                let codes: Vec<u32> =
+                    survivors.iter().map(|&i| original.dict(dim).codes()[i]).collect();
+                assert_eq!(cs.dict(dim).codes(), codes, "round {round}: {dim:?} codes");
+                assert_eq!(
+                    cs.dict(dim).dict(),
+                    original.dict(dim).dict(),
+                    "append-only dictionary"
+                );
+            }
+            assert_encoded_consistent(&cs);
+            // A copy with room compacts to the same store.
+            let mut roomy = original.clone_with_room(5, 9);
+            assert_eq!(roomy, original);
+            roomy.compact(&dead);
+            assert_eq!(roomy, cs, "round {round}: compacting a copy with room");
+        }
+    }
+
+    #[test]
+    fn rle_truncate_keeps_the_canonical_prefix() {
+        let values = [1u32, 1, 2, 2, 2, 0, 1, 1];
+        let full = RleColumn::from_values(values.into_iter());
+        for len in 0..=values.len() {
+            let mut cut = full.clone();
+            cut.truncate(len);
+            assert_eq!(cut, RleColumn::from_values(values[..len].iter().copied()), "len {len}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   [`LiveWarehouse::withdraw`] and [`LiveWarehouse::advance_day`]
 //!   apply deltas to a private working copy under one writer lock,
 //!   incrementally (fact columns append, the time hierarchy extends in
-//!   place, withdrawals tombstone and compact at the batch boundary —
-//!   never a full [`Warehouse::load`] rebuild);
+//!   place, withdrawn offers are compacted away at once and the indices
+//!   remapped in place — never a full [`Warehouse::load`] rebuild);
 //! * **readers are wait-free** — [`LiveWarehouse::snapshot`] hands out
 //!   the current immutable [`EpochSnapshot`] behind an `Arc`; a reader
 //!   holds it for as long as it likes and never blocks a writer, and a
@@ -21,6 +21,19 @@
 //!   serving layers ([`ConcurrentPool::publish`]) stamp the epoch next
 //!   to their revision keys so caches invalidate lazily on the next
 //!   command.
+//!
+//! # What a write costs
+//!
+//! A publish shares the working copy's fact columns, offer list and
+//! indices with the new epoch (copy-on-write `Arc`s), so the first batch
+//! after it copies what it touches, once: an ingest copies every fact
+//! column and the offer list with spare capacity for its batch, plus the
+//! per-id, per-prosumer and per-region indices. Past that copy a batch
+//! costs what it changes. Appends push into the spare capacity, and a
+//! withdrawal shifts only the facts behind the first withdrawn one and
+//! remaps the indices in place. Two costs stay proportional to the fact
+//! count: that copy, and freeing the epoch a publish replaces once its
+//! last reader lets go. `DESIGN.md` records the measured split.
 //!
 //! [`ConcurrentPool::publish`]: https://docs.rs/mirabel-session (see `mirabel_session::ConcurrentPool`)
 
@@ -159,9 +172,9 @@ impl LiveWarehouse {
         out
     }
 
-    /// Withdraws offers by id from the working copy (tombstone +
-    /// compact at the batch boundary). Unknown ids are ignored; returns
-    /// the number actually removed.
+    /// Withdraws offers by id from the working copy, compacting them
+    /// away at once (see [`Warehouse::withdraw`]). Unknown ids are
+    /// ignored; returns the number actually removed.
     pub fn withdraw(&self, ids: &[FlexOfferId]) -> usize {
         let mut w = self.writer.lock().expect("writer lock");
         let removed = w.working.withdraw(ids);
@@ -203,7 +216,9 @@ impl LiveWarehouse {
     /// handles shared with every previous epoch) plus a pointer swap —
     /// the working copy itself is **not** rebuilt, so publish latency is
     /// O(hierarchies), independent of both the fact count and how the
-    /// batch was composed. Returns the new snapshot.
+    /// batch was composed. The swap drops this handle on the previous
+    /// epoch; if no reader still holds it, the structures the batch
+    /// unshared are freed here. Returns the new snapshot.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
         let mut w = self.writer.lock().expect("writer lock");
         let epoch = self.published.read().expect("published lock").epoch + 1;

@@ -26,14 +26,17 @@ use mirabel_flexoffer::ProsumerId;
 use mirabel_geo::Geography;
 use mirabel_workload::Prosumer;
 
+use crate::columns::remap;
 use crate::hierarchy::{Hierarchy, MemberId};
 
 /// Per-region fact index of one warehouse.
 ///
-/// Maintained incrementally by [`Warehouse::ingest`](crate::Warehouse::ingest)
-/// (append to one posting list) and rebuilt in one O(live) pass by
-/// [`Warehouse::withdraw`](crate::Warehouse::withdraw) alongside the other
-/// secondary indices. The warehouse holds the index behind a
+/// Maintained incrementally: [`Warehouse::ingest`](crate::Warehouse::ingest)
+/// appends to one posting list per fact, and
+/// [`Warehouse::withdraw`](crate::Warehouse::withdraw) remaps the postings
+/// in place with the same old→new position map as the other secondary
+/// indices — dead entries drop out, later survivors shift down, emptied
+/// lists are removed. The warehouse holds the index behind a
 /// copy-on-write [`Arc`](std::sync::Arc), so cloning the warehouse (the
 /// live warehouse's epoch publish) freezes the index by *sharing* it —
 /// the next mutating batch unshares its own copy.
@@ -74,14 +77,15 @@ impl SpatialIndex {
         self.postings.entry(leaf).or_default().push(fact_idx);
     }
 
-    /// Rebuilds every posting list from a compacted geography-leaf
-    /// column (the withdraw path, where surviving fact indices shift).
-    /// The membership cache is unaffected — prosumers do not move.
-    pub fn rebuild(&mut self, geo_leaves: &[MemberId]) {
-        self.postings.clear();
-        for (idx, &leaf) in geo_leaves.iter().enumerate() {
-            self.postings.entry(leaf).or_default().push(idx);
-        }
+    /// Withdraw maintenance: removes the facts at the ascending `dead`
+    /// positions from every posting list and shifts the later survivors
+    /// down, in order; lists left empty are dropped. The membership
+    /// cache is unaffected — prosumers do not move.
+    pub(crate) fn remap(&mut self, dead: &[usize]) {
+        self.postings.retain(|_, list| {
+            list.retain_mut(|idx| remap(dead, idx));
+            !list.is_empty()
+        });
     }
 
     /// Posting list of one district leaf (empty when no facts key to it).

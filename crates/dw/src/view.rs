@@ -10,9 +10,8 @@
 //! contiguous columns without touching an `Arc`. Callers that truly
 //! need owned offers (a view tab outliving the borrow, a planner
 //! cloning arrivals) use the explicit [`OfferView::materialize`] escape
-//! hatch, which hands out the warehouse's *own* allocations — the same
-//! sharing guarantee the deprecated
-//! [`load_shared`](crate::Warehouse::load_shared) made.
+//! hatch, which hands out the warehouse's *own* allocations, so many
+//! tabs across many sessions share one copy of each offer.
 //!
 //! [`WarehouseRead`] is the companion half of the redesign: one trait
 //! over every snapshot flavor — a bare [`Warehouse`], a published
@@ -113,9 +112,8 @@ impl<'a> OfferView<'a> {
 
     /// The escape hatch: owned shared handles for every selected offer,
     /// in selection order. Hands out the warehouse's own allocations
-    /// (`Arc::clone`, never a payload clone) — the exact contract of
-    /// the deprecated [`Warehouse::load_shared`], now opt-in instead of
-    /// the default cost of every query.
+    /// (`Arc::clone`, never a payload clone) — opt-in instead of the
+    /// default cost of every query.
     pub fn materialize(&self) -> Vec<Arc<FlexOffer>> {
         self.indices.iter().map(|&i| Arc::clone(self.dw.shared_offer(i))).collect()
     }

@@ -10,7 +10,7 @@ use mirabel_geo::Geography;
 use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
 use mirabel_workload::Population;
 
-use crate::columns::{ColumnStore, LeafKeys};
+use crate::columns::{remap, ColumnStore, LeafKeys};
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, Hierarchy, MemberId};
 use crate::spatial::SpatialIndex;
@@ -28,11 +28,15 @@ use crate::view::OfferView;
 /// incremental deltas behind [`LiveWarehouse`](crate::LiveWarehouse).
 ///
 /// The heavy state — fact columns, offer store, the per-id / per-prosumer /
-/// per-region indices — sits behind [`Arc`] with copy-on-write semantics
-/// ([`Arc::make_mut`]): cloning the warehouse (the live warehouse's epoch
-/// publish, which happens under the writer lock) costs O(hierarchies),
-/// independent of the fact count, and the first mutating batch after a
-/// publish pays for unsharing only the structures it actually touches.
+/// per-region indices — sits behind [`Arc`] with copy-on-write semantics:
+/// cloning the warehouse (the live warehouse's epoch publish, which
+/// happens under the writer lock) costs O(hierarchies), independent of
+/// the fact count. The price moves to the first mutating batch after a
+/// publish, which copies each structure it touches once — an ingest
+/// copies every fact column, the offer list and all three indices. The
+/// rest of a batch costs what it changes: appends push onto that copy's
+/// spare capacity, and a withdrawal shifts only the facts behind the
+/// first withdrawn one and remaps the indices in place.
 #[derive(Debug, Clone)]
 pub struct Warehouse {
     time: Hierarchy,
@@ -152,7 +156,9 @@ impl Warehouse {
             / SLOTS_PER_DAY;
         let time_leaf = self.day_leaves[day_idx as usize];
         // Unshare the copy-on-write state (no-op while this writer is
-        // the sole owner; a full copy right after an epoch publish).
+        // the sole owner; a full copy right after an epoch publish —
+        // `ingest` has already unshared the columns and offers with room
+        // for its batch).
         let spatial = Arc::make_mut(&mut self.spatial);
         let geo_leaf =
             spatial.leaf_for(&self.geo_model, &self.district_leaves, self.unassigned_leaf, p);
@@ -207,9 +213,13 @@ impl Warehouse {
     /// reaches into new days — no existing row, member id or index entry
     /// is rebuilt. Skipped offers are itemised in the returned
     /// [`IngestOutcome`].
+    ///
+    /// The first append after a publish copies the fact columns and the
+    /// offer list once, with spare capacity for the rest of the batch,
+    /// so the batch's pushes never reallocate them.
     pub fn ingest(&mut self, population: &Population, offers: &[FlexOffer]) -> IngestOutcome {
         let mut out = IngestOutcome::default();
-        for fo in offers {
+        for (k, fo) in offers.iter().enumerate() {
             if self.by_id.contains_key(&fo.id()) {
                 out.skipped_duplicate += 1;
                 continue;
@@ -226,51 +236,70 @@ impl Warehouse {
                 continue;
             }
             out.days_added += self.extend_to(day + SlotSpan::days(1));
+            self.make_room(&offers[k..]);
             self.append_offer(population, fo);
             out.ingested += 1;
         }
         out
     }
 
-    /// Withdraws offers by id (the SAREF4ENER *withdrawn* transition):
-    /// matching rows are tombstoned and the fact table is compacted in
-    /// one O(live) pass at the batch boundary, preserving fact order for
-    /// the survivors. Unknown ids are ignored. Returns the number of
-    /// offers removed.
+    /// Unshares the fact columns and the offer list ahead of appending
+    /// (at most) `upcoming`. A structure still shared with a published
+    /// epoch is copied once, with spare capacity for those offers;
+    /// [`Arc::make_mut`] would clone it at exact size, and the first push
+    /// would then reallocate and copy it a second time. A no-op while
+    /// the writer is the sole owner.
+    fn make_room(&mut self, upcoming: &[FlexOffer]) {
+        let facts = upcoming.len();
+        unshare(&mut self.columns, |columns| {
+            let slices = upcoming.iter().map(|fo| fo.profile().len()).sum();
+            columns.clone_with_room(facts, slices)
+        });
+        unshare(&mut self.offers, |offers| {
+            let mut copy = Vec::with_capacity(offers.len() + facts);
+            copy.extend(offers.iter().cloned());
+            copy
+        });
+    }
+
+    /// Withdraws offers by id (the SAREF4ENER *withdrawn* transition),
+    /// compacting them away at once and preserving fact order for the
+    /// survivors. Unknown and repeated ids are ignored. Returns the
+    /// number of offers removed.
+    ///
+    /// The batch's sorted dead positions are the old→new position map: a
+    /// survivor moves down by the number of dead positions before it.
+    /// The fact columns and the offer list shift only what lies behind
+    /// the first dead fact ([`ColumnStore::compact`]); `by_id`,
+    /// `by_prosumer` and the spatial postings are remapped in place —
+    /// dead entries drop out, survivors shift down, emptied lists are
+    /// removed — which leaves them exactly as a rebuild from the
+    /// compacted facts would.
     pub fn withdraw(&mut self, ids: &[FlexOfferId]) -> usize {
-        let mut dead = vec![false; self.offers.len()];
-        let mut removed = 0;
-        for id in ids {
-            if let Some(&i) = self.by_id.get(id) {
-                if !dead[i] {
-                    dead[i] = true;
-                    removed += 1;
-                }
+        let mut dead: Vec<usize> =
+            ids.iter().filter_map(|id| self.by_id.get(id).copied()).collect();
+        dead.sort_unstable();
+        dead.dedup();
+        let Some(&first) = dead.first() else { return 0 };
+        Arc::make_mut(&mut self.columns).compact(&dead);
+        // `Arc`s are not `Copy`: survivors behind the first dead fact
+        // swap down over the dead ones, which the truncate then drops.
+        let offers = Arc::make_mut(&mut self.offers);
+        let mut write = first;
+        for read in first..offers.len() {
+            if dead.binary_search(&read).is_err() {
+                offers.swap(write, read);
+                write += 1;
             }
         }
-        if removed == 0 {
-            return 0;
-        }
-        Arc::make_mut(&mut self.columns).compact(&dead);
-        let offers = Arc::make_mut(&mut self.offers);
-        let mut i = 0;
-        offers.retain(|_| {
-            let keep = !dead[i];
-            i += 1;
-            keep
+        offers.truncate(write);
+        Arc::make_mut(&mut self.by_id).retain(|_, idx| remap(&dead, idx));
+        Arc::make_mut(&mut self.by_prosumer).retain(|_, list| {
+            list.retain_mut(|idx| remap(&dead, idx));
+            !list.is_empty()
         });
-        // Survivor indices shifted: rebuild the secondary indices in one
-        // pass over the (compacted) offer list and fact table.
-        let by_id = Arc::make_mut(&mut self.by_id);
-        let by_prosumer = Arc::make_mut(&mut self.by_prosumer);
-        by_id.clear();
-        by_prosumer.clear();
-        for (idx, fo) in offers.iter().enumerate() {
-            by_id.insert(fo.id(), idx);
-            by_prosumer.entry(fo.prosumer()).or_default().push(idx);
-        }
-        Arc::make_mut(&mut self.spatial).rebuild(self.columns.geo_leaves());
-        removed
+        Arc::make_mut(&mut self.spatial).remap(&dead);
+        dead.len()
     }
 
     /// Applies enterprise schedule assignments to loaded offers **in
@@ -573,15 +602,6 @@ impl Warehouse {
         OfferView::new(self, self.selected_indices(query))
     }
 
-    /// The loader, Arc-flavored: the same selection as
-    /// [`Warehouse::load_offers`] but returning shared handles, so a view
-    /// tab (or many tabs across many sessions) holds the warehouse's
-    /// allocation instead of a per-tab clone of every offer.
-    #[deprecated(since = "0.8.0", note = "use `Warehouse::view(query).materialize()`")]
-    pub fn load_shared(&self, query: &LoaderQuery) -> Vec<Arc<FlexOffer>> {
-        self.selected_indices(query).into_iter().map(|i| Arc::clone(&self.offers[i])).collect()
-    }
-
     /// Reference implementation of [`Warehouse::load_offers`] that
     /// ignores every secondary index: a linear scan over all facts
     /// applying the entity, region and interval filters directly. The
@@ -660,12 +680,6 @@ impl LoaderQuery {
         LoaderQuery::builder().prosumer(prosumer)
     }
 
-    /// Loads every offer intersecting `[from, to)`.
-    #[deprecated(since = "0.7.0", note = "use `LoaderQuery::builder().window(from, to).build()`")]
-    pub fn window(from: TimeSlot, to: TimeSlot) -> LoaderQuery {
-        LoaderQuery { prosumer: None, region: None, direction: None, from, to }
-    }
-
     /// `true` when `offer` satisfies the entity and direction filters and
     /// intersects the half-open interval. The spatial filter is *not*
     /// checked here (an offer alone does not know its region) — the
@@ -724,6 +738,14 @@ impl LoaderQueryBuilder {
     /// a valid query (an inverted window simply matches nothing).
     pub fn build(self) -> LoaderQuery {
         self.query
+    }
+}
+
+/// Gives `shared` a sole owner, as [`Arc::make_mut`] does, but makes the
+/// copy of a shared value with `copy` rather than [`Clone`].
+fn unshare<T>(shared: &mut Arc<T>, copy: impl FnOnce(&T) -> T) {
+    if Arc::get_mut(shared).is_none() {
+        *shared = Arc::new(copy(shared));
     }
 }
 
@@ -862,27 +884,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the compat contract of the deprecated loader
-    fn shared_loader_aliases_warehouse_allocations() {
+    fn materialized_views_alias_warehouse_allocations() {
         let (pop, offers) = setup();
         let dw = Warehouse::load(&pop, &offers);
         let q = LoaderQuery::builder().build();
-        let shared = dw.load_shared(&q);
-        let borrowed = dw.load_offers(&q);
-        assert_eq!(shared.len(), borrowed.len());
-        // The Arc loader hands out the warehouse's own allocations.
+        let shared = dw.view(&q).materialize();
+        assert_eq!(shared.len(), dw.load_offers(&q).len());
+        // Materializing hands out the warehouse's own allocations.
         for (arc, dw_arc) in shared.iter().zip(dw.offers()) {
             assert!(Arc::ptr_eq(arc, dw_arc));
         }
         let entity = offers[0].prosumer();
-        let mine = dw.load_shared(&LoaderQuery::for_prosumer(entity).build());
+        let mine = dw.view(&LoaderQuery::for_prosumer(entity).build()).materialize();
         assert!(!mine.is_empty());
-        assert!(mine.iter().all(|fo| fo.prosumer() == entity));
-        // The replacement path hands out the identical allocations.
-        let via_view = dw.view(&q).materialize();
-        assert_eq!(via_view.len(), shared.len());
-        for (a, b) in via_view.iter().zip(&shared) {
-            assert!(Arc::ptr_eq(a, b));
+        for arc in &mine {
+            assert_eq!(arc.prosumer(), entity);
+            assert!(dw.offers().iter().any(|dw_arc| Arc::ptr_eq(arc, dw_arc)));
         }
     }
 
@@ -1055,7 +1072,7 @@ mod tests {
     fn region_index_matches_full_scan() {
         let (pop, offers) = setup();
         let mut dw = Warehouse::load(&pop, &offers);
-        // Exercise the index across mutations too (withdraw rebuilds it).
+        // Exercise the index across mutations too (withdraw remaps it).
         let victims: Vec<FlexOfferId> = offers.iter().step_by(4).map(|fo| fo.id()).collect();
         dw.withdraw(&victims);
         let geo = dw.hierarchy(Dimension::Geography);

@@ -1,4 +1,4 @@
-//! Property tests for the encoded column path.
+//! Property tests for the encoded column path and the write path.
 //!
 //! Two invariants from the encoded-columns work are pinned here, against
 //! the public crate surface only:
@@ -7,7 +7,10 @@
 //!    seeded ingest/refresh/withdraw churn trace, the per-dimension
 //!    dictionaries and the direction/status run-length columns decode to
 //!    exactly the plain leaf-key and lifecycle columns, in canonical
-//!    (maximal-run) form;
+//!    (maximal-run) form. The same trace also checks the write path:
+//!    a clone held as the published epoch stays frozen while the working
+//!    copy moves on, and every secondary index (per id, per prosumer,
+//!    per region) agrees with the fact columns and the index-free scan;
 //! 2. **pushdown ≡ the row oracle** — `Warehouse::eval` (dictionary-mask
 //!    pushdown) agrees bit-for-bit with both `eval_scan` (the plain
 //!    columnar scan) and `eval_rows` (the row-shaped reference) for
@@ -21,9 +24,10 @@
 use std::collections::HashMap;
 
 use mirabel_dw::{
-    direction_code, status_code, ColumnStore, Dimension, Measure, Query, Run, Warehouse,
+    direction_code, status_code, ColumnStore, Dimension, FactRow, LoaderQuery, Measure, MemberId,
+    Query, Run, Warehouse,
 };
-use mirabel_flexoffer::{FlexOffer, FlexOfferId, OfferState, Schedule};
+use mirabel_flexoffer::{FlexOffer, FlexOfferId, OfferState, ProsumerId, Schedule};
 use mirabel_timeseries::TimeSlot;
 use mirabel_workload::{
     generate_ingest_trace, generate_offers, IngestEvent, IngestTraceConfig, OfferConfig,
@@ -82,6 +86,57 @@ fn assert_encoded_consistent(cols: &ColumnStore) {
     }
 }
 
+/// What a published epoch shows: every fact row, the unfiltered
+/// loader's offers and each geography member's view.
+fn published_state(dw: &Warehouse) -> (Vec<FactRow>, Vec<FlexOfferId>, Vec<Vec<FlexOfferId>>) {
+    let rows = dw.columns().rows().collect();
+    let loaded = dw.load_offers(&LoaderQuery::builder().build()).iter().map(|fo| fo.id()).collect();
+    let regions = geography_members(dw)
+        .into_iter()
+        .map(|m| dw.view(&LoaderQuery::for_region(m).build()).ids().collect())
+        .collect();
+    (rows, loaded, regions)
+}
+
+/// Every member of the geography hierarchy, at every level.
+fn geography_members(dw: &Warehouse) -> Vec<MemberId> {
+    dw.hierarchy(Dimension::Geography).members().iter().map(|m| m.id).collect()
+}
+
+/// The secondary indices against the fact columns: `offer` and
+/// `geo_leaf_of` resolve every live id to its own fact and no withdrawn
+/// id at all, and the indexed loaders (per-prosumer and per-region
+/// postings) return exactly the index-free scan's offers.
+fn assert_indices_match_columns(
+    dw: &Warehouse,
+    withdrawn: &[FlexOfferId],
+    prosumers: &[ProsumerId],
+    context: &str,
+) {
+    let cols = dw.columns();
+    for (i, &id) in cols.offer_ids().iter().enumerate() {
+        let fo = dw.offer(id).unwrap_or_else(|| panic!("{context}: live {id:?} has no offer"));
+        assert!(std::ptr::eq(fo, dw.offers()[i].as_ref()), "{context}: {id:?} is not fact {i}");
+        assert_eq!(fo.prosumer(), cols.prosumers()[i], "{context}: prosumer of fact {i}");
+        assert_eq!(dw.geo_leaf_of(id), Some(cols.geo_leaves()[i]), "{context}: leaf of fact {i}");
+    }
+    for &id in withdrawn {
+        assert!(dw.offer(id).is_none(), "{context}: withdrawn {id:?} still resolves");
+        assert_eq!(dw.geo_leaf_of(id), None, "{context}: withdrawn {id:?} still has a leaf");
+    }
+    let scan = |q: &LoaderQuery| -> Vec<FlexOfferId> {
+        dw.load_offers_scan(q).iter().map(|fo| fo.id()).collect()
+    };
+    for &p in prosumers {
+        let q = LoaderQuery::for_prosumer(p).build();
+        assert_eq!(dw.view(&q).ids().collect::<Vec<_>>(), scan(&q), "{context}: prosumer {p:?}");
+    }
+    for m in geography_members(dw) {
+        let q = LoaderQuery::for_region(m).build();
+        assert_eq!(dw.view(&q).ids().collect::<Vec<_>>(), scan(&q), "{context}: region {m}");
+    }
+}
+
 #[test]
 fn encoded_columns_decode_to_plain_under_seeded_churn() {
     let population =
@@ -98,6 +153,11 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
 
     let mut dw = Warehouse::load(&population, &initial);
     assert_encoded_consistent(dw.columns());
+    // The published epoch: held across each batch, so every batch's
+    // first mutation unshares the copy-on-write state.
+    let mut held = dw.clone();
+    let mut held_state = published_state(&held);
+    let mut withdrawn: Vec<FlexOfferId> = Vec::new();
 
     // Every arrived offer, retained so schedule churn can synthesise a
     // feasible assignment for it later in the trace.
@@ -106,7 +166,8 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
     let mut rng = 0x0DDB_1A5E_5BAD_5EEDu64;
     let mut publishes = 0usize;
 
-    for event in trace {
+    for (step, event) in trace.into_iter().enumerate() {
+        let is_publish = event == IngestEvent::Publish;
         match event {
             IngestEvent::Arrive { offers } => {
                 arrived.extend(offers.iter().map(|fo| (fo.id(), fo.clone())));
@@ -117,6 +178,7 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
                     arrived.remove(id);
                 }
                 dw.withdraw(&ids);
+                withdrawn.extend(&ids);
             }
             IngestEvent::AdvanceDay => {
                 dw.advance_day();
@@ -139,6 +201,19 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
             }
         }
         assert_encoded_consistent(dw.columns());
+        let context = format!("after event {step}");
+        assert!(published_state(&held) == held_state, "{context}: the held epoch moved");
+        let sample: Vec<ProsumerId> = population
+            .prosumers()
+            .iter()
+            .filter(|_| splitmix(&mut rng).is_multiple_of(4))
+            .map(|p| p.id)
+            .collect();
+        assert_indices_match_columns(&dw, &withdrawn, &sample, &context);
+        if is_publish {
+            held = dw.clone();
+            held_state = published_state(&held);
+        }
     }
 
     assert!(publishes >= 4, "the trace exercised several publish boundaries");

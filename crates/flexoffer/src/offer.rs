@@ -110,12 +110,6 @@ impl OfferState {
     pub fn is_terminal(self) -> bool {
         matches!(self, OfferState::Rejected | OfferState::Executed | OfferState::Withdrawn)
     }
-
-    /// Former name of [`OfferState::is_scheduled`].
-    #[deprecated(since = "0.7.0", note = "renamed to `is_scheduled`")]
-    pub fn is_assigned(self) -> bool {
-        self.is_scheduled()
-    }
 }
 
 impl fmt::Display for OfferState {

@@ -15,6 +15,9 @@
 //!   compile-fail doctest suites of `mirabel-flexoffer` and
 //!   `mirabel-net` (invalid lifecycle transitions must not compile)
 //!   plus their rustdoc under `-D warnings`;
+//! * `cargo xtask perfbench` — the repository benchmark's correctness
+//!   checks: its own tests, then a 3 s run of each workload through the
+//!   `BENCHMARK.json` command (a run exits 1 when `"correct"` is false);
 //! * `cargo xtask bench-gate` — session/stress/ingest/planning/spatial/
 //!   net/forecast/columnar harnesses plus the `bench_diff` regression
 //!   gate (the second half);
@@ -90,6 +93,51 @@ const API_CHECK: &[Step] = &[
         args: &["doc", "-p", "mirabel-flexoffer", "-p", "mirabel-net", "--no-deps", "--locked"],
         env: &[("RUSTDOCFLAGS", "-D warnings")],
     },
+];
+
+/// One short, untraced run of a `perfbench` workload through the
+/// `BENCHMARK.json` command.
+macro_rules! perfbench_run {
+    ($workload:literal) => {
+        Step {
+            name: concat!("perfbench ", $workload, " (3 s, checked)"),
+            program: "cargo",
+            args: &[
+                "run",
+                "--release",
+                "--quiet",
+                "--offline",
+                "--manifest-path",
+                "perfbench/Cargo.toml",
+                "--",
+                "--workload",
+                $workload,
+                "--seed",
+                "1",
+                "--seconds",
+                "3",
+                "--trace",
+                "0",
+            ],
+            env: &[],
+        }
+    };
+}
+
+/// The repository benchmark (`perfbench/`, declared in
+/// `BENCHMARK.json`) as a correctness check: its tests, then a short
+/// run of each workload. Every run checks its replies, published
+/// snapshots and final plan, and exits 1 when `"correct"` is false.
+const PERFBENCH: &[Step] = &[
+    Step {
+        name: "perfbench tests",
+        program: "cargo",
+        args: &["test", "--release", "--locked", "--manifest-path", "perfbench/Cargo.toml"],
+        env: &[],
+    },
+    perfbench_run!("explore"),
+    perfbench_run!("city"),
+    perfbench_run!("live"),
 ];
 
 const BENCH_GATE: &[Step] = &[
@@ -574,11 +622,12 @@ fn run(steps: &[&[Step]]) -> ExitCode {
 fn main() -> ExitCode {
     let task = std::env::args().nth(1).unwrap_or_default();
     match task.as_str() {
-        "ci" => run(&[LINT, TEST, API_CHECK, EXAMPLES, BENCH_GATE]),
+        "ci" => run(&[LINT, TEST, API_CHECK, PERFBENCH, EXAMPLES, BENCH_GATE]),
         "lint" => run(&[LINT]),
         "test" => run(&[TEST]),
         "examples" => run(&[EXAMPLES]),
         "api-check" => run(&[API_CHECK]),
+        "perfbench" => run(&[PERFBENCH]),
         "bench-gate" => run(&[BENCH_GATE]),
         "net-scale" => run(&[NET_SCALE]),
         "baseline" => run(&[BASELINE]),
@@ -586,10 +635,11 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <task>\n\n\
                  tasks:\n\
-                 \x20 ci          the full CI pipeline (lint + test + api-check + examples + bench-gate)\n\
+                 \x20 ci          the full CI pipeline (lint + test + api-check + perfbench + examples + bench-gate)\n\
                  \x20 lint        clippy + rustfmt + rustdoc, all -D warnings\n\
                  \x20 test        release build + workspace tests\n\
                  \x20 api-check   typestate compile-fail doctests + API rustdoc -D warnings\n\
+                 \x20 perfbench   the repository benchmark's tests + a checked 3 s run of each workload\n\
                  \x20 examples    run (not just compile) the smoke examples\n\
                  \x20 bench-gate  benches, stress/ingest/planning/spatial/net/columnar harnesses, bench_diff gate\n\
                  \x20 net-scale   the nightly 1000-connection storm against the event-loop server\n\
