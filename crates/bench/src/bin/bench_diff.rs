@@ -2,139 +2,85 @@
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin bench_diff -- \
-//!     --baseline BENCH_baseline.json \
-//!     --stress BENCH_stress.json --ingest BENCH_ingest.json
+//!     --baseline BENCH_baseline.json BENCH_stress.json BENCH_ingest.json ...
 //! ```
 //!
-//! The baseline file holds one `stress` and one `ingest` section (each
-//! the verbatim report its harness wrote). Throughput metrics may not
-//! drop, and tail-latency metrics may not rise, by more than
-//! `--tolerance` (relative, default 0.20 = ±20 %); `determinism_ok` /
-//! `hash_stable` must hold outright. Improvements pass — refresh the
-//! baseline when they should become the new bar:
+//! The baseline file holds one section per harness, keyed by the
+//! report's `bench` field (each the verbatim report its harness wrote).
+//! Every report given is judged by its harness's gate table (see
+//! `mirabel_bench::diff`) against its section: integrity booleans hold
+//! outright, relative rows stay within ±20 % (one-sided — improvements
+//! pass), limits scoped to `bench_diff` hold absolutely, and each row's
+//! machine-class policy decides when a miss only warns. Refresh the
+//! baseline when improvements should become the new bar:
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin bench_diff -- \
-//!     --baseline BENCH_baseline.json --stress ... --ingest ... --write-baseline
+//!     --baseline BENCH_baseline.json BENCH_stress.json BENCH_ingest.json \
+//!     BENCH_planning.json BENCH_net.json BENCH_spatial.json \
+//!     BENCH_forecast.json BENCH_columnar.json --write-baseline
 //! ```
+//!
+//! Name the reports one by one rather than by a `BENCH_*.json` glob:
+//! the glob also matches the baseline itself and the nightly reports,
+//! and two reports of one harness are refused.
 
 use std::process::ExitCode;
 
+use mirabel_bench::cli::Args;
 use mirabel_bench::diff::{
-    diff_columnar, diff_forecast, diff_ingest, diff_net, diff_planning, diff_spatial, diff_stress,
-    guard_machine_class, Json, MetricCheck, PARALLEL_GATE_MIN_CORES,
+    evaluate, gates_for, guard_machine_class, Gate, Json, MetricCheck, PARALLEL_GATE_MIN_CORES,
+    TOLERANCE,
 };
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench_diff --baseline PATH [--stress PATH] [--ingest PATH] \
-         [--planning PATH] [--net PATH] [--spatial PATH] [--forecast PATH] \
-         [--columnar PATH] [--tolerance F] [--write-baseline]"
-    );
-    std::process::exit(2);
-}
+/// A report with its `bench` name and that harness's gate table.
+type Report = (String, &'static [Gate], Json);
 
-fn read_json(path: &str, what: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{what} report {path} is not valid JSON: {e}"))
+/// Reads every report, at most one per harness.
+fn read_reports(paths: &[String]) -> Result<Vec<Report>, String> {
+    let mut reports: Vec<Report> = Vec::new();
+    for path in paths {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let report = Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+        let Some(Json::Str(bench)) = report.get("bench") else {
+            return Err(format!("{path} has no \"bench\" field — not a harness report"));
+        };
+        let gates = gates_for(bench).ok_or(format!("{path}: unknown bench {bench:?}"))?;
+        if reports.iter().any(|(seen, ..)| seen == bench) {
+            return Err(format!("{path} is a second {bench:?} report — pass one per harness"));
+        }
+        reports.push((bench.clone(), gates, report));
+    }
+    Ok(reports)
 }
 
 fn main() -> ExitCode {
-    let mut baseline_path: Option<String> = None;
-    let mut stress_path: Option<String> = None;
-    let mut ingest_path: Option<String> = None;
-    let mut planning_path: Option<String> = None;
-    let mut net_path: Option<String> = None;
-    let mut spatial_path: Option<String> = None;
-    let mut forecast_path: Option<String> = None;
-    let mut columnar_path: Option<String> = None;
-    let mut tolerance = 0.20f64;
-    let mut write_baseline = false;
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
+    let mut args = Args::parse(
+        "usage: bench_diff --baseline PATH [--write-baseline] REPORT.json...",
+        &["--write-baseline"],
+    );
+    let write_baseline = args.switch("--write-baseline");
+    let baseline_path: String = args.get("--baseline").unwrap_or_else(|| args.usage());
+    let paths = args.rest();
+    if paths.is_empty() {
+        eprintln!("nothing to compare: pass one or more BENCH_*.json reports");
+        args.usage();
     }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => baseline_path = Some(value(&args, &mut i)),
-            "--stress" => stress_path = Some(value(&args, &mut i)),
-            "--ingest" => ingest_path = Some(value(&args, &mut i)),
-            "--planning" => planning_path = Some(value(&args, &mut i)),
-            "--net" => net_path = Some(value(&args, &mut i)),
-            "--spatial" => spatial_path = Some(value(&args, &mut i)),
-            "--forecast" => forecast_path = Some(value(&args, &mut i)),
-            "--columnar" => columnar_path = Some(value(&args, &mut i)),
-            "--tolerance" => {
-                tolerance = value(&args, &mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--write-baseline" => write_baseline = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+    args.finish();
+    let reports = match read_reports(&paths) {
+        Ok(reports) => reports,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
-    let Some(baseline_path) = baseline_path else { usage() };
-    if stress_path.is_none()
-        && ingest_path.is_none()
-        && planning_path.is_none()
-        && net_path.is_none()
-        && spatial_path.is_none()
-        && forecast_path.is_none()
-        && columnar_path.is_none()
-    {
-        eprintln!(
-            "nothing to compare: pass --stress, --ingest, --planning, --net, --spatial, \
-             --forecast and/or --columnar"
-        );
-        usage();
-    }
-    if !(0.0..=1.0).contains(&tolerance) {
-        eprintln!("tolerance must be in [0, 1]");
-        usage();
-    }
+    };
 
     // --write-baseline: (re)compose the baseline from the fresh reports
     // instead of gating against it.
     if write_baseline {
-        let mut out = String::from("{\n");
-        let mut sections = Vec::new();
-        for (key, path) in [
-            ("stress", &stress_path),
-            ("ingest", &ingest_path),
-            ("planning", &planning_path),
-            ("net", &net_path),
-            ("spatial", &spatial_path),
-            ("forecast", &forecast_path),
-            ("columnar", &columnar_path),
-        ] {
-            if let Some(path) = path {
-                match std::fs::read_to_string(path) {
-                    Ok(text) => {
-                        let trimmed = text.trim();
-                        let indented = trimmed.replace('\n', "\n  ");
-                        sections.push(format!("  \"{key}\": {indented}"));
-                    }
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
-        out.push_str(&sections.join(",\n"));
-        out.push_str("\n}\n");
-        if let Err(e) = Json::parse(&out) {
-            eprintln!("refusing to write a malformed baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(&baseline_path, out) {
+        let sections = reports.into_iter().map(|(bench, _, report)| (bench, report));
+        let baseline = Json::Obj(sections.collect());
+        if let Err(e) = std::fs::write(&baseline_path, baseline.to_string()) {
             eprintln!("cannot write {baseline_path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -142,52 +88,37 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline = match read_json(&baseline_path, "baseline") {
+    let baseline = match std::fs::read_to_string(&baseline_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text))
+    {
         Ok(j) => j,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("cannot read baseline {baseline_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
 
     let mut checks: Vec<MetricCheck> = Vec::new();
-    for (key, path, diff) in [
-        ("stress", &stress_path, diff_stress as fn(&Json, &Json, f64) -> _),
-        ("ingest", &ingest_path, diff_ingest as fn(&Json, &Json, f64) -> _),
-        ("planning", &planning_path, diff_planning as fn(&Json, &Json, f64) -> _),
-        ("net", &net_path, diff_net as fn(&Json, &Json, f64) -> _),
-        ("spatial", &spatial_path, diff_spatial as fn(&Json, &Json, f64) -> _),
-        ("forecast", &forecast_path, diff_forecast as fn(&Json, &Json, f64) -> _),
-        ("columnar", &columnar_path, diff_columnar as fn(&Json, &Json, f64) -> _),
-    ] {
-        let Some(path) = path else { continue };
-        let Some(base_section) = baseline.get(key) else {
-            eprintln!("baseline {baseline_path} has no \"{key}\" section");
+    for (bench, gates, report) in &reports {
+        let Some(section) = baseline.get(bench) else {
+            eprintln!("baseline {baseline_path} has no \"{bench}\" section");
             return ExitCode::FAILURE;
-        };
-        let current = match read_json(path, key) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
         };
         // Hard machine-class guard: a baseline measured with more cores
         // than this runner has sets bars the runner cannot reach.
-        if let Err(e) = guard_machine_class(key, base_section, &current) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        match diff(base_section, &current, tolerance) {
-            Ok(mut section_checks) => checks.append(&mut section_checks),
+        let verdict = guard_machine_class(bench, section, report)
+            .and_then(|()| evaluate(bench, gates, Some(section), report));
+        match verdict {
+            Ok(rows) => checks.extend(rows),
             Err(e) => {
-                eprintln!("cannot diff {key}: {e}");
+                eprintln!("cannot diff {bench}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
 
-    println!("bench gate (tolerance ±{:.0}%):", tolerance * 100.0);
+    println!("bench gate (tolerance ±{:.0}%):", TOLERANCE * 100.0);
     for c in &checks {
         println!("  {c}");
     }
@@ -199,8 +130,8 @@ fn main() -> ExitCode {
     if !skipped_parallel.is_empty() {
         eprintln!(
             "\nWARNING: parallel-speedup gate(s) {skipped_parallel:?} ran advisory-only — this \
-             runner has fewer than {PARALLEL_GATE_MIN_CORES} cores (or a different machine \
-             class than the baseline), so thread-scaling claims cannot be verified here."
+             runner has fewer than {PARALLEL_GATE_MIN_CORES} cores (or a different machine class \
+             than the baseline), so thread-scaling claims cannot be verified here."
         );
     }
     let advisories = checks.iter().filter(|c| !c.ok && c.advisory).count();
@@ -217,11 +148,12 @@ fn main() -> ExitCode {
         eprintln!(
             "\nFAIL: {regressions} metric(s) regressed beyond ±{:.0}% — \
              if intentional, refresh BENCH_baseline.json with --write-baseline",
-            tolerance * 100.0,
+            TOLERANCE * 100.0,
         );
         ExitCode::FAILURE
     } else {
-        println!("\nall {} gated metrics within tolerance", checks.len() - advisories);
+        let gated = checks.iter().filter(|c| !c.advisory).count();
+        println!("\nall {gated} gated metrics within tolerance");
         ExitCode::SUCCESS
     }
 }

@@ -1,138 +1,53 @@
 //! S7 — columnar ≡ row equivalence under ingest churn, as a CI binary.
 //!
 //! Runs the columnar harness, writes `BENCH_columnar.json`, and
-//! enforces two gates unconditionally:
+//! enforces the binary rows of `mirabel_bench::columnar::GATES`:
 //!
-//! * **query equality**: every columnar `eval` answer must equal the
+//! * **query equality**: every columnar `eval` answer equals the
 //!   row-oriented `eval_rows` reference exactly, at every epoch;
 //! * **view equality**: every borrowed `view` (ids and materialized
-//!   offers) must match the linear row scan, at every epoch;
+//!   offers) matches the linear row scan, at every epoch;
 //! * **filtered equality**: every selective probe over the bulk pool
-//!   must agree three ways — pushdown `eval` ≡ plain `eval_scan` ≡ row
-//!   `eval_rows`.
-//!
-//! The timing ratios are reported always; `--assert-filtered-speedup`
-//! additionally fails the run when dictionary-mask pushdown is not at
-//! least that many times faster than the plain columnar scan on the
-//! filtered probe battery.
+//!   agrees three ways — pushdown `eval` ≡ plain `eval_scan` ≡ row
+//!   `eval_rows`;
+//! * **filtered speedup**: dictionary-mask pushdown is ≥ 3× faster
+//!   than the plain columnar scan on the filtered probe battery.
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin columnar -- \
-//!     --prosumers 150 --days 2 --repeats 3 \
-//!     --filter-facts 1000000 --assert-filtered-speedup 3
+//!     --prosumers 150 --days 2 --repeats 3 --filter-facts 1000000
 //! ```
 
 use std::process::ExitCode;
 
-use mirabel_bench::columnar::{run_columnar, ColumnarConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: columnar [--prosumers N] [--days N] [--batches-per-day N] \
-         [--withdraw-fraction F] [--repeats N] [--seed S] [--out PATH] \
-         [--filter-facts N] [--assert-filtered-speedup X]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::columnar::{run_columnar, ColumnarConfig, GATES};
+use mirabel_bench::diff::write_and_enforce;
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: columnar [--prosumers N] [--days N] [--batches-per-day N] \
+         [--withdraw-fraction F] [--repeats N] [--seed S] [--out PATH] [--filter-facts N]",
+        &[],
+    );
     let mut config = ColumnarConfig::default();
     let mut out_path = String::from("BENCH_columnar.json");
-    let mut assert_filtered_speedup: Option<f64> = None;
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--days" => config.days = parse(value(&args, &mut i)),
-            "--batches-per-day" => config.batches_per_day = parse(value(&args, &mut i)),
-            "--withdraw-fraction" => config.withdraw_fraction = parse(value(&args, &mut i)),
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--filter-facts" => config.filter_facts = parse(value(&args, &mut i)),
-            "--assert-filtered-speedup" => {
-                assert_filtered_speedup = Some(parse(value(&args, &mut i)))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--days", &mut config.days);
+    args.set("--batches-per-day", &mut config.batches_per_day);
+    args.set("--withdraw-fraction", &mut config.withdraw_fraction);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--seed", &mut config.seed);
+    args.set("--out", &mut out_path);
+    args.set("--filter-facts", &mut config.filter_facts);
     if config.prosumers == 0 || config.days == 0 || config.filter_facts == 0 {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S7 columnar — {} prosumers, {} days of churn (seed {:#x})",
         config.prosumers, config.days, config.seed,
     );
-    let report = run_columnar(&config);
-    println!(
-        "{} epochs, {} rows final; {} query + {} view comparisons",
-        report.epochs, report.offers, report.queries, report.views,
-    );
-    println!(
-        "final-epoch battery: columns {:.3} ms vs rows {:.3} ms → {:.2}x",
-        report.columnar_eval_ms, report.row_eval_ms, report.eval_speedup,
-    );
-    println!(
-        "filtered probe over {} facts: pushdown {:.3} ms vs plain scan {:.3} ms → {:.2}x",
-        report.config.filter_facts,
-        report.filtered_pushdown_ms,
-        report.filtered_scan_ms,
-        report.filtered_speedup,
-    );
-    println!(
-        "query equality: {}; view equality: {}; filtered equality: {}",
-        if report.equality_ok { "exact" } else { "DIVERGED" },
-        if report.views_ok { "exact" } else { "DIVERGED" },
-        if report.filtered_equality_ok { "exact" } else { "DIVERGED" },
-    );
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if !report.equality_ok {
-        eprintln!("FAIL: columnar eval diverged from the row reference");
-        failed = true;
-    }
-    if !report.views_ok {
-        eprintln!("FAIL: borrowed views diverged from the linear row scan");
-        failed = true;
-    }
-    if !report.filtered_equality_ok {
-        eprintln!("FAIL: filtered pushdown diverged from the scan or row oracle");
-        failed = true;
-    }
-    if let Some(bound) = assert_filtered_speedup {
-        if report.filtered_speedup < bound {
-            eprintln!(
-                "FAIL: filtered pushdown speedup {:.2}x below the required {:.2}x",
-                report.filtered_speedup, bound,
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_and_enforce(&out_path, GATES, &run_columnar(&config))
 }

@@ -4,8 +4,9 @@
 //! trailing day twice — once from the max-envelope history, once from
 //! the metered execution history — and scores both against the day's
 //! actual metered net load. Writes `BENCH_forecast.json` and enforces
-//! one hard gate: training on executions must beat the envelope
-//! baseline (`executions_beat_envelope`).
+//! the binary row of `mirabel_bench::forecast::GATES`: training on
+//! executions must beat the envelope baseline
+//! (`executions_beat_envelope`).
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin forecast -- \
@@ -14,79 +15,32 @@
 
 use std::process::ExitCode;
 
-use mirabel_bench::forecast::{run_forecast, ForecastConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: forecast [--prosumers N] [--days D] [--eval-days E] [--seed S] \
-         [--repeats N] [--out PATH]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::diff::write_and_enforce;
+use mirabel_bench::forecast::{run_forecast, ForecastConfig, GATES};
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: forecast [--prosumers N] [--days D] [--eval-days E] [--seed S] \
+         [--repeats N] [--out PATH]",
+        &[],
+    );
     let mut config = ForecastConfig::default();
     let mut out_path = String::from("BENCH_forecast.json");
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--days" => config.days = parse(value(&args, &mut i)),
-            "--eval-days" => config.eval_days = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--days", &mut config.days);
+    args.set("--eval-days", &mut config.eval_days);
+    args.set("--seed", &mut config.seed);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--out", &mut out_path);
     if config.prosumers == 0 || config.days < 2 || config.eval_days == 0 {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S6 forecast — {} prosumers x {} metered days, scoring the last {} day(s)",
         config.prosumers, config.days, config.eval_days,
     );
-    let report = run_forecast(&config);
-    println!(
-        "{} offers simulated, {} metered; histories + forecasts in {:.1} ms (best of {})\n",
-        report.offers,
-        report.executed,
-        report.forecast_ms,
-        config.repeats.max(1),
-    );
-    println!("  MAPE vs metered actuals:");
-    println!("    envelope baseline   {:>8.4}", report.mape_envelope);
-    println!("    on executions       {:>8.4}", report.mape_executions);
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    if !report.executions_beat_envelope {
-        eprintln!(
-            "FAIL: forecasting on metered executions ({:.4}) did not beat the envelope \
-             baseline ({:.4})",
-            report.mape_executions, report.mape_envelope
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    write_and_enforce(&out_path, GATES, &run_forecast(&config))
 }

@@ -3,81 +3,47 @@
 //! Replays a deterministic arrival/withdrawal/day-tick trace against a
 //! `LiveWarehouse` publishing epochs into a `ConcurrentPool` of reader
 //! sessions, at several reader thread counts, writes
-//! `BENCH_ingest.json`, and enforces two gates:
-//!
-//! * **epoch integrity** (always): per-(epoch, reader) frame hashes
-//!   must be identical at every thread count — no reader ever observes
-//!   a torn epoch;
-//! * **publish latency** (`--assert-publish-ms MS`): the dedicated
-//!   1 000-offer-batch publish probe must complete within the bound.
+//! `BENCH_ingest.json`, and enforces the binary rows of
+//! `mirabel_bench::ingest::GATES`: per-(epoch, reader) frame hashes
+//! identical at every thread count (no reader ever observes a torn
+//! epoch), and the 1 000-offer-batch and bulk publish probes within
+//! 100 ms.
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin ingest -- \
-//!     --readers 4 --commands 24 --threads 1,2,4,8 --assert-publish-ms 100
+//!     --readers 4 --commands 24 --threads 1,2,4,8
 //! ```
 
 use std::process::ExitCode;
 
-use mirabel_bench::ingest::{run_ingest, IngestConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: ingest [--readers K] [--commands M] [--threads 1,2,4,8] [--prosumers N] \
-         [--days D] [--batches B] [--withdraw F] [--repeats N] [--seed S] [--bulk-offers N] \
-         [--out PATH] [--assert-publish-ms MS] [--assert-bulk-publish-ms MS]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::diff::write_and_enforce;
+use mirabel_bench::ingest::{run_ingest, IngestConfig, GATES};
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: ingest [--readers K] [--commands M] [--threads 1,2,4,8] [--prosumers N] \
+         [--days D] [--batches B] [--withdraw F] [--repeats N] [--seed S] [--bulk-offers N] \
+         [--out PATH]",
+        &[],
+    );
     let mut config = IngestConfig::default();
     let mut out_path = String::from("BENCH_ingest.json");
-    let mut assert_publish_ms: Option<f64> = None;
-    let mut assert_bulk_publish_ms: Option<f64> = None;
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--readers" => config.readers = parse(value(&args, &mut i)),
-            "--commands" => config.commands_per_epoch = parse(value(&args, &mut i)),
-            "--threads" => {
-                config.threads = value(&args, &mut i)
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--days" => config.days = parse(value(&args, &mut i)),
-            "--batches" => config.batches_per_day = parse(value(&args, &mut i)),
-            "--withdraw" => config.withdraw_fraction = parse(value(&args, &mut i)),
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--bulk-offers" => config.bulk_offers = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--assert-publish-ms" => assert_publish_ms = Some(parse(value(&args, &mut i))),
-            "--assert-bulk-publish-ms" => {
-                assert_bulk_publish_ms = Some(parse(value(&args, &mut i)));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--readers", &mut config.readers);
+    args.set("--commands", &mut config.commands_per_epoch);
+    args.list("--threads", &mut config.threads);
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--days", &mut config.days);
+    args.set("--batches", &mut config.batches_per_day);
+    args.set("--withdraw", &mut config.withdraw_fraction);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--seed", &mut config.seed);
+    args.set("--bulk-offers", &mut config.bulk_offers);
+    args.set("--out", &mut out_path);
     if config.readers == 0 || config.commands_per_epoch == 0 || config.threads.is_empty() {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S3 ingest — {} readers x {} commands/epoch over threads {:?} \
@@ -90,81 +56,5 @@ fn main() -> ExitCode {
         config.batches_per_day,
         config.withdraw_fraction * 100.0,
     );
-    let report = run_ingest(&config);
-    println!(
-        "{} initial offers; {} arrivals, {} withdrawals; host parallelism {}\n",
-        report.initial_offers, report.arrivals, report.withdrawals, report.available_parallelism,
-    );
-    for r in &report.runs {
-        println!(
-            "  {:>2} reader threads: {:>3} epochs  publish p50 {:>7.2} ms  p99 {:>7.2} ms  \
-             max {:>7.2} ms  ingest {:>9.0} offers/s  readers {:>9.0} commands/s",
-            r.threads,
-            r.epochs,
-            r.publish_p50_ms,
-            r.publish_p99_ms,
-            r.publish_max_ms,
-            r.ingest_offers_per_s,
-            r.reader_commands_per_s,
-        );
-    }
-    println!(
-        "\nepoch integrity: per-epoch frame hashes {} across reader thread counts",
-        if report.hash_stable { "identical" } else { "DIVERGED" },
-    );
-    println!("1k-offer batch publish probe: {:.2} ms", report.publish_1k_ms);
-    println!(
-        "bulk probe: {} offers ingested in {:.0} ms; publish {:.2} ms, \
-         delta re-publish {:.2} ms",
-        report.bulk.offers,
-        report.bulk.ingest_ms,
-        report.bulk.publish_ms,
-        report.bulk.delta_publish_ms,
-    );
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if !report.hash_stable {
-        eprintln!("FAIL: a reader observed a torn epoch (frame-hash mismatch across threads)");
-        failed = true;
-    }
-    if let Some(bound) = assert_publish_ms {
-        if report.publish_1k_ms <= bound {
-            println!(
-                "publish gate passed: {:.2} ms for a 1k-offer batch (bound {bound:.0} ms)",
-                report.publish_1k_ms,
-            );
-        } else {
-            eprintln!(
-                "FAIL: 1k-offer batch publish took {:.2} ms, bound is {bound:.0} ms",
-                report.publish_1k_ms,
-            );
-            failed = true;
-        }
-    }
-    if let Some(bound) = assert_bulk_publish_ms {
-        let worst = report.bulk.publish_ms.max(report.bulk.delta_publish_ms);
-        if worst <= bound {
-            println!(
-                "bulk publish gate passed: {worst:.2} ms at {} offers (bound {bound:.0} ms)",
-                report.bulk.offers,
-            );
-        } else {
-            eprintln!(
-                "FAIL: publishing {} offers took {worst:.2} ms, bound is {bound:.0} ms",
-                report.bulk.offers,
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_and_enforce(&out_path, GATES, &run_ingest(&config))
 }

@@ -4,20 +4,20 @@
 //! plus seeded fresh-reconnects and kill-and-resumes) twice over the
 //! same warehouse — once in-process through `ConcurrentPool`, once
 //! over loopback TCP through `mirabel-net` — writes `BENCH_net.json`,
-//! and enforces the PROTOCOL.md determinism promise as hard gates:
+//! and enforces the PROTOCOL.md determinism promise as the binary rows
+//! of `mirabel_bench::net::GATES`:
 //!
-//! * **outcome equivalence** (always): every wire reply must equal the
-//!   wire projection of the in-process outcome, bit for bit;
-//! * **frame-hash equivalence** (always): every client's final `hashes`
-//!   reply must equal the in-process session's frame hashes;
-//! * **storm equivalence** (always): a reconnect-storm round kills and
-//!   resumes 25% of the clients mid-trace via `session resume <token>`
-//!   and must still pass both equalities;
-//! * **connection scale** (always): a connection storm opens all K
-//!   connections at once and holds them simultaneously — every one
-//!   must be live at the peak (accept throughput and connect p99 land
-//!   in the report for `bench_diff --net`'s machine-class-aware
-//!   floors).
+//! * **outcome equivalence**: every wire reply equals the wire
+//!   projection of the in-process outcome, bit for bit;
+//! * **frame-hash equivalence**: every client's final `hashes` reply
+//!   equals the in-process session's frame hashes;
+//! * **storm equivalence**: a reconnect-storm round kills and resumes
+//!   25% of the clients mid-trace via `session resume <token>` and
+//!   still passes both equalities;
+//! * **connection scale**: a connection storm opens all K connections
+//!   at once and holds every one live at the peak (accept throughput
+//!   and connect p99 land in the report for `bench_diff`'s
+//!   machine-class-aware rows).
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin net -- \
@@ -26,52 +26,31 @@
 
 use std::process::ExitCode;
 
-use mirabel_bench::net::{run_net, NetConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: net [--clients K] [--commands M] [--reconnect-rate R] [--resume-share R] \
-         [--repeats N] [--prosumers N] [--days D] [--seed S] [--out PATH]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::diff::write_and_enforce;
+use mirabel_bench::net::{run_net, NetConfig, GATES};
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: net [--clients K] [--commands M] [--reconnect-rate R] [--resume-share R] \
+         [--repeats N] [--prosumers N] [--days D] [--seed S] [--out PATH]",
+        &[],
+    );
     let mut config = NetConfig::default();
     let mut out_path = String::from("BENCH_net.json");
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--clients" => config.clients = parse(value(&args, &mut i)),
-            "--commands" => config.commands_per_client = parse(value(&args, &mut i)),
-            "--reconnect-rate" => config.reconnect_rate = parse(value(&args, &mut i)),
-            "--resume-share" => config.resume_share = parse(value(&args, &mut i)),
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--days" => config.days = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--clients", &mut config.clients);
+    args.set("--commands", &mut config.commands_per_client);
+    args.set("--reconnect-rate", &mut config.reconnect_rate);
+    args.set("--resume-share", &mut config.resume_share);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--days", &mut config.days);
+    args.set("--seed", &mut config.seed);
+    args.set("--out", &mut out_path);
     if config.clients == 0 || config.commands_per_client == 0 {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S4 net — {} clients x {} commands over loopback TCP \
@@ -83,67 +62,5 @@ fn main() -> ExitCode {
         config.prosumers,
         config.days,
     );
-    let report = run_net(&config);
-    println!(
-        "{} offers shared; {} reconnects + {} resumes; host parallelism {}; \
-         best of {} round(s)\n",
-        report.offers,
-        report.reconnects,
-        report.resumes,
-        report.available_parallelism,
-        config.repeats.max(1),
-    );
-    println!(
-        "  {:>10.0} commands/s over the wire  p50 {:>8.1} us  p99 {:>9.1} us (trimmed)",
-        report.commands_per_s, report.p50_us, report.p99_us,
-    );
-    println!(
-        "\nwire equivalence: outcomes {}, frame hashes {}",
-        if report.outcome_match { "identical" } else { "DIVERGED" },
-        if report.hash_match { "identical" } else { "DIVERGED" },
-    );
-    println!(
-        "reconnect storm ({} client(s) killed + resumed): outcomes {}, frame hashes {}",
-        report.storm_clients,
-        if report.storm_outcome_match { "identical" } else { "DIVERGED" },
-        if report.storm_hash_match { "identical" } else { "DIVERGED" },
-    );
-    println!(
-        "connection storm: {} simultaneous connections held ({} asked), \
-         {:.0} accepts/s, connect p99 {:.1} us",
-        report.peak_connections, config.clients, report.accepts_per_s, report.connect_p99_us,
-    );
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if !report.outcome_match {
-        eprintln!("FAIL: the wire changed at least one outcome (see PROTOCOL.md)");
-        failed = true;
-    }
-    if !report.hash_match {
-        eprintln!("FAIL: frame hashes diverged between the wire and in-process replay");
-        failed = true;
-    }
-    if !report.storm_outcome_match || !report.storm_hash_match {
-        eprintln!("FAIL: the reconnect storm diverged — a resumed session is not its old self");
-        failed = true;
-    }
-    if report.peak_connections < config.clients {
-        eprintln!(
-            "FAIL: only {} of {} storm connections were live at once — a connect failed \
-             or a connection dropped early",
-            report.peak_connections, config.clients,
-        );
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_and_enforce(&out_path, GATES, &run_net(&config))
 }

@@ -2,201 +2,54 @@
 //! binary.
 //!
 //! Runs the planning harness, writes `BENCH_planning.json`, and
-//! enforces three gates:
+//! enforces the binary rows of `mirabel_bench::planning::GATES` on
+//! every run:
 //!
-//! * **plan determinism** (always): plan hashes must be identical at
-//!   every worker thread count;
-//! * **frame-hash stability** (always): the balance-view frame a
-//!   session renders from the plan must hash identically at every
-//!   worker thread count;
-//! * **incrementality** (`--assert-speedup X`): a single-offer
-//!   incremental re-plan must be at least `X`× faster than a full
-//!   re-plan;
-//! * **bundling** (`--assert-bundle-speedup X`): aggregate-then-schedule
-//!   must plan the pool at least `X`× faster than raw scheduling, and
-//!   its round trip must leave every offer feasibly scheduled (the
-//!   round-trip check is enforced whenever the flag is given);
-//! * **bundle-aware replanning** (`--assert-bundle-replan-speedup X`):
-//!   after single-offer churn, the standing bundle grid must re-plan at
-//!   least `X`× faster than a cold full re-group, with the exact
-//!   disaggregation round trip preserved through plan reuse.
+//! * **determinism**: plan hashes and the balance-view frame a session
+//!   renders from the plan are identical at every worker thread count;
+//! * **incrementality**: a single-offer incremental re-plan is ≥ 10×
+//!   faster than a full re-plan;
+//! * **bundling**: aggregate-then-schedule plans the pool ≥ 5× faster
+//!   than raw scheduling, and its round trip leaves every offer
+//!   feasibly scheduled;
+//! * **bundle-aware replanning**: after single-offer churn the standing
+//!   bundle grid re-plans ≥ 5× faster than a cold full re-group, with
+//!   the exact disaggregation round trip preserved through plan reuse.
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin planning -- \
-//!     --offers 10000 --partitions 64 --threads 1,2,4,8 \
-//!     --assert-speedup 10 --assert-bundle-speedup 5 \
-//!     --assert-bundle-replan-speedup 5
+//!     --offers 10000 --partitions 64 --threads 1,2,4,8
 //! ```
 
 use std::process::ExitCode;
 
-use mirabel_bench::planning::{run_planning, PlanningConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: planning [--offers N] [--partitions P] [--threads 1,2,4,8] [--prosumers N] \
-         [--repeats N] [--seed S] [--out PATH] [--assert-speedup X] \
-         [--assert-bundle-speedup X] [--assert-bundle-replan-speedup X]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::diff::write_and_enforce;
+use mirabel_bench::planning::{run_planning, PlanningConfig, GATES};
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: planning [--offers N] [--partitions P] [--threads 1,2,4,8] [--prosumers N] \
+         [--repeats N] [--seed S] [--out PATH]",
+        &[],
+    );
     let mut config = PlanningConfig::default();
     let mut out_path = String::from("BENCH_planning.json");
-    let mut assert_speedup: Option<f64> = None;
-    let mut assert_bundle_speedup: Option<f64> = None;
-    let mut assert_bundle_replan_speedup: Option<f64> = None;
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--offers" => config.offers = parse(value(&args, &mut i)),
-            "--partitions" => config.partitions = parse(value(&args, &mut i)),
-            "--threads" => {
-                config.threads = value(&args, &mut i)
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--assert-speedup" => assert_speedup = Some(parse(value(&args, &mut i))),
-            "--assert-bundle-speedup" => assert_bundle_speedup = Some(parse(value(&args, &mut i))),
-            "--assert-bundle-replan-speedup" => {
-                assert_bundle_replan_speedup = Some(parse(value(&args, &mut i)))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--offers", &mut config.offers);
+    args.set("--partitions", &mut config.partitions);
+    args.list("--threads", &mut config.threads);
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--seed", &mut config.seed);
+    args.set("--out", &mut out_path);
     if config.offers == 0 || config.partitions == 0 || config.threads.is_empty() {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S4 planning — {} offers over {} partitions, threads {:?} ({} prosumers)",
         config.offers, config.partitions, config.threads, config.prosumers,
     );
-    let report = run_planning(&config);
-    println!(
-        "full re-plan {:.2} ms, incremental re-plan {:.3} ms → {:.0}x speedup",
-        report.full_replan_ms, report.incremental_replan_ms, report.incremental_speedup,
-    );
-    for r in &report.runs {
-        println!("  {:>2} worker threads: full re-plan {:>8.2} ms", r.threads, r.full_replan_ms);
-    }
-    println!("imbalance quality (L1 kWh, lower is better):");
-    for s in &report.schedulers {
-        println!(
-            "  {:>20}: {:>10.1} -> {:>10.1}  ({:>5.1}% improvement)",
-            s.name,
-            s.before_l1,
-            s.after_l1,
-            s.improvement * 100.0,
-        );
-    }
-    println!(
-        "bundled plan {:.2} ms vs raw {:.2} ms → {:.1}x speedup (round trip {})",
-        report.bundled_replan_ms,
-        report.bundle_raw_ms,
-        report.bundle_speedup,
-        if report.bundle_roundtrip_ok { "exact" } else { "BROKEN" },
-    );
-    println!(
-        "warm cell re-plan {:.3} ms vs cold bundled {:.2} ms → {:.1}x speedup (round trip {})",
-        report.cell_replan_ms,
-        report.bundled_replan_ms,
-        report.bundle_replan_speedup,
-        if report.bundle_replan_roundtrip_ok { "exact" } else { "BROKEN" },
-    );
-    println!(
-        "plan determinism: {}; balance frame hashes: {}",
-        if report.determinism_ok { "identical across thread counts" } else { "DIVERGED" },
-        if report.frame_hash_stable { "identical across thread counts" } else { "DIVERGED" },
-    );
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if !report.determinism_ok {
-        eprintln!("FAIL: plan hashes diverged across worker thread counts");
-        failed = true;
-    }
-    if !report.frame_hash_stable {
-        eprintln!("FAIL: balance-view frame hashes diverged across worker thread counts");
-        failed = true;
-    }
-    if let Some(bound) = assert_speedup {
-        if report.incremental_speedup >= bound {
-            println!(
-                "incrementality gate passed: {:.0}x (bound {bound:.0}x)",
-                report.incremental_speedup,
-            );
-        } else {
-            eprintln!(
-                "FAIL: incremental re-plan is only {:.1}x faster than full, bound is {bound:.0}x",
-                report.incremental_speedup,
-            );
-            failed = true;
-        }
-    }
-    if let Some(bound) = assert_bundle_speedup {
-        if !report.bundle_roundtrip_ok {
-            eprintln!("FAIL: bundled planning left offers without feasible schedules");
-            failed = true;
-        }
-        if report.bundle_speedup >= bound {
-            println!("bundling gate passed: {:.1}x (bound {bound:.0}x)", report.bundle_speedup,);
-        } else {
-            eprintln!(
-                "FAIL: bundled planning is only {:.1}x faster than raw, bound is {bound:.0}x",
-                report.bundle_speedup,
-            );
-            failed = true;
-        }
-    }
-    if let Some(bound) = assert_bundle_replan_speedup {
-        if !report.bundle_replan_roundtrip_ok {
-            eprintln!("FAIL: warm cell replanning left offers without feasible schedules");
-            failed = true;
-        }
-        if report.bundle_replan_speedup >= bound {
-            println!(
-                "bundle-aware replan gate passed: {:.1}x (bound {bound:.0}x)",
-                report.bundle_replan_speedup,
-            );
-        } else {
-            eprintln!(
-                "FAIL: warm cell replan is only {:.1}x faster than a cold re-group, \
-                 bound is {bound:.0}x",
-                report.bundle_replan_speedup,
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_and_enforce(&out_path, GATES, &run_planning(&config))
 }

@@ -1,163 +1,60 @@
 //! S5 — the spatial dimension at city scale, as a CI binary.
 //!
 //! Runs the spatial harness, writes `BENCH_spatial.json`, and enforces
-//! four gates:
+//! the binary rows of `mirabel_bench::spatial::GATES`:
 //!
-//! * **result equality** (always): every region-scoped indexed query
-//!   must return exactly the full scan's offers;
-//! * **heatmap determinism** (always): drill-trace frame hashes must be
-//!   identical at every planner worker thread count;
-//! * **O(region) speedup** (`--assert-speedup X`): the indexed loader
-//!   must beat the full scan by at least `X`× across all probes;
-//! * **publish latency** (`--assert-publish-ms MS`): publishing after a
-//!   1 000-offer ingest into the full city-scale live warehouse must
-//!   complete within the bound;
-//!
-//! plus an optional scale floor (`--min-facts N`) so the headline gate
-//! cannot quietly run at toy size.
+//! * **result equality**: every region-scoped indexed query returns
+//!   exactly the full scan's offers;
+//! * **heatmap determinism**: drill-trace frame hashes are identical at
+//!   every planner worker thread count;
+//! * **O(region) speedup**: the indexed loader beats the full scan by
+//!   ≥ 10× across all probes;
+//! * **scale floor** (`--min-facts N`, default 1 000 000): the headline
+//!   gate cannot quietly run at toy size;
+//! * **publish latency** (`--assert-publish-ms MS`, default 100):
+//!   publishing after a 1 000-offer ingest into the full city-scale
+//!   live warehouse completes within the bound.
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin spatial -- \
-//!     --prosumers 530000 --min-facts 1000000 --assert-speedup 10 \
-//!     --assert-publish-ms 100
+//!     --prosumers 530000 --min-facts 1000000 --assert-publish-ms 100
 //! ```
 
 use std::process::ExitCode;
 
-use mirabel_bench::spatial::{run_spatial, SpatialBenchConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: spatial [--prosumers N] [--days D] [--skew F] [--threads 1,2,4,8] \
-         [--repeats N] [--trace-users K] [--trace-steps M] [--trace-prosumers N] [--seed S] \
-         [--out PATH] [--min-facts N] [--assert-speedup X] [--assert-publish-ms MS]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::diff::write_and_enforce;
+use mirabel_bench::spatial::{run_spatial, SpatialBenchConfig, GATES};
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: spatial [--prosumers N] [--days D] [--skew F] [--threads 1,2,4,8] \
+         [--repeats N] [--trace-users K] [--trace-steps M] [--trace-prosumers N] [--seed S] \
+         [--out PATH] [--min-facts N] [--assert-publish-ms MS]",
+        &[],
+    );
     let mut config = SpatialBenchConfig::default();
     let mut out_path = String::from("BENCH_spatial.json");
-    let mut min_facts: Option<usize> = None;
-    let mut assert_speedup: Option<f64> = None;
-    let mut assert_publish_ms: Option<f64> = None;
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--days" => config.days = parse(value(&args, &mut i)),
-            "--skew" => config.density_skew = parse(value(&args, &mut i)),
-            "--threads" => {
-                config.threads = value(&args, &mut i)
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--trace-users" => config.trace_users = parse(value(&args, &mut i)),
-            "--trace-steps" => config.trace_steps = parse(value(&args, &mut i)),
-            "--trace-prosumers" => config.trace_prosumers = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--min-facts" => min_facts = Some(parse(value(&args, &mut i))),
-            "--assert-speedup" => assert_speedup = Some(parse(value(&args, &mut i))),
-            "--assert-publish-ms" => assert_publish_ms = Some(parse(value(&args, &mut i))),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--days", &mut config.days);
+    args.set("--skew", &mut config.density_skew);
+    args.list("--threads", &mut config.threads);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--trace-users", &mut config.trace_users);
+    args.set("--trace-steps", &mut config.trace_steps);
+    args.set("--trace-prosumers", &mut config.trace_prosumers);
+    args.set("--seed", &mut config.seed);
+    args.set("--out", &mut out_path);
+    args.set("--min-facts", &mut config.min_facts);
+    args.set("--assert-publish-ms", &mut config.publish_bound_ms);
     if config.prosumers == 0 || config.days == 0 || config.threads.is_empty() {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S5 spatial — {} prosumers x {} day(s), skew {:.1}, threads {:?}",
         config.prosumers, config.days, config.density_skew, config.threads,
     );
-    let report = run_spatial(&config);
-    println!(
-        "{} facts; region queries: indexed {:.2} ms vs scan {:.2} ms -> {:.0}x speedup",
-        report.facts, report.indexed_total_ms, report.scan_total_ms, report.query_speedup,
-    );
-    for l in &report.levels {
-        println!(
-            "  level {} ({:>2} probes, {:>8} offers): indexed {:>8.2} ms, scan {:>8.2} ms \
-             ({:>5.0}x)",
-            l.level, l.probes, l.selected, l.indexed_ms, l.scan_ms, l.speedup,
-        );
-    }
-    println!(
-        "publish after 1k ingest at full scale: {:.2} ms; drill replay {:.1} ms (1t) / \
-         {:.1} ms (max t)",
-        report.publish_ms, report.replay_1t_ms, report.replay_max_t_ms,
-    );
-    println!(
-        "indexed results: {}; heatmap frame hashes ({} frames): {}",
-        if report.results_match { "identical to the full scan" } else { "DIVERGED" },
-        report.trace_frames,
-        if report.frame_hash_stable { "identical across thread counts" } else { "DIVERGED" },
-    );
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if !report.results_match {
-        eprintln!("FAIL: an indexed region query diverged from the full scan");
-        failed = true;
-    }
-    if !report.frame_hash_stable {
-        eprintln!("FAIL: heatmap frame hashes diverged across planner thread counts");
-        failed = true;
-    }
-    if let Some(bound) = min_facts {
-        if report.facts < bound {
-            eprintln!("FAIL: only {} facts, the gate requires at least {bound}", report.facts);
-            failed = true;
-        }
-    }
-    if let Some(bound) = assert_speedup {
-        if report.query_speedup >= bound {
-            println!("speedup gate passed: {:.0}x (bound {bound:.0}x)", report.query_speedup);
-        } else {
-            eprintln!(
-                "FAIL: region queries are only {:.1}x faster than the scan, bound is {bound:.0}x",
-                report.query_speedup,
-            );
-            failed = true;
-        }
-    }
-    if let Some(bound) = assert_publish_ms {
-        if report.publish_ms <= bound {
-            println!("publish gate passed: {:.2} ms (bound {bound:.0} ms)", report.publish_ms);
-        } else {
-            eprintln!(
-                "FAIL: full-scale publish took {:.2} ms, bound is {bound:.0} ms",
-                report.publish_ms,
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_and_enforce(&out_path, GATES, &run_spatial(&config))
 }

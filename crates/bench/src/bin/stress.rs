@@ -2,154 +2,48 @@
 //!
 //! Replays a deterministic K-users × M-commands trace (hover storms,
 //! selections, tab switches, MDX, dashboards, aggregation) over a
-//! sharded `ConcurrentPool` at several thread counts, writes
-//! `BENCH_stress.json`, and enforces two gates:
-//!
-//! * **determinism** (always): per-user frame hashes must be identical
-//!   at every thread count — concurrency never changes what a user
-//!   sees;
-//! * **speedup** (`--assert-speedup R`, enforced when the host has ≥ 4
-//!   CPUs): 4-thread throughput must be ≥ R× the 1-thread run.
+//! sharded `ConcurrentPool` at several thread counts, probes warm-cache
+//! against cold-rebuild hover latency, writes `BENCH_stress.json`, and
+//! enforces the binary rows of `mirabel_bench::stress::GATES`:
+//! per-user frame hashes identical at every thread count, 4-thread
+//! throughput ≥ 2× the 1-thread run (on hosts with ≥ 4 CPUs — fewer
+//! cannot show it), and warm hover ≥ 10× a cold rebuild.
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin stress -- \
-//!     --users 8 --commands 300 --threads 1,2,4,8 --assert-speedup 2.0
+//!     --users 8 --commands 300 --threads 1,2,4,8
 //! ```
 
 use std::process::ExitCode;
 
-use mirabel_bench::stress::{run_stress, StressConfig};
-
-/// The speedup gate judges the run at this thread count. It is only
-/// enforced when the host has at least this many CPUs — fewer cannot
-/// physically show an N-thread speedup, so the gate reports itself
-/// skipped instead of failing spuriously.
-const GATE_THREADS: usize = 4;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: stress [--users K] [--commands M] [--threads 1,2,4,8] [--repeats N] \
-         [--prosumers N] [--days D] [--seed S] [--out PATH] [--assert-speedup R]"
-    );
-    std::process::exit(2);
-}
+use mirabel_bench::cli::Args;
+use mirabel_bench::diff::write_and_enforce;
+use mirabel_bench::stress::{run_stress, StressConfig, GATES};
 
 fn main() -> ExitCode {
+    let mut args = Args::parse(
+        "usage: stress [--users K] [--commands M] [--threads 1,2,4,8] [--repeats N] \
+         [--prosumers N] [--days D] [--seed S] [--out PATH]",
+        &[],
+    );
     let mut config = StressConfig::default();
     let mut out_path = String::from("BENCH_stress.json");
-    let mut assert_speedup: Option<f64> = None;
-
-    fn value(args: &[String], i: &mut usize) -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    }
-    fn parse<T: std::str::FromStr>(s: String) -> T {
-        s.parse().unwrap_or_else(|_| usage())
-    }
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--users" => config.users = parse(value(&args, &mut i)),
-            "--commands" => config.commands_per_user = parse(value(&args, &mut i)),
-            "--threads" => {
-                config.threads = value(&args, &mut i)
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--repeats" => config.repeats = parse(value(&args, &mut i)),
-            "--prosumers" => config.prosumers = parse(value(&args, &mut i)),
-            "--days" => config.days = parse(value(&args, &mut i)),
-            "--seed" => config.seed = parse(value(&args, &mut i)),
-            "--out" => out_path = value(&args, &mut i),
-            "--assert-speedup" => assert_speedup = Some(parse(value(&args, &mut i))),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    args.set("--users", &mut config.users);
+    args.set("--commands", &mut config.commands_per_user);
+    args.list("--threads", &mut config.threads);
+    args.set("--repeats", &mut config.repeats);
+    args.set("--prosumers", &mut config.prosumers);
+    args.set("--days", &mut config.days);
+    args.set("--seed", &mut config.seed);
+    args.set("--out", &mut out_path);
     if config.users == 0 || config.commands_per_user == 0 || config.threads.is_empty() {
-        usage();
+        args.usage();
     }
+    args.finish();
 
     println!(
         "S2 stress — {} users x {} commands over threads {:?} (warehouse: {} prosumers x {} days)",
         config.users, config.commands_per_user, config.threads, config.prosumers, config.days,
     );
-    let report = run_stress(&config);
-    println!(
-        "{} offers shared; host parallelism {}; best of {} round(s) per thread count\n",
-        report.offers,
-        report.available_parallelism,
-        config.repeats.max(1),
-    );
-    for r in &report.runs {
-        println!(
-            "  {:>2} threads: {:>10.0} commands/s  p50 {:>8.1} us  p99 {:>9.1} us  \
-             speedup {:>5.2}x vs {} thread(s)",
-            r.threads,
-            r.commands_per_s,
-            r.p50_us,
-            r.p99_us,
-            r.speedup_vs_1,
-            report.baseline_threads,
-        );
-    }
-    println!(
-        "\ndeterminism: per-user frame hashes {} across thread counts",
-        if report.determinism_ok { "identical" } else { "DIVERGED" },
-    );
-
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    let mut failed = false;
-    if !report.determinism_ok {
-        eprintln!("FAIL: concurrency changed what a user sees (frame-hash mismatch)");
-        failed = true;
-    }
-    if let Some(required) = assert_speedup {
-        if !config.threads.contains(&1) {
-            eprintln!("FAIL: --assert-speedup needs a 1-thread baseline run in --threads");
-            failed = true;
-        }
-        match report.run_at(GATE_THREADS) {
-            _ if report.available_parallelism < GATE_THREADS => {
-                println!(
-                    "speedup gate skipped: requires >= {GATE_THREADS} CPUs, host has {}",
-                    report.available_parallelism,
-                );
-            }
-            Some(run) if run.speedup_vs_1 >= required => {
-                println!(
-                    "speedup gate passed: {:.2}x at {} threads (required {required:.2}x)",
-                    run.speedup_vs_1, run.threads,
-                );
-            }
-            Some(run) => {
-                eprintln!(
-                    "FAIL: {:.2}x speedup at {} threads is below the required {required:.2}x",
-                    run.speedup_vs_1, run.threads,
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!("FAIL: --assert-speedup needs a {GATE_THREADS}-thread run in --threads");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_and_enforce(&out_path, GATES, &run_stress(&config))
 }

@@ -20,7 +20,7 @@
 //!   (`views_ok`);
 //! * a **timing probe** on the final epoch: the whole query battery
 //!   through the columns vs through the rows, best-of-N
-//!   (`eval_speedup` — gated by a floor in `bench_diff`);
+//!   (`eval_speedup` — floored at 2× by `bench_diff`);
 //! * a **filtered-query probe**: selective predicates (a city, an
 //!   appliance type, a region × time window) over a bulk-loaded pool of
 //!   `filter_facts` offers, timing dictionary-mask pushdown
@@ -42,6 +42,30 @@ use mirabel_workload::{
     generate_ingest_trace, generate_offer_pool, generate_offers, IngestEvent, IngestTraceConfig,
     OfferConfig, Population, PopulationConfig,
 };
+
+use crate::diff::{Bound, Gate, Json, Policy, Scope};
+
+/// The columnar gate table (see [`crate::diff`]).
+pub const GATES: &[Gate] = &[
+    Gate::holds("equality_ok"),
+    Gate::holds("views_ok"),
+    Gate::holds("filtered_equality_ok"),
+    // Battery sizes are a pure function of the seed: a shrink means the
+    // equivalence gates silently cover less.
+    Gate::higher("queries").optional(),
+    Gate::higher("views").optional(),
+    // Both speedups are same-host ratios, hard on any machine class,
+    // with absolute floors besides: encoded eval at least 2x the row
+    // oracle, pushdown at least 3x the plain columnar scan.
+    Gate::higher("eval_speedup"),
+    Gate::floor("eval_speedup", Bound::Fixed(2.0), Scope::Diff).named("eval_speedup_floor"),
+    Gate::higher("filtered_speedup"),
+    Gate::floor("filtered_speedup", Bound::Fixed(3.0), Scope::Both).named("filtered_speedup_floor"),
+    Gate::lower("columnar_eval_ms", 1.0).policy(Policy::Class),
+    Gate::lower("row_eval_ms", 1.0).policy(Policy::Class),
+    Gate::lower("filtered_pushdown_ms", 1.0).policy(Policy::Class),
+    Gate::lower("filtered_scan_ms", 1.0).policy(Policy::Class),
+];
 
 /// Shape of one columnar-equivalence run; `Default` is the CI smoke
 /// configuration.
@@ -75,81 +99,6 @@ impl Default for ColumnarConfig {
             repeats: 3,
             filter_facts: 1_000_000,
         }
-    }
-}
-
-/// The full harness report, serializable as `BENCH_columnar.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnarReport {
-    /// The configuration that produced the report.
-    pub config: ColumnarConfig,
-    /// Rows in the final published epoch.
-    pub offers: usize,
-    /// Epochs the batteries ran against (initial snapshot + every
-    /// publish in the trace).
-    pub epochs: u64,
-    /// Query comparisons across all epochs.
-    pub queries: usize,
-    /// View comparisons across all epochs.
-    pub views: usize,
-    /// `true` iff every columnar [`Warehouse::eval`] result equalled the
-    /// row reference exactly — the hard gate.
-    pub equality_ok: bool,
-    /// `true` iff every [`Warehouse::view`] matched the linear row scan
-    /// (ids and materialized offers) — the other hard gate.
-    pub views_ok: bool,
-    /// Best-of-N wall clock for the final-epoch query battery through
-    /// the columns, milliseconds.
-    pub columnar_eval_ms: f64,
-    /// Best-of-N wall clock for the same battery through the rows,
-    /// milliseconds.
-    pub row_eval_ms: f64,
-    /// `row_eval_ms / columnar_eval_ms` (floored in `bench_diff`).
-    pub eval_speedup: f64,
-    /// `true` iff every filtered probe agreed three ways: pushdown
-    /// `eval` ≡ plain columnar `eval_scan` ≡ row `eval_rows` — a hard
-    /// gate.
-    pub filtered_equality_ok: bool,
-    /// Best-of-N wall clock for the filtered probe battery with
-    /// predicate pushdown, milliseconds.
-    pub filtered_pushdown_ms: f64,
-    /// Best-of-N wall clock for the same battery through the plain
-    /// (pre-pushdown) columnar scan, milliseconds.
-    pub filtered_scan_ms: f64,
-    /// `filtered_scan_ms / filtered_pushdown_ms` — the pushdown gate
-    /// (CI demands ≥ 3×).
-    pub filtered_speedup: f64,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub available_parallelism: usize,
-}
-
-impl ColumnarReport {
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// offline build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"columnar\",\n");
-        out.push_str(&format!("  \"prosumers\": {},\n", self.config.prosumers));
-        out.push_str(&format!("  \"days\": {},\n", self.config.days));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats.max(1)));
-        out.push_str(&format!("  \"offers\": {},\n", self.offers));
-        out.push_str(&format!("  \"epochs\": {},\n", self.epochs));
-        out.push_str(&format!("  \"queries\": {},\n", self.queries));
-        out.push_str(&format!("  \"views\": {},\n", self.views));
-        out.push_str(&format!("  \"equality_ok\": {},\n", self.equality_ok));
-        out.push_str(&format!("  \"views_ok\": {},\n", self.views_ok));
-        out.push_str(&format!("  \"columnar_eval_ms\": {:.3},\n", self.columnar_eval_ms));
-        out.push_str(&format!("  \"row_eval_ms\": {:.3},\n", self.row_eval_ms));
-        out.push_str(&format!("  \"eval_speedup\": {:.2},\n", self.eval_speedup));
-        out.push_str(&format!("  \"filter_facts\": {},\n", self.config.filter_facts));
-        out.push_str(&format!("  \"filtered_equality_ok\": {},\n", self.filtered_equality_ok));
-        out.push_str(&format!("  \"filtered_pushdown_ms\": {:.3},\n", self.filtered_pushdown_ms));
-        out.push_str(&format!("  \"filtered_scan_ms\": {:.3},\n", self.filtered_scan_ms));
-        out.push_str(&format!("  \"filtered_speedup\": {:.2},\n", self.filtered_speedup));
-        out.push_str(&format!("  \"available_parallelism\": {}\n", self.available_parallelism));
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -335,8 +284,8 @@ fn run_filtered_probe(population: &Population, config: &ColumnarConfig) -> (bool
     (equality_ok, pushdown_ms, scan_ms)
 }
 
-/// Runs the full harness.
-pub fn run_columnar(config: &ColumnarConfig) -> ColumnarReport {
+/// Runs the full harness; returns the `BENCH_columnar.json` report.
+pub fn run_columnar(config: &ColumnarConfig) -> Json {
     let population = Population::generate(&PopulationConfig {
         size: config.prosumers,
         seed: config.seed ^ 0xBE9C,
@@ -416,27 +365,32 @@ pub fn run_columnar(config: &ColumnarConfig) -> ColumnarReport {
     let (filtered_equality_ok, filtered_pushdown_ms, filtered_scan_ms) =
         run_filtered_probe(&population, config);
 
-    ColumnarReport {
-        config: config.clone(),
-        offers: warehouse.offers().len(),
-        epochs,
-        queries,
-        views,
-        equality_ok,
-        views_ok,
-        columnar_eval_ms,
-        row_eval_ms,
-        eval_speedup: if columnar_eval_ms > 0.0 { row_eval_ms / columnar_eval_ms } else { 0.0 },
-        filtered_equality_ok,
-        filtered_pushdown_ms,
-        filtered_scan_ms,
-        filtered_speedup: if filtered_pushdown_ms > 0.0 {
-            filtered_scan_ms / filtered_pushdown_ms
-        } else {
-            0.0
-        },
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+    Json::obj([
+        ("bench", "columnar".into()),
+        ("prosumers", config.prosumers.into()),
+        ("days", config.days.into()),
+        ("seed", config.seed.into()),
+        ("repeats", repeats.into()),
+        // Rows in the final epoch; epochs the batteries ran against
+        // (initial snapshot + every publish) and their comparisons.
+        ("offers", warehouse.offers().len().into()),
+        ("epochs", epochs.into()),
+        ("queries", queries.into()),
+        ("views", views.into()),
+        ("equality_ok", equality_ok.into()),
+        ("views_ok", views_ok.into()),
+        // The final-epoch battery, best of N: columns vs rows.
+        ("columnar_eval_ms", Json::Num(columnar_eval_ms)),
+        ("row_eval_ms", Json::Num(row_eval_ms)),
+        ("eval_speedup", Json::Num(crate::ratio(row_eval_ms, columnar_eval_ms))),
+        // The filtered probe, best of N: pushdown vs the plain scan.
+        ("filter_facts", config.filter_facts.into()),
+        ("filtered_equality_ok", filtered_equality_ok.into()),
+        ("filtered_pushdown_ms", Json::Num(filtered_pushdown_ms)),
+        ("filtered_scan_ms", Json::Num(filtered_scan_ms)),
+        ("filtered_speedup", Json::Num(crate::ratio(filtered_scan_ms, filtered_pushdown_ms))),
+        ("available_parallelism", crate::available_parallelism().into()),
+    ])
 }
 
 #[cfg(test)]
@@ -458,24 +412,18 @@ mod tests {
     #[test]
     fn columnar_answers_equal_the_row_reference_at_every_epoch() {
         let report = run_columnar(&tiny());
-        assert!(report.equality_ok, "columnar eval diverged from the row reference");
-        assert!(report.views_ok, "borrowed views diverged from the linear scan");
-        assert!(report.epochs >= 2, "the trace must publish at least once");
-        assert!(report.queries > 0 && report.views > 0);
-        assert!(report.offers > 0);
-        assert!(report.columnar_eval_ms > 0.0 && report.row_eval_ms > 0.0);
+        let num = |key| report.num_at(&[key]).unwrap();
+        assert!(report.is_true("equality_ok"), "columnar eval diverged from the row reference");
+        assert!(report.is_true("views_ok"), "borrowed views diverged from the linear scan");
+        assert!(num("epochs") >= 2.0, "the trace must publish at least once");
+        assert!(num("queries") > 0.0 && num("views") > 0.0);
+        assert!(num("offers") > 0.0);
+        assert!(num("columnar_eval_ms") > 0.0 && num("row_eval_ms") > 0.0);
         assert!(
-            report.filtered_equality_ok,
+            report.is_true("filtered_equality_ok"),
             "filtered pushdown diverged from the scan or row oracle"
         );
-        assert!(report.filtered_pushdown_ms > 0.0 && report.filtered_scan_ms > 0.0);
-
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"columnar\""));
-        assert!(json.contains("\"equality_ok\": true"));
-        assert!(json.contains("\"views_ok\": true"));
-        assert!(json.contains("\"filtered_equality_ok\": true"));
-        assert!(json.contains("\"filtered_speedup\""));
-        crate::diff::Json::parse(&json).expect("report must parse with the gate's own reader");
+        assert!(num("filtered_pushdown_ms") > 0.0 && num("filtered_scan_ms") > 0.0);
+        crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 }

@@ -1,21 +1,26 @@
-//! The bench-regression gate: diff a fresh `BENCH_*.json` against the
-//! committed `BENCH_baseline.json`.
+//! Bench reports and the gate tables that judge them.
 //!
-//! CI (and `cargo xtask ci` locally) runs the stress and ingest
-//! harnesses, then `mirabel-bench --bin bench_diff` compares the
-//! reports' throughput and tail-latency metrics against the baseline
-//! with a relative tolerance (±20 % by default): throughput may not
-//! drop below `baseline × (1 − tol)`, latency may not rise above
-//! `baseline × (1 + tol)`, and the boolean gates (`determinism_ok`,
-//! `hash_stable`) must hold outright. Improvements always pass — the
-//! gate is one-sided.
+//! Every harness builds its report as one ordered [`Json`] tree and
+//! declares, next to it, one table of [`Gate`] rows: a metric path, the
+//! direction that counts as better, the [`Rule`] it must meet and the
+//! [`Policy`] that decides when a miss is only advisory. One evaluator
+//! ([`evaluate`]) runs a table in both places a report is judged:
 //!
-//! The offline build has no serde, so this module carries a minimal
-//! recursive-descent JSON reader ([`Json::parse`]) that covers exactly
-//! the subset the bench reports emit (objects, arrays, strings,
-//! numbers, booleans, null).
+//! * the **harness binary** ([`write_and_enforce`]) checks the rows
+//!   that need no baseline — the integrity booleans and the absolute limits — and
+//!   exits 1 on a hard miss;
+//! * **`bench_diff`** checks a report against its section of the
+//!   committed `BENCH_baseline.json`: the booleans, the relative rows
+//!   (±[`TOLERANCE`], one-sided — improvements always pass) and the
+//!   limits scoped to it.
+//!
+//! The offline build has no serde, so this module also carries a
+//! minimal recursive-descent JSON reader ([`Json::parse`]) and a
+//! pretty-printer (`Display`) covering exactly the subset the reports
+//! use (objects, arrays, strings, numbers, booleans, null).
 
 use std::fmt;
+use std::process::ExitCode;
 
 /// A parsed JSON value (the bench-report subset).
 #[derive(Debug, Clone, PartialEq)]
@@ -48,6 +53,11 @@ impl Json {
         Ok(value)
     }
 
+    /// An object with `members` in the given order.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Member `key` of an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -72,6 +82,11 @@ impl Json {
         }
     }
 
+    /// `true` iff member `key` is the boolean `true`.
+    pub fn is_true(&self, key: &str) -> bool {
+        self.get(key).and_then(Json::boolean) == Some(true)
+    }
+
     /// The value as an array slice.
     pub fn arr(&self) -> Option<&[Json]> {
         match self {
@@ -87,6 +102,115 @@ impl Json {
             cur = cur.get(key)?;
         }
         cur.num()
+    }
+
+    fn is_container(&self) -> bool {
+        matches!(self, Json::Arr(_) | Json::Obj(_))
+    }
+
+    /// Pretty-prints at nesting depth `depth`: a container holding only
+    /// scalars stays on one line, any other container puts each child
+    /// on its own line.
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let (open, close, children): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Num(n) => return write_num(f, *n),
+            Json::Str(s) => return write_str(f, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(members) => {
+                ('{', '}', members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect())
+            }
+        };
+        let inline = !children.iter().any(|(_, v)| v.is_container());
+        let pad = "  ".repeat(depth + 1);
+        write!(f, "{open}")?;
+        for (i, (key, value)) in children.iter().enumerate() {
+            match (i, inline) {
+                (0, true) => {}
+                (_, true) => f.write_str(", ")?,
+                (0, false) => write!(f, "\n{pad}")?,
+                (_, false) => write!(f, ",\n{pad}")?,
+            }
+            if let Some(key) = key {
+                write_str(f, key)?;
+                f.write_str(": ")?;
+            }
+            value.write(f, depth + 1)?;
+        }
+        if !inline && !children.is_empty() {
+            write!(f, "\n{}", "  ".repeat(depth))?;
+        }
+        write!(f, "{close}")
+    }
+}
+
+/// The report file format: pretty-printed, newline-terminated.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)?;
+        writeln!(f)
+    }
+}
+
+/// A number as a report records it: integers exactly, fractions to six
+/// significant digits (a measurement carries no more; float noise
+/// beyond that only obscures the file), non-finite values as `null`.
+fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
+    if !n.is_finite() {
+        return f.write_str("null");
+    }
+    if n.fract() == 0.0 {
+        return write!(f, "{n}");
+    }
+    let decimals = (5 - n.abs().log10().floor() as i32).clamp(0, 17) as usize;
+    let text = format!("{n:.decimals$}");
+    let text = if text.contains('.') { text.trim_end_matches('0') } else { &text };
+    f.write_str(text.trim_end_matches('.'))
+}
+
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            '\r' => f.write_str("\\r")?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
     }
 }
 
@@ -208,6 +332,15 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
+/// Relative tolerance of every baseline-relative row: a metric may not
+/// move the wrong way by more than 20 % of its baseline.
+pub const TOLERANCE: f64 = 0.20;
+
+/// Minimum runner parallelism for parallel-scaling gates to mean
+/// anything: below this, "N threads beat 1 thread" measures the
+/// scheduler, not the code, so [`Policy::Cores`] rows run advisory-only.
+pub const PARALLEL_GATE_MIN_CORES: usize = 4;
+
 /// Which way a metric is allowed to move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Better {
@@ -217,29 +350,172 @@ pub enum Better {
     Lower,
 }
 
+/// Where a [`Rule::Limit`] row is enforced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Only the harness binary checks it.
+    Binary,
+    /// Only `bench_diff` checks it.
+    Diff,
+    /// Both do.
+    Both,
+}
+
+/// The absolute value a [`Rule::Limit`] row compares against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// A fixed number.
+    Fixed(f64),
+    /// Another top-level member of the same report (e.g. the storm
+    /// must hold `clients` connections, a run must reach its own
+    /// recorded `min_facts`).
+    Field(&'static str),
+}
+
+/// What a row demands of its metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// An integrity boolean: must be `true`; absence fails. Checked by
+    /// the harness binary and by `bench_diff`.
+    Holds,
+    /// Within [`TOLERANCE`] of the baseline (relative). For
+    /// [`Better::Lower`] metrics, values up to the `noise` floor pass
+    /// regardless — sub-floor jitter is timer noise, not a signal. A
+    /// required row whose metric is absent is a structural error; an
+    /// `optional` one is skipped.
+    Relative {
+        /// Absolute noise floor (latency rows only).
+        noise: f64,
+        /// Skip, rather than fail, when either report lacks the metric.
+        optional: bool,
+    },
+    /// Within an absolute slack of [`TOLERANCE`] below the baseline —
+    /// for metrics that are already relative and may sit at or below
+    /// zero, where a relative tolerance would flip sign.
+    Slack,
+    /// An absolute floor ([`Better::Higher`]) or bound
+    /// ([`Better::Lower`]), independent of any baseline. `bench_diff`
+    /// skips it when the report lacks the metric (a missing
+    /// measurement, not a failed one); the binary fails it.
+    Limit {
+        /// The floor or bound.
+        bound: Bound,
+        /// Who enforces it.
+        scope: Scope,
+    },
+}
+
+/// When a miss only warns instead of failing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// Always fails: booleans, seed-deterministic counts and quality,
+    /// and timing ratios taken on one host in one run.
+    Hard,
+    /// Advisory when baseline and report come from different machine
+    /// classes (`available_parallelism` differs): absolute timings are
+    /// not comparable across hosts.
+    Class,
+    /// Advisory across machine classes and on runners with fewer than
+    /// [`PARALLEL_GATE_MIN_CORES`] cores, which cannot exhibit parallel
+    /// scaling at all.
+    Cores,
+}
+
+/// One row of a harness's gate table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gate {
+    /// Metric path: `field`, `array[key].field` (one row per baseline
+    /// entry, matched to the report's entry by `key`; entries the
+    /// report lacks are skipped), or `array[key=value].field` (one
+    /// fixed entry). A `threads` key labels its rows `{n}t`.
+    pub path: &'static str,
+    /// Row label when it is not the path itself.
+    pub name: Option<&'static str>,
+    /// Which direction is an improvement.
+    pub better: Better,
+    /// What the metric must meet.
+    pub rule: Rule,
+    /// When a miss is advisory.
+    pub policy: Policy,
+}
+
+impl Gate {
+    const fn new(path: &'static str, better: Better, rule: Rule) -> Gate {
+        Gate { path, name: None, better, rule, policy: Policy::Hard }
+    }
+
+    /// An integrity boolean ([`Rule::Holds`]).
+    pub const fn holds(path: &'static str) -> Gate {
+        Gate::new(path, Better::Higher, Rule::Holds)
+    }
+
+    /// A throughput-like metric held against the baseline.
+    pub const fn higher(path: &'static str) -> Gate {
+        Gate::new(path, Better::Higher, Rule::Relative { noise: 0.0, optional: false })
+    }
+
+    /// A latency-like metric held against the baseline, passing at or
+    /// under the `noise` floor.
+    pub const fn lower(path: &'static str, noise: f64) -> Gate {
+        Gate::new(path, Better::Lower, Rule::Relative { noise, optional: false })
+    }
+
+    /// A metric held within an absolute slack of the baseline.
+    pub const fn slack(path: &'static str) -> Gate {
+        Gate::new(path, Better::Higher, Rule::Slack)
+    }
+
+    /// An absolute floor: the metric must reach `bound`.
+    pub const fn floor(path: &'static str, bound: Bound, scope: Scope) -> Gate {
+        Gate::new(path, Better::Higher, Rule::Limit { bound, scope })
+    }
+
+    /// An absolute bound: the metric must not exceed `bound`.
+    pub const fn bound(path: &'static str, bound: Bound, scope: Scope) -> Gate {
+        Gate::new(path, Better::Lower, Rule::Limit { bound, scope })
+    }
+
+    /// Labels the row `name` instead of its path.
+    pub const fn named(mut self, name: &'static str) -> Gate {
+        self.name = Some(name);
+        self
+    }
+
+    /// Sets the row's [`Policy`].
+    pub const fn policy(mut self, policy: Policy) -> Gate {
+        self.policy = policy;
+        self
+    }
+
+    /// Makes a [`Rule::Relative`] row skip when the metric is absent.
+    pub const fn optional(mut self) -> Gate {
+        if let Rule::Relative { noise, .. } = self.rule {
+            self.rule = Rule::Relative { noise, optional: true };
+        }
+        self
+    }
+}
+
 /// One metric's verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricCheck {
     /// Human-readable metric name, e.g. `stress.4t.commands_per_s`.
     pub name: String,
-    /// Baseline value.
+    /// Baseline value (the limit, for absolute rows; 1 for booleans).
     pub baseline: f64,
     /// Freshly measured value.
     pub current: f64,
     /// Which direction is an improvement.
     pub better: Better,
-    /// `false` = regression beyond tolerance.
+    /// `false` = the row was missed.
     pub ok: bool,
-    /// `true` when the check cannot gate: the baseline was recorded on
-    /// a different machine class (`available_parallelism` mismatch), so
-    /// absolute throughput/latency are not comparable. Advisory checks
-    /// are reported but never fail the gate — re-baseline on the new
-    /// runner class to arm them again.
+    /// `true` when the row cannot gate under its [`Policy`] on this
+    /// report. Advisory checks are reported but never fail the gate.
     pub advisory: bool,
 }
 
 impl MetricCheck {
-    /// `true` when this check fails the gate (a non-advisory regression).
+    /// `true` when this check fails the gate (a non-advisory miss).
     pub fn is_regression(&self) -> bool {
         !self.ok && !self.advisory
     }
@@ -284,17 +560,12 @@ pub fn recorded_parallelism(report: &Json) -> Option<usize> {
     report.num_at(&["available_parallelism"]).map(|n| n as usize)
 }
 
-/// Minimum runner parallelism for parallel-scaling gates to mean
-/// anything: below this, "N threads beat 1 thread" measures the
-/// scheduler, not the code, so those checks run advisory-only.
-pub const PARALLEL_GATE_MIN_CORES: usize = 4;
-
 /// The hard half of the machine-class policy: a baseline recorded with
 /// *more* parallelism than the runner has claims numbers this machine
 /// can never reproduce, so the gate refuses to run at all instead of
 /// silently downgrading every check to advisory. (The opposite
-/// direction — a baseline from a *smaller* machine — stays the existing
-/// advisory downgrade: the runner can only be faster.)
+/// direction — a baseline from a *smaller* machine — stays the
+/// [`Policy::Class`] downgrade: the runner can only be faster.)
 pub fn guard_machine_class(section: &str, baseline: &Json, current: &Json) -> Result<(), String> {
     match (recorded_parallelism(baseline), recorded_parallelism(current)) {
         (Some(base), Some(cur)) if base > cur => Err(format!(
@@ -306,620 +577,271 @@ pub fn guard_machine_class(section: &str, baseline: &Json, current: &Json) -> Re
     }
 }
 
-/// Latency metrics (milliseconds) below this absolute floor are treated
-/// as noise: a publish that takes 0.07 ms in the baseline and 0.11 ms
-/// now is a 60 % "regression" of pure timer jitter, not a signal. The
-/// relative gate only arms once the measured tail clears the floor; the
-/// hard 100 ms probe bound in the `ingest` binary covers the region in
-/// between.
-///
-/// The floor sat at 5 ms while the harnesses gated single-round p99s;
-/// since the gated tails became trimmed means across repeat rounds
-/// ([`crate::trimmed_tail_mean`]) a single scheduler hiccup can no
-/// longer fail the gate, so the floor is 1 ms — any millisecond-class
-/// publish tail is now armed.
-pub const LATENCY_FLOOR_MS: f64 = 1.0;
-
-/// Noise floor for the stress/net per-command p99 (microseconds).
-/// Healthy tails sit in the hundreds of microseconds, where single-run
-/// jitter is routine on shared hosts; with the gated number being a
-/// trimmed mean across repeat rounds the floor can sit at 250 µs —
-/// tight enough that the measured ~400–500 µs tails are armed again
-/// (they were ungated under the old 1 ms single-round floor), loose
-/// enough that pure timer noise below a quarter millisecond never
-/// fails the gate.
-pub const STRESS_P99_FLOOR_US: f64 = 250.0;
-
-/// Noise floor for the net harness's request→reply p99 (microseconds):
-/// the tail includes two loopback socket hops and a scheduler handoff,
-/// so it is intrinsically noisier than the in-process stress tail; the
-/// relative gate arms only above one millisecond.
-pub const NET_P99_FLOOR_US: f64 = 1_000.0;
-
-/// Absolute floor on connection-storm accept throughput (connections
-/// accepted per second while every client connects at once). The
-/// event-loop server drains a full backlog per readiness event, so even
-/// a modest runner clears hundreds per second; dipping below this floor
-/// means the accept path regressed to per-connection setup costs.
-/// Advisory below [`PARALLEL_GATE_MIN_CORES`] cores, where the
-/// thundering-herd clients and the reactor fight for one core and the
-/// number measures the scheduler.
-pub const NET_ACCEPTS_FLOOR_PER_S: f64 = 200.0;
-
-/// Noise floor for the connection-storm connect→handshake p99
-/// (microseconds): a thundering herd of simultaneous connects queues on
-/// the listener backlog by design, so the p99 is dominated by queueing
-/// until it clears ~200 ms — only past that does the relative gate arm.
-pub const NET_CONNECT_P99_FLOOR_US: f64 = 200_000.0;
-
-/// Absolute floor for the columnar `eval_speedup` ratio: the encoded
-/// read path must answer the S7 battery at least this many times faster
-/// than the row oracle, independent of what the baseline happened to
-/// record. A same-host ratio, so it gates on every machine class.
-pub const EVAL_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Absolute floor for the filtered-query probe: dictionary-mask /
-/// posting-list pushdown must beat the plain (pre-pushdown) columnar
-/// scan at least this many times on the selective battery.
-pub const FILTERED_SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Absolute floor for bundle-aware replanning: a warm single-cell
-/// re-plan must beat the cold full re-grouping at least this many times.
-pub const BUNDLE_REPLAN_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// A hard absolute floor on a same-host speedup ratio: fails whenever
-/// `current < floor`, regardless of the baseline (which is recorded for
-/// the report line only).
-fn floor_check(name: impl Into<String>, floor: f64, current: f64) -> MetricCheck {
-    MetricCheck {
-        name: name.into(),
-        baseline: floor,
-        current,
-        better: Better::Higher,
-        ok: current >= floor,
-        advisory: false,
-    }
+/// The gate table of the harness whose reports carry `"bench": bench`.
+pub fn gates_for(bench: &str) -> Option<&'static [Gate]> {
+    Some(match bench {
+        "stress" => crate::stress::GATES,
+        "ingest" => crate::ingest::GATES,
+        "planning" => crate::planning::GATES,
+        "spatial" => crate::spatial::GATES,
+        "net" => crate::net::GATES,
+        "forecast" => crate::forecast::GATES,
+        "columnar" => crate::columnar::GATES,
+        _ => return None,
+    })
 }
 
-/// Checks one metric against tolerance (see [`Better`]). Improvements
-/// always pass.
-pub fn check_metric(
-    name: impl Into<String>,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-    better: Better,
-) -> MetricCheck {
-    check_metric_floored(name, baseline, current, tolerance, better, 0.0)
+/// A row's path, split at its keyed array (if any).
+struct Path<'a> {
+    array: Option<(&'a str, &'a str, Option<&'a str>)>,
+    field: &'a str,
 }
 
-/// [`check_metric`] with an absolute noise floor: for
-/// [`Better::Lower`] metrics, values up to `floor` pass regardless of
-/// the relative change.
-pub fn check_metric_floored(
-    name: impl Into<String>,
-    baseline: f64,
-    current: f64,
-    tolerance: f64,
-    better: Better,
-    floor: f64,
-) -> MetricCheck {
-    let ok = match better {
-        Better::Higher => current >= baseline * (1.0 - tolerance),
-        Better::Lower => current <= (baseline * (1.0 + tolerance)).max(floor),
-    };
-    MetricCheck { name: name.into(), baseline, current, better, ok, advisory: false }
-}
-
-/// Indexes a report's `runs` array by its `threads` field.
-fn run_at(report: &Json, threads: f64) -> Option<&Json> {
-    report.get("runs")?.arr()?.iter().find(|r| r.num_at(&["threads"]) == Some(threads))
-}
-
-/// Diffs a stress report against the baseline's `stress` section:
-/// per-thread-count throughput (higher is better) and p99 latency
-/// (lower is better), plus the hard `determinism_ok` gate.
-pub fn diff_stress(
-    baseline: &Json,
-    current: &Json,
-    tolerance: f64,
-) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["offers"]).is_none() {
-        return Err("current stress report has no 'offers' field — wrong file?".into());
-    }
-    checks.push(MetricCheck {
-        name: "stress.determinism_ok".into(),
-        baseline: 1.0,
-        current: f64::from(current.get("determinism_ok").and_then(Json::boolean).unwrap_or(false)),
-        better: Better::Higher,
-        ok: current.get("determinism_ok").and_then(Json::boolean) == Some(true),
-        advisory: false,
-    });
-    let advisory = !same_machine_class(baseline, current);
-    let base_runs =
-        baseline.get("runs").and_then(Json::arr).ok_or("baseline stress has no runs")?;
-    for base in base_runs {
-        let threads = base.num_at(&["threads"]).ok_or("baseline run without threads")?;
-        let Some(cur) = run_at(current, threads) else { continue };
-        // p99 gets an absolute noise floor (same policy as the ingest
-        // gate, tighter constant): sub-millisecond command tails jitter
-        // ±25 % run to run on shared hosts — timer noise, not a
-        // regression — while a genuine regression into the millisecond
-        // range still fails.
-        for (field, better, floor_us) in [
-            ("commands_per_s", Better::Higher, 0.0),
-            ("p99_us", Better::Lower, STRESS_P99_FLOOR_US),
-        ] {
-            let (Some(b), Some(c)) = (base.num_at(&[field]), cur.num_at(&[field])) else {
-                return Err(format!("missing {field} in a {threads}-thread stress run"));
+fn split(path: &str) -> Path<'_> {
+    match path.split_once('[').zip(path.split_once("].")) {
+        Some(((array, _), (keyed, field))) => {
+            let key = &keyed[array.len() + 1..];
+            let (key, value) = match key.split_once('=') {
+                Some((key, value)) => (key, Some(value)),
+                None => (key, None),
             };
-            let mut check = check_metric_floored(
-                format!("stress.{threads}t.{field}"),
-                b,
-                c,
-                tolerance,
-                better,
-                floor_us,
-            );
-            check.advisory = advisory;
-            checks.push(check);
+            Path { array: Some((array, key, value)), field }
         }
+        None => Path { array: None, field: path },
     }
-    Ok(checks)
 }
 
-/// Diffs an ingest report against the baseline's `ingest` section:
-/// reader throughput and publish tails per thread count, the 1k-batch
-/// publish probe, and the hard `hash_stable` gate.
-pub fn diff_ingest(
-    baseline: &Json,
-    current: &Json,
-    tolerance: f64,
-) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["initial_offers"]).is_none() {
-        return Err("current ingest report has no 'initial_offers' field — wrong file?".into());
+/// How a keyed entry labels its rows: `4t` for thread counts, the key
+/// value itself otherwise.
+fn entry_label(key: &str, value: &Json) -> String {
+    match value {
+        Json::Str(s) => s.clone(),
+        Json::Num(n) if key == "threads" => format!("{n}t"),
+        Json::Num(n) => format!("{n}"),
+        other => format!("{other:?}"),
     }
-    checks.push(MetricCheck {
-        name: "ingest.hash_stable".into(),
-        baseline: 1.0,
-        current: f64::from(current.get("hash_stable").and_then(Json::boolean).unwrap_or(false)),
-        better: Better::Higher,
-        ok: current.get("hash_stable").and_then(Json::boolean) == Some(true),
-        advisory: false,
-    });
-    let advisory = !same_machine_class(baseline, current);
-    if let (Some(b), Some(c)) =
-        (baseline.num_at(&["publish_1k_ms"]), current.num_at(&["publish_1k_ms"]))
-    {
-        let mut check = check_metric_floored(
-            "ingest.publish_1k_ms",
-            b,
-            c,
-            tolerance,
-            Better::Lower,
-            LATENCY_FLOOR_MS,
-        );
-        check.advisory = advisory;
-        checks.push(check);
-    }
-    // The bulk probe: publish must stay O(1) however many rows the
-    // columns hold, and the one-offer delta publish after it too. The
-    // absolute < 100 ms wall is the ingest binary's
-    // `--assert-bulk-publish-ms` gate; this diff holds the relative
-    // line against the baseline.
-    for field in ["publish_bulk_ms", "publish_bulk_delta_ms"] {
-        if let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) {
-            let mut check = check_metric_floored(
-                format!("ingest.{field}"),
-                b,
-                c,
-                tolerance,
-                Better::Lower,
-                LATENCY_FLOOR_MS,
-            );
-            check.advisory = advisory;
-            checks.push(check);
-        }
-    }
-    let base_runs =
-        baseline.get("runs").and_then(Json::arr).ok_or("baseline ingest has no runs")?;
-    for base in base_runs {
-        let threads = base.num_at(&["threads"]).ok_or("baseline run without threads")?;
-        let Some(cur) = run_at(current, threads) else { continue };
-        for (field, better, floor) in [
-            ("reader_commands_per_s", Better::Higher, 0.0),
-            ("publish_p99_ms", Better::Lower, LATENCY_FLOOR_MS),
-        ] {
-            let (Some(b), Some(c)) = (base.num_at(&[field]), cur.num_at(&[field])) else {
-                return Err(format!("missing {field} in a {threads}-thread ingest run"));
-            };
-            let mut check = check_metric_floored(
-                format!("ingest.{threads}t.{field}"),
-                b,
-                c,
-                tolerance,
-                better,
-                floor,
-            );
-            check.advisory = advisory;
-            checks.push(check);
-        }
-    }
-    Ok(checks)
 }
 
-/// Diffs a planning report against the baseline's `planning` section:
-/// the hard `determinism_ok` / `frame_hash_stable` /
-/// `bundle_roundtrip_ok` / `bundle_replan_roundtrip_ok` gates (absence
-/// is a failure), the incremental, bundling and bundle-aware-replan
-/// speedups (higher is better; the bundle ratios are same-host, so they
-/// gate on every machine class, and the warm re-plan additionally
-/// carries the absolute [`BUNDLE_REPLAN_SPEEDUP_FLOOR`]), re-plan
-/// latencies (lower is better, noise-floored), and per-scheduler
-/// imbalance improvement (higher is better; seed-deterministic, so it
-/// gates even across machine classes).
-pub fn diff_planning(
-    baseline: &Json,
-    current: &Json,
-    tolerance: f64,
-) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["incremental_speedup"]).is_none() {
-        return Err("current planning report has no 'incremental_speedup' — wrong file?".into());
-    }
-    for gate in
-        ["determinism_ok", "frame_hash_stable", "bundle_roundtrip_ok", "bundle_replan_roundtrip_ok"]
-    {
-        checks.push(MetricCheck {
-            name: format!("planning.{gate}"),
-            baseline: 1.0,
-            current: f64::from(current.get(gate).and_then(Json::boolean).unwrap_or(false)),
-            better: Better::Higher,
-            ok: current.get(gate).and_then(Json::boolean) == Some(true),
-            advisory: false,
-        });
-    }
-    // Bundling speedups are ratios of two timings taken on the same
-    // host, like the spatial query speedup — hard on any machine class.
-    for field in ["bundle_speedup", "bundle_replan_speedup"] {
-        let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) else {
-            return Err(format!("missing {field} in a planning report"));
-        };
-        checks.push(check_metric(format!("planning.{field}"), b, c, tolerance, Better::Higher));
-    }
-    // The warm single-cell re-plan also has an absolute bar: churning
-    // one cell must beat the cold full re-grouping outright, not merely
-    // match whatever the baseline recorded.
-    if let Some(c) = current.num_at(&["bundle_replan_speedup"]) {
-        checks.push(floor_check(
-            "planning.bundle_replan_speedup_floor",
-            BUNDLE_REPLAN_SPEEDUP_FLOOR,
-            c,
-        ));
-    }
-    let advisory = !same_machine_class(baseline, current);
-    for (field, better, floor) in [
-        ("incremental_speedup", Better::Higher, 0.0),
-        ("full_replan_ms", Better::Lower, LATENCY_FLOOR_MS),
-        ("incremental_replan_ms", Better::Lower, LATENCY_FLOOR_MS),
-        ("bundle_raw_ms", Better::Lower, LATENCY_FLOOR_MS),
-        ("bundled_replan_ms", Better::Lower, LATENCY_FLOOR_MS),
-        ("cell_replan_ms", Better::Lower, LATENCY_FLOOR_MS),
-    ] {
-        let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) else {
-            return Err(format!("missing {field} in a planning report"));
-        };
-        let mut check =
-            check_metric_floored(format!("planning.{field}"), b, c, tolerance, better, floor);
-        check.advisory = advisory;
-        checks.push(check);
-    }
-    let base_scheds = baseline
-        .get("schedulers")
-        .and_then(Json::arr)
-        .ok_or("baseline planning has no schedulers")?;
-    let cur_scheds = current.get("schedulers").and_then(Json::arr).unwrap_or(&[]);
-    for base in base_scheds {
-        let Some(Json::Str(name)) = base.get("name") else {
-            return Err("baseline scheduler entry without a name".into());
-        };
-        let Some(cur) = cur_scheds.iter().find(|s| s.get("name") == base.get("name")) else {
-            continue;
-        };
-        let (Some(b), Some(c)) = (base.num_at(&["improvement"]), cur.num_at(&["improvement"]))
-        else {
-            return Err(format!("missing improvement for scheduler {name}"));
-        };
-        // Quality is a pure function of the seed — a drop is a real
-        // algorithmic regression, never runner noise: keep it hard.
-        // `improvement` is already a relative number (and can sit at or
-        // below zero for the flexibility-ignoring baselines), so the
-        // slack is absolute: a relative tolerance would flip sign on a
-        // negative baseline and fail identical values.
-        checks.push(MetricCheck {
-            name: format!("planning.{name}.improvement"),
-            baseline: b,
-            current: c,
-            better: Better::Higher,
-            ok: c >= b - tolerance,
-            advisory: false,
-        });
-    }
-    Ok(checks)
+/// A fixed `array[key=value]` selector's value: a number when it
+/// parses as one.
+fn key_value(value: &str) -> Json {
+    value.parse().map_or_else(|_| Json::Str(value.into()), Json::Num)
 }
 
-/// Diffs a spatial report against the baseline's `spatial` section:
-/// the hard `results_match` / `frame_hash_stable` gates, the
-/// seed-deterministic fact count (the scale floor cannot quietly
-/// shrink), the O(region) query speedup (a ratio of two timings taken
-/// on the same host, so it gates on every machine class — a 1-core
-/// runner proves the algorithmic claim just as well), latencies (lower
-/// is better, noise-floored, advisory across machine classes), and the
-/// parallel replay speedup — advisory whenever the runner has fewer
-/// than [`PARALLEL_GATE_MIN_CORES`] cores, because a small machine
-/// cannot exhibit parallel speedup at all.
-pub fn diff_spatial(
-    baseline: &Json,
-    current: &Json,
-    tolerance: f64,
-) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["facts"]).is_none() {
-        return Err("current spatial report has no 'facts' field — wrong file?".into());
-    }
-    for gate in ["results_match", "frame_hash_stable"] {
-        checks.push(MetricCheck {
-            name: format!("spatial.{gate}"),
-            baseline: 1.0,
-            current: f64::from(current.get(gate).and_then(Json::boolean).unwrap_or(false)),
-            better: Better::Higher,
-            ok: current.get(gate).and_then(Json::boolean) == Some(true),
-            advisory: false,
-        });
-    }
-    // Facts are a pure function of the seed: a shrink is a harness
-    // change, not runner noise — hard on any machine class.
-    if let (Some(b), Some(c)) = (baseline.num_at(&["facts"]), current.num_at(&["facts"])) {
-        checks.push(check_metric("spatial.facts", b, c, tolerance, Better::Higher));
-    }
-    let advisory = !same_machine_class(baseline, current);
-    {
-        let (Some(b), Some(c)) =
-            (baseline.num_at(&["query_speedup"]), current.num_at(&["query_speedup"]))
-        else {
-            return Err("missing query_speedup in a spatial report".into());
-        };
-        checks.push(check_metric("spatial.query_speedup", b, c, tolerance, Better::Higher));
-    }
-    for field in ["indexed_total_ms", "publish_ms"] {
-        let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) else {
-            return Err(format!("missing {field} in a spatial report"));
-        };
-        let mut check = check_metric_floored(
-            format!("spatial.{field}"),
-            b,
-            c,
-            tolerance,
-            Better::Lower,
-            LATENCY_FLOOR_MS,
-        );
-        check.advisory = advisory;
-        checks.push(check);
-    }
-    if let (Some(b), Some(c)) =
-        (baseline.num_at(&["parallel_speedup"]), current.num_at(&["parallel_speedup"]))
-    {
-        let small_runner =
-            recorded_parallelism(current).is_some_and(|cores| cores < PARALLEL_GATE_MIN_CORES);
-        let mut check = check_metric("spatial.parallel_speedup", b, c, tolerance, Better::Higher);
-        check.advisory = advisory || small_runner;
-        checks.push(check);
-    }
-    Ok(checks)
+fn entry<'a>(report: &'a Json, array: &str, key: &str, value: &Json) -> Option<&'a Json> {
+    report.get(array)?.arr()?.iter().find(|e| e.get(key) == Some(value))
 }
 
-/// Diffs a net report against the baseline's `net` section: the hard
-/// `outcome_match` / `hash_match` gates plus the reconnect-storm
-/// `storm_outcome_match` / `storm_hash_match` gates (the wire must be
-/// bit-exact — park/resume seams included — on any machine class),
-/// wire throughput (higher is better) and the request→reply p99
-/// (lower is better, noise-floored).
+/// Evaluates `gates` for a report of harness `section`.
 ///
-/// Reports from the event-loop server additionally carry the
-/// connection-scale section, which gates three ways: the storm peak
-/// must hold every client simultaneously (hard — a dropped connect is
-/// a correctness failure, not noise), accept throughput clears
-/// [`NET_ACCEPTS_FLOOR_PER_S`], and the connect p99 diffs against the
-/// baseline above [`NET_CONNECT_P99_FLOOR_US`]. The two timing gates
-/// follow the machine-class policy and additionally fall back to
-/// advisory below [`PARALLEL_GATE_MIN_CORES`] cores. Baselines or
-/// reports predating the section skip these checks (unlike the storm
-/// equivalence gates, absence here is a missing *measurement*, not a
-/// failed one — the hard equivalence gates above still bind).
-pub fn diff_net(
-    baseline: &Json,
+/// With a `baseline` (its `section` of `BENCH_baseline.json`) this is
+/// `bench_diff`'s verdict: booleans, relative rows and the limits
+/// scoped to `bench_diff`. Without one it is the harness binary's:
+/// booleans and the limits scoped to the binary. Rows come out in table
+/// order, except that consecutive `array[key]` rows are interleaved per
+/// baseline entry. A missing required metric, or a baseline without
+/// the array a keyed row iterates, is an error.
+pub fn evaluate(
+    section: &str,
+    gates: &[Gate],
+    baseline: Option<&Json>,
     current: &Json,
-    tolerance: f64,
 ) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["clients"]).is_none() {
-        return Err("current net report has no 'clients' field — wrong file?".into());
-    }
-    for gate in ["outcome_match", "hash_match", "storm_outcome_match", "storm_hash_match"] {
-        checks.push(MetricCheck {
-            name: format!("net.{gate}"),
-            baseline: 1.0,
-            current: f64::from(current.get(gate).and_then(Json::boolean).unwrap_or(false)),
-            better: Better::Higher,
-            ok: current.get(gate).and_then(Json::boolean) == Some(true),
-            advisory: false,
-        });
-    }
-    let advisory = !same_machine_class(baseline, current);
-    for (field, better, floor) in
-        [("commands_per_s", Better::Higher, 0.0), ("p99_us", Better::Lower, NET_P99_FLOOR_US)]
-    {
-        let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) else {
-            return Err(format!("missing {field} in a net report"));
-        };
-        let mut check =
-            check_metric_floored(format!("net.{field}"), b, c, tolerance, better, floor);
-        check.advisory = advisory;
-        checks.push(check);
-    }
-    // Connection-scale gates (absent from pre-event-loop reports).
-    if let (Some(clients), Some(peak)) =
-        (current.num_at(&["clients"]), current.num_at(&["peak_connections"]))
-    {
-        checks.push(MetricCheck {
-            name: "net.peak_connections".into(),
-            baseline: clients,
-            current: peak,
-            better: Better::Higher,
-            ok: peak >= clients,
-            advisory: false,
-        });
-    }
+    let class_mismatch = baseline.is_some_and(|b| !same_machine_class(b, current));
     let small_runner =
         recorded_parallelism(current).is_some_and(|cores| cores < PARALLEL_GATE_MIN_CORES);
-    if let Some(c) = current.num_at(&["accepts_per_s"]) {
-        let mut check = floor_check("net.accepts_per_s", NET_ACCEPTS_FLOOR_PER_S, c);
-        check.advisory = advisory || small_runner;
-        checks.push(check);
-    }
-    if let (Some(b), Some(c)) =
-        (baseline.num_at(&["connect_p99_us"]), current.num_at(&["connect_p99_us"]))
-    {
-        let mut check = check_metric_floored(
-            "net.connect_p99_us",
-            b,
-            c,
-            tolerance,
-            Better::Lower,
-            NET_CONNECT_P99_FLOOR_US,
-        );
-        check.advisory = advisory || small_runner;
-        checks.push(check);
-    }
-    Ok(checks)
-}
-
-/// Diffs a forecast report against the baseline's `forecast` section:
-/// the hard `executions_beat_envelope` quality gate and the
-/// execution-trained MAPE (both seed-deterministic, so they hold on
-/// any machine class), plus the forecast wall time (lower is better,
-/// advisory across machine classes, noise-floored).
-pub fn diff_forecast(
-    baseline: &Json,
-    current: &Json,
-    tolerance: f64,
-) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["mape_executions"]).is_none() {
-        return Err("current forecast report has no 'mape_executions' field — wrong file?".into());
-    }
-    let gate = "executions_beat_envelope";
-    checks.push(MetricCheck {
-        name: format!("forecast.{gate}"),
-        baseline: 1.0,
-        current: f64::from(current.get(gate).and_then(Json::boolean).unwrap_or(false)),
-        better: Better::Higher,
-        ok: current.get(gate).and_then(Json::boolean) == Some(true),
-        advisory: false,
-    });
-    let (Some(b), Some(c)) =
-        (baseline.num_at(&["mape_executions"]), current.num_at(&["mape_executions"]))
-    else {
-        return Err("missing mape_executions in a forecast report".into());
+    let enforced_here = |scope| match scope {
+        Scope::Both => true,
+        Scope::Binary => baseline.is_none(),
+        Scope::Diff => baseline.is_some(),
     };
-    checks.push(check_metric("forecast.mape_executions", b, c, tolerance, Better::Lower));
-    let advisory = !same_machine_class(baseline, current);
-    if let (Some(b), Some(c)) =
-        (baseline.num_at(&["forecast_ms"]), current.num_at(&["forecast_ms"]))
-    {
-        let mut check = check_metric_floored(
-            "forecast.forecast_ms",
-            b,
-            c,
-            tolerance,
-            Better::Lower,
-            LATENCY_FLOOR_MS,
-        );
-        check.advisory = advisory;
-        checks.push(check);
+    let check = |gate: &Gate, label: String, base: Option<&Json>, cur: Option<&Json>| {
+        let field = split(gate.path).field;
+        let value = |report: Option<&Json>| report.and_then(|r| r.get(field)).and_then(Json::num);
+        let advisory = match gate.policy {
+            Policy::Hard => false,
+            Policy::Class => class_mismatch,
+            Policy::Cores => class_mismatch || small_runner,
+        };
+        let row = |baseline: f64, current: f64, ok: bool| {
+            let name = format!("{section}.{}", gate.name.unwrap_or(&label));
+            Ok(Some(MetricCheck { name, baseline, current, better: gate.better, ok, advisory }))
+        };
+        let missing = || Err(format!("missing {field} in a {section} report ({label})"));
+        match gate.rule {
+            Rule::Holds => {
+                let holds = cur.is_some_and(|c| c.is_true(field));
+                row(1.0, f64::from(u8::from(holds)), holds)
+            }
+            Rule::Relative { .. } | Rule::Slack if baseline.is_none() => Ok(None),
+            Rule::Relative { noise, optional } => match (value(base), value(cur)) {
+                (Some(b), Some(c)) => row(b, c, within(b, c, gate.better, noise)),
+                _ if optional => Ok(None),
+                _ => missing(),
+            },
+            Rule::Slack => match (value(base), value(cur)) {
+                (Some(b), Some(c)) => row(b, c, c >= b - TOLERANCE),
+                _ => missing(),
+            },
+            Rule::Limit { scope, .. } if !enforced_here(scope) => Ok(None),
+            Rule::Limit { bound, .. } => {
+                let limit = match bound {
+                    Bound::Fixed(v) => Some(v),
+                    Bound::Field(f) => current.num_at(&[f]),
+                };
+                match (limit, value(cur)) {
+                    (Some(l), Some(c)) => row(
+                        l,
+                        c,
+                        match gate.better {
+                            Better::Higher => c >= l,
+                            Better::Lower => c <= l,
+                        },
+                    ),
+                    _ if baseline.is_some() => Ok(None),
+                    (l, _) => row(l.unwrap_or(f64::NAN), f64::NAN, false),
+                }
+            }
+        }
+    };
+
+    let mut checks = Vec::new();
+    let mut i = 0;
+    while i < gates.len() {
+        let path = split(gates[i].path);
+        match path.array {
+            None => checks.extend(check(&gates[i], path.field.into(), baseline, Some(current))?),
+            Some((array, key, Some(value))) => {
+                let value = key_value(value);
+                let label = format!("{}.{}", entry_label(key, &value), path.field);
+                let base = baseline.and_then(|b| entry(b, array, key, &value));
+                checks.extend(check(&gates[i], label, base, entry(current, array, key, &value))?);
+            }
+            Some((array, key, None)) => {
+                let prefix = &gates[i].path[..gates[i].path.len() - path.field.len()];
+                let group = gates[i..].iter().take_while(|g| g.path.starts_with(prefix)).count();
+                if let Some(baseline) = baseline {
+                    let missing = |whose: &str| format!("{whose} {section} report has no {array}");
+                    current.get(array).and_then(Json::arr).ok_or_else(|| missing("the current"))?;
+                    let entries = baseline.get(array).and_then(Json::arr);
+                    for base in entries.ok_or_else(|| missing("the baseline"))? {
+                        let value = base.get(key).ok_or_else(|| {
+                            format!("a baseline {section} {array} entry has no {key}")
+                        })?;
+                        let Some(cur) = entry(current, array, key, value) else { continue };
+                        for gate in &gates[i..i + group] {
+                            let label =
+                                format!("{}.{}", entry_label(key, value), split(gate.path).field);
+                            checks.extend(check(gate, label, Some(base), Some(cur))?);
+                        }
+                    }
+                }
+                i += group;
+                continue;
+            }
+        }
+        i += 1;
     }
     Ok(checks)
 }
 
-/// Diffs a columnar report against the baseline's `columnar` section:
-/// the hard `equality_ok` / `views_ok` / `filtered_equality_ok` gates
-/// (absence is a failure — a report without them never ran the
-/// batteries), the battery sizes (seed-deterministic coverage that
-/// cannot quietly shrink), the columns-vs-rows eval speedup and the
-/// filtered-probe pushdown speedup (same-host ratios, so they gate on
-/// every machine class and additionally carry the absolute
-/// [`EVAL_SPEEDUP_FLOOR`] / [`FILTERED_SPEEDUP_FLOOR`] bars), and the
-/// battery latencies (lower is better, noise-floored, advisory across
-/// machine classes).
-pub fn diff_columnar(
-    baseline: &Json,
-    current: &Json,
-    tolerance: f64,
-) -> Result<Vec<MetricCheck>, String> {
-    let mut checks = Vec::new();
-    if current.num_at(&["queries"]).is_none() {
-        return Err("current columnar report has no 'queries' field — wrong file?".into());
+/// The relative test: improvements always pass; a regression passes
+/// within [`TOLERANCE`], and a lower-is-better metric also passes at or
+/// under its `noise` floor.
+fn within(baseline: f64, current: f64, better: Better, noise: f64) -> bool {
+    match better {
+        Better::Higher => current >= baseline * (1.0 - TOLERANCE),
+        Better::Lower => current <= (baseline * (1.0 + TOLERANCE)).max(noise),
     }
-    for gate in ["equality_ok", "views_ok", "filtered_equality_ok"] {
-        checks.push(MetricCheck {
-            name: format!("columnar.{gate}"),
-            baseline: 1.0,
-            current: f64::from(current.get(gate).and_then(Json::boolean).unwrap_or(false)),
-            better: Better::Higher,
-            ok: current.get(gate).and_then(Json::boolean) == Some(true),
-            advisory: false,
-        });
+}
+
+/// The harness-binary end of a gate table: prints `report` and writes
+/// it to `path`, checks it against the rows of `gates` that need no
+/// baseline, prints every row, and fails on any hard miss (or when the
+/// write fails).
+pub fn write_and_enforce(path: &str, gates: &[Gate], report: &Json) -> ExitCode {
+    let text = report.to_string();
+    print!("{text}");
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("cannot write {path}: {e}");
+        return ExitCode::FAILURE;
     }
-    // Battery sizes are a pure function of the seed: a shrink means the
-    // equivalence gate silently covers less — hard on any machine class.
-    for field in ["queries", "views"] {
-        if let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) {
-            checks.push(check_metric(format!("columnar.{field}"), b, c, tolerance, Better::Higher));
+    println!("wrote {path}\ngates:");
+    let section = match report.get("bench") {
+        Some(Json::Str(bench)) => bench.as_str(),
+        _ => "?",
+    };
+    let checks = evaluate(section, gates, None, report).expect("binary rows never error");
+    for c in &checks {
+        println!("  {c}");
+    }
+    let failed = checks.iter().filter(|c| c.is_regression()).count();
+    if failed > 0 {
+        eprintln!("FAIL: {failed} gate(s) missed");
+        return ExitCode::FAILURE;
+    }
+    if checks.iter().any(|c| !c.ok) {
+        println!("(warn rows are advisory: fewer than {PARALLEL_GATE_MIN_CORES} cores here)");
+    }
+    ExitCode::SUCCESS
+}
+
+/// `true` when `path` names a value in `report` — for keyed paths, in
+/// every entry (`array[key]`) or in the one selected (`array[key=v]`).
+#[cfg(test)]
+fn resolves(path: &str, report: &Json) -> bool {
+    let Path { array, field } = split(path);
+    match array {
+        None => report.get(field).is_some(),
+        Some((array, key, Some(value))) => {
+            entry(report, array, key, &key_value(value)).is_some_and(|e| e.get(field).is_some())
         }
+        Some((array, key, None)) => report.get(array).and_then(Json::arr).is_some_and(|entries| {
+            !entries.is_empty() && entries.iter().all(|e| e.get(key).and(e.get(field)).is_some())
+        }),
     }
-    for (field, floor) in
-        [("eval_speedup", EVAL_SPEEDUP_FLOOR), ("filtered_speedup", FILTERED_SPEEDUP_FLOOR)]
-    {
-        let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) else {
-            return Err(format!("missing {field} in a columnar report"));
-        };
-        checks.push(check_metric(format!("columnar.{field}"), b, c, tolerance, Better::Higher));
-        checks.push(floor_check(format!("columnar.{field}_floor"), floor, c));
+}
+
+/// Test helper for the harness modules: `report` round-trips through
+/// the writer and the reader, its `bench` name selects `gates` in
+/// [`gates_for`], and every row of `gates` the binary checks (booleans,
+/// limits and their bound fields) names a value in it, so a typo cannot
+/// silently skip a gate.
+#[cfg(test)]
+pub(crate) fn assert_binary_rows_resolve(gates: &[Gate], report: &Json) {
+    let text = report.to_string();
+    assert_eq!(Json::parse(&text).map(|back| back.to_string()), Ok(text));
+    let Some(Json::Str(bench)) = report.get("bench") else { panic!("no bench name in {report}") };
+    assert!(gates_for(bench) == Some(gates), "a {bench:?} report does not select its gate table");
+    for gate in gates {
+        match gate.rule {
+            Rule::Relative { .. } | Rule::Slack => continue,
+            Rule::Limit { bound: Bound::Field(f), .. } => {
+                assert!(report.get(f).is_some(), "bound field {f} missing");
+            }
+            Rule::Holds | Rule::Limit { .. } => {}
+        }
+        assert!(resolves(gate.path, report), "{} does not resolve in {report}", gate.path);
     }
-    let advisory = !same_machine_class(baseline, current);
-    for field in ["columnar_eval_ms", "row_eval_ms", "filtered_pushdown_ms", "filtered_scan_ms"] {
-        let (Some(b), Some(c)) = (baseline.num_at(&[field]), current.num_at(&[field])) else {
-            return Err(format!("missing {field} in a columnar report"));
-        };
-        let mut check = check_metric_floored(
-            format!("columnar.{field}"),
-            b,
-            c,
-            tolerance,
-            Better::Lower,
-            LATENCY_FLOOR_MS,
-        );
-        check.advisory = advisory;
-        checks.push(check);
-    }
-    Ok(checks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bench_diff`'s verdict on one section.
+    fn diff(section: &str, base: &Json, cur: &Json) -> Result<Vec<MetricCheck>, String> {
+        evaluate(section, gates_for(section).unwrap(), Some(base), cur)
+    }
+
+    /// `report` with member `key` set to `value`.
+    fn with(mut report: Json, key: &str, value: impl Into<Json>) -> Json {
+        if let Json::Obj(members) = &mut report {
+            members.retain(|(k, _)| k != key);
+            members.push((key.into(), value.into()));
+        }
+        report
+    }
 
     #[test]
     fn parses_the_bench_report_shape() {
@@ -934,8 +856,11 @@ mod tests {
         assert_eq!(j.get("bench"), Some(&Json::Str("stress".into())));
         let runs = j.get("runs").unwrap().arr().unwrap();
         assert_eq!(runs.len(), 2);
-        assert_eq!(run_at(&j, 4.0).unwrap().num_at(&["p99_us"]), Some(3.5));
-        assert!(run_at(&j, 2.0).is_none());
+        assert_eq!(
+            entry(&j, "runs", "threads", &Json::Num(4.0)).unwrap().num_at(&["p99_us"]),
+            Some(3.5)
+        );
+        assert!(entry(&j, "runs", "threads", &Json::Num(2.0)).is_none());
     }
 
     #[test]
@@ -950,26 +875,26 @@ mod tests {
     #[test]
     fn latency_floor_suppresses_noise_regressions() {
         // 0.07 → 0.11 ms is +60% but both sit under the 5 ms floor: ok.
-        assert!(check_metric_floored("l", 0.07, 0.11, 0.20, Better::Lower, 5.0).ok);
-        assert!(check_metric_floored("l", 0.01, 4.99, 0.20, Better::Lower, 5.0).ok);
+        assert!(within(0.07, 0.11, Better::Lower, 5.0));
+        assert!(within(0.01, 4.99, Better::Lower, 5.0));
         // Above the floor the relative gate arms again.
-        assert!(!check_metric_floored("l", 0.07, 5.01, 0.20, Better::Lower, 5.0).ok);
-        assert!(!check_metric_floored("l", 10.0, 13.0, 0.20, Better::Lower, 5.0).ok);
-        assert!(check_metric_floored("l", 10.0, 11.0, 0.20, Better::Lower, 5.0).ok);
+        assert!(!within(0.07, 5.01, Better::Lower, 5.0));
+        assert!(!within(10.0, 13.0, Better::Lower, 5.0));
+        assert!(within(10.0, 11.0, Better::Lower, 5.0));
         // The floor never touches throughput metrics.
-        assert!(!check_metric_floored("t", 100.0, 75.0, 0.20, Better::Higher, 5.0).ok);
+        assert!(!within(100.0, 75.0, Better::Higher, 5.0));
     }
 
     #[test]
     fn tolerance_is_one_sided() {
         // Throughput: 25% drop fails, 15% drop passes, any gain passes.
-        assert!(!check_metric("t", 100.0, 75.0, 0.20, Better::Higher).ok);
-        assert!(check_metric("t", 100.0, 85.0, 0.20, Better::Higher).ok);
-        assert!(check_metric("t", 100.0, 500.0, 0.20, Better::Higher).ok);
+        assert!(!within(100.0, 75.0, Better::Higher, 0.0));
+        assert!(within(100.0, 85.0, Better::Higher, 0.0));
+        assert!(within(100.0, 500.0, Better::Higher, 0.0));
         // Latency: 25% rise fails, 15% rise passes, any drop passes.
-        assert!(!check_metric("l", 100.0, 125.0, 0.20, Better::Lower).ok);
-        assert!(check_metric("l", 100.0, 115.0, 0.20, Better::Lower).ok);
-        assert!(check_metric("l", 100.0, 1.0, 0.20, Better::Lower).ok);
+        assert!(!within(100.0, 125.0, Better::Lower, 0.0));
+        assert!(within(100.0, 115.0, Better::Lower, 0.0));
+        assert!(within(100.0, 1.0, Better::Lower, 0.0));
     }
 
     fn stress_json(cps: f64, p99: f64, det: bool) -> Json {
@@ -987,43 +912,39 @@ mod tests {
         // p99 values sit above the 1 ms noise floor so the relative
         // tail gate is armed.
         let base = stress_json(1000.0, 6_000.0, true);
-        let same = diff_stress(&base, &stress_json(1000.0, 6_000.0, true), 0.2).unwrap();
+        let same = diff("stress", &base, &stress_json(1000.0, 6_000.0, true)).unwrap();
         assert!(same.iter().all(|c| c.ok), "{same:?}");
         assert_eq!(same.len(), 1 + 4); // gate + 2 metrics × 2 thread counts
 
-        let slow = diff_stress(&base, &stress_json(700.0, 6_000.0, true), 0.2).unwrap();
+        let slow = diff("stress", &base, &stress_json(700.0, 6_000.0, true)).unwrap();
         assert!(slow.iter().any(|c| !c.ok && c.name.contains("commands_per_s")));
 
-        let tail = diff_stress(&base, &stress_json(1000.0, 9_000.0, true), 0.2).unwrap();
+        let tail = diff("stress", &base, &stress_json(1000.0, 9_000.0, true)).unwrap();
         assert!(tail.iter().any(|c| !c.ok && c.name.contains("p99_us")));
 
-        let torn = diff_stress(&base, &stress_json(1000.0, 6_000.0, false), 0.2).unwrap();
+        let torn = diff("stress", &base, &stress_json(1000.0, 6_000.0, false)).unwrap();
         assert!(torn.iter().any(|c| !c.ok && c.name == "stress.determinism_ok"));
 
         // Under the 250 µs floor, a 2x tail swing is timer noise, not a
         // regression (the ingest gate has the same policy)...
         let noisy =
-            diff_stress(&stress_json(1000.0, 100.0, true), &stress_json(1000.0, 200.0, true), 0.2)
+            diff("stress", &stress_json(1000.0, 100.0, true), &stress_json(1000.0, 200.0, true))
                 .unwrap();
         assert!(noisy.iter().all(|c| c.ok), "{noisy:?}");
         // ...but sub-millisecond tails above the floor are armed (these
         // were ungated under the old 1 ms single-round floor).
         let armed =
-            diff_stress(&stress_json(1000.0, 300.0, true), &stress_json(1000.0, 480.0, true), 0.2)
+            diff("stress", &stress_json(1000.0, 300.0, true), &stress_json(1000.0, 480.0, true))
                 .unwrap();
         assert!(armed.iter().any(|c| !c.ok && c.name.contains("p99_us")), "{armed:?}");
 
-        assert!(diff_stress(&base, &Json::parse("{}").unwrap(), 0.2).is_err());
+        assert!(diff("stress", &base, &Json::parse("{}").unwrap()).is_err());
     }
 
     fn ingest_json(rcps: f64, p99: f64, probe: f64, stable: bool) -> Json {
-        ingest_json_bulk(rcps, p99, probe, stable, 10.0)
-    }
-
-    fn ingest_json_bulk(rcps: f64, p99: f64, probe: f64, stable: bool, bulk: f64) -> Json {
         Json::parse(&format!(
             r#"{{"initial_offers": 100, "hash_stable": {stable}, "publish_1k_ms": {probe},
-                 "publish_bulk_ms": {bulk}, "publish_bulk_delta_ms": {bulk},
+                 "publish_bulk_ms": 10.0, "publish_bulk_delta_ms": 10.0,
                  "runs": [{{"threads": 2, "reader_commands_per_s": {rcps},
                             "publish_p99_ms": {p99}}}]}}"#,
         ))
@@ -1033,19 +954,19 @@ mod tests {
     #[test]
     fn ingest_diff_gates_probe_and_stability() {
         let base = ingest_json(5000.0, 2.0, 10.0, true);
-        let ok = diff_ingest(&base, &ingest_json(4900.0, 2.1, 11.0, true), 0.2).unwrap();
+        let ok = diff("ingest", &base, &ingest_json(4900.0, 2.1, 11.0, true)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
 
-        let unstable = diff_ingest(&base, &ingest_json(5000.0, 2.0, 10.0, false), 0.2).unwrap();
+        let unstable = diff("ingest", &base, &ingest_json(5000.0, 2.0, 10.0, false)).unwrap();
         assert!(unstable.iter().any(|c| !c.ok && c.name == "ingest.hash_stable"));
 
-        let probe = diff_ingest(&base, &ingest_json(5000.0, 2.0, 20.0, true), 0.2).unwrap();
+        let probe = diff("ingest", &base, &ingest_json(5000.0, 2.0, 20.0, true)).unwrap();
         assert!(probe.iter().any(|c| !c.ok && c.name == "ingest.publish_1k_ms"));
 
         // The bulk probe gates relatively too (its absolute wall lives
         // in the ingest binary).
-        let bulk =
-            diff_ingest(&base, &ingest_json_bulk(5000.0, 2.0, 10.0, true, 25.0), 0.2).unwrap();
+        let slow_bulk = with(ingest_json(5000.0, 2.0, 10.0, true), "publish_bulk_ms", 25.0);
+        let bulk = diff("ingest", &base, &with(slow_bulk, "publish_bulk_delta_ms", 25.0)).unwrap();
         assert!(bulk.iter().any(|c| !c.ok && c.name == "ingest.publish_bulk_ms"));
         assert!(bulk.iter().any(|c| !c.ok && c.name == "ingest.publish_bulk_delta_ms"));
 
@@ -1071,60 +992,35 @@ mod tests {
         )
         .unwrap();
         assert!(!same_machine_class(&base, &current));
-        let checks = diff_stress(&base, &current, 0.2).unwrap();
+        let checks = diff("stress", &base, &current).unwrap();
         let throughput = checks.iter().find(|c| c.name.contains("commands_per_s")).unwrap();
         assert!(!throughput.ok && throughput.advisory && !throughput.is_regression());
         assert!(throughput.to_string().starts_with("warn"), "{throughput}");
         let det = checks.iter().find(|c| c.name == "stress.determinism_ok").unwrap();
         assert!(det.is_regression(), "boolean gates stay hard across machine classes");
         // Same machine class (or unknown): numeric checks gate again.
-        let strict = diff_stress(
+        let strict = diff(
+            "stress",
             &base,
             &Json::parse(
                 r#"{"offers": 1, "available_parallelism": 1, "determinism_ok": true,
                 "runs": [{"threads": 4, "commands_per_s": 10000, "p99_us": 900}]}"#,
             )
             .unwrap(),
-            0.2,
         )
         .unwrap();
         assert!(strict.iter().any(MetricCheck::is_regression));
     }
 
     fn planning_json(speedup: f64, improvement: f64, det: bool, frames: bool) -> Json {
-        planning_json_bundle(speedup, improvement, det, frames, 8.0, true)
-    }
-
-    fn planning_json_bundle(
-        speedup: f64,
-        improvement: f64,
-        det: bool,
-        frames: bool,
-        bundle: f64,
-        roundtrip: bool,
-    ) -> Json {
-        planning_json_replan(speedup, improvement, det, frames, bundle, roundtrip, 10.0, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn planning_json_replan(
-        speedup: f64,
-        improvement: f64,
-        det: bool,
-        frames: bool,
-        bundle: f64,
-        roundtrip: bool,
-        replan_speedup: f64,
-        replan_roundtrip: bool,
-    ) -> Json {
         Json::parse(&format!(
             r#"{{"incremental_speedup": {speedup}, "full_replan_ms": 40.0,
                  "incremental_replan_ms": 1.0, "determinism_ok": {det},
                  "frame_hash_stable": {frames},
                  "bundle_raw_ms": 40.0, "bundled_replan_ms": 5.0,
-                 "bundle_speedup": {bundle}, "bundle_roundtrip_ok": {roundtrip},
-                 "cell_replan_ms": 0.5, "bundle_replan_speedup": {replan_speedup},
-                 "bundle_replan_roundtrip_ok": {replan_roundtrip},
+                 "bundle_speedup": 8.0, "bundle_roundtrip_ok": true,
+                 "cell_replan_ms": 0.5, "bundle_replan_speedup": 10.0,
+                 "bundle_replan_roundtrip_ok": true,
                  "schedulers": [{{"name": "greedy-best-start", "improvement": {improvement}}},
                                 {{"name": "earliest-start", "improvement": 0.1}}]}}"#,
         ))
@@ -1134,30 +1030,30 @@ mod tests {
     #[test]
     fn planning_diff_gates_determinism_speedup_and_quality() {
         let base = planning_json(40.0, 0.8, true, true);
-        let ok = diff_planning(&base, &planning_json(38.0, 0.81, true, true), 0.2).unwrap();
+        let ok = diff("planning", &base, &planning_json(38.0, 0.81, true, true)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         // 4 boolean gates + 2 bundle ratios + the replan floor +
         // 6 numerics + 2 schedulers
         assert_eq!(ok.len(), 4 + 2 + 1 + 6 + 2);
 
-        let torn = diff_planning(&base, &planning_json(40.0, 0.8, false, true), 0.2).unwrap();
+        let torn = diff("planning", &base, &planning_json(40.0, 0.8, false, true)).unwrap();
         assert!(torn.iter().any(|c| !c.ok && c.name == "planning.determinism_ok"));
-        let frames = diff_planning(&base, &planning_json(40.0, 0.8, true, false), 0.2).unwrap();
+        let frames = diff("planning", &base, &planning_json(40.0, 0.8, true, false)).unwrap();
         assert!(frames.iter().any(|c| !c.ok && c.name == "planning.frame_hash_stable"));
 
-        let slow = diff_planning(&base, &planning_json(20.0, 0.8, true, true), 0.2).unwrap();
+        let slow = diff("planning", &base, &planning_json(20.0, 0.8, true, true)).unwrap();
         assert!(slow.iter().any(|c| !c.ok && c.name == "planning.incremental_speedup"));
 
-        let worse = diff_planning(&base, &planning_json(40.0, 0.5, true, true), 0.2).unwrap();
+        let worse = diff("planning", &base, &planning_json(40.0, 0.5, true, true)).unwrap();
         assert!(worse.iter().any(|c| !c.ok && c.name == "planning.greedy-best-start.improvement"));
 
         // Improvement slack is absolute: a baseline scheduler pinned at
         // a slightly negative improvement must pass against itself.
         let negative = planning_json(40.0, -0.002, true, true);
-        let same = diff_planning(&negative, &negative.clone(), 0.2).unwrap();
+        let same = diff("planning", &negative, &negative.clone()).unwrap();
         assert!(same.iter().all(|c| c.ok), "{same:?}");
 
-        assert!(diff_planning(&base, &Json::parse("{}").unwrap(), 0.2).is_err());
+        assert!(diff("planning", &base, &Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]
@@ -1165,14 +1061,20 @@ mod tests {
         let base = planning_json(40.0, 0.8, true, true);
         // Bundling losing its edge is a regression even though the raw
         // latency is unchanged.
-        let slow =
-            diff_planning(&base, &planning_json_bundle(40.0, 0.8, true, true, 4.0, true), 0.2)
-                .unwrap();
+        let slow = diff(
+            "planning",
+            &base,
+            &with(planning_json(40.0, 0.8, true, true), "bundle_speedup", 4.0),
+        )
+        .unwrap();
         assert!(slow.iter().any(|c| c.is_regression() && c.name == "planning.bundle_speedup"));
         // A broken round trip is a hard boolean gate.
-        let broken =
-            diff_planning(&base, &planning_json_bundle(40.0, 0.8, true, true, 8.0, false), 0.2)
-                .unwrap();
+        let broken = diff(
+            "planning",
+            &base,
+            &with(planning_json(40.0, 0.8, true, true), "bundle_roundtrip_ok", false),
+        )
+        .unwrap();
         assert!(broken
             .iter()
             .any(|c| c.is_regression() && c.name == "planning.bundle_roundtrip_ok"));
@@ -1184,17 +1086,17 @@ mod tests {
                 "frame_hash_stable": true, "schedulers": []}"#,
         )
         .unwrap();
-        assert!(diff_planning(&base, &legacy, 0.2).is_err());
+        assert!(diff("planning", &base, &legacy).is_err());
     }
 
     #[test]
     fn planning_diff_gates_bundle_aware_replanning() {
         let base = planning_json(40.0, 0.8, true, true);
         // Losing the warm-replan edge relative to the baseline fails.
-        let slower = diff_planning(
+        let slower = diff(
+            "planning",
             &base,
-            &planning_json_replan(40.0, 0.8, true, true, 8.0, true, 6.0, true),
-            0.2,
+            &with(planning_json(40.0, 0.8, true, true), "bundle_replan_speedup", 6.0),
         )
         .unwrap();
         assert!(slower
@@ -1202,17 +1104,17 @@ mod tests {
             .any(|c| c.is_regression() && c.name == "planning.bundle_replan_speedup"));
         // The absolute ≥5x floor fails even when the relative check
         // would pass against a slow baseline.
-        let sluggish = planning_json_replan(40.0, 0.8, true, true, 8.0, true, 4.5, true);
-        let floored = diff_planning(&sluggish, &sluggish.clone(), 0.2).unwrap();
+        let sluggish = with(planning_json(40.0, 0.8, true, true), "bundle_replan_speedup", 4.5);
+        let floored = diff("planning", &sluggish, &sluggish.clone()).unwrap();
         assert!(floored
             .iter()
             .any(|c| c.is_regression() && c.name == "planning.bundle_replan_speedup_floor"));
         assert!(floored.iter().all(|c| c.name != "planning.bundle_replan_speedup" || c.ok));
         // A broken warm round trip is a hard boolean gate.
-        let broken = diff_planning(
+        let broken = diff(
+            "planning",
             &base,
-            &planning_json_replan(40.0, 0.8, true, true, 8.0, true, 10.0, false),
-            0.2,
+            &with(planning_json(40.0, 0.8, true, true), "bundle_replan_roundtrip_ok", false),
         )
         .unwrap();
         assert!(broken
@@ -1225,15 +1127,9 @@ mod tests {
         // Latency checks downgrade to advisory on a machine-class
         // mismatch, but determinism and seed-deterministic quality must
         // not.
-        let mut base = planning_json(40.0, 0.8, true, true);
-        if let Json::Obj(members) = &mut base {
-            members.push(("available_parallelism".into(), Json::Num(1.0)));
-        }
-        let mut cur = planning_json(40.0, 0.5, true, true);
-        if let Json::Obj(members) = &mut cur {
-            members.push(("available_parallelism".into(), Json::Num(8.0)));
-        }
-        let checks = diff_planning(&base, &cur, 0.2).unwrap();
+        let base = with(planning_json(40.0, 0.8, true, true), "available_parallelism", 1.0);
+        let cur = with(planning_json(40.0, 0.5, true, true), "available_parallelism", 8.0);
+        let checks = diff("planning", &base, &cur).unwrap();
         let quality =
             checks.iter().find(|c| c.name == "planning.greedy-best-start.improvement").unwrap();
         assert!(quality.is_regression(), "quality must gate across machine classes");
@@ -1253,13 +1149,13 @@ mod tests {
     #[test]
     fn net_diff_gates_wire_equivalence_hard_and_latency_soft() {
         let base = net_json(20_000.0, 2_000.0, true, true);
-        let ok = diff_net(&base, &net_json(19_000.0, 2_100.0, true, true), 0.2).unwrap();
+        let ok = diff("net", &base, &net_json(19_000.0, 2_100.0, true, true)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         assert_eq!(ok.len(), 4 + 2); // 4 hard gates + 2 numerics
 
-        let torn = diff_net(&base, &net_json(20_000.0, 2_000.0, false, true), 0.2).unwrap();
+        let torn = diff("net", &base, &net_json(20_000.0, 2_000.0, false, true)).unwrap();
         assert!(torn.iter().any(|c| !c.ok && c.name == "net.outcome_match"));
-        let frames = diff_net(&base, &net_json(20_000.0, 2_000.0, true, false), 0.2).unwrap();
+        let frames = diff("net", &base, &net_json(20_000.0, 2_000.0, true, false)).unwrap();
         assert!(frames.iter().any(|c| !c.ok && c.name == "net.hash_match"));
         // A report predating the storm round (or one that failed it)
         // fails the storm gates — absence is not a pass.
@@ -1268,25 +1164,25 @@ mod tests {
                 "commands_per_s": 20000.0, "p99_us": 2000.0}"#,
         )
         .unwrap();
-        let stormless = diff_net(&base, &legacy, 0.2).unwrap();
+        let stormless = diff("net", &base, &legacy).unwrap();
         assert!(stormless.iter().any(|c| !c.ok && c.name == "net.storm_outcome_match"));
         assert!(stormless.iter().any(|c| !c.ok && c.name == "net.storm_hash_match"));
 
-        let slow = diff_net(&base, &net_json(10_000.0, 2_000.0, true, true), 0.2).unwrap();
+        let slow = diff("net", &base, &net_json(10_000.0, 2_000.0, true, true)).unwrap();
         assert!(slow.iter().any(|c| !c.ok && c.name == "net.commands_per_s"));
-        let tail = diff_net(&base, &net_json(20_000.0, 3_000.0, true, true), 0.2).unwrap();
+        let tail = diff("net", &base, &net_json(20_000.0, 3_000.0, true, true)).unwrap();
         assert!(tail.iter().any(|c| !c.ok && c.name == "net.p99_us"));
 
         // RTT jitter under the 1 ms floor never gates.
-        let noisy = diff_net(
+        let noisy = diff(
+            "net",
             &net_json(20_000.0, 300.0, true, true),
             &net_json(20_000.0, 900.0, true, true),
-            0.2,
         )
         .unwrap();
         assert!(noisy.iter().all(|c| c.ok), "{noisy:?}");
 
-        assert!(diff_net(&base, &Json::parse("{}").unwrap(), 0.2).is_err());
+        assert!(diff("net", &base, &Json::parse("{}").unwrap()).is_err());
     }
 
     fn net_json_scaled(peak: usize, accepts: f64, connect_p99: f64, cores: usize) -> Json {
@@ -1306,55 +1202,49 @@ mod tests {
         let base = net_json_scaled(256, 5_000.0, 30_000.0, 8);
 
         // Healthy: every connection held, throughput over the floor.
-        let ok = diff_net(&base, &net_json_scaled(256, 4_500.0, 35_000.0, 8), 0.2).unwrap();
+        let ok = diff("net", &base, &net_json_scaled(256, 4_500.0, 35_000.0, 8)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         assert!(ok.iter().any(|c| c.name == "net.peak_connections"));
 
         // A dropped connection is a hard failure on any machine class.
-        let dropped = diff_net(&base, &net_json_scaled(255, 5_000.0, 30_000.0, 1), 0.2).unwrap();
+        let dropped = diff("net", &base, &net_json_scaled(255, 5_000.0, 30_000.0, 1)).unwrap();
         let peak = dropped.iter().find(|c| c.name == "net.peak_connections").unwrap();
         assert!(peak.is_regression(), "a lost storm connection must gate hard");
 
         // Accept throughput under the floor: hard on >= 4 cores…
-        let slow = diff_net(&base, &net_json_scaled(256, 120.0, 30_000.0, 8), 0.2).unwrap();
+        let slow = diff("net", &base, &net_json_scaled(256, 120.0, 30_000.0, 8)).unwrap();
         let accepts = slow.iter().find(|c| c.name == "net.accepts_per_s").unwrap();
         assert!(accepts.is_regression(), "sub-floor accept throughput must gate");
         // …advisory on a small runner, where the herd and the reactor
         // share a core.
-        let small = diff_net(&base, &net_json_scaled(256, 120.0, 30_000.0, 1), 0.2).unwrap();
+        let small = diff("net", &base, &net_json_scaled(256, 120.0, 30_000.0, 1)).unwrap();
         let accepts = small.iter().find(|c| c.name == "net.accepts_per_s").unwrap();
         assert!(accepts.advisory && !accepts.is_regression());
 
         // Connect p99 regressions gate above the queueing noise floor…
-        let tail = diff_net(&base, &net_json_scaled(256, 5_000.0, 400_000.0, 8), 0.2).unwrap();
+        let tail = diff("net", &base, &net_json_scaled(256, 5_000.0, 400_000.0, 8)).unwrap();
         let p99 = tail.iter().find(|c| c.name == "net.connect_p99_us").unwrap();
         assert!(p99.is_regression());
         // …but jitter below it never does.
-        let noise = diff_net(
+        let noise = diff(
+            "net",
             &net_json_scaled(256, 5_000.0, 20_000.0, 8),
             &net_json_scaled(256, 5_000.0, 190_000.0, 8),
-            0.2,
         )
         .unwrap();
         assert!(noise.iter().all(|c| c.ok), "{noise:?}");
 
         // Legacy reports without the section skip it cleanly.
         let legacy = net_json(20_000.0, 2_000.0, true, true);
-        let checks = diff_net(&legacy, &legacy, 0.2).unwrap();
+        let checks = diff("net", &legacy, &legacy).unwrap();
         assert!(checks.iter().all(|c| !c.name.contains("peak") && !c.name.contains("accepts")));
     }
 
     #[test]
     fn net_equivalence_gates_stay_hard_across_machine_classes() {
-        let mut base = net_json(20_000.0, 2_000.0, true, true);
-        if let Json::Obj(members) = &mut base {
-            members.push(("available_parallelism".into(), Json::Num(1.0)));
-        }
-        let mut cur = net_json(5_000.0, 9_000.0, false, true);
-        if let Json::Obj(members) = &mut cur {
-            members.push(("available_parallelism".into(), Json::Num(8.0)));
-        }
-        let checks = diff_net(&base, &cur, 0.2).unwrap();
+        let base = with(net_json(20_000.0, 2_000.0, true, true), "available_parallelism", 1.0);
+        let cur = with(net_json(5_000.0, 9_000.0, false, true), "available_parallelism", 8.0);
+        let checks = diff("net", &base, &cur).unwrap();
         let outcome = checks.iter().find(|c| c.name == "net.outcome_match").unwrap();
         assert!(outcome.is_regression(), "wire equivalence must gate on any machine");
         let throughput = checks.iter().find(|c| c.name == "net.commands_per_s").unwrap();
@@ -1372,32 +1262,26 @@ mod tests {
     #[test]
     fn forecast_diff_gates_quality_hard_and_wall_time_soft() {
         let base = forecast_json(0.20, 50.0, true);
-        let ok = diff_forecast(&base, &forecast_json(0.21, 55.0, true), 0.2).unwrap();
+        let ok = diff("forecast", &base, &forecast_json(0.21, 55.0, true)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         assert_eq!(ok.len(), 3); // quality gate + MAPE + wall time
 
-        let lost = diff_forecast(&base, &forecast_json(0.21, 50.0, false), 0.2).unwrap();
+        let lost = diff("forecast", &base, &forecast_json(0.21, 50.0, false)).unwrap();
         assert!(lost.iter().any(|c| !c.ok && c.name == "forecast.executions_beat_envelope"));
-        let worse = diff_forecast(&base, &forecast_json(0.30, 50.0, true), 0.2).unwrap();
+        let worse = diff("forecast", &base, &forecast_json(0.30, 50.0, true)).unwrap();
         assert!(worse.iter().any(|c| !c.ok && c.name == "forecast.mape_executions"));
 
         // Wall-time jitter under the floor never gates; a machine-class
         // mismatch makes it advisory but leaves the quality gates hard.
-        let mut base_1core = forecast_json(0.20, 50.0, true);
-        if let Json::Obj(members) = &mut base_1core {
-            members.push(("available_parallelism".into(), Json::Num(1.0)));
-        }
-        let mut cur_8core = forecast_json(0.30, 500.0, true);
-        if let Json::Obj(members) = &mut cur_8core {
-            members.push(("available_parallelism".into(), Json::Num(8.0)));
-        }
-        let checks = diff_forecast(&base_1core, &cur_8core, 0.2).unwrap();
+        let base_1core = with(forecast_json(0.20, 50.0, true), "available_parallelism", 1.0);
+        let cur_8core = with(forecast_json(0.30, 500.0, true), "available_parallelism", 8.0);
+        let checks = diff("forecast", &base_1core, &cur_8core).unwrap();
         let quality = checks.iter().find(|c| c.name == "forecast.mape_executions").unwrap();
         assert!(quality.is_regression(), "MAPE must gate across machine classes");
         let wall = checks.iter().find(|c| c.name == "forecast.forecast_ms").unwrap();
         assert!(wall.advisory && !wall.is_regression());
 
-        assert!(diff_forecast(&base, &Json::parse("{}").unwrap(), 0.2).is_err());
+        assert!(diff("forecast", &base, &Json::parse("{}").unwrap()).is_err());
     }
 
     fn spatial_json(speedup: f64, publish: f64, cores: usize, matches: bool, frames: bool) -> Json {
@@ -1414,21 +1298,21 @@ mod tests {
     #[test]
     fn spatial_diff_gates_equality_determinism_speedup_and_publish() {
         let base = spatial_json(30.0, 40.0, 8, true, true);
-        let ok = diff_spatial(&base, &spatial_json(28.0, 42.0, 8, true, true), 0.2).unwrap();
+        let ok = diff("spatial", &base, &spatial_json(28.0, 42.0, 8, true, true)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         assert_eq!(ok.len(), 2 + 1 + 1 + 2 + 1); // gates + facts + speedup + latencies + parallel
 
-        let torn = diff_spatial(&base, &spatial_json(30.0, 40.0, 8, false, true), 0.2).unwrap();
+        let torn = diff("spatial", &base, &spatial_json(30.0, 40.0, 8, false, true)).unwrap();
         assert!(torn.iter().any(|c| !c.ok && c.name == "spatial.results_match"));
-        let frames = diff_spatial(&base, &spatial_json(30.0, 40.0, 8, true, false), 0.2).unwrap();
+        let frames = diff("spatial", &base, &spatial_json(30.0, 40.0, 8, true, false)).unwrap();
         assert!(frames.iter().any(|c| !c.ok && c.name == "spatial.frame_hash_stable"));
 
-        let slow = diff_spatial(&base, &spatial_json(10.0, 40.0, 8, true, true), 0.2).unwrap();
+        let slow = diff("spatial", &base, &spatial_json(10.0, 40.0, 8, true, true)).unwrap();
         assert!(slow.iter().any(|c| c.is_regression() && c.name == "spatial.query_speedup"));
-        let publish = diff_spatial(&base, &spatial_json(30.0, 90.0, 8, true, true), 0.2).unwrap();
+        let publish = diff("spatial", &base, &spatial_json(30.0, 90.0, 8, true, true)).unwrap();
         assert!(publish.iter().any(|c| c.is_regression() && c.name == "spatial.publish_ms"));
 
-        assert!(diff_spatial(&base, &Json::parse("{}").unwrap(), 0.2).is_err());
+        assert!(diff("spatial", &base, &Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]
@@ -1439,7 +1323,7 @@ mod tests {
         // all three stay hard.
         let base = spatial_json(30.0, 40.0, 1, true, true);
         let cur = spatial_json(10.0, 200.0, 8, false, true);
-        let checks = diff_spatial(&base, &cur, 0.2).unwrap();
+        let checks = diff("spatial", &base, &cur).unwrap();
         assert!(checks.iter().any(|c| c.is_regression() && c.name == "spatial.query_speedup"));
         assert!(checks.iter().any(|c| c.is_regression() && c.name == "spatial.results_match"));
         let publish = checks.iter().find(|c| c.name == "spatial.publish_ms").unwrap();
@@ -1452,15 +1336,8 @@ mod tests {
         // numeric check is hard — but a 1-core runner cannot exhibit
         // parallel speedup, so that one check is advisory-only.
         let base = spatial_json(30.0, 40.0, 1, true, true);
-        let mut cur = spatial_json(29.0, 41.0, 1, true, true);
-        if let Json::Obj(members) = &mut cur {
-            for (k, v) in members.iter_mut() {
-                if k == "parallel_speedup" {
-                    *v = Json::Num(0.3);
-                }
-            }
-        }
-        let checks = diff_spatial(&base, &cur, 0.2).unwrap();
+        let cur = with(spatial_json(29.0, 41.0, 1, true, true), "parallel_speedup", 0.3);
+        let checks = diff("spatial", &base, &cur).unwrap();
         let parallel = checks.iter().find(|c| c.name == "spatial.parallel_speedup").unwrap();
         assert!(!parallel.ok && parallel.advisory && !parallel.is_regression());
         assert!(checks
@@ -1468,20 +1345,10 @@ mod tests {
             .filter(|c| c.name != "spatial.parallel_speedup")
             .all(|c| !c.advisory));
         // On a 4-core runner the same drop gates hard.
-        let big = diff_spatial(
+        let big = diff(
+            "spatial",
             &spatial_json(30.0, 40.0, 4, true, true),
-            &{
-                let mut c = spatial_json(29.0, 41.0, 4, true, true);
-                if let Json::Obj(members) = &mut c {
-                    for (k, v) in members.iter_mut() {
-                        if k == "parallel_speedup" {
-                            *v = Json::Num(0.3);
-                        }
-                    }
-                }
-                c
-            },
-            0.2,
+            &with(spatial_json(29.0, 41.0, 4, true, true), "parallel_speedup", 0.3),
         )
         .unwrap();
         assert!(big.iter().any(|c| c.is_regression() && c.name == "spatial.parallel_speedup"));
@@ -1506,23 +1373,12 @@ mod tests {
     }
 
     fn columnar_json(eq: bool, views: bool, speedup: f64, cols_ms: f64) -> Json {
-        columnar_json_filtered(eq, views, speedup, cols_ms, true, 4.0)
-    }
-
-    fn columnar_json_filtered(
-        eq: bool,
-        views: bool,
-        speedup: f64,
-        cols_ms: f64,
-        filtered_eq: bool,
-        filtered_speedup: f64,
-    ) -> Json {
         Json::parse(&format!(
             r#"{{"queries": 400, "views": 48, "equality_ok": {eq}, "views_ok": {views},
                  "columnar_eval_ms": {cols_ms}, "row_eval_ms": 40.0,
-                 "eval_speedup": {speedup}, "filtered_equality_ok": {filtered_eq},
+                 "eval_speedup": {speedup}, "filtered_equality_ok": true,
                  "filtered_pushdown_ms": 20.0, "filtered_scan_ms": 80.0,
-                 "filtered_speedup": {filtered_speedup}}}"#,
+                 "filtered_speedup": 4.0}}"#,
         ))
         .unwrap()
     }
@@ -1530,17 +1386,17 @@ mod tests {
     #[test]
     fn columnar_diff_gates_equality_hard_and_latency_soft() {
         let base = columnar_json(true, true, 4.0, 10.0);
-        let ok = diff_columnar(&base, &columnar_json(true, true, 3.8, 10.5), 0.2).unwrap();
+        let ok = diff("columnar", &base, &columnar_json(true, true, 3.8, 10.5)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         // 3 boolean gates + 2 counts + 2 speedups + 2 floors +
         // 4 latencies
         assert_eq!(ok.len(), 3 + 2 + 2 + 2 + 4);
 
-        let diverged = diff_columnar(&base, &columnar_json(false, true, 4.0, 10.0), 0.2).unwrap();
+        let diverged = diff("columnar", &base, &columnar_json(false, true, 4.0, 10.0)).unwrap();
         assert!(diverged.iter().any(|c| c.is_regression() && c.name == "columnar.equality_ok"));
-        let views = diff_columnar(&base, &columnar_json(true, false, 4.0, 10.0), 0.2).unwrap();
+        let views = diff("columnar", &base, &columnar_json(true, false, 4.0, 10.0)).unwrap();
         assert!(views.iter().any(|c| c.is_regression() && c.name == "columnar.views_ok"));
-        let slower = diff_columnar(&base, &columnar_json(true, true, 1.5, 10.0), 0.2).unwrap();
+        let slower = diff("columnar", &base, &columnar_json(true, true, 1.5, 10.0)).unwrap();
         assert!(slower.iter().any(|c| c.is_regression() && c.name == "columnar.eval_speedup"));
 
         // A shrunken battery fails even when everything it still runs
@@ -1552,7 +1408,7 @@ mod tests {
                 "filtered_scan_ms": 4.0, "filtered_speedup": 4.0}"#,
         )
         .unwrap();
-        let small = diff_columnar(&base, &shrunk, 0.2).unwrap();
+        let small = diff("columnar", &base, &shrunk).unwrap();
         assert!(small.iter().any(|c| c.is_regression() && c.name == "columnar.queries"));
 
         // Absence of the equality booleans is a failure, not a skip.
@@ -1563,34 +1419,40 @@ mod tests {
                 "filtered_speedup": 4.0}"#,
         )
         .unwrap();
-        let missing = diff_columnar(&base, &bare, 0.2).unwrap();
+        let missing = diff("columnar", &base, &bare).unwrap();
         assert!(missing.iter().any(|c| c.is_regression() && c.name == "columnar.equality_ok"));
         assert!(missing
             .iter()
             .any(|c| c.is_regression() && c.name == "columnar.filtered_equality_ok"));
 
-        assert!(diff_columnar(&base, &Json::parse("{}").unwrap(), 0.2).is_err());
+        assert!(diff("columnar", &base, &Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]
     fn columnar_diff_gates_the_filtered_probe() {
         let base = columnar_json(true, true, 4.0, 10.0);
         // A three-way divergence on the filtered battery is hard.
-        let diverged =
-            diff_columnar(&base, &columnar_json_filtered(true, true, 4.0, 10.0, false, 4.0), 0.2)
-                .unwrap();
+        let diverged = diff(
+            "columnar",
+            &base,
+            &with(columnar_json(true, true, 4.0, 10.0), "filtered_equality_ok", false),
+        )
+        .unwrap();
         assert!(diverged
             .iter()
             .any(|c| c.is_regression() && c.name == "columnar.filtered_equality_ok"));
         // Pushdown losing its edge relative to the baseline fails.
-        let slower =
-            diff_columnar(&base, &columnar_json_filtered(true, true, 4.0, 10.0, true, 3.1), 0.2)
-                .unwrap();
+        let slower = diff(
+            "columnar",
+            &base,
+            &with(columnar_json(true, true, 4.0, 10.0), "filtered_speedup", 3.1),
+        )
+        .unwrap();
         assert!(slower.iter().any(|c| c.is_regression() && c.name == "columnar.filtered_speedup"));
         // The absolute floors fail even against an equally slow
         // baseline: ≥2x for the battery, ≥3x for the filtered probe.
-        let sluggish = columnar_json_filtered(true, true, 1.8, 10.0, true, 2.5);
-        let floored = diff_columnar(&sluggish, &sluggish.clone(), 0.2).unwrap();
+        let sluggish = with(columnar_json(true, true, 1.8, 10.0), "filtered_speedup", 2.5);
+        let floored = diff("columnar", &sluggish, &sluggish.clone()).unwrap();
         assert!(floored
             .iter()
             .any(|c| c.is_regression() && c.name == "columnar.eval_speedup_floor"));
@@ -1602,15 +1464,9 @@ mod tests {
 
     #[test]
     fn columnar_speedup_gates_hard_across_machine_classes() {
-        let mut base = columnar_json(true, true, 4.0, 10.0);
-        if let Json::Obj(members) = &mut base {
-            members.push(("available_parallelism".into(), Json::Num(1.0)));
-        }
-        let mut cur = columnar_json(true, true, 1.5, 200.0);
-        if let Json::Obj(members) = &mut cur {
-            members.push(("available_parallelism".into(), Json::Num(8.0)));
-        }
-        let checks = diff_columnar(&base, &cur, 0.2).unwrap();
+        let base = with(columnar_json(true, true, 4.0, 10.0), "available_parallelism", 1.0);
+        let cur = with(columnar_json(true, true, 1.5, 200.0), "available_parallelism", 8.0);
+        let checks = diff("columnar", &base, &cur).unwrap();
         assert!(checks.iter().any(|c| c.is_regression() && c.name == "columnar.eval_speedup"));
         let latency = checks.iter().find(|c| c.name == "columnar.columnar_eval_ms").unwrap();
         assert!(latency.advisory && !latency.is_regression());
@@ -1625,8 +1481,154 @@ mod tests {
                 "runs": [{"threads": 8, "reader_commands_per_s": 1.0, "publish_p99_ms": 1.0}]}"#,
         )
         .unwrap();
-        let checks = diff_ingest(&base, &current, 0.2).unwrap();
+        let checks = diff("ingest", &base, &current).unwrap();
         assert!(checks.iter().all(|c| c.ok));
         assert_eq!(checks.len(), 2); // hash_stable + publish_1k_ms only
+    }
+
+    #[test]
+    fn the_writer_round_trips_through_the_reader() {
+        let report = Json::obj([
+            ("bench", "stress".into()),
+            ("name", "a \"quoted\"\\ line\n".into()),
+            ("ratio", 12.087_312_345.into()),
+            ("tiny", 0.000_356_871_2.into()),
+            ("count", 1_017_100usize.into()),
+            ("unmeasured", f64::INFINITY.into()),
+            ("ok", true.into()),
+            ("runs", Json::Arr(vec![Json::obj([("threads", 1usize.into())]), Json::Arr(vec![])])),
+            ("empty", Json::Obj(vec![])),
+        ]);
+        let text = report.to_string();
+        assert!(text.contains("\"ratio\": 12.0873,\n"), "{text}");
+        assert!(text.contains("\"tiny\": 0.000356871,\n"), "{text}");
+        assert!(text.contains("\"count\": 1017100,\n"), "{text}");
+        assert!(text.contains("    {\"threads\": 1},\n"), "{text}");
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("unmeasured"), Some(&Json::Null), "non-finite numbers write null");
+        assert_eq!(back.get("name"), report.get("name"));
+        assert_eq!(back.to_string(), text, "writing what was read is the identity");
+    }
+
+    /// The harness binary's verdict: does `report` fail the rows of
+    /// `section`'s table that need no baseline?
+    fn binary_fails(section: &str, report: &Json) -> bool {
+        let checks = evaluate(section, gates_for(section).unwrap(), None, report).unwrap();
+        checks.iter().any(MetricCheck::is_regression)
+    }
+
+    #[test]
+    fn binaries_fail_exactly_on_the_ci_conditions() {
+        // One passing report per harness, then each CI failure condition
+        // alone must fail it — and the rows that belong to bench_diff
+        // (or are advisory below 4 cores) must not.
+        type Changes = Vec<(&'static str, Json)>;
+        let cases: [(&str, Changes, Changes); 7] = [
+            (
+                r#"{"bench": "stress", "available_parallelism": 4, "determinism_ok": true,
+                    "hover_speedup": 40, "runs": [{"threads": 4, "speedup_vs_1": 2.5}]}"#,
+                vec![
+                    ("determinism_ok", false.into()),
+                    ("runs", Json::Arr(vec![])),
+                    ("runs", Json::parse(r#"[{"threads": 4, "speedup_vs_1": 1.5}]"#).unwrap()),
+                    ("hover_speedup", 9.0.into()),
+                ],
+                vec![("available_parallelism", 2.0.into())],
+            ),
+            (
+                r#"{"bench": "ingest", "hash_stable": true, "publish_1k_ms": 1,
+                    "publish_bulk_ms": 2, "publish_bulk_delta_ms": 0.1}"#,
+                vec![
+                    ("hash_stable", false.into()),
+                    ("publish_1k_ms", 101.0.into()),
+                    ("publish_bulk_ms", 120.0.into()),
+                    ("publish_bulk_delta_ms", 100.5.into()),
+                ],
+                vec![],
+            ),
+            (
+                r#"{"bench": "planning", "determinism_ok": true, "frame_hash_stable": true,
+                    "bundle_roundtrip_ok": true, "bundle_replan_roundtrip_ok": true,
+                    "incremental_speedup": 45, "bundle_speedup": 6,
+                    "bundle_replan_speedup": 7}"#,
+                vec![
+                    ("frame_hash_stable", false.into()),
+                    ("bundle_roundtrip_ok", false.into()),
+                    ("incremental_speedup", 9.0.into()),
+                    ("bundle_speedup", 4.9.into()),
+                    ("bundle_replan_speedup", 4.9.into()),
+                ],
+                vec![],
+            ),
+            (
+                r#"{"bench": "spatial", "min_facts": 1000000, "publish_bound_ms": 100,
+                    "facts": 1017100, "results_match": true, "frame_hash_stable": true,
+                    "query_speedup": 12, "parallel_speedup": 0.2, "publish_ms": 50}"#,
+                vec![
+                    ("results_match", false.into()),
+                    ("facts", 999_999.0.into()),
+                    ("query_speedup", 9.2.into()),
+                    ("publish_ms", 150.0.into()),
+                ],
+                vec![("publish_bound_ms", 200.0.into())],
+            ),
+            (
+                r#"{"bench": "net", "available_parallelism": 8, "clients": 256,
+                    "outcome_match": true, "hash_match": true, "storm_outcome_match": true,
+                    "storm_hash_match": true, "peak_connections": 256, "accepts_per_s": 5000}"#,
+                vec![("storm_outcome_match", false.into()), ("peak_connections", 255.0.into())],
+                vec![("accepts_per_s", 50.0.into())],
+            ),
+            (
+                r#"{"bench": "forecast", "executions_beat_envelope": true}"#,
+                vec![("executions_beat_envelope", false.into())],
+                vec![],
+            ),
+            (
+                r#"{"bench": "columnar", "equality_ok": true, "views_ok": true,
+                    "filtered_equality_ok": true, "eval_speedup": 2.5, "filtered_speedup": 3.2}"#,
+                vec![("views_ok", false.into()), ("filtered_speedup", 2.95.into())],
+                vec![("eval_speedup", 1.5.into())],
+            ),
+        ];
+        for (report, failing, passing) in cases {
+            let report = Json::parse(report).unwrap();
+            let Some(Json::Str(section)) = report.get("bench") else { unreachable!() };
+            assert!(!binary_fails(section, &report), "{report}");
+            for (key, value) in failing {
+                let broken = with(report.clone(), key, value);
+                assert!(binary_fails(section, &broken), "{section}: {key} must fail {broken}");
+            }
+            for (key, value) in passing {
+                let fine = with(report.clone(), key, value);
+                assert!(!binary_fails(section, &fine), "{section}: {key} must pass {fine}");
+            }
+        }
+        // Below 4 cores the stress speedup floor only warns, even with
+        // no 4-thread run to judge.
+        let small = Json::parse(
+            r#"{"bench": "stress", "available_parallelism": 2, "determinism_ok": true,
+                "hover_speedup": 40, "runs": [{"threads": 4, "speedup_vs_1": 0.9}]}"#,
+        )
+        .unwrap();
+        assert!(!binary_fails("stress", &small));
+        assert!(!binary_fails("stress", &with(small, "runs", Json::Arr(vec![]))));
+    }
+
+    #[test]
+    fn every_relative_row_resolves_in_the_committed_baseline() {
+        let baseline = Json::parse(include_str!("../../../BENCH_baseline.json")).unwrap();
+        for bench in ["stress", "ingest", "planning", "net", "spatial", "forecast", "columnar"] {
+            let section = baseline.get(bench).unwrap_or_else(|| panic!("no {bench} section"));
+            assert_eq!(section.get("bench"), Some(&Json::Str(bench.into())));
+            for gate in gates_for(bench).unwrap() {
+                if matches!(gate.rule, Rule::Relative { .. } | Rule::Slack) {
+                    assert!(resolves(gate.path, section), "{bench}: {} unresolved", gate.path);
+                }
+            }
+            // And the section gates cleanly against itself.
+            let checks = diff(bench, section, section).unwrap();
+            assert!(checks.iter().all(|c| c.ok), "{checks:?}");
+        }
     }
 }

@@ -34,6 +34,16 @@ use mirabel_forecast::{mape, Forecaster, SeasonalNaive, SeasonalSmoothing};
 use mirabel_timeseries::{SlotSpan, TimeSeries, TimeSlot, SLOTS_PER_DAY};
 use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 
+use crate::diff::{Gate, Json, Policy};
+
+/// The forecast gate table (see [`crate::diff`]): the quality gate and
+/// the MAPE are seed-deterministic, so they hold on any machine.
+pub const GATES: &[Gate] = &[
+    Gate::holds("executions_beat_envelope"),
+    Gate::lower("mape_executions", 0.0),
+    Gate::lower("forecast_ms", 1.0).policy(Policy::Class).optional(),
+];
+
 /// Shape of one forecast-harness run; `Default` is the CI smoke
 /// configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,55 +65,6 @@ pub struct ForecastConfig {
 impl Default for ForecastConfig {
     fn default() -> Self {
         ForecastConfig { prosumers: 120, days: 5, eval_days: 3, seed: 0xF0CA, repeats: 3 }
-    }
-}
-
-/// The harness report, serializable as `BENCH_forecast.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForecastReport {
-    /// The configuration that produced the report.
-    pub config: ForecastConfig,
-    /// Offers simulated across all days.
-    pub offers: usize,
-    /// Offers the day ticks metered into `Executed`.
-    pub executed: usize,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub available_parallelism: usize,
-    /// Mean MAPE of the max-envelope baseline over the eval days.
-    pub mape_envelope: f64,
-    /// Mean MAPE of the forecast trained on metered executions.
-    pub mape_executions: f64,
-    /// `true` iff `mape_executions < mape_envelope` — the hard quality
-    /// gate.
-    pub executions_beat_envelope: bool,
-    /// Wall-clock ms to build both histories and forecast every eval
-    /// day (best round).
-    pub forecast_ms: f64,
-}
-
-impl ForecastReport {
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// offline build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"forecast\",\n");
-        out.push_str(&format!("  \"prosumers\": {},\n", self.config.prosumers));
-        out.push_str(&format!("  \"days\": {},\n", self.config.days));
-        out.push_str(&format!("  \"eval_days\": {},\n", self.config.eval_days));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats.max(1)));
-        out.push_str(&format!("  \"offers\": {},\n", self.offers));
-        out.push_str(&format!("  \"executed\": {},\n", self.executed));
-        out.push_str(&format!("  \"available_parallelism\": {},\n", self.available_parallelism));
-        out.push_str(&format!("  \"mape_envelope\": {:.6},\n", self.mape_envelope));
-        out.push_str(&format!("  \"mape_executions\": {:.6},\n", self.mape_executions));
-        out.push_str(&format!(
-            "  \"executions_beat_envelope\": {},\n",
-            self.executions_beat_envelope
-        ));
-        out.push_str(&format!("  \"forecast_ms\": {:.3}\n", self.forecast_ms));
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -240,8 +201,8 @@ fn day_ahead(history: &TimeSeries) -> TimeSeries {
 /// Runs the full harness: meters the pool, then scores the trailing
 /// `eval_days` days — each forecast from the history strictly before
 /// it, once envelope-style and once on executions — against their
-/// metered actuals.
-pub fn run_forecast(config: &ForecastConfig) -> ForecastReport {
+/// metered actuals. Returns the `BENCH_forecast.json` report.
+pub fn run_forecast(config: &ForecastConfig) -> Json {
     let (warehouse, executed) = metered_warehouse(config);
     let offers = warehouse.offers().len();
     let days = config.days.max(1);
@@ -264,16 +225,24 @@ pub fn run_forecast(config: &ForecastConfig) -> ForecastReport {
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
 
-    ForecastReport {
-        config: config.clone(),
-        offers,
-        executed,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        mape_envelope,
-        mape_executions,
-        executions_beat_envelope: mape_executions < mape_envelope,
-        forecast_ms: best_ms,
-    }
+    Json::obj([
+        ("bench", "forecast".into()),
+        ("prosumers", config.prosumers.into()),
+        ("days", config.days.into()),
+        ("eval_days", config.eval_days.into()),
+        ("seed", config.seed.into()),
+        ("repeats", config.repeats.max(1).into()),
+        ("offers", offers.into()),
+        ("executed", executed.into()),
+        ("available_parallelism", crate::available_parallelism().into()),
+        // Mean MAPE over the eval days of each history's forecast.
+        ("mape_envelope", Json::Num(mape_envelope)),
+        ("mape_executions", Json::Num(mape_executions)),
+        ("executions_beat_envelope", (mape_executions < mape_envelope).into()),
+        // Building both histories and forecasting every eval day (best
+        // round).
+        ("forecast_ms", Json::Num(best_ms)),
+    ])
 }
 
 #[cfg(test)]
@@ -286,25 +255,20 @@ mod tests {
 
     #[test]
     fn harness_is_deterministic() {
-        let a = run_forecast(&tiny());
-        let b = run_forecast(&tiny());
-        assert_eq!(a.mape_envelope, b.mape_envelope);
-        assert_eq!(a.mape_executions, b.mape_executions);
-        assert_eq!(a.executed, b.executed);
+        let (a, b) = (run_forecast(&tiny()), run_forecast(&tiny()));
+        for key in ["mape_envelope", "mape_executions", "executed"] {
+            assert_eq!(a.get(key), b.get(key), "{key}");
+        }
     }
 
     #[test]
     fn executions_beat_the_envelope_baseline() {
         let report = run_forecast(&tiny());
-        assert!(report.executed > 0, "the day ticks must meter something");
+        assert!(report.num_at(&["executed"]) > Some(0.0), "the day ticks must meter something");
         assert!(
-            report.executions_beat_envelope,
-            "training on metered executions must beat the max envelope: \
-             exec {} vs env {}",
-            report.mape_executions, report.mape_envelope
+            report.is_true("executions_beat_envelope"),
+            "training on metered executions must beat the max envelope: {report}"
         );
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"forecast\""), "{json}");
-        assert!(json.contains("\"executions_beat_envelope\": true"), "{json}");
+        crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 }

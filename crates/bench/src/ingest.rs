@@ -32,6 +32,24 @@ use mirabel_workload::{
     OfferConfig, Population, PopulationConfig,
 };
 
+use crate::diff::{Bound, Gate, Json, Policy, Scope};
+
+/// The ingest gate table (see [`crate::diff`]). Publish latencies under
+/// 1 ms are timer noise to the relative rows; the 100 ms bounds are the
+/// interactive wall the binary holds every publish probe to, the bulk
+/// one at 100 k offers in PR CI and 10 M nightly.
+pub const GATES: &[Gate] = &[
+    Gate::holds("hash_stable"),
+    Gate::lower("publish_1k_ms", 1.0).policy(Policy::Class).optional(),
+    Gate::lower("publish_bulk_ms", 1.0).policy(Policy::Class).optional(),
+    Gate::lower("publish_bulk_delta_ms", 1.0).policy(Policy::Class).optional(),
+    Gate::higher("runs[threads].reader_commands_per_s").policy(Policy::Class),
+    Gate::lower("runs[threads].publish_p99_ms", 1.0).policy(Policy::Class),
+    Gate::bound("publish_1k_ms", Bound::Fixed(100.0), Scope::Binary),
+    Gate::bound("publish_bulk_ms", Bound::Fixed(100.0), Scope::Binary),
+    Gate::bound("publish_bulk_delta_ms", Bound::Fixed(100.0), Scope::Binary),
+];
+
 /// Canvas the simulated analysts work on.
 const CANVAS: (f64, f64) = (960.0, 540.0);
 
@@ -89,7 +107,7 @@ impl Default for IngestConfig {
 
 /// Measured results of one reader thread count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IngestRunStats {
+struct IngestRunStats {
     /// Reader OS threads driving the pool.
     pub threads: usize,
     /// Epochs published during the run.
@@ -109,82 +127,6 @@ pub struct IngestRunStats {
     pub reader_commands_per_s: f64,
     /// Wall-clock duration of the run, seconds.
     pub wall_s: f64,
-}
-
-/// The full harness report, serializable as `BENCH_ingest.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestReport {
-    /// The configuration that produced the report.
-    pub config: IngestConfig,
-    /// Offers in the initial (epoch 0) load.
-    pub initial_offers: usize,
-    /// Trace counters (arrivals, withdrawals, publishes, day ticks).
-    pub arrivals: usize,
-    /// Withdrawals across the trace.
-    pub withdrawals: usize,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub available_parallelism: usize,
-    /// One entry per thread count, in `config.threads` order.
-    pub runs: Vec<IngestRunStats>,
-    /// `true` iff every (epoch, reader) frame-hash vector was identical
-    /// across all thread counts — no reader ever saw a torn epoch.
-    pub hash_stable: bool,
-    /// Latency of publishing one 1 000-offer ingest batch, milliseconds
-    /// (the dedicated CI-gate probe, measured once).
-    pub publish_1k_ms: f64,
-    /// The bulk probe over `config.bulk_offers` offers (the columnar
-    /// scale gate: publish must stay O(1) at 10 M rows).
-    pub bulk: BulkProbe,
-}
-
-impl IngestReport {
-    /// The run at `threads`, if it was measured.
-    pub fn run_at(&self, threads: usize) -> Option<&IngestRunStats> {
-        self.runs.iter().find(|r| r.threads == threads)
-    }
-
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// offline build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"ingest\",\n");
-        out.push_str(&format!("  \"readers\": {},\n", self.config.readers));
-        out.push_str(&format!("  \"commands_per_epoch\": {},\n", self.config.commands_per_epoch));
-        out.push_str(&format!("  \"prosumers\": {},\n", self.config.prosumers));
-        out.push_str(&format!("  \"days\": {},\n", self.config.days));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats.max(1)));
-        out.push_str(&format!("  \"initial_offers\": {},\n", self.initial_offers));
-        out.push_str(&format!("  \"arrivals\": {},\n", self.arrivals));
-        out.push_str(&format!("  \"withdrawals\": {},\n", self.withdrawals));
-        out.push_str(&format!("  \"available_parallelism\": {},\n", self.available_parallelism));
-        out.push_str(&format!("  \"hash_stable\": {},\n", self.hash_stable));
-        out.push_str(&format!("  \"publish_1k_ms\": {:.3},\n", self.publish_1k_ms));
-        out.push_str(&format!("  \"bulk_offers\": {},\n", self.bulk.offers));
-        out.push_str(&format!("  \"bulk_ingest_ms\": {:.1},\n", self.bulk.ingest_ms));
-        out.push_str(&format!("  \"publish_bulk_ms\": {:.3},\n", self.bulk.publish_ms));
-        out.push_str(&format!("  \"publish_bulk_delta_ms\": {:.3},\n", self.bulk.delta_publish_ms));
-        out.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"threads\": {}, \"epochs\": {}, \"publish_p50_ms\": {:.3}, \
-                 \"publish_p99_ms\": {:.3}, \"publish_max_ms\": {:.3}, \
-                 \"ingest_offers_per_s\": {:.1}, \"reader_commands_per_s\": {:.1}, \
-                 \"wall_s\": {:.6}}}{}\n",
-                r.threads,
-                r.epochs,
-                r.publish_p50_ms,
-                r.publish_p99_ms,
-                r.publish_max_ms,
-                r.ingest_offers_per_s,
-                r.reader_commands_per_s,
-                r.wall_s,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 /// Deterministic reader command `j` for `user` during `epoch` — a
@@ -453,9 +395,9 @@ pub fn publish_bulk_probe(offers: usize, seed: u64) -> BulkProbe {
 }
 
 /// Runs the full harness: replays the same seeded ingest trace at every
-/// configured reader thread count and cross-checks per-epoch frame
-/// hashes.
-pub fn run_ingest(config: &IngestConfig) -> IngestReport {
+/// configured reader thread count, cross-checks per-epoch frame hashes,
+/// and runs both publish probes; returns the `BENCH_ingest.json` report.
+pub fn run_ingest(config: &IngestConfig) -> Json {
     let (population, initial, trace) = fixture(config);
     let stats = IngestTraceStats::of(&trace);
 
@@ -486,17 +428,42 @@ pub fn run_ingest(config: &IngestConfig) -> IngestReport {
         runs.push(best);
     }
 
-    IngestReport {
-        config: config.clone(),
-        initial_offers: initial.len(),
-        arrivals: stats.arrivals,
-        withdrawals: stats.withdrawals,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        runs,
-        hash_stable,
-        publish_1k_ms: publish_1k_probe(config.seed),
-        bulk: publish_bulk_probe(config.bulk_offers.max(1), config.seed),
-    }
+    let runs = runs.iter().map(|r| {
+        Json::obj([
+            ("threads", r.threads.into()),
+            ("epochs", r.epochs.into()),
+            ("publish_p50_ms", Json::Num(r.publish_p50_ms)),
+            ("publish_p99_ms", Json::Num(r.publish_p99_ms)),
+            ("publish_max_ms", Json::Num(r.publish_max_ms)),
+            ("ingest_offers_per_s", Json::Num(r.ingest_offers_per_s)),
+            ("reader_commands_per_s", Json::Num(r.reader_commands_per_s)),
+            ("wall_s", Json::Num(r.wall_s)),
+        ])
+    });
+    let publish_1k_ms = publish_1k_probe(config.seed);
+    let bulk = publish_bulk_probe(config.bulk_offers.max(1), config.seed);
+    Json::obj([
+        ("bench", "ingest".into()),
+        ("readers", config.readers.into()),
+        ("commands_per_epoch", config.commands_per_epoch.into()),
+        ("prosumers", config.prosumers.into()),
+        ("days", config.days.into()),
+        ("seed", config.seed.into()),
+        ("repeats", config.repeats.max(1).into()),
+        ("initial_offers", initial.len().into()),
+        ("arrivals", stats.arrivals.into()),
+        ("withdrawals", stats.withdrawals.into()),
+        ("available_parallelism", crate::available_parallelism().into()),
+        // Every (epoch, reader) frame-hash vector was identical across
+        // all thread counts: no reader ever saw a torn epoch.
+        ("hash_stable", hash_stable.into()),
+        ("publish_1k_ms", Json::Num(publish_1k_ms)),
+        ("bulk_offers", bulk.offers.into()),
+        ("bulk_ingest_ms", Json::Num(bulk.ingest_ms)),
+        ("publish_bulk_ms", Json::Num(bulk.publish_ms)),
+        ("publish_bulk_delta_ms", Json::Num(bulk.delta_publish_ms)),
+        ("runs", Json::Arr(runs.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -521,19 +488,19 @@ mod tests {
     #[test]
     fn per_epoch_hashes_are_stable_across_thread_counts() {
         let report = run_ingest(&tiny());
-        assert!(report.hash_stable, "a reader observed a torn epoch");
-        assert_eq!(report.runs.len(), 2);
-        for r in &report.runs {
-            assert!(r.epochs >= 3, "{r:?}");
-            assert!(r.publish_p99_ms >= r.publish_p50_ms);
-            assert!(r.publish_max_ms >= r.publish_p99_ms);
-            assert!(r.reader_commands_per_s > 0.0);
+        assert!(report.is_true("hash_stable"), "a reader observed a torn epoch");
+        let runs = report.get("runs").and_then(Json::arr).unwrap();
+        assert_eq!(runs.len(), 2);
+        for r in runs {
+            let num = |key| r.num_at(&[key]).unwrap();
+            assert!(num("epochs") >= 3.0, "{r:?}");
+            assert!(num("publish_p99_ms") >= num("publish_p50_ms"));
+            assert!(num("publish_max_ms") >= num("publish_p99_ms"));
+            assert!(num("reader_commands_per_s") > 0.0);
         }
-        assert!(report.arrivals > 0 && report.withdrawals > 0);
-        let json = report.to_json();
-        assert!(json.contains("\"hash_stable\": true"), "{json}");
-        assert!(json.contains("\"bench\": \"ingest\""));
-        assert!(json.contains("\"publish_1k_ms\""));
+        assert!(report.num_at(&["arrivals"]) > Some(0.0));
+        assert!(report.num_at(&["withdrawals"]) > Some(0.0));
+        crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 
     #[test]

@@ -1,4 +1,12 @@
-//! Shared fixtures for the figure benches and the `figures` binary.
+//! The bench harnesses, their reports and gate tables, and the shared
+//! fixtures behind them and the `figures` binary.
+//!
+//! Each harness module (`stress`, `ingest`, `planning`, `spatial`,
+//! `net`, `forecast`, `columnar`) runs one workload, builds its report
+//! as a [`diff::Json`] tree and declares the [`diff::Gate`] table that
+//! judges it; its binary under `src/bin/` writes the report and
+//! enforces the table, and `bench_diff` holds the reports against
+//! `BENCH_baseline.json`.
 //!
 //! Everything here is deterministic: the same sizes and seeds always
 //! produce the same offers, scenes and warehouses, so bench numbers and
@@ -7,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod columnar;
 pub mod diff;
 pub mod forecast;
@@ -63,7 +72,7 @@ pub fn warehouse(prosumers: usize, days: usize) -> (Population, Warehouse) {
 }
 
 /// Exactly `n` visual offers (truncating or cycling the generator as
-/// needed) — the unit of the F8/F9 view-scaling benches.
+/// needed) — the unit of the F8/F9 view-scaling figures.
 pub fn visual_offers(n: usize) -> Vec<VisualOffer> {
     // Scale the population so the generator yields at least n offers.
     let prosumers = (n / 2).max(50);
@@ -75,6 +84,21 @@ pub fn visual_offers(n: usize) -> Vec<VisualOffer> {
     }
     raw.truncate(n);
     VisualOffer::from_offers(&raw)
+}
+
+/// `std::thread::available_parallelism()` on this host (1 when
+/// unknown) — every report records it as its machine class.
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `slow / fast` — a speedup, or 0 when `fast` measured nothing.
+pub fn ratio(slow: f64, fast: f64) -> f64 {
+    if fast > 0.0 {
+        slow / fast
+    } else {
+        0.0
+    }
 }
 
 /// Nearest-rank percentile over sorted per-command latencies, reported

@@ -41,6 +41,36 @@ use mirabel_workload::{
     generate_offer_pool, generate_offers, OfferConfig, Population, PopulationConfig,
 };
 
+use crate::diff::{Bound, Gate, Json, Policy, Scope};
+
+/// The planning gate table (see [`crate::diff`]).
+pub const GATES: &[Gate] = &[
+    Gate::holds("determinism_ok"),
+    Gate::holds("frame_hash_stable"),
+    Gate::holds("bundle_roundtrip_ok"),
+    Gate::holds("bundle_replan_roundtrip_ok"),
+    // The bundling speedups are ratios of two timings taken on the same
+    // host in the same run: hard on any machine class.
+    Gate::higher("bundle_speedup"),
+    Gate::higher("bundle_replan_speedup"),
+    // A warm single-cell re-plan must beat the cold full re-grouping
+    // outright, not merely match whatever the baseline recorded.
+    Gate::floor("bundle_replan_speedup", Bound::Fixed(5.0), Scope::Both)
+        .named("bundle_replan_speedup_floor"),
+    Gate::higher("incremental_speedup").policy(Policy::Class),
+    Gate::lower("full_replan_ms", 1.0).policy(Policy::Class),
+    Gate::lower("incremental_replan_ms", 1.0).policy(Policy::Class),
+    Gate::lower("bundle_raw_ms", 1.0).policy(Policy::Class),
+    Gate::lower("bundled_replan_ms", 1.0).policy(Policy::Class),
+    Gate::lower("cell_replan_ms", 1.0).policy(Policy::Class),
+    // Quality is a pure function of the seed, so a drop is an
+    // algorithmic regression on any machine; `improvement` is already
+    // relative and can sit below zero, hence the absolute slack.
+    Gate::slack("schedulers[name].improvement"),
+    Gate::floor("incremental_speedup", Bound::Fixed(10.0), Scope::Binary),
+    Gate::floor("bundle_speedup", Bound::Fixed(5.0), Scope::Binary),
+];
+
 /// Shape of one planning bench run; `Default` is the CI configuration
 /// (10 000 offers — the acceptance-criteria scale).
 #[derive(Debug, Clone, PartialEq)]
@@ -71,136 +101,6 @@ impl Default for PlanningConfig {
             repeats: 3,
             seed: 0x91A7,
         }
-    }
-}
-
-/// Imbalance quality of one scheduler over the shared pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerQuality {
-    /// Scheduler display name.
-    pub name: &'static str,
-    /// L1 imbalance of the zero plan (kWh).
-    pub before_l1: f64,
-    /// L1 imbalance of the plan (kWh).
-    pub after_l1: f64,
-    /// L2² imbalance of the plan (kWh²) — the scheduling objective,
-    /// the one hill-climb is monotone in.
-    pub after_l2_sq: f64,
-    /// Relative L1 improvement in `0..=1`.
-    pub improvement: f64,
-}
-
-/// Full-replan wall-clock at one worker thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanningRunStats {
-    /// Worker threads.
-    pub threads: usize,
-    /// Best-of-N full re-plan latency, milliseconds.
-    pub full_replan_ms: f64,
-}
-
-/// The full harness report, serializable as `BENCH_planning.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanningReport {
-    /// The configuration that produced the report.
-    pub config: PlanningConfig,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub available_parallelism: usize,
-    /// Best-of-N single-threaded full re-plan, milliseconds.
-    pub full_replan_ms: f64,
-    /// Best-of-N single-threaded incremental re-plan after a
-    /// single-offer ingest, milliseconds.
-    pub incremental_replan_ms: f64,
-    /// `full_replan_ms / incremental_replan_ms` — the headline gate.
-    pub incremental_speedup: f64,
-    /// `true` iff plan hashes matched across every thread count.
-    pub determinism_ok: bool,
-    /// `true` iff session balance-view frame hashes matched across
-    /// every thread count.
-    pub frame_hash_stable: bool,
-    /// Full-replan latency per worker thread count.
-    pub runs: Vec<PlanningRunStats>,
-    /// Imbalance quality per scheduler kind.
-    pub schedulers: Vec<SchedulerQuality>,
-    /// Best-of-N raw greedy full plan at one partition / one thread,
-    /// milliseconds (the bundling comparison's baseline).
-    pub bundle_raw_ms: f64,
-    /// Best-of-N [`BundleScheduler`]-wrapped full plan over the same
-    /// pool at one partition / one thread, milliseconds.
-    pub bundled_replan_ms: f64,
-    /// `bundle_raw_ms / bundled_replan_ms` — the aggregate-then-schedule
-    /// gate (CI demands ≥ 5×).
-    pub bundle_speedup: f64,
-    /// `true` iff every bundled run assigned a feasible schedule to
-    /// every real offer (aggregate → schedule → disaggregate is an
-    /// exact round trip, not a lossy approximation).
-    pub bundle_roundtrip_ok: bool,
-    /// Best-of-N warm bundled re-plan after single-offer churn,
-    /// milliseconds: the standing [`BundleScheduler`] grid re-groups and
-    /// re-schedules only the churned (direction, EST, TFT) cell.
-    pub cell_replan_ms: f64,
-    /// `bundled_replan_ms / cell_replan_ms` — the bundle-aware replan
-    /// gate (CI demands ≥ 5×): single-cell churn against the cold
-    /// full-pipeline re-group.
-    pub bundle_replan_speedup: f64,
-    /// `true` iff every warm cell re-plan kept a feasible schedule on
-    /// every real offer — the exact disaggregation round trip holds
-    /// through plan reuse, not just on cold runs.
-    pub bundle_replan_roundtrip_ok: bool,
-}
-
-impl PlanningReport {
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// offline build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"planning\",\n");
-        out.push_str(&format!("  \"offers\": {},\n", self.config.offers));
-        out.push_str(&format!("  \"partitions\": {},\n", self.config.partitions));
-        out.push_str(&format!("  \"prosumers\": {},\n", self.config.prosumers));
-        out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats.max(1)));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"available_parallelism\": {},\n", self.available_parallelism));
-        out.push_str(&format!("  \"full_replan_ms\": {:.3},\n", self.full_replan_ms));
-        out.push_str(&format!("  \"incremental_replan_ms\": {:.4},\n", self.incremental_replan_ms));
-        out.push_str(&format!("  \"incremental_speedup\": {:.1},\n", self.incremental_speedup));
-        out.push_str(&format!("  \"determinism_ok\": {},\n", self.determinism_ok));
-        out.push_str(&format!("  \"frame_hash_stable\": {},\n", self.frame_hash_stable));
-        out.push_str(&format!("  \"bundle_raw_ms\": {:.3},\n", self.bundle_raw_ms));
-        out.push_str(&format!("  \"bundled_replan_ms\": {:.3},\n", self.bundled_replan_ms));
-        out.push_str(&format!("  \"bundle_speedup\": {:.1},\n", self.bundle_speedup));
-        out.push_str(&format!("  \"bundle_roundtrip_ok\": {},\n", self.bundle_roundtrip_ok));
-        out.push_str(&format!("  \"cell_replan_ms\": {:.4},\n", self.cell_replan_ms));
-        out.push_str(&format!("  \"bundle_replan_speedup\": {:.1},\n", self.bundle_replan_speedup));
-        out.push_str(&format!(
-            "  \"bundle_replan_roundtrip_ok\": {},\n",
-            self.bundle_replan_roundtrip_ok
-        ));
-        out.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"threads\": {}, \"full_replan_ms\": {:.3}}}{}\n",
-                r.threads,
-                r.full_replan_ms,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"schedulers\": [\n");
-        for (i, s) in self.schedulers.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"before_l1\": {:.1}, \"after_l1\": {:.1}, \
-                 \"after_l2_sq\": {:.1}, \"improvement\": {:.4}}}{}\n",
-                s.name,
-                s.before_l1,
-                s.after_l1,
-                s.after_l2_sq,
-                s.improvement,
-                if i + 1 < self.schedulers.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 }
 
@@ -270,8 +170,8 @@ fn extra_offer(population: &Population, config: &PlanningConfig, round: u64) -> 
     fo
 }
 
-/// Runs the full harness.
-pub fn run_planning(config: &PlanningConfig) -> PlanningReport {
+/// Runs the full harness; returns the `BENCH_planning.json` report.
+pub fn run_planning(config: &PlanningConfig) -> Json {
     let (population, pool, target) = fixture(config);
     let repeats = config.repeats.max(1);
 
@@ -311,7 +211,7 @@ pub fn run_planning(config: &PlanningConfig) -> PlanningReport {
                 Some(r) => determinism_ok &= r == p.plan_hash(),
             }
         }
-        runs.push(PlanningRunStats { threads, full_replan_ms: best });
+        runs.push(Json::obj([("threads", threads.into()), ("full_replan_ms", Json::Num(best))]));
     }
 
     // 3. ...and balance-view frame hashes through the full serving
@@ -354,16 +254,19 @@ pub fn run_planning(config: &PlanningConfig) -> PlanningReport {
         .map(|kind| {
             let mut p = planner_with(kind, config, 1, &pool, &target);
             let out = p.full_replan().expect("quality replan");
-            SchedulerQuality {
-                name: kind.name(),
-                before_l1: out.report.before.l1,
-                after_l1: out.report.after.l1,
-                after_l2_sq: out.report.after.l2_sq,
-                improvement: mirabel_scheduling::Imbalance::improvement(
-                    &out.report.before,
-                    &out.report.after,
+            let (before, after) = (&out.report.before, &out.report.after);
+            Json::obj([
+                ("name", kind.name().into()),
+                ("before_l1", Json::Num(before.l1)),
+                ("after_l1", Json::Num(after.l1)),
+                // The scheduling objective, the one hill-climb is
+                // monotone in.
+                ("after_l2_sq", Json::Num(after.l2_sq)),
+                (
+                    "improvement",
+                    Json::Num(mirabel_scheduling::Imbalance::improvement(before, after)),
                 ),
-            }
+            ])
         })
         .collect();
 
@@ -446,32 +349,35 @@ pub fn run_planning(config: &PlanningConfig) -> PlanningReport {
         }
     }
 
-    PlanningReport {
-        config: config.clone(),
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        full_replan_ms: full_ms,
-        incremental_replan_ms: incremental_ms,
-        incremental_speedup: if incremental_ms > 0.0 { full_ms / incremental_ms } else { 0.0 },
-        determinism_ok,
-        frame_hash_stable,
-        runs,
-        schedulers,
-        bundle_raw_ms,
-        bundled_replan_ms,
-        bundle_speedup: if bundled_replan_ms > 0.0 {
-            bundle_raw_ms / bundled_replan_ms
-        } else {
-            0.0
-        },
-        bundle_roundtrip_ok,
-        cell_replan_ms,
-        bundle_replan_speedup: if cell_replan_ms > 0.0 {
-            bundled_replan_ms / cell_replan_ms
-        } else {
-            0.0
-        },
-        bundle_replan_roundtrip_ok,
-    }
+    Json::obj([
+        ("bench", "planning".into()),
+        ("offers", config.offers.into()),
+        ("partitions", config.partitions.into()),
+        ("prosumers", config.prosumers.into()),
+        ("repeats", repeats.into()),
+        ("seed", config.seed.into()),
+        ("available_parallelism", crate::available_parallelism().into()),
+        // Single-threaded full vs single-offer incremental re-plan.
+        ("full_replan_ms", Json::Num(full_ms)),
+        ("incremental_replan_ms", Json::Num(incremental_ms)),
+        ("incremental_speedup", Json::Num(crate::ratio(full_ms, incremental_ms))),
+        // Plan hashes and balance-view frame hashes across thread counts.
+        ("determinism_ok", determinism_ok.into()),
+        ("frame_hash_stable", frame_hash_stable.into()),
+        // Raw vs bundled full plan at one partition / one thread; the
+        // round trip left every real offer feasibly scheduled.
+        ("bundle_raw_ms", Json::Num(bundle_raw_ms)),
+        ("bundled_replan_ms", Json::Num(bundled_replan_ms)),
+        ("bundle_speedup", Json::Num(crate::ratio(bundle_raw_ms, bundled_replan_ms))),
+        ("bundle_roundtrip_ok", bundle_roundtrip_ok.into()),
+        // Warm single-cell re-plan after churn vs the cold re-group,
+        // round trip preserved through plan reuse.
+        ("cell_replan_ms", Json::Num(cell_replan_ms)),
+        ("bundle_replan_speedup", Json::Num(crate::ratio(bundled_replan_ms, cell_replan_ms))),
+        ("bundle_replan_roundtrip_ok", bundle_replan_roundtrip_ok.into()),
+        ("runs", Json::Arr(runs)),
+        ("schedulers", Json::Arr(schedulers)),
+    ])
 }
 
 #[cfg(test)]
@@ -492,21 +398,19 @@ mod tests {
     #[test]
     fn harness_reports_consistent_gates() {
         let report = run_planning(&tiny());
-        assert!(report.determinism_ok, "plan hashes diverged across threads");
-        assert!(report.frame_hash_stable, "frame hashes diverged across threads");
-        assert!(report.full_replan_ms > 0.0 && report.incremental_replan_ms > 0.0);
-        assert!(
-            report.incremental_speedup > 1.0,
-            "incremental replan must beat full replan ({} vs {})",
-            report.incremental_replan_ms,
-            report.full_replan_ms
-        );
-        assert_eq!(report.runs.len(), 2);
-        assert_eq!(report.schedulers.len(), 4);
+        let num = |key| report.num_at(&[key]).unwrap();
+        assert!(report.is_true("determinism_ok"), "plan hashes diverged across threads");
+        assert!(report.is_true("frame_hash_stable"), "frame hashes diverged across threads");
+        assert!(num("full_replan_ms") > 0.0 && num("incremental_replan_ms") > 0.0);
+        assert!(num("incremental_speedup") > 1.0, "incremental must beat full: {report}");
+        assert_eq!(report.get("runs").and_then(Json::arr).map(<[_]>::len), Some(2));
+        let schedulers = report.get("schedulers").and_then(Json::arr).unwrap();
+        assert_eq!(schedulers.len(), 4);
         // Greedy must beat both baselines on the shared pool (in the
         // L2² objective every scheduler minimises).
         let after = |name: &str| {
-            report.schedulers.iter().find(|s| s.name.contains(name)).expect(name).after_l2_sq
+            let named = |s: &&Json| matches!(s.get("name"), Some(Json::Str(n)) if n.contains(name));
+            schedulers.iter().find(named).and_then(|s| s.num_at(&["after_l2_sq"])).expect(name)
         };
         assert!(after("greedy") < after("earliest"));
         assert!(after("greedy") < after("random"));
@@ -516,37 +420,20 @@ mod tests {
         assert!(after("hill-climb") < after("earliest"));
         assert!(after("hill-climb") < after("random"));
 
-        assert!(report.bundle_roundtrip_ok, "bundle round trip left offers unscheduled");
-        assert!(report.bundle_raw_ms > 0.0 && report.bundled_replan_ms > 0.0);
-        assert!(report.bundle_speedup > 0.0);
+        assert!(report.is_true("bundle_roundtrip_ok"), "bundle round trip left offers unscheduled");
+        assert!(num("bundle_raw_ms") > 0.0 && num("bundled_replan_ms") > 0.0);
+        assert!(num("bundle_speedup") > 0.0);
 
         assert!(
-            report.bundle_replan_roundtrip_ok,
+            report.is_true("bundle_replan_roundtrip_ok"),
             "warm cell replan left offers without feasible schedules"
         );
-        assert!(report.cell_replan_ms > 0.0);
-        assert!(report.bundle_replan_speedup > 0.0);
+        assert!(num("cell_replan_ms") > 0.0);
+        assert!(num("bundle_replan_speedup") > 0.0);
         assert!(
-            report.cell_replan_ms <= report.bundled_replan_ms,
-            "single-cell churn ({} ms) must not exceed a cold full re-group ({} ms)",
-            report.cell_replan_ms,
-            report.bundled_replan_ms
+            num("cell_replan_ms") <= num("bundled_replan_ms"),
+            "single-cell churn must not exceed a cold full re-group: {report}"
         );
-
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"planning\""));
-        assert!(json.contains("\"determinism_ok\": true"));
-        assert!(json.contains("\"frame_hash_stable\": true"));
-        assert!(json.contains("\"incremental_speedup\""));
-        assert!(json.contains("\"bundle_speedup\""));
-        assert!(json.contains("\"bundle_roundtrip_ok\": true"));
-        assert!(json.contains("\"cell_replan_ms\""));
-        assert!(json.contains("\"bundle_replan_speedup\""));
-        assert!(json.contains("\"bundle_replan_roundtrip_ok\": true"));
-        mirabel_bench_json_sanity(&json);
-    }
-
-    fn mirabel_bench_json_sanity(json: &str) {
-        crate::diff::Json::parse(json).expect("report must parse with the gate's own reader");
+        crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 }

@@ -36,6 +36,28 @@ use mirabel_workload::{
     SpatialTraceConfig,
 };
 
+use crate::diff::{Bound, Gate, Json, Policy, Scope};
+
+/// The spatial gate table (see [`crate::diff`]).
+pub const GATES: &[Gate] = &[
+    Gate::holds("results_match"),
+    Gate::holds("frame_hash_stable"),
+    // Facts are a pure function of the seed: a shrink is a harness
+    // change, not runner noise.
+    Gate::higher("facts").optional(),
+    // Indexed vs scan on the same host in the same run: a 1-core runner
+    // proves the O(region) claim as well as any.
+    Gate::higher("query_speedup"),
+    Gate::lower("indexed_total_ms", 1.0).policy(Policy::Class),
+    Gate::lower("publish_ms", 1.0).policy(Policy::Class),
+    Gate::higher("parallel_speedup").policy(Policy::Cores).optional(),
+    // The run's own scale floor and publish bound, so the headline gate
+    // cannot quietly run at toy size.
+    Gate::floor("facts", Bound::Field("min_facts"), Scope::Binary),
+    Gate::floor("query_speedup", Bound::Fixed(10.0), Scope::Binary),
+    Gate::bound("publish_ms", Bound::Field("publish_bound_ms"), Scope::Binary),
+];
+
 /// Shape of one spatial bench run; `Default` is the CI configuration
 /// (530 000 prosumers ≈ 1.02 M facts — the acceptance-criteria scale).
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +84,10 @@ pub struct SpatialBenchConfig {
     pub trace_prosumers: usize,
     /// Master seed.
     pub seed: u64,
+    /// Facts the run must reach (its scale floor).
+    pub min_facts: usize,
+    /// Bound on the full-scale publish latency, milliseconds.
+    pub publish_bound_ms: f64,
 }
 
 impl Default for SpatialBenchConfig {
@@ -76,13 +102,15 @@ impl Default for SpatialBenchConfig {
             trace_steps: 32,
             trace_prosumers: 2_000,
             seed: 0x5EA7,
+            min_facts: 1_000_000,
+            publish_bound_ms: 100.0,
         }
     }
 }
 
 /// Indexed-vs-scan timing for all probes of one hierarchy level.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LevelQueryStats {
+struct LevelQueryStats {
     /// Hierarchy level (1 = region, 2 = city, 3 = district).
     pub level: u8,
     /// Members probed at this level.
@@ -96,89 +124,6 @@ pub struct LevelQueryStats {
     pub scan_ms: f64,
     /// `scan_ms / indexed_ms`.
     pub speedup: f64,
-}
-
-/// The full harness report, serializable as `BENCH_spatial.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatialReport {
-    /// The configuration that produced the report.
-    pub config: SpatialBenchConfig,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub available_parallelism: usize,
-    /// Fact rows in the city-scale warehouse.
-    pub facts: usize,
-    /// `true` iff every probe's indexed result equalled the full scan.
-    pub results_match: bool,
-    /// Best-of-N total indexed time across every probe, milliseconds.
-    pub indexed_total_ms: f64,
-    /// Best-of-N total full-scan time across every probe, milliseconds.
-    pub scan_total_ms: f64,
-    /// `scan_total_ms / indexed_total_ms` — the headline gate.
-    pub query_speedup: f64,
-    /// Per-level breakdown of the query probes.
-    pub levels: Vec<LevelQueryStats>,
-    /// `true` iff drill-trace frame hashes matched across every planner
-    /// thread count.
-    pub frame_hash_stable: bool,
-    /// Frames rendered per trace replay (sanity: > 0, identical across
-    /// thread counts when `frame_hash_stable`).
-    pub trace_frames: usize,
-    /// Best-of-N trace replay wall-clock at one planner thread,
-    /// milliseconds.
-    pub replay_1t_ms: f64,
-    /// Best-of-N trace replay wall-clock at the highest configured
-    /// thread count, milliseconds.
-    pub replay_max_t_ms: f64,
-    /// `replay_1t_ms / replay_max_t_ms` — a *parallel* speedup, only
-    /// meaningful on runners with real cores (the gate skips it below
-    /// 4, see `bench_diff`).
-    pub parallel_speedup: f64,
-    /// Best-of-N publish latency after a 1 000-offer ingest into the
-    /// full city-scale live warehouse, milliseconds.
-    pub publish_ms: f64,
-}
-
-impl SpatialReport {
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// offline build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"spatial\",\n");
-        out.push_str(&format!("  \"prosumers\": {},\n", self.config.prosumers));
-        out.push_str(&format!("  \"days\": {},\n", self.config.days));
-        out.push_str(&format!("  \"density_skew\": {:.2},\n", self.config.density_skew));
-        out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats.max(1)));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"available_parallelism\": {},\n", self.available_parallelism));
-        out.push_str(&format!("  \"facts\": {},\n", self.facts));
-        out.push_str(&format!("  \"results_match\": {},\n", self.results_match));
-        out.push_str(&format!("  \"indexed_total_ms\": {:.3},\n", self.indexed_total_ms));
-        out.push_str(&format!("  \"scan_total_ms\": {:.3},\n", self.scan_total_ms));
-        out.push_str(&format!("  \"query_speedup\": {:.1},\n", self.query_speedup));
-        out.push_str("  \"levels\": [\n");
-        for (i, l) in self.levels.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"level\": {}, \"probes\": {}, \"selected\": {}, \
-                 \"indexed_ms\": {:.3}, \"scan_ms\": {:.3}, \"speedup\": {:.1}}}{}\n",
-                l.level,
-                l.probes,
-                l.selected,
-                l.indexed_ms,
-                l.scan_ms,
-                l.speedup,
-                if i + 1 < self.levels.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"frame_hash_stable\": {},\n", self.frame_hash_stable));
-        out.push_str(&format!("  \"trace_frames\": {},\n", self.trace_frames));
-        out.push_str(&format!("  \"replay_1t_ms\": {:.3},\n", self.replay_1t_ms));
-        out.push_str(&format!("  \"replay_max_t_ms\": {:.3},\n", self.replay_max_t_ms));
-        out.push_str(&format!("  \"parallel_speedup\": {:.2},\n", self.parallel_speedup));
-        out.push_str(&format!("  \"publish_ms\": {:.3}\n", self.publish_ms));
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// A loader query spanning every slot (the spatial filter alone
@@ -335,8 +280,8 @@ fn publish_batch(offers: &[Arc<FlexOffer>], round: u64) -> Vec<FlexOffer> {
         .collect()
 }
 
-/// Runs the full harness.
-pub fn run_spatial(config: &SpatialBenchConfig) -> SpatialReport {
+/// Runs the full harness; returns the `BENCH_spatial.json` report.
+pub fn run_spatial(config: &SpatialBenchConfig) -> Json {
     // 1. The city-scale warehouse and the O(region) query probes.
     let (population, offers) = generate_spatial_scenario(&SpatialConfig {
         prosumers: config.prosumers,
@@ -411,22 +356,44 @@ pub fn run_spatial(config: &SpatialBenchConfig) -> SpatialReport {
         replay_max_t_ms = replay_1t_ms;
     }
 
-    SpatialReport {
-        config: config.clone(),
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        facts,
-        results_match,
-        indexed_total_ms,
-        scan_total_ms,
-        query_speedup: if indexed_total_ms > 0.0 { scan_total_ms / indexed_total_ms } else { 0.0 },
-        levels,
-        frame_hash_stable,
-        trace_frames,
-        replay_1t_ms,
-        replay_max_t_ms,
-        parallel_speedup: if replay_max_t_ms > 0.0 { replay_1t_ms / replay_max_t_ms } else { 0.0 },
-        publish_ms,
-    }
+    let levels = levels.iter().map(|l| {
+        Json::obj([
+            ("level", usize::from(l.level).into()),
+            ("probes", l.probes.into()),
+            ("selected", l.selected.into()),
+            ("indexed_ms", Json::Num(l.indexed_ms)),
+            ("scan_ms", Json::Num(l.scan_ms)),
+            ("speedup", Json::Num(l.speedup)),
+        ])
+    });
+    Json::obj([
+        ("bench", "spatial".into()),
+        ("prosumers", config.prosumers.into()),
+        ("days", config.days.into()),
+        ("density_skew", Json::Num(config.density_skew)),
+        ("repeats", config.repeats.max(1).into()),
+        ("seed", config.seed.into()),
+        ("min_facts", config.min_facts.into()),
+        ("publish_bound_ms", config.publish_bound_ms.into()),
+        ("available_parallelism", crate::available_parallelism().into()),
+        ("facts", facts.into()),
+        // Every probe's indexed result equalled the full scan; the
+        // headline O(region) ratio is scan time over indexed time.
+        ("results_match", results_match.into()),
+        ("indexed_total_ms", Json::Num(indexed_total_ms)),
+        ("scan_total_ms", Json::Num(scan_total_ms)),
+        ("query_speedup", Json::Num(crate::ratio(scan_total_ms, indexed_total_ms))),
+        ("levels", Json::Arr(levels.collect())),
+        // Drill-trace frame hashes matched at every planner thread
+        // count; the replay at 1 thread vs the most threads is a
+        // parallel speedup, meaningful only on runners with real cores.
+        ("frame_hash_stable", frame_hash_stable.into()),
+        ("trace_frames", trace_frames.into()),
+        ("replay_1t_ms", Json::Num(replay_1t_ms)),
+        ("replay_max_t_ms", Json::Num(replay_max_t_ms)),
+        ("parallel_speedup", Json::Num(crate::ratio(replay_1t_ms, replay_max_t_ms))),
+        ("publish_ms", Json::Num(publish_ms)),
+    ])
 }
 
 #[cfg(test)]
@@ -444,40 +411,33 @@ mod tests {
             trace_steps: 12,
             trace_prosumers: 150,
             seed: 11,
+            min_facts: 3_000,
+            publish_bound_ms: 100.0,
         }
     }
 
     #[test]
     fn harness_reports_consistent_gates() {
         let report = run_spatial(&tiny());
-        assert!(report.results_match, "indexed loader diverged from the full scan");
-        assert!(report.frame_hash_stable, "heatmap frame hashes diverged across threads");
-        assert!(report.facts > 3_000, "{} facts", report.facts);
-        assert!(report.trace_frames > 0);
-        assert!(report.publish_ms > 0.0 && report.publish_ms.is_finite());
-        assert_eq!(report.levels.len(), 3);
+        let num = |key| report.num_at(&[key]).unwrap();
+        assert!(report.is_true("results_match"), "indexed loader diverged from the full scan");
+        assert!(report.is_true("frame_hash_stable"), "heatmap frame hashes diverged");
+        assert!(num("facts") > tiny().min_facts as f64, "{report}");
+        assert!(num("trace_frames") > 0.0);
+        assert!(num("publish_ms") > 0.0 && num("publish_ms").is_finite());
+        let levels = report.get("levels").and_then(Json::arr).unwrap();
+        assert_eq!(levels.len(), 3);
         // The levels partition the warehouse: every fact sits under
         // exactly one region, city and district (Unassigned included at
         // level 1 only — unassigned facts simply never occur for
         // generated populations, so each level sums to the fact count).
-        for l in &report.levels {
-            assert_eq!(l.selected, report.facts, "level {} does not partition", l.level);
+        for l in levels {
+            assert_eq!(l.num_at(&["selected"]), Some(num("facts")), "{l:?} does not partition");
         }
         // Even at this small scale the per-region index must clearly
         // beat 81 full scans of the fact table.
-        assert!(
-            report.query_speedup > 1.0,
-            "indexed {:.3} ms vs scan {:.3} ms",
-            report.indexed_total_ms,
-            report.scan_total_ms
-        );
-
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"spatial\""));
-        assert!(json.contains("\"results_match\": true"));
-        assert!(json.contains("\"frame_hash_stable\": true"));
-        assert!(json.contains("\"query_speedup\""));
-        crate::diff::Json::parse(&json).expect("report must parse with the gate's own reader");
+        assert!(num("query_speedup") > 1.0, "{report}");
+        crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 
     #[test]

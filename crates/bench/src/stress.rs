@@ -6,7 +6,9 @@
 //! (commands/s), p50/p99 latency, and speedup versus the single-thread
 //! run — while asserting the serving layer's core promise: **frame
 //! hashes are identical at every thread count**, so concurrency never
-//! changes what a user sees.
+//! changes what a user sees. A hover probe ([`hover_probe`]) adds the
+//! session engine's interactivity claim: a pointer event over a warm
+//! frame cache is at least 10× cheaper than a full scene rebuild.
 //!
 //! Everything is deterministic in the config seed: user `u` receives
 //! the same command stream in every run, threads only change which OS
@@ -16,11 +18,31 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mirabel_dw::LoaderQuery;
-use mirabel_session::{Command, ConcurrentPool, SessionId, ViewMode};
+use mirabel_dw::{LoaderQuery, Warehouse};
+use mirabel_session::{Command, ConcurrentPool, Session, SessionId, ViewMode};
 use mirabel_timeseries::{Granularity, TimeSlot};
 use mirabel_viz::Point;
 use mirabel_workload::{generate_traces, InteractionStep, TraceConfig};
+
+use crate::diff::{Bound, Gate, Json, Policy, Scope};
+
+/// The stress gate table (see [`crate::diff`]).
+pub const GATES: &[Gate] = &[
+    Gate::holds("determinism_ok"),
+    Gate::higher("runs[threads].commands_per_s").policy(Policy::Class),
+    // Healthy command tails sit in the hundreds of microseconds, where
+    // single-run jitter is routine on shared hosts; the gated number is
+    // a trimmed mean across rounds, so 250 µs is tight enough to arm the
+    // measured ~400 µs tails and loose enough that pure timer noise
+    // never fails.
+    Gate::lower("runs[threads].p99_us", 250.0).policy(Policy::Class),
+    // 4 threads at least 2x one thread, where 4 cores exist to show it.
+    Gate::floor("runs[threads=4].speedup_vs_1", Bound::Fixed(2.0), Scope::Binary)
+        .policy(Policy::Cores),
+    // The session engine's interactivity claim: hovering a warm frame is
+    // at least 10x cheaper than rebuilding the scene per event.
+    Gate::floor("hover_speedup", Bound::Fixed(10.0), Scope::Binary),
+];
 
 /// Canvas the simulated analysts work on.
 const CANVAS: (f64, f64) = (960.0, 540.0);
@@ -75,7 +97,7 @@ impl Default for StressConfig {
 
 /// Measured results of one thread count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunStats {
+struct RunStats {
     /// OS threads driving the pool.
     pub threads: usize,
     /// Total commands applied.
@@ -90,72 +112,10 @@ pub struct RunStats {
     /// tail mean across the config's repeat rounds (see
     /// [`crate::trimmed_tail_mean`]); this is the gated number.
     pub p99_us: f64,
-    /// Throughput relative to the baseline run (see
-    /// [`StressReport::baseline_threads`]).
+    /// Throughput relative to the baseline run: the 1-thread run when
+    /// measured, else the smallest thread count (recorded as the
+    /// report's `baseline_threads`).
     pub speedup_vs_1: f64,
-}
-
-/// The full harness report, serializable as `BENCH_stress.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StressReport {
-    /// The configuration that produced the report.
-    pub config: StressConfig,
-    /// Offers in the shared warehouse.
-    pub offers: usize,
-    /// `std::thread::available_parallelism()` on the measuring host —
-    /// speedup is only meaningful when this covers the thread count.
-    pub available_parallelism: usize,
-    /// One entry per thread count, in `config.threads` order.
-    pub runs: Vec<RunStats>,
-    /// Thread count of the run `speedup_vs_1` is measured against —
-    /// 1 when `config.threads` contains 1 (the intended shape), else
-    /// the smallest configured thread count, recorded here so a report
-    /// from a 1-less config cannot be misread.
-    pub baseline_threads: usize,
-    /// `true` iff every run produced identical per-user frame hashes.
-    pub determinism_ok: bool,
-}
-
-impl StressReport {
-    /// The run at `threads`, if it was measured.
-    pub fn run_at(&self, threads: usize) -> Option<&RunStats> {
-        self.runs.iter().find(|r| r.threads == threads)
-    }
-
-    /// Serializes the report as pretty-printed JSON (hand-rolled; the
-    /// offline build has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"stress\",\n");
-        out.push_str(&format!("  \"users\": {},\n", self.config.users));
-        out.push_str(&format!("  \"commands_per_user\": {},\n", self.config.commands_per_user));
-        out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("  \"prosumers\": {},\n", self.config.prosumers));
-        out.push_str(&format!("  \"days\": {},\n", self.config.days));
-        out.push_str(&format!("  \"offers\": {},\n", self.offers));
-        out.push_str(&format!("  \"available_parallelism\": {},\n", self.available_parallelism));
-        out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats.max(1)));
-        out.push_str(&format!("  \"baseline_threads\": {},\n", self.baseline_threads));
-        out.push_str(&format!("  \"determinism_ok\": {},\n", self.determinism_ok));
-        out.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"threads\": {}, \"commands\": {}, \"wall_s\": {:.6}, \
-                 \"commands_per_s\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
-                 \"speedup_vs_1\": {:.3}}}{}\n",
-                r.threads,
-                r.commands,
-                r.wall_s,
-                r.commands_per_s,
-                r.p50_us,
-                r.p99_us,
-                r.speedup_vs_1,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 /// Expands one abstract interaction step into engine commands. Shared
@@ -311,9 +271,49 @@ fn replay(
     (lat_per_thread.into_iter().flatten().collect(), wall_s, hashes)
 }
 
+/// Pointer events in the warm and the cold hover storm (cold rebuilds
+/// are slow, so that run is kept short).
+const HOVER_EVENTS: (usize, usize) = (10_000, 300);
+
+/// The hover probe: ns per pointer event over a full-window tab, once
+/// against a warm frame cache and once paying a full scene rebuild per
+/// event (the pre-session behaviour, reproduced by invalidating the
+/// cache before each event). Returns `(warm_ns, cold_ns)`.
+pub fn hover_probe(warehouse: &Arc<Warehouse>) -> (f64, f64) {
+    let storm = |n: usize| -> Vec<Point> {
+        (0..n)
+            .map(|i| {
+                let k = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                Point::new((k % 960) as f64, ((k >> 32) % 540) as f64)
+            })
+            .collect()
+    };
+    let ns_per_event = |warm: bool, events: &[Point]| {
+        let mut session = Session::new(Arc::clone(warehouse));
+        let everything =
+            LoaderQuery::builder().window(TimeSlot::new(-100_000), TimeSlot::new(100_000)).build();
+        session.handle(Command::Load { query: everything, title: "hover".into() });
+        session.handle(Command::Render);
+        let built = session.frames_built();
+        let t0 = Instant::now();
+        for &p in events {
+            if !warm {
+                session.active_tab_mut(); // invalidates the cached frame
+            }
+            session.handle(Command::PointerMove(p));
+        }
+        let ns = t0.elapsed().as_nanos() as f64 / events.len() as f64;
+        let rebuilt = session.frames_built() - built;
+        assert_eq!(rebuilt as usize, if warm { 0 } else { events.len() }, "warm: {warm}");
+        ns
+    };
+    (ns_per_event(true, &storm(HOVER_EVENTS.0)), ns_per_event(false, &storm(HOVER_EVENTS.1)))
+}
+
 /// Runs the full harness: builds the warehouse and traces, replays at
-/// every configured thread count, and cross-checks frame hashes.
-pub fn run_stress(config: &StressConfig) -> StressReport {
+/// every configured thread count, cross-checks frame hashes, and probes
+/// hover latency; returns the `BENCH_stress.json` report.
+pub fn run_stress(config: &StressConfig) -> Json {
     let (_, dw) = crate::warehouse(config.prosumers, config.days);
     let warehouse = Arc::new(dw);
     let offers = warehouse.offers().len();
@@ -367,14 +367,36 @@ pub fn run_stress(config: &StressConfig) -> StressReport {
         r.speedup_vs_1 = r.commands_per_s / baseline;
     }
 
-    StressReport {
-        config: config.clone(),
-        offers,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        runs,
-        baseline_threads,
-        determinism_ok,
-    }
+    let runs = runs.iter().map(|r| {
+        Json::obj([
+            ("threads", r.threads.into()),
+            ("commands", r.commands.into()),
+            ("wall_s", Json::Num(r.wall_s)),
+            ("commands_per_s", Json::Num(r.commands_per_s)),
+            ("p50_us", Json::Num(r.p50_us)),
+            ("p99_us", Json::Num(r.p99_us)),
+            ("speedup_vs_1", Json::Num(r.speedup_vs_1)),
+        ])
+    });
+    let (hover_warm_ns, hover_cold_ns) = hover_probe(&warehouse);
+    Json::obj([
+        ("bench", "stress".into()),
+        ("users", config.users.into()),
+        ("commands_per_user", config.commands_per_user.into()),
+        ("seed", config.seed.into()),
+        ("prosumers", config.prosumers.into()),
+        ("days", config.days.into()),
+        ("offers", offers.into()),
+        ("available_parallelism", crate::available_parallelism().into()),
+        ("repeats", config.repeats.max(1).into()),
+        ("baseline_threads", baseline_threads.into()),
+        // Every run produced identical per-user frame hashes.
+        ("determinism_ok", determinism_ok.into()),
+        ("hover_warm_ns", Json::Num(hover_warm_ns)),
+        ("hover_cold_ns", Json::Num(hover_cold_ns)),
+        ("hover_speedup", Json::Num(hover_cold_ns / hover_warm_ns)),
+        ("runs", Json::Arr(runs.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -409,33 +431,44 @@ mod tests {
         assert_ne!(a[0], a[1]);
     }
 
+    /// The run at `threads` in a report.
+    fn run_at(report: &Json, threads: usize) -> &Json {
+        report
+            .get("runs")
+            .and_then(Json::arr)
+            .unwrap()
+            .iter()
+            .find(|r| r.num_at(&["threads"]) == Some(threads as f64))
+            .expect("measured thread count")
+    }
+
     #[test]
     fn stress_smoke_is_deterministic_across_thread_counts() {
         let report = run_stress(&tiny());
-        assert!(report.determinism_ok, "frame hashes diverged across thread counts");
-        assert_eq!(report.runs.len(), 2);
-        assert_eq!(report.runs[0].commands, 3 * 40);
-        assert!((report.runs[0].speedup_vs_1 - 1.0).abs() < 1e-9);
-        let json = report.to_json();
-        assert!(json.contains("\"determinism_ok\": true"), "{json}");
-        assert!(json.contains("\"threads\": 2"), "{json}");
-        assert!(json.contains("\"baseline_threads\": 1"), "{json}");
+        assert!(report.is_true("determinism_ok"), "frame hashes diverged across thread counts");
+        assert_eq!(report.get("runs").and_then(Json::arr).map(<[_]>::len), Some(2));
+        assert_eq!(run_at(&report, 1).num_at(&["commands"]), Some(3.0 * 40.0));
+        assert_eq!(run_at(&report, 1).num_at(&["speedup_vs_1"]), Some(1.0));
+        assert_eq!(report.num_at(&["baseline_threads"]), Some(1.0));
+        let hover = |key| report.num_at(&[key]).unwrap();
+        assert!(hover("hover_cold_ns") > hover("hover_warm_ns"), "{report}");
     }
 
     #[test]
     fn determinism_is_checked_on_every_repeat_round() {
         let report = run_stress(&StressConfig { repeats: 2, ..tiny() });
-        assert!(report.determinism_ok);
-        assert_eq!(report.baseline_threads, 1);
+        assert!(report.is_true("determinism_ok"));
+        assert_eq!(report.num_at(&["baseline_threads"]), Some(1.0));
     }
 
     #[test]
     fn missing_1_thread_run_is_recorded_as_a_different_baseline() {
         let report = run_stress(&StressConfig { threads: vec![2, 4], ..tiny() });
-        assert_eq!(report.baseline_threads, 2);
-        assert!(report.to_json().contains("\"baseline_threads\": 2"));
-        let two = report.run_at(2).expect("2-thread run");
-        assert!((two.speedup_vs_1 - 1.0).abs() < 1e-9);
+        assert_eq!(report.num_at(&["baseline_threads"]), Some(2.0));
+        assert_eq!(run_at(&report, 2).num_at(&["speedup_vs_1"]), Some(1.0));
+        // A 4-thread run is present, so every row the binary checks
+        // resolves in the report.
+        crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 
     #[test]
@@ -443,9 +476,10 @@ mod tests {
         // `--threads 2,1`: the baseline must still be the 1-thread run,
         // not whichever run happens to come first.
         let report = run_stress(&StressConfig { threads: vec![2, 1], ..tiny() });
-        let one = report.run_at(1).expect("1-thread run");
-        assert!((one.speedup_vs_1 - 1.0).abs() < 1e-9, "{:?}", report.runs);
-        let two = report.run_at(2).expect("2-thread run");
-        assert!((two.speedup_vs_1 - two.commands_per_s / one.commands_per_s).abs() < 1e-9);
+        let (one, two) = (run_at(&report, 1), run_at(&report, 2));
+        assert_eq!(one.num_at(&["speedup_vs_1"]), Some(1.0), "{report}");
+        let cps = |run: &Json| run.num_at(&["commands_per_s"]).unwrap();
+        let speedup = two.num_at(&["speedup_vs_1"]).unwrap();
+        assert!((speedup - cps(two) / cps(one)).abs() < 1e-9, "{report}");
     }
 }

@@ -18,11 +18,11 @@
 //! * `cargo xtask perfbench` — the repository benchmark's correctness
 //!   checks: its own tests, then a 3 s run of each workload through the
 //!   `BENCHMARK.json` command (a run exits 1 when `"correct"` is false);
-//! * `cargo xtask bench-gate` — session/stress/ingest/planning/spatial/
-//!   net/forecast/columnar harnesses plus the `bench_diff` regression
-//!   gate (the second half);
+//! * `cargo xtask bench-gate` — the stress/ingest/planning/spatial/net/
+//!   forecast/columnar harnesses plus the `bench_diff` regression gate
+//!   (the second half; CI's `build-test` job runs exactly this);
 //! * `cargo xtask baseline` — refresh `BENCH_baseline.json` from fresh
-//!   harness runs on this machine.
+//!   runs of the same gated harness commands on this machine.
 
 use std::process::{Command, ExitCode};
 
@@ -140,228 +140,77 @@ const PERFBENCH: &[Step] = &[
     perfbench_run!("live"),
 ];
 
-const BENCH_GATE: &[Step] = &[
-    Step {
-        name: "session bench (warm >= 10x cold)",
-        program: "cargo",
-        args: &["bench", "-p", "mirabel-bench", "--bench", "session", "--locked"],
-        env: &[],
-    },
-    Step {
-        name: "stress harness (determinism + speedup gates)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "stress",
-            "--",
-            "--users",
-            "8",
-            "--commands",
-            "300",
-            "--threads",
-            "1,2,4,8",
-            "--assert-speedup",
-            "2.0",
-            "--out",
-            "BENCH_stress.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "ingest harness (epoch integrity + publish gates)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "ingest",
-            "--",
-            "--readers",
-            "4",
-            "--commands",
-            "24",
-            "--threads",
-            "1,2,4,8",
-            "--assert-publish-ms",
-            "100",
-            "--assert-bulk-publish-ms",
-            "100",
-            "--out",
-            "BENCH_ingest.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "planning harness (incremental >= 10x, warm cell re-plan >= 5x + determinism gates)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "planning",
-            "--",
-            "--offers",
-            "10000",
-            "--partitions",
-            "64",
-            "--threads",
-            "1,2,4,8",
-            "--assert-speedup",
-            "10",
-            "--assert-bundle-speedup",
-            "5",
-            "--assert-bundle-replan-speedup",
-            "5",
-            "--out",
-            "BENCH_planning.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "spatial harness (O(region) speedup + heatmap determinism gates)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "spatial",
-            "--",
-            "--min-facts",
-            "1000000",
-            "--assert-speedup",
-            "10",
-            "--assert-publish-ms",
-            "100",
-            "--out",
-            "BENCH_spatial.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "net harness (wire == in-process gates)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "net",
-            "--",
-            "--clients",
-            "256",
-            "--commands",
-            "20",
-            "--repeats",
-            "2",
-            "--out",
-            "BENCH_net.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "forecast harness (executions-beat-envelope gate)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "forecast",
-            "--",
-            "--prosumers",
-            "120",
-            "--days",
-            "5",
-            "--eval-days",
-            "3",
-            "--out",
-            "BENCH_forecast.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "columnar harness (equality gates + filtered pushdown >= 3x over the plain scan)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "columnar",
-            "--",
-            "--prosumers",
-            "150",
-            "--days",
-            "2",
-            "--repeats",
-            "3",
-            "--filter-facts",
-            "1000000",
-            "--assert-filtered-speedup",
-            "3",
-            "--out",
-            "BENCH_columnar.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "bench gate (±20% vs BENCH_baseline.json)",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "bench_diff",
-            "--",
-            "--baseline",
-            "BENCH_baseline.json",
-            "--stress",
-            "BENCH_stress.json",
-            "--ingest",
-            "BENCH_ingest.json",
-            "--planning",
-            "BENCH_planning.json",
-            "--spatial",
-            "BENCH_spatial.json",
-            "--net",
-            "BENCH_net.json",
-            "--forecast",
-            "BENCH_forecast.json",
-            "--columnar",
-            "BENCH_columnar.json",
-            "--tolerance",
-            "0.20",
-        ],
-        env: &[],
-    },
+/// One bench-harness run at the flags CI gates it with, writing
+/// `BENCH_<bin>.json`; the binary enforces its gate table's absolute
+/// rows and exits 1 on a miss.
+macro_rules! harness {
+    ($name:literal, $bin:literal $(, $arg:literal)*) => {
+        Step {
+            name: $name,
+            program: "cargo",
+            args: &[
+                "run", "--release", "--locked", "-p", "mirabel-bench", "--bin", $bin, "--",
+                $($arg,)* "--out", concat!("BENCH_", $bin, ".json"),
+            ],
+            env: &[],
+        }
+    };
+}
+
+/// `bench_diff` over every harness report against the committed
+/// baseline, with `extra` flags appended.
+macro_rules! bench_diff {
+    ($name:literal $(, $extra:literal)*) => {
+        Step {
+            name: $name,
+            program: "cargo",
+            args: &[
+                "run", "--release", "--locked", "-p", "mirabel-bench", "--bin", "bench_diff", "--",
+                "--baseline", "BENCH_baseline.json",
+                "BENCH_stress.json", "BENCH_ingest.json", "BENCH_planning.json", "BENCH_net.json",
+                "BENCH_spatial.json", "BENCH_forecast.json", "BENCH_columnar.json" $(, $extra)*
+            ],
+            env: &[],
+        }
+    };
+}
+
+/// The harnesses as CI's `build-test` job runs them. `bench-gate` and
+/// `baseline` share this list, so a baseline is always recorded from
+/// runs that passed the gated flags.
+const HARNESSES: &[Step] = &[
+    harness!(
+        "stress harness (determinism, 4-thread speedup >= 2x, warm hover >= 10x cold)",
+        "stress", "--users", "8", "--commands", "300", "--threads", "1,2,4,8"
+    ),
+    harness!(
+        "ingest harness (epoch integrity, 1k-batch and 100k-bulk publish < 100 ms)",
+        "ingest", "--readers", "4", "--commands", "24", "--threads", "1,2,4,8"
+    ),
+    harness!(
+        "planning harness (incremental >= 10x, bundled >= 5x, warm cell re-plan >= 5x, determinism)",
+        "planning", "--offers", "10000", "--partitions", "64", "--threads", "1,2,4,8"
+    ),
+    harness!("spatial harness (O(region) >= 10x, heatmap determinism, publish < 100 ms)", "spatial"),
+    harness!(
+        "net harness (wire == in-process, 256-connection storm held)",
+        "net", "--clients", "256", "--commands", "20", "--repeats", "2"
+    ),
+    harness!(
+        "forecast harness (executions beat the envelope)",
+        "forecast", "--prosumers", "120", "--days", "5", "--eval-days", "3"
+    ),
+    harness!(
+        "columnar harness (equality gates, filtered pushdown >= 3x the plain scan)",
+        "columnar", "--prosumers", "150", "--days", "2", "--repeats", "3", "--filter-facts",
+        "1000000"
+    ),
 ];
 
-/// The examples smoke job: examples are *run*, not just
-/// clippy-compiled, so a drifting API or a panicking main surfaces in
-/// CI instead of in a reader's terminal.
+const BENCH_GATE: &[Step] = &[bench_diff!("bench gate (±20% vs BENCH_baseline.json)")];
+
+const WRITE_BASELINE: &[Step] = &[bench_diff!("write BENCH_baseline.json", "--write-baseline")];
+
 /// The nightly connection-scale run, runnable locally: 1000
 /// simultaneous connections against the event-loop server (mirrors the
 /// `BENCH_net_scale_nightly.json` CI step).
@@ -393,6 +242,9 @@ const NET_SCALE: &[Step] = &[Step {
     env: &[],
 }];
 
+/// The examples smoke job: examples are *run*, not just
+/// clippy-compiled, so a drifting API or a panicking main surfaces in
+/// CI instead of in a reader's terminal.
 const EXAMPLES: &[Step] = &[
     Step {
         name: "example: quickstart",
@@ -410,184 +262,6 @@ const EXAMPLES: &[Step] = &[
         name: "example: net_quickstart",
         program: "cargo",
         args: &["run", "--release", "--locked", "--example", "net_quickstart"],
-        env: &[],
-    },
-];
-
-const BASELINE: &[Step] = &[
-    Step {
-        name: "stress harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "stress",
-            "--",
-            "--users",
-            "8",
-            "--commands",
-            "300",
-            "--threads",
-            "1,2,4,8",
-            "--out",
-            "BENCH_stress.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "ingest harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "ingest",
-            "--",
-            "--readers",
-            "4",
-            "--commands",
-            "24",
-            "--threads",
-            "1,2,4,8",
-            "--out",
-            "BENCH_ingest.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "planning harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "planning",
-            "--",
-            "--offers",
-            "10000",
-            "--partitions",
-            "64",
-            "--threads",
-            "1,2,4,8",
-            "--out",
-            "BENCH_planning.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "spatial harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "spatial",
-            "--",
-            "--out",
-            "BENCH_spatial.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "net harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "net",
-            "--",
-            "--clients",
-            "256",
-            "--commands",
-            "20",
-            "--repeats",
-            "2",
-            "--out",
-            "BENCH_net.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "forecast harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "forecast",
-            "--",
-            "--out",
-            "BENCH_forecast.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "columnar harness",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "columnar",
-            "--",
-            "--out",
-            "BENCH_columnar.json",
-        ],
-        env: &[],
-    },
-    Step {
-        name: "write BENCH_baseline.json",
-        program: "cargo",
-        args: &[
-            "run",
-            "--release",
-            "--locked",
-            "-p",
-            "mirabel-bench",
-            "--bin",
-            "bench_diff",
-            "--",
-            "--baseline",
-            "BENCH_baseline.json",
-            "--stress",
-            "BENCH_stress.json",
-            "--ingest",
-            "BENCH_ingest.json",
-            "--planning",
-            "BENCH_planning.json",
-            "--spatial",
-            "BENCH_spatial.json",
-            "--net",
-            "BENCH_net.json",
-            "--forecast",
-            "BENCH_forecast.json",
-            "--columnar",
-            "BENCH_columnar.json",
-            "--write-baseline",
-        ],
         env: &[],
     },
 ];
@@ -622,15 +296,15 @@ fn run(steps: &[&[Step]]) -> ExitCode {
 fn main() -> ExitCode {
     let task = std::env::args().nth(1).unwrap_or_default();
     match task.as_str() {
-        "ci" => run(&[LINT, TEST, API_CHECK, PERFBENCH, EXAMPLES, BENCH_GATE]),
+        "ci" => run(&[LINT, TEST, API_CHECK, PERFBENCH, EXAMPLES, HARNESSES, BENCH_GATE]),
         "lint" => run(&[LINT]),
         "test" => run(&[TEST]),
         "examples" => run(&[EXAMPLES]),
         "api-check" => run(&[API_CHECK]),
         "perfbench" => run(&[PERFBENCH]),
-        "bench-gate" => run(&[BENCH_GATE]),
+        "bench-gate" => run(&[HARNESSES, BENCH_GATE]),
         "net-scale" => run(&[NET_SCALE]),
-        "baseline" => run(&[BASELINE]),
+        "baseline" => run(&[HARNESSES, WRITE_BASELINE]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <task>\n\n\
@@ -641,7 +315,7 @@ fn main() -> ExitCode {
                  \x20 api-check   typestate compile-fail doctests + API rustdoc -D warnings\n\
                  \x20 perfbench   the repository benchmark's tests + a checked 3 s run of each workload\n\
                  \x20 examples    run (not just compile) the smoke examples\n\
-                 \x20 bench-gate  benches, stress/ingest/planning/spatial/net/columnar harnesses, bench_diff gate\n\
+                 \x20 bench-gate  stress/ingest/planning/spatial/net/forecast/columnar harnesses + bench_diff gate\n\
                  \x20 net-scale   the nightly 1000-connection storm against the event-loop server\n\
                  \x20 baseline    refresh BENCH_baseline.json from this machine"
             );
