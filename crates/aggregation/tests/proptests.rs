@@ -15,16 +15,13 @@ struct RawOffer {
 }
 
 fn raw_offer_strategy() -> impl Strategy<Value = RawOffer> {
-    (
-        0i64..96,
-        0i64..24,
-        proptest::collection::vec((0i64..2_000, 0i64..2_000), 1..10),
-    )
-        .prop_map(|(est, tf, raw)| RawOffer {
+    (0i64..96, 0i64..24, proptest::collection::vec((0i64..2_000, 0i64..2_000), 1..10)).prop_map(
+        |(est, tf, raw)| RawOffer {
             est,
             tf,
             slices: raw.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect(),
-        })
+        },
+    )
 }
 
 fn build(offers: &[RawOffer]) -> Vec<FlexOffer> {

@@ -1,24 +1,28 @@
 //! Regenerates every figure of the paper as an SVG artefact under
-//! `out/figures/` and prints the measured series recorded in
-//! EXPERIMENTS.md.
+//! `out/figures/` and prints the measured series behind each one.
 //!
 //! ```sh
 //! cargo run -p mirabel-bench --bin figures           # all figures
 //! cargo run -p mirabel-bench --bin figures -- --fig 8
 //! ```
+//!
+//! `--fig` takes a figure number from 1 to 11; anything else exits 2.
 
 use std::time::Instant;
 
 use mirabel_aggregation::AggregationParams;
+use mirabel_bench::cli::Args;
 use mirabel_bench::{offers, visual_offers, warehouse, write_figure};
-use mirabel_core::views::{annotate, basic, dashboard, map, pivot, profile, schematic, tooltip};
-use mirabel_core::{AggregationTools, VisualOffer};
 use mirabel_dw::{LoaderQuery, Warehouse};
 use mirabel_flexoffer::{Energy, FlexOffer, Schedule};
 use mirabel_market::{Enterprise, EnterpriseConfig};
 use mirabel_scheduling::{
     EarliestStartScheduler, GreedyScheduler, HillClimbScheduler, RandomScheduler, Scheduler,
 };
+use mirabel_session::views::{
+    annotate, basic, dashboard, map, pivot, profile, schematic, tooltip, DetailLayout,
+};
+use mirabel_session::{AggregationTools, VisualOffer};
 use mirabel_timeseries::{Granularity, SlotSpan, TimeSeries, TimeSlot};
 use mirabel_viz::{
     hit_test, nice_ticks, palette, render_svg, GridIndex, Node, Point, Scene, Style,
@@ -26,42 +30,21 @@ use mirabel_viz::{
 use mirabel_workload::{Scenario, ScenarioConfig};
 
 fn main() {
-    let only: Option<u32> =
-        std::env::args().skip_while(|a| a != "--fig").nth(1).and_then(|v| v.parse().ok());
-    let run = |n: u32| only.is_none() || only == Some(n);
+    let figures: [fn(); 11] = [
+        figure1, figure2, figure3, figure4, figure5, figure6, figure7, figure8, figure9, figure10,
+        figure11,
+    ];
+    let mut args = Args::parse("usage: figures [--fig N] (N = 1..11; all figures by default)", &[]);
+    let only: Option<usize> = args.get("--fig");
+    if only.is_some_and(|n| !(1..=figures.len()).contains(&n)) {
+        args.usage();
+    }
+    args.finish();
 
-    if run(1) {
-        figure1();
-    }
-    if run(2) {
-        figure2();
-    }
-    if run(3) {
-        figure3();
-    }
-    if run(4) {
-        figure4();
-    }
-    if run(5) {
-        figure5();
-    }
-    if run(6) {
-        figure6();
-    }
-    if run(7) {
-        figure7();
-    }
-    if run(8) {
-        figure8();
-    }
-    if run(9) {
-        figure9();
-    }
-    if run(10) {
-        figure10();
-    }
-    if run(11) {
-        figure11();
+    for (n, figure) in (1..).zip(figures) {
+        if only.is_none_or(|o| o == n) {
+            figure();
+        }
     }
     if only.is_none() {
         ablations();
@@ -279,7 +262,7 @@ fn figure8() {
     for n in [1_000usize, 10_000, 50_000, 100_000] {
         let vs = visual_offers(n);
         let t = Instant::now();
-        let layout = mirabel_core::views::DetailLayout::compute(&vs, 960.0, 540.0);
+        let layout = DetailLayout::compute(&vs, 960.0, 540.0);
         let scene = basic::build_with_layout(&vs, &Default::default(), &layout);
         println!(
             "  {:>8} {:>8.1}ms {:>12} {:>8}",
@@ -325,7 +308,7 @@ fn figure9() {
 fn figure10() {
     println!("== Figure 10: on-the-fly information ==");
     let vs = visual_offers(50_000);
-    let layout = mirabel_core::views::DetailLayout::compute(&vs, 960.0, 540.0);
+    let layout = DetailLayout::compute(&vs, 960.0, 540.0);
     let scene = basic::build_with_layout(&vs, &Default::default(), &layout);
     let probes: Vec<Point> = (0..200)
         .map(|i| Point::new(60.0 + (i % 20) as f64 * 45.0, 30.0 + (i / 20) as f64 * 50.0))
@@ -349,7 +332,7 @@ fn figure10() {
 
     // Artefact: a small view with the tooltip overlay visible.
     let small: Vec<VisualOffer> = vs[..40].to_vec();
-    let layout = mirabel_core::views::DetailLayout::compute(&small, 960.0, 540.0);
+    let layout = DetailLayout::compute(&small, 960.0, 540.0);
     let mut small_scene = basic::build_with_layout(&small, &Default::default(), &layout);
     let c = layout.profile_box(5, &small).center();
     if let Some(info) = tooltip::probe(&small_scene, &small, c) {
@@ -411,7 +394,7 @@ fn ablations() {
     // A2: incremental chunk latency vs monolithic.
     let vs = visual_offers(50_000);
     let options = basic::BasicViewOptions::default();
-    let layout = mirabel_core::views::DetailLayout::compute(&vs, options.width, options.height);
+    let layout = DetailLayout::compute(&vs, options.width, options.height);
     let t = Instant::now();
     let _ = basic::build_with_layout(&vs, &options, &layout);
     let mono_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -25,9 +25,9 @@ pub mod planning;
 pub mod spatial;
 pub mod stress;
 
-use mirabel_core::VisualOffer;
 use mirabel_dw::Warehouse;
 use mirabel_flexoffer::FlexOffer;
+use mirabel_session::VisualOffer;
 use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 
 /// A deterministic population of `size` prosumers (seed fixed).

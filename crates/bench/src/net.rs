@@ -263,7 +263,7 @@ fn replay_over_wire(
                             ReplayEvent::Resume => {
                                 let (session, epoch) = (client.session(), client.epoch());
                                 let parked = client.detach();
-                                client = NetClient::resume(parked).expect("resume");
+                                client = parked.resume().expect("resume");
                                 assert_eq!(client.session(), session, "resume changed the session");
                                 assert!(
                                     client.epoch() >= epoch,

@@ -17,9 +17,7 @@
 //!    every dimension × hierarchy level × operator (filter, group-by,
 //!    status restriction, time range, conjunctions) × measure.
 //!
-//! The offline build environment cannot resolve `proptest`, so the state
-//! space is walked deterministically from fixed seeds instead of being
-//! sampled by a shrinking framework.
+//! The state space is walked deterministically from fixed seeds.
 
 use std::collections::HashMap;
 

@@ -8,12 +8,9 @@ use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfi
 use proptest::prelude::*;
 
 fn warehouse(seed: u64, size: usize) -> Warehouse {
-    let pop = Population::generate(&PopulationConfig {
-        size,
-        seed,
-        household_share: 0.8,
-    });
-    let mut offers = generate_offers(&pop, &OfferConfig { seed: seed ^ 0xF0, ..Default::default() });
+    let pop = Population::generate(&PopulationConfig { size, seed, household_share: 0.8 });
+    let mut offers =
+        generate_offers(&pop, &OfferConfig { seed: seed ^ 0xF0, ..Default::default() });
     for (i, fo) in offers.iter_mut().enumerate() {
         match i % 4 {
             0 => fo.accept().unwrap(),

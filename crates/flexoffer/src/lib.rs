@@ -77,8 +77,7 @@ pub use energy::Energy;
 pub use error::FlexOfferError;
 pub use ids::{FlexOfferId, ProsumerId};
 pub use offer::{
-    state, ExecutionRejected, FlexOffer, FlexOfferBuilder, FlexOfferStatus, OfferState,
-    ScheduleRejected,
+    state, ExecutionRejected, FlexOffer, FlexOfferBuilder, OfferState, ScheduleRejected,
 };
 pub use profile::{EnergySlice, Profile};
 pub use schedule::{Execution, Schedule};

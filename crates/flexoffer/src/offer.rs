@@ -55,10 +55,6 @@ pub enum OfferState {
     Withdrawn,
 }
 
-/// Backwards-compatible name for [`OfferState`] from before the typestate
-/// redesign.
-pub type FlexOfferStatus = OfferState;
-
 impl OfferState {
     /// All states in lifecycle order.
     pub const ALL: [OfferState; 6] = [

@@ -6,16 +6,11 @@ use proptest::prelude::*;
 
 /// Strategy producing a valid profile of 1..=16 slices.
 fn profile_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
-    proptest::collection::vec((0i64..5_000, 0i64..5_000), 1..16).prop_map(|raw| {
-        raw.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect()
-    })
+    proptest::collection::vec((0i64..5_000, 0i64..5_000), 1..16)
+        .prop_map(|raw| raw.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect())
 }
 
-fn build_offer(
-    slices: &[(i64, i64)],
-    earliest: i64,
-    tf: i64,
-) -> FlexOffer {
+fn build_offer(slices: &[(i64, i64)], earliest: i64, tf: i64) -> FlexOffer {
     let es: Vec<EnergySlice> = slices
         .iter()
         .map(|&(lo, hi)| EnergySlice::new(Energy::from_wh(lo), Energy::from_wh(hi)).unwrap())

@@ -32,9 +32,13 @@
 //! Transitions consume `self` (the old state is unusable afterwards),
 //! and methods that need a live socket simply do not exist on
 //! `Greeting`/`Resumable`/`Closed` — see the `compile_fail` doctests
-//! below. The ergonomic facade [`NetClient`](crate::NetClient) wraps a
-//! `Connection<state::Active>` for callers that do not care about the
-//! lifecycle.
+//! below. [`NetClient`] names the `Active` state, and
+//! [`Connection::connect`] reaches it in one call.
+//!
+//! The client is synchronous — send a request, block for the reply — so
+//! a replay loop's behaviour depends only on its request stream. Epoch
+//! pushes arriving meanwhile land in [`Connection::notifications`];
+//! [`Connection::wait_for_epoch`] waits for one while idle.
 //!
 //! Sending a command before the handshake does not compile:
 //!
@@ -129,6 +133,10 @@ struct Io {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
 }
+
+/// One attached connection to a [`NetServer`](crate::NetServer) — and
+/// therefore one session on the server's pool.
+pub type NetClient = Connection<state::Active>;
 
 /// One client connection in lifecycle state `S` — see the [module
 /// docs](self) for the state machine.
@@ -299,6 +307,14 @@ impl Connection<state::Greeting> {
 }
 
 impl Connection<state::Active> {
+    /// Connects to `addr`, performs the version handshake and opens a
+    /// fresh session ([`open`](Connection::open) then
+    /// [`hello`](Connection::hello)). Fails if the server is not a
+    /// `mirabel-net` endpoint or speaks a different protocol version.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient, NetError> {
+        Connection::open(addr)?.hello()
+    }
+
     /// The session id the server attached to this connection.
     pub fn session(&self) -> u64 {
         self.session

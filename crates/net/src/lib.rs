@@ -8,7 +8,8 @@
 //! number of sessions from any number of threads. This crate adds the thin
 //! part that was missing: **PROTOCOL.md** (the normative grammar this
 //! crate's tests quote), a [`NetServer`] where *each connection is a
-//! session*, and a blocking [`NetClient`] for harnesses and tests.
+//! session*, and a blocking client for harnesses and tests
+//! ([`NetClient`], the attached state of a [`Connection`]).
 //!
 //! Connections live in a typestate machine ([`Connection<S>`] — see
 //! [`conn`]): the compiler rejects requests before the handshake, after
@@ -69,7 +70,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod conn;
 pub mod error;
 pub mod protocol;
@@ -77,8 +77,7 @@ pub mod server;
 #[allow(unsafe_code)]
 mod sys;
 
-pub use client::NetClient;
-pub use conn::{state, Connection};
+pub use conn::{state, Connection, NetClient};
 pub use error::NetError;
 pub use protocol::{
     greeting, parse_greeting, ProtocolError, Reply, Request, ServerLine, GREETING_HEAD,

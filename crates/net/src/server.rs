@@ -254,7 +254,7 @@ impl NetServer {
     }
 
     /// The bound address (the one to hand to
-    /// [`NetClient::connect`](crate::NetClient::connect)).
+    /// [`Connection::connect`](crate::Connection::connect)).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use mirabel_dw::{LiveWarehouse, Warehouse};
 use mirabel_net::{NetClient, NetServer, Reply, Request};
-use mirabel_session::{Command, ConcurrentPool, SessionPool, WireOutcome};
+use mirabel_session::{Command, ConcurrentPool, WireOutcome};
 use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 
 fn population(size: usize, seed: u64) -> Population {
@@ -175,7 +175,7 @@ fn dropped_connection_resumes_with_identical_hashes() {
     let parked = client.detach();
     assert_eq!(parked.resume_token(), first_token);
 
-    let mut client = NetClient::resume(parked).unwrap();
+    let mut client = parked.resume().unwrap();
     assert_eq!(client.session(), session, "resume re-attaches the same session");
     assert_ne!(client.resume_token(), first_token, "tokens rotate on every attach");
     for cmd in &all[half..] {
@@ -208,7 +208,7 @@ fn resume_preserves_the_epoch_high_water_mark() {
     live.advance_day();
     pool.publish(&live.publish());
 
-    let mut client = NetClient::resume(parked).unwrap();
+    let mut client = parked.resume().unwrap();
     // The resume reply reports the newer epoch exactly once — no
     // duplicate of epoch 1, no missed epoch 2.
     assert_eq!(client.epoch(), 2);
@@ -231,7 +231,7 @@ fn resume_tokens_are_single_use_and_unforgeable() {
     let client = NetClient::connect(addr).unwrap();
     let old_token = client.resume_token().to_string();
     let parked = client.detach();
-    let client = NetClient::resume(parked).unwrap();
+    let client = parked.resume().unwrap();
 
     // The presented token rotated at resume: the old one is dead.
     let refused = Connection::open(addr).unwrap().resume_with(&old_token);
@@ -392,7 +392,7 @@ fn resume_retry_bounds_transient_failures_and_surfaces_verdicts() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    let revived = NetClient::resume_with_retry(parked, 3).expect("a live server resumes");
+    let revived = parked.resume_with_retry(3).expect("a live server resumes");
     assert_eq!(revived.session(), session);
     let parked = revived.detach();
     for _ in 0..200 {
@@ -405,8 +405,8 @@ fn resume_retry_bounds_transient_failures_and_surfaces_verdicts() {
     // A server verdict surfaces immediately: the expired token is not
     // retried (retries would only re-ask a settled question).
     std::thread::sleep(Duration::from_millis(120));
-    let err = NetClient::resume_with_retry(parked, 5)
-        .expect_err("an expired token cannot resume, retried or not");
+    let err =
+        parked.resume_with_retry(5).expect_err("an expired token cannot resume, retried or not");
     assert!(matches!(err, NetError::ResumeExpired), "got {err:?}");
 
     // Transient failure: once the listener is gone, every attempt fails
@@ -416,7 +416,8 @@ fn resume_retry_bounds_transient_failures_and_surfaces_verdicts() {
     let dying = NetClient::connect(addr).unwrap().detach();
     drop(server);
     let started = Instant::now();
-    let err = NetClient::resume_with_retry(dying, 3)
+    let err = dying
+        .resume_with_retry(3)
         .expect_err("no listener means no resume, however often it is retried");
     assert!(matches!(err, NetError::Io(_)), "the last transient error surfaces, got {err:?}");
     assert!(
@@ -557,15 +558,17 @@ fn wire_replay_matches_session_pool_replay_of_a_recorded_log() {
     let offers = generate_offers(&pop, &OfferConfig::default());
     let warehouse = Arc::new(Warehouse::load(&pop, &offers));
 
-    let mut pool = SessionPool::new(Arc::clone(&warehouse));
+    let pool = ConcurrentPool::new(Arc::clone(&warehouse));
     let id = pool.open();
-    let session = pool.session_mut(id).unwrap();
-    session.set_recording(true);
-    for cmd in script() {
-        session.handle(cmd);
-    }
-    let log = session.take_log();
-    let reference = session.frame_hashes();
+    let (log, reference) = pool
+        .with_session_mut(id, |session| {
+            session.set_recording(true);
+            for cmd in script() {
+                session.handle(cmd);
+            }
+            (session.take_log(), session.frame_hashes())
+        })
+        .unwrap();
 
     let server = NetServer::bind("127.0.0.1:0", Arc::new(ConcurrentPool::new(warehouse))).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();

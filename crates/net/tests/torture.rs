@@ -55,12 +55,14 @@ fn storms_from_eight_threads_never_double_issue_or_lose_a_session() {
                     issued.push(id);
                     client.command(&Command::decode("load 0 96 - storm tab").unwrap()).unwrap();
                     match (t + round) % 3 {
-                        0 => client.bye().unwrap(),
+                        0 => {
+                            client.bye().unwrap();
+                        }
                         1 => {
                             // Drop without bye, then resume: the very
                             // same session must come back, tab intact.
                             let conn = client.detach();
-                            let mut resumed = NetClient::resume_with_retry(conn, 40).unwrap();
+                            let mut resumed = conn.resume_with_retry(40).unwrap();
                             assert_eq!(resumed.session(), id, "resume changed the session id");
                             let hashes = resumed.hashes().unwrap();
                             assert!(!hashes.is_empty(), "resumed session lost its tab");
@@ -138,7 +140,7 @@ fn parked_session_ttl_expires_exactly_once() {
 
     // The expired token is refused (the second expiry path: resuming
     // it must not close anything again or panic).
-    assert!(NetClient::resume(conn).is_err(), "an expired session must not resume");
+    assert!(conn.resume().is_err(), "an expired session must not resume");
 }
 
 #[test]
@@ -187,7 +189,9 @@ fn full_server_lifecycle_leaks_zero_fds() {
             let mut client = NetClient::connect(addr).unwrap();
             client.command(&Command::decode("render").unwrap()).unwrap();
             match i % 3 {
-                0 => client.bye().unwrap(),
+                0 => {
+                    client.bye().unwrap();
+                }
                 1 => drop(client.detach()),
                 _ => live.push(client),
             }

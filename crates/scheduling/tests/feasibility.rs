@@ -1,13 +1,11 @@
 //! Property tests: every `Scheduler` yields only **feasible**
 //! assignments, and never panics, on degenerate inputs.
 //!
-//! The offline `proptest` dependency is unavailable in this build, so
-//! the properties are driven by a seeded hand-rolled generator instead:
-//! hundreds of randomized offer sets per scheduler, skewed toward the
-//! degenerate corners that break planners in practice — zero-energy
-//! slices, single-slot flexibility windows, offers outside the target
-//! extent, forced minimums, production-direction offers, empty targets,
-//! and withdrawals landing mid-plan.
+//! A seeded generator draws hundreds of randomized offer sets per
+//! scheduler, skewed toward the degenerate corners that break planners
+//! in practice — zero-energy slices, single-slot flexibility windows,
+//! offers outside the target extent, forced minimums, production-
+//! direction offers, empty targets, and withdrawals landing mid-plan.
 
 use mirabel_flexoffer::{Direction, Energy, FlexOffer, FlexOfferId};
 use mirabel_scheduling::{

@@ -1,12 +1,11 @@
 //! The concurrent serving layer: many OS threads, many sessions, one
 //! shared warehouse.
 //!
-//! [`SessionPool`](crate::SessionPool) multiplexes sessions behind
-//! `&mut self` — correct, but one caller at a time. [`ConcurrentPool`]
-//! is its `Send + Sync` sibling for the MIRABEL enterprise setting
-//! (many analysts over one warehouse): sessions are sharded across `N`
-//! copy-on-write snapshot maps (session id → shard), and every session
-//! additionally sits behind its own lock, so
+//! [`ConcurrentPool`] is the `Send + Sync` session registry for the
+//! MIRABEL enterprise setting (many analysts over one warehouse):
+//! sessions are sharded across `N` copy-on-write snapshot maps
+//! (session id → shard), and every session additionally sits behind
+//! its own lock, so
 //!
 //! * commands to *distinct* sessions never contend — lookup on the hot
 //!   command path is lock-free against a published shard snapshot, and
@@ -39,6 +38,7 @@
 //! the readers.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -46,8 +46,17 @@ use mirabel_dw::{EpochSnapshot, Warehouse};
 
 use crate::command::Command;
 use crate::outcome::Outcome;
-use crate::pool::SessionId;
 use crate::session::Session;
+
+/// Identifies one session within a [`ConcurrentPool`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SessionId(pub u64);
+
+impl fmt::Display for SessionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "session#{}", self.0)
+    }
+}
 
 /// Default shard count ([`ConcurrentPool::new`]); power of two so the
 /// id → shard map is a mask.
@@ -94,7 +103,7 @@ impl Shard {
 }
 
 /// A sharded, lock-per-session pool of [`Session`]s over one shared
-/// [`Warehouse`] — the concurrent twin of [`crate::SessionPool`].
+/// [`Warehouse`].
 ///
 /// `ConcurrentPool` is `Send + Sync`; `&self` suffices for every
 /// operation, so any number of OS threads can drive distinct sessions
@@ -145,8 +154,8 @@ pub struct ConcurrentPool {
 /// registry.
 type PublishHook = Arc<dyn Fn(u64) + Send + Sync>;
 
-impl std::fmt::Debug for ConcurrentPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for ConcurrentPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConcurrentPool")
             .field("epoch", &self.epoch())
             .field("shards", &self.shards.len())
@@ -616,6 +625,38 @@ mod tests {
         let wrapped = pool.open();
         assert_eq!(wrapped, SessionId(1));
         assert_eq!(pool.len(), 3);
+    }
+
+    #[test]
+    fn open_after_close_never_reuses_until_wraparound() {
+        let pool = pool();
+        let a = pool.open();
+        let b = pool.open();
+        assert!(pool.close(a));
+        // Closing must not make the counter reuse `a` for the next open.
+        let c = pool.open();
+        assert_ne!(c, a);
+        assert_ne!(c, b);
+    }
+
+    #[test]
+    fn wraparound_skips_live_ids() {
+        // Regression: with a plain `next += 1` the second open below
+        // would overflow (debug) or hand out id 0 — which is still
+        // live — replacing that session's state (release).
+        let pool = pool();
+        let first = pool.open();
+        assert_eq!(first, SessionId(0));
+        pool.next.store(u64::MAX, Ordering::Relaxed);
+        let high = pool.open();
+        assert_eq!(high, SessionId(u64::MAX));
+        let wrapped = pool.open();
+        assert_eq!(wrapped, SessionId(1), "id 0 is live and must be skipped");
+        assert_eq!(pool.len(), 3);
+        // After closing id 0 a later wraparound may reuse it.
+        assert!(pool.close(first));
+        pool.next.store(0, Ordering::Relaxed);
+        assert_eq!(pool.open(), SessionId(0));
     }
 
     #[test]

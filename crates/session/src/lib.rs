@@ -8,10 +8,10 @@
 //! serializable [`Command`] and answers with a structured [`Outcome`] —
 //! so a server, a REPL, a test, or a recorded script can all drive the
 //! tool identically (the query/response shape of E³-style exploration
-//! backends). A [`SessionPool`] multiplexes many independent sessions
-//! over one warehouse to model concurrent users, and [`ConcurrentPool`]
-//! is its sharded `Send + Sync` sibling that lets many OS threads drive
-//! distinct sessions in parallel (see [`concurrent`]).
+//! backends). A [`ConcurrentPool`] multiplexes many independent
+//! sessions over one warehouse to model concurrent users, sharded and
+//! `Send + Sync` so that many OS threads drive distinct sessions in
+//! parallel (see [`concurrent`]).
 //!
 //! | Paper artefact | Module |
 //! |---|---|
@@ -72,7 +72,6 @@ pub mod command;
 pub mod concurrent;
 pub mod outcome;
 pub mod planner;
-pub mod pool;
 pub mod session;
 pub mod tab;
 pub mod tools;
@@ -81,10 +80,9 @@ pub mod visual;
 pub mod wire;
 
 pub use command::{encode_script, parse_script, Command, CommandParseError};
-pub use concurrent::{ConcurrentPool, PoolReader};
+pub use concurrent::{ConcurrentPool, PoolReader, SessionId};
 pub use outcome::{AggregationStats, Outcome, PlanStats, SelectionDelta};
 pub use planner::PlanningParams;
-pub use pool::{SessionId, SessionPool};
 pub use session::{Session, SessionStats};
 pub use tab::{FrameRef, Selection, Tab, ViewMode};
 pub use tools::{AggregationOutcome, AggregationTools};

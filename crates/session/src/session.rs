@@ -39,18 +39,18 @@ pub struct SessionStats {
 /// A stateful analysis session: the engine behind the paper's main
 /// window, addressable purely through [`Command`]s.
 ///
-/// A `Session` owns view tabs over an optional shared
-/// [`Warehouse`]; a server, a REPL, a test or a recorded script all
-/// drive it through [`Session::handle`], which returns a structured
-/// [`Outcome`] and never panics. Tabs cache their rendered frame keyed
-/// by a revision that only mutating commands bump, so pointer storms
-/// (hover, click) are served without rebuilding a scene.
+/// A `Session` owns view tabs over a shared [`Warehouse`]; a server, a
+/// REPL, a test or a recorded script all drive it through
+/// [`Session::handle`], which returns a structured [`Outcome`] and never
+/// panics. Tabs cache their rendered frame keyed by a revision that only
+/// mutating commands bump, so pointer storms (hover, click) are served
+/// without rebuilding a scene.
 ///
 /// Many sessions can share one warehouse — see
-/// [`crate::SessionPool`].
-#[derive(Debug, Clone, Default)]
+/// [`crate::ConcurrentPool`].
+#[derive(Debug, Clone)]
 pub struct Session {
-    warehouse: Option<Arc<Warehouse>>,
+    warehouse: Arc<Warehouse>,
     epoch: u64,
     tabs: Vec<Tab>,
     active: usize,
@@ -62,22 +62,25 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session over a shared warehouse (loader commands enabled).
+    /// A session over a shared warehouse.
     pub fn new(warehouse: Arc<Warehouse>) -> Session {
-        Session { warehouse: Some(warehouse), ..Session::default() }
+        Session {
+            warehouse,
+            epoch: 0,
+            tabs: Vec::new(),
+            active: 0,
+            tools: AggregationTools::default(),
+            planning: None,
+            planner: None,
+            stats: SessionStats::default(),
+            log: None,
+        }
     }
 
-    /// A session without a warehouse: tabs must be opened directly (the
-    /// compatibility path of `mirabel_core::App`, which receives a
-    /// warehouse reference per load call). [`Command::Load`],
-    /// [`Command::Mdx`] and [`Command::Dashboard`] are rejected.
-    pub fn detached() -> Session {
-        Session::default()
-    }
-
-    /// The shared warehouse, if the session has one.
+    /// The shared warehouse (always `Some`; the `Option` keeps the
+    /// signature callers already match on).
     pub fn warehouse(&self) -> Option<&Arc<Warehouse>> {
-        self.warehouse.as_ref()
+        Some(&self.warehouse)
     }
 
     /// The warehouse epoch this session last synchronised to (0 until a
@@ -93,16 +96,15 @@ impl Session {
     /// only when its next command arrives — live-view tabs re-run their
     /// loader query against the new snapshot, every tab's cached frame
     /// goes stale through the epoch half of its `(revision, epoch)` key,
-    /// and frames rebuild on next read. A detached session (no
-    /// warehouse) ignores the call. No-op when already at `epoch`.
+    /// and frames rebuild on next read. No-op when already at `epoch`.
     pub fn sync_warehouse(&mut self, warehouse: Arc<Warehouse>, epoch: u64) {
-        if self.warehouse.is_none() || self.epoch == epoch {
+        if self.epoch == epoch {
             return;
         }
         for tab in &mut self.tabs {
             tab.sync_epoch(&warehouse, epoch);
         }
-        self.warehouse = Some(warehouse);
+        self.warehouse = warehouse;
         self.epoch = epoch;
     }
 
@@ -182,11 +184,8 @@ impl Session {
     /// Replays a command log against a fresh session: the deterministic
     /// twin of an interactive run. Replaying the same log over the same
     /// warehouse reproduces the same tabs and the same frame hashes.
-    pub fn replay(warehouse: Option<Arc<Warehouse>>, commands: &[Command]) -> Session {
-        let mut session = match warehouse {
-            Some(w) => Session::new(w),
-            None => Session::detached(),
-        };
+    pub fn replay(warehouse: Arc<Warehouse>, commands: &[Command]) -> Session {
+        let mut session = Session::new(warehouse);
         for cmd in commands {
             session.handle(cmd.clone());
         }
@@ -202,18 +201,12 @@ impl Session {
         self.active
     }
 
-    /// The Figure 7 loader against an explicit warehouse reference (the
-    /// compatibility path): offers are shared with the warehouse, not
+    /// The Figure 7 loader: offers are shared with the warehouse, not
     /// cloned. The tab remembers its query, so it re-loads as a live
     /// view when the warehouse moves to a new epoch. Returns the new
     /// tab index.
-    pub fn load_with(
-        &mut self,
-        dw: &Warehouse,
-        query: &LoaderQuery,
-        title: impl Into<String>,
-    ) -> usize {
-        let shared = dw.view(query).materialize();
+    fn load(&mut self, query: &LoaderQuery, title: String) -> usize {
+        let shared = self.warehouse.view(query).materialize();
         self.open_tab(Tab::new(title, VisualOffer::from_shared(&shared)).with_query(*query))
     }
 
@@ -233,9 +226,9 @@ impl Session {
 
     /// Applies one command and returns its structured outcome.
     ///
-    /// Total: invalid commands (bad tab index, loader without a
-    /// warehouse, malformed MDX) return [`Outcome::Rejected`] and leave
-    /// the session unchanged — they never panic.
+    /// Total: invalid commands (bad tab index, empty selection,
+    /// malformed MDX) return [`Outcome::Rejected`] and leave the session
+    /// unchanged — they never panic.
     pub fn handle(&mut self, cmd: Command) -> Outcome {
         self.stats.commands += 1;
         if let Some(log) = &mut self.log {
@@ -430,10 +423,7 @@ impl Session {
                 Outcome::Ack
             }
             Command::Load { query, title } => {
-                let Some(dw) = self.warehouse.clone() else {
-                    return Outcome::Rejected("session has no warehouse".into());
-                };
-                let tab_idx = self.load_with(&dw, &query, title);
+                let tab_idx = self.load(&query, title);
                 let offers = self.tabs[tab_idx].offers.len();
                 Outcome::TabOpened { tab: tab_idx, offers }
             }
@@ -449,9 +439,7 @@ impl Session {
                 Outcome::Ack
             }
             Command::Plan => {
-                let Some(dw) = self.warehouse.clone() else {
-                    return Outcome::Rejected("session has no warehouse".into());
-                };
+                let dw = Arc::clone(&self.warehouse);
                 let params = self.planning.unwrap_or_default();
                 let at = mirabel_dw::EpochRef { warehouse: &dw, epoch: self.epoch };
                 match planner::plan(&at, params, self.tools.params(), &mut self.planner) {
@@ -487,11 +475,11 @@ impl Session {
                 else {
                     return Outcome::Rejected("no heatmap tab - run region-drill first".into());
                 };
-                let Some(dw) = &self.warehouse else {
-                    return Outcome::Rejected("session has no warehouse".into());
-                };
-                let parent =
-                    dw.hierarchy(Dimension::Geography).member(data.focus).and_then(|m| m.parent);
+                let parent = self
+                    .warehouse
+                    .hierarchy(Dimension::Geography)
+                    .member(data.focus)
+                    .and_then(|m| m.parent);
                 match parent {
                     Some(p) => self.region_focus(p),
                     None => Outcome::Rejected("already at the top of the geography".into()),
@@ -527,19 +515,11 @@ impl Session {
                     Err(e) => Outcome::Rejected(format!("aggregation failed: {e}")),
                 }
             }
-            Command::Mdx(query) => {
-                let Some(dw) = &self.warehouse else {
-                    return Outcome::Rejected("session has no warehouse".into());
-                };
-                match dw.mdx(&query) {
-                    Ok(table) => Outcome::Pivot(table),
-                    Err(e) => Outcome::Rejected(format!("mdx failed: {e}")),
-                }
-            }
+            Command::Mdx(query) => match self.warehouse.mdx(&query) {
+                Ok(table) => Outcome::Pivot(table),
+                Err(e) => Outcome::Rejected(format!("mdx failed: {e}")),
+            },
             Command::Dashboard { from, to, granularity } => {
-                let Some(dw) = &self.warehouse else {
-                    return Outcome::Rejected("session has no warehouse".into());
-                };
                 if from >= to {
                     return Outcome::Rejected("empty dashboard window".into());
                 }
@@ -558,7 +538,7 @@ impl Session {
                     .map(|t| (t.options.width, t.options.height))
                     .unwrap_or((960.0, 540.0));
                 let scene = Arc::new(dashboard::build(
-                    dw,
+                    &self.warehouse,
                     &DashboardOptions { width, height, from, to, granularity },
                 ));
                 let hash = scene.content_hash();
@@ -576,9 +556,7 @@ impl Session {
     /// The per-cell measure is the standing plan folded to geography
     /// leaves — zero everywhere before the first [`Command::Plan`].
     fn region_focus(&mut self, member: MemberId) -> Outcome {
-        let Some(dw) = self.warehouse.clone() else {
-            return Outcome::Rejected("session has no warehouse".into());
-        };
+        let dw = Arc::clone(&self.warehouse);
         let (leaf_load, target_total) = match &self.planner {
             Some(p) => (p.leaf_load(&dw), p.target_total()),
             None => (Default::default(), 0.0),

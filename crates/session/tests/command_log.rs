@@ -1,17 +1,17 @@
 //! Command-log properties: totality under random interleavings,
-//! determinism of replay, and cache behaviour under pointer storms.
+//! determinism of replay, and cache behaviour under pointer storms —
+//! plus the Section 4 interaction model (the Figure 7 loader, Figure 8
+//! selection and tabs, Figure 10 tooltips) driven command by command.
 //!
-//! `proptest` is unavailable in the offline build environment, so these
-//! are hand-rolled property tests: a seeded generator draws random
-//! command interleavings (including invalid ones) and the assertions
-//! hold for every draw.
+//! A seeded generator draws random command interleavings (including
+//! invalid ones) and the assertions hold for every draw.
 
 use std::sync::Arc;
 
 use mirabel_aggregation::AggregationParams;
 use mirabel_dw::{LoaderQuery, Warehouse};
 use mirabel_session::{
-    encode_script, parse_script, Command, Outcome, Session, SessionPool, ViewMode,
+    encode_script, parse_script, Command, ConcurrentPool, Outcome, Session, ViewMode,
 };
 use mirabel_timeseries::{Granularity, TimeSlot};
 use mirabel_viz::Point;
@@ -145,20 +145,6 @@ fn random_interleavings_never_panic_and_invariants_hold() {
 }
 
 #[test]
-fn detached_sessions_reject_but_survive_everything() {
-    for seed in 100..108u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut session = Session::detached();
-        for _ in 0..40 {
-            let _ = session.handle(random_command(&mut rng));
-        }
-        // Loader/MDX/dashboard need a warehouse, so no tab can appear
-        // other than via selection (which needs a tab first).
-        assert!(session.tabs().is_empty());
-    }
-}
-
-#[test]
 fn replaying_a_recorded_log_reproduces_the_frame_hashes() {
     let dw = warehouse();
     for seed in [7u64, 99, 4242] {
@@ -173,10 +159,10 @@ fn replaying_a_recorded_log_reproduces_the_frame_hashes() {
         let log = live.take_log();
 
         // Replay the log object directly…
-        let replayed = Session::replay(Some(Arc::clone(&dw)), &log);
+        let replayed = Session::replay(Arc::clone(&dw), &log);
         // …and through the text encoding.
         let decoded = parse_script(&encode_script(&log)).expect("log must round-trip");
-        let reparsed = Session::replay(Some(Arc::clone(&dw)), &decoded);
+        let reparsed = Session::replay(Arc::clone(&dw), &decoded);
 
         assert_eq!(live.tabs().len(), replayed.tabs().len(), "seed {seed}");
         assert_eq!(live.tabs().len(), reparsed.tabs().len(), "seed {seed}");
@@ -255,19 +241,18 @@ fn closing_a_tab_below_the_active_one_keeps_it_active() {
 
 #[test]
 fn pool_sessions_are_isolated_but_share_offer_allocations() {
-    let dw = warehouse();
-    let mut pool = SessionPool::new(Arc::clone(&dw));
+    let pool = ConcurrentPool::new(warehouse());
     let a = pool.open();
     let b = pool.open();
     assert_eq!(pool.len(), 2);
 
     for id in [a, b] {
-        let out = pool.handle(id, Command::Load { query: wide(), title: format!("{id}") });
+        let out = pool.apply(id, Command::Load { query: wide(), title: format!("{id}") });
         assert!(matches!(out, Some(Outcome::TabOpened { .. })));
     }
     // Same warehouse allocation behind both sessions' tabs.
-    let tab_a = pool.session(a).unwrap().active_tab().unwrap();
-    let tab_b = pool.session(b).unwrap().active_tab().unwrap();
+    let tab_a = pool.with_session(a, |s| s.active_tab().unwrap().clone()).unwrap();
+    let tab_b = pool.with_session(b, |s| s.active_tab().unwrap().clone()).unwrap();
     assert_eq!(tab_a.offers.len(), tab_b.offers.len());
     for (va, vb) in tab_a.offers.iter().zip(tab_b.offers.iter()) {
         assert!(Arc::ptr_eq(&va.offer, &vb.offer), "payload must be shared across sessions");
@@ -275,14 +260,123 @@ fn pool_sessions_are_isolated_but_share_offer_allocations() {
 
     // Mutating one session leaves the other untouched.
     let target = tab_a.layout().profile_box(0, &tab_a.offers).center();
-    pool.handle(a, Command::Click(target));
-    pool.handle(a, Command::RemoveSelected);
-    let len_a = pool.session(a).unwrap().active_tab().unwrap().offers.len();
-    let len_b = pool.session(b).unwrap().active_tab().unwrap().offers.len();
+    pool.apply(a, Command::Click(target));
+    pool.apply(a, Command::RemoveSelected);
+    let len_a = pool.with_session(a, |s| s.active_tab().unwrap().offers.len()).unwrap();
+    let len_b = pool.with_session(b, |s| s.active_tab().unwrap().offers.len()).unwrap();
     assert_eq!(len_a + 1, len_b);
 
     assert!(pool.close(a));
     assert!(!pool.close(a));
     assert_eq!(pool.len(), 1);
-    assert!(pool.handle(a, Command::Render).is_none());
+    assert!(pool.apply(a, Command::Render).is_none());
+}
+
+/// A session with one tab holding every offer.
+fn loaded() -> Session {
+    let mut session = Session::new(warehouse());
+    session.handle(Command::Load { query: wide(), title: "all".into() });
+    session
+}
+
+/// The centre of the first offer's profile box in the active tab.
+fn first_offer_centre(session: &Session) -> Point {
+    let tab = session.active_tab().unwrap();
+    tab.layout().profile_box(0, &tab.offers).center()
+}
+
+#[test]
+fn loader_opens_tabs_like_figure7() {
+    // A second read operation for one legal entity: two tabs, as in
+    // Figure 8's tab strip.
+    let mut session = loaded();
+    let entity = session.warehouse().unwrap().offers()[0].prosumer();
+    let query = LoaderQuery::for_prosumer(entity)
+        .window(TimeSlot::new(-100_000), TimeSlot::new(100_000))
+        .build();
+    let opened = session.handle(Command::Load { query, title: "one prosumer".into() });
+    assert!(matches!(opened, Outcome::TabOpened { tab: 1, .. }));
+    assert_eq!(session.active_index(), 1);
+    assert!(session.tabs()[1].offers.len() < session.tabs()[0].offers.len());
+    assert!(!session.tabs()[1].offers.is_empty());
+    assert!(matches!(session.handle(Command::ActivateTab(0)), Outcome::TabActivated { tab: 0 }));
+    // Out-of-range activation is rejected and changes nothing.
+    assert!(session.handle(Command::ActivateTab(99)).is_rejected());
+    assert_eq!(session.active_index(), 0);
+}
+
+#[test]
+fn click_selects_one_offer_and_empty_space_clears() {
+    let mut session = loaded();
+    let target = first_offer_centre(&session);
+    let id0 = session.active_tab().unwrap().offers[0].id();
+    session.handle(Command::Click(target));
+    assert_eq!(session.active_tab().unwrap().selection, vec![id0]);
+    // Clicking the same offer again does not duplicate.
+    session.handle(Command::Click(target));
+    assert_eq!(session.active_tab().unwrap().selection.len(), 1);
+    // Clicking empty space clears.
+    session.handle(Command::Click(Point::new(2.0, 2.0)));
+    assert!(session.active_tab().unwrap().selection.is_empty());
+}
+
+#[test]
+fn drag_rectangle_selects_many() {
+    let mut session = loaded();
+    session.handle(Command::DragStart(Point::new(0.0, 0.0)));
+    // While dragging, the dashed rectangle is in the options.
+    assert!(session.active_tab().unwrap().options.selection_rect.is_some());
+    session.handle(Command::DragEnd(Point::new(960.0, 540.0)));
+    let tab = session.active_tab().unwrap();
+    assert!(tab.options.selection_rect.is_none());
+    assert_eq!(tab.selection.len(), tab.offers.len(), "full-canvas drag selects all");
+}
+
+#[test]
+fn selection_to_new_tab_and_removal() {
+    let mut session = loaded();
+    let total = session.active_tab().unwrap().offers.len();
+    session.handle(Command::DragStart(Point::new(0.0, 0.0)));
+    session.handle(Command::DragEnd(Point::new(960.0, 540.0)));
+    session.handle(Command::ShowSelectionInNewTab);
+    assert_eq!(session.tabs().len(), 2);
+    assert_eq!(session.active_tab().unwrap().offers.len(), total);
+    assert!(session.active_tab().unwrap().title.contains("selection"));
+
+    // Back on the first tab, remove the selected offers.
+    session.handle(Command::ActivateTab(0));
+    session.handle(Command::RemoveSelected);
+    assert!(session.active_tab().unwrap().offers.is_empty());
+    assert!(session.active_tab().unwrap().selection.is_empty());
+    // Removing again is a no-op.
+    session.handle(Command::RemoveSelected);
+    assert!(session.active_tab().unwrap().offers.is_empty());
+}
+
+#[test]
+fn hover_produces_tooltip_and_mode_switch_changes_scene() {
+    let mut session = loaded();
+    let target = first_offer_centre(&session);
+    let info = session.handle(Command::PointerMove(target)).tooltip().expect("tooltip");
+    assert!(!info.lines.is_empty());
+
+    let basic_scene = session.active_tab().unwrap().scene();
+    session.handle(Command::SetMode(ViewMode::Profile));
+    let profile_scene = session.active_tab().unwrap().scene();
+    assert_ne!(basic_scene, profile_scene);
+    assert!(profile_scene.texts().iter().any(|t| t.contains("Profile view")));
+}
+
+#[test]
+fn commands_without_tabs_are_harmless() {
+    let mut session = Session::new(warehouse());
+    assert!(session.handle(Command::PointerMove(Point::new(1.0, 1.0))).tooltip().is_none());
+    for cmd in [
+        Command::Click(Point::new(1.0, 1.0)),
+        Command::RemoveSelected,
+        Command::ShowSelectionInNewTab,
+    ] {
+        assert!(session.handle(cmd).is_rejected());
+    }
+    assert!(session.tabs().is_empty() && session.active_tab().is_none());
 }

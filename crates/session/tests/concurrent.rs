@@ -66,7 +66,7 @@ fn parallel_replay_matches_sequential_frame_hashes() {
     let streams: Vec<Vec<Command>> = (0..users).map(|u| user_stream(u, 120)).collect();
 
     let sequential: Vec<Vec<u64>> =
-        streams.iter().map(|s| Session::replay(Some(Arc::clone(&dw)), s).frame_hashes()).collect();
+        streams.iter().map(|s| Session::replay(Arc::clone(&dw), s).frame_hashes()).collect();
 
     for threads in [2usize, 4] {
         let pool = ConcurrentPool::new(Arc::clone(&dw));

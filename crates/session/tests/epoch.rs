@@ -302,18 +302,19 @@ fn plan_replay_reproduces_frame_hashes() {
         Command::Plan,
         Command::Render,
     ];
-    let a = mirabel_session::Session::replay(Some(Arc::clone(&dw)), &commands);
-    let b = mirabel_session::Session::replay(Some(dw), &commands);
+    let a = mirabel_session::Session::replay(Arc::clone(&dw), &commands);
+    let b = mirabel_session::Session::replay(dw, &commands);
     assert_eq!(a.frame_hashes(), b.frame_hashes());
     assert_eq!(a.plan_generation(), b.plan_generation());
     assert!(a.plan_generation() > 0);
 }
 
 #[test]
-fn detached_session_rejects_plan() {
-    let mut s = mirabel_session::Session::detached();
-    assert!(s.handle(Command::Plan).is_rejected());
+fn zero_horizon_planning_params_are_rejected() {
+    let (pop, day1, _) = setup();
+    let mut s = mirabel_session::Session::new(Arc::new(Warehouse::load(&pop, &day1)));
     // Insane wire params are rejected before they can cost anything.
     let bad = mirabel_session::PlanningParams { horizon: 0, ..Default::default() };
     assert!(s.handle(Command::SetPlanningParams(bad)).is_rejected());
+    assert_eq!(s.planning_params(), mirabel_session::PlanningParams::default());
 }

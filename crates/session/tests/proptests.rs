@@ -1,10 +1,10 @@
 //! Property-based tests for the views: every offer is rendered,
 //! hit-testable and selectable, on randomized offer sets.
 
-use mirabel_core::views::basic::{build_with_layout, BasicViewOptions};
-use mirabel_core::views::{profile, DetailLayout};
-use mirabel_core::VisualOffer;
 use mirabel_flexoffer::{Energy, FlexOffer};
+use mirabel_session::views::basic::{build_with_layout, BasicViewOptions};
+use mirabel_session::views::{profile, DetailLayout};
+use mirabel_session::VisualOffer;
 use mirabel_timeseries::TimeSlot;
 use mirabel_viz::{hit_test, rect_query, Rect};
 use proptest::prelude::*;

@@ -1,8 +1,8 @@
 //! Property-based tests for the visualization engine.
 
 use mirabel_viz::{
-    assign_lanes, assign_lanes_first_fit, hit_test, max_overlap, nice_ticks, rect_query,
-    GridIndex, LinearScale, Node, Point, Rect, Scene, Style,
+    assign_lanes, assign_lanes_first_fit, hit_test, max_overlap, nice_ticks, rect_query, GridIndex,
+    LinearScale, Node, Point, Rect, Scene, Style,
 };
 use proptest::prelude::*;
 

@@ -118,8 +118,8 @@ fn archetype_offer(
     Some(builder.build().expect("archetype parameters are always valid"))
 }
 
-/// Summary statistics over a generated offer set (used by tests, examples
-/// and EXPERIMENTS.md).
+/// Summary statistics over a generated offer set (used by tests and
+/// examples).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfferStats {
     /// Number of offers.

@@ -242,28 +242,27 @@ const NET_SCALE: &[Step] = &[Step {
     env: &[],
 }];
 
+/// One example, run in release mode.
+macro_rules! example {
+    ($name:literal) => {
+        Step {
+            name: concat!("example: ", $name),
+            program: "cargo",
+            args: &["run", "--release", "--locked", "--example", $name],
+            env: &[],
+        }
+    };
+}
+
 /// The examples smoke job: examples are *run*, not just
 /// clippy-compiled, so a drifting API or a panicking main surfaces in
-/// CI instead of in a reader's terminal.
+/// CI instead of in a reader's terminal. (`command_session` asserts that
+/// a replayed command log reproduces the frame hash.)
 const EXAMPLES: &[Step] = &[
-    Step {
-        name: "example: quickstart",
-        program: "cargo",
-        args: &["run", "--release", "--locked", "--example", "quickstart"],
-        env: &[],
-    },
-    Step {
-        name: "example: enterprise_day_ahead",
-        program: "cargo",
-        args: &["run", "--release", "--locked", "--example", "enterprise_day_ahead"],
-        env: &[],
-    },
-    Step {
-        name: "example: net_quickstart",
-        program: "cargo",
-        args: &["run", "--release", "--locked", "--example", "net_quickstart"],
-        env: &[],
-    },
+    example!("quickstart"),
+    example!("enterprise_day_ahead"),
+    example!("net_quickstart"),
+    example!("command_session"),
 ];
 
 fn run(steps: &[&[Step]]) -> ExitCode {

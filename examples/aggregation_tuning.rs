@@ -7,8 +7,8 @@
 //! ```
 
 use mirabel::aggregation::AggregationParams;
-use mirabel::core::views::basic::{self, BasicViewOptions};
-use mirabel::core::{AggregationTools, VisualOffer};
+use mirabel::session::views::basic::{self, BasicViewOptions};
+use mirabel::session::{AggregationTools, VisualOffer};
 use mirabel::viz::render_svg;
 use mirabel::workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 

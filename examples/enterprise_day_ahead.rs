@@ -7,9 +7,9 @@
 //! cargo run --example enterprise_day_ahead
 //! ```
 
-use mirabel::core::views::dashboard::{self, DashboardOptions};
 use mirabel::dw::Warehouse;
 use mirabel::market::{Enterprise, EnterpriseConfig};
+use mirabel::session::views::dashboard::{self, DashboardOptions};
 use mirabel::timeseries::{Granularity, SlotSpan, TimeSlot};
 use mirabel::viz::render_svg;
 use mirabel::workload::{Scenario, ScenarioConfig};

@@ -6,9 +6,9 @@
 //! cargo run --example map_and_grid
 //! ```
 
-use mirabel::core::views::map::{self, MapViewOptions};
-use mirabel::core::views::schematic::{self, SchematicViewOptions};
 use mirabel::dw::{Measure, Warehouse};
+use mirabel::session::views::map::{self, MapViewOptions};
+use mirabel::session::views::schematic::{self, SchematicViewOptions};
 use mirabel::viz::render_svg;
 use mirabel::workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 

@@ -6,9 +6,9 @@
 //! cargo run --example olap_exploration
 //! ```
 
-use mirabel::core::views::pivot::{self, PivotViewOptions};
 use mirabel::dw::{Dimension, Measure, PivotAxis, PivotSpec, Query, Warehouse};
 use mirabel::flexoffer::OfferState;
+use mirabel::session::views::pivot::{self, PivotViewOptions};
 use mirabel::viz::render_svg;
 use mirabel::workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 

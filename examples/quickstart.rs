@@ -5,10 +5,10 @@
 //! cargo run --example quickstart
 //! ```
 
-use mirabel::core::views::{basic, profile};
-use mirabel::core::VisualOffer;
 use mirabel::flexoffer::{Direction, Energy, FlexOffer};
 use mirabel::scheduling::{GreedyScheduler, Scheduler};
+use mirabel::session::views::{basic, profile};
+use mirabel::session::VisualOffer;
 use mirabel::timeseries::{SlotSpan, TimeSeries, TimeSlot};
 use mirabel::viz::{render_ascii, render_svg};
 

@@ -21,17 +21,15 @@
 //! * [`market`] — spot market + the enterprise planning loop;
 //! * [`viz`] — the headless scene-graph/render engine;
 //! * [`session`] — the command-driven session engine: views
-//!   (Figures 2–11), cached frames, command log replay, session pools;
-//! * [`net`] — the TCP front over the serving layer (PROTOCOL.md);
-//! * [`core`] — the classic `App`/`Event` surface, now a compatibility
-//!   shim over [`session`].
+//!   (Figures 2–11), cached frames, command log replay, the sharded
+//!   session pool;
+//! * [`net`] — the TCP front over the serving layer (PROTOCOL.md).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, DESIGN.md for
-//! the architecture and substitutions, and EXPERIMENTS.md for the
-//! paper-vs-measured record of every figure.
+//! the architecture and substitutions, and the `figures` binary of
+//! `mirabel-bench` for every figure regenerated from seeded data.
 
 pub use mirabel_aggregation as aggregation;
-pub use mirabel_core as core;
 pub use mirabel_dw as dw;
 pub use mirabel_flexoffer as flexoffer;
 pub use mirabel_forecast as forecast;

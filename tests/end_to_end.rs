@@ -2,12 +2,16 @@
 //! planning → warehouse → views, as a downstream user would compose
 //! them.
 
+use std::sync::Arc;
+
 use mirabel::aggregation::{AggregationParams, Aggregator};
-use mirabel::core::views::{annotate, basic, dashboard, map, pivot, profile, schematic, tooltip};
-use mirabel::core::{App, Event, VisualOffer};
 use mirabel::dw::{Dimension, LoaderQuery, Measure, Query, Warehouse};
 use mirabel::flexoffer::OfferState;
 use mirabel::market::{Enterprise, EnterpriseConfig};
+use mirabel::session::views::{
+    annotate, basic, dashboard, map, pivot, profile, schematic, tooltip, DetailLayout,
+};
+use mirabel::session::{Command, Outcome, Session, VisualOffer};
 use mirabel::timeseries::{Granularity, SlotSpan, TimeSlot};
 use mirabel::viz::{render_ascii, render_svg, Point, Raster, Rect};
 use mirabel::workload::{Scenario, ScenarioConfig};
@@ -131,34 +135,33 @@ fn all_views_render_from_one_warehouse() {
 #[test]
 fn section4_walkthrough() {
     let sc = scenario();
-    let dw = Warehouse::load(&sc.population, &sc.offers);
-    let mut app = App::new();
+    let mut session = Session::new(Arc::new(Warehouse::load(&sc.population, &sc.offers)));
 
     // Load one day of everything.
-    let window =
+    let query =
         LoaderQuery::builder().window(TimeSlot::EPOCH, TimeSlot::EPOCH + SlotSpan::days(2)).build();
-    app.load(&dw, &window, "day 1");
-    let n = app.active_tab().unwrap().offers.len();
+    session.handle(Command::Load { query, title: "day 1".into() });
+    let n = session.active_tab().unwrap().offers.len();
     assert!(n > 100);
 
     // Rectangle-select everything, open in a new tab.
-    app.handle(Event::DragStart(Point::new(0.0, 0.0)));
-    app.handle(Event::DragEnd(Point::new(960.0, 540.0)));
-    app.handle(Event::ShowSelectionInNewTab);
-    assert_eq!(app.tabs().len(), 2);
+    session.handle(Command::DragStart(Point::new(0.0, 0.0)));
+    session.handle(Command::DragEnd(Point::new(960.0, 540.0)));
+    session.handle(Command::ShowSelectionInNewTab);
+    assert_eq!(session.tabs().len(), 2);
+    let selected = session.active_tab().unwrap().offers.len();
 
     // Aggregate the new tab's offers with the Figure 11 tools.
-    let originals: Vec<mirabel::flexoffer::FlexOffer> =
-        app.active_tab().unwrap().offers.iter().map(|v| v.offer.as_ref().clone()).collect();
-    let tools = mirabel::core::AggregationTools::new();
-    let outcome = tools.apply(&originals).unwrap();
-    assert!(outcome.reduction_factor > 1.0);
-    let tab = mirabel::core::Tab::new("aggregated", outcome.display);
-    app.open_tab(tab);
+    let Outcome::Aggregated { stats, .. } = session.handle(Command::Aggregate) else {
+        panic!("aggregation rejected");
+    };
+    assert_eq!(stats.input_count, selected);
+    assert!(stats.reduction_factor > 1.0);
+    assert_eq!(session.active_tab().unwrap().offers.len(), stats.output_count);
 
     // Hover an aggregate: the tooltip mentions the member count.
     let (target, expect_aggregate) = {
-        let tab = app.active_tab().unwrap();
+        let tab = session.active_tab().unwrap();
         let layout = tab.layout();
         let idx = tab.offers.iter().position(|v| v.aggregated);
         match idx {
@@ -167,10 +170,11 @@ fn section4_walkthrough() {
         }
     };
     if expect_aggregate {
-        let info = app.handle(Event::PointerMove(target)).expect("tooltip over aggregate");
+        let info =
+            session.handle(Command::PointerMove(target)).tooltip().expect("tooltip over aggregate");
         assert!(info.lines.iter().any(|l| l.contains("aggregate of")));
         // And the overlay builds without panicking.
-        let tab = app.active_tab().unwrap();
+        let tab = session.active_tab().unwrap();
         let overlay = tooltip::overlay(&tab.offers, &tab.layout(), &info);
         assert!(overlay.primitive_count() >= 4);
     }
@@ -237,8 +241,7 @@ fn selection_matches_geometry() {
     let sc = scenario();
     let visual = VisualOffer::from_offers(&sc.offers[..80]);
     let options = basic::BasicViewOptions::default();
-    let layout =
-        mirabel::core::views::DetailLayout::compute(&visual, options.width, options.height);
+    let layout = DetailLayout::compute(&visual, options.width, options.height);
     let scene = basic::build_with_layout(&visual, &options, &layout);
 
     let query = Rect::new(200.0, 60.0, 300.0, 200.0);
