@@ -11,7 +11,11 @@
 //!   agrees three ways — pushdown `eval` ≡ plain `eval_scan` ≡ row
 //!   `eval_rows`;
 //! * **filtered speedup**: dictionary-mask pushdown is ≥ 3× faster
-//!   than the plain columnar scan on the filtered probe battery.
+//!   than the plain columnar scan on the filtered probe battery;
+//! * **pivot equality**: every one-pass `pivot` cell over the bulk pool
+//!   equals its per-cell `eval` bit for bit;
+//! * **pivot speedup**: the one-pass pivot is ≥ 3× faster than one
+//!   `eval` per cell on the pivot battery.
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin columnar -- \

@@ -1378,7 +1378,7 @@ mod tests {
                  "columnar_eval_ms": {cols_ms}, "row_eval_ms": 40.0,
                  "eval_speedup": {speedup}, "filtered_equality_ok": true,
                  "filtered_pushdown_ms": 20.0, "filtered_scan_ms": 80.0,
-                 "filtered_speedup": 4.0}}"#,
+                 "filtered_speedup": 4.0, "pivot_equality_ok": true, "pivot_speedup": 7.0}}"#,
         ))
         .unwrap()
     }
@@ -1388,9 +1388,9 @@ mod tests {
         let base = columnar_json(true, true, 4.0, 10.0);
         let ok = diff("columnar", &base, &columnar_json(true, true, 3.8, 10.5)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
-        // 3 boolean gates + 2 counts + 2 speedups + 2 floors +
+        // 4 boolean gates + 2 counts + 2 speedups + 3 floors +
         // 4 latencies
-        assert_eq!(ok.len(), 3 + 2 + 2 + 2 + 4);
+        assert_eq!(ok.len(), 4 + 2 + 2 + 3 + 4);
 
         let diverged = diff("columnar", &base, &columnar_json(false, true, 4.0, 10.0)).unwrap();
         assert!(diverged.iter().any(|c| c.is_regression() && c.name == "columnar.equality_ok"));
@@ -1398,6 +1398,14 @@ mod tests {
         assert!(views.iter().any(|c| c.is_regression() && c.name == "columnar.views_ok"));
         let slower = diff("columnar", &base, &columnar_json(true, true, 1.5, 10.0)).unwrap();
         assert!(slower.iter().any(|c| c.is_regression() && c.name == "columnar.eval_speedup"));
+        let pivot = with(columnar_json(true, true, 4.0, 10.0), "pivot_equality_ok", false);
+        let pivot = diff("columnar", &base, &pivot).unwrap();
+        assert!(pivot.iter().any(|c| c.is_regression() && c.name == "columnar.pivot_equality_ok"));
+        let per_cell = with(columnar_json(true, true, 4.0, 10.0), "pivot_speedup", 2.5);
+        let per_cell = diff("columnar", &base, &per_cell).unwrap();
+        assert!(per_cell
+            .iter()
+            .any(|c| c.is_regression() && c.name == "columnar.pivot_speedup_floor"));
 
         // A shrunken battery fails even when everything it still runs
         // agrees: coverage is part of the gate.
@@ -1424,6 +1432,9 @@ mod tests {
         assert!(missing
             .iter()
             .any(|c| c.is_regression() && c.name == "columnar.filtered_equality_ok"));
+        assert!(missing
+            .iter()
+            .any(|c| c.is_regression() && c.name == "columnar.pivot_equality_ok"));
 
         assert!(diff("columnar", &base, &Json::parse("{}").unwrap()).is_err());
     }
@@ -1586,8 +1597,14 @@ mod tests {
             ),
             (
                 r#"{"bench": "columnar", "equality_ok": true, "views_ok": true,
-                    "filtered_equality_ok": true, "eval_speedup": 2.5, "filtered_speedup": 3.2}"#,
-                vec![("views_ok", false.into()), ("filtered_speedup", 2.95.into())],
+                    "filtered_equality_ok": true, "eval_speedup": 2.5, "filtered_speedup": 3.2,
+                    "pivot_equality_ok": true, "pivot_speedup": 7.0}"#,
+                vec![
+                    ("views_ok", false.into()),
+                    ("filtered_speedup", 2.95.into()),
+                    ("pivot_equality_ok", false.into()),
+                    ("pivot_speedup", 2.95.into()),
+                ],
                 vec![("eval_speedup", 1.5.into())],
             ),
         ];

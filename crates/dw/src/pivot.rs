@@ -1,7 +1,7 @@
 //! Pivot-table computation for the Figure 5 view.
 
 use crate::hierarchy::{Dimension, MemberId};
-use crate::query::{DwError, Query};
+use crate::query::{measure_value, DwError, Query, Restrictions};
 use crate::warehouse::Warehouse;
 
 /// One axis of a pivot: explicit members of one dimension (the swimlanes
@@ -116,8 +116,64 @@ impl PivotTable {
     }
 }
 
+/// One pivot axis resolved against its dimension's dictionary: for each
+/// dictionary code, the axis positions whose member the code's leaf
+/// descends from, as per-code offsets into one positions array. A
+/// `.Children` or drilled axis has disjoint members, so a code has at
+/// most one position; an axis that lists a member beside its own
+/// descendant (`{[Geography].[Denmark], [Geography].[Denmark].[Midtjylland]}`)
+/// gives a code several.
+struct AxisCodes<'a> {
+    dict: &'a [MemberId],
+    codes: &'a [u32],
+    offsets: Vec<usize>,
+    positions: Vec<usize>,
+}
+
+impl<'a> AxisCodes<'a> {
+    fn resolve(dw: &'a Warehouse, axis: &PivotAxis) -> AxisCodes<'a> {
+        let h = dw.hierarchy(axis.dimension);
+        let dc = dw.columns().dict(axis.dimension);
+        let mut offsets = Vec::with_capacity(dc.dict().len() + 1);
+        let mut positions = Vec::new();
+        offsets.push(0);
+        for &leaf in dc.dict() {
+            positions.extend(
+                axis.members
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &m)| h.is_descendant(leaf, m))
+                    .map(|(p, _)| p),
+            );
+            offsets.push(positions.len());
+        }
+        AxisCodes { dict: dc.dict(), codes: dc.codes(), offsets, positions }
+    }
+
+    /// The dictionary leaves with at least one axis position: a fact
+    /// keyed to any other leaf falls in no cell.
+    fn leaves(&self) -> Vec<MemberId> {
+        self.dict
+            .iter()
+            .zip(self.offsets.windows(2))
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(&leaf, _)| leaf)
+            .collect()
+    }
+
+    /// The axis positions fact `idx` belongs to, ascending.
+    #[inline]
+    fn positions_of(&self, idx: usize) -> &[usize] {
+        let code = self.codes[idx] as usize;
+        &self.positions[self.offsets[code]..self.offsets[code + 1]]
+    }
+}
+
 impl Warehouse {
-    /// Evaluates a pivot specification.
+    /// Evaluates a pivot specification: each cell is the base query's
+    /// measure over the facts under its row member and its column member,
+    /// equal bit for bit to a per-cell [`Warehouse::eval`] — computed in
+    /// one pass over the fact columns.
     pub fn pivot(&self, spec: &PivotSpec) -> Result<PivotTable, DwError> {
         let row_h = self.hierarchy(spec.rows.dimension);
         let col_h = self.hierarchy(spec.columns.dimension);
@@ -135,19 +191,47 @@ impl Warehouse {
             }
         }
 
-        let mut cells = Vec::with_capacity(spec.rows.members.len());
-        for &r in &spec.rows.members {
-            let mut row = Vec::with_capacity(spec.columns.members.len());
-            for &c in &spec.columns.members {
-                let q = spec
-                    .base
-                    .clone()
-                    .filter(spec.rows.dimension, r)
-                    .filter(spec.columns.dimension, c);
-                row.push(self.eval(&Query { group_by: None, ..q })?.total);
+        let n_rows = spec.rows.members.len();
+        let n_cols = spec.columns.members.len();
+        // One ascending pass over the facts that meet the base query's
+        // restrictions adds each fact into every cell it belongs to, so
+        // each cell sums its facts in the same order a per-cell `eval`
+        // would, and the `f64` totals are bit-identical.
+        let mut sums = vec![(0.0, 0usize); n_rows * n_cols];
+        if n_rows > 0 && n_cols > 0 {
+            let base = Query { group_by: None, ..spec.base.clone() };
+            self.validate(&base)?;
+            if let Some(mut restrictions) = Restrictions::resolve(self, &base) {
+                let rows = AxisCodes::resolve(self, &spec.rows);
+                let cols = AxisCodes::resolve(self, &spec.columns);
+                // A geography axis below the root (a region's cities, one
+                // district) covers part of the facts; its spatial postings
+                // then drive the pass, as they drove each per-cell `eval`.
+                for (axis, codes) in [(&spec.rows, &rows), (&spec.columns, &cols)] {
+                    if axis.dimension == Dimension::Geography {
+                        restrictions.narrow_to_leaves(self.spatial_index(), &codes.leaves());
+                    }
+                }
+                restrictions.for_each_value(|idx, v| {
+                    for &r in rows.positions_of(idx) {
+                        for &c in cols.positions_of(idx) {
+                            let cell = &mut sums[r * n_cols + c];
+                            cell.0 += v;
+                            cell.1 += 1;
+                        }
+                    }
+                });
             }
-            cells.push(row);
         }
+        let measure = spec.base.measure;
+        let cells = (0..n_rows)
+            .map(|r| {
+                sums[r * n_cols..(r + 1) * n_cols]
+                    .iter()
+                    .map(|&(sum, n)| measure_value(measure, sum, n))
+                    .collect()
+            })
+            .collect();
         let row_labels = spec.rows.members.iter().map(|&m| row_h.path(m).join(" / ")).collect();
         let col_labels = spec
             .columns
@@ -169,6 +253,7 @@ impl Warehouse {
 mod tests {
     use super::*;
     use crate::query::Measure;
+    use mirabel_flexoffer::OfferState;
     use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 
     fn warehouse() -> Warehouse {
@@ -287,5 +372,93 @@ mod tests {
         let sum = |t: &PivotTable| -> f64 { t.cells.iter().flatten().sum() };
         assert!(sum(&filtered) < sum(&unfiltered));
         assert!(sum(&filtered) > 0.0);
+    }
+
+    #[test]
+    fn overlapping_axis_members_each_count_their_facts() {
+        let dw = warehouse();
+        for measure in Measure::ALL {
+            let t = dw
+                .mdx(&format!(
+                    "SELECT {{ [Prosumer].Children }} ON COLUMNS, \
+                     {{ [Geography].[Denmark], [Geography].[Denmark].[Midtjylland] }} ON ROWS \
+                     FROM [FlexOffers] WHERE ( [Measures].[{measure}] )"
+                ))
+                .unwrap();
+            assert_eq!(t.n_rows(), 2);
+            for (r, &row) in t.row_members.iter().enumerate() {
+                for (c, &col) in t.col_members.iter().enumerate() {
+                    let q = Query::new(measure)
+                        .filter(Dimension::Geography, row)
+                        .filter(Dimension::ProsumerType, col);
+                    let expected = dw.eval(&q).unwrap().total;
+                    assert_eq!(t.cells[r][c].to_bits(), expected.to_bits(), "{measure} ({r}, {c})");
+                }
+            }
+            if measure == Measure::Count {
+                // The region's facts are counted under the country as well.
+                assert!(t.row_totals()[1] > 0.0 && t.row_totals()[1] < t.row_totals()[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn geography_axes_below_the_root_match_per_cell_eval() {
+        // These axes cover part of the facts, so their spatial postings
+        // drive the pass; base filters and statuses still apply.
+        let dw = warehouse();
+        let geo = dw.hierarchy(Dimension::Geography);
+        let region = geo.member_by_name("Midtjylland").unwrap().id;
+        let aarhus = geo.member_by_name("Aarhus").unwrap().id;
+        let district = geo.children(aarhus).next().unwrap().id;
+        let elsewhere = geo.member_by_name("Hovedstaden").unwrap().id;
+        let axes = [
+            PivotAxis::children_of(&dw, Dimension::Geography, region),
+            PivotAxis { dimension: Dimension::Geography, members: vec![district] },
+            PivotAxis { dimension: Dimension::Geography, members: vec![aarhus, elsewhere] },
+        ];
+        let bases = [
+            Query::new(Measure::TotalMaxEnergy),
+            Query::new(Measure::AvgPrice).filter(Dimension::Geography, aarhus),
+            Query::new(Measure::Count).filter(Dimension::Geography, elsewhere),
+            Query::new(Measure::Count).statuses([OfferState::Offered]).time_range(
+                mirabel_timeseries::TimeSlot::new(0),
+                mirabel_timeseries::TimeSlot::new(96),
+            ),
+        ];
+        let columns = PivotAxis::level(&dw, Dimension::ProsumerType, 1);
+        for rows in &axes {
+            for base in &bases {
+                let spec =
+                    PivotSpec { rows: rows.clone(), columns: columns.clone(), base: base.clone() };
+                let t = dw.pivot(&spec).unwrap();
+                for (r, &row) in rows.members.iter().enumerate() {
+                    for (c, &col) in columns.members.iter().enumerate() {
+                        let q = base
+                            .clone()
+                            .filter(Dimension::Geography, row)
+                            .filter(Dimension::ProsumerType, col);
+                        let expected = dw.eval(&q).unwrap().total;
+                        assert_eq!(t.cells[r][c].to_bits(), expected.to_bits(), "{base:?} {r} {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn base_filter_errors_need_a_cell() {
+        let dw = warehouse();
+        let bad = Query::new(Measure::Count).filter(Dimension::Grid, MemberId(99_999));
+        let rows = PivotAxis::level(&dw, Dimension::Appliance, 1);
+        let cols = PivotAxis::level(&dw, Dimension::Time, 1);
+        let err = dw
+            .pivot(&PivotSpec { rows: rows.clone(), columns: cols, base: bad.clone() })
+            .unwrap_err();
+        assert!(matches!(err, DwError::UnknownMember { dimension: Dimension::Grid, .. }));
+        // With no cells there is nothing to evaluate the base query for.
+        let empty = PivotAxis { dimension: Dimension::Time, members: Vec::new() };
+        let t = dw.pivot(&PivotSpec { rows, columns: empty, base: bad }).unwrap();
+        assert_eq!(t.cells, vec![Vec::<f64>::new(); t.n_rows()]);
     }
 }

@@ -9,6 +9,7 @@ use mirabel_timeseries::TimeSlot;
 use crate::columns::ColumnStore;
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, MemberId};
+use crate::spatial::SpatialIndex;
 use crate::warehouse::Warehouse;
 
 /// The aggregate measures of Section 3 ("the following statistics are
@@ -248,101 +249,20 @@ impl Warehouse {
     /// scan both are gated against).
     pub fn eval(&self, query: &Query) -> Result<QueryResult, DwError> {
         self.validate(query)?;
+        let Some(restrictions) = Restrictions::resolve(self, query) else {
+            return Ok(finalise(query, Default::default(), 0.0, 0));
+        };
         let cols = self.columns();
-
-        // Resolve each filtered dimension to one AND-combined mask over
-        // its dictionary codes. An all-false mask means no fact can
-        // match: answer empty without touching the fact columns.
-        let mut masks: Vec<(&[u32], Vec<bool>)> = Vec::new();
-        for dim in Dimension::ALL {
-            let members: Vec<MemberId> =
-                query.filters.iter().filter(|f| f.dimension == dim).map(|f| f.member).collect();
-            if members.is_empty() {
-                continue;
-            }
-            let h = self.hierarchy(dim);
-            let dc = cols.dict(dim);
-            let mask = dc.mask(|leaf| members.iter().all(|&m| h.is_descendant(leaf, m)));
-            if !mask.iter().any(|&b| b) {
-                return Ok(finalise(query, Default::default(), 0.0, 0));
-            }
-            masks.push((dc.codes(), mask));
-        }
-
-        // Status restriction as a mask over the six status codes; the
-        // scan below walks the status RLE runs and skips non-matching
-        // runs wholesale.
-        let status_mask: Option<[bool; 6]> = query.statuses.as_ref().map(|statuses| {
-            let mut mask = [false; 6];
-            for &s in statuses {
-                mask[crate::columns::status_code(s) as usize] = true;
-            }
-            mask
-        });
-
-        // Group-by resolved once to a code → group-member map.
         let group: Option<(&[u32], Vec<Option<MemberId>>)> = query.group_by.map(|(dim, level)| {
             let h = self.hierarchy(dim);
             let dc = cols.dict(dim);
             let map = dc.dict().iter().map(|&leaf| h.ancestor_at_level(leaf, level)).collect();
             (dc.codes(), map)
         });
-
-        // Measure dispatch hoisted out of the loop. The divisor (not a
-        // reciprocal multiply: `x / 1000.0` and `x * 0.001` round
-        // differently) reproduces `Measure::value_at` exactly.
-        let (measure_col, divisor): (Option<&[i64]>, f64) = match query.measure {
-            Measure::Count => (None, 1.0),
-            Measure::ScheduledEnergy => (Some(cols.scheduled_wh()), 1_000.0),
-            Measure::ExecutedEnergy => (Some(cols.executed_wh()), 1_000.0),
-            Measure::PlanDeviation => (Some(cols.deviation_wh()), 1_000.0),
-            Measure::BalancingPotential => (Some(cols.balancing_potential_wh()), 1_000.0),
-            Measure::TotalMaxEnergy => (Some(cols.total_max_wh()), 1_000.0),
-            Measure::EnergyFlexibility => (Some(cols.energy_flex_wh()), 1_000.0),
-            Measure::AvgPrice => (Some(cols.price_cents()), 1.0),
-            Measure::AvgTimeFlexibility => (Some(cols.time_flex()), 1.0),
-        };
-
-        // A selective geography filter (below the All root) is answered
-        // from the spatial per-region posting lists instead of a full
-        // column pass: `indices_under` returns exactly the facts whose
-        // geography leaf descends from the member, ascending, so the
-        // candidate set shrinks to the subtree while the visit order —
-        // and therefore the non-associative `f64` accumulation — stays
-        // identical to the full scan. The geography mask is kept in
-        // `masks` regardless: it re-checks the postings (harmless) and
-        // carries any additional same-dimension conjuncts.
-        let spatial_hits: Option<Vec<usize>> = query
-            .filters
-            .iter()
-            .filter(|f| f.dimension == Dimension::Geography)
-            .find(|f| {
-                self.hierarchy(Dimension::Geography).member(f.member).is_some_and(|m| m.level > 0)
-            })
-            .map(|f| {
-                self.spatial_index().indices_under(self.hierarchy(Dimension::Geography), f.member)
-            });
-
-        let starts = cols.earliest_starts();
         let mut groups: std::collections::BTreeMap<MemberId, (f64, usize)> = Default::default();
         let mut total = 0.0;
         let mut count = 0usize;
-        let mut visit = |idx: usize| {
-            if let Some((from, to)) = query.time_range {
-                let est = starts[idx];
-                if est < from || est >= to {
-                    return;
-                }
-            }
-            for (codes, mask) in &masks {
-                if !mask[codes[idx] as usize] {
-                    return;
-                }
-            }
-            let v = match measure_col {
-                Some(col) => col[idx] as f64 / divisor,
-                None => 1.0,
-            };
+        restrictions.for_each_value(|idx, v| {
             total += v;
             count += 1;
             if let Some((codes, map)) = &group {
@@ -352,55 +272,7 @@ impl Warehouse {
                     e.1 += 1;
                 }
             }
-        };
-        match (&spatial_hits, &status_mask) {
-            (Some(hits), None) => {
-                for &idx in hits {
-                    visit(idx);
-                }
-            }
-            (Some(hits), Some(mask)) => {
-                // Per-fact status test on the already-small candidate
-                // set; ascending, so equal to the run-sliced order.
-                let statuses = cols.statuses();
-                for &idx in hits {
-                    if mask[crate::columns::status_code(statuses[idx]) as usize] {
-                        visit(idx);
-                    }
-                }
-            }
-            (None, None) => {
-                if let ([(codes, mask)], None) = (masks.as_slice(), query.time_range) {
-                    // The hot shape — one dictionary filter, no time
-                    // bound — iterates the code column directly: one
-                    // predictable load-and-test per fact, with the full
-                    // `visit` body (which re-checks the mask, harmlessly)
-                    // only entered on matches.
-                    let mask = mask.as_slice();
-                    for (idx, &c) in codes.iter().enumerate() {
-                        if mask[c as usize] {
-                            visit(idx);
-                        }
-                    }
-                } else {
-                    for idx in 0..cols.len() {
-                        visit(idx);
-                    }
-                }
-            }
-            (None, Some(mask)) => {
-                let mut lo = 0usize;
-                for run in cols.status_runs() {
-                    let hi = run.end as usize;
-                    if mask[run.value as usize] {
-                        for idx in lo..hi {
-                            visit(idx);
-                        }
-                    }
-                    lo = hi;
-                }
-            }
-        }
+        });
         Ok(finalise(query, groups, total, count))
     }
 
@@ -464,7 +336,7 @@ impl Warehouse {
     }
 
     /// Validates `query`'s members and group-by level up front.
-    fn validate(&self, query: &Query) -> Result<(), DwError> {
+    pub(crate) fn validate(&self, query: &Query) -> Result<(), DwError> {
         for f in &query.filters {
             if self.hierarchy(f.dimension).member(f.member).is_none() {
                 return Err(DwError::UnknownMember { dimension: f.dimension, member: f.member });
@@ -476,18 +348,6 @@ impl Warehouse {
             }
         }
         Ok(())
-    }
-
-    /// The measure of a single member (used by pivots): facts below
-    /// `member` after `query`'s other restrictions.
-    pub fn member_value(
-        &self,
-        query: &Query,
-        dimension: Dimension,
-        member: MemberId,
-    ) -> Result<f64, DwError> {
-        let q = query.clone().filter(dimension, member);
-        Ok(self.eval(&Query { group_by: None, ..q })?.total)
     }
 
     fn matches(&self, row: &FactRow, query: &Query) -> bool {
@@ -541,16 +401,215 @@ fn finalise(
     total: f64,
     count: usize,
 ) -> QueryResult {
-    let avg = |sum: f64, n: usize| {
-        if query.measure.is_average() && n > 0 {
-            sum / n as f64
-        } else {
-            sum
-        }
-    };
     let groups: Vec<(MemberId, f64)> =
-        groups.into_iter().map(|(m, (s, n))| (m, avg(s, n))).collect();
-    QueryResult { groups, total: avg(total, count), matching_facts: count }
+        groups.into_iter().map(|(m, (s, n))| (m, measure_value(query.measure, s, n))).collect();
+    QueryResult { groups, total: measure_value(query.measure, total, count), matching_facts: count }
+}
+
+/// The value of `measure` over `n` facts whose contributions sum to
+/// `sum`: the mean for average measures (when `n > 0`), the sum itself
+/// otherwise.
+pub(crate) fn measure_value(measure: Measure, sum: f64, n: usize) -> f64 {
+    if measure.is_average() && n > 0 {
+        sum / n as f64
+    } else {
+        sum
+    }
+}
+
+/// A query's row restrictions resolved once against the fact columns —
+/// the member masks, the status mask, the time range and the measure
+/// column with its divisor — shared by [`Warehouse::eval`] and
+/// [`Warehouse::pivot`], which differ only in where each matching fact's
+/// value goes.
+///
+/// * Every hierarchical filter becomes one AND-combined mask over the
+///   touched dimension's dictionary codes, so the per-fact test is one
+///   array load instead of a hierarchy walk.
+/// * A status restriction becomes a mask over the six status codes that
+///   skips whole runs of the status RLE column.
+/// * The measure dispatch is hoisted into a `(column, divisor)` pair, so
+///   the per-fact value is one load from one contiguous `i64` column.
+pub(crate) struct Restrictions<'a> {
+    cols: &'a ColumnStore,
+    masks: Vec<(&'a [u32], Vec<bool>)>,
+    statuses: Option<[bool; 6]>,
+    time_range: Option<(TimeSlot, TimeSlot)>,
+    measure_col: Option<&'a [i64]>,
+    divisor: f64,
+    spatial_hits: Option<Vec<usize>>,
+}
+
+impl<'a> Restrictions<'a> {
+    /// Resolves the restrictions of a validated `query` (its group-by is
+    /// ignored). `None` when a filter mask is all-false: no fact can
+    /// match, so callers answer empty without touching the fact columns.
+    pub(crate) fn resolve(dw: &'a Warehouse, query: &Query) -> Option<Restrictions<'a>> {
+        let cols = dw.columns();
+        let mut masks = Vec::new();
+        for dim in Dimension::ALL {
+            let members: Vec<MemberId> =
+                query.filters.iter().filter(|f| f.dimension == dim).map(|f| f.member).collect();
+            if members.is_empty() {
+                continue;
+            }
+            let h = dw.hierarchy(dim);
+            let dc = cols.dict(dim);
+            let mask = dc.mask(|leaf| members.iter().all(|&m| h.is_descendant(leaf, m)));
+            if !mask.iter().any(|&b| b) {
+                return None;
+            }
+            masks.push((dc.codes(), mask));
+        }
+
+        let statuses = query.statuses.as_ref().map(|statuses| {
+            let mut mask = [false; 6];
+            for &s in statuses {
+                mask[crate::columns::status_code(s) as usize] = true;
+            }
+            mask
+        });
+
+        // The divisor (not a reciprocal multiply: `x / 1000.0` and
+        // `x * 0.001` round differently) reproduces `Measure::value_at`
+        // exactly.
+        let (measure_col, divisor) = match query.measure {
+            Measure::Count => (None, 1.0),
+            Measure::ScheduledEnergy => (Some(cols.scheduled_wh()), 1_000.0),
+            Measure::ExecutedEnergy => (Some(cols.executed_wh()), 1_000.0),
+            Measure::PlanDeviation => (Some(cols.deviation_wh()), 1_000.0),
+            Measure::BalancingPotential => (Some(cols.balancing_potential_wh()), 1_000.0),
+            Measure::TotalMaxEnergy => (Some(cols.total_max_wh()), 1_000.0),
+            Measure::EnergyFlexibility => (Some(cols.energy_flex_wh()), 1_000.0),
+            Measure::AvgPrice => (Some(cols.price_cents()), 1.0),
+            Measure::AvgTimeFlexibility => (Some(cols.time_flex()), 1.0),
+        };
+
+        // A selective geography filter (below the All root) is answered
+        // from the spatial per-region posting lists instead of a full
+        // column pass: `indices_under` returns exactly the facts whose
+        // geography leaf descends from the member, ascending, so the
+        // candidate set shrinks to the subtree while the visit order —
+        // and therefore the non-associative `f64` accumulation — stays
+        // identical to the full scan. The geography mask is kept in
+        // `masks` regardless: it re-checks the postings (harmless) and
+        // carries any additional same-dimension conjuncts.
+        let geography = dw.hierarchy(Dimension::Geography);
+        let spatial_hits = query
+            .filters
+            .iter()
+            .filter(|f| f.dimension == Dimension::Geography)
+            .find(|f| geography.member(f.member).is_some_and(|m| m.level > 0))
+            .map(|f| dw.spatial_index().indices_under(geography, f.member));
+
+        Some(Restrictions {
+            cols,
+            masks,
+            statuses,
+            time_range: query.time_range,
+            measure_col,
+            divisor,
+            spatial_hits,
+        })
+    }
+
+    /// Drives the pass from the postings of the geography `leaves` when
+    /// they hold at most ¾ of the current candidates. Only for a caller
+    /// that uses no fact keyed elsewhere — a pivot whose geography axis
+    /// lies below the root, such as a region's cities — so the pass
+    /// costs O(facts under the axis), as the per-cell `eval`s it
+    /// replaced did. The merged postings ascend, so the visit order is
+    /// unchanged. Merging and the gathered loads cost more per fact than
+    /// the sequential pass: at 0.48 M facts the postings won 1.5× at 65 %
+    /// coverage and lost 1.25× at 95 %, hence the ¾.
+    pub(crate) fn narrow_to_leaves(&mut self, spatial: &SpatialIndex, leaves: &[MemberId]) {
+        let n: usize = leaves.iter().map(|&leaf| spatial.indices(leaf).len()).sum();
+        let candidates = self.spatial_hits.as_ref().map_or(self.cols.len(), Vec::len);
+        if 4 * n <= 3 * candidates {
+            self.spatial_hits = Some(spatial.indices_of(leaves));
+        }
+    }
+
+    /// Calls `visit` with every matching fact (ascending, as
+    /// [`Restrictions::for_each_match`]) and its measure contribution —
+    /// [`Measure::value_at`] with the dispatch hoisted out of the loop.
+    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(usize, f64)) {
+        match self.measure_col {
+            None => self.for_each_match(|idx| visit(idx, 1.0)),
+            Some(col) => {
+                let divisor = self.divisor;
+                self.for_each_match(|idx| visit(idx, col[idx] as f64 / divisor));
+            }
+        }
+    }
+
+    /// Calls `visit` with every fact that meets the restrictions, in
+    /// ascending fact order whichever candidate set drives the pass.
+    fn for_each_match(&self, mut visit: impl FnMut(usize)) {
+        let starts = self.cols.earliest_starts();
+        let mut check = |idx: usize| {
+            if let Some((from, to)) = self.time_range {
+                let est = starts[idx];
+                if est < from || est >= to {
+                    return;
+                }
+            }
+            for (codes, mask) in &self.masks {
+                if !mask[codes[idx] as usize] {
+                    return;
+                }
+            }
+            visit(idx);
+        };
+        match (&self.spatial_hits, &self.statuses) {
+            (Some(hits), None) => {
+                for &idx in hits {
+                    check(idx);
+                }
+            }
+            (Some(hits), Some(mask)) => {
+                // Per-fact status test on the already-small candidate
+                // set; ascending, so equal to the run-sliced order.
+                let statuses = self.cols.statuses();
+                for &idx in hits {
+                    if mask[crate::columns::status_code(statuses[idx]) as usize] {
+                        check(idx);
+                    }
+                }
+            }
+            (None, None) => {
+                if let ([(codes, mask)], None) = (self.masks.as_slice(), self.time_range) {
+                    // The hot shape — one dictionary filter, no time
+                    // bound — iterates the code column directly: one
+                    // predictable load-and-test per fact, with the full
+                    // `check` (which re-tests the mask, harmlessly) only
+                    // entered on matches.
+                    let mask = mask.as_slice();
+                    for (idx, &c) in codes.iter().enumerate() {
+                        if mask[c as usize] {
+                            check(idx);
+                        }
+                    }
+                } else {
+                    for idx in 0..self.cols.len() {
+                        check(idx);
+                    }
+                }
+            }
+            (None, Some(mask)) => {
+                let mut lo = 0usize;
+                for run in self.cols.status_runs() {
+                    let hi = run.end as usize;
+                    if mask[run.value as usize] {
+                        for idx in lo..hi {
+                            check(idx);
+                        }
+                    }
+                    lo = hi;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -721,20 +780,5 @@ mod tests {
         let empty = dw.eval(&disjoint).unwrap();
         assert_eq!(empty, dw.eval_rows(&disjoint).unwrap());
         assert_eq!(empty.matching_facts, 0);
-    }
-
-    #[test]
-    fn member_value_matches_filtered_eval() {
-        let dw = warehouse();
-        let p = dw.hierarchy(Dimension::ProsumerType);
-        let consumer = p.member_by_name("Consumer").unwrap().id;
-        let direct = dw
-            .eval(&Query::new(Measure::Count).filter(Dimension::ProsumerType, consumer))
-            .unwrap()
-            .total;
-        let via = dw
-            .member_value(&Query::new(Measure::Count), Dimension::ProsumerType, consumer)
-            .unwrap();
-        assert_eq!(direct, via);
     }
 }

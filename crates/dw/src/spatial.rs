@@ -104,8 +104,14 @@ impl SpatialIndex {
     /// O(n log n) on the leaf-interleaved order and dominated the S5
     /// region-query harness at city scale.
     pub fn indices_under(&self, geography: &Hierarchy, member: MemberId) -> Vec<usize> {
-        let leaves = region_leaves(geography, member);
-        if let [leaf] = leaves.as_slice() {
+        self.indices_of(&region_leaves(geography, member))
+    }
+
+    /// Fact indices keyed to any of the distinct district `leaves`,
+    /// ascending: their posting lists merged as
+    /// [`SpatialIndex::indices_under`] describes.
+    pub(crate) fn indices_of(&self, leaves: &[MemberId]) -> Vec<usize> {
+        if let [leaf] = leaves {
             return self.indices(*leaf).to_vec();
         }
         let lists: Vec<&[usize]> = leaves.iter().map(|&leaf| self.indices(leaf)).collect();

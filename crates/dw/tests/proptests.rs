@@ -1,13 +1,20 @@
 //! Property-based tests for the warehouse: rollup consistency, filter
-//! monotonicity and MDX round-trips over randomized workloads.
+//! monotonicity, MDX round-trips and one-pass pivots over randomized
+//! workloads.
 
-use mirabel_dw::{mdx, Dimension, Measure, Query, Warehouse};
-use mirabel_flexoffer::OfferState;
-use mirabel_timeseries::TimeSlot;
-use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
+use mirabel_dw::{
+    mdx, Dimension, LiveWarehouse, Measure, MemberId, PivotAxis, PivotSpec, Query, Warehouse,
+};
+use mirabel_flexoffer::{FlexOffer, FlexOfferId, OfferState, Schedule};
+use mirabel_timeseries::{SlotSpan, TimeSlot};
+use mirabel_workload::{
+    generate_ingest_trace, generate_offers, IngestEvent, IngestTraceConfig, OfferConfig,
+    Population, PopulationConfig,
+};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
-fn warehouse(seed: u64, size: usize) -> Warehouse {
+fn population_and_offers(seed: u64, size: usize) -> (Population, Vec<FlexOffer>) {
     let pop = Population::generate(&PopulationConfig { size, seed, household_share: 0.8 });
     let mut offers =
         generate_offers(&pop, &OfferConfig { seed: seed ^ 0xF0, ..Default::default() });
@@ -18,7 +25,158 @@ fn warehouse(seed: u64, size: usize) -> Warehouse {
             _ => {}
         }
     }
+    (pop, offers)
+}
+
+fn warehouse(seed: u64, size: usize) -> Warehouse {
+    let (pop, offers) = population_and_offers(seed, size);
     Warehouse::load(&pop, &offers)
+}
+
+/// Min-energy schedules at the earliest start for every third offer:
+/// assignment accepts still-offered offers and skips rejected ones.
+fn schedules(offers: &[FlexOffer]) -> Vec<(FlexOfferId, Schedule)> {
+    offers
+        .iter()
+        .step_by(3)
+        .map(|fo| {
+            let energies = fo.profile().slices().iter().map(|s| s.min).collect();
+            (fo.id(), Schedule::new(fo.earliest_start(), energies))
+        })
+        .collect()
+}
+
+/// A bulk-loaded warehouse whose facts span every lifecycle status, so
+/// the scheduled, executed and deviation measures are not all zero.
+fn lifecycle_warehouse(seed: u64, size: usize) -> Warehouse {
+    let (pop, offers) = population_and_offers(seed, size);
+    let mut dw = Warehouse::load(&pop, &offers);
+    dw.assign_schedules(&schedules(&offers));
+    dw.execute_due(TimeSlot::new(60));
+    dw
+}
+
+/// A live warehouse after scheduling, a day tick and ingest and
+/// withdraw churn: its columns have been appended to and compacted, and
+/// its dictionaries hold codes of withdrawn facts.
+fn churned(seed: u64, size: usize) -> LiveWarehouse {
+    let (pop, offers) = population_and_offers(seed, size);
+    let trace = generate_ingest_trace(
+        &pop,
+        &IngestTraceConfig { days: 2, batches_per_day: 2, withdraw_fraction: 0.3, seed },
+        offers.len() as u64 + 1,
+        TimeSlot::EPOCH + SlotSpan::days(1),
+    );
+    let live = LiveWarehouse::new(pop, &offers);
+    live.assign_schedules(&schedules(&offers));
+    for event in &trace {
+        match event {
+            IngestEvent::Arrive { offers } => {
+                live.ingest(offers);
+            }
+            IngestEvent::Withdraw { ids } => {
+                live.withdraw(ids);
+            }
+            IngestEvent::AdvanceDay => {
+                live.advance_day();
+            }
+            IngestEvent::Publish => {
+                live.publish();
+            }
+        }
+    }
+    live.publish();
+    live
+}
+
+/// A member pick: a level (modulo the hierarchy depth), then a member
+/// of that level — so shallow members, which most facts fall under,
+/// are drawn as often as deep ones.
+type Pick = (usize, usize);
+
+/// Raw pivot inputs: row and column dimension, row and column member
+/// picks, and the base query's measure, member filters, status bits
+/// (a restriction to the statuses of the low six bits when bit 6 is
+/// set) and optional time range.
+type PivotInputs =
+    ((usize, usize), (Vec<Pick>, Vec<Pick>), (usize, Vec<(usize, Pick)>, u32), Vec<(i64, i64)>);
+
+fn pivot_inputs() -> impl Strategy<Value = PivotInputs> {
+    let pick = || (0usize..4, 0usize..10_000);
+    let picks = move || proptest::collection::vec(pick(), 0..6);
+    (
+        (0usize..6, 0usize..6),
+        (picks(), picks()),
+        (0usize..9, proptest::collection::vec((0usize..6, pick()), 0..3), 0u32..256),
+        proptest::collection::vec((-100i64..200, 1i64..300), 0..2),
+    )
+}
+
+/// The member of `dim` that `pick` names.
+fn member(dw: &Warehouse, dim: Dimension, (level, pick): Pick) -> MemberId {
+    let h = dw.hierarchy(dim);
+    let level = (level % h.depth()) as u8;
+    let members: Vec<MemberId> = h.at_level(level).map(|m| m.id).collect();
+    members[pick % members.len()]
+}
+
+/// Builds the pivot the inputs describe: its axes may mix levels,
+/// overlap, repeat a member, share one dimension, or name members no
+/// fact falls under.
+fn pivot_spec(dw: &Warehouse, inputs: &PivotInputs) -> PivotSpec {
+    let ((row_dim, col_dim), (row_picks, col_picks), (measure, filters, status_bits), time) =
+        inputs;
+    let axis = |dim: usize, picks: &[Pick]| {
+        let dimension = Dimension::ALL[dim];
+        PivotAxis { dimension, members: picks.iter().map(|&p| member(dw, dimension, p)).collect() }
+    };
+    let mut base = Query::new(Measure::ALL[*measure]);
+    for &(dim, pick) in filters {
+        base = base.filter(Dimension::ALL[dim], member(dw, Dimension::ALL[dim], pick));
+    }
+    if status_bits & 64 != 0 {
+        let statuses: Vec<OfferState> = OfferState::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| status_bits & (1 << i) != 0)
+            .map(|(_, s)| s)
+            .collect();
+        base = base.statuses(statuses);
+    }
+    if let Some(&(from, len)) = time.first() {
+        base = base.time_range(TimeSlot::new(from), TimeSlot::new(from + len));
+    }
+    PivotSpec { rows: axis(*row_dim, row_picks), columns: axis(*col_dim, col_picks), base }
+}
+
+/// Every cell of the one-pass pivot equals, bit for bit, the `eval`
+/// total of its row member ∧ column member ∧ base query.
+fn pivot_matches_per_cell_eval(dw: &Warehouse, spec: &PivotSpec) -> Result<(), TestCaseError> {
+    let table = dw.pivot(spec).unwrap();
+    prop_assert_eq!(&table.row_members, &spec.rows.members);
+    prop_assert_eq!(&table.col_members, &spec.columns.members);
+    prop_assert_eq!(table.cells.len(), spec.rows.members.len());
+    for (r, &row) in spec.rows.members.iter().enumerate() {
+        prop_assert_eq!(table.cells[r].len(), spec.columns.members.len());
+        for (c, &col) in spec.columns.members.iter().enumerate() {
+            let q = spec
+                .base
+                .clone()
+                .filter(spec.rows.dimension, row)
+                .filter(spec.columns.dimension, col);
+            let expected = dw.eval(&q).unwrap().total;
+            prop_assert_eq!(
+                table.cells[r][c].to_bits(),
+                expected.to_bits(),
+                "cell ({}, {}) = {} but eval gives {}",
+                row,
+                col,
+                table.cells[r][c],
+                expected
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -157,5 +315,27 @@ proptest! {
         let total: f64 = table.cells.iter().flatten().sum();
         let expected = dw.eval(&Query::new(Measure::Count)).unwrap().total;
         prop_assert!((total - expected).abs() < 1e-9, "{total} != {expected}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One-pass pivot cells equal per-cell `eval` totals bit for bit on
+    /// a bulk-loaded warehouse.
+    #[test]
+    fn pivot_cells_equal_per_cell_eval(seed in 0u64..40, inputs in pivot_inputs()) {
+        let dw = lifecycle_warehouse(seed, 60);
+        pivot_matches_per_cell_eval(&dw, &pivot_spec(&dw, &inputs))?;
+    }
+
+    /// The same on a live warehouse snapshot after ingest and withdraw
+    /// churn.
+    #[test]
+    fn pivot_cells_equal_per_cell_eval_after_churn(seed in 0u64..40, inputs in pivot_inputs()) {
+        let live = churned(seed, 40);
+        let snapshot = live.snapshot();
+        let dw = snapshot.warehouse();
+        pivot_matches_per_cell_eval(dw, &pivot_spec(dw, &inputs))?;
     }
 }

@@ -3,7 +3,7 @@
 
 use std::f64::consts::TAU;
 
-use mirabel_dw::{Measure, Query, Warehouse};
+use mirabel_dw::Warehouse;
 use mirabel_flexoffer::OfferState;
 use mirabel_timeseries::{Granularity, TimeSlot};
 use mirabel_viz::{palette, Node, Point, Rect, Scene, Style};
@@ -36,24 +36,36 @@ pub struct DashboardData {
     pub totals: [f64; 3],
 }
 
-/// Computes the dashboard aggregates from the warehouse.
+/// Computes the dashboard aggregates from the warehouse in one pass over
+/// the status and earliest-start columns: a slot → bucket table over
+/// `[from, to)` (the buckets tile the window; the session caps it at
+/// [`MAX_DASHBOARD_SLOTS`](crate::session::MAX_DASHBOARD_SLOTS) slots) sends each
+/// fact in the window to its bucket. Each count is the status-restricted
+/// `Count` query over its bucket, added up in the same ascending fact
+/// order, so the result equals the per-bucket [`Warehouse::eval`] loop
+/// bit for bit.
 pub fn compute(dw: &Warehouse, options: &DashboardOptions) -> DashboardData {
     let buckets = options.granularity.buckets(options.from, options.to);
-    let statuses = [OfferState::Accepted, OfferState::Scheduled, OfferState::Rejected];
-    let mut counts: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut totals = [0.0; 3];
-    for (si, status) in statuses.iter().enumerate() {
-        for &b in &buckets {
-            let hi = options.granularity.next_boundary(b).min(options.to);
-            let lo = b.max(options.from);
-            let v = dw
-                .eval(&Query::new(Measure::Count).statuses(vec![*status]).time_range(lo, hi))
-                .map(|r| r.total)
-                .unwrap_or(0.0);
-            counts[si].push(v);
-            totals[si] += v;
+    let mut bucket_of = Vec::new();
+    for (b, &start) in buckets.iter().enumerate() {
+        let lo = start.max(options.from);
+        let hi = options.granularity.next_boundary(start).min(options.to);
+        bucket_of.resize(bucket_of.len() + (hi - lo).count() as usize, b);
+    }
+    let mut counts: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; buckets.len()]);
+    let cols = dw.columns();
+    for (&status, &start) in cols.statuses().iter().zip(cols.earliest_starts()) {
+        let si = match status {
+            OfferState::Accepted => 0,
+            OfferState::Scheduled => 1,
+            OfferState::Rejected => 2,
+            _ => continue,
+        };
+        if start >= options.from && start < options.to {
+            counts[si][bucket_of[(start - options.from).count() as usize]] += 1.0;
         }
     }
+    let totals = std::array::from_fn(|si| counts[si].iter().fold(0.0, |total, &v| total + v));
     DashboardData { buckets, counts, totals }
 }
 

@@ -97,11 +97,12 @@ pub fn data_for(
     let spatial = dw.spatial_index();
     let mut cells = Vec::new();
     for child in h.children(focus) {
-        let offers = spatial.indices_under(h, child.id).len();
-        let scheduled_kwh: f64 = region_leaves(h, child.id)
-            .into_iter()
-            .map(|leaf| leaf_load.get(&leaf).copied().unwrap_or(0.0))
-            .sum();
+        // Every fact has exactly one geography leaf, so the subtree's
+        // count is the sum of its leaves' posting lengths.
+        let leaves = region_leaves(h, child.id);
+        let offers = leaves.iter().map(|&leaf| spatial.indices(leaf).len()).sum();
+        let scheduled_kwh: f64 =
+            leaves.iter().map(|leaf| leaf_load.get(leaf).copied().unwrap_or(0.0)).sum();
         let target_kwh =
             if total_facts == 0 { 0.0 } else { target_total * offers as f64 / total_facts as f64 };
         cells.push(HeatmapCell {

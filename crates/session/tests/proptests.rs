@@ -1,12 +1,16 @@
 //! Property-based tests for the views: every offer is rendered,
-//! hit-testable and selectable, on randomized offer sets.
+//! hit-testable and selectable, on randomized offer sets, and the
+//! one-pass dashboard equals its per-bucket query loop.
 
-use mirabel_flexoffer::{Energy, FlexOffer};
+use mirabel_dw::{Measure, Query, Warehouse};
+use mirabel_flexoffer::{Energy, FlexOffer, OfferState, Schedule};
 use mirabel_session::views::basic::{build_with_layout, BasicViewOptions};
+use mirabel_session::views::dashboard::{self, DashboardData, DashboardOptions};
 use mirabel_session::views::{profile, DetailLayout};
 use mirabel_session::VisualOffer;
-use mirabel_timeseries::TimeSlot;
+use mirabel_timeseries::{Granularity, TimeSlot};
 use mirabel_viz::{hit_test, rect_query, Rect};
+use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 use proptest::prelude::*;
 
 fn offers_strategy() -> impl Strategy<Value = Vec<(i64, i64, usize, i64)>> {
@@ -29,8 +33,85 @@ fn build_offers(raw: &[(i64, i64, usize, i64)]) -> Vec<VisualOffer> {
     VisualOffer::from_offers(&offers)
 }
 
+/// A warehouse whose facts are accepted, rejected, scheduled and still
+/// offered, over three days.
+fn status_warehouse(seed: u64) -> Warehouse {
+    let pop = Population::generate(&PopulationConfig { size: 60, seed, household_share: 0.8 });
+    let mut offers = generate_offers(&pop, &OfferConfig { days: 3, seed, ..Default::default() });
+    for (i, fo) in offers.iter_mut().enumerate() {
+        match i % 4 {
+            0 | 1 => fo.accept().unwrap(),
+            2 => fo.reject().unwrap(),
+            _ => {}
+        }
+    }
+    let mut dw = Warehouse::load(&pop, &offers);
+    let picks: Vec<_> = offers
+        .iter()
+        .step_by(5)
+        .map(|fo| {
+            let energies = fo.profile().slices().iter().map(|s| s.min).collect();
+            (fo.id(), Schedule::new(fo.earliest_start(), energies))
+        })
+        .collect();
+    dw.assign_schedules(&picks);
+    dw
+}
+
+/// The dashboard as one status-restricted `Count` query per status ×
+/// bucket: the loop the one-pass `dashboard::compute` replaced.
+fn per_bucket_eval(dw: &Warehouse, options: &DashboardOptions) -> DashboardData {
+    let buckets = options.granularity.buckets(options.from, options.to);
+    let statuses = [OfferState::Accepted, OfferState::Scheduled, OfferState::Rejected];
+    let mut counts: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut totals = [0.0; 3];
+    for (si, status) in statuses.iter().enumerate() {
+        for &b in &buckets {
+            let hi = options.granularity.next_boundary(b).min(options.to);
+            let lo = b.max(options.from);
+            let v = dw
+                .eval(&Query::new(Measure::Count).statuses(vec![*status]).time_range(lo, hi))
+                .map(|r| r.total)
+                .unwrap_or(0.0);
+            counts[si].push(v);
+            totals[si] += v;
+        }
+    }
+    DashboardData { buckets, counts, totals }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one-pass dashboard equals the per-bucket query loop bit for
+    /// bit, for quarter-hour, hour and day buckets over windows that
+    /// need not align to bucket edges and may hold no facts at all.
+    #[test]
+    fn dashboard_matches_per_bucket_eval(
+        seed in 0u64..20,
+        granularity in 0usize..3,
+        from in -400i64..400,
+        width in 0i64..500,
+    ) {
+        let dw = status_warehouse(seed);
+        let options = DashboardOptions {
+            width: 900.0,
+            height: 420.0,
+            from: TimeSlot::new(from),
+            to: TimeSlot::new(from + width),
+            granularity: [Granularity::QuarterHour, Granularity::Hour, Granularity::Day][granularity],
+        };
+        let data = dashboard::compute(&dw, &options);
+        let expected = per_bucket_eval(&dw, &options);
+        let bits = |d: &DashboardData| -> (Vec<Vec<u64>>, Vec<u64>) {
+            (
+                d.counts.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect(),
+                d.totals.iter().map(|v| v.to_bits()).collect(),
+            )
+        };
+        prop_assert_eq!(&data.buckets, &expected.buckets);
+        prop_assert_eq!(bits(&data), bits(&expected));
+    }
 
     /// Every offer appears in the scene with its tag, and hovering the
     /// centre of its profile box finds it.

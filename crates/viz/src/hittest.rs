@@ -1,8 +1,6 @@
 //! Hit-testing: the substrate of the hover tooltips (Figure 10) and
 //! rectangle selection (Figure 8).
 
-use std::collections::HashMap;
-
 use crate::geometry::{Point, Rect};
 use crate::scene::Scene;
 
@@ -39,20 +37,24 @@ pub fn rect_query(scene: &Scene, query: Rect) -> Vec<u64> {
     hits
 }
 
-/// One indexed primitive: bounds, tag, and paint-order sequence number.
-type Entry = (Rect, u64, u32);
-
 /// A uniform-grid spatial index over tagged primitive bounds,
 /// accelerating repeated pointer probes on large scenes (the F10
 /// experiment compares it against the linear scan).
+///
+/// The cells are one flat compressed-sparse-row layout: `entries` holds
+/// the `(bounds, tag)` primitives in paint order, and cell `i` (row-major)
+/// lists the ids of the entries that overlap it in
+/// `ids[offsets[i]..offsets[i + 1]]`, ascending — an entry's id is its
+/// paint sequence, so the topmost hit in a cell is the last one. The
+/// offsets cost 4 bytes per cell whatever the scene holds.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell: f64,
     cols: usize,
     rows: usize,
-    cells: HashMap<(usize, usize), Vec<Entry>>,
-    /// Entries in insertion (paint) order for deterministic results.
-    entries: usize,
+    entries: Vec<(Rect, u64)>,
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl GridIndex {
@@ -62,27 +64,71 @@ impl GridIndex {
         let cell = cell.max(1.0);
         let cols = (scene.width / cell).ceil().max(1.0) as usize;
         let rows = (scene.height / cell).ceil().max(1.0) as usize;
-        let mut index = GridIndex { cell, cols, rows, cells: HashMap::new(), entries: 0 };
+        assert!(u32::try_from(cols * rows).is_ok(), "a grid holds fewer than 2^32 cells");
+        let mut index = GridIndex {
+            cell,
+            cols,
+            rows,
+            entries: Vec::new(),
+            offsets: Vec::new(),
+            ids: Vec::new(),
+        };
+        let mut spans = Vec::new();
         scene.visit(&mut |node| {
             if let Some(tag) = node.tag() {
                 if let Some(b) = node.bounds() {
-                    index.insert(b, tag);
+                    index.entries.push((b, tag));
+                    spans.push(index.span(b));
                 }
             }
         });
+        assert!(
+            u32::try_from(index.entries.len()).is_ok(),
+            "a scene holds fewer than 2^32 tagged primitives"
+        );
+        // Two passes over the entries' cell spans: count each cell's
+        // overlaps (no count exceeds the entry count) and prefix-sum the
+        // counts into cell ends, checked so the `u32` total cannot wrap;
+        // then walk the entries backwards, decrementing each cell's end
+        // as its ids are filled in — which leaves every cell ascending
+        // and `offsets[i]` at the start of cell `i` (`offsets[cols *
+        // rows]` stays the total).
+        let mut offsets = vec![0u32; cols * rows + 1];
+        for span in &spans {
+            index.for_cells(span, |i| offsets[i] += 1);
+        }
+        let mut total = 0u32;
+        for end in &mut offsets {
+            total = total.checked_add(*end).expect("a grid holds fewer than 2^32 cell entries");
+            *end = total;
+        }
+        let mut ids = vec![0u32; total as usize];
+        for (id, span) in spans.iter().enumerate().rev() {
+            index.for_cells(span, |i| {
+                offsets[i] -= 1;
+                ids[offsets[i] as usize] = id as u32;
+            });
+        }
+        index.offsets = offsets;
+        index.ids = ids;
         index
     }
 
-    fn insert(&mut self, bounds: Rect, tag: u64) {
-        let seq = self.entries as u32;
+    /// The cells `bounds` overlaps, as inclusive corner cells
+    /// `[c0, r0, c1, r1]` (`u32`: `build` checks the grid size).
+    fn span(&self, bounds: Rect) -> [u32; 4] {
         let (c0, r0) = self.cell_of(bounds.x, bounds.y);
         let (c1, r1) = self.cell_of(bounds.right(), bounds.bottom());
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                self.cells.entry((c, r)).or_default().push((bounds, tag, seq));
+        [c0 as u32, r0 as u32, c1 as u32, r1 as u32]
+    }
+
+    /// Calls `f` with the row-major index of every cell of `span`.
+    fn for_cells(&self, &[c0, r0, c1, r1]: &[u32; 4], mut f: impl FnMut(usize)) {
+        for r in r0 as usize..=r1 as usize {
+            for c in c0 as usize..=c1 as usize {
+                f(r * self.cols + c);
             }
         }
-        self.entries += 1;
     }
 
     fn cell_of(&self, x: f64, y: f64) -> (usize, usize) {
@@ -91,25 +137,37 @@ impl GridIndex {
         (c.min(self.cols - 1), r.min(self.rows - 1))
     }
 
+    /// The ids of the entries overlapping cell `i`, ascending (in paint
+    /// order).
+    fn cell_ids(&self, i: usize) -> &[u32] {
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The ids of the entries overlapping the cell that holds `p`.
+    fn ids_at(&self, p: Point) -> &[u32] {
+        let (c, r) = self.cell_of(p.x, p.y);
+        self.cell_ids(r * self.cols + c)
+    }
+
     /// Number of indexed primitives.
     pub fn len(&self) -> usize {
-        self.entries
+        self.entries.len()
     }
 
     /// `true` when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.entries.is_empty()
     }
 
-    /// Tags whose bounds contain `p` (sorted for determinism — the grid
-    /// visits cells in arbitrary map order).
+    /// Tags whose bounds contain `p`, sorted and deduplicated.
     pub fn hit(&self, p: Point) -> Vec<u64> {
-        let (c, r) = self.cell_of(p.x, p.y);
         let mut hits: Vec<u64> = self
-            .cells
-            .get(&(c, r))
-            .map(|v| v.iter().filter(|(b, _, _)| b.contains(p)).map(|(_, t, _)| *t).collect())
-            .unwrap_or_default();
+            .ids_at(p)
+            .iter()
+            .map(|&id| self.entries[id as usize])
+            .filter(|(b, _)| b.contains(p))
+            .map(|(_, t)| t)
+            .collect();
         hits.sort_unstable();
         hits.dedup();
         hits
@@ -120,58 +178,34 @@ impl GridIndex {
     /// the grid. This is the hover-tooltip probe of the interactive
     /// session engine.
     pub fn hit_topmost(&self, p: Point) -> Option<u64> {
-        let (c, r) = self.cell_of(p.x, p.y);
-        self.cells
-            .get(&(c, r))?
+        self.ids_at(p)
             .iter()
-            .filter(|(b, _, _)| b.contains(p))
-            .max_by_key(|(_, _, seq)| *seq)
-            .map(|(_, t, _)| *t)
+            .rev()
+            .map(|&id| self.entries[id as usize])
+            .find(|(b, _)| b.contains(p))
+            .map(|(_, t)| t)
     }
 
     /// Tags whose bounds intersect `query`, deduplicated, in first-touch
     /// paint order — exactly [`rect_query`] for the indexed scene, served
     /// from the grid.
     pub fn query_ordered(&self, query: Rect) -> Vec<u64> {
-        let (c0, r0) = self.cell_of(query.x, query.y);
-        let (c1, r1) = self.cell_of(query.right(), query.bottom());
-        let mut first: HashMap<u64, u32> = HashMap::new();
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                if let Some(v) = self.cells.get(&(c, r)) {
-                    for (b, t, seq) in v {
-                        if b.intersects(&query) {
-                            let e = first.entry(*t).or_insert(*seq);
-                            *e = (*e).min(*seq);
-                        }
-                    }
-                }
-            }
-        }
-        let mut hits: Vec<(u32, u64)> = first.into_iter().map(|(t, s)| (s, t)).collect();
-        hits.sort_unstable();
-        hits.into_iter().map(|(_, t)| t).collect()
-    }
-
-    /// Tags whose bounds intersect `query` (sorted, deduplicated).
-    pub fn query(&self, query: Rect) -> Vec<u64> {
-        let (c0, r0) = self.cell_of(query.x, query.y);
-        let (c1, r1) = self.cell_of(query.right(), query.bottom());
-        let mut hits = Vec::new();
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                if let Some(v) = self.cells.get(&(c, r)) {
-                    for (b, t, _) in v {
-                        if b.intersects(&query) {
-                            hits.push(*t);
-                        }
-                    }
-                }
-            }
-        }
-        hits.sort_unstable();
-        hits.dedup();
-        hits
+        let mut touched: Vec<u32> = Vec::new();
+        self.for_cells(&self.span(query), |i| {
+            touched.extend(
+                self.cell_ids(i)
+                    .iter()
+                    .filter(|&&id| self.entries[id as usize].0.intersects(&query)),
+            );
+        });
+        touched.sort_unstable();
+        touched.dedup();
+        let mut seen = std::collections::HashSet::new();
+        touched
+            .into_iter()
+            .map(|id| self.entries[id as usize].1)
+            .filter(|&t| seen.insert(t))
+            .collect()
     }
 }
 
@@ -227,9 +261,7 @@ mod tests {
             Rect::new(40.0, 40.0, 50.0, 50.0),
             Rect::new(0.0, 90.0, 5.0, 5.0),
         ] {
-            let mut linear = rect_query(&scene, rect);
-            linear.sort_unstable();
-            assert_eq!(index.query(rect), linear, "{rect}");
+            assert_eq!(index.query_ordered(rect), rect_query(&scene, rect), "{rect}");
         }
     }
 

@@ -72,34 +72,39 @@ proptest! {
     }
 
     /// The uniform-grid index agrees with the linear scan on random
-    /// scenes and probes.
+    /// scenes of overlapping boxes with repeated tags: sorted point hits,
+    /// the topmost hit (the hover probe) and paint-ordered rectangle
+    /// queries (the drag-select probe).
     #[test]
     fn grid_index_equivalence(
         boxes in proptest::collection::vec((0.0f64..900.0, 0.0f64..500.0, 1.0f64..80.0, 1.0f64..60.0), 0..80),
         probes in proptest::collection::vec((-50.0f64..1050.0, -50.0f64..650.0), 1..30),
         cell in 8.0f64..200.0,
+        distinct_tags in 1u64..100,
+        rects in proptest::collection::vec((0.0f64..1000.0, 0.0f64..600.0, 0.0f64..1000.0, 0.0f64..600.0), 1..8),
     ) {
         let mut scene = Scene::new(1000.0, 600.0);
         for (i, &(x, y, w, h)) in boxes.iter().enumerate() {
-            scene.push(Node::tagged_rect(Rect::new(x, y, w, h), Style::default(), i as u64));
+            let tag = i as u64 % distinct_tags;
+            scene.push(Node::tagged_rect(Rect::new(x, y, w, h), Style::default(), tag));
         }
         let index = GridIndex::build(&scene, cell);
         for &(px, py) in &probes {
             let p = Point::new(px, py);
-            let mut linear = hit_test(&scene, p);
-            linear.sort_unstable();
-            let indexed = index.hit(p);
-            // The index only answers inside the canvas; outside, the
-            // linear scan may still find boxes whose bounds extend past
-            // the canvas edge, so restrict the comparison.
-            if (0.0..=1000.0).contains(&px) && (0.0..=600.0).contains(&py) {
-                prop_assert_eq!(indexed, linear, "probe ({}, {})", px, py);
-            }
+            let linear = hit_test(&scene, p);
+            prop_assert_eq!(index.hit_topmost(p), linear.last().copied(), "probe ({}, {})", px, py);
+            let mut sorted = linear;
+            sorted.sort_unstable();
+            sorted.dedup();
+            prop_assert_eq!(index.hit(p), sorted, "probe ({}, {})", px, py);
         }
-        // Rectangle queries agree on in-canvas rects.
-        let query = Rect::new(100.0, 100.0, 300.0, 200.0);
-        let mut linear = rect_query(&scene, query);
-        linear.sort_unstable();
-        prop_assert_eq!(index.query(query), linear);
+        // Rectangle queries agree, in paint order, on in-canvas rects.
+        let mut queries = vec![Rect::new(100.0, 100.0, 300.0, 200.0)];
+        queries.extend(rects.iter().map(|&(x0, y0, x1, y1)| {
+            Rect::new(x0.min(x1), y0.min(y1), (x1 - x0).abs(), (y1 - y0).abs())
+        }));
+        for query in queries {
+            prop_assert_eq!(index.query_ordered(query), rect_query(&scene, query), "{}", query);
+        }
     }
 }

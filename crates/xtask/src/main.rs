@@ -201,7 +201,7 @@ const HARNESSES: &[Step] = &[
         "forecast", "--prosumers", "120", "--days", "5", "--eval-days", "3"
     ),
     harness!(
-        "columnar harness (equality gates, filtered pushdown >= 3x the plain scan)",
+        "columnar harness (equality gates, filtered pushdown >= 3x the plain scan, one-pass pivot >= 3x per-cell eval)",
         "columnar", "--prosumers", "150", "--days", "2", "--repeats", "3", "--filter-facts",
         "1000000"
     ),
