@@ -38,12 +38,6 @@ impl AggregateOffer {
         &self.offer
     }
 
-    /// Mutable access to the synthetic offer (the enterprise accepts and
-    /// assigns aggregates like ordinary offers).
-    pub fn offer_mut(&mut self) -> &mut FlexOffer {
-        &mut self.offer
-    }
-
     /// Member placements, in input order.
     pub fn members(&self) -> &[MemberPlacement] {
         &self.members

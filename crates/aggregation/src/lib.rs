@@ -37,10 +37,7 @@
 //! [`IncrementalAggregator`] maintains the same grouping without
 //! re-running it: ingested and withdrawn members patch only their own
 //! grid cell, and [`IncrementalAggregator::refresh`] re-merges exactly
-//! the dirty cells (see [`incremental`]). The [`RegionalAggregator`]
-//! splits that maintenance along the warehouse's spatial dimension: one
-//! (region × EST × TFT × direction) grid, routed by region key (see
-//! [`regional`]).
+//! the dirty cells (see [`incremental`]).
 //!
 //! # Example
 //!
@@ -83,7 +80,6 @@ mod error;
 mod group;
 pub mod incremental;
 mod params;
-pub mod regional;
 
 pub use aggregate::{AggregateOffer, AggregationResult, Aggregator, MemberPlacement};
 pub use disaggregate::split_energy;
@@ -91,4 +87,3 @@ pub use error::AggregationError;
 pub use group::{group_offers, GroupKey};
 pub use incremental::{CellView, IncrementalAggregator, RefreshStats};
 pub use params::AggregationParams;
-pub use regional::RegionalAggregator;

@@ -916,13 +916,6 @@ impl FlexOfferBuilder {
             _state: PhantomData,
         })
     }
-
-    /// Like [`FlexOfferBuilder::build`], but lands directly in the typed
-    /// world as `FlexOffer<Offered>` — the entry point of the typestate
-    /// machine.
-    pub fn build_typed(self) -> Result<FlexOffer<state::Offered>, FlexOfferError> {
-        Ok(self.build()?.typed().expect("freshly built offers are Offered"))
-    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,8 @@
 //!   (`token % workers`), so one connection's requests stay FIFO while
 //!   a long-running plan on one connection cannot stall another
 //!   connection's worker — and can never stall I/O at all. Workers
-//!   resolve sessions through a cached
-//!   [`PoolReader`], so the steady-state
-//!   command path takes no pool lock;
+//!   run each command through [`ConcurrentPool::apply_with_epoch`] by
+//!   session id, which holds a pool shard lock only for the lookup;
 //! * per-connection **outboxes**: every reply and epoch notification is
 //!   appended to the connection's buffer under its own lock and pushed
 //!   out by whoever can make progress (the appending worker
@@ -79,10 +78,11 @@
 //!
 //! Together these give the PROTOCOL.md guarantee: at most one
 //! notification per epoch per connection, never inside a frame, and
-//! always before any reply computed at that epoch. The greeting is
-//! pre-filled into the outbox *before* the connection becomes visible
-//! to the broadcast hook, so a notification can never precede
-//! `mirabel-net 1` on the stream. Parking preserves the mark across
+//! always before any reply computed at that epoch. The hook skips a
+//! connection until its session reply is in the outbox (the outbox's
+//! `attached` mark, set under the same lock), so no notification
+//! precedes the greeting or the handshake reply, and the handshake
+//! epoch is never announced twice. Parking preserves the mark across
 //! connections: a parked session remembers its announced epoch, and
 //! the resume reply carries it forward.
 
@@ -98,7 +98,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mirabel_session::{ConcurrentPool, PoolReader, SessionId};
+use mirabel_session::{ConcurrentPool, SessionId};
 
 use crate::protocol::{greeting, Reply, Request, PROTOCOL_VERSION, RESUME_TOKEN_EXPIRED};
 use crate::sys::{Event, Interest, Poller};
@@ -453,6 +453,9 @@ struct Outbox {
     buf: WriteBuf,
     /// Highest epoch already announced on this connection.
     announced: u64,
+    /// The session reply is queued: from here on the publish hook
+    /// pushes epochs to this connection.
+    attached: bool,
     /// Close the socket once the buffer drains (orderly close: `bye`,
     /// handshake refusals).
     closing: bool,
@@ -545,10 +548,10 @@ impl Inner {
         self.wake();
     }
 
-    /// Appends `epoch <e>` to every live connection's outbox (dedup'd
-    /// against the per-connection high-water mark) and wakes the
-    /// reactor once. **Never writes to a socket**: a publisher cannot
-    /// be blocked — or even slowed — by any client.
+    /// Appends `epoch <e>` to every attached connection's outbox
+    /// (dedup'd against the per-connection high-water mark) and wakes
+    /// the reactor once. **Never writes to a socket**: a publisher
+    /// cannot be blocked — or even slowed — by any client.
     fn broadcast_epoch(&self, epoch: u64) {
         let conns: Vec<Arc<Conn>> =
             { self.registry.lock().expect("registry lock").values().map(Arc::clone).collect() };
@@ -556,7 +559,7 @@ impl Inner {
         for conn in conns {
             let fresh = {
                 let mut out = conn.out.lock().expect("outbox lock");
-                if !out.dead && epoch > out.announced {
+                if out.attached && !out.dead && epoch > out.announced {
                     out.announced = epoch;
                     out.buf.extend(format!("epoch {epoch}\n").as_bytes());
                     true
@@ -609,7 +612,8 @@ impl Inner {
     /// connection's announced mark with `floor` (the parked high-water
     /// mark; 0 for a fresh session) and the pool's current epoch, so
     /// the reported epoch can never move backwards and nothing at or
-    /// below it is ever pushed again.
+    /// below it is ever pushed again. Marks the outbox attached, which
+    /// starts the epoch pushes.
     fn reply_session(&self, conn: &Arc<Conn>, session: u64, floor: u64, token: String) -> bool {
         let queued = {
             let mut out = conn.out.lock().expect("outbox lock");
@@ -617,6 +621,7 @@ impl Inner {
                 false
             } else {
                 out.announced = out.announced.max(floor).max(self.pool.epoch());
+                out.attached = true;
                 let reply = Reply::Session { session, epoch: out.announced, resume: token };
                 out.buf.extend(reply.encode().as_bytes());
                 out.buf.extend(b"\n");
@@ -828,14 +833,11 @@ impl Inner {
             return;
         }
         *phase = Phase::Active { session };
-        if !backlog.is_empty() {
-            let mut reader = self.pool.reader();
-            for line in backlog {
-                if let Some(next) = self.process_active(&mut reader, &conn, session, line) {
-                    *phase = next;
-                    if matches!(*phase, Phase::Done) {
-                        break;
-                    }
+        for line in backlog {
+            if let Some(next) = self.process_active(&conn, session, line) {
+                *phase = next;
+                if matches!(*phase, Phase::Done) {
+                    break;
                 }
             }
         }
@@ -921,7 +923,7 @@ impl Inner {
     /// the per-connection execution lock: one connection's requests
     /// are strictly serial, exactly like the old one-thread-per-
     /// connection server.
-    fn handle_line(&self, reader: &mut PoolReader, conn: &Arc<Conn>, line: LineIn) {
+    fn handle_line(&self, conn: &Arc<Conn>, line: LineIn) {
         let mut phase = conn.phase.lock().expect("phase lock");
         match &mut *phase {
             Phase::Done => {}
@@ -931,7 +933,7 @@ impl Inner {
             }
             Phase::Active { session } => {
                 let session = *session;
-                if let Some(next) = self.process_active(reader, conn, session, line) {
+                if let Some(next) = self.process_active(conn, session, line) {
                     *phase = next;
                 }
             }
@@ -1012,13 +1014,7 @@ impl Inner {
 
     /// One request on an attached session. Returns the phase to move
     /// to, if any (bye and a vanished session end the connection).
-    fn process_active(
-        &self,
-        reader: &mut PoolReader,
-        conn: &Arc<Conn>,
-        session: u64,
-        line: LineIn,
-    ) -> Option<Phase> {
+    fn process_active(&self, conn: &Arc<Conn>, session: u64, line: LineIn) -> Option<Phase> {
         let sid = SessionId(session);
         let text = match line {
             LineIn::Line(text) => text,
@@ -1061,7 +1057,7 @@ impl Inner {
                 None
             }
             Ok(Request::Hashes) => {
-                match reader.with_session(sid, |s| (s.epoch(), s.frame_hashes())) {
+                match self.pool.with_session(sid, |s| (s.epoch(), s.frame_hashes())) {
                     Some((epoch, hashes)) => {
                         self.reply(conn, &Reply::Hashes(hashes), Some(epoch), false);
                         None
@@ -1078,7 +1074,7 @@ impl Inner {
                 self.retire(session);
                 Some(Phase::Done)
             }
-            Ok(Request::Command(cmd)) => match reader.apply_with_epoch(sid, cmd) {
+            Ok(Request::Command(cmd)) => match self.pool.apply_with_epoch(sid, cmd) {
                 Some((epoch, outcome)) => {
                     self.reply(conn, &Reply::Outcome(outcome.to_wire()), Some(epoch), false);
                     None
@@ -1149,9 +1145,8 @@ fn flush_outbox(conn: &Conn) -> FlushState {
 /// FIFO order, and runs the deferred session teardown when it
 /// completes the last job of a hung-up connection.
 fn worker_loop(inner: Arc<Inner>, rx: Receiver<Job>) {
-    let mut reader = inner.pool.reader();
     while let Ok(Job { conn, line }) = rx.recv() {
-        inner.handle_line(&mut reader, &conn, line);
+        inner.handle_line(&conn, line);
         if conn.pending.fetch_sub(1, Ordering::SeqCst) == 1 && conn.hangup.load(Ordering::SeqCst) {
             inner.teardown(&conn);
         }
@@ -1274,9 +1269,10 @@ impl Reactor {
         }
         let token = self.next_token;
         self.next_token += 1;
-        // The greeting is pre-filled into the outbox *before* the
-        // connection is registered for broadcasts, so an epoch push can
-        // never precede `mirabel-net 1` on the stream.
+        // The greeting is pre-filled into the outbox; the publish hook
+        // skips the connection until its session reply marks the outbox
+        // attached, so no epoch push precedes `mirabel-net 1` or the
+        // handshake reply on the stream.
         let mut buf = WriteBuf::default();
         buf.extend(format!("{}\n", greeting()).as_bytes());
         let conn = Arc::new(Conn {
@@ -1285,6 +1281,7 @@ impl Reactor {
             out: Mutex::new(Outbox {
                 buf,
                 announced: 0,
+                attached: false,
                 closing: false,
                 dead: false,
                 last_progress: Instant::now(),

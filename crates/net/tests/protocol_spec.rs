@@ -285,3 +285,35 @@ fn epoch_notifications_are_pushed() {
     assert_eq!(client.notifications(), &[1], "exactly one `epoch 1` push");
     client.bye().unwrap();
 }
+
+#[test]
+fn an_epoch_published_before_hello_is_announced_once_by_the_session_reply() {
+    let pop =
+        Population::generate(&PopulationConfig { size: 12, seed: 0xBE9C, household_share: 0.8 });
+    let offers = generate_offers(&pop, &OfferConfig::default());
+    let live = LiveWarehouse::new(pop, &offers);
+    let pool = Arc::new(ConcurrentPool::new(Arc::clone(live.snapshot().warehouse())));
+    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&pool)).unwrap();
+
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "mirabel-net 1");
+
+    // The connection is open but has no session yet: epoch 1 is
+    // announced by the handshake reply alone (guarantee 1 of the
+    // Notifications section), not pushed before it as well.
+    live.advance_day();
+    assert_eq!(pool.publish(&live.publish()), 1);
+    stream.write_all(b"hello 1\nbye\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line_matches("ok session 0 epoch 1 resume *", line.trim_end()),
+        "expected the session reply right after the greeting, got {line:?}"
+    );
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "ok bye");
+}

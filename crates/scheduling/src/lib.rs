@@ -59,7 +59,6 @@ mod hillclimb;
 mod objective;
 pub mod partition;
 mod random;
-pub mod regional;
 mod simple;
 
 pub use bundle::BundleScheduler;
@@ -68,7 +67,6 @@ pub use hillclimb::HillClimbScheduler;
 pub use objective::{best_fill, load_curve, Imbalance, SchedulingError, SchedulingReport};
 pub use partition::{IncrementalPlanner, PlanOutcome, PlannerConfig};
 pub use random::RandomScheduler;
-pub use regional::{region_seed, RegionalOutcome, RegionalPlanner};
 pub use simple::EarliestStartScheduler;
 
 use mirabel_flexoffer::FlexOffer;

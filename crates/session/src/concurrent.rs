@@ -3,28 +3,21 @@
 //!
 //! [`ConcurrentPool`] is the `Send + Sync` session registry for the
 //! MIRABEL enterprise setting (many analysts over one warehouse):
-//! sessions are sharded across `N` copy-on-write snapshot maps
-//! (session id → shard), and every session additionally sits behind
-//! its own lock, so
+//! sessions are sharded across 16 mutex-guarded maps (session id →
+//! shard), and every session additionally sits behind its own lock, so
 //!
-//! * commands to *distinct* sessions never contend — lookup on the hot
-//!   command path is lock-free against a published shard snapshot, and
-//!   the command itself runs under the per-session lock;
+//! * commands to *distinct* sessions never contend — a lookup holds its
+//!   shard lock only to clone the session's `Arc`, and the command
+//!   itself runs under the per-session lock;
 //! * the warehouse is `Arc`-shared and read-only, so a thousand
 //!   sessions hold one copy of the data;
 //! * everything session-local (tabs, selections, frame caches,
 //!   aggregation parameters) stays inside that session's lock.
 //!
-//! ## Read-mostly shards
-//!
-//! Each shard is a *snapshot map*: an `Arc<HashMap>` plus a generation
-//! counter. Writers (open/close — rare) clone the map, install a new
-//! `Arc`, and bump the generation; readers either clone the current
-//! `Arc` under a briefly-held slot lock, or — on the serving hot path —
-//! go through a [`PoolReader`], which caches the `(generation, Arc)`
-//! pair per shard and revalidates with one atomic load. Steady state
-//! (no opens/closes since the last lookup) touches **no lock at all**:
-//! one `Acquire` load plus a probe of an immutable `HashMap`.
+//! No shard lock is ever held while a session lock is taken or a
+//! command runs, and the pool is the only owner of a session besides
+//! commands in flight: closing a session drops it as soon as its last
+//! in-flight command finishes.
 //!
 //! Determinism guarantee: a session's state is a pure function of the
 //! command sequence *it* received **and the epoch sequence it observed**.
@@ -37,6 +30,7 @@
 //! while [`ConcurrentPool::publish`] swaps live snapshots underneath
 //! the readers.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,49 +52,12 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// Default shard count ([`ConcurrentPool::new`]); power of two so the
-/// id → shard map is a mask.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Shards per pool; a power of two so the id → shard map is a mask.
+const SHARDS: usize = 16;
 
-/// The immutable value of one shard generation: id → session handle.
-type SessionMap = HashMap<u64, Arc<Mutex<Session>>>;
-
-/// One copy-on-write shard. `slot` always holds the *current* snapshot;
-/// `gen` is bumped (with `Release` ordering, under the slot lock, after
-/// the new snapshot is installed) on every open/close that lands here.
-/// A reader that observes generation `g` and then clones the slot is
-/// guaranteed a snapshot at least as new as `g` — which is all
-/// [`PoolReader`] needs to keep its per-shard cache coherent.
-struct Shard {
-    gen: AtomicU64,
-    slot: Mutex<Arc<SessionMap>>,
-}
-
-impl Default for Shard {
-    fn default() -> Shard {
-        Shard { gen: AtomicU64::new(0), slot: Mutex::new(Arc::new(HashMap::new())) }
-    }
-}
-
-impl Shard {
-    /// Clones the current snapshot, applies `mutate` to the clone,
-    /// installs it and bumps the generation — all under the slot lock,
-    /// so writers serialize and a generation observed by a reader can
-    /// never pair with an older snapshot.
-    fn mutate<R>(&self, mutate: impl FnOnce(&mut SessionMap) -> R) -> R {
-        let mut slot = self.slot.lock().expect("shard lock");
-        let mut next: SessionMap = (**slot).clone();
-        let out = mutate(&mut next);
-        *slot = Arc::new(next);
-        self.gen.fetch_add(1, Ordering::Release);
-        out
-    }
-
-    /// The current snapshot (one lock acquisition, one `Arc` clone).
-    fn snapshot(&self) -> Arc<SessionMap> {
-        Arc::clone(&self.slot.lock().expect("shard lock"))
-    }
-}
+/// One shard: id → session handle. Held only to probe, insert or
+/// remove an entry.
+type Shard = Mutex<HashMap<u64, Arc<Mutex<Session>>>>;
 
 /// A sharded, lock-per-session pool of [`Session`]s over one shared
 /// [`Warehouse`].
@@ -138,7 +95,7 @@ pub struct ConcurrentPool {
     /// `RwLock`, so the hot path stays contention-free between publishes
     /// (the PR2 scaling property the stress gate enforces).
     epoch: AtomicU64,
-    shards: Box<[Shard]>,
+    shards: [Shard; SHARDS],
     /// Monotone id source; [`ConcurrentPool::open`] skips live ids, so
     /// even a full `u64` wraparound cannot collide with an open session.
     next: AtomicU64,
@@ -158,7 +115,6 @@ impl fmt::Debug for ConcurrentPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConcurrentPool")
             .field("epoch", &self.epoch())
-            .field("shards", &self.shards.len())
             .field("sessions", &self.len())
             .field("publish_hooks", &self.hooks.lock().expect("hooks lock").len())
             .finish()
@@ -172,20 +128,12 @@ struct Current {
 }
 
 impl ConcurrentPool {
-    /// An empty pool over `warehouse` with [`DEFAULT_SHARDS`] shards.
+    /// An empty pool over `warehouse`.
     pub fn new(warehouse: Arc<Warehouse>) -> ConcurrentPool {
-        ConcurrentPool::with_shards(warehouse, DEFAULT_SHARDS)
-    }
-
-    /// An empty pool with at least `shards` shards (rounded up to a
-    /// power of two, minimum 1).
-    pub fn with_shards(warehouse: Arc<Warehouse>, shards: usize) -> ConcurrentPool {
-        let n = shards.max(1).next_power_of_two();
-        let shards = (0..n).map(|_| Shard::default()).collect::<Vec<_>>().into_boxed_slice();
         ConcurrentPool {
             current: RwLock::new(Current { epoch: 0, warehouse }),
             epoch: AtomicU64::new(0),
-            shards,
+            shards: std::array::from_fn(|_| Shard::default()),
             next: AtomicU64::new(0),
             hooks: Mutex::new(Vec::new()),
         }
@@ -270,30 +218,17 @@ impl ConcurrentPool {
         (cur.epoch, Arc::clone(&cur.warehouse))
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_index(&self, id: u64) -> usize {
+    fn shard(&self, id: u64) -> &Shard {
         // Sequential ids round-robin the shards, which is exactly the
         // spread we want for K users opened in a row.
-        (id as usize) & (self.shards.len() - 1)
+        &self.shards[(id as usize) & (SHARDS - 1)]
     }
 
-    fn shard(&self, id: u64) -> &Shard {
-        &self.shards[self.shard_index(id)]
-    }
-
-    /// The session handle for `id` from the shard's current snapshot.
+    /// The session handle for `id`. The shard lock is released before
+    /// this returns, so the caller locks the session with no shard
+    /// lock held.
     fn session_arc(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
-        self.shard(id).slot.lock().expect("shard lock").get(&id).cloned()
-    }
-
-    /// A cached lock-free reader over this pool — see [`PoolReader`].
-    pub fn reader(self: &Arc<Self>) -> PoolReader {
-        let cache = self.shards.iter().map(|_| None).collect();
-        PoolReader { pool: Arc::clone(self), cache }
+        self.shard(id).lock().expect("shard lock").get(&id).cloned()
     }
 
     /// Opens a fresh session and returns its id.
@@ -303,29 +238,26 @@ impl ConcurrentPool {
     /// sessions are skipped, never reissued.
     pub fn open(&self) -> SessionId {
         let (epoch, warehouse) = self.current();
+        let mut session = Session::new(Arc::clone(&warehouse));
+        session.sync_warehouse(warehouse, epoch);
+        let session = Arc::new(Mutex::new(session));
         loop {
             let id = self.next.fetch_add(1, Ordering::Relaxed);
-            let inserted = self.shard(id).mutate(|map| {
-                if map.contains_key(&id) {
-                    // `id` is still live after a counter wraparound.
-                    return false;
-                }
-                let mut session = Session::new(Arc::clone(&warehouse));
-                session.sync_warehouse(Arc::clone(&warehouse), epoch);
-                map.insert(id, Arc::new(Mutex::new(session)));
-                true
-            });
-            if inserted {
+            if let Entry::Vacant(slot) = self.shard(id).lock().expect("shard lock").entry(id) {
+                slot.insert(session);
                 return SessionId(id);
             }
+            // `id` is still live after a counter wraparound: skip it.
         }
     }
 
     /// Closes a session; returns `false` if the id is unknown. A command
     /// in flight on another thread finishes on its own handle; the
-    /// session is dropped when the last handle goes away.
+    /// session is dropped when the last handle goes away, outside the
+    /// shard lock.
     pub fn close(&self, id: SessionId) -> bool {
-        self.shard(id.0).mutate(|map| map.remove(&id.0).is_some())
+        let removed = self.shard(id.0).lock().expect("shard lock").remove(&id.0);
+        removed.is_some()
     }
 
     /// Locks session `id` and lazily syncs it to the pool's current
@@ -344,11 +276,11 @@ impl ConcurrentPool {
 
     /// Routes one command to session `id`; `None` for an unknown id.
     ///
-    /// The shard snapshot is consulted only for the map lookup; the
-    /// command runs under the session's own lock, so concurrent commands
-    /// to distinct sessions proceed in parallel. If the pool moved to a
-    /// new warehouse epoch since this session's last command, the
-    /// session re-syncs first (see [`ConcurrentPool::publish`]).
+    /// The shard is locked only for the map lookup; the command runs
+    /// under the session's own lock, so concurrent commands to distinct
+    /// sessions proceed in parallel. If the pool moved to a new
+    /// warehouse epoch since this session's last command, the session
+    /// re-syncs first (see [`ConcurrentPool::publish`]).
     pub fn apply(&self, id: SessionId, cmd: Command) -> Option<Outcome> {
         self.apply_with_epoch(id, cmd).map(|(_, outcome)| outcome)
     }
@@ -389,18 +321,17 @@ impl ConcurrentPool {
     /// Live session ids, ascending. A point-in-time snapshot: other
     /// threads may open or close sessions while it is being taken.
     pub fn ids(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.snapshot().keys().map(|&k| SessionId(k)).collect::<Vec<_>>())
-            .collect();
+        let mut ids = Vec::new();
+        for shard in &self.shards {
+            ids.extend(shard.lock().expect("shard lock").keys().map(|&k| SessionId(k)));
+        }
         ids.sort();
         ids
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.snapshot().len()).sum()
+        self.shards.iter().map(|s| s.lock().expect("shard lock").len()).sum()
     }
 
     /// `true` when no sessions are open.
@@ -409,90 +340,11 @@ impl ConcurrentPool {
     }
 }
 
-/// A per-thread cached reader over a [`ConcurrentPool`]: the serving
-/// hot path of the network front.
-///
-/// Each reader caches, per shard, the `(generation, snapshot)` pair it
-/// last observed. A lookup loads the shard's generation (`Acquire`);
-/// if it matches the cache, the probe runs against the cached immutable
-/// `HashMap` — **no lock taken**. Only when an open/close has moved the
-/// generation does the reader briefly take the shard's slot lock to
-/// re-clone the current snapshot.
-///
-/// Coherence: a reader observes a session no later than any event that
-/// *happens-before* the lookup. In the server, a session id only
-/// reaches a reader thread through a channel after
-/// [`ConcurrentPool::open`] returned, so the generation bump is always
-/// visible and a fresh id can never miss. A reader may briefly keep
-/// resolving an id that another thread already closed (until its next
-/// cache refresh); the server never routes commands to a session after
-/// its owning connection retired it, so this staleness is unobservable
-/// on the wire — and the authoritative `&ConcurrentPool` API never
-/// serves stale snapshots at all.
-///
-/// `PoolReader` is `Send` (hand one to each worker thread) but
-/// deliberately not shareable: lookups take `&mut self` to update the
-/// cache in place.
-#[derive(Debug)]
-pub struct PoolReader {
-    pool: Arc<ConcurrentPool>,
-    /// Per-shard cache: generation + the snapshot observed at it.
-    cache: Vec<Option<(u64, Arc<SessionMap>)>>,
-}
-
-impl PoolReader {
-    /// The pool this reader serves.
-    pub fn pool(&self) -> &Arc<ConcurrentPool> {
-        &self.pool
-    }
-
-    /// Resolves `id` against the cached shard snapshot, refreshing the
-    /// cache only if the shard's generation moved.
-    fn session_arc(&mut self, id: u64) -> Option<Arc<Mutex<Session>>> {
-        let idx = self.pool.shard_index(id);
-        let shard = &self.pool.shards[idx];
-        let gen = shard.gen.load(Ordering::Acquire);
-        let slot = &mut self.cache[idx];
-        let stale = !matches!(slot, Some((cached_gen, _)) if *cached_gen == gen);
-        if stale {
-            // Re-pair generation and snapshot under the slot lock: the
-            // writer installs the snapshot *then* bumps the generation
-            // (both under the same lock), so this pair is consistent.
-            let guard = shard.slot.lock().expect("shard lock");
-            *slot = Some((shard.gen.load(Ordering::Acquire), Arc::clone(&guard)));
-        }
-        slot.as_ref().and_then(|(_, map)| map.get(&id).cloned())
-    }
-
-    /// Cached twin of [`ConcurrentPool::apply_with_epoch`].
-    pub fn apply_with_epoch(&mut self, id: SessionId, cmd: Command) -> Option<(u64, Outcome)> {
-        let session = self.session_arc(id.0)?;
-        let mut guard = self.pool.locked(&session);
-        let epoch = guard.epoch();
-        let outcome = guard.handle(cmd);
-        Some((epoch, outcome))
-    }
-
-    /// Cached twin of [`ConcurrentPool::apply`].
-    pub fn apply(&mut self, id: SessionId, cmd: Command) -> Option<Outcome> {
-        self.apply_with_epoch(id, cmd).map(|(_, outcome)| outcome)
-    }
-
-    /// Cached twin of [`ConcurrentPool::with_session`].
-    pub fn with_session<R>(&mut self, id: SessionId, f: impl FnOnce(&Session) -> R) -> Option<R> {
-        let session = self.session_arc(id.0)?;
-        let guard = self.pool.locked(&session);
-        Some(f(&guard))
-    }
-}
-
-// The whole point of these types: they cross threads. Compile-time
-// assertions so a non-`Send` field can never sneak in silently.
+// The whole point of this type: it crosses threads. A compile-time
+// assertion so a non-`Send` field can never sneak in silently.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    const fn assert_send<T: Send>() {}
     assert_send_sync::<ConcurrentPool>();
-    assert_send::<PoolReader>();
 };
 
 #[cfg(test)]
@@ -510,14 +362,6 @@ mod tests {
         });
         let offers = generate_offers(&pop, &OfferConfig::default());
         ConcurrentPool::new(Arc::new(Warehouse::load(&pop, &offers)))
-    }
-
-    #[test]
-    fn shard_count_rounds_up_to_power_of_two() {
-        let dw = pool().warehouse();
-        assert_eq!(ConcurrentPool::with_shards(Arc::clone(&dw), 0).shard_count(), 1);
-        assert_eq!(ConcurrentPool::with_shards(Arc::clone(&dw), 3).shard_count(), 4);
-        assert_eq!(ConcurrentPool::with_shards(dw, 16).shard_count(), 16);
     }
 
     #[test]
@@ -660,24 +504,12 @@ mod tests {
     }
 
     #[test]
-    fn reader_sees_opens_and_closes_without_locking_steady_state() {
-        let pool = Arc::new(pool());
-        let mut reader = pool.reader();
-        let a = pool.open();
-
-        // A fresh id resolves through the reader (generation moved).
-        assert!(matches!(reader.apply_with_epoch(a, Command::Render), Some((0, _))));
-        // Steady state: repeated lookups hit the cached snapshot.
-        for _ in 0..100 {
-            assert!(reader.with_session(a, |s| s.tabs().len()).is_some());
-        }
-
-        // After a close, the authoritative API misses immediately and
-        // the reader misses after its cache revalidates (the close
-        // bumped the generation, so the very next lookup refreshes).
-        assert!(pool.close(a));
-        assert!(pool.apply(a, Command::Render).is_none());
-        assert!(reader.apply(a, Command::Render).is_none());
-        assert!(reader.with_session(a, |_| ()).is_none());
+    fn closing_a_session_frees_it() {
+        let pool = pool();
+        let id = pool.open();
+        assert!(pool.apply(id, Command::Render).is_some());
+        let session = Arc::downgrade(&pool.session_arc(id.0).unwrap());
+        assert!(pool.close(id));
+        assert!(session.upgrade().is_none(), "the pool still holds a closed session");
     }
 }

@@ -80,7 +80,7 @@ pub mod visual;
 pub mod wire;
 
 pub use command::{encode_script, parse_script, Command, CommandParseError};
-pub use concurrent::{ConcurrentPool, PoolReader, SessionId};
+pub use concurrent::{ConcurrentPool, SessionId};
 pub use outcome::{AggregationStats, Outcome, PlanStats, SelectionDelta};
 pub use planner::PlanningParams;
 pub use session::{Session, SessionStats};

@@ -57,11 +57,6 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    /// `true` when this command re-planned at least one partition.
-    pub fn did_work(&self) -> bool {
-        self.replanned > 0
-    }
-
     /// Fraction of partitions re-planned, in `0..=1` — the incremental
     /// win in one number (an ingest of one offer at 32 partitions
     /// reports 1/32).

@@ -119,7 +119,7 @@ fn sessions_stay_isolated_under_interleaving() {
 #[test]
 fn open_close_under_contention_never_panics_or_leaks_ids() {
     let dw = warehouse();
-    let pool = Arc::new(ConcurrentPool::with_shards(dw, 4));
+    let pool = Arc::new(ConcurrentPool::new(dw));
     let threads = 8;
     let per_thread = 50;
     let all_ids = Mutex::new(Vec::<SessionId>::new());

@@ -12,7 +12,9 @@
 //! * [`generate_offers`] — flex-offers drawn from per-appliance
 //!   archetypes (EV night charging — the paper's running example — heat
 //!   pumps, wet appliances, batteries, industrial processes, and RES
-//!   production offers);
+//!   production offers); [`generate_offer_pool`] loops it into a
+//!   fixed-size pool of accepted offers for the planning and columnar
+//!   harnesses;
 //! * [`curves`] — diurnal base-load and RES supply curves (solar bell +
 //!   autocorrelated wind) for the Figure 1 balancing experiment;
 //! * [`trace`] — seeded multi-user interaction traces (hover storms,
@@ -20,9 +22,6 @@
 //!   for the concurrent-serving stress harness;
 //! * [`ingest`] — seeded flex-offer arrival/withdrawal/day-tick streams
 //!   (the SAREF4ENER lifecycle) for the live-warehouse ingest harness;
-//! * [`planning`] — seeded day-ahead planning scenarios (arrival
-//!   storms, withdrawal churn, forecast-error shocks) for the
-//!   incremental-planning harness;
 //! * [`net`] — seeded multi-client network traces (interaction steps
 //!   plus connection-lifecycle reconnects) for the wire-protocol
 //!   harness (`BENCH_net.json`);
@@ -54,7 +53,6 @@ pub mod curves;
 pub mod ingest;
 pub mod net;
 mod offers;
-pub mod planning;
 mod population;
 mod scenario;
 pub mod spatial;
@@ -62,11 +60,7 @@ pub mod trace;
 
 pub use ingest::{generate_ingest_trace, IngestEvent, IngestTraceConfig, IngestTraceStats};
 pub use net::{generate_net_traces, NetClientTrace, NetEvent, NetTraceConfig};
-pub use offers::{generate_offers, OfferConfig, OfferStats};
-pub use planning::{
-    generate_offer_pool, generate_planning_trace, PlanningEvent, PlanningTraceConfig,
-    PlanningTraceStats,
-};
+pub use offers::{generate_offer_pool, generate_offers, OfferConfig, OfferStats};
 pub use population::{Population, PopulationConfig, Prosumer};
 pub use scenario::{Scenario, ScenarioConfig};
 pub use spatial::{

@@ -1,6 +1,8 @@
 //! Flex-offer generation from appliance archetypes.
 
-use mirabel_flexoffer::{ApplianceType, Direction, Energy, EnergyType, FlexOffer, Money};
+use mirabel_flexoffer::{
+    ApplianceType, Direction, Energy, EnergyType, FlexOffer, FlexOfferId, Money,
+};
 use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,6 +47,48 @@ pub fn generate_offers(population: &Population, config: &OfferConfig) -> Vec<Fle
         }
     }
     offers
+}
+
+/// Generates exactly `count` accepted flex-offers for the day starting
+/// at `window_start`, ids `first_id..first_id + count` — the fixed-size
+/// pool the planning bench needs (the per-population generators yield
+/// however many the appliance portfolios produce; this helper loops
+/// them with distinct seeds until the pool is full).
+pub fn generate_offer_pool(
+    population: &Population,
+    count: usize,
+    seed: u64,
+    window_start: TimeSlot,
+) -> Vec<FlexOffer> {
+    let mut pool = Vec::with_capacity(count);
+    let mut round = 0u64;
+    while pool.len() < count {
+        let batch = generate_offers(
+            population,
+            &OfferConfig {
+                window_start,
+                days: 1,
+                seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(round),
+            },
+        );
+        assert!(!batch.is_empty(), "a population must generate offers");
+        for fo in batch {
+            if pool.len() >= count {
+                break;
+            }
+            let id = first_pool_id(seed) + pool.len() as u64;
+            let mut fo = fo.with_id(FlexOfferId(id));
+            fo.accept().expect("generated offers are Offered");
+            pool.push(fo);
+        }
+        round += 1;
+    }
+    pool
+}
+
+/// First id [`generate_offer_pool`] assigns for `seed`.
+fn first_pool_id(seed: u64) -> u64 {
+    1_000_000 + (seed % 1_000) * 100_000
 }
 
 /// Draws one offer for `appliance` on the day starting at `midnight`.
@@ -162,6 +206,21 @@ mod tests {
 
     fn small_population() -> Population {
         Population::generate(&PopulationConfig { size: 120, seed: 11, household_share: 0.8 })
+    }
+
+    #[test]
+    fn pool_has_exact_count_sequential_ids_accepted() {
+        let p = Population::generate(&PopulationConfig { size: 40, seed: 9, household_share: 0.8 });
+        let pool = generate_offer_pool(&p, 137, 5, TimeSlot::EPOCH);
+        assert_eq!(pool.len(), 137);
+        let first = first_pool_id(5);
+        for (i, fo) in pool.iter().enumerate() {
+            assert_eq!(fo.id().raw(), first + i as u64);
+            assert_eq!(fo.status(), mirabel_flexoffer::OfferState::Accepted);
+            assert!(fo.earliest_start() >= TimeSlot::EPOCH);
+        }
+        // Deterministic.
+        assert_eq!(pool, generate_offer_pool(&p, 137, 5, TimeSlot::EPOCH));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! same flags, so "CI is red but it worked on my machine" reduces to
 //! one local command. Subsets:
 //!
-//! * `cargo xtask lint` — clippy, rustfmt, rustdoc (the `lint` job);
+//! * `cargo xtask lint` — clippy, rustfmt, rustdoc (the `lint` job),
+//!   with clippy and rustfmt also run over `perfbench/`, which is a
+//!   workspace of its own;
 //! * `cargo xtask test` — release build + workspace tests (the first
 //!   half of `build-test`);
 //! * `cargo xtask examples` — *run* the smoke examples (the `examples`
@@ -42,6 +44,27 @@ const LINT: &[Step] = &[
         env: &[],
     },
     Step { name: "rustfmt", program: "cargo", args: &["fmt", "--check"], env: &[] },
+    Step {
+        name: "clippy (perfbench)",
+        program: "cargo",
+        args: &[
+            "clippy",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+            "--all-targets",
+            "--locked",
+            "--",
+            "-D",
+            "warnings",
+        ],
+        env: &[],
+    },
+    Step {
+        name: "rustfmt (perfbench)",
+        program: "cargo",
+        args: &["fmt", "--check", "--manifest-path", "perfbench/Cargo.toml"],
+        env: &[],
+    },
     Step {
         name: "rustdoc",
         program: "cargo",
