@@ -15,7 +15,10 @@
 //! * **pivot equality**: every one-pass `pivot` cell over the bulk pool
 //!   equals its per-cell `eval` bit for bit;
 //! * **pivot speedup**: the one-pass pivot is ≥ 3× faster than one
-//!   `eval` per cell on the pivot battery.
+//!   `eval` per cell on the pivot battery;
+//! * **window speedup**: the time-indexed window-only `view` is ≥ 25×
+//!   faster than `load_offers_scan` on selective windows over the bulk
+//!   pool (its views must equal the scan, as `views_ok` checks).
 //!
 //! ```sh
 //! cargo run --release -p mirabel-bench --bin columnar -- \

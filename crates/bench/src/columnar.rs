@@ -14,8 +14,9 @@
 //!   [`Warehouse::eval`] against [`Warehouse::eval_rows`] with exact
 //!   [`mirabel_dw::QueryResult`] equality (`equality_ok`);
 //! * a **view battery**: full / windowed / direction / prosumer /
-//!   region [`LoaderQuery`]s, comparing the borrowed
-//!   [`Warehouse::view`] (both its id iterator and its
+//!   region [`LoaderQuery`]s and narrow window-only ones (one slot, two
+//!   hours, an empty window, a window past the last fact), comparing the
+//!   borrowed [`Warehouse::view`] (both its id iterator and its
 //!   `materialize()`d offers) against the linear row scan
 //!   (`views_ok`);
 //! * a **timing probe** on the final epoch: the whole query battery
@@ -33,7 +34,13 @@
 //!   restriction, a drilled mixed-level axis and one region's cities by
 //!   day, comparing the one-pass [`Warehouse::pivot`] against one
 //!   [`Warehouse::eval`] per cell bit for bit (`pivot_equality_ok` —
-//!   hard) and timing the two (`pivot_speedup` — floored at 3×).
+//!   hard) and timing the two (`pivot_speedup` — floored at 3×);
+//! * a **window probe** over the same pool: selective window-only loads
+//!   (single slots and one- and two-hour windows in the pool day's
+//!   sparse early and late hours, with and without a direction), whose
+//!   time-indexed [`Warehouse::view`] must equal
+//!   [`Warehouse::load_offers_scan`] (folded into `views_ok`), timed
+//!   against that scan (`window_view_speedup` — floored at 25×).
 //!
 //! Everything is deterministic in the config seed. The `columnar`
 //! binary wraps this module for CI
@@ -74,6 +81,11 @@ pub const GATES: &[Gate] = &[
     // only (no baseline-relative row), under the ~4.5x measured at 1M
     // facts on 2 cores.
     Gate::floor("pivot_speedup", Bound::Fixed(3.0), Scope::Both).named("pivot_speedup_floor"),
+    // The time-indexed window load against the index-free scan: an
+    // absolute floor only, half the lowest of five readings (50-56x) at
+    // CI's flags on 2 cores.
+    Gate::floor("window_view_speedup", Bound::Fixed(25.0), Scope::Both)
+        .named("window_view_speedup_floor"),
     Gate::lower("columnar_eval_ms", 1.0).policy(Policy::Class),
     Gate::lower("row_eval_ms", 1.0).policy(Policy::Class),
     Gate::lower("filtered_pushdown_ms", 1.0).policy(Policy::Class),
@@ -148,16 +160,24 @@ fn query_battery(w: &Warehouse) -> Vec<Query> {
     qs
 }
 
-/// The view battery: one [`LoaderQuery`] per selectivity axis.
+/// The view battery: one [`LoaderQuery`] per selectivity axis, plus the
+/// narrow windows that read few buckets of the time index: one slot, two
+/// hours, an empty window and one past the last fact.
 fn view_battery(w: &Warehouse, config: &ColumnarConfig) -> Vec<LoaderQuery> {
     let from = TimeSlot::EPOCH;
     let to = from + SlotSpan::days(config.days as i64 + 3);
+    let window = |lo: TimeSlot, hi: TimeSlot| LoaderQuery::builder().window(lo, hi).build();
+    let day = from + SlotSpan::days(1);
     let mut qs = vec![
         LoaderQuery::builder().build(),
-        LoaderQuery::builder().window(from, to).build(),
-        LoaderQuery::builder().window(from + SlotSpan::days(1), from + SlotSpan::days(2)).build(),
+        window(from, to),
+        window(day, day + SlotSpan::days(1)),
         LoaderQuery::builder().direction(Direction::Consumption).build(),
         LoaderQuery::builder().direction(Direction::Production).build(),
+        window(day + SlotSpan::hours(10), day + SlotSpan::hours(10) + SlotSpan::slots(1)),
+        window(day + SlotSpan::hours(18), day + SlotSpan::hours(20)),
+        window(day, day),
+        window(to, to + SlotSpan::days(1)),
     ];
     if let Some(fo) = w.offers().first() {
         qs.push(LoaderQuery::builder().prosumer(fo.prosumer()).build());
@@ -395,6 +415,48 @@ fn run_pivot_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
     (equality_ok, one_pass_ms, per_cell_ms)
 }
 
+/// The window probe battery: selective window-only loads over the bulk
+/// pool's day (≈ 0.1–1.5 % of its facts each) — single slots and one-
+/// and two-hour windows in the sparse early and late hours, each with
+/// and without a direction.
+fn window_battery() -> Vec<LoaderQuery> {
+    let day = TimeSlot::EPOCH + SlotSpan::days(1);
+    let mut qs = Vec::new();
+    for (lo, hi) in [(0, 1), (4, 8), (8, 16), (126, 127), (124, 132)] {
+        let window =
+            LoaderQuery::builder().window(day + SlotSpan::slots(lo), day + SlotSpan::slots(hi));
+        qs.push(window.build());
+        qs.push(window.direction(Direction::Consumption).build());
+    }
+    qs
+}
+
+/// Runs the window probe over the bulk-loaded pool: every time-indexed
+/// view must equal the index-free scan id for id (the first pass also
+/// builds the index), then best-of-N timing of the two.
+fn run_window_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
+    let battery = window_battery();
+    let equality_ok = battery
+        .iter()
+        .all(|q| bulk.view(q).ids().eq(bulk.load_offers_scan(q).iter().map(|fo| fo.id())));
+
+    let mut view_ms = f64::INFINITY;
+    let mut scan_ms = f64::INFINITY;
+    for _ in 0..repeats {
+        let t0 = Instant::now();
+        for q in &battery {
+            std::hint::black_box(bulk.view(q).len());
+        }
+        view_ms = view_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        let t0 = Instant::now();
+        for q in &battery {
+            std::hint::black_box(bulk.load_offers_scan(q).len());
+        }
+        scan_ms = scan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (equality_ok, view_ms, scan_ms)
+}
+
 /// Runs the full harness; returns the `BENCH_columnar.json` report.
 pub fn run_columnar(config: &ColumnarConfig) -> Json {
     let population = Population::generate(&PopulationConfig {
@@ -477,6 +539,7 @@ pub fn run_columnar(config: &ColumnarConfig) -> Json {
     let (filtered_equality_ok, filtered_pushdown_ms, filtered_scan_ms) =
         run_filtered_probe(&bulk, repeats);
     let (pivot_equality_ok, pivot_one_pass_ms, pivot_per_cell_ms) = run_pivot_probe(&bulk, repeats);
+    let (window_equality_ok, window_view_ms, window_scan_ms) = run_window_probe(&bulk, repeats);
 
     Json::obj([
         ("bench", "columnar".into()),
@@ -491,7 +554,7 @@ pub fn run_columnar(config: &ColumnarConfig) -> Json {
         ("queries", queries.into()),
         ("views", views.into()),
         ("equality_ok", equality_ok.into()),
-        ("views_ok", views_ok.into()),
+        ("views_ok", (views_ok && window_equality_ok).into()),
         // The final-epoch battery, best of N: columns vs rows.
         ("columnar_eval_ms", Json::Num(columnar_eval_ms)),
         ("row_eval_ms", Json::Num(row_eval_ms)),
@@ -507,6 +570,10 @@ pub fn run_columnar(config: &ColumnarConfig) -> Json {
         ("pivot_one_pass_ms", Json::Num(pivot_one_pass_ms)),
         ("pivot_per_cell_ms", Json::Num(pivot_per_cell_ms)),
         ("pivot_speedup", Json::Num(crate::ratio(pivot_per_cell_ms, pivot_one_pass_ms))),
+        // The window probe, best of N: the time index vs the scan.
+        ("window_view_ms", Json::Num(window_view_ms)),
+        ("window_scan_ms", Json::Num(window_scan_ms)),
+        ("window_view_speedup", Json::Num(crate::ratio(window_scan_ms, window_view_ms))),
         ("available_parallelism", crate::available_parallelism().into()),
     ])
 }
@@ -544,6 +611,7 @@ mod tests {
         assert!(num("filtered_pushdown_ms") > 0.0 && num("filtered_scan_ms") > 0.0);
         assert!(report.is_true("pivot_equality_ok"), "one-pass pivot diverged from per-cell eval");
         assert!(num("pivot_one_pass_ms") > 0.0 && num("pivot_per_cell_ms") > 0.0);
+        assert!(num("window_view_ms") > 0.0 && num("window_scan_ms") > 0.0);
         crate::diff::assert_binary_rows_resolve(GATES, &report);
     }
 }

@@ -1378,7 +1378,8 @@ mod tests {
                  "columnar_eval_ms": {cols_ms}, "row_eval_ms": 40.0,
                  "eval_speedup": {speedup}, "filtered_equality_ok": true,
                  "filtered_pushdown_ms": 20.0, "filtered_scan_ms": 80.0,
-                 "filtered_speedup": 4.0, "pivot_equality_ok": true, "pivot_speedup": 7.0}}"#,
+                 "filtered_speedup": 4.0, "pivot_equality_ok": true, "pivot_speedup": 7.0,
+                 "window_view_speedup": 40.0}}"#,
         ))
         .unwrap()
     }
@@ -1388,9 +1389,9 @@ mod tests {
         let base = columnar_json(true, true, 4.0, 10.0);
         let ok = diff("columnar", &base, &columnar_json(true, true, 3.8, 10.5)).unwrap();
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
-        // 4 boolean gates + 2 counts + 2 speedups + 3 floors +
+        // 4 boolean gates + 2 counts + 2 speedups + 4 floors +
         // 4 latencies
-        assert_eq!(ok.len(), 4 + 2 + 2 + 3 + 4);
+        assert_eq!(ok.len(), 4 + 2 + 2 + 4 + 4);
 
         let diverged = diff("columnar", &base, &columnar_json(false, true, 4.0, 10.0)).unwrap();
         assert!(diverged.iter().any(|c| c.is_regression() && c.name == "columnar.equality_ok"));
@@ -1406,6 +1407,11 @@ mod tests {
         assert!(per_cell
             .iter()
             .any(|c| c.is_regression() && c.name == "columnar.pivot_speedup_floor"));
+        let scanning = with(columnar_json(true, true, 4.0, 10.0), "window_view_speedup", 1.5);
+        let scanning = diff("columnar", &base, &scanning).unwrap();
+        assert!(scanning
+            .iter()
+            .any(|c| c.is_regression() && c.name == "columnar.window_view_speedup_floor"));
 
         // A shrunken battery fails even when everything it still runs
         // agrees: coverage is part of the gate.
@@ -1598,12 +1604,14 @@ mod tests {
             (
                 r#"{"bench": "columnar", "equality_ok": true, "views_ok": true,
                     "filtered_equality_ok": true, "eval_speedup": 2.5, "filtered_speedup": 3.2,
-                    "pivot_equality_ok": true, "pivot_speedup": 7.0}"#,
+                    "pivot_equality_ok": true, "pivot_speedup": 7.0,
+                    "window_view_speedup": 50.0}"#,
                 vec![
                     ("views_ok", false.into()),
                     ("filtered_speedup", 2.95.into()),
                     ("pivot_equality_ok", false.into()),
                     ("pivot_speedup", 2.95.into()),
+                    ("window_view_speedup", 24.9.into()),
                 ],
                 vec![("eval_speedup", 1.5.into())],
             ),

@@ -51,15 +51,6 @@ pub fn status_code(status: OfferState) -> u32 {
     }
 }
 
-/// Dense code of a direction: its position in [`Direction::ALL`]
-/// (0 = consumption, 1 = production).
-pub fn direction_code(direction: Direction) -> u32 {
-    match direction {
-        Direction::Consumption => 0,
-        Direction::Production => 1,
-    }
-}
-
 /// A dictionary-encoded leaf-key column: the distinct [`MemberId`]s in
 /// first-seen order (`dict`) plus one dense `u32` code per fact
 /// (`codes`).
@@ -159,8 +150,8 @@ pub struct Run {
     pub end: u32,
 }
 
-/// A run-length-encoded code column for the low-cardinality dimensions
-/// (direction: 2 values, status: 6). Runs are kept in **canonical
+/// A run-length-encoded code column for the low-cardinality lifecycle
+/// status (6 values). Runs are kept in **canonical
 /// maximal form** — adjacent runs always hold distinct values — so the
 /// representation is a pure function of the decoded sequence and the
 /// derived `PartialEq` compares encodings the way it compares values.
@@ -357,8 +348,6 @@ pub struct ColumnStore {
     /// the decode surface (and the borrowed-slice API); the dictionaries
     /// are what predicate pushdown resolves filters against.
     dicts: [DictColumn; 6],
-    /// Run-length postings over [`direction_code`]s.
-    direction_rle: RleColumn,
     /// Run-length postings over [`status_code`]s.
     status_rle: RleColumn,
 }
@@ -404,7 +393,6 @@ impl ColumnStore {
                 DictColumn::new(),
                 DictColumn::new(),
             ],
-            direction_rle: RleColumn::new(),
             status_rle: RleColumn::new(),
         }
     }
@@ -454,7 +442,6 @@ impl ColumnStore {
         for (dict, key) in self.dicts.iter_mut().zip(keys) {
             dict.push(key);
         }
-        self.direction_rle.push(direction_code(fo.direction()));
         self.status_rle.push(status_code(fo.status()));
         self.push_measures(fo);
         for s in fo.profile().slices() {
@@ -498,8 +485,8 @@ impl ColumnStore {
     /// compaction. Only what lies after the first dead fact moves: each
     /// column shifts its survivor ranges down with one `copy_within`
     /// apiece, the CSR offsets of the shifted facts drop by the slice
-    /// entries removed before them, and the run-length columns are cut
-    /// at the first dead fact and re-derived from there. The
+    /// entries removed before them, and the run-length status column is
+    /// cut at the first dead fact and re-derived from there. The
     /// dictionaries are append-only (see [`DictColumn`]), so only their
     /// per-fact codes move.
     pub fn compact(&mut self, dead: &[usize]) {
@@ -536,11 +523,7 @@ impl ColumnStore {
         // Run invalidation on compact: removing facts can splice
         // arbitrary fragments of runs together, so the runs from the
         // first dead fact on are re-derived from the compacted plain
-        // columns instead of patched.
-        self.direction_rle.truncate(first);
-        for &d in &self.direction[first..] {
-            self.direction_rle.push(direction_code(d));
-        }
+        // column instead of patched.
         self.status_rle.truncate(first);
         for &s in &self.status[first..] {
             self.status_rle.push(status_code(s));
@@ -600,7 +583,6 @@ impl ColumnStore {
             slice_min_wh: copy_with_room(&self.slice_min_wh, slices),
             slice_max_wh: copy_with_room(&self.slice_max_wh, slices),
             dicts: self.dicts.each_ref().map(|d| d.clone_with_room(facts)),
-            direction_rle: self.direction_rle.clone_with_room(facts),
             status_rle: self.status_rle.clone_with_room(facts),
         }
     }
@@ -678,6 +660,13 @@ impl ColumnStore {
         &self.time_flex_slots
     }
 
+    /// Length in slots of fact `idx`'s flexibility window `[earliest
+    /// start, latest end)`: its start flexibility plus its profile
+    /// duration, at least one slot.
+    pub(crate) fn extent_len(&self, idx: usize) -> i64 {
+        self.time_flex_slots[idx] + (self.slice_offsets[idx + 1] - self.slice_offsets[idx]) as i64
+    }
+
     /// Scheduled-energy column (Wh).
     pub fn scheduled_wh(&self) -> &[i64] {
         &self.scheduled_wh
@@ -747,11 +736,6 @@ impl ColumnStore {
         }]
     }
 
-    /// Canonical runs of the direction codes ([`direction_code`]).
-    pub fn direction_runs(&self) -> &[Run] {
-        self.direction_rle.runs()
-    }
-
     /// Canonical runs of the status codes ([`status_code`]).
     pub fn status_runs(&self) -> &[Run] {
         self.status_rle.runs()
@@ -800,6 +784,45 @@ pub(crate) fn remap(dead: &[usize], idx: &mut usize) -> bool {
     }
     *idx -= below;
     true
+}
+
+/// A set of fact positions below a bound, filled in any order and read
+/// back ascending: one bit per position, then a walk over the set words.
+/// That is O(inserted + bound/64) and allocation-friendly (a million
+/// facts take 128 KiB, cache-resident), where sorting the positions
+/// would pay O(n log n). The per-region and time indices both return
+/// their candidates in fact order through it.
+pub(crate) struct FactBitmap {
+    words: Vec<u64>,
+    /// Inserts so far: the output's capacity (exact when, as for both
+    /// indices, no position is inserted twice).
+    inserts: usize,
+}
+
+impl FactBitmap {
+    /// An empty set over the positions `0..bound`.
+    pub(crate) fn new(bound: usize) -> FactBitmap {
+        FactBitmap { words: vec![0; bound.div_ceil(64)], inserts: 0 }
+    }
+
+    /// Adds position `idx`.
+    pub(crate) fn insert(&mut self, idx: usize) {
+        self.words[idx / 64] |= 1 << (idx % 64);
+        self.inserts += 1;
+    }
+
+    /// The positions in the set, ascending.
+    pub(crate) fn into_ascending(self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.inserts);
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        out
+    }
 }
 
 /// `column` copied into an allocation with room for `extra` more
@@ -905,7 +928,6 @@ mod tests {
         assert_eq!(cs.len(), 0);
         assert_eq!(cs.slice_count(), 0);
         assert_eq!(cs.rows().count(), 0);
-        assert!(cs.direction_runs().is_empty());
         assert!(cs.status_runs().is_empty());
         let with_cap = ColumnStore::with_capacity(64);
         assert!(with_cap.is_empty());
@@ -915,9 +937,6 @@ mod tests {
     fn codes_are_positions_in_the_all_constants() {
         for (i, s) in OfferState::ALL.into_iter().enumerate() {
             assert_eq!(status_code(s) as usize, i);
-        }
-        for (i, d) in Direction::ALL.into_iter().enumerate() {
-            assert_eq!(direction_code(d) as usize, i);
         }
     }
 
@@ -942,20 +961,14 @@ mod tests {
                 assert_eq!(dc.code(m), Some(code as u32));
             }
         }
-        for (runs, plain) in [
-            (
-                cs.direction_runs(),
-                cs.directions().iter().map(|&d| direction_code(d)).collect::<Vec<_>>(),
-            ),
-            (cs.status_runs(), cs.statuses().iter().map(|&s| status_code(s)).collect::<Vec<_>>()),
-        ] {
-            assert_eq!(decode(runs), plain);
-            for w in runs.windows(2) {
-                assert!(w[0].value != w[1].value, "non-canonical adjacent runs: {runs:?}");
-                assert!(w[0].end < w[1].end);
-            }
-            assert_eq!(runs.last().map(|r| r.end as usize).unwrap_or(0), cs.len());
+        let runs = cs.status_runs();
+        let plain: Vec<u32> = cs.statuses().iter().map(|&s| status_code(s)).collect();
+        assert_eq!(decode(runs), plain);
+        for w in runs.windows(2) {
+            assert!(w[0].value != w[1].value, "non-canonical adjacent runs: {runs:?}");
+            assert!(w[0].end < w[1].end);
         }
+        assert_eq!(runs.last().map(|r| r.end as usize).unwrap_or(0), cs.len());
     }
 
     #[test]
@@ -967,9 +980,8 @@ mod tests {
             cs.push(fo, keys());
         }
         assert_encoded_consistent(&cs);
-        // All Offered: one status run, one direction run.
+        // All Offered: one status run.
         assert_eq!(cs.status_runs().len(), 1);
-        assert_eq!(cs.direction_runs().len(), 1);
 
         // Point updates split and re-merge runs canonically.
         for &i in &[3usize, 4, 0, 7] {

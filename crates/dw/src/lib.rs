@@ -35,7 +35,10 @@
 //!   [`LoaderQuery::builder`]): select a legal entity, a direction and an
 //!   absolute time interval, get flex-offers; region-scoped queries
 //!   ([`LoaderQuery::for_region`]) answer from the per-region fact index
-//!   in O(offers-in-subtree) (see [`spatial`]);
+//!   in O(offers-in-subtree) (see [`spatial`]), and window-only queries
+//!   from a per-version time index over the fact extents in
+//!   O(selected), which also feeds the Figure 6 dashboard
+//!   ([`Warehouse::for_each_start_in`]);
 //! * [`spatial`] — the spatial dimension's per-region posting lists and
 //!   the per-prosumer point-in-region membership cache;
 //! * [`LiveWarehouse`] — streaming ingest: batched
@@ -60,12 +63,11 @@ pub mod mdx;
 mod pivot;
 mod query;
 pub mod spatial;
+mod time_index;
 mod view;
 mod warehouse;
 
-pub use columns::{
-    direction_code, status_code, ColumnSlice, ColumnStore, DictColumn, LeafKeys, RleColumn, Run,
-};
+pub use columns::{status_code, ColumnSlice, ColumnStore, DictColumn, LeafKeys, RleColumn, Run};
 pub use fact::FactRow;
 pub use hierarchy::{Dimension, Hierarchy, Member, MemberId};
 pub use live::{EpochSnapshot, LiveWarehouse, PendingDeltas};

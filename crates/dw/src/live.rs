@@ -33,7 +33,9 @@
 //! withdrawal shifts only the facts behind the first withdrawn one and
 //! remaps the indices in place. Two costs stay proportional to the fact
 //! count: that copy, and freeing the epoch a publish replaces once its
-//! last reader lets go. `DESIGN.md` records the measured split.
+//! last reader lets go. `DESIGN.md` records the measured split. The time
+//! index behind window reads costs the writer nothing: a batch only
+//! drops it, and each epoch's first window read builds that epoch's own.
 //!
 //! [`ConcurrentPool::publish`]: https://docs.rs/mirabel-session (see `mirabel_session::ConcurrentPool`)
 

@@ -26,7 +26,7 @@ use mirabel_flexoffer::ProsumerId;
 use mirabel_geo::Geography;
 use mirabel_workload::Prosumer;
 
-use crate::columns::remap;
+use crate::columns::{remap, FactBitmap};
 use crate::hierarchy::{Hierarchy, MemberId};
 
 /// Per-region fact index of one warehouse.
@@ -97,12 +97,10 @@ impl SpatialIndex {
     /// hierarchy), ascending: the posting lists of every district leaf in
     /// the member's subtree, merged. A single-leaf subtree is answered by
     /// copying its (already ascending) posting list; wider subtrees merge
-    /// through a fact-index bitmap — set one bit per posting, then walk
-    /// the set words — which is O(offers-in-subtree + max-fact-index/64)
-    /// and allocation-friendly (the bitmap for a million facts is 128 KiB,
-    /// cache-resident), where the comparison sort it replaces paid
-    /// O(n log n) on the leaf-interleaved order and dominated the S5
-    /// region-query harness at city scale.
+    /// through a fact-position bitmap, which is
+    /// O(offers-in-subtree + max-fact-index/64), where the comparison sort
+    /// it replaces paid O(n log n) on the leaf-interleaved order and
+    /// dominated the S5 region-query harness at city scale.
     pub fn indices_under(&self, geography: &Hierarchy, member: MemberId) -> Vec<usize> {
         self.indices_of(&region_leaves(geography, member))
     }
@@ -115,25 +113,14 @@ impl SpatialIndex {
             return self.indices(*leaf).to_vec();
         }
         let lists: Vec<&[usize]> = leaves.iter().map(|&leaf| self.indices(leaf)).collect();
-        let total: usize = lists.iter().map(|l| l.len()).sum();
         let Some(max) = lists.iter().filter_map(|l| l.last()).max() else {
             return Vec::new();
         };
-        let mut bits = vec![0u64; max / 64 + 1];
-        for list in &lists {
-            for &i in *list {
-                bits[i / 64] |= 1 << (i % 64);
-            }
+        let mut merged = FactBitmap::new(max + 1);
+        for &i in lists.iter().copied().flatten() {
+            merged.insert(i);
         }
-        let mut merged = Vec::with_capacity(total);
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                merged.push(w * 64 + word.trailing_zeros() as usize);
-                word &= word - 1;
-            }
-        }
-        merged
+        merged.into_ascending()
     }
 
     /// Number of distinct leaves with at least one fact.

@@ -1,7 +1,7 @@
 //! The warehouse: hierarchies + fact table + loader queries.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mirabel_flexoffer::{
     Direction, Energy, Execution, FlexOffer, FlexOfferId, OfferState, ProsumerId, Schedule,
@@ -10,10 +10,11 @@ use mirabel_geo::Geography;
 use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
 use mirabel_workload::Population;
 
-use crate::columns::{remap, ColumnStore, LeafKeys};
+use crate::columns::{remap, ColumnStore, FactBitmap, LeafKeys};
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, Hierarchy, MemberId};
 use crate::spatial::SpatialIndex;
+use crate::time_index::TimeIndex;
 use crate::view::OfferView;
 
 /// The in-memory MIRABEL data warehouse.
@@ -37,6 +38,11 @@ use crate::view::OfferView;
 /// rest of a batch costs what it changes: appends push onto that copy's
 /// spare capacity, and a withdrawal shifts only the facts behind the
 /// first withdrawn one and remaps the indices in place.
+///
+/// Window reads answer from a time index over the fact extents (see
+/// `time_index.rs`), which belongs to one warehouse version: the first
+/// time-selective read builds it, clones of the version share it, and
+/// `ingest` and `withdraw` drop it. The writer never builds one.
 #[derive(Debug, Clone)]
 pub struct Warehouse {
     time: Hierarchy,
@@ -66,6 +72,9 @@ pub struct Warehouse {
     /// loader queries O(k in the entity's offers) instead of a scan of
     /// the whole population.
     by_prosumer: Arc<HashMap<ProsumerId, Vec<usize>>>,
+    /// This version's facts by earliest-start slot and extent-length
+    /// class, built on the first time-selective read.
+    time_index: OnceLock<Arc<TimeIndex>>,
 }
 
 /// What one [`Warehouse::ingest`] batch did — every skipped offer is
@@ -134,6 +143,7 @@ impl Warehouse {
             offers: Arc::new(Vec::with_capacity(offers.len())),
             by_id: Arc::new(HashMap::with_capacity(offers.len())),
             by_prosumer: Arc::new(HashMap::new()),
+            time_index: OnceLock::new(),
         };
         for fo in offers {
             dw.append_offer(population, fo);
@@ -216,7 +226,8 @@ impl Warehouse {
     ///
     /// The first append after a publish copies the fact columns and the
     /// offer list once, with spare capacity for the rest of the batch,
-    /// so the batch's pushes never reallocate them.
+    /// so the batch's pushes never reallocate them. An append drops the
+    /// version's time index; the next window read rebuilds it.
     pub fn ingest(&mut self, population: &Population, offers: &[FlexOffer]) -> IngestOutcome {
         let mut out = IngestOutcome::default();
         for (k, fo) in offers.iter().enumerate() {
@@ -237,6 +248,7 @@ impl Warehouse {
             }
             out.days_added += self.extend_to(day + SlotSpan::days(1));
             self.make_room(&offers[k..]);
+            self.time_index.take();
             self.append_offer(population, fo);
             out.ingested += 1;
         }
@@ -274,13 +286,15 @@ impl Warehouse {
     /// `by_prosumer` and the spatial postings are remapped in place —
     /// dead entries drop out, survivors shift down, emptied lists are
     /// removed — which leaves them exactly as a rebuild from the
-    /// compacted facts would.
+    /// compacted facts would. The time index is dropped, not remapped;
+    /// the next window read rebuilds it.
     pub fn withdraw(&mut self, ids: &[FlexOfferId]) -> usize {
         let mut dead: Vec<usize> =
             ids.iter().filter_map(|id| self.by_id.get(id).copied()).collect();
         dead.sort_unstable();
         dead.dedup();
         let Some(&first) = dead.first() else { return 0 };
+        self.time_index.take();
         Arc::make_mut(&mut self.columns).compact(&dead);
         // `Arc`s are not `Copy`: survivors behind the first dead fact
         // swap down over the dead ones, which the truncate then drops.
@@ -522,23 +536,27 @@ impl Warehouse {
     }
 
     /// The interval half of [`Warehouse::loader_matches_at`]: the extent
-    /// test alone, for scan paths whose entity/direction filters were
-    /// already discharged by an index or a run skip.
+    /// test alone, which the time index's lookback candidates take too.
+    /// Like [`LoaderQuery::matches`], an empty or inverted window matches
+    /// nothing.
     fn loader_extent_at(&self, i: usize, query: &LoaderQuery) -> bool {
-        let c = &self.columns;
-        let lo = c.earliest_starts()[i];
-        let hi = lo + SlotSpan::slots(c.time_flex()[i] + c.slices(i).len() as i64);
-        lo < query.to && query.from < hi
+        let lo = self.columns.earliest_starts()[i];
+        let hi = lo + SlotSpan::slots(self.columns.extent_len(i));
+        query.from < query.to && lo < query.to && query.from < hi
+    }
+
+    /// This version's time index, built by the first read that needs it.
+    fn time_index(&self) -> &TimeIndex {
+        self.time_index.get_or_init(|| Arc::new(TimeIndex::build(&self.columns)))
     }
 
     /// Fact indices satisfying every part of `query`, ascending. Picks
     /// the cheapest index: the per-prosumer postings for entity queries,
-    /// the per-region postings for spatial queries, a full scan only when
-    /// neither filter is set. Residual filters are pushed down onto the
-    /// encoded columns: a region restriction resolves to a dictionary
-    /// code mask once ([`Warehouse::geo_code_mask`]) and a
-    /// direction-filtered full scan walks the direction RLE runs,
-    /// skipping non-matching runs wholesale.
+    /// the per-region postings for spatial queries, the time index for
+    /// window-only queries. A region restriction resolves to a
+    /// dictionary code mask once ([`Warehouse::geo_code_mask`]); the time
+    /// index takes the buckets starting inside the window whole and
+    /// extent-tests only its lookback buckets.
     fn selected_indices(&self, query: &LoaderQuery) -> Vec<usize> {
         match (query.prosumer, query.region) {
             (Some(p), region) => {
@@ -556,50 +574,59 @@ impl Warehouse {
                 indices.retain(|&i| self.loader_matches_at(i, query));
                 indices
             }
-            (None, None) => match query.direction {
-                // Direction-filtered full scan: only the matching runs
-                // of the direction RLE column are visited, and inside a
-                // run only the extent test remains.
-                Some(d) => {
-                    let code = crate::columns::direction_code(d);
-                    let mut out = Vec::new();
-                    let mut lo = 0usize;
-                    for run in self.columns.direction_runs() {
-                        let hi = run.end as usize;
-                        if run.value == code {
-                            out.extend((lo..hi).filter(|&i| self.loader_extent_at(i, query)));
-                        }
-                        lo = hi;
+            (None, None) => {
+                let directions = self.columns.directions();
+                let wanted = |i: usize| query.direction.is_none_or(|d| directions[i] == d);
+                let mut hits = FactBitmap::new(self.offers.len());
+                for (lookback, inside) in self.time_index().window(query.from, query.to) {
+                    let reaching =
+                        lookback.iter().filter(|&&i| self.loader_extent_at(i as usize, query));
+                    for &i in reaching.chain(inside).filter(|&&i| wanted(i as usize)) {
+                        hits.insert(i as usize);
                     }
-                    out
                 }
-                None => {
-                    (0..self.offers.len()).filter(|&i| self.loader_extent_at(i, query)).collect()
-                }
-            },
+                hits.into_ascending()
+            }
         }
     }
 
     /// The Figure 7 loader: flex-offers of one legal entity (or all) in
     /// one spatial subtree (or anywhere) whose flexibility window
-    /// intersects the absolute interval.
+    /// intersects the absolute interval `[from, to)`. A window with
+    /// `from ≥ to` selects nothing.
     ///
     /// Entity-restricted queries walk the per-prosumer index — O(k in
     /// that entity's offers); region-restricted queries merge the
-    /// per-region posting lists — O(offers-in-subtree) — instead of
-    /// scanning the whole population; results are in fact order either
-    /// way.
+    /// per-region posting lists — O(offers-in-subtree); window-only
+    /// queries read the version's time index — O(selected) plus a short
+    /// lookback, after a one-off build per warehouse version. None scans
+    /// the whole population, and results are in fact order either way.
     pub fn load_offers(&self, query: &LoaderQuery) -> Vec<&FlexOffer> {
         self.selected_indices(query).into_iter().map(|i| self.offers[i].as_ref()).collect()
     }
 
     /// The redesigned loader: the same selection as
-    /// [`Warehouse::load_offers`], answered as a borrowed [`OfferView`]
-    /// over the fact columns — no per-offer refcounting, no
-    /// allocation beyond the index list. Callers that need owned
+    /// [`Warehouse::load_offers`], from the same indices, answered as a
+    /// borrowed [`OfferView`] over the fact columns — no per-offer
+    /// refcounting, no allocation beyond the index list. Equal to
+    /// [`Warehouse::load_offers_scan`] id for id. Callers that need owned
     /// handles call [`OfferView::materialize`] explicitly.
     pub fn view(&self, query: &LoaderQuery) -> OfferView<'_> {
         OfferView::new(self, self.selected_indices(query))
+    }
+
+    /// Calls `visit(start, idx)` for every fact whose earliest start lies
+    /// in `[from, to)`, in no particular order, from the version's time
+    /// index: O(facts visited), not a scan of every fact. Nothing is
+    /// visited when `from ≥ to`. The Figure 6 dashboard counts its
+    /// buckets with this.
+    pub fn for_each_start_in(
+        &self,
+        from: TimeSlot,
+        to: TimeSlot,
+        visit: impl FnMut(TimeSlot, usize),
+    ) {
+        self.time_index().for_each_start(from, to, visit);
     }
 
     /// Reference implementation of [`Warehouse::load_offers`] that
@@ -681,9 +708,10 @@ impl LoaderQuery {
     }
 
     /// `true` when `offer` satisfies the entity and direction filters and
-    /// intersects the half-open interval. The spatial filter is *not*
-    /// checked here (an offer alone does not know its region) — the
-    /// warehouse loaders apply it against the fact table.
+    /// intersects the half-open interval, which must not be empty or
+    /// inverted. The spatial filter is *not* checked here (an offer alone
+    /// does not know its region) — the warehouse loaders apply it against
+    /// the fact table.
     pub fn matches(&self, offer: &FlexOffer) -> bool {
         if let Some(p) = self.prosumer {
             if offer.prosumer() != p {
@@ -696,7 +724,7 @@ impl LoaderQuery {
             }
         }
         let (lo, hi) = offer.extent();
-        lo < self.to && self.from < hi
+        self.from < self.to && lo < self.to && self.from < hi
     }
 }
 
@@ -709,7 +737,7 @@ pub struct LoaderQueryBuilder {
 
 impl LoaderQueryBuilder {
     /// Restricts the query to offers intersecting `[from, to)` (default:
-    /// the full time axis).
+    /// the full time axis). A window with `from ≥ to` matches nothing.
     pub fn window(mut self, from: TimeSlot, to: TimeSlot) -> Self {
         self.query.from = from;
         self.query.to = to;
@@ -881,6 +909,39 @@ mod tests {
         let at =
             dw.load_offers(&LoaderQuery::builder().window(lo, lo + SlotSpan::slots(1)).build());
         assert!(at.iter().any(|o| o.id() == fo.id()));
+    }
+
+    #[test]
+    fn empty_and_inverted_windows_match_nothing() {
+        let (pop, offers) = setup();
+        let dw = Warehouse::load(&pop, &offers);
+        let fo = &offers[0];
+        let (lo, hi) = fo.extent();
+        let root = dw.hierarchy(Dimension::Geography).all().id;
+        let at = TimeSlot::new;
+        let windows =
+            [(lo, lo), (hi, lo), (at(40), at(40)), (at(50), at(40)), (at(i64::MAX), at(i64::MIN))];
+        for (from, to) in windows {
+            let window = LoaderQuery::builder().window(from, to);
+            // The time index, with and without a direction, then the
+            // prosumer and region postings.
+            for q in [
+                window.build(),
+                window.direction(fo.direction()).build(),
+                window.prosumer(fo.prosumer()).build(),
+                window.region(root).build(),
+            ] {
+                assert!(dw.view(&q).is_empty(), "{q:?}");
+                assert!(dw.load_offers(&q).is_empty(), "{q:?}");
+                assert!(dw.load_offers_scan(&q).is_empty(), "{q:?}");
+                assert!(offers.iter().all(|o| !q.matches(o)), "{q:?}");
+            }
+        }
+        // The same places as one-slot windows do select offers.
+        for slot in [lo, at(40)] {
+            let q = LoaderQuery::builder().window(slot, slot + SlotSpan::slots(1)).build();
+            assert!(!dw.view(&q).is_empty(), "{q:?}");
+        }
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //!
 //! 1. **encode/decode ≡ plain columns** — after every mutation of a
 //!    seeded ingest/refresh/withdraw churn trace, the per-dimension
-//!    dictionaries and the direction/status run-length columns decode to
-//!    exactly the plain leaf-key and lifecycle columns, in canonical
+//!    dictionaries and the status run-length column decode to exactly
+//!    the plain leaf-key and lifecycle columns, in canonical
 //!    (maximal-run) form. The same trace also checks the write path:
 //!    a clone held as the published epoch stays frozen while the working
 //!    copy moves on, and every secondary index (per id, per prosumer,
-//!    per region) agrees with the fact columns and the index-free scan;
+//!    per region, the time index behind window-only loads) agrees with
+//!    the fact columns and the index-free scan;
 //! 2. **pushdown ≡ the row oracle** — `Warehouse::eval` (dictionary-mask
 //!    pushdown) agrees bit-for-bit with both `eval_scan` (the plain
 //!    columnar scan) and `eval_rows` (the row-shaped reference) for
@@ -22,11 +23,11 @@
 use std::collections::HashMap;
 
 use mirabel_dw::{
-    direction_code, status_code, ColumnStore, Dimension, FactRow, LoaderQuery, Measure, MemberId,
-    Query, Run, Warehouse,
+    status_code, ColumnStore, Dimension, FactRow, LoaderQuery, Measure, MemberId, Query, Run,
+    Warehouse,
 };
-use mirabel_flexoffer::{FlexOffer, FlexOfferId, OfferState, ProsumerId, Schedule};
-use mirabel_timeseries::TimeSlot;
+use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, ProsumerId, Schedule};
+use mirabel_timeseries::{SlotSpan, TimeSlot};
 use mirabel_workload::{
     generate_ingest_trace, generate_offers, IngestEvent, IngestTraceConfig, OfferConfig,
     Population, PopulationConfig,
@@ -57,8 +58,8 @@ fn decode_runs(runs: &[Run], len: usize) -> Vec<u32> {
     out
 }
 
-/// The encode→decode property: dictionaries and RLE columns reproduce
-/// the plain columns exactly, in canonical form.
+/// The encode→decode property: dictionaries and the status RLE column
+/// reproduce the plain columns exactly, in canonical form.
 fn assert_encoded_consistent(cols: &ColumnStore) {
     for dim in Dimension::ALL {
         let dc = cols.dict(dim);
@@ -72,28 +73,62 @@ fn assert_encoded_consistent(cols: &ColumnStore) {
         let mut seen = std::collections::HashSet::new();
         assert!(dc.dict().iter().all(|m| seen.insert(*m)), "{dim:?}: dictionary values are unique");
     }
-    let directions: Vec<u32> = cols.directions().iter().map(|&d| direction_code(d)).collect();
     let statuses: Vec<u32> = cols.statuses().iter().map(|&s| status_code(s)).collect();
-    for (name, runs, plain) in
-        [("direction", cols.direction_runs(), directions), ("status", cols.status_runs(), statuses)]
-    {
-        assert_eq!(decode_runs(runs, cols.len()), plain, "{name}: RLE decodes to plain codes");
-        for w in runs.windows(2) {
-            assert_ne!(w[0].value, w[1].value, "{name}: adjacent runs are distinct (canonical)");
-        }
+    let runs = cols.status_runs();
+    assert_eq!(decode_runs(runs, cols.len()), statuses, "status: RLE decodes to plain codes");
+    for w in runs.windows(2) {
+        assert_ne!(w[0].value, w[1].value, "status: adjacent runs are distinct (canonical)");
     }
 }
 
 /// What a published epoch shows: every fact row, the unfiltered
-/// loader's offers and each geography member's view.
-fn published_state(dw: &Warehouse) -> (Vec<FactRow>, Vec<FlexOfferId>, Vec<Vec<FlexOfferId>>) {
+/// loader's offers, each geography member's view and each window-only
+/// view of [`window_queries`].
+type EpochState = (Vec<FactRow>, Vec<FlexOfferId>, Vec<Vec<FlexOfferId>>, Vec<Vec<FlexOfferId>>);
+
+fn published_state(dw: &Warehouse) -> EpochState {
     let rows = dw.columns().rows().collect();
     let loaded = dw.load_offers(&LoaderQuery::builder().build()).iter().map(|fo| fo.id()).collect();
     let regions = geography_members(dw)
         .into_iter()
         .map(|m| dw.view(&LoaderQuery::for_region(m).build()).ids().collect())
         .collect();
-    (rows, loaded, regions)
+    let windows = window_queries().iter().map(|q| dw.view(q).ids().collect()).collect();
+    (rows, loaded, regions, windows)
+}
+
+/// Window-only loads over the trace's three days, with and without a
+/// direction: single slots, two hours, whole days, windows before and
+/// after every fact, empty and inverted windows, and `i64` extremes.
+fn window_queries() -> Vec<LoaderQuery> {
+    let at = |slot: i64| TimeSlot::new(slot);
+    let mut windows: Vec<(TimeSlot, TimeSlot)> =
+        [0, 37, 95, 96, 150, 287, 300].into_iter().map(|s| (at(s), at(s + 1))).collect();
+    windows.extend([
+        (at(40), at(48)),
+        (at(130), at(138)),
+        (at(0), at(96)),
+        (at(96), at(192)),
+        (at(-50), at(0)),
+        (at(400), at(500)),
+        (at(60), at(60)),
+        (at(80), at(20)),
+        (at(i64::MIN), at(50)),
+        (at(50), at(i64::MAX)),
+        (at(i64::MIN), at(i64::MAX)),
+        (at(i64::MAX), at(i64::MIN)),
+    ]);
+    let mut queries = Vec::new();
+    for (from, to) in windows {
+        for direction in [None, Some(Direction::Consumption), Some(Direction::Production)] {
+            let builder = LoaderQuery::builder().window(from, to);
+            queries.push(match direction {
+                Some(d) => builder.direction(d).build(),
+                None => builder.build(),
+            });
+        }
+    }
+    queries
 }
 
 /// Every member of the geography hierarchy, at every level.
@@ -104,7 +139,8 @@ fn geography_members(dw: &Warehouse) -> Vec<MemberId> {
 /// The secondary indices against the fact columns: `offer` and
 /// `geo_leaf_of` resolve every live id to its own fact and no withdrawn
 /// id at all, and the indexed loaders (per-prosumer and per-region
-/// postings) return exactly the index-free scan's offers.
+/// postings, the time index) return exactly the index-free scan's
+/// offers.
 fn assert_indices_match_columns(
     dw: &Warehouse,
     withdrawn: &[FlexOfferId],
@@ -132,6 +168,11 @@ fn assert_indices_match_columns(
     for m in geography_members(dw) {
         let q = LoaderQuery::for_region(m).build();
         assert_eq!(dw.view(&q).ids().collect::<Vec<_>>(), scan(&q), "{context}: region {m}");
+    }
+    for q in window_queries() {
+        let view: Vec<FlexOfferId> = dw.view(&q).ids().collect();
+        assert_eq!(view, scan(&q), "{context}: window {q:?}");
+        assert!(q.from < q.to || view.is_empty(), "{context}: {q:?} is empty");
     }
 }
 
@@ -195,7 +236,7 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
                     .collect();
                 let outcome = dw.assign_schedules(&picks);
                 assert_eq!(outcome.scheduled, picks.len(), "synthesised schedules are feasible");
-                dw.execute_due(window_start + mirabel_timeseries::SlotSpan::days(1));
+                dw.execute_due(window_start + SlotSpan::days(1));
             }
         }
         assert_encoded_consistent(dw.columns());

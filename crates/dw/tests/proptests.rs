@@ -1,11 +1,15 @@
 //! Property-based tests for the warehouse: rollup consistency, filter
-//! monotonicity, MDX round-trips and one-pass pivots over randomized
-//! workloads.
+//! monotonicity, MDX round-trips, one-pass pivots and time-indexed
+//! window loads over randomized workloads.
+
+use std::fmt::Display;
+use std::sync::Arc;
 
 use mirabel_dw::{
-    mdx, Dimension, LiveWarehouse, Measure, MemberId, PivotAxis, PivotSpec, Query, Warehouse,
+    mdx, Dimension, EpochSnapshot, LiveWarehouse, LoaderQuery, Measure, MemberId, PivotAxis,
+    PivotSpec, Query, Warehouse,
 };
-use mirabel_flexoffer::{FlexOffer, FlexOfferId, OfferState, Schedule};
+use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, Schedule};
 use mirabel_timeseries::{SlotSpan, TimeSlot};
 use mirabel_workload::{
     generate_ingest_trace, generate_offers, IngestEvent, IngestTraceConfig, OfferConfig,
@@ -60,6 +64,12 @@ fn lifecycle_warehouse(seed: u64, size: usize) -> Warehouse {
 /// withdraw churn: its columns have been appended to and compacted, and
 /// its dictionaries hold codes of withdrawn facts.
 fn churned(seed: u64, size: usize) -> LiveWarehouse {
+    churn(seed, size, |_| {})
+}
+
+/// Builds [`churned`]'s live warehouse, calling `on_epoch` with the
+/// initial snapshot and with every snapshot the trace publishes.
+fn churn(seed: u64, size: usize, mut on_epoch: impl FnMut(&Arc<EpochSnapshot>)) -> LiveWarehouse {
     let (pop, offers) = population_and_offers(seed, size);
     let trace = generate_ingest_trace(
         &pop,
@@ -68,6 +78,7 @@ fn churned(seed: u64, size: usize) -> LiveWarehouse {
         TimeSlot::EPOCH + SlotSpan::days(1),
     );
     let live = LiveWarehouse::new(pop, &offers);
+    on_epoch(&live.snapshot());
     live.assign_schedules(&schedules(&offers));
     for event in &trace {
         match event {
@@ -80,12 +91,10 @@ fn churned(seed: u64, size: usize) -> LiveWarehouse {
             IngestEvent::AdvanceDay => {
                 live.advance_day();
             }
-            IngestEvent::Publish => {
-                live.publish();
-            }
+            IngestEvent::Publish => on_epoch(&live.publish()),
         }
     }
-    live.publish();
+    on_epoch(&live.publish());
     live
 }
 
@@ -147,6 +156,83 @@ fn pivot_spec(dw: &Warehouse, inputs: &PivotInputs) -> PivotSpec {
         base = base.time_range(TimeSlot::new(from), TimeSlot::new(from + len));
     }
     PivotSpec { rows: axis(*row_dim, row_picks), columns: axis(*col_dim, col_picks), base }
+}
+
+/// A window pick: a kind (below [`WINDOW_KINDS`]), a pick among slots,
+/// days or length classes, and a width.
+type WindowPick = (usize, usize, i64);
+
+/// The kinds of window [`window`] builds.
+const WINDOW_KINDS: usize = 10;
+
+/// The window `pick` names on `dw`: one slot, a slot inside the lookback
+/// of a length class's longest extent, that lookback's far edge (the
+/// extent's last slot), a whole day, a window before the first fact or
+/// after the last, an empty or inverted window, `i64` extreme bounds,
+/// or any window near the facts.
+fn window(dw: &Warehouse, (kind, pick, width): WindowPick) -> (TimeSlot, TimeSlot) {
+    let extents: Vec<(i64, i64)> =
+        dw.offers().iter().map(|fo| (fo.extent().0.index(), fo.extent().1.index())).collect();
+    let first = extents.iter().map(|e| e.0).min().unwrap_or(0);
+    let last = extents.iter().map(|e| e.1).max().unwrap_or(0);
+    let slot = first - 3 + pick as i64 % (last - first + 6);
+    // The longest extent of the picked length class (⌊log₂ length⌋).
+    let class_of = |(lo, hi): (i64, i64)| (hi - lo).ilog2();
+    let mut classes: Vec<u32> = extents.iter().map(|&e| class_of(e)).collect();
+    classes.sort_unstable();
+    classes.dedup();
+    let class = classes.get(pick % classes.len().max(1)).copied();
+    let longest = extents
+        .iter()
+        .copied()
+        .filter(|&e| Some(class_of(e)) == class)
+        .max_by_key(|&(lo, hi)| (hi - lo, lo))
+        .unwrap_or((0, 1));
+    let at = TimeSlot::new;
+    match kind {
+        0 => (at(slot), at(slot + 1)),
+        1 => {
+            let from = longest.0 + 1 + width % (longest.1 - longest.0 - 1).max(1);
+            (at(from), at(from + 1 + width % 5))
+        }
+        2 => (at(longest.1 - 1), at(longest.1 + width % 3)),
+        3 => {
+            let day = dw.first_day() + SlotSpan::days((pick % 4) as i64);
+            (day, day + SlotSpan::days(1))
+        }
+        4 => (at(first - 1 - width), at(first)),
+        5 => (at(last), at(last + 1 + width)),
+        6 => (at(slot), at(slot)),
+        7 => (at(slot + 1 + width), at(slot)),
+        8 => [(at(i64::MIN), at(slot)), (at(slot), at(i64::MAX)), (at(i64::MIN), at(i64::MAX))]
+            [pick % 3],
+        _ => (at(slot), at(slot + width)),
+    }
+}
+
+/// Every picked window, with and without a direction, selects through
+/// [`Warehouse::view`] exactly the offers of the index-free scan, in fact
+/// order; empty and inverted windows select nothing.
+fn windows_equal_the_scan(
+    dw: &Warehouse,
+    picks: &[WindowPick],
+    context: impl Display,
+) -> Result<(), TestCaseError> {
+    for &pick in picks {
+        let (from, to) = window(dw, pick);
+        for direction in [None, Some(Direction::Consumption), Some(Direction::Production)] {
+            let builder = LoaderQuery::builder().window(from, to);
+            let q = match direction {
+                Some(d) => builder.direction(d).build(),
+                None => builder.build(),
+            };
+            let view: Vec<FlexOfferId> = dw.view(&q).ids().collect();
+            let scan: Vec<FlexOfferId> = dw.load_offers_scan(&q).iter().map(|fo| fo.id()).collect();
+            prop_assert_eq!(&view, &scan, "{}: {:?}", context, q);
+            prop_assert!(from < to || view.is_empty(), "{}: {:?} selected offers", context, q);
+        }
+    }
+    Ok(())
 }
 
 /// Every cell of the one-pass pivot equals, bit for bit, the `eval`
@@ -337,5 +423,33 @@ proptest! {
         let snapshot = live.snapshot();
         let dw = snapshot.warehouse();
         pivot_matches_per_cell_eval(dw, &pivot_spec(dw, &inputs))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Time-indexed window loads equal the scan on a bulk-loaded
+    /// warehouse and on every live snapshot of a churn trace, and a
+    /// snapshot held from before the churn keeps answering from its own
+    /// index.
+    #[test]
+    fn window_views_equal_the_scan(
+        seed in 0u64..40,
+        picks in proptest::collection::vec((0usize..WINDOW_KINDS, 0usize..10_000, 0i64..200), 8..16),
+    ) {
+        windows_equal_the_scan(&lifecycle_warehouse(seed, 60), &picks, "bulk")?;
+        let mut held: Option<Arc<EpochSnapshot>> = None;
+        let mut outcome = Ok(());
+        churn(seed, 40, |snapshot| {
+            let held = held.get_or_insert_with(|| Arc::clone(snapshot));
+            if outcome.is_ok() {
+                outcome = windows_equal_the_scan(snapshot.warehouse(), &picks, snapshot.epoch())
+                    .and_then(|()| {
+                        windows_equal_the_scan(held.warehouse(), &picks, "held epoch 0")
+                    });
+            }
+        });
+        outcome?;
     }
 }

@@ -36,14 +36,15 @@ pub struct DashboardData {
     pub totals: [f64; 3],
 }
 
-/// Computes the dashboard aggregates from the warehouse in one pass over
-/// the status and earliest-start columns: a slot → bucket table over
-/// `[from, to)` (the buckets tile the window; the session caps it at
-/// [`MAX_DASHBOARD_SLOTS`](crate::session::MAX_DASHBOARD_SLOTS) slots) sends each
-/// fact in the window to its bucket. Each count is the status-restricted
-/// `Count` query over its bucket, added up in the same ascending fact
-/// order, so the result equals the per-bucket [`Warehouse::eval`] loop
-/// bit for bit.
+/// Computes the dashboard aggregates from the warehouse's time index:
+/// a slot → bucket table over `[from, to)` (the buckets tile the window;
+/// the session caps it at
+/// [`MAX_DASHBOARD_SLOTS`](crate::session::MAX_DASHBOARD_SLOTS) slots)
+/// sends each fact starting in the window to its bucket, and only those
+/// facts' statuses are read ([`Warehouse::for_each_start_in`]). Each
+/// count is the status-restricted `Count` query over its bucket; counts
+/// are integers, so adding them in index order instead of fact order
+/// gives the per-bucket [`Warehouse::eval`] loop's result bit for bit.
 pub fn compute(dw: &Warehouse, options: &DashboardOptions) -> DashboardData {
     let buckets = options.granularity.buckets(options.from, options.to);
     let mut bucket_of = Vec::new();
@@ -53,18 +54,16 @@ pub fn compute(dw: &Warehouse, options: &DashboardOptions) -> DashboardData {
         bucket_of.resize(bucket_of.len() + (hi - lo).count() as usize, b);
     }
     let mut counts: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; buckets.len()]);
-    let cols = dw.columns();
-    for (&status, &start) in cols.statuses().iter().zip(cols.earliest_starts()) {
-        let si = match status {
+    let statuses = dw.columns().statuses();
+    dw.for_each_start_in(options.from, options.to, |start, idx| {
+        let si = match statuses[idx] {
             OfferState::Accepted => 0,
             OfferState::Scheduled => 1,
             OfferState::Rejected => 2,
-            _ => continue,
+            _ => return,
         };
-        if start >= options.from && start < options.to {
-            counts[si][bucket_of[(start - options.from).count() as usize]] += 1.0;
-        }
-    }
+        counts[si][bucket_of[(start - options.from).count() as usize]] += 1.0;
+    });
     let totals = std::array::from_fn(|si| counts[si].iter().fold(0.0, |total, &v| total + v));
     DashboardData { buckets, counts, totals }
 }

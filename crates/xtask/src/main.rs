@@ -224,7 +224,7 @@ const HARNESSES: &[Step] = &[
         "forecast", "--prosumers", "120", "--days", "5", "--eval-days", "3"
     ),
     harness!(
-        "columnar harness (equality gates, filtered pushdown >= 3x the plain scan, one-pass pivot >= 3x per-cell eval)",
+        "columnar harness (equality gates, filtered pushdown >= 3x the plain scan, one-pass pivot >= 3x per-cell eval, time-indexed window load >= 25x the scan)",
         "columnar", "--prosumers", "150", "--days", "2", "--repeats", "3", "--filter-facts",
         "1000000"
     ),
@@ -286,6 +286,9 @@ const EXAMPLES: &[Step] = &[
     example!("enterprise_day_ahead"),
     example!("net_quickstart"),
     example!("command_session"),
+    example!("olap_exploration"),
+    example!("map_and_grid"),
+    example!("aggregation_tuning"),
 ];
 
 fn run(steps: &[&[Step]]) -> ExitCode {
