@@ -49,10 +49,14 @@ impl Aggregator {
         let mut out: Vec<Vec<Energy>> =
             members.iter().map(|m| Vec::with_capacity(m.slices.len())).collect();
 
+        // Per-slot buffers, reused across the aggregate's slots.
+        let mut bounds = Vec::with_capacity(members.len());
+        let mut covering = Vec::with_capacity(members.len());
+        let mut splitter = Splitter::default();
         for (k, &energy) in schedule.energies().iter().enumerate() {
             // Members covering aggregate offset k, with their local index.
-            let mut bounds = Vec::new();
-            let mut covering = Vec::new();
+            bounds.clear();
+            covering.clear();
             for (mi, m) in members.iter().enumerate() {
                 let local = k as i64 - m.offset;
                 if local >= 0 && (local as usize) < m.slices.len() {
@@ -61,10 +65,11 @@ impl Aggregator {
                     covering.push(mi);
                 }
             }
-            let split = split_energy(energy, &bounds)
+            let split = splitter
+                .split(energy, &bounds)
                 .ok_or(AggregationError::InfeasibleSlot { aggregate: agg_id, slot_offset: k })?;
-            for (slot_in_covering, &mi) in covering.iter().enumerate() {
-                out[mi].push(split[slot_in_covering]);
+            for (&mi, &part) in covering.iter().zip(split) {
+                out[mi].push(part);
             }
         }
 
@@ -90,47 +95,71 @@ impl Aggregator {
 /// largest-remainder method so the parts sum exactly to `total` and no
 /// part exceeds its maximum.
 pub fn split_energy(total: Energy, bounds: &[(Energy, Energy)]) -> Option<Vec<Energy>> {
-    let sum_min: i64 = bounds.iter().map(|b| b.0.wh()).sum();
-    let sum_max: i64 = bounds.iter().map(|b| b.1.wh()).sum();
-    let t = total.wh();
-    if t < sum_min || t > sum_max {
-        return None;
-    }
-    let surplus = t - sum_min;
-    let capacity: i64 = sum_max - sum_min;
-    if capacity == 0 || surplus == 0 {
-        return Some(bounds.iter().map(|b| b.0).collect());
-    }
-    // Integer proportional shares with largest-remainder correction.
-    let mut shares: Vec<i64> = Vec::with_capacity(bounds.len());
-    let mut remainders: Vec<(i64, usize)> = Vec::with_capacity(bounds.len());
-    let mut assigned = 0;
-    for (i, &(lo, hi)) in bounds.iter().enumerate() {
-        let cap = hi.wh() - lo.wh();
-        let numer = surplus.checked_mul(cap).expect("energy arithmetic overflow");
-        let share = numer / capacity;
-        let rem = numer % capacity;
-        shares.push(share);
-        remainders.push((rem, i));
-        assigned += share;
-    }
-    let mut leftover = surplus - assigned;
-    // Give one extra watt-hour to the largest remainders first; ties are
-    // broken by index for determinism. Since `surplus < capacity` implies
-    // every floored share is strictly below its capacity, the bump never
-    // overflows a participant's maximum.
-    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut ri = 0;
-    while leftover > 0 {
-        let (_, idx) = remainders[ri % remainders.len()];
-        let cap = bounds[idx].1.wh() - bounds[idx].0.wh();
-        if shares[idx] < cap {
-            shares[idx] += 1;
-            leftover -= 1;
+    Splitter::default().split(total, bounds).map(<[Energy]>::to_vec)
+}
+
+/// The working buffers of [`split_energy`], kept across calls so a
+/// disaggregation splits every slot of an aggregate without allocating.
+#[derive(Debug, Default)]
+struct Splitter {
+    shares: Vec<i64>,
+    remainders: Vec<(i64, usize)>,
+    parts: Vec<Energy>,
+}
+
+impl Splitter {
+    /// [`split_energy`] into the reused buffers.
+    fn split(&mut self, total: Energy, bounds: &[(Energy, Energy)]) -> Option<&[Energy]> {
+        let sum_min: i64 = bounds.iter().map(|b| b.0.wh()).sum();
+        let sum_max: i64 = bounds.iter().map(|b| b.1.wh()).sum();
+        let t = total.wh();
+        if t < sum_min || t > sum_max {
+            return None;
         }
-        ri += 1;
+        self.parts.clear();
+        let surplus = t - sum_min;
+        let capacity: i64 = sum_max - sum_min;
+        if capacity == 0 || surplus == 0 {
+            self.parts.extend(bounds.iter().map(|b| b.0));
+            return Some(&self.parts);
+        }
+        // Integer proportional shares with largest-remainder correction.
+        self.shares.clear();
+        self.remainders.clear();
+        let mut assigned = 0;
+        for (i, &(lo, hi)) in bounds.iter().enumerate() {
+            let cap = hi.wh() - lo.wh();
+            let numer = surplus.checked_mul(cap).expect("energy arithmetic overflow");
+            let share = numer / capacity;
+            let rem = numer % capacity;
+            self.shares.push(share);
+            self.remainders.push((rem, i));
+            assigned += share;
+        }
+        let mut leftover = surplus - assigned;
+        // Give one extra watt-hour to the largest remainders first; ties
+        // are broken by index for determinism (a total order, so the
+        // unstable sort is exact). Since `surplus < capacity` implies
+        // every floored share is strictly below its capacity, the bump
+        // never overflows a participant's maximum.
+        if leftover > 0 {
+            self.remainders.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        }
+        let mut ri = 0;
+        while leftover > 0 {
+            let (_, idx) = self.remainders[ri % self.remainders.len()];
+            let cap = bounds[idx].1.wh() - bounds[idx].0.wh();
+            if self.shares[idx] < cap {
+                self.shares[idx] += 1;
+                leftover -= 1;
+            }
+            ri += 1;
+        }
+        self.parts.extend(
+            bounds.iter().zip(&self.shares).map(|(&(lo, _), &share)| lo + Energy::from_wh(share)),
+        );
+        Some(&self.parts)
     }
-    Some(bounds.iter().zip(shares).map(|(&(lo, _), share)| lo + Energy::from_wh(share)).collect())
 }
 
 #[cfg(test)]

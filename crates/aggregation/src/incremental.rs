@@ -16,6 +16,7 @@
 //! equivalence is asserted in this module's tests); only the synthetic
 //! aggregate ids differ, because ids are never reused across epochs.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -116,11 +117,11 @@ impl IncrementalAggregator {
     pub fn insert_keyed(&mut self, offer: Arc<FlexOffer>, key: GroupKey) -> bool {
         debug_assert_eq!(key, GroupKey::of(&offer, &self.params), "key/offer mismatch");
         let id = offer.id();
-        if self.by_id.contains_key(&id) {
-            return false;
-        }
+        match self.by_id.entry(id) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(v) => v.insert(key),
+        };
         self.next_synthetic = self.next_synthetic.max(id.raw() + 1);
-        self.by_id.insert(id, key);
         self.cells.entry(key).or_default().members.push(offer);
         self.dirty.insert(key);
         true

@@ -32,10 +32,29 @@ impl Energy {
     }
 
     /// Creates an amount from fractional kilowatt-hours, rounding to the
-    /// nearest watt-hour.
+    /// nearest watt-hour, halves away from zero.
+    ///
+    /// Equal to `Energy((kwh * 1_000.0).round() as i64)` for every input,
+    /// saturating and NaN-to-zero included, without the `round` call:
+    /// the baseline x86-64 target has no rounding instruction, so
+    /// `f64::round` is a libm call, and the schedulers convert one
+    /// residual per slice per candidate start. Truncating is exact, and
+    /// so is `wh - t` (an `f64` minus its own integer part), so the
+    /// half comparisons are exact too.
     #[inline]
     pub fn from_kwh_f64(kwh: f64) -> Self {
-        Energy((kwh * 1_000.0).round() as i64)
+        let wh = kwh * 1_000.0;
+        // Saturating toward zero; NaN becomes 0, and so does the
+        // fraction test below.
+        let t = wh as i64;
+        let frac = wh - t as f64;
+        if frac >= 0.5 {
+            Energy(t.saturating_add(1))
+        } else if frac <= -0.5 {
+            Energy(t.saturating_sub(1))
+        } else {
+            Energy(t)
+        }
     }
 
     /// The amount in watt-hours.
@@ -169,6 +188,70 @@ mod tests {
         assert_eq!(Energy::from_kwh_f64(1.5), Energy::from_wh(1_500));
         assert_eq!(Energy::from_kwh_f64(0.0004), Energy::ZERO);
         assert_eq!(Energy::from_wh(2_500).kwh(), 2.5);
+    }
+
+    /// What `from_kwh_f64` must equal for every input.
+    fn rounded(kwh: f64) -> Energy {
+        Energy((kwh * 1_000.0).round() as i64)
+    }
+
+    /// `kwh` and its `steps` neighbours on either side, bit for bit.
+    fn around(kwh: f64, steps: i64) -> impl Iterator<Item = f64> {
+        (-steps..=steps).map(move |d| f64::from_bits(kwh.to_bits().wrapping_add_signed(d)))
+    }
+
+    #[test]
+    fn from_kwh_f64_rounds_exactly_like_f64_round() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::EPSILON,
+            1.234_567,
+            -1.234_567,
+        ];
+        // Subnormals, smallest to largest.
+        for bits in [1, 2, 0x000F_FFFF_FFFF_FFFF] {
+            cases.extend([f64::from_bits(bits), -f64::from_bits(bits)]);
+        }
+        // Half-watt-hour ties (exact after the scaling) and their
+        // neighbours.
+        for k in -6..=6 {
+            cases.extend(around((k as f64 + 0.5) / 1_000.0, 2));
+        }
+        cases.extend(around(1.0005, 2));
+        // Either side of 2^52 Wh (where fractions end) and of 2^63 Wh
+        // (where the conversion saturates), both signs.
+        for wh in [2f64.powi(52), 2f64.powi(63), 2f64.powi(52) - 0.5] {
+            for kwh in around(wh / 1_000.0, 3) {
+                cases.extend([kwh, -kwh]);
+            }
+        }
+        for kwh in cases {
+            assert_eq!(
+                Energy::from_kwh_f64(kwh),
+                rounded(kwh),
+                "kwh {kwh:e} (bits {:#018x})",
+                kwh.to_bits()
+            );
+        }
+
+        // The named behaviours, spelled out: ties away from zero,
+        // saturation, NaN to zero.
+        assert_eq!(Energy::from_kwh_f64(0.0005), Energy::from_wh(1));
+        assert_eq!(Energy::from_kwh_f64(-0.0005), Energy::from_wh(-1));
+        assert_eq!(Energy::from_kwh_f64(0.0025), Energy::from_wh(3));
+        assert_eq!(Energy::from_kwh_f64(-0.0025), Energy::from_wh(-3));
+        assert_eq!(Energy::from_kwh_f64(f64::INFINITY), Energy::from_wh(i64::MAX));
+        assert_eq!(Energy::from_kwh_f64(f64::NEG_INFINITY), Energy::from_wh(i64::MIN));
+        assert_eq!(Energy::from_kwh_f64(f64::NAN), Energy::ZERO);
     }
 
     #[test]

@@ -116,4 +116,34 @@ proptest! {
         let expected: Vec<i64> = (anchor..anchor + p.len() as i64).collect();
         prop_assert_eq!(slots, expected);
     }
+
+    /// `from_kwh_f64` rounds exactly like `f64::round` over arbitrary
+    /// bit patterns: every exponent, subnormals, NaNs and infinities.
+    #[test]
+    fn from_kwh_f64_matches_round_on_any_bits(
+        patterns in proptest::collection::vec(0u64..=u64::MAX, 64..65),
+    ) {
+        for bits in patterns {
+            let kwh = f64::from_bits(bits);
+            prop_assert_eq!(
+                Energy::from_kwh_f64(kwh),
+                Energy::from_wh((kwh * 1_000.0).round() as i64)
+            );
+        }
+    }
+
+    /// The same at the magnitudes a schedule meets, where the rounding
+    /// is decided: whole, half and near-half watt-hours.
+    #[test]
+    fn from_kwh_f64_matches_round_near_half_wh(
+        wh in -10_000_000i64..10_000_000,
+        nudge in -4i64..5,
+    ) {
+        let tie = (wh as f64 + 0.5) / 1_000.0;
+        let kwh = f64::from_bits(tie.to_bits().wrapping_add_signed(nudge));
+        prop_assert_eq!(
+            Energy::from_kwh_f64(kwh),
+            Energy::from_wh((kwh * 1_000.0).round() as i64)
+        );
+    }
 }

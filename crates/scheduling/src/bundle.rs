@@ -50,6 +50,7 @@
 //! guarantees (the pipeline adds no randomness of its own).
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -60,7 +61,7 @@ use mirabel_aggregation::{
 use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, Schedule};
 use mirabel_timeseries::TimeSeries;
 
-use crate::objective::{report, SchedulingError, SchedulingReport};
+use crate::objective::{add_energies, report, SchedulingError, SchedulingReport};
 use crate::Scheduler;
 
 /// A splitmix64 finisher over the raw id bits: offer ids are arbitrary
@@ -101,26 +102,42 @@ struct CachedPlan {
     plan: Schedule,
 }
 
+/// What a grid tracks about one maintained offer.
+#[derive(Debug, Clone)]
+struct Tracked {
+    /// Identity fingerprint — detects offers whose flexibility changed
+    /// under an unchanged id.
+    fingerprint: u64,
+    /// The offer's index in the input slice, as of the last sync.
+    index: usize,
+    /// The round whose sync last saw the offer; behind the current
+    /// round means the offer departed.
+    seen: u64,
+    /// The member schedule produced the last time the offer's cell was
+    /// planned; cleared whenever the cell is re-planned.
+    plan: Option<CachedPlan>,
+}
+
 /// The standing state of one `(seed, target)` planning context: the
 /// materialised cell grid plus what each member was planned last call.
 #[derive(Debug, Clone)]
 struct PartitionGrid {
     /// The maintained (direction, EST-cell, TFT-cell) grid.
     inc: IncrementalAggregator,
-    /// Identity fingerprint of every maintained offer — detects offers
-    /// whose flexibility changed under an unchanged id.
-    fingerprint: IdMap<u64>,
-    /// The member schedule produced the last time each offer's cell was
-    /// planned; cleared for a cell whenever it is re-planned.
-    plans: IdMap<CachedPlan>,
+    /// Every maintained offer, by id. Its iteration order (the order
+    /// departures fold out of `standing`) depends only on the history
+    /// of inserted and removed ids, never on the values.
+    tracked: IdMap<Tracked>,
+    /// Sync rounds run so far (the `seen` stamp).
+    round: u64,
     /// The summed residual contribution (`-sign · energy`) of every
-    /// cached plan, maintained on each `plans` mutation — so a warm
-    /// round derives the residual target in O(horizon) instead of
-    /// re-walking every clean member's schedule.
+    /// cached plan, maintained on each plan change — so a warm round
+    /// derives the residual target in O(horizon) instead of re-walking
+    /// every clean member's schedule.
     standing: TimeSeries,
     /// Cells the last round re-planned but left a member unplanned in —
     /// re-planned again next round. Plan-less members can only arise in
-    /// a re-planned cell (every other `plans` removal dirties its cell),
+    /// a re-planned cell (every other plan removal dirties its cell),
     /// so checking the round's churned cells on the way out replaces an
     /// O(members) sweep on the way in.
     unplanned: BTreeSet<GroupKey>,
@@ -130,8 +147,8 @@ impl PartitionGrid {
     fn new(params: AggregationParams) -> PartitionGrid {
         PartitionGrid {
             inc: IncrementalAggregator::new(params),
-            fingerprint: IdMap::default(),
-            plans: IdMap::default(),
+            tracked: IdMap::default(),
+            round: 0,
             standing: TimeSeries::zeros(mirabel_timeseries::TimeSlot::new(0), 0),
             unplanned: BTreeSet::new(),
         }
@@ -141,9 +158,7 @@ impl PartitionGrid {
 /// Folds one cached plan's residual contribution into (`weight` = +1)
 /// or out of (`weight` = -1) the standing curve.
 fn fold_standing(standing: &mut TimeSeries, cached: &CachedPlan, weight: f64) {
-    for (slot, energy) in cached.plan.iter() {
-        standing.add_at(slot, -weight * cached.sign * energy.kwh());
-    }
+    add_energies(standing, cached.plan.start(), cached.plan.energies(), -weight * cached.sign);
 }
 
 /// What an offer *is*, hashed: direction, start window, and profile
@@ -252,7 +267,7 @@ impl<S: Scheduler> BundleScheduler<S> {
         target: &TimeSeries,
         seed: u64,
     ) -> Result<SchedulingReport, SchedulingError> {
-        let PartitionGrid { inc, fingerprint, plans, standing, unplanned } = grid;
+        let PartitionGrid { inc, tracked, round, standing, unplanned } = grid;
         // One standing curve per context: the target's extent is part of
         // the context key, so a mismatch only happens on a cold grid.
         if standing.start() != target.start() || standing.len() != target.len() {
@@ -261,34 +276,45 @@ impl<S: Scheduler> BundleScheduler<S> {
 
         // Sync the grid with the schedulable subset: departures leave,
         // arrivals and identity-changed offers (re-)enter. Each touch
-        // marks exactly one cell dirty. One pass doubles as the id →
-        // input-index map build.
-        let mut current: IdMap<usize> = IdMap::default();
-        current.reserve(schedulable.len());
+        // marks exactly one cell dirty. The same pass stamps every
+        // offer seen, records its input index, and notes the offers
+        // whose standing schedule diverged from their cached plan.
+        let cold = tracked.is_empty();
+        *round += 1;
+        let seen = *round;
+        let mut diverged: Vec<usize> = Vec::new();
         for &i in schedulable {
             let fo = &offers[i];
-            current.insert(fo.id(), i);
-            let fp = identity_fingerprint(fo);
-            match fingerprint.get(&fo.id()) {
-                Some(&old) if old == fp => {}
-                known => {
-                    if known.is_some() {
-                        inc.remove(fo.id());
-                        if let Some(old) = plans.remove(&fo.id()) {
-                            fold_standing(standing, &old, -1.0);
-                        }
+            let fingerprint = identity_fingerprint(fo);
+            match tracked.entry(fo.id()) {
+                Entry::Occupied(mut e) if e.get().fingerprint == fingerprint => {
+                    let t = e.get_mut();
+                    t.index = i;
+                    t.seen = seen;
+                    if t.plan.as_ref().is_some_and(|c| fo.schedule() != Some(&c.plan)) {
+                        diverged.push(i);
+                    }
+                }
+                Entry::Occupied(mut e) => {
+                    inc.remove(fo.id());
+                    if let Some(old) = e.get_mut().plan.take() {
+                        fold_standing(standing, &old, -1.0);
                     }
                     inc.insert(Arc::new(fo.clone()));
-                    fingerprint.insert(fo.id(), fp);
+                    e.insert(Tracked { fingerprint, index: i, seen, plan: None });
+                }
+                Entry::Vacant(e) => {
+                    inc.insert(Arc::new(fo.clone()));
+                    e.insert(Tracked { fingerprint, index: i, seen, plan: None });
                 }
             }
         }
         let stale: Vec<FlexOfferId> =
-            fingerprint.keys().filter(|id| !current.contains_key(id)).copied().collect();
+            tracked.iter().filter(|(_, t)| t.seen != seen).map(|(id, _)| *id).collect();
         for id in stale {
             inc.remove(id);
-            fingerprint.remove(&id);
-            if let Some(old) = plans.remove(&id) {
+            let gone = tracked.remove(&id).expect("stale ids are tracked");
+            if let Some(old) = gone.plan {
                 fold_standing(standing, &old, -1.0);
             }
         }
@@ -302,11 +328,13 @@ impl<S: Scheduler> BundleScheduler<S> {
 
         // A re-planned cell forgets its cached plans up front: a member
         // the inner scheduler leaves unassigned must trigger another
-        // re-plan next round, not resurrect a stale schedule.
-        for cell in inc.cells() {
-            if churned.contains(&cell.key) {
+        // re-plan next round, not resurrect a stale schedule. (A cold
+        // grid has no plans to forget.)
+        if !cold {
+            for cell in inc.cells().filter(|cell| churned.contains(&cell.key)) {
                 for m in cell.members {
-                    if let Some(old) = plans.remove(&m.id()) {
+                    let t = tracked.get_mut(&m.id()).expect("members are tracked");
+                    if let Some(old) = t.plan.take() {
                         fold_standing(standing, &old, -1.0);
                     }
                 }
@@ -321,14 +349,15 @@ impl<S: Scheduler> BundleScheduler<S> {
         // cached plan (the steady state: the offers slice is the
         // planner's standing population) is left untouched — assigning
         // through the state machine, which clones and re-validates, is
-        // reserved for offers whose standing schedule diverged.
+        // reserved for the offers the sync saw diverge, if their cell
+        // stayed clean.
         let mut residual = target.clone();
         for (r, s) in residual.values_mut().iter_mut().zip(standing.values()) {
             *r += *s;
         }
-        for &i in schedulable {
+        for i in diverged {
             let fo = &mut offers[i];
-            let Some(cached) = plans.get(&fo.id()) else { continue };
+            let Some(cached) = &tracked[&fo.id()].plan else { continue };
             if fo.schedule() != Some(&cached.plan) {
                 fo.assign(cached.plan.clone())?;
             }
@@ -338,8 +367,10 @@ impl<S: Scheduler> BundleScheduler<S> {
         // aggregates first, then the untouched singletons cloned from
         // the *current* offers (their real states carry over, so a
         // Scheduled singleton is re-planned like anywhere else). Both
-        // spans run in cell-key order, so the ordering is deterministic.
+        // spans run in cell-key order, so the ordering is deterministic;
+        // `cells` records each surrogate's cell.
         let mut surrogates: Vec<FlexOffer> = Vec::new();
+        let mut cells: Vec<GroupKey> = Vec::new();
         let mut aggregates: Vec<&AggregateOffer> = Vec::new();
         for cell in inc.cells() {
             if !churned.contains(&cell.key) {
@@ -349,6 +380,7 @@ impl<S: Scheduler> BundleScheduler<S> {
                 let mut fo = agg.offer().clone();
                 fo.accept().map_err(SchedulingError::AssignmentRejected)?;
                 surrogates.push(fo);
+                cells.push(cell.key);
                 aggregates.push(agg);
             }
         }
@@ -358,7 +390,8 @@ impl<S: Scheduler> BundleScheduler<S> {
                 continue;
             }
             for m in cell.untouched {
-                surrogates.push(offers[current[&m.id()]].clone());
+                surrogates.push(offers[tracked[&m.id()].index].clone());
+                cells.push(cell.key);
                 untouched_ids.push(m.id());
             }
         }
@@ -378,34 +411,36 @@ impl<S: Scheduler> BundleScheduler<S> {
                 .disaggregate(agg, schedule)
                 .map_err(|e| SchedulingError::Bundling(e.to_string()))?;
             for (id, member_schedule) in parts {
-                let fo = &mut offers[current[&id]];
+                let t = tracked.get_mut(&id).expect("members are tracked");
+                let fo = &mut offers[t.index];
                 fo.assign(member_schedule.clone())?;
                 let cached = CachedPlan { sign: fo.direction().sign(), plan: member_schedule };
                 fold_standing(standing, &cached, 1.0);
-                if let Some(old) = plans.insert(id, cached) {
+                if let Some(old) = t.plan.replace(cached) {
                     fold_standing(standing, &old, -1.0);
                 }
             }
         }
         for (k, id) in untouched_ids.iter().enumerate() {
             if let Some(schedule) = surrogates[n_aggregates + k].schedule() {
-                let fo = &mut offers[current[id]];
+                let t = tracked.get_mut(id).expect("members are tracked");
+                let fo = &mut offers[t.index];
                 fo.assign(schedule.clone())?;
                 let cached = CachedPlan { sign: fo.direction().sign(), plan: schedule.clone() };
                 fold_standing(standing, &cached, 1.0);
-                if let Some(old) = plans.insert(*id, cached) {
+                if let Some(old) = t.plan.replace(cached) {
                     fold_standing(standing, &old, -1.0);
                 }
             }
         }
 
         // Any re-planned cell the inner scheduler left a member
-        // unplanned in goes round again next call.
-        for cell in inc.cells() {
-            if churned.contains(&cell.key)
-                && cell.members.iter().any(|m| !plans.contains_key(&m.id()))
-            {
-                unplanned.insert(cell.key);
+        // unplanned in goes round again next call. Every member of a
+        // re-planned cell lost its plan above and regains one exactly
+        // when its surrogate was scheduled.
+        for (surrogate, key) in surrogates.iter().zip(cells) {
+            if surrogate.schedule().is_none() {
+                unplanned.insert(key);
             }
         }
 

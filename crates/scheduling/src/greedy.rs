@@ -1,10 +1,12 @@
 //! The best-start greedy scheduler with residual tracking.
 
-use mirabel_flexoffer::{FlexOffer, Schedule};
-use mirabel_timeseries::{SlotSpan, TimeSeries};
+use std::cmp::Reverse;
+
+use mirabel_flexoffer::{Energy, FlexOffer, Schedule};
+use mirabel_timeseries::{SlotSpan, TimeSeries, TimeSlot};
 
 use crate::objective::{
-    apply_to_residual, best_fill, report, schedulable, SchedulingError, SchedulingReport,
+    apply_to_residual, best_fill, fill, report, schedulable, SchedulingError, SchedulingReport,
 };
 use crate::Scheduler;
 
@@ -36,13 +38,16 @@ impl Scheduler for GreedyScheduler {
         }
         let mut residual = target.clone();
 
-        // Plan big offers first.
-        let mut order: Vec<usize> = (0..offers.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(offers[i].total_max_energy()));
+        // Plan big offers first: each key is computed once, and the
+        // input index breaks ties, so the unstable sort orders exactly
+        // like a stable sort by key.
+        let mut order: Vec<(Reverse<Energy>, usize)> =
+            offers.iter().enumerate().map(|(i, fo)| (Reverse(fo.total_max_energy()), i)).collect();
+        order.sort_unstable();
 
         let mut assigned = 0;
         let mut skipped = 0;
-        for i in order {
+        for (_, i) in order {
             let fo = &offers[i];
             if !schedulable(fo) {
                 skipped += 1;
@@ -58,31 +63,33 @@ impl Scheduler for GreedyScheduler {
 }
 
 /// Evaluates every feasible start for `fo` against `residual` and returns
-/// the best `(start, energies)` pair.
-pub(crate) fn plan_one(
-    fo: &FlexOffer,
-    residual: &TimeSeries,
-) -> (mirabel_timeseries::TimeSlot, Vec<mirabel_flexoffer::Energy>) {
+/// the best `(start, energies)` pair: the lowest objective delta, the
+/// earliest start among equals. Candidates are scored without
+/// allocating ([`fill`] with a no-op sink); only the winner is filled.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub(crate) fn plan_one(fo: &FlexOffer, residual: &TimeSeries) -> (TimeSlot, Vec<Energy>) {
     let tf = fo.time_flexibility().count();
-    let mut best = None;
-    for shift in 0..=tf {
+    let mut best_start = fo.earliest_start();
+    let mut best_delta = fill(fo, best_start, residual, |_| {});
+    for shift in 1..=tf {
         let start = fo.earliest_start() + SlotSpan::slots(shift);
-        let (energies, delta) = best_fill(fo, start, residual);
-        match &best {
-            Some((_, _, best_delta)) if delta >= *best_delta => {}
-            _ => best = Some((start, energies, delta)),
+        let delta = fill(fo, start, residual, |_| {});
+        // A later start must be strictly better to win. Negated `>=`
+        // rather than `<`, so an unordered (NaN) delta replaces the
+        // best, as it always has.
+        if !(delta >= best_delta) {
+            best_start = start;
+            best_delta = delta;
         }
     }
-    let (start, energies, _) = best.expect("time flexibility is non-negative");
-    (start, energies)
+    let (energies, _) = best_fill(fo, best_start, residual);
+    (best_start, energies)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simple::EarliestStartScheduler;
-    use mirabel_flexoffer::Energy;
-    use mirabel_timeseries::TimeSlot;
 
     fn wh(v: i64) -> Energy {
         Energy::from_wh(v)

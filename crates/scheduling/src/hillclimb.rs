@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::greedy::{plan_one, GreedyScheduler};
-use crate::objective::{apply_to_residual, report, schedulable, SchedulingError, SchedulingReport};
+use crate::objective::{
+    add_energies, apply_to_residual, report, schedulable, SchedulingError, SchedulingReport,
+};
 use crate::Scheduler;
 
 /// Hill-climbing refinement (the local-search spirit of the evolutionary
@@ -74,9 +76,7 @@ impl Scheduler for HillClimbScheduler {
         for &i in &assigned_idx {
             let fo = &offers[i];
             let s = fo.schedule().expect("filtered to assigned");
-            let start = s.start();
-            let energies = s.energies().to_vec();
-            apply_to_residual(&mut residual, fo, start, &energies);
+            apply_to_residual(&mut residual, fo, s.start(), s.energies());
         }
 
         if assigned_idx.is_empty() {
@@ -90,17 +90,9 @@ impl Scheduler for HillClimbScheduler {
             let pick = assigned_idx[rng.gen_range(0..assigned_idx.len())];
             // Remove the offer's current load from the residual (i.e. add
             // it back to the target side).
-            let (old_start, old_energies) = {
-                let s = offers[pick].schedule().expect("assigned");
-                (s.start(), s.energies().to_vec())
-            };
-            let sign = offers[pick].direction().sign();
-            for (k, e) in old_energies.iter().enumerate() {
-                residual.add_at(
-                    old_start + mirabel_timeseries::SlotSpan::slots(k as i64),
-                    sign * e.kwh(),
-                );
-            }
+            let fo = &offers[pick];
+            let s = fo.schedule().expect("assigned");
+            add_energies(&mut residual, s.start(), s.energies(), fo.direction().sign());
             // Re-plan optimally against the residual without it.
             let (new_start, new_energies) = plan_one(&offers[pick], &residual);
             apply_to_residual(&mut residual, &offers[pick], new_start, &new_energies);

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use mirabel_flexoffer::{Energy, FlexOffer, FlexOfferError, OfferState};
-use mirabel_timeseries::{SlotSpan, TimeSeries, TimeSlot};
+use mirabel_timeseries::{TimeSeries, TimeSlot};
 
 /// Summary of how far a load curve is from its target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,13 +125,31 @@ pub fn load_curve(offers: &[FlexOffer], start: TimeSlot, len: usize) -> TimeSeri
     let mut load = TimeSeries::zeros(start, len);
     for fo in offers {
         if let Some(schedule) = fo.schedule() {
-            let sign = fo.direction().sign();
-            for (slot, energy) in schedule.iter() {
-                load.add_at(slot, sign * energy.kwh());
-            }
+            add_energies(&mut load, schedule.start(), schedule.energies(), fo.direction().sign());
         }
     }
     load
+}
+
+/// Adds `scale · e` (kWh) for every energy `e` placed slot by slot from
+/// `start` to the matching samples of `series`, dropping what falls
+/// outside its extent — `series.add_at(slot, scale * e.kwh())` per
+/// slot, with the clipping done once.
+pub(crate) fn add_energies(
+    series: &mut TimeSeries,
+    start: TimeSlot,
+    energies: &[Energy],
+    scale: f64,
+) {
+    let offset = (start - series.start()).count();
+    let values = series.values_mut();
+    let (first, skip) = match usize::try_from(offset) {
+        Ok(first) => (first.min(values.len()), 0),
+        Err(_) => (0, offset.unsigned_abs() as usize),
+    };
+    for (v, e) in values[first..].iter_mut().zip(energies.iter().skip(skip)) {
+        *v += scale * e.kwh();
+    }
 }
 
 /// For one offer anchored at `start`, chooses per-slice energies that
@@ -139,21 +157,42 @@ pub fn load_curve(offers: &[FlexOffer], start: TimeSlot, len: usize) -> TimeSeri
 /// energies together with the objective delta `Σ[(r−sign·e)² − r²]`
 /// (negative is an improvement).
 pub fn best_fill(fo: &FlexOffer, start: TimeSlot, residual: &TimeSeries) -> (Vec<Energy>, f64) {
-    let sign = fo.direction().sign();
     let mut energies = Vec::with_capacity(fo.profile().len());
+    let delta = fill(fo, start, residual, |e| energies.push(e));
+    (energies, delta)
+}
+
+/// The one per-slice kernel behind [`best_fill`] and the greedy
+/// scorer: hands each chosen energy to `emit` in slice order and returns
+/// the objective delta. The scorer passes a no-op `emit`, so scoring a
+/// candidate start allocates nothing, and both callers run the same
+/// arithmetic in the same order: a winner re-filled through
+/// [`best_fill`] gets exactly the delta it was scored with.
+#[inline(always)]
+pub(crate) fn fill(
+    fo: &FlexOffer,
+    start: TimeSlot,
+    residual: &TimeSeries,
+    mut emit: impl FnMut(Energy),
+) -> f64 {
+    let sign = fo.direction().sign();
+    let values = residual.values();
+    // Offset of slice 0 within the residual; slices outside its extent
+    // read zero, like `TimeSeries::get_or_zero`.
+    let offset = (start - residual.start()).count();
     let mut delta = 0.0;
     for (i, slice) in fo.profile().slices().iter().enumerate() {
-        let slot = start + SlotSpan::slots(i as i64);
-        let r = residual.get_or_zero(slot);
+        let k = offset + i as i64;
+        let r = if k >= 0 { values.get(k as usize).copied().unwrap_or(0.0) } else { 0.0 };
         // Minimise (r − sign·e)² over e ∈ [min, max]:
         // unconstrained optimum is e = sign·r.
         let desired = Energy::from_kwh_f64(sign * r);
         let e = desired.clamp(slice.min, slice.max);
         let after = r - sign * e.kwh();
         delta += after * after - r * r;
-        energies.push(e);
+        emit(e);
     }
-    (energies, delta)
+    delta
 }
 
 /// Applies a committed assignment to the residual curve: subtracts the
@@ -164,10 +203,7 @@ pub fn apply_to_residual(
     start: TimeSlot,
     energies: &[Energy],
 ) {
-    let sign = fo.direction().sign();
-    for (i, e) in energies.iter().enumerate() {
-        residual.add_at(start + SlotSpan::slots(i as i64), -sign * e.kwh());
-    }
+    add_energies(residual, start, energies, -fo.direction().sign());
 }
 
 /// `true` when the scheduler should plan this offer.

@@ -282,24 +282,29 @@ impl<S: Scheduler + Sync> IncrementalPlanner<S> {
                 per_thread[i % threads].push(item);
             }
 
+            let work = move |chunk: Vec<(usize, &mut Partition)>| {
+                let mut failed = Vec::new();
+                for (p, part) in chunk {
+                    let mixed = mix(seed, p as u64);
+                    match scheduler.schedule_seeded(&mut part.offers, share, mixed) {
+                        Ok(_) => part.refresh_cache(target),
+                        Err(e) => failed.push((p, e)),
+                    }
+                }
+                failed
+            };
+            // The calling thread plans the first chunk itself, so a
+            // one-thread re-plan spawns nothing.
             let mut failures: Vec<(usize, SchedulingError)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = per_thread
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut failed = Vec::new();
-                            for (p, part) in chunk {
-                                let mixed = mix(seed, p as u64);
-                                match scheduler.schedule_seeded(&mut part.offers, share, mixed) {
-                                    Ok(_) => part.refresh_cache(target),
-                                    Err(e) => failed.push((p, e)),
-                                }
-                            }
-                            failed
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("planner worker")).collect()
+                let mut chunks = per_thread.into_iter();
+                let own = chunks.next().expect("at least one worker");
+                let handles: Vec<_> =
+                    chunks.map(|chunk| scope.spawn(move || work(chunk))).collect();
+                let mut failed = work(own);
+                for h in handles {
+                    failed.extend(h.join().expect("planner worker"));
+                }
+                failed
             });
             if !failures.is_empty() {
                 // Deterministic error: report the lowest-index failure.
@@ -354,13 +359,17 @@ impl<S: Scheduler + Sync> IncrementalPlanner<S> {
     /// All held offers (with their current schedules), sorted by id.
     pub fn offers(&self) -> Vec<&FlexOffer> {
         let mut all: Vec<&FlexOffer> = self.parts.iter().flat_map(|p| &p.offers).collect();
-        all.sort_by_key(|fo| fo.id());
+        // Ids are unique across partitions, so unstable is exact.
+        all.sort_unstable_by_key(|fo| fo.id());
         all
     }
 
     /// Ids of all held offers, sorted.
     pub fn ids(&self) -> Vec<FlexOfferId> {
-        self.offers().iter().map(|fo| fo.id()).collect()
+        let mut ids: Vec<FlexOfferId> =
+            self.parts.iter().flat_map(|p| p.offers.iter().map(FlexOffer::id)).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// A stable FNV-1a digest of the current plan: ids, schedule starts

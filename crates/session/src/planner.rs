@@ -25,7 +25,7 @@
 //! same plan, the same generation counters and the same frame hashes at
 //! any worker thread count.
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
 use mirabel_aggregation::AggregationParams;
 use mirabel_dw::{Dimension, LoaderQuery, Warehouse, WarehouseRead};
@@ -263,6 +263,11 @@ pub struct SessionPlanner {
     /// for the whole session — the property the balance tab's
     /// `(revision, epoch, plan_generation)` cache key needs.
     generation_offset: u64,
+    /// The offers the last [`plan`] handed to the balance tab, sorted by
+    /// id. The next hand-off shares every entry whose offer is still
+    /// equal (`==`: same schedule, same status, same everything) instead
+    /// of cloning it.
+    handed: Arc<[VisualOffer]>,
 }
 
 impl SessionPlanner {
@@ -314,7 +319,9 @@ pub struct PlanUpdate {
     pub stats: PlanStats,
     /// The planned offers (with schedules), sorted by id — the balance
     /// tab's offer set, so hover and selection work like any other view.
-    pub offers: Vec<VisualOffer>,
+    /// Offers the plan left exactly as the previous hand-off had them
+    /// are shared with it, not cloned.
+    pub offers: Arc<[VisualOffer]>,
     /// The curves the balance view draws.
     pub balance: BalanceData,
 }
@@ -350,11 +357,12 @@ pub fn plan(
         .build();
 
     // The loadable working set as a borrowed view over the snapshot's
-    // columns: the id diff below allocates nothing per offer, and only
+    // columns, its ids sorted once (view position breaks ties): only
     // genuinely *new* arrivals are materialized further down — a
     // one-offer epoch costs one clone, not a re-clone of the window.
     let view = dw.view(&window);
-    let desired_ids: HashSet<FlexOfferId> = view.ids().collect();
+    let mut desired: Vec<(FlexOfferId, usize)> = (0..view.len()).map(|k| (view.id(k), k)).collect();
+    desired.sort_unstable();
 
     let reusable = state.as_ref().is_some_and(|s| {
         !s.params.invalidates(&params)
@@ -363,6 +371,7 @@ pub fn plan(
     });
     if !reusable {
         let generation_offset = state.as_ref().map_or(0, SessionPlanner::generation);
+        let handed = state.as_ref().map_or_else(|| Arc::from([]), |s| Arc::clone(&s.handed));
         let config = PlannerConfig {
             partitions: params.partitions,
             threads: params.threads,
@@ -378,18 +387,19 @@ pub fn plan(
                 target.clone(),
             ),
             generation_offset,
+            handed,
         });
     }
     let s = state.as_mut().expect("planner state just ensured");
     s.params = params;
     s.planner.set_threads(params.threads);
 
-    // Epoch delta → dirty partitions: insert arrivals, drop withdrawals.
-    let known: HashSet<FlexOfferId> = s.planner.ids().into_iter().collect();
-    let gone: Vec<FlexOfferId> =
-        known.iter().copied().filter(|id| !desired_ids.contains(id)).collect();
+    // Epoch delta → dirty partitions: one merge of the window's sorted
+    // ids against the planner's sorted ids yields the withdrawals (held
+    // ids the window lost) and the arrivals (window ids not held).
+    let (gone, arrivals) = diff_ids(&s.planner.ids(), &desired);
     s.planner.remove(&gone);
-    s.planner.insert((0..view.len()).filter(|&k| !known.contains(&view.id(k))).map(|k| {
+    s.planner.insert(arrivals.into_iter().map(|k| {
         // Cloned out of the immutable snapshot (a session never mutates
         // a warehouse); freshly offered → accepted, anything already
         // past that state keeps its status (the scheduler skips
@@ -402,8 +412,22 @@ pub fn plan(
 
     let outcome = s.planner.replan().map_err(|e| format!("planning failed: {e}"))?;
 
-    let offers: Vec<VisualOffer> =
-        s.planner.offers().into_iter().map(|fo| VisualOffer::plain(fo.clone())).collect();
+    // The hand-off: both sides are sorted by id, so one merge pairs each
+    // planned offer with its previous-generation copy.
+    let mut previous = s.handed.iter().peekable();
+    let offers: Arc<[VisualOffer]> = s
+        .planner
+        .offers()
+        .into_iter()
+        .map(|fo| {
+            while previous.next_if(|v| v.id() < fo.id()).is_some() {}
+            match previous.next_if(|v| v.id() == fo.id()) {
+                Some(v) if *v.offer == *fo => v.clone(),
+                _ => VisualOffer::plain(fo.clone()),
+            }
+        })
+        .collect();
+    s.handed = Arc::clone(&offers);
     let balance =
         BalanceData { target: s.planner.target().clone(), scheduled: s.planner.scheduled_load() };
     let stats = PlanStats {
@@ -418,6 +442,34 @@ pub fn plan(
         after_l1: outcome.report.after.l1,
     };
     Ok(PlanUpdate { stats, offers, balance })
+}
+
+/// Merges the planner's sorted ids `held` against the window's
+/// `desired` `(id, view position)` pairs, sorted: returns the held ids
+/// the window no longer has, and the view positions of the window ids
+/// the planner does not hold yet, ascending by id (a repeated new id
+/// lists every position, in view order, so the last one wins the
+/// insert).
+fn diff_ids(
+    held: &[FlexOfferId],
+    desired: &[(FlexOfferId, usize)],
+) -> (Vec<FlexOfferId>, Vec<usize>) {
+    let mut gone = Vec::new();
+    let mut arrivals = Vec::new();
+    let mut held = held.iter().copied().peekable();
+    let mut matched = None;
+    for &(id, k) in desired {
+        while let Some(old) = held.next_if(|&old| old < id) {
+            gone.push(old);
+        }
+        if held.next_if_eq(&id).is_some() {
+            matched = Some(id);
+        } else if matched != Some(id) {
+            arrivals.push(k);
+        }
+    }
+    gone.extend(held);
+    (gone, arrivals)
 }
 
 #[cfg(test)]
@@ -641,7 +693,7 @@ mod tests {
         let params = PlanningParams { bundle: true, ..Default::default() };
         let up = plan(snap.as_ref(), params, AggregationParams::default(), &mut state).unwrap();
         assert!(up.stats.assigned > 0);
-        for o in &up.offers {
+        for o in up.offers.iter() {
             let s = o.offer.schedule().expect("bundled plan covers every loadable offer");
             o.offer.check_schedule(s).unwrap();
         }
@@ -668,6 +720,27 @@ mod tests {
         )
         .unwrap();
         assert!(up2.stats.replanned > 0);
+    }
+
+    #[test]
+    fn id_diff_merges_sorted_ids() {
+        let ids = |raw: &[u64]| raw.iter().copied().map(FlexOfferId).collect::<Vec<_>>();
+        let held = ids(&[1, 3, 5, 7]);
+        // Window ids 2, 3 (twice), 5 and 8 (twice), at view positions 0..6.
+        let mut desired: Vec<(FlexOfferId, usize)> =
+            [(2, 0), (3, 1), (5, 2), (8, 3), (3, 4), (8, 5)]
+                .into_iter()
+                .map(|(id, k)| (FlexOfferId(id), k))
+                .collect();
+        desired.sort_unstable();
+        let (gone, arrivals) = diff_ids(&held, &desired);
+        assert_eq!(gone, ids(&[1, 7]));
+        // A held id is never re-inserted, however often the window
+        // repeats it; a new repeated id keeps every position in view
+        // order.
+        assert_eq!(arrivals, vec![0, 3, 5]);
+        assert_eq!(diff_ids(&held, &[]), (held.clone(), vec![]));
+        assert_eq!(diff_ids(&[], &desired).1, vec![0, 1, 4, 2, 3, 5]);
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl Session {
                 // Served entirely from the cached frame: grid-index probe
                 // plus cached id→index lookup; no scene rebuild, no scan.
                 let cached = tab.cached();
-                let hit = cached.index.hit_topmost(p);
+                let hit = cached.index().hit_topmost(p);
                 if tab.is_heatmap() {
                     let info = hit
                         .and_then(|raw| raw.checked_sub(REGION_TAG_BASE))
@@ -258,7 +258,7 @@ impl Session {
                     return Outcome::Tooltip(info);
                 }
                 let info = hit
-                    .and_then(|raw| cached.lookup.get(&raw).copied())
+                    .and_then(|raw| cached.lookup().get(&raw).copied())
                     .map(|i| tooltip::info_for(&tab.offers, i));
                 Outcome::Tooltip(info)
             }
@@ -268,8 +268,10 @@ impl Session {
                     return Outcome::Rejected("no active tab".into());
                 };
                 let cached = tab.cached();
-                let hit =
-                    cached.index.hit_topmost(p).and_then(|raw| cached.lookup.get(&raw).copied());
+                let hit = cached
+                    .index()
+                    .hit_topmost(p)
+                    .and_then(|raw| cached.lookup().get(&raw).copied());
                 let mut delta = SelectionDelta { tab: active, ..Default::default() };
                 match hit {
                     Some(i) => {
@@ -312,8 +314,9 @@ impl Session {
                 // One cache access for the whole sweep: per-hit re-locking
                 // would make a full-canvas drag O(n) lock round-trips.
                 let cached = tab.cached();
-                for raw in cached.index.query_ordered(rect) {
-                    if let Some(&i) = cached.lookup.get(&raw) {
+                let lookup = cached.lookup();
+                for raw in cached.index().query_ordered(rect) {
+                    if let Some(&i) = lookup.get(&raw) {
                         let id = tab.offers[i].id();
                         if tab.selection.insert(id) {
                             delta.added.push(id);
@@ -347,7 +350,8 @@ impl Session {
                     // Whole view selected in paint order: share the slice.
                     Arc::clone(&tab.offers)
                 } else {
-                    let lookup = tab.cached().lookup;
+                    let cached = tab.cached();
+                    let lookup = cached.lookup();
                     tab.selection
                         .iter()
                         .filter_map(|id| lookup.get(&id.raw()).map(|&i| tab.offers[i].clone()))
@@ -446,7 +450,7 @@ impl Session {
                     Ok(update) => {
                         let stats = update.stats;
                         let balance = Arc::new(update.balance);
-                        let offers: Arc<[VisualOffer]> = update.offers.into();
+                        let offers = update.offers;
                         match self.tabs.iter().position(Tab::is_balance) {
                             Some(i) => {
                                 let epoch = self.epoch;

@@ -1,17 +1,24 @@
 //! View tabs with revision-keyed frame caches.
 //!
 //! A [`Tab`] owns an [`Arc`]-shared slice of [`VisualOffer`]s and lazily
-//! materialises everything derived from them — the [`DetailLayout`], the
-//! rendered [`Scene`], a [`GridIndex`] for pointer probes, and an
-//! id→index lookup — into one `CachedFrame` keyed by a monotonically
-//! bumped *revision*. Read-only commands (hover, click, render) reuse the
-//! cached frame; only mutating commands bump the revision and pay for a
-//! rebuild on the next read. This is the paper's "rendering does not
-//! freeze the tool" discipline made explicit: a 10k-event pointer storm
-//! builds exactly one frame.
+//! materialises everything derived from them into one `CachedFrame`
+//! keyed by `(revision, epoch, plan_generation)`. Read-only commands
+//! (hover, click, render) reuse the cached frame; only mutating commands
+//! bump the key and pay for a rebuild on the next read. This is the
+//! paper's "rendering does not freeze the tool" discipline made
+//! explicit: a 10k-event pointer storm builds exactly one frame.
+//!
+//! A frame builds eagerly only what a `render` reads: the [`Scene`], its
+//! content hash, and the [`DetailLayout`] when the basic or profile view
+//! draws with it. The rest is built on first use, once per frame,
+//! through a `OnceLock`: the [`GridIndex`] on the first pointer probe
+//! (hover, click, drag), the id→index lookup when a hit, a drag or a
+//! show-selection first needs it, and the layout of a balance or
+//! heatmap frame on the first [`Tab::layout`] call. A live balance tab re-planned and
+//! rendered, then left for another tab, never pays for the index.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mirabel_dw::{LoaderQuery, Warehouse};
 use mirabel_flexoffer::FlexOfferId;
@@ -150,24 +157,61 @@ pub struct FrameRef {
 }
 
 /// Everything derived from a tab's offers at one
-/// `(revision, epoch, plan_generation)` key.
-#[derive(Debug, Clone)]
+/// `(revision, epoch, plan_generation)` key: the scene and its hash,
+/// built with the frame, and the parts built on first use (see the
+/// [module docs](self)).
+#[derive(Debug)]
 pub(crate) struct CachedFrame {
     pub(crate) revision: u64,
     pub(crate) epoch: u64,
     pub(crate) plan_generation: u64,
-    pub(crate) layout: Arc<DetailLayout>,
     pub(crate) scene: Arc<Scene>,
-    pub(crate) index: Arc<GridIndex>,
+    pub(crate) hash: u64,
+    /// The offers and canvas the frame was drawn from, kept for the
+    /// parts built on first use.
+    offers: Arc<[VisualOffer]>,
+    canvas: (f64, f64),
+    layout: OnceLock<Arc<DetailLayout>>,
+    index: OnceLock<Arc<GridIndex>>,
     /// Raw offer id → first index in `offers` (mirrors the linear
     /// `position()` the pre-session `App` ran per hit).
-    pub(crate) lookup: Arc<HashMap<u64, usize>>,
-    pub(crate) hash: u64,
+    lookup: OnceLock<HashMap<u64, usize>>,
+}
+
+impl CachedFrame {
+    /// The layout the frame's offers take on its canvas.
+    pub(crate) fn layout(&self) -> &Arc<DetailLayout> {
+        self.layout.get_or_init(|| {
+            Arc::new(DetailLayout::compute(&self.offers, self.canvas.0, self.canvas.1))
+        })
+    }
+
+    /// The spatial index over the frame's scene, for pointer probes.
+    pub(crate) fn index(&self) -> &Arc<GridIndex> {
+        self.index.get_or_init(|| Arc::new(GridIndex::build(&self.scene, GRID_CELL)))
+    }
+
+    /// Raw offer id → first index in the frame's offers.
+    pub(crate) fn lookup(&self) -> &HashMap<u64, usize> {
+        self.lookup.get_or_init(|| {
+            let mut lookup = HashMap::with_capacity(self.offers.len());
+            for (i, v) in self.offers.iter().enumerate() {
+                lookup.entry(v.id().raw()).or_insert(i);
+            }
+            lookup
+        })
+    }
+
+    /// Which lazy parts exist yet: `(layout, index, lookup)`.
+    #[cfg(test)]
+    fn built(&self) -> (bool, bool, bool) {
+        (self.layout.get().is_some(), self.index.get().is_some(), self.lookup.get().is_some())
+    }
 }
 
 #[derive(Debug, Default)]
 struct CacheSlot {
-    frame: Option<CachedFrame>,
+    frame: Option<Arc<CachedFrame>>,
     builds: u64,
 }
 
@@ -193,8 +237,9 @@ pub struct Tab {
     balance: Option<Arc<BalanceData>>,
     /// The region cells of a heatmap tab (`None` on ordinary tabs).
     heatmap: Option<Arc<HeatmapData>>,
-    /// Plan generation the balance data was produced at — the third
-    /// half of the cache key, bumped by the session after every re-plan.
+    /// Plan generation the balance data or heatmap cells were produced
+    /// at — the third part of the cache key, set with the balance data
+    /// after every re-plan and with the heatmap cells on every drill.
     plan_generation: u64,
     revision: u64,
     epoch: u64,
@@ -277,11 +322,15 @@ impl Tab {
         self.heatmap.is_some()
     }
 
-    /// Installs fresh heatmap cells (the session calls this on every
-    /// drill and after every re-plan). Heatmap data rides the same
-    /// `plan_generation` third of the cache key as balance data: a
-    /// re-plan invalidates the choropleth without touching the
-    /// revision, and a hover storm between plans builds one frame.
+    /// Installs fresh heatmap cells, stamped with the plan generation
+    /// they were folded from. The session calls this on every
+    /// `region-drill` and `region-up`, never on a plan:
+    /// [`Command::Plan`](crate::Command::Plan) refreshes only the
+    /// balance tab, so the cells pick up a newer plan at the next drill.
+    /// The generation rides the same `plan_generation` third of the
+    /// cache key as balance data, so a drill that folds a newer plan
+    /// invalidates the choropleth without touching the revision, and a
+    /// hover storm between drills builds one frame.
     pub(crate) fn set_heatmap(&mut self, data: Arc<HeatmapData>, generation: u64) {
         self.heatmap = Some(data);
         self.plan_generation = generation;
@@ -374,7 +423,7 @@ impl Tab {
 
     /// The layout shared by rendering and interaction.
     pub fn layout(&self) -> Arc<DetailLayout> {
-        Arc::clone(&self.cached().layout)
+        Arc::clone(self.cached().layout())
     }
 
     /// The tab's current scene (without tooltip overlay), served from the
@@ -383,15 +432,16 @@ impl Tab {
         Arc::clone(&self.cached().scene)
     }
 
-    /// The spatial index over the current scene, for pointer probes.
+    /// The spatial index over the current scene, for pointer probes
+    /// (built by the first probe of each frame).
     pub fn grid_index(&self) -> Arc<GridIndex> {
-        Arc::clone(&self.cached().index)
+        Arc::clone(self.cached().index())
     }
 
     /// A versioned handle to the current frame.
     pub fn frame(&self) -> FrameRef {
         let c = self.cached();
-        FrameRef { scene: c.scene, revision: c.revision, epoch: c.epoch, hash: c.hash }
+        FrameRef { scene: Arc::clone(&c.scene), revision: c.revision, epoch: c.epoch, hash: c.hash }
     }
 
     /// Index of the offer with `id` (first match, as the views draw it).
@@ -401,22 +451,23 @@ impl Tab {
 
     /// Index of the offer whose raw id is `raw`, via the cached lookup.
     pub(crate) fn index_of_raw(&self, raw: u64) -> Option<usize> {
-        self.cached().lookup.get(&raw).copied()
+        self.cached().lookup().get(&raw).copied()
     }
 
-    /// The cached frame for the current `(revision, epoch)` key,
-    /// building it if stale.
-    pub(crate) fn cached(&self) -> CachedFrame {
+    /// The cached frame for the current `(revision, epoch,
+    /// plan_generation)` key, building its scene if stale.
+    pub(crate) fn cached(&self) -> Arc<CachedFrame> {
         let mut slot = self.cache.lock().expect("tab cache");
         if let Some(c) = &slot.frame {
             if c.revision == self.revision
                 && c.epoch == self.epoch
                 && c.plan_generation == self.plan_generation
             {
-                return c.clone();
+                return Arc::clone(c);
             }
         }
-        let layout = DetailLayout::compute(&self.offers, self.options.width, self.options.height);
+        let (width, height) = (self.options.width, self.options.height);
+        let layout = OnceLock::new();
         let scene = match (self.mode, &self.balance) {
             (ViewMode::Balance, Some(data)) => balance::build(&self.offers, data, &self.options),
             (ViewMode::Balance, None) => {
@@ -426,28 +477,30 @@ impl Tab {
                 Some(data) => heatmap::build(data, &self.options),
                 None => heatmap::build(&HeatmapData::empty(), &self.options),
             },
-            (ViewMode::Basic, _) => basic::build_with_layout(&self.offers, &self.options, &layout),
-            (ViewMode::Profile, _) => {
-                profile::build_with_layout(&self.offers, &self.options, &layout)
+            (ViewMode::Basic | ViewMode::Profile, _) => {
+                let drawn = layout
+                    .get_or_init(|| Arc::new(DetailLayout::compute(&self.offers, width, height)));
+                if self.mode == ViewMode::Basic {
+                    basic::build_with_layout(&self.offers, &self.options, drawn)
+                } else {
+                    profile::build_with_layout(&self.offers, &self.options, drawn)
+                }
             }
         };
-        let index = GridIndex::build(&scene, GRID_CELL);
-        let mut lookup = HashMap::with_capacity(self.offers.len());
-        for (i, v) in self.offers.iter().enumerate() {
-            lookup.entry(v.id().raw()).or_insert(i);
-        }
         let hash = scene.content_hash();
-        let frame = CachedFrame {
+        let frame = Arc::new(CachedFrame {
             revision: self.revision,
             epoch: self.epoch,
             plan_generation: self.plan_generation,
-            layout: Arc::new(layout),
             scene: Arc::new(scene),
-            index: Arc::new(index),
-            lookup: Arc::new(lookup),
             hash,
-        };
-        slot.frame = Some(frame.clone());
+            offers: Arc::clone(&self.offers),
+            canvas: (width, height),
+            layout,
+            index: OnceLock::new(),
+            lookup: OnceLock::new(),
+        });
+        slot.frame = Some(Arc::clone(&frame));
         slot.builds += 1;
         frame
     }
@@ -542,6 +595,155 @@ mod tests {
         assert_eq!(tab.frame_builds(), 3);
         assert_eq!(tab.plan_generation(), 2);
         assert!(tab.is_balance());
+    }
+
+    /// Probes every view mode through the session and checks each
+    /// answer against an eager `GridIndex::build` of the scene the probe
+    /// ran on, with a linear id lookup.
+    #[test]
+    fn frames_build_the_index_on_first_probe_and_probe_like_an_eager_build() {
+        use crate::views::heatmap::REGION_TAG_BASE;
+        use crate::{Command, Outcome, Session};
+        use mirabel_dw::{Dimension, LiveWarehouse};
+        use mirabel_viz::Rect;
+        use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
+
+        let pop = Population::generate(&PopulationConfig {
+            size: 40,
+            seed: 0x1A2E,
+            household_share: 0.8,
+        });
+        let live = LiveWarehouse::new(pop.clone(), &generate_offers(&pop, &OfferConfig::default()));
+        live.advance_day();
+        let dw = Arc::clone(live.publish().warehouse());
+        let root = dw.hierarchy(Dimension::Geography).all().id;
+        let mut session = Session::new(Arc::clone(&dw));
+        session
+            .handle(Command::Load { query: LoaderQuery::builder().build(), title: "all".into() });
+        assert!(session.handle(Command::Plan).plan().is_some());
+        session.handle(Command::RegionDrill(root));
+        let tab_of = |s: &Session, mode: ViewMode| {
+            s.tabs().iter().position(|t| t.mode == mode).expect("tab per mode")
+        };
+
+        // A rendered balance or heatmap frame has built none of the lazy
+        // parts; the first hover builds the index, and only it, once.
+        for mode in [ViewMode::Balance, ViewMode::Heatmap] {
+            let i = tab_of(&session, mode);
+            session.handle(Command::ActivateTab(i));
+            assert!(matches!(session.handle(Command::Render), Outcome::Frame(_)));
+            let tab = &session.tabs()[i];
+            let builds = tab.frame_builds();
+            assert_eq!(tab.cached().built(), (false, false, false), "{mode:?} after render");
+            session.handle(Command::PointerMove(Point::new(300.0, 200.0)));
+            let tab = &session.tabs()[i];
+            let index = Arc::clone(tab.cached().index());
+            assert!(tab.cached().built().1, "{mode:?}: the first probe builds the index");
+            session.handle(Command::PointerMove(Point::new(310.0, 210.0)));
+            let tab = &session.tabs()[i];
+            assert!(Arc::ptr_eq(&index, tab.cached().index()), "{mode:?}: built once");
+            assert_eq!(tab.frame_builds(), builds, "{mode:?}: probes build no frame");
+        }
+
+        // Basic and profile draw the loaded tab; every mode answers
+        // hovers, clicks, drags and show-selection like an eager index.
+        let loaded = tab_of(&session, ViewMode::Basic);
+        for mode in [ViewMode::Basic, ViewMode::Profile, ViewMode::Balance, ViewMode::Heatmap] {
+            let i = if mode == ViewMode::Profile { loaded } else { tab_of(&session, mode) };
+            session.handle(Command::ActivateTab(i));
+            session.handle(Command::SetMode(mode));
+            let tab = &session.tabs()[i];
+            let (w, h) = (tab.options.width, tab.options.height);
+            let points: Vec<Point> = (0..16)
+                .flat_map(|x| (0..9).map(move |y| (x, y)))
+                .map(|(x, y)| Point::new(w * (x as f64 + 0.5) / 16.0, h * (y as f64 + 0.5) / 9.0))
+                .collect();
+            // Offer index (or heatmap cell index) an eager index finds.
+            let eager_hit = |s: &Session, p: Point| {
+                let tab = &s.tabs()[i];
+                let raw = GridIndex::build(&tab.scene(), GRID_CELL).hit_topmost(p)?;
+                match tab.heatmap() {
+                    Some(data) => data.cells.iter().position(|c| {
+                        Some(u64::from(c.member.0)) == raw.checked_sub(REGION_TAG_BASE)
+                    }),
+                    None => tab.offers.iter().position(|v| v.id().raw() == raw),
+                }
+            };
+            let mut hits = 0;
+            for &p in &points {
+                let want = eager_hit(&session, p);
+                hits += usize::from(want.is_some());
+                match session.handle(Command::PointerMove(p)) {
+                    Outcome::Tooltip(info) => {
+                        assert_eq!(info.map(|t| t.offer_index), want, "{mode:?} hover at {p:?}")
+                    }
+                    other => panic!("{mode:?} hover answered {other:?}"),
+                }
+            }
+            assert!(hits > 0, "{mode:?}: the probe grid must hit something");
+
+            // Clicks select what an eager hit names (heatmap cells are
+            // not offers: a click there clears the selection).
+            for &p in points.iter().step_by(7) {
+                let tab = &session.tabs()[i];
+                let want = if tab.is_heatmap() {
+                    None
+                } else {
+                    eager_hit(&session, p).map(|k| tab.offers[k].id())
+                };
+                let before = tab.selection.clone();
+                let Outcome::Selection(delta) = session.handle(Command::Click(p)) else {
+                    panic!("{mode:?} click rejected")
+                };
+                match want {
+                    Some(id) if !before.contains(id) => assert_eq!(delta.added, vec![id]),
+                    Some(_) => assert!(delta.added.is_empty()),
+                    None => assert_eq!(delta.removed, before.ids().to_vec(), "{mode:?}"),
+                }
+            }
+
+            // A drag selects the eager index's ordered query over the
+            // scene it ran on, minus what was already selected.
+            let before = session.tabs()[i].selection.clone();
+            let (a, b) = (Point::new(w * 0.2, h * 0.1), Point::new(w * 0.8, h * 0.9));
+            session.handle(Command::DragStart(a));
+            let Outcome::Selection(delta) = session.handle(Command::DragEnd(b)) else {
+                panic!("{mode:?} drag rejected")
+            };
+            let tab = &session.tabs()[i];
+            let mut want = Vec::new();
+            if !tab.is_heatmap() {
+                for raw in GridIndex::build(&tab.scene(), GRID_CELL)
+                    .query_ordered(Rect::from_corners(a, b))
+                {
+                    if let Some(v) = tab.offers.iter().find(|v| v.id().raw() == raw) {
+                        if !before.contains(v.id()) && !want.contains(&v.id()) {
+                            want.push(v.id());
+                        }
+                    }
+                }
+            }
+            assert_eq!(delta.added, want, "{mode:?} drag");
+
+            // Show-selection opens the selected offers, in selection
+            // order, each resolved to its first position.
+            let tab = &session.tabs()[i];
+            let want: Vec<FlexOfferId> = tab
+                .selection
+                .iter()
+                .filter_map(|id| tab.offers.iter().find(|v| v.id() == *id).map(VisualOffer::id))
+                .collect();
+            match session.handle(Command::ShowSelectionInNewTab) {
+                Outcome::TabOpened { tab: opened, .. } => {
+                    let got: Vec<FlexOfferId> =
+                        session.tabs()[opened].offers.iter().map(VisualOffer::id).collect();
+                    assert_eq!(got, want, "{mode:?} show-selection");
+                    session.handle(Command::CloseTab(opened));
+                }
+                Outcome::Rejected(_) => assert!(want.is_empty(), "{mode:?} show-selection"),
+                other => panic!("{mode:?} show-selection answered {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! The scene is a pure function of `(data, options)`; the tab caches it
 //! keyed by `(revision, epoch, plan_generation)` exactly like the
-//! balance view, so a hover storm between re-plans builds one frame.
+//! balance view, so a hover storm between drills builds one frame. The
+//! cells are folded from the standing plan when a drill runs; a plan
+//! alone does not refresh them.
 
 use std::collections::HashMap;
 

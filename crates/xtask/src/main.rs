@@ -11,15 +11,18 @@
 //!   workspace of its own;
 //! * `cargo xtask test` — release build + workspace tests (the first
 //!   half of `build-test`);
-//! * `cargo xtask examples` — *run* the smoke examples (the `examples`
-//!   job; clippy only proves they compile);
+//! * `cargo xtask examples` — *run* the smoke examples (clippy only
+//!   proves they compile; CI's `examples` job runs exactly this, so the
+//!   example list lives only here);
 //! * `cargo xtask api-check` — the typestate API surface: the
 //!   compile-fail doctest suites of `mirabel-flexoffer` and
 //!   `mirabel-net` (invalid lifecycle transitions must not compile)
 //!   plus their rustdoc under `-D warnings`;
 //! * `cargo xtask perfbench` — the repository benchmark's correctness
 //!   checks: its own tests, then a 3 s run of each workload through the
-//!   `BENCHMARK.json` command (a run exits 1 when `"correct"` is false);
+//!   `BENCHMARK.json` command (a run exits 1 when `"correct"` is false;
+//!   CI's `build-test` job runs exactly this, so the workload list lives
+//!   only here);
 //! * `cargo xtask bench-gate` — the stress/ingest/planning/spatial/net/
 //!   forecast/columnar harnesses plus the `bench_diff` regression gate
 //!   (the second half; CI's `build-test` job runs exactly this);
