@@ -1,12 +1,15 @@
 //! S7 — columnar ≡ row equivalence under ingest churn, as a CI binary.
 //!
 //! Runs the columnar harness, writes `BENCH_columnar.json`, and
-//! enforces the binary rows of `mirabel_bench::columnar::GATES`:
+//! enforces every row of `mirabel_bench::columnar::GATES`:
 //!
 //! * **query equality**: every columnar `eval` answer equals the
 //!   row-oriented `eval_rows` reference exactly, at every epoch;
 //! * **view equality**: every borrowed `view` (ids and materialized
 //!   offers) matches the linear row scan, at every epoch;
+//! * **encoded speedup**: the query battery runs ≥ 2× faster through
+//!   the encoded columns than through the row reference, on the final
+//!   epoch;
 //! * **filtered equality**: every selective probe over the bulk pool
 //!   agrees three ways — pushdown `eval` ≡ plain `eval_scan` ≡ row
 //!   `eval_rows`;
@@ -35,7 +38,6 @@ fn main() -> ExitCode {
     let mut args = Args::parse(
         "usage: columnar [--prosumers N] [--days N] [--batches-per-day N] \
          [--withdraw-fraction F] [--repeats N] [--seed S] [--out PATH] [--filter-facts N]",
-        &[],
     );
     let mut config = ColumnarConfig::default();
     let mut out_path = String::from("BENCH_columnar.json");

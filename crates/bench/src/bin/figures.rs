@@ -34,7 +34,7 @@ fn main() {
         figure1, figure2, figure3, figure4, figure5, figure6, figure7, figure8, figure9, figure10,
         figure11,
     ];
-    let mut args = Args::parse("usage: figures [--fig N] (N = 1..11; all figures by default)", &[]);
+    let mut args = Args::parse("usage: figures [--fig N] (N = 1..11; all figures by default)");
     let only: Option<usize> = args.get("--fig");
     if only.is_some_and(|n| !(1..=figures.len()).contains(&n)) {
         args.usage();

@@ -4,7 +4,7 @@
 //! trailing day twice — once from the max-envelope history, once from
 //! the metered execution history — and scores both against the day's
 //! actual metered net load. Writes `BENCH_forecast.json` and enforces
-//! the binary row of `mirabel_bench::forecast::GATES`: training on
+//! the one row of `mirabel_bench::forecast::GATES`: training on
 //! executions must beat the envelope baseline
 //! (`executions_beat_envelope`).
 //!
@@ -23,7 +23,6 @@ fn main() -> ExitCode {
     let mut args = Args::parse(
         "usage: forecast [--prosumers N] [--days D] [--eval-days E] [--seed S] \
          [--repeats N] [--out PATH]",
-        &[],
     );
     let mut config = ForecastConfig::default();
     let mut out_path = String::from("BENCH_forecast.json");

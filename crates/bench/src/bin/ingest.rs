@@ -3,7 +3,7 @@
 //! Replays a deterministic arrival/withdrawal/day-tick trace against a
 //! `LiveWarehouse` publishing epochs into a `ConcurrentPool` of reader
 //! sessions, at several reader thread counts, writes
-//! `BENCH_ingest.json`, and enforces the binary rows of
+//! `BENCH_ingest.json`, and enforces every row of
 //! `mirabel_bench::ingest::GATES`: per-(epoch, reader) frame hashes
 //! identical at every thread count (no reader ever observes a torn
 //! epoch), and the 1 000-offer-batch and bulk publish probes within
@@ -25,7 +25,6 @@ fn main() -> ExitCode {
         "usage: ingest [--readers K] [--commands M] [--threads 1,2,4,8] [--prosumers N] \
          [--days D] [--batches B] [--withdraw F] [--repeats N] [--seed S] [--bulk-offers N] \
          [--out PATH]",
-        &[],
     );
     let mut config = IngestConfig::default();
     let mut out_path = String::from("BENCH_ingest.json");
@@ -40,7 +39,11 @@ fn main() -> ExitCode {
     args.set("--seed", &mut config.seed);
     args.set("--bulk-offers", &mut config.bulk_offers);
     args.set("--out", &mut out_path);
-    if config.readers == 0 || config.commands_per_epoch == 0 || config.threads.is_empty() {
+    if config.readers == 0
+        || config.commands_per_epoch == 0
+        || config.threads.is_empty()
+        || config.threads.contains(&0)
+    {
         args.usage();
     }
     args.finish();

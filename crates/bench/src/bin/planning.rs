@@ -2,18 +2,18 @@
 //! binary.
 //!
 //! Runs the planning harness, writes `BENCH_planning.json`, and
-//! enforces the binary rows of `mirabel_bench::planning::GATES` on
+//! enforces every row of `mirabel_bench::planning::GATES` on
 //! every run:
 //!
 //! * **determinism**: plan hashes and the balance-view frame a session
 //!   renders from the plan are identical at every worker thread count;
 //! * **incrementality**: a single-offer incremental re-plan is ≥ 10×
 //!   faster than a full re-plan;
-//! * **bundling**: aggregate-then-schedule plans the pool ≥ 5× faster
+//! * **bundling**: aggregate-then-schedule plans the pool ≥ 5.76× faster
 //!   than raw scheduling, and its round trip leaves every offer
 //!   feasibly scheduled;
 //! * **bundle-aware replanning**: after single-offer churn the standing
-//!   bundle grid re-plans ≥ 5× faster than a cold full re-group, with
+//!   bundle grid re-plans ≥ 5.44× faster than a cold full re-group, with
 //!   the exact disaggregation round trip preserved through plan reuse.
 //!
 //! ```sh
@@ -31,7 +31,6 @@ fn main() -> ExitCode {
     let mut args = Args::parse(
         "usage: planning [--offers N] [--partitions P] [--threads 1,2,4,8] [--prosumers N] \
          [--repeats N] [--seed S] [--out PATH]",
-        &[],
     );
     let mut config = PlanningConfig::default();
     let mut out_path = String::from("BENCH_planning.json");
@@ -42,7 +41,11 @@ fn main() -> ExitCode {
     args.set("--repeats", &mut config.repeats);
     args.set("--seed", &mut config.seed);
     args.set("--out", &mut out_path);
-    if config.offers == 0 || config.partitions == 0 || config.threads.is_empty() {
+    if config.offers == 0
+        || config.partitions == 0
+        || config.threads.is_empty()
+        || config.threads.contains(&0)
+    {
         args.usage();
     }
     args.finish();

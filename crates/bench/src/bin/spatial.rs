@@ -1,7 +1,7 @@
 //! S5 — the spatial dimension at city scale, as a CI binary.
 //!
 //! Runs the spatial harness, writes `BENCH_spatial.json`, and enforces
-//! the binary rows of `mirabel_bench::spatial::GATES`:
+//! every row of `mirabel_bench::spatial::GATES`:
 //!
 //! * **result equality**: every region-scoped indexed query returns
 //!   exactly the full scan's offers;
@@ -31,7 +31,6 @@ fn main() -> ExitCode {
         "usage: spatial [--prosumers N] [--days D] [--skew F] [--threads 1,2,4,8] \
          [--repeats N] [--trace-users K] [--trace-steps M] [--trace-prosumers N] [--seed S] \
          [--out PATH] [--min-facts N] [--assert-publish-ms MS]",
-        &[],
     );
     let mut config = SpatialBenchConfig::default();
     let mut out_path = String::from("BENCH_spatial.json");
@@ -47,7 +46,11 @@ fn main() -> ExitCode {
     args.set("--out", &mut out_path);
     args.set("--min-facts", &mut config.min_facts);
     args.set("--assert-publish-ms", &mut config.publish_bound_ms);
-    if config.prosumers == 0 || config.days == 0 || config.threads.is_empty() {
+    if config.prosumers == 0
+        || config.days == 0
+        || config.threads.is_empty()
+        || config.threads.contains(&0)
+    {
         args.usage();
     }
     args.finish();

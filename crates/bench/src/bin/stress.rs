@@ -4,7 +4,7 @@
 //! selections, tab switches, MDX, dashboards, aggregation) over a
 //! sharded `ConcurrentPool` at several thread counts, probes warm-cache
 //! against cold-rebuild hover latency, writes `BENCH_stress.json`, and
-//! enforces the binary rows of `mirabel_bench::stress::GATES`:
+//! enforces every row of `mirabel_bench::stress::GATES`:
 //! per-user frame hashes identical at every thread count, 4-thread
 //! throughput ≥ 2× the 1-thread run (on hosts with ≥ 4 CPUs — fewer
 //! cannot show it), and warm hover ≥ 10× a cold rebuild.
@@ -24,7 +24,6 @@ fn main() -> ExitCode {
     let mut args = Args::parse(
         "usage: stress [--users K] [--commands M] [--threads 1,2,4,8] [--repeats N] \
          [--prosumers N] [--days D] [--seed S] [--out PATH]",
-        &[],
     );
     let mut config = StressConfig::default();
     let mut out_path = String::from("BENCH_stress.json");
@@ -36,7 +35,11 @@ fn main() -> ExitCode {
     args.set("--days", &mut config.days);
     args.set("--seed", &mut config.seed);
     args.set("--out", &mut out_path);
-    if config.users == 0 || config.commands_per_user == 0 || config.threads.is_empty() {
+    if config.users == 0
+        || config.commands_per_user == 0
+        || config.threads.is_empty()
+        || config.threads.contains(&0)
+    {
         args.usage();
     }
     args.finish();

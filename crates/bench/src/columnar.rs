@@ -21,7 +21,7 @@
 //!   (`views_ok`);
 //! * a **timing probe** on the final epoch: the whole query battery
 //!   through the columns vs through the rows, best-of-N
-//!   (`eval_speedup` — floored at 2× by `bench_diff`);
+//!   (`eval_speedup` — floored at 2×);
 //! * a **filtered-query probe**: selective predicates (a city, an
 //!   appliance type, a region × time window) over a bulk-loaded pool of
 //!   `filter_facts` offers, timing dictionary-mask pushdown
@@ -46,6 +46,7 @@
 //! binary wraps this module for CI
 //! (`cargo run --release -p mirabel-bench --bin columnar`).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use mirabel_dw::{
@@ -58,38 +59,26 @@ use mirabel_workload::{
     OfferConfig, Population, PopulationConfig,
 };
 
-use crate::diff::{Bound, Gate, Json, Policy, Scope};
+use crate::diff::{Bound, Gate, Json};
 
-/// The columnar gate table (see [`crate::diff`]).
+/// The columnar gate table (see [`crate::diff`]). The battery sizes are
+/// a pure function of the seed and are pinned exactly by this module's
+/// tests; the latencies are reported, only their same-run ratios gated.
 pub const GATES: &[Gate] = &[
     Gate::holds("equality_ok"),
     Gate::holds("views_ok"),
     Gate::holds("filtered_equality_ok"),
     Gate::holds("pivot_equality_ok"),
-    // Battery sizes are a pure function of the seed: a shrink means the
-    // equivalence gates silently cover less.
-    Gate::higher("queries").optional(),
-    Gate::higher("views").optional(),
-    // Both speedups are same-host ratios, hard on any machine class,
-    // with absolute floors besides: encoded eval at least 2x the row
-    // oracle, pushdown at least 3x the plain columnar scan.
-    Gate::higher("eval_speedup"),
-    Gate::floor("eval_speedup", Bound::Fixed(2.0), Scope::Diff).named("eval_speedup_floor"),
-    Gate::higher("filtered_speedup"),
-    Gate::floor("filtered_speedup", Bound::Fixed(3.0), Scope::Both).named("filtered_speedup_floor"),
-    // The one-pass pivot against one eval per cell: an absolute floor
-    // only (no baseline-relative row), under the ~4.5x measured at 1M
-    // facts on 2 cores.
-    Gate::floor("pivot_speedup", Bound::Fixed(3.0), Scope::Both).named("pivot_speedup_floor"),
-    // The time-indexed window load against the index-free scan: an
-    // absolute floor only, half the lowest of five readings (50-56x) at
-    // CI's flags on 2 cores.
-    Gate::floor("window_view_speedup", Bound::Fixed(25.0), Scope::Both)
-        .named("window_view_speedup_floor"),
-    Gate::lower("columnar_eval_ms", 1.0).policy(Policy::Class),
-    Gate::lower("row_eval_ms", 1.0).policy(Policy::Class),
-    Gate::lower("filtered_pushdown_ms", 1.0).policy(Policy::Class),
-    Gate::lower("filtered_scan_ms", 1.0).policy(Policy::Class),
+    // Same-host ratios, hard on any runner: encoded eval at least 2x the
+    // row oracle, pushdown at least 3x the plain columnar scan.
+    Gate::floor("eval_speedup", Bound::Fixed(2.0)),
+    Gate::floor("filtered_speedup", Bound::Fixed(3.0)),
+    // The one-pass pivot against one eval per cell, under the ~4.5x
+    // measured at 1M facts on 2 cores.
+    Gate::floor("pivot_speedup", Bound::Fixed(3.0)),
+    // The time-indexed window load against the index-free scan: half
+    // the lowest of five readings (50-56x) at CI's flags on 2 cores.
+    Gate::floor("window_view_speedup", Bound::Fixed(25.0)),
 ];
 
 /// Shape of one columnar-equivalence run; `Default` is the CI smoke
@@ -106,8 +95,9 @@ pub struct ColumnarConfig {
     pub withdraw_fraction: f64,
     /// Master seed.
     pub seed: u64,
-    /// Timing rounds for the final-epoch probe (best-of-N); equality is
-    /// checked at every epoch regardless.
+    /// Timing rounds per side (best-of-N) of the pivot and window
+    /// probes; the final-epoch battery and the filtered probe take at
+    /// least 20. Equality is checked at every epoch regardless.
     pub repeats: usize,
     /// Facts in the bulk-loaded pool the filtered-query probe scans.
     pub filter_facts: usize,
@@ -195,26 +185,85 @@ fn view_battery(w: &Warehouse, config: &ColumnarConfig) -> Vec<LoaderQuery> {
     qs
 }
 
-/// Runs both batteries against one epoch's warehouse; returns
-/// `(queries, views, equality_ok, views_ok)`.
-fn check_epoch(w: &Warehouse, config: &ColumnarConfig) -> (usize, usize, bool, bool) {
-    let mut equality_ok = true;
+/// The population the churn trace and the bulk probe pool draw from.
+fn population(config: &ColumnarConfig) -> Population {
+    Population::generate(&PopulationConfig {
+        size: config.prosumers,
+        seed: config.seed ^ 0xBE9C,
+        household_share: 0.8,
+    })
+}
+
+/// The batteries' tally over the churn trace: epochs checked (the
+/// initial snapshot and every publish), comparisons run, and whether
+/// every one agreed.
+struct Tally {
+    epochs: u64,
+    queries: usize,
+    views: usize,
+    equality_ok: bool,
+    views_ok: bool,
+}
+
+/// Runs both batteries against one epoch's warehouse into `tally`.
+fn check_epoch(w: &Warehouse, config: &ColumnarConfig, tally: &mut Tally) {
     let queries = query_battery(w);
     for q in &queries {
         let rows = w.eval_rows(q);
-        equality_ok &= w.eval(q) == rows && w.eval_scan(q) == rows;
+        tally.equality_ok &= w.eval(q) == rows && w.eval_scan(q) == rows;
     }
-    let mut views_ok = true;
     let views = view_battery(w, config);
     for q in &views {
         let view = w.view(q);
         let borrowed: Vec<_> = view.ids().collect();
         let scanned: Vec<_> = w.load_offers_scan(q).iter().map(|fo| fo.id()).collect();
-        views_ok &= borrowed == scanned;
+        tally.views_ok &= borrowed == scanned;
         let materialized: Vec<_> = view.materialize().iter().map(|fo| fo.id()).collect();
-        views_ok &= materialized == scanned;
+        tally.views_ok &= materialized == scanned;
     }
-    (queries.len(), views.len(), equality_ok, views_ok)
+    tally.epochs += 1;
+    tally.queries += queries.len();
+    tally.views += views.len();
+}
+
+/// Replays the seeded ingest trace on a live warehouse, running both
+/// batteries against the initial snapshot and every published epoch;
+/// returns the warehouse after the last event and the tally.
+fn replay_churn(population: &Population, config: &ColumnarConfig) -> (LiveWarehouse, Tally) {
+    let initial = generate_offers(
+        population,
+        &OfferConfig { days: 1, seed: config.seed, ..Default::default() },
+    );
+    let trace = generate_ingest_trace(
+        population,
+        &IngestTraceConfig {
+            days: config.days.max(1),
+            batches_per_day: config.batches_per_day.max(1),
+            withdraw_fraction: config.withdraw_fraction,
+            seed: config.seed,
+        },
+        initial.len() as u64 + 1,
+        TimeSlot::EPOCH + SlotSpan::days(1),
+    );
+
+    let live = LiveWarehouse::new(population.clone(), &initial);
+    let mut tally = Tally { epochs: 0, queries: 0, views: 0, equality_ok: true, views_ok: true };
+    check_epoch(live.snapshot().warehouse(), config, &mut tally);
+    for event in &trace {
+        match event {
+            IngestEvent::Arrive { offers } => {
+                live.ingest(offers);
+            }
+            IngestEvent::Withdraw { ids } => {
+                live.withdraw(ids);
+            }
+            IngestEvent::AdvanceDay => {
+                live.advance_day();
+            }
+            IngestEvent::Publish => check_epoch(live.publish().warehouse(), config, &mut tally),
+        }
+    }
+    (live, tally)
 }
 
 /// The filtered probe battery: selective predicates whose dictionary
@@ -355,11 +404,33 @@ fn probe_warehouse(population: &Population, config: &ColumnarConfig) -> Warehous
     bulk
 }
 
+/// The best of at least `rounds` timings of each of two batteries, in
+/// milliseconds, taken in alternating blocks of five consecutive rounds
+/// a side: each side is timed after rounds of its own rather than of
+/// the other (whose scans evict its working set), and both sides
+/// sample the same stretches of a shared host.
+fn best_ms_in_blocks(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    const BLOCK: usize = 5;
+    let best = |battery: &mut dyn FnMut(), ms: &mut f64| {
+        for _ in 0..BLOCK {
+            let t0 = Instant::now();
+            battery();
+            *ms = ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    };
+    let (mut a_ms, mut b_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds.div_ceil(BLOCK) {
+        best(&mut a, &mut a_ms);
+        best(&mut b, &mut b_ms);
+    }
+    (a_ms, b_ms)
+}
+
 /// Runs the filtered-query probe over the bulk-loaded pool: one
 /// three-way equality pass (pushdown `eval` ≡ plain `eval_scan` ≡ row
 /// `eval_rows`), then best-of-N timing of pushdown against the plain
-/// columnar scan.
-fn run_filtered_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
+/// columnar scan, each side as its own block of rounds.
+fn run_filtered_probe(bulk: &Warehouse, rounds: usize) -> (bool, f64, f64) {
     let battery = filtered_battery(bulk);
 
     let mut equality_ok = !battery.is_empty();
@@ -368,20 +439,11 @@ fn run_filtered_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
         equality_ok &= bulk.eval(q) == rows && bulk.eval_scan(q) == rows;
     }
 
-    let mut pushdown_ms = f64::INFINITY;
-    let mut scan_ms = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        for q in &battery {
-            let _ = bulk.eval(q);
-        }
-        pushdown_ms = pushdown_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        for q in &battery {
-            let _ = bulk.eval_scan(q);
-        }
-        scan_ms = scan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    let (pushdown_ms, scan_ms) = best_ms_in_blocks(
+        rounds,
+        || battery.iter().for_each(|q| _ = black_box(bulk.eval(q))),
+        || battery.iter().for_each(|q| _ = black_box(bulk.eval_scan(q))),
+    );
     (equality_ok, pushdown_ms, scan_ms)
 }
 
@@ -445,12 +507,12 @@ fn run_window_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
     for _ in 0..repeats {
         let t0 = Instant::now();
         for q in &battery {
-            std::hint::black_box(bulk.view(q).len());
+            black_box(bulk.view(q).len());
         }
         view_ms = view_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         for q in &battery {
-            std::hint::black_box(bulk.load_offers_scan(q).len());
+            black_box(bulk.load_offers_scan(q).len());
         }
         scan_ms = scan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
@@ -459,85 +521,28 @@ fn run_window_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
 
 /// Runs the full harness; returns the `BENCH_columnar.json` report.
 pub fn run_columnar(config: &ColumnarConfig) -> Json {
-    let population = Population::generate(&PopulationConfig {
-        size: config.prosumers,
-        seed: config.seed ^ 0xBE9C,
-        household_share: 0.8,
-    });
-    let initial = generate_offers(
-        &population,
-        &OfferConfig { days: 1, seed: config.seed, ..Default::default() },
-    );
-    let trace = generate_ingest_trace(
-        &population,
-        &IngestTraceConfig {
-            days: config.days.max(1),
-            batches_per_day: config.batches_per_day.max(1),
-            withdraw_fraction: config.withdraw_fraction,
-            seed: config.seed,
-        },
-        initial.len() as u64 + 1,
-        TimeSlot::EPOCH + SlotSpan::days(1),
-    );
-
-    let live = LiveWarehouse::new(population.clone(), &initial);
-    let mut epochs = 0u64;
-    let mut queries = 0usize;
-    let mut views = 0usize;
-    let mut equality_ok = true;
-    let mut views_ok = true;
-    let mut check = |w: &Warehouse| {
-        let (q, v, eq, vw) = check_epoch(w, config);
-        queries += q;
-        views += v;
-        equality_ok &= eq;
-        views_ok &= vw;
-    };
-
-    check(live.snapshot().warehouse());
-    epochs += 1;
-    for event in &trace {
-        match event {
-            IngestEvent::Arrive { offers } => {
-                live.ingest(offers);
-            }
-            IngestEvent::Withdraw { ids } => {
-                live.withdraw(ids);
-            }
-            IngestEvent::AdvanceDay => {
-                live.advance_day();
-            }
-            IngestEvent::Publish => {
-                let snapshot = live.publish();
-                check(snapshot.warehouse());
-                epochs += 1;
-            }
-        }
-    }
+    let population = population(config);
+    let (live, tally) = replay_churn(&population, config);
 
     // Timing probe on the final epoch: same battery, columns vs rows.
     let snapshot = live.publish();
     let warehouse = snapshot.warehouse();
     let battery = query_battery(warehouse);
     let repeats = config.repeats.max(1);
-    let mut columnar_eval_ms = f64::INFINITY;
-    let mut row_eval_ms = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        for q in &battery {
-            let _ = warehouse.eval(q);
-        }
-        columnar_eval_ms = columnar_eval_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        for q in &battery {
-            let _ = warehouse.eval_rows(q);
-        }
-        row_eval_ms = row_eval_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    // The battery and the filtered probe take the best of at least 20
+    // rounds a side, in blocks: at three rounds a side, interleaved one
+    // by one, either ratio fell under its floor in 2–3 of 20 runs on a
+    // shared 2-core host.
+    let ratio_rounds = repeats.max(20);
+    let (columnar_eval_ms, row_eval_ms) = best_ms_in_blocks(
+        ratio_rounds,
+        || battery.iter().for_each(|q| _ = black_box(warehouse.eval(q))),
+        || battery.iter().for_each(|q| _ = black_box(warehouse.eval_rows(q))),
+    );
 
     let bulk = probe_warehouse(&population, config);
     let (filtered_equality_ok, filtered_pushdown_ms, filtered_scan_ms) =
-        run_filtered_probe(&bulk, repeats);
+        run_filtered_probe(&bulk, ratio_rounds);
     let (pivot_equality_ok, pivot_one_pass_ms, pivot_per_cell_ms) = run_pivot_probe(&bulk, repeats);
     let (window_equality_ok, window_view_ms, window_scan_ms) = run_window_probe(&bulk, repeats);
 
@@ -550,11 +555,11 @@ pub fn run_columnar(config: &ColumnarConfig) -> Json {
         // Rows in the final epoch; epochs the batteries ran against
         // (initial snapshot + every publish) and their comparisons.
         ("offers", warehouse.offers().len().into()),
-        ("epochs", epochs.into()),
-        ("queries", queries.into()),
-        ("views", views.into()),
-        ("equality_ok", equality_ok.into()),
-        ("views_ok", (views_ok && window_equality_ok).into()),
+        ("epochs", tally.epochs.into()),
+        ("queries", tally.queries.into()),
+        ("views", tally.views.into()),
+        ("equality_ok", tally.equality_ok.into()),
+        ("views_ok", (tally.views_ok && window_equality_ok).into()),
         // The final-epoch battery, best of N: columns vs rows.
         ("columnar_eval_ms", Json::Num(columnar_eval_ms)),
         ("row_eval_ms", Json::Num(row_eval_ms)),
@@ -613,5 +618,14 @@ mod tests {
         assert!(num("pivot_one_pass_ms") > 0.0 && num("pivot_per_cell_ms") > 0.0);
         assert!(num("window_view_ms") > 0.0 && num("window_scan_ms") > 0.0);
         crate::diff::assert_binary_rows_resolve(GATES, &report);
+
+        // The battery sizes are a pure function of the seed: a shrink
+        // means the equality gates silently cover less. Pinned at CI's
+        // pool config, which needs no bulk probe to count.
+        let config = ColumnarConfig::default();
+        let population = population(&config);
+        let (_, tally) = replay_churn(&population, &config);
+        assert_eq!((tally.epochs, tally.queries, tally.views), (9, 603, 108));
+        assert!(tally.equality_ok && tally.views_ok);
     }
 }

@@ -34,15 +34,12 @@ use mirabel_forecast::{mape, Forecaster, SeasonalNaive, SeasonalSmoothing};
 use mirabel_timeseries::{SlotSpan, TimeSeries, TimeSlot, SLOTS_PER_DAY};
 use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
 
-use crate::diff::{Gate, Json, Policy};
+use crate::diff::{Gate, Json};
 
-/// The forecast gate table (see [`crate::diff`]): the quality gate and
-/// the MAPE are seed-deterministic, so they hold on any machine.
-pub const GATES: &[Gate] = &[
-    Gate::holds("executions_beat_envelope"),
-    Gate::lower("mape_executions", 0.0),
-    Gate::lower("forecast_ms", 1.0).policy(Policy::Class).optional(),
-];
+/// The forecast gate table (see [`crate::diff`]): the quality gate is
+/// seed-deterministic, so it holds on any machine. The MAPEs are pinned
+/// exactly by this module's tests; the wall time is reported, not gated.
+pub const GATES: &[Gate] = &[Gate::holds("executions_beat_envelope")];
 
 /// Shape of one forecast-harness run; `Default` is the CI smoke
 /// configuration.
@@ -263,12 +260,19 @@ mod tests {
 
     #[test]
     fn executions_beat_the_envelope_baseline() {
-        let report = run_forecast(&tiny());
+        // CI's flags (`--prosumers 120 --days 5 --eval-days 3`); every
+        // timing round computes the same MAPEs, so one round suffices.
+        let report = run_forecast(&ForecastConfig { repeats: 1, ..ForecastConfig::default() });
         assert!(report.num_at(&["executed"]) > Some(0.0), "the day ticks must meter something");
         assert!(
             report.is_true("executions_beat_envelope"),
             "training on metered executions must beat the max envelope: {report}"
         );
         crate::diff::assert_binary_rows_resolve(GATES, &report);
+        // Both MAPEs are a pure function of the seed.
+        crate::diff::assert_pinned(
+            &report,
+            r#"{"mape_envelope": 19.954, "mape_executions": 1.98488}"#,
+        );
     }
 }

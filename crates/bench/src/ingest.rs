@@ -32,22 +32,17 @@ use mirabel_workload::{
     OfferConfig, Population, PopulationConfig,
 };
 
-use crate::diff::{Bound, Gate, Json, Policy, Scope};
+use crate::diff::{Bound, Gate, Json};
 
-/// The ingest gate table (see [`crate::diff`]). Publish latencies under
-/// 1 ms are timer noise to the relative rows; the 100 ms bounds are the
-/// interactive wall the binary holds every publish probe to, the bulk
-/// one at 100 k offers in PR CI and 10 M nightly.
+/// The ingest gate table (see [`crate::diff`]). The 100 ms bounds are
+/// the interactive wall every publish probe is held to, the bulk one at
+/// 100 k offers in PR CI and 10 M nightly; reader throughput and
+/// publish tails are reported, not gated.
 pub const GATES: &[Gate] = &[
     Gate::holds("hash_stable"),
-    Gate::lower("publish_1k_ms", 1.0).policy(Policy::Class).optional(),
-    Gate::lower("publish_bulk_ms", 1.0).policy(Policy::Class).optional(),
-    Gate::lower("publish_bulk_delta_ms", 1.0).policy(Policy::Class).optional(),
-    Gate::higher("runs[threads].reader_commands_per_s").policy(Policy::Class),
-    Gate::lower("runs[threads].publish_p99_ms", 1.0).policy(Policy::Class),
-    Gate::bound("publish_1k_ms", Bound::Fixed(100.0), Scope::Binary),
-    Gate::bound("publish_bulk_ms", Bound::Fixed(100.0), Scope::Binary),
-    Gate::bound("publish_bulk_delta_ms", Bound::Fixed(100.0), Scope::Binary),
+    Gate::bound("publish_1k_ms", Bound::Fixed(100.0)),
+    Gate::bound("publish_bulk_ms", Bound::Fixed(100.0)),
+    Gate::bound("publish_bulk_delta_ms", Bound::Fixed(100.0)),
 ];
 
 /// Canvas the simulated analysts work on.
@@ -74,8 +69,8 @@ pub struct IngestConfig {
     /// Master seed.
     pub seed: u64,
     /// Measurement rounds per thread count. Throughput reports the
-    /// best round (best-of-N noise damping); the gated publish p99 is
-    /// the trimmed tail mean across rounds
+    /// best round (best-of-N noise damping); the publish p99 is the
+    /// trimmed tail mean across rounds
     /// ([`crate::trimmed_tail_mean`]). Epoch-hash stability is checked
     /// on *every* round.
     pub repeats: usize,
@@ -116,7 +111,7 @@ struct IngestRunStats {
     pub publish_p50_ms: f64,
     /// 99th-percentile publish latency, milliseconds — the trimmed
     /// tail mean across the config's repeat rounds (see
-    /// [`crate::trimmed_tail_mean`]); this is the gated number.
+    /// [`crate::trimmed_tail_mean`]).
     pub publish_p99_ms: f64,
     /// Worst publish latency, milliseconds.
     pub publish_max_ms: f64,
@@ -406,8 +401,8 @@ pub fn run_ingest(config: &IngestConfig) -> Json {
     let mut hash_stable = true;
     for &threads in &config.threads {
         // Best-of-N per thread count for throughput (damps
-        // noisy-neighbor variance on shared CI runners); the gated
-        // publish p99 is the trimmed tail mean across rounds.
+        // noisy-neighbor variance on shared CI runners); the publish
+        // p99 is the trimmed tail mean across rounds.
         // Epoch-hash stability is asserted on every round, not just
         // the kept one.
         let mut best: Option<IngestRunStats> = None;

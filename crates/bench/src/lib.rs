@@ -5,8 +5,7 @@
 //! `net`, `forecast`, `columnar`) runs one workload, builds its report
 //! as a [`diff::Json`] tree and declares the [`diff::Gate`] table that
 //! judges it; its binary under `src/bin/` writes the report and
-//! enforces the table, and `bench_diff` holds the reports against
-//! `BENCH_baseline.json`.
+//! enforces every row of the table on every run.
 //!
 //! Everything here is deterministic: the same sizes and seeds always
 //! produce the same offers, scenes and warehouses, so bench numbers and
@@ -87,7 +86,8 @@ pub fn visual_offers(n: usize) -> Vec<VisualOffer> {
 }
 
 /// `std::thread::available_parallelism()` on this host (1 when
-/// unknown) — every report records it as its machine class.
+/// unknown) — every report records it, and [`diff::Policy::Cores`] rows
+/// read it.
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -103,7 +103,7 @@ pub fn ratio(slow: f64, fast: f64) -> f64 {
 
 /// Nearest-rank percentile over sorted per-command latencies, reported
 /// in microseconds — the single estimator every harness (stress, net)
-/// feeds into the p99 gates, shared so the gated metrics cannot drift
+/// reports its p50 and p99 with, shared so the numbers cannot drift
 /// apart across harnesses.
 pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
@@ -113,14 +113,12 @@ pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[idx] as f64 / 1_000.0
 }
 
-/// The tail-latency estimator the regression gates run on: drop the
-/// highest ⌈n/4⌉ rounds and average the rest (a one-sided trimmed
-/// mean). Worst-round spikes on shared CI runners are almost always a
-/// noisy neighbour, not a regression — but unlike best-of-N, the
-/// surviving rounds still have to *agree* that the tail is low, so a
-/// real regression shows up in every kept round. This is what lets the
-/// p99 gates run with noise floors tight enough to re-arm
-/// sub-millisecond tails (see DESIGN.md, "Bench gating policy").
+/// The tail-latency estimator the reports record: drop the highest
+/// ⌈n/4⌉ rounds and average the rest (a one-sided trimmed mean).
+/// Worst-round spikes on shared CI runners are almost always a noisy
+/// neighbour, not a regression — but unlike best-of-N, the surviving
+/// rounds still have to *agree* that the tail is low, so a real
+/// regression shows up in every kept round.
 ///
 /// With a single round this is the identity; an empty slice yields 0.
 pub fn trimmed_tail_mean(rounds: &[f64]) -> f64 {

@@ -23,8 +23,8 @@
 //! dedicated **reconnect storm** round additionally kills and resumes
 //! 25% of the clients mid-trace and re-checks both equalities
 //! (`storm_outcome_match` / `storm_hash_match`). All four are hard
-//! rows of [`GATES`]; throughput and tail latency are held against
-//! `BENCH_baseline.json` by `bench_diff`.
+//! rows of [`GATES`]; throughput and tail latency are reported, not
+//! gated.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,29 +35,23 @@ use mirabel_session::{Command, ConcurrentPool};
 use mirabel_timeseries::TimeSlot;
 use mirabel_workload::{generate_net_traces, NetEvent, NetTraceConfig};
 
-use crate::diff::{Bound, Gate, Json, Policy, Scope};
+use crate::diff::{Bound, Gate, Json, Policy};
 
 /// The net gate table (see [`crate::diff`]). The wire must be bit-exact
-/// — park/resume seams included — on any machine class.
+/// — park/resume seams included — on any runner; request throughput and
+/// the request and connect tails are reported, not gated.
 pub const GATES: &[Gate] = &[
     Gate::holds("outcome_match"),
     Gate::holds("hash_match"),
     Gate::holds("storm_outcome_match"),
     Gate::holds("storm_hash_match"),
-    Gate::higher("commands_per_s").policy(Policy::Class),
-    // The request→reply tail crosses two loopback hops and a scheduler
-    // handoff: it only arms above one millisecond.
-    Gate::lower("p99_us", 1_000.0).policy(Policy::Class),
     // The connection storm holds every client at once: a dropped
     // connect is a correctness failure, not noise.
-    Gate::floor("peak_connections", Bound::Field("clients"), Scope::Both),
+    Gate::floor("peak_connections", Bound::Field("clients")),
     // The event-loop server drains a full backlog per readiness event;
     // under 200 accepts/s the accept path regressed to per-connection
     // setup costs. Below 4 cores the herd and the reactor share a core.
-    Gate::floor("accepts_per_s", Bound::Fixed(200.0), Scope::Diff).policy(Policy::Cores),
-    // A thundering herd queues on the listener backlog by design: the
-    // connect tail only arms past ~200 ms.
-    Gate::lower("connect_p99_us", 200_000.0).policy(Policy::Cores).optional(),
+    Gate::floor("accepts_per_s", Bound::Fixed(200.0)).policy(Policy::Cores),
 ];
 
 /// Canvas the simulated clients work on (same as the stress harness).

@@ -16,7 +16,7 @@
 //! * **bundling** — aggregate-then-schedule
 //!   ([`BundleScheduler`]) against raw scheduling over
 //!   the identical pool, single-partition/single-threaded so the ratio
-//!   is purely algorithmic (the CI gate demands ≥ 5×), plus an exact
+//!   is purely algorithmic (the CI gate demands ≥ 5.76×), plus an exact
 //!   round-trip check: every real offer must come back from
 //!   disaggregation with a feasible schedule of its own.
 //!
@@ -41,34 +41,22 @@ use mirabel_workload::{
     generate_offer_pool, generate_offers, OfferConfig, Population, PopulationConfig,
 };
 
-use crate::diff::{Bound, Gate, Json, Policy, Scope};
+use crate::diff::{Bound, Gate, Json};
 
-/// The planning gate table (see [`crate::diff`]).
+/// The planning gate table (see [`crate::diff`]). Scheduler quality is a
+/// pure function of the seed and is pinned exactly by this module's
+/// tests; the re-plan latencies are reported, not gated.
 pub const GATES: &[Gate] = &[
     Gate::holds("determinism_ok"),
     Gate::holds("frame_hash_stable"),
     Gate::holds("bundle_roundtrip_ok"),
     Gate::holds("bundle_replan_roundtrip_ok"),
+    Gate::floor("incremental_speedup", Bound::Fixed(10.0)),
     // The bundling speedups are ratios of two timings taken on the same
-    // host in the same run: hard on any machine class.
-    Gate::higher("bundle_speedup"),
-    Gate::higher("bundle_replan_speedup"),
-    // A warm single-cell re-plan must beat the cold full re-grouping
-    // outright, not merely match whatever the baseline recorded.
-    Gate::floor("bundle_replan_speedup", Bound::Fixed(5.0), Scope::Both)
-        .named("bundle_replan_speedup_floor"),
-    Gate::higher("incremental_speedup").policy(Policy::Class),
-    Gate::lower("full_replan_ms", 1.0).policy(Policy::Class),
-    Gate::lower("incremental_replan_ms", 1.0).policy(Policy::Class),
-    Gate::lower("bundle_raw_ms", 1.0).policy(Policy::Class),
-    Gate::lower("bundled_replan_ms", 1.0).policy(Policy::Class),
-    Gate::lower("cell_replan_ms", 1.0).policy(Policy::Class),
-    // Quality is a pure function of the seed, so a drop is an
-    // algorithmic regression on any machine; `improvement` is already
-    // relative and can sit below zero, hence the absolute slack.
-    Gate::slack("schedulers[name].improvement"),
-    Gate::floor("incremental_speedup", Bound::Fixed(10.0), Scope::Binary),
-    Gate::floor("bundle_speedup", Bound::Fixed(5.0), Scope::Binary),
+    // host in the same run, so they hold on any runner. Each bar is 0.8x
+    // the ratio once recorded at CI's flags on one core (7.2x, 6.8x).
+    Gate::floor("bundle_speedup", Bound::Fixed(5.76)),
+    Gate::floor("bundle_replan_speedup", Bound::Fixed(5.44)),
 ];
 
 /// Shape of one planning bench run; `Default` is the CI configuration
@@ -170,6 +158,25 @@ fn extra_offer(population: &Population, config: &PlanningConfig, round: u64) -> 
     fo
 }
 
+/// Each scheduler's imbalance before and after one single-threaded,
+/// partitioned plan of `pool` against `target`.
+fn scheduler_quality(config: &PlanningConfig, pool: &[FlexOffer], target: &TimeSeries) -> Json {
+    let schedulers = SchedulerKind::ALL.into_iter().map(|kind| {
+        let mut p = planner_with(kind, config, 1, pool, target);
+        let out = p.full_replan().expect("quality replan");
+        let (before, after) = (&out.report.before, &out.report.after);
+        Json::obj([
+            ("name", kind.name().into()),
+            ("before_l1", Json::Num(before.l1)),
+            ("after_l1", Json::Num(after.l1)),
+            // The scheduling objective, the one hill-climb is monotone in.
+            ("after_l2_sq", Json::Num(after.l2_sq)),
+            ("improvement", Json::Num(mirabel_scheduling::Imbalance::improvement(before, after))),
+        ])
+    });
+    Json::Arr(schedulers.collect())
+}
+
 /// Runs the full harness; returns the `BENCH_planning.json` report.
 pub fn run_planning(config: &PlanningConfig) -> Json {
     let (population, pool, target) = fixture(config);
@@ -249,26 +256,7 @@ pub fn run_planning(config: &PlanningConfig) -> Json {
     }
 
     // 4. Per-scheduler quality over the identical pool + target.
-    let schedulers = SchedulerKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let mut p = planner_with(kind, config, 1, &pool, &target);
-            let out = p.full_replan().expect("quality replan");
-            let (before, after) = (&out.report.before, &out.report.after);
-            Json::obj([
-                ("name", kind.name().into()),
-                ("before_l1", Json::Num(before.l1)),
-                ("after_l1", Json::Num(after.l1)),
-                // The scheduling objective, the one hill-climb is
-                // monotone in.
-                ("after_l2_sq", Json::Num(after.l2_sq)),
-                (
-                    "improvement",
-                    Json::Num(mirabel_scheduling::Imbalance::improvement(before, after)),
-                ),
-            ])
-        })
-        .collect();
+    let schedulers = scheduler_quality(config, &pool, &target);
 
     // 5. Aggregate-then-schedule vs raw, over the identical pool at one
     //    partition / one thread. Partitioning deliberately spreads
@@ -289,59 +277,67 @@ pub fn run_planning(config: &PlanningConfig) -> Json {
     //    pipeline exists to exploit.
     let single = || PlannerConfig { partitions: 1, threads: 1, seed: config.seed };
     let climber = HillClimbScheduler::per_offer(6, config.seed ^ 0xB17);
-    // Best of max(repeats, 5) rounds on both sides: the bundled re-plan
-    // is single-digit milliseconds, small enough that three rounds on a
-    // contended CI runner flap the ±20% diff of the speedup ratio.
-    let bundle_repeats = repeats.max(5);
-    let mut bundle_raw_ms = f64::INFINITY;
-    for _ in 0..bundle_repeats {
-        let mut p = IncrementalPlanner::new(climber, single(), target.clone());
-        p.insert(pool.iter().cloned());
-        let t0 = Instant::now();
-        p.full_replan().expect("raw replan");
-        bundle_raw_ms = bundle_raw_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let mut bundled_replan_ms = f64::INFINITY;
-    let mut bundle_roundtrip_ok = true;
-    for _ in 0..bundle_repeats {
-        let mut p = IncrementalPlanner::new(
-            BundleScheduler::new(climber, bundle_params()),
-            single(),
-            target.clone(),
-        );
-        p.insert(pool.iter().cloned());
-        let t0 = Instant::now();
-        let out = p.full_replan().expect("bundled replan");
-        bundled_replan_ms = bundled_replan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        bundle_roundtrip_ok &= out.report.assigned == pool.len();
-        bundle_roundtrip_ok &=
-            p.offers().iter().all(|fo| fo.schedule().is_some_and(|s| fo.check_schedule(s).is_ok()));
-    }
-
+    //
     // 6. Bundle-aware incremental replanning: a *standing* bundled
     //    planner re-plans after single-offer churn. The BundleScheduler
     //    keeps a per-(seed, target) grid of (direction, EST, TFT) cells
     //    across calls, so a warm replan re-groups and re-schedules only
     //    the churned cell against the residual target — measured against
-    //    the cold full-pipeline re-group (`bundled_replan_ms`, section
-    //    5), which rebuilds and re-plans every cell from scratch.
+    //    the cold full-pipeline re-group (`bundled_replan_ms`), which
+    //    rebuilds and re-plans every cell from scratch.
+    //
+    // Each of the three timings is the best of max(repeats, 20) rounds,
+    // taken in alternating blocks of five: every pipeline is timed after
+    // rounds of its own (interleaved one by one, a bundled plan inherits
+    // the raw plan's caches and reads slower), and all three sample the
+    // same stretches of a shared host (timed as one block each, a single
+    // slow stretch sank a whole ~50 ms bundled block).
+    const BLOCK: usize = 5;
+    let mut standing = IncrementalPlanner::new(
+        BundleScheduler::new(climber, bundle_params()),
+        single(),
+        target.clone(),
+    );
+    standing.insert(pool.iter().cloned());
+    standing.full_replan().expect("warming bundled replan");
+    let mut bundle_raw_ms = f64::INFINITY;
+    let mut bundled_replan_ms = f64::INFINITY;
     let mut cell_replan_ms = f64::INFINITY;
+    let mut bundle_roundtrip_ok = true;
     let mut bundle_replan_roundtrip_ok = true;
-    {
-        let mut standing = IncrementalPlanner::new(
-            BundleScheduler::new(climber, bundle_params()),
-            single(),
-            target.clone(),
-        );
-        standing.insert(pool.iter().cloned());
-        standing.full_replan().expect("warming bundled replan");
-        for round in 0..bundle_repeats {
-            standing.insert([extra_offer(&population, config, 1_000 + round as u64)]);
+    let mut churned = 0;
+    for _ in 0..repeats.max(20).div_ceil(BLOCK) {
+        for _ in 0..BLOCK {
+            let mut p = IncrementalPlanner::new(climber, single(), target.clone());
+            p.insert(pool.iter().cloned());
+            let t0 = Instant::now();
+            p.full_replan().expect("raw replan");
+            bundle_raw_ms = bundle_raw_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        for _ in 0..BLOCK {
+            let mut p = IncrementalPlanner::new(
+                BundleScheduler::new(climber, bundle_params()),
+                single(),
+                target.clone(),
+            );
+            p.insert(pool.iter().cloned());
+            let t0 = Instant::now();
+            let out = p.full_replan().expect("bundled replan");
+            bundled_replan_ms = bundled_replan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            bundle_roundtrip_ok &= out.report.assigned == pool.len();
+            bundle_roundtrip_ok &= p
+                .offers()
+                .iter()
+                .all(|fo| fo.schedule().is_some_and(|s| fo.check_schedule(s).is_ok()));
+        }
+        for _ in 0..BLOCK {
+            standing.insert([extra_offer(&population, config, 1_000 + churned as u64)]);
+            churned += 1;
             let t0 = Instant::now();
             let out = standing.replan().expect("cell replan");
             cell_replan_ms = cell_replan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
             assert_eq!(out.replanned, 1, "single ingest must dirty one partition");
-            bundle_replan_roundtrip_ok &= out.report.assigned == pool.len() + round + 1;
+            bundle_replan_roundtrip_ok &= out.report.assigned == pool.len() + churned;
             bundle_replan_roundtrip_ok &= standing
                 .offers()
                 .iter()
@@ -376,7 +372,7 @@ pub fn run_planning(config: &PlanningConfig) -> Json {
         ("bundle_replan_speedup", Json::Num(crate::ratio(bundled_replan_ms, cell_replan_ms))),
         ("bundle_replan_roundtrip_ok", bundle_replan_roundtrip_ok.into()),
         ("runs", Json::Arr(runs)),
-        ("schedulers", Json::Arr(schedulers)),
+        ("schedulers", schedulers),
     ])
 }
 
@@ -419,6 +415,38 @@ mod tests {
         // either way — but it must still clearly beat the baselines.
         assert!(after("hill-climb") < after("earliest"));
         assert!(after("hill-climb") < after("random"));
+        // Quality is a pure function of the seed: pinned at this 600-offer
+        // pool and at CI's 10 000-offer one, which needs none of the
+        // timing probes.
+        crate::diff::assert_pinned(
+            &report,
+            r#"{"schedulers": [
+                {"name": "earliest-start", "before_l1": 12299.6, "after_l1": 9360.61,
+                 "after_l2_sq": 1661866, "improvement": 0.238948},
+                {"name": "random", "before_l1": 12299.6, "after_l1": 9726,
+                 "after_l2_sq": 1493931, "improvement": 0.20924},
+                {"name": "greedy-best-start", "before_l1": 12299.6, "after_l1": 6525.03,
+                 "after_l2_sq": 794688, "improvement": 0.469491},
+                {"name": "hill-climb", "before_l1": 12299.6, "after_l1": 7428.51,
+                 "after_l2_sq": 1018998, "improvement": 0.396035}
+            ]}"#,
+        );
+        let ci = PlanningConfig::default();
+        let (_, pool, target) = fixture(&ci);
+        let quality = Json::obj([("schedulers", scheduler_quality(&ci, &pool, &target))]);
+        crate::diff::assert_pinned(
+            &quality,
+            r#"{"schedulers": [
+                {"name": "earliest-start", "before_l1": 210116, "after_l1": 210586,
+                 "after_l2_sq": 1175575682, "improvement": -0.00223873},
+                {"name": "random", "before_l1": 210116, "after_l1": 211096,
+                 "after_l2_sq": 900030177, "improvement": -0.00466267},
+                {"name": "greedy-best-start", "before_l1": 210116, "after_l1": 132455,
+                 "after_l2_sq": 370272050, "improvement": 0.369612},
+                {"name": "hill-climb", "before_l1": 210116, "after_l1": 134791,
+                 "after_l2_sq": 385981246, "improvement": 0.358493}
+            ]}"#,
+        );
 
         assert!(report.is_true("bundle_roundtrip_ok"), "bundle round trip left offers unscheduled");
         assert!(num("bundle_raw_ms") > 0.0 && num("bundled_replan_ms") > 0.0);

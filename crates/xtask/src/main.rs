@@ -11,9 +11,10 @@
 //!   workspace of its own;
 //! * `cargo xtask test` — release build + workspace tests (the first
 //!   half of `build-test`);
-//! * `cargo xtask examples` — *run* the smoke examples (clippy only
-//!   proves they compile; CI's `examples` job runs exactly this, so the
-//!   example list lives only here);
+//! * `cargo xtask examples` — *run* the smoke examples and the
+//!   `figures` binary that regenerates the paper's Figures 1–11 (clippy
+//!   only proves they compile; CI's `examples` job runs exactly this, so
+//!   the list lives only here);
 //! * `cargo xtask api-check` — the typestate API surface: the
 //!   compile-fail doctest suites of `mirabel-flexoffer` and
 //!   `mirabel-net` (invalid lifecycle transitions must not compile)
@@ -24,10 +25,8 @@
 //!   CI's `build-test` job runs exactly this, so the workload list lives
 //!   only here);
 //! * `cargo xtask bench-gate` — the stress/ingest/planning/spatial/net/
-//!   forecast/columnar harnesses plus the `bench_diff` regression gate
-//!   (the second half; CI's `build-test` job runs exactly this);
-//! * `cargo xtask baseline` — refresh `BENCH_baseline.json` from fresh
-//!   runs of the same gated harness commands on this machine.
+//!   forecast/columnar harnesses, each of which enforces its whole gate
+//!   table (the second half; CI's `build-test` job runs exactly this).
 
 use std::process::{Command, ExitCode};
 
@@ -167,8 +166,8 @@ const PERFBENCH: &[Step] = &[
 ];
 
 /// One bench-harness run at the flags CI gates it with, writing
-/// `BENCH_<bin>.json`; the binary enforces its gate table's absolute
-/// rows and exits 1 on a miss.
+/// `BENCH_<bin>.json`; the binary enforces its whole gate table and
+/// exits 1 on a miss.
 macro_rules! harness {
     ($name:literal, $bin:literal $(, $arg:literal)*) => {
         Step {
@@ -183,27 +182,7 @@ macro_rules! harness {
     };
 }
 
-/// `bench_diff` over every harness report against the committed
-/// baseline, with `extra` flags appended.
-macro_rules! bench_diff {
-    ($name:literal $(, $extra:literal)*) => {
-        Step {
-            name: $name,
-            program: "cargo",
-            args: &[
-                "run", "--release", "--locked", "-p", "mirabel-bench", "--bin", "bench_diff", "--",
-                "--baseline", "BENCH_baseline.json",
-                "BENCH_stress.json", "BENCH_ingest.json", "BENCH_planning.json", "BENCH_net.json",
-                "BENCH_spatial.json", "BENCH_forecast.json", "BENCH_columnar.json" $(, $extra)*
-            ],
-            env: &[],
-        }
-    };
-}
-
-/// The harnesses as CI's `build-test` job runs them. `bench-gate` and
-/// `baseline` share this list, so a baseline is always recorded from
-/// runs that passed the gated flags.
+/// The harnesses as CI's `build-test` job runs them.
 const HARNESSES: &[Step] = &[
     harness!(
         "stress harness (determinism, 4-thread speedup >= 2x, warm hover >= 10x cold)",
@@ -214,12 +193,12 @@ const HARNESSES: &[Step] = &[
         "ingest", "--readers", "4", "--commands", "24", "--threads", "1,2,4,8"
     ),
     harness!(
-        "planning harness (incremental >= 10x, bundled >= 5x, warm cell re-plan >= 5x, determinism)",
+        "planning harness (incremental >= 10x, bundled >= 5.76x, warm cell re-plan >= 5.44x, determinism)",
         "planning", "--offers", "10000", "--partitions", "64", "--threads", "1,2,4,8"
     ),
     harness!("spatial harness (O(region) >= 10x, heatmap determinism, publish < 100 ms)", "spatial"),
     harness!(
-        "net harness (wire == in-process, 256-connection storm held)",
+        "net harness (wire == in-process, 256-connection storm held, >= 200 accepts/s on >= 4 cores)",
         "net", "--clients", "256", "--commands", "20", "--repeats", "2"
     ),
     harness!(
@@ -227,15 +206,11 @@ const HARNESSES: &[Step] = &[
         "forecast", "--prosumers", "120", "--days", "5", "--eval-days", "3"
     ),
     harness!(
-        "columnar harness (equality gates, filtered pushdown >= 3x the plain scan, one-pass pivot >= 3x per-cell eval, time-indexed window load >= 25x the scan)",
+        "columnar harness (equality gates, encoded eval >= 2x the rows, filtered pushdown >= 3x the plain scan, one-pass pivot >= 3x per-cell eval, time-indexed window load >= 25x the scan)",
         "columnar", "--prosumers", "150", "--days", "2", "--repeats", "3", "--filter-facts",
         "1000000"
     ),
 ];
-
-const BENCH_GATE: &[Step] = &[bench_diff!("bench gate (±20% vs BENCH_baseline.json)")];
-
-const WRITE_BASELINE: &[Step] = &[bench_diff!("write BENCH_baseline.json", "--write-baseline")];
 
 /// The nightly connection-scale run, runnable locally: 1000
 /// simultaneous connections against the event-loop server (mirrors the
@@ -283,7 +258,9 @@ macro_rules! example {
 /// The examples smoke job: examples are *run*, not just
 /// clippy-compiled, so a drifting API or a panicking main surfaces in
 /// CI instead of in a reader's terminal. (`command_session` asserts that
-/// a replayed command log reproduces the frame hash.)
+/// a replayed command log reproduces the frame hash.) The `figures`
+/// binary rides along: it regenerates the paper's Figures 1–11 into
+/// the git-ignored `out/figures/`.
 const EXAMPLES: &[Step] = &[
     example!("quickstart"),
     example!("enterprise_day_ahead"),
@@ -292,6 +269,12 @@ const EXAMPLES: &[Step] = &[
     example!("olap_exploration"),
     example!("map_and_grid"),
     example!("aggregation_tuning"),
+    Step {
+        name: "figures: regenerate Figures 1-11",
+        program: "cargo",
+        args: &["run", "--release", "--locked", "-p", "mirabel-bench", "--bin", "figures"],
+        env: &[],
+    },
 ];
 
 fn run(steps: &[&[Step]]) -> ExitCode {
@@ -324,15 +307,14 @@ fn run(steps: &[&[Step]]) -> ExitCode {
 fn main() -> ExitCode {
     let task = std::env::args().nth(1).unwrap_or_default();
     match task.as_str() {
-        "ci" => run(&[LINT, TEST, API_CHECK, PERFBENCH, EXAMPLES, HARNESSES, BENCH_GATE]),
+        "ci" => run(&[LINT, TEST, API_CHECK, PERFBENCH, EXAMPLES, HARNESSES]),
         "lint" => run(&[LINT]),
         "test" => run(&[TEST]),
         "examples" => run(&[EXAMPLES]),
         "api-check" => run(&[API_CHECK]),
         "perfbench" => run(&[PERFBENCH]),
-        "bench-gate" => run(&[HARNESSES, BENCH_GATE]),
+        "bench-gate" => run(&[HARNESSES]),
         "net-scale" => run(&[NET_SCALE]),
-        "baseline" => run(&[HARNESSES, WRITE_BASELINE]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <task>\n\n\
@@ -342,10 +324,9 @@ fn main() -> ExitCode {
                  \x20 test        release build + workspace tests\n\
                  \x20 api-check   typestate compile-fail doctests + API rustdoc -D warnings\n\
                  \x20 perfbench   the repository benchmark's tests + a checked 3 s run of each workload\n\
-                 \x20 examples    run (not just compile) the smoke examples\n\
-                 \x20 bench-gate  stress/ingest/planning/spatial/net/forecast/columnar harnesses + bench_diff gate\n\
-                 \x20 net-scale   the nightly 1000-connection storm against the event-loop server\n\
-                 \x20 baseline    refresh BENCH_baseline.json from this machine"
+                 \x20 examples    run (not just compile) the smoke examples and the figures binary\n\
+                 \x20 bench-gate  the stress/ingest/planning/spatial/net/forecast/columnar harnesses, each enforcing its gate table\n\
+                 \x20 net-scale   the nightly 1000-connection storm against the event-loop server"
             );
             ExitCode::FAILURE
         }
