@@ -95,9 +95,9 @@ pub struct ColumnarConfig {
     pub withdraw_fraction: f64,
     /// Master seed.
     pub seed: u64,
-    /// Timing rounds per side (best-of-N) of the pivot and window
-    /// probes; the final-epoch battery and the filtered probe take at
-    /// least 20. Equality is checked at every epoch regardless.
+    /// Timing rounds per side (best-of-N) of the window probe; the
+    /// final-epoch battery, the filtered probe and the pivot probe take
+    /// at least 20. Equality is checked at every epoch regardless.
     pub repeats: usize,
     /// Facts in the bulk-loaded pool the filtered-query probe scans.
     pub filter_facts: usize,
@@ -449,8 +449,8 @@ fn run_filtered_probe(bulk: &Warehouse, rounds: usize) -> (bool, f64, f64) {
 
 /// Runs the pivot probe over the bulk-loaded pool: every one-pass cell
 /// must equal its per-cell `eval` bit for bit, then best-of-N timing of
-/// the two.
-fn run_pivot_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
+/// the two, each side as its own block of rounds.
+fn run_pivot_probe(bulk: &Warehouse, rounds: usize) -> (bool, f64, f64) {
     let battery = pivot_battery(bulk);
     let bits = |cells: &[Vec<f64>]| -> Vec<Vec<u64>> {
         cells.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
@@ -460,20 +460,11 @@ fn run_pivot_probe(bulk: &Warehouse, repeats: usize) -> (bool, f64, f64) {
             bulk.pivot(spec).is_ok_and(|t| bits(&t.cells) == bits(&per_cell_pivot(bulk, spec)))
         });
 
-    let mut one_pass_ms = f64::INFINITY;
-    let mut per_cell_ms = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        for spec in &battery {
-            let _ = bulk.pivot(spec);
-        }
-        one_pass_ms = one_pass_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        for spec in &battery {
-            let _ = per_cell_pivot(bulk, spec);
-        }
-        per_cell_ms = per_cell_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    let (one_pass_ms, per_cell_ms) = best_ms_in_blocks(
+        rounds,
+        || battery.iter().for_each(|spec| _ = black_box(bulk.pivot(spec))),
+        || battery.iter().for_each(|spec| _ = black_box(per_cell_pivot(bulk, spec))),
+    );
     (equality_ok, one_pass_ms, per_cell_ms)
 }
 
@@ -529,10 +520,10 @@ pub fn run_columnar(config: &ColumnarConfig) -> Json {
     let warehouse = snapshot.warehouse();
     let battery = query_battery(warehouse);
     let repeats = config.repeats.max(1);
-    // The battery and the filtered probe take the best of at least 20
-    // rounds a side, in blocks: at three rounds a side, interleaved one
-    // by one, either ratio fell under its floor in 2–3 of 20 runs on a
-    // shared 2-core host.
+    // The battery, the filtered probe and the pivot probe take the best
+    // of at least 20 rounds a side, in blocks: at three rounds a side,
+    // interleaved one by one, each ratio fell under its floor in some
+    // runs on a shared 2-core host (the pivot's once in 120).
     let ratio_rounds = repeats.max(20);
     let (columnar_eval_ms, row_eval_ms) = best_ms_in_blocks(
         ratio_rounds,
@@ -543,7 +534,8 @@ pub fn run_columnar(config: &ColumnarConfig) -> Json {
     let bulk = probe_warehouse(&population, config);
     let (filtered_equality_ok, filtered_pushdown_ms, filtered_scan_ms) =
         run_filtered_probe(&bulk, ratio_rounds);
-    let (pivot_equality_ok, pivot_one_pass_ms, pivot_per_cell_ms) = run_pivot_probe(&bulk, repeats);
+    let (pivot_equality_ok, pivot_one_pass_ms, pivot_per_cell_ms) =
+        run_pivot_probe(&bulk, ratio_rounds);
     let (window_equality_ok, window_view_ms, window_scan_ms) = run_window_probe(&bulk, repeats);
 
     Json::obj([

@@ -200,6 +200,7 @@ impl NetServer {
         config: NetServerConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
+        crate::sys::listen_deep(&listener)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         // The wake pipe: anyone holding `Inner` can nudge the reactor

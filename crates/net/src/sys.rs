@@ -18,10 +18,34 @@
 //! wait, never an error. This module is the only one in the crate
 //! allowed to contain `unsafe` (the crate root is `deny(unsafe_code)`),
 //! and the unsafety is confined to the two FFI calls per operation.
+//!
+//! One more call rides along: [`listen_deep`], which re-`listen`s a
+//! bound socket with the deepest accept queue the kernel allows.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::TcpListener;
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
+
+/// Re-`listen`s `listener` with the largest backlog the kernel allows.
+///
+/// Std's [`TcpListener::bind`] listens with a backlog of 128, so a storm
+/// of more simultaneous connects than that overflows the accept queue:
+/// the kernel drops the excess SYNs and each of those clients waits out
+/// a one-second retransmit. Calling `listen` again on a listening socket
+/// only resizes its queue; the kernel clamps the request to its own
+/// ceiling (`net.core.somaxconn` on Linux).
+pub(crate) fn listen_deep(listener: &TcpListener) -> io::Result<()> {
+    extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+    // SAFETY: the fd is a valid, open socket owned by `listener` for the
+    // duration of the call, and `listen` takes no pointers.
+    if unsafe { listen(listener.as_raw_fd(), i32::MAX) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
 
 /// Readiness to watch for on a registered fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,6 +391,34 @@ mod tests {
     use std::io::{Read, Write};
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
+
+    /// The kernel's accept-queue ceiling, read where Linux publishes it;
+    /// elsewhere the customary 128.
+    fn somaxconn() -> usize {
+        std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(128)
+    }
+
+    #[test]
+    fn a_deep_listener_queues_more_connects_than_std_backlog() {
+        use std::net::{TcpListener, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen_deep(&listener).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Nobody accepts: every connect must complete in the queue
+        // alone. At std's backlog of 128, connects past the 129th time
+        // out waiting for a SYN retransmit.
+        let wanted = 300.min(somaxconn());
+        let held: Vec<TcpStream> = (0..wanted)
+            .map(|k| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(200))
+                    .unwrap_or_else(|e| panic!("connect {k} of {wanted} failed: {e}"))
+            })
+            .collect();
+        assert_eq!(held.len(), wanted);
+    }
 
     #[test]
     fn reports_readability_when_bytes_arrive() {
