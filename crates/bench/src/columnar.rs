@@ -169,7 +169,7 @@ fn view_battery(w: &Warehouse, config: &ColumnarConfig) -> Vec<LoaderQuery> {
         window(day, day),
         window(to, to + SlotSpan::days(1)),
     ];
-    if let Some(fo) = w.offers().first() {
+    if let Some(fo) = w.offers().get(0) {
         qs.push(LoaderQuery::builder().prosumer(fo.prosumer()).build());
     }
     if let Some(region) = w.hierarchy(Dimension::Geography).at_level(1).next() {

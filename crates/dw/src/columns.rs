@@ -1,11 +1,12 @@
-//! Struct-of-arrays fact storage: the columnar twin of [`FactRow`].
+//! Struct-of-arrays fact storage in copy-on-write segments: the columnar
+//! twin of [`FactRow`].
 //!
 //! The row-oriented fact table made every aggregate query walk an array
 //! of ~200-byte structs to read one 8-byte measure. At city scale that
 //! is cache-hostile; at the 10M-offer scale the ROADMAP targets it is
 //! the difference between a nightly that holds the publish bound and
 //! one that does not. The [`ColumnStore`] keeps each fact attribute in
-//! its own contiguous `Vec`, so:
+//! its own contiguous column, so:
 //!
 //! * a measure scan ([`crate::Measure::value_at`]) touches exactly the
 //!   column it aggregates;
@@ -13,19 +14,36 @@
 //!   (`slice_offsets` + `slice_min_wh` / `slice_max_wh`) instead of a
 //!   `Vec` allocation per offer — profiles are immutable for an offer's
 //!   whole lifecycle, so these columns are written once at ingest and
-//!   only shifted by withdraw compaction;
+//!   only moved by withdraw compaction;
 //! * lifecycle mutations (schedule assignment, execution metering)
-//!   rewrite only the handful of scalar columns that actually change
-//!   ([`ColumnStore::refresh`]).
+//!   rewrite only the handful of scalar columns that actually change.
 //!
-//! The store sits behind the warehouse's copy-on-write `Arc` exactly
-//! like the row table did: an epoch publish clones `Arc` handles, not
-//! columns, so publish latency stays O(hierarchies) no matter how many
-//! offers are loaded. [`FactRow`] survives as the *materialized row
-//! view* — [`ColumnStore::row`] gathers one — so row-shaped consumers
-//! and the columnar ≡ row equality gates keep a common currency.
+//! # Segments
+//!
+//! The columns are cut into [`Segment`]s of [`SEGMENT_FACTS`] facts, each
+//! behind its own `Arc`. A segment holds every column of its facts —
+//! measures, keys, dictionary codes, status runs and the CSR slice
+//! payload — plus their `Arc<FlexOffer>` handles. Every segment but the
+//! last is full, so fact `i` sits at offset `i % SEGMENT_FACTS` of
+//! segment `i / SEGMENT_FACTS`. The six leaf dictionaries
+//! ([`DictColumn`]) are shared by all segments and append-only, so a code
+//! names the same member in every segment and in every epoch.
+//!
+//! Cloning the store (the live warehouse's epoch publish) copies the
+//! vector of segment handles. A write unshares only the segments it
+//! writes: an append the tail, a lifecycle refresh the segment of its
+//! fact, a withdrawal every segment from the first withdrawn fact on
+//! (compaction keeps fact order). A shared segment is never written.
+//! Readers walk [`ColumnStore::segments`] in fact order over plain
+//! slices; [`FactColumn`] reads one column by fact position across them.
+//! [`FactRow`] survives as the *materialized row view* —
+//! [`ColumnStore::row`] gathers one — so row-shaped consumers and the
+//! columnar ≡ row equality gates keep a common currency.
 
-use std::ops::Range;
+use std::fmt;
+use std::iter::FusedIterator;
+use std::ops::{Index, Range};
+use std::sync::Arc;
 
 use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, ProsumerId};
 use mirabel_timeseries::TimeSlot;
@@ -36,6 +54,20 @@ use crate::hierarchy::{Dimension, MemberId};
 /// The six dimension leaf keys of one fact, in the fixed order
 /// (time, geography, grid, energy type, prosumer type, appliance).
 pub type LeafKeys = [MemberId; 6];
+
+/// Facts per [`Segment`]. A withdrawal rewrites the segments from its
+/// first withdrawn fact on, so smaller segments copy less of a live
+/// warehouse whose withdrawals hit young offers near the tail; 1,024
+/// keeps the per-segment walk overhead of a full scan negligible.
+pub const SEGMENT_FACTS: usize = 1 << SEGMENT_BITS;
+
+const SEGMENT_BITS: u32 = 10;
+
+/// The segment holding fact `idx`, and the fact's offset inside it.
+#[inline]
+pub(crate) fn locate(idx: usize) -> (usize, usize) {
+    (idx >> SEGMENT_BITS, idx & (SEGMENT_FACTS - 1))
+}
 
 /// Dense code of a lifecycle status: its position in
 /// [`OfferState::ALL`]. The codes are what the status run-length
@@ -51,63 +83,43 @@ pub fn status_code(status: OfferState) -> u32 {
     }
 }
 
-/// A dictionary-encoded leaf-key column: the distinct [`MemberId`]s in
-/// first-seen order (`dict`) plus one dense `u32` code per fact
-/// (`codes`).
+/// The dictionary of one dictionary-encoded leaf-key column: the
+/// distinct [`MemberId`]s in first-seen order. Each segment stores one
+/// dense `u32` code per fact ([`Segment::codes`]) indexing it.
 ///
 /// Code assignment rules (these make the encoding a *canonical*
 /// function of the push sequence, so two stores that saw the same
 /// operations compare equal):
 ///
 /// * a member's code is its first-seen position in the push order;
-/// * the dictionary is **append-only** — withdraw compaction
-///   ([`ColumnStore::compact`]) drops codes of dead facts but never
-///   renumbers or garbage-collects the dictionary, so codes stay
-///   stable across an epoch's lifetime and predicate masks resolved
-///   against one epoch's dictionary index the next epoch's codes
-///   correctly.
+/// * the dictionary is **append-only** — withdraw compaction drops codes
+///   of dead facts but never renumbers or garbage-collects the
+///   dictionary, so codes stay stable across an epoch's lifetime and
+///   predicate masks resolved against one epoch's dictionary index the
+///   next epoch's codes correctly.
 ///
 /// Hierarchy member ids are dense and small (tens of members per
 /// dimension), so the reverse map is a flat `Vec` indexed by
 /// `MemberId`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DictColumn {
     dict: Vec<MemberId>,
     /// `member.0 → code + 1`; 0 = member not in the dictionary.
     code_of: Vec<u32>,
-    codes: Vec<u32>,
 }
 
 impl DictColumn {
-    fn new() -> DictColumn {
-        DictColumn { dict: Vec::new(), code_of: Vec::new(), codes: Vec::new() }
-    }
-
-    /// Appends one fact's member, interning it on first sight.
-    fn push(&mut self, member: MemberId) {
+    /// The code of `member`, interning it on first sight.
+    fn intern(&mut self, member: MemberId) -> u32 {
         let slot = member.0 as usize;
         if slot >= self.code_of.len() {
             self.code_of.resize(slot + 1, 0);
         }
-        let code = if self.code_of[slot] == 0 {
-            let code = self.dict.len() as u32;
+        if self.code_of[slot] == 0 {
             self.dict.push(member);
-            self.code_of[slot] = code + 1;
-            code
-        } else {
-            self.code_of[slot] - 1
-        };
-        self.codes.push(code);
-    }
-
-    /// A copy with room for `facts` more codes (see
-    /// [`ColumnStore::clone_with_room`]).
-    fn clone_with_room(&self, facts: usize) -> DictColumn {
-        DictColumn {
-            dict: self.dict.clone(),
-            code_of: self.code_of.clone(),
-            codes: copy_with_room(&self.codes, facts),
+            self.code_of[slot] = u32::try_from(self.dict.len()).expect("fewer than 2^32 members");
         }
+        self.code_of[slot] - 1
     }
 
     /// The distinct members, indexed by code.
@@ -115,20 +127,10 @@ impl DictColumn {
         &self.dict
     }
 
-    /// Per-fact codes (same length as the store).
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
     /// The code of `member`, if it ever occurred in this column.
     pub fn code(&self, member: MemberId) -> Option<u32> {
         let raw = *self.code_of.get(member.0 as usize)?;
         (raw != 0).then(|| raw - 1)
-    }
-
-    /// Decodes the member of fact `idx`.
-    pub fn member(&self, idx: usize) -> MemberId {
-        self.dict[self.codes[idx] as usize]
     }
 
     /// Resolves a predicate over members to a mask over codes — the
@@ -140,28 +142,28 @@ impl DictColumn {
 }
 
 /// One maximal run of equal codes: `value` repeated up to (exclusive)
-/// fact index `end`. The run's start is the previous run's `end` (0
+/// segment offset `end`. The run's start is the previous run's `end` (0
 /// for the first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// The repeated code.
     pub value: u32,
-    /// Exclusive end index of the run.
+    /// Exclusive end offset of the run.
     pub end: u32,
 }
 
 /// A run-length-encoded code column for the low-cardinality lifecycle
-/// status (6 values). Runs are kept in **canonical
+/// status (6 values), one per segment. Runs are kept in **canonical
 /// maximal form** — adjacent runs always hold distinct values — so the
 /// representation is a pure function of the decoded sequence and the
 /// derived `PartialEq` compares encodings the way it compares values.
 ///
-/// Point updates (`RleColumn::set`, the status flips of
-/// [`ColumnStore::refresh`]) split the containing run into at most
-/// three and re-merge equal-valued neighbours; withdraw compaction
-/// cuts the runs at the first dead fact and re-derives the rest from
-/// the compacted plain column ("run invalidation on compact"), because
-/// removing facts can splice arbitrary run fragments together.
+/// Point updates (`RleColumn::set`, the status flips of a lifecycle
+/// refresh) split the containing run into at most three and re-merge
+/// equal-valued neighbours; withdraw compaction re-derives the runs of
+/// the segments it rebuilds from the surviving runs ("run invalidation
+/// on compact"), because removing facts can splice arbitrary run
+/// fragments together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RleColumn {
     runs: Vec<Run>,
@@ -178,54 +180,33 @@ impl RleColumn {
     fn from_values(values: impl Iterator<Item = u32>) -> RleColumn {
         let mut rle = RleColumn::new();
         for v in values {
-            rle.push(v);
+            rle.push_run(v, 1);
         }
         rle
     }
 
-    /// Keeps the first `len` values: the canonical runs of a prefix are
-    /// the full runs cut at `len`, so pushing the rest again yields
-    /// exactly the runs a rebuild from scratch would.
-    fn truncate(&mut self, len: usize) {
-        let len = len as u32;
-        let k = self.run_index(len);
-        let start = if k == 0 { 0 } else { self.runs[k - 1].end };
-        if k < self.runs.len() && start < len {
-            self.runs[k].end = len;
-            self.runs.truncate(k + 1);
-        } else {
-            self.runs.truncate(k);
-        }
-        self.len = len;
-    }
-
-    /// A copy with room for `facts` more runs (see
-    /// [`ColumnStore::clone_with_room`]).
-    fn clone_with_room(&self, facts: usize) -> RleColumn {
-        RleColumn { runs: copy_with_room(&self.runs, facts), len: self.len }
-    }
-
-    /// Appends one value, extending the last run when it matches.
-    fn push(&mut self, value: u32) {
-        self.len += 1;
+    /// Appends `count` copies of `value`, extending the last run when it
+    /// matches.
+    fn push_run(&mut self, value: u32, count: u32) {
+        self.len += count;
         match self.runs.last_mut() {
             Some(run) if run.value == value => run.end = self.len,
             _ => self.runs.push(Run { value, end: self.len }),
         }
     }
 
-    /// Index of the run containing fact `idx` (binary search over the
+    /// Index of the run containing offset `idx` (binary search over the
     /// ascending exclusive ends).
     fn run_index(&self, idx: u32) -> usize {
         self.runs.partition_point(|r| r.end <= idx)
     }
 
-    /// Decoded value of fact `idx`.
+    /// Decoded value at offset `idx`.
     pub fn value(&self, idx: usize) -> u32 {
         self.runs[self.run_index(idx as u32)].value
     }
 
-    /// Point update: rewrite fact `idx` to `value`, restoring canonical
+    /// Point update: rewrite offset `idx` to `value`, restoring canonical
     /// maximal form (split the containing run, then merge with
     /// equal-valued neighbours).
     fn set(&mut self, idx: usize, value: u32) {
@@ -303,110 +284,74 @@ impl ColumnSlice<'_> {
     }
 }
 
-/// Struct-of-arrays fact storage: one `Vec` per fact attribute plus a
-/// CSR triple for per-slice energy bounds. See the module docs
-/// (`columns.rs`) for why.
+/// Positions of the nine measure-input columns in [`Segment`]'s
+/// `measures` array.
+const TOTAL_MIN: usize = 0;
+const TOTAL_MAX: usize = 1;
+const ENERGY_FLEX: usize = 2;
+const TIME_FLEX: usize = 3;
+const SCHEDULED: usize = 4;
+const EXECUTED: usize = 5;
+const DEVIATION: usize = 6;
+const PRICE: usize = 7;
+const BALANCING: usize = 8;
+
+/// One copy-on-write block of up to [`SEGMENT_FACTS`] consecutive facts:
+/// every fact column of those facts (offsets in its CSR slice columns and
+/// status runs are local to the segment) and their offer handles. See
+/// the [module docs](self).
 ///
-/// All per-offer columns share one length ([`ColumnStore::len`]); the
-/// CSR offsets column has `len + 1` entries. Invariants are upheld by
-/// the mutators ([`ColumnStore::push`], [`ColumnStore::refresh`],
-/// [`ColumnStore::compact`]) and spot-checked by the live warehouse's
-/// torn-epoch probe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStore {
+/// All per-fact columns share one length ([`Segment::len`]); the CSR
+/// offsets column has `len + 1` entries, starting at 0.
+#[derive(Debug, PartialEq)]
+pub struct Segment {
     offer: Vec<FlexOfferId>,
     prosumer: Vec<ProsumerId>,
     direction: Vec<Direction>,
     status: Vec<OfferState>,
     earliest_start: Vec<TimeSlot>,
-
-    time_leaf: Vec<MemberId>,
-    geo_leaf: Vec<MemberId>,
-    grid_leaf: Vec<MemberId>,
-    energy_leaf: Vec<MemberId>,
-    prosumer_leaf: Vec<MemberId>,
-    appliance_leaf: Vec<MemberId>,
-
-    total_min_wh: Vec<i64>,
-    total_max_wh: Vec<i64>,
-    energy_flex_wh: Vec<i64>,
-    time_flex_slots: Vec<i64>,
-    scheduled_wh: Vec<i64>,
-    executed_wh: Vec<i64>,
-    deviation_wh: Vec<i64>,
-    price_cents: Vec<i64>,
-    balancing_potential_wh: Vec<i64>,
-
-    /// CSR offsets into the slice columns; `len() + 1` entries, so the
-    /// slices of fact `i` live at `slice_offsets[i]..slice_offsets[i+1]`.
+    /// Plain leaf keys in [`Dimension::ALL`] order: the decode surface.
+    leaves: [Vec<MemberId>; 6],
+    /// The same keys as codes of the store's dictionaries: what
+    /// predicate pushdown tests.
+    codes: [Vec<u32>; 6],
+    /// Σ min, Σ max, energy flexibility, time flexibility, scheduled,
+    /// executed, deviation, price and balancing potential (see the
+    /// `TOTAL_MIN`.. constants).
+    measures: [Vec<i64>; 9],
+    /// CSR offsets into the slice columns: the slices of offset `k` live
+    /// at `slice_offsets[k]..slice_offsets[k + 1]`.
     slice_offsets: Vec<usize>,
     slice_min_wh: Vec<i64>,
     slice_max_wh: Vec<i64>,
-
-    /// Dictionary encodings of the six leaf-key columns, in
-    /// [`Dimension::ALL`] order. The plain `Vec<MemberId>` columns stay
-    /// the decode surface (and the borrowed-slice API); the dictionaries
-    /// are what predicate pushdown resolves filters against.
-    dicts: [DictColumn; 6],
     /// Run-length postings over [`status_code`]s.
     status_rle: RleColumn,
+    offers: Vec<Arc<FlexOffer>>,
 }
 
-impl Default for ColumnStore {
-    fn default() -> ColumnStore {
-        ColumnStore::new()
-    }
-}
-
-impl ColumnStore {
-    /// An empty store.
-    pub fn new() -> ColumnStore {
-        ColumnStore {
-            offer: Vec::new(),
-            prosumer: Vec::new(),
-            direction: Vec::new(),
-            status: Vec::new(),
-            earliest_start: Vec::new(),
-            time_leaf: Vec::new(),
-            geo_leaf: Vec::new(),
-            grid_leaf: Vec::new(),
-            energy_leaf: Vec::new(),
-            prosumer_leaf: Vec::new(),
-            appliance_leaf: Vec::new(),
-            total_min_wh: Vec::new(),
-            total_max_wh: Vec::new(),
-            energy_flex_wh: Vec::new(),
-            time_flex_slots: Vec::new(),
-            scheduled_wh: Vec::new(),
-            executed_wh: Vec::new(),
-            deviation_wh: Vec::new(),
-            price_cents: Vec::new(),
-            balancing_potential_wh: Vec::new(),
-            slice_offsets: vec![0],
+impl Segment {
+    /// An empty segment with room for [`SEGMENT_FACTS`] facts.
+    fn empty() -> Segment {
+        fn column<T>() -> Vec<T> {
+            Vec::with_capacity(SEGMENT_FACTS)
+        }
+        let mut slice_offsets = Vec::with_capacity(SEGMENT_FACTS + 1);
+        slice_offsets.push(0);
+        Segment {
+            offer: column(),
+            prosumer: column(),
+            direction: column(),
+            status: column(),
+            earliest_start: column(),
+            leaves: std::array::from_fn(|_| column()),
+            codes: std::array::from_fn(|_| column()),
+            measures: std::array::from_fn(|_| column()),
+            slice_offsets,
             slice_min_wh: Vec::new(),
             slice_max_wh: Vec::new(),
-            dicts: [
-                DictColumn::new(),
-                DictColumn::new(),
-                DictColumn::new(),
-                DictColumn::new(),
-                DictColumn::new(),
-                DictColumn::new(),
-            ],
             status_rle: RleColumn::new(),
+            offers: column(),
         }
-    }
-
-    /// An empty store with per-offer columns sized for `n` facts.
-    pub fn with_capacity(n: usize) -> ColumnStore {
-        let mut cs = ColumnStore::new();
-        cs.offer.reserve(n);
-        cs.prosumer.reserve(n);
-        cs.direction.reserve(n);
-        cs.status.reserve(n);
-        cs.earliest_start.reserve(n);
-        cs.slice_offsets.reserve(n);
-        cs
     }
 
     /// Number of facts.
@@ -414,219 +359,152 @@ impl ColumnStore {
         self.offer.len()
     }
 
-    /// `true` when no facts are loaded.
+    /// `true` when the segment holds no facts.
     pub fn is_empty(&self) -> bool {
         self.offer.is_empty()
     }
 
-    /// Total slice entries across all facts (the CSR payload length).
-    pub fn slice_count(&self) -> usize {
-        self.slice_min_wh.len()
-    }
-
-    /// Appends one offer's fact with pre-resolved dimension leaf keys
-    /// (same key order as [`FactRow::extract`]).
-    pub fn push(&mut self, fo: &FlexOffer, keys: LeafKeys) {
-        let [t, g, gr, e, p, a] = keys;
+    /// Appends one fact with its resolved leaf keys and their codes.
+    fn push(&mut self, fo: Arc<FlexOffer>, keys: LeafKeys, codes: [u32; 6]) {
         self.offer.push(fo.id());
         self.prosumer.push(fo.prosumer());
         self.direction.push(fo.direction());
         self.status.push(fo.status());
         self.earliest_start.push(fo.earliest_start());
-        self.time_leaf.push(t);
-        self.geo_leaf.push(g);
-        self.grid_leaf.push(gr);
-        self.energy_leaf.push(e);
-        self.prosumer_leaf.push(p);
-        self.appliance_leaf.push(a);
-        for (dict, key) in self.dicts.iter_mut().zip(keys) {
-            dict.push(key);
+        for d in 0..6 {
+            self.leaves[d].push(keys[d]);
+            self.codes[d].push(codes[d]);
         }
-        self.status_rle.push(status_code(fo.status()));
-        self.push_measures(fo);
+        self.status_rle.push_run(status_code(fo.status()), 1);
+        let (scheduled_wh, executed_wh, deviation_wh) = lifecycle_measures(&fo);
+        let values = [
+            fo.total_min_energy().wh(),
+            fo.total_max_energy().wh(),
+            fo.energy_flexibility().wh(),
+            fo.time_flexibility().count(),
+            scheduled_wh,
+            executed_wh,
+            deviation_wh,
+            fo.price_per_kwh().cents(),
+            fo.balancing_potential().wh(),
+        ];
+        for (column, value) in self.measures.iter_mut().zip(values) {
+            column.push(value);
+        }
         for s in fo.profile().slices() {
             self.slice_min_wh.push(s.min.wh());
             self.slice_max_wh.push(s.max.wh());
         }
         self.slice_offsets.push(self.slice_min_wh.len());
+        self.offers.push(fo);
     }
 
-    fn push_measures(&mut self, fo: &FlexOffer) {
-        let (scheduled_wh, executed_wh, deviation_wh) = lifecycle_measures(fo);
-        self.total_min_wh.push(fo.total_min_energy().wh());
-        self.total_max_wh.push(fo.total_max_energy().wh());
-        self.energy_flex_wh.push(fo.energy_flexibility().wh());
-        self.time_flex_slots.push(fo.time_flexibility().count());
-        self.scheduled_wh.push(scheduled_wh);
-        self.executed_wh.push(executed_wh);
-        self.deviation_wh.push(deviation_wh);
-        self.price_cents.push(fo.price_per_kwh().cents());
-        self.balancing_potential_wh.push(fo.balancing_potential().wh());
-    }
-
-    /// Refreshes the scalar columns of fact `idx` from its (mutated)
-    /// offer: status and the lifecycle measures. Dimension keys and the
-    /// CSR slice columns are untouched — an offer's profile is immutable
-    /// for its whole lifecycle, so a schedule assignment or an execution
-    /// rewrites a handful of words instead of a 200-byte row.
-    pub fn refresh(&mut self, idx: usize, fo: &FlexOffer) {
-        debug_assert_eq!(self.offer[idx], fo.id(), "refresh keyed to the wrong offer");
-        let (scheduled_wh, executed_wh, deviation_wh) = lifecycle_measures(fo);
-        self.status[idx] = fo.status();
-        self.status_rle.set(idx, status_code(fo.status()));
-        self.scheduled_wh[idx] = scheduled_wh;
-        self.executed_wh[idx] = executed_wh;
-        self.deviation_wh[idx] = deviation_wh;
-        self.balancing_potential_wh[idx] = fo.balancing_potential().wh();
-    }
-
-    /// Drops the facts at the ascending, distinct positions `dead`,
-    /// preserving survivor order — the columnar half of withdraw
-    /// compaction. Only what lies after the first dead fact moves: each
-    /// column shifts its survivor ranges down with one `copy_within`
-    /// apiece, the CSR offsets of the shifted facts drop by the slice
-    /// entries removed before them, and the run-length status column is
-    /// cut at the first dead fact and re-derived from there. The
-    /// dictionaries are append-only (see [`DictColumn`]), so only their
-    /// per-fact codes move.
-    pub fn compact(&mut self, dead: &[usize]) {
-        let Some(&first) = dead.first() else { return };
-        let n = self.len();
-        assert!(
-            dead.windows(2).all(|w| w[0] < w[1]) && dead[dead.len() - 1] < n,
-            "dead positions must be ascending, distinct and in range"
-        );
-        let facts = || dead.iter().map(|&d| d..d + 1);
-        excise(&mut self.offer, facts());
-        excise(&mut self.prosumer, facts());
-        excise(&mut self.direction, facts());
-        excise(&mut self.status, facts());
-        excise(&mut self.earliest_start, facts());
-        excise(&mut self.time_leaf, facts());
-        excise(&mut self.geo_leaf, facts());
-        excise(&mut self.grid_leaf, facts());
-        excise(&mut self.energy_leaf, facts());
-        excise(&mut self.prosumer_leaf, facts());
-        excise(&mut self.appliance_leaf, facts());
-        excise(&mut self.total_min_wh, facts());
-        excise(&mut self.total_max_wh, facts());
-        excise(&mut self.energy_flex_wh, facts());
-        excise(&mut self.time_flex_slots, facts());
-        excise(&mut self.scheduled_wh, facts());
-        excise(&mut self.executed_wh, facts());
-        excise(&mut self.deviation_wh, facts());
-        excise(&mut self.price_cents, facts());
-        excise(&mut self.balancing_potential_wh, facts());
-        for dict in &mut self.dicts {
-            excise(&mut dict.codes, facts());
+    /// Appends the facts at offsets `range` of `src`, in order, with one
+    /// slice copy per column.
+    fn extend_from(&mut self, src: &Segment, range: Range<usize>) {
+        if range.is_empty() {
+            return;
         }
-        // Run invalidation on compact: removing facts can splice
-        // arbitrary fragments of runs together, so the runs from the
-        // first dead fact on are re-derived from the compacted plain
-        // column instead of patched.
-        self.status_rle.truncate(first);
-        for &s in &self.status[first..] {
-            self.status_rle.push(status_code(s));
+        self.offer.extend_from_slice(&src.offer[range.clone()]);
+        self.prosumer.extend_from_slice(&src.prosumer[range.clone()]);
+        self.direction.extend_from_slice(&src.direction[range.clone()]);
+        self.status.extend_from_slice(&src.status[range.clone()]);
+        self.earliest_start.extend_from_slice(&src.earliest_start[range.clone()]);
+        for (to, from) in self.leaves.iter_mut().zip(&src.leaves) {
+            to.extend_from_slice(&from[range.clone()]);
         }
-
-        // CSR: the dead facts' slice ranges leave the payload, then the
-        // end offset of each shifted survivor drops by the slice entries
-        // removed before it.
-        let offsets = &mut self.slice_offsets;
-        let gaps = || dead.iter().map(|&d| offsets[d]..offsets[d + 1]);
-        excise(&mut self.slice_min_wh, gaps());
-        excise(&mut self.slice_max_wh, gaps());
-        let (mut write, mut removed) = (first + 1, 0);
-        for (j, &d) in dead.iter().enumerate() {
-            removed += offsets[d + 1] - offsets[d];
-            // Survivors d+1 .. next dead: their end offsets sit at
-            // d+2 ..= next dead.
-            let ends = d + 2..dead.get(j + 1).map_or(n, |&next| next) + 1;
-            let len = ends.len();
-            offsets.copy_within(ends, write);
-            for end in &mut offsets[write..write + len] {
-                *end -= removed;
+        for (to, from) in self.codes.iter_mut().zip(&src.codes) {
+            to.extend_from_slice(&from[range.clone()]);
+        }
+        for (to, from) in self.measures.iter_mut().zip(&src.measures) {
+            to.extend_from_slice(&from[range.clone()]);
+        }
+        // The runs overlapping the range, clipped to it; `push_run`
+        // merges equal neighbours, so the result stays canonical.
+        let (lo, hi) = (range.start as u32, range.end as u32);
+        let mut start = 0;
+        for run in src.status_rle.runs() {
+            let (from, to) = (start.max(lo), run.end.min(hi));
+            if from < to {
+                self.status_rle.push_run(run.value, to - from);
             }
-            write += len;
+            if run.end >= hi {
+                break;
+            }
+            start = run.end;
         }
-        offsets.truncate(write);
+        let (first, last) = (src.slice_offsets[range.start], src.slice_offsets[range.end]);
+        let base = self.slice_min_wh.len();
+        self.slice_min_wh.extend_from_slice(&src.slice_min_wh[first..last]);
+        self.slice_max_wh.extend_from_slice(&src.slice_max_wh[first..last]);
+        self.slice_offsets.extend(
+            src.slice_offsets[range.start + 1..=range.end].iter().map(|&end| end - first + base),
+        );
+        self.offers.extend_from_slice(&src.offers[range]);
     }
 
-    /// A copy of the store with spare capacity for `facts` more facts
-    /// carrying `slices` more slice entries — what unsharing the store
-    /// for an ingest batch allocates, so the batch's pushes do not
-    /// reallocate (and copy) every column a second time, as an exact-size
-    /// [`Clone`] followed by a push would.
-    pub(crate) fn clone_with_room(&self, facts: usize, slices: usize) -> ColumnStore {
-        ColumnStore {
-            offer: copy_with_room(&self.offer, facts),
-            prosumer: copy_with_room(&self.prosumer, facts),
-            direction: copy_with_room(&self.direction, facts),
-            status: copy_with_room(&self.status, facts),
-            earliest_start: copy_with_room(&self.earliest_start, facts),
-            time_leaf: copy_with_room(&self.time_leaf, facts),
-            geo_leaf: copy_with_room(&self.geo_leaf, facts),
-            grid_leaf: copy_with_room(&self.grid_leaf, facts),
-            energy_leaf: copy_with_room(&self.energy_leaf, facts),
-            prosumer_leaf: copy_with_room(&self.prosumer_leaf, facts),
-            appliance_leaf: copy_with_room(&self.appliance_leaf, facts),
-            total_min_wh: copy_with_room(&self.total_min_wh, facts),
-            total_max_wh: copy_with_room(&self.total_max_wh, facts),
-            energy_flex_wh: copy_with_room(&self.energy_flex_wh, facts),
-            time_flex_slots: copy_with_room(&self.time_flex_slots, facts),
-            scheduled_wh: copy_with_room(&self.scheduled_wh, facts),
-            executed_wh: copy_with_room(&self.executed_wh, facts),
-            deviation_wh: copy_with_room(&self.deviation_wh, facts),
-            price_cents: copy_with_room(&self.price_cents, facts),
-            balancing_potential_wh: copy_with_room(&self.balancing_potential_wh, facts),
-            slice_offsets: copy_with_room(&self.slice_offsets, facts),
-            slice_min_wh: copy_with_room(&self.slice_min_wh, slices),
-            slice_max_wh: copy_with_room(&self.slice_max_wh, slices),
-            dicts: self.dicts.each_ref().map(|d| d.clone_with_room(facts)),
-            status_rle: self.status_rle.clone_with_room(facts),
-        }
+    /// Refreshes offset `k`'s scalar columns from its (mutated) offer:
+    /// status and the lifecycle measures. Dimension keys and the CSR
+    /// slice columns are untouched — an offer's profile is immutable for
+    /// its whole lifecycle, so a schedule assignment or an execution
+    /// rewrites a handful of words instead of a 200-byte row.
+    fn refresh(&mut self, k: usize) {
+        let fo = Arc::clone(&self.offers[k]);
+        let (scheduled_wh, executed_wh, deviation_wh) = lifecycle_measures(&fo);
+        self.status[k] = fo.status();
+        self.status_rle.set(k, status_code(fo.status()));
+        self.measures[SCHEDULED][k] = scheduled_wh;
+        self.measures[EXECUTED][k] = executed_wh;
+        self.measures[DEVIATION][k] = deviation_wh;
+        self.measures[BALANCING][k] = fo.balancing_potential().wh();
     }
 
-    /// Materializes fact `idx` as a row — the gather that keeps
-    /// [`FactRow`] as the common currency of row-shaped consumers and
-    /// the columnar ≡ row equality gates.
-    pub fn row(&self, idx: usize) -> FactRow {
+    /// Materializes offset `k` as a row.
+    pub fn row(&self, k: usize) -> FactRow {
+        let [time_leaf, geo_leaf, grid_leaf, energy_leaf, prosumer_leaf, appliance_leaf] =
+            self.leaves.each_ref().map(|column| column[k]);
+        let m = |column: usize| self.measures[column][k];
         FactRow {
-            offer: self.offer[idx],
-            prosumer: self.prosumer[idx],
-            direction: self.direction[idx],
-            status: self.status[idx],
-            earliest_start: self.earliest_start[idx],
-            time_leaf: self.time_leaf[idx],
-            geo_leaf: self.geo_leaf[idx],
-            grid_leaf: self.grid_leaf[idx],
-            energy_leaf: self.energy_leaf[idx],
-            prosumer_leaf: self.prosumer_leaf[idx],
-            appliance_leaf: self.appliance_leaf[idx],
-            total_min_wh: self.total_min_wh[idx],
-            total_max_wh: self.total_max_wh[idx],
-            energy_flex_wh: self.energy_flex_wh[idx],
-            time_flex_slots: self.time_flex_slots[idx],
-            profile_len: self.slice_offsets[idx + 1] - self.slice_offsets[idx],
-            scheduled_wh: self.scheduled_wh[idx],
-            executed_wh: self.executed_wh[idx],
-            deviation_wh: self.deviation_wh[idx],
-            price_cents: self.price_cents[idx],
-            balancing_potential_wh: self.balancing_potential_wh[idx],
+            offer: self.offer[k],
+            prosumer: self.prosumer[k],
+            direction: self.direction[k],
+            status: self.status[k],
+            earliest_start: self.earliest_start[k],
+            time_leaf,
+            geo_leaf,
+            grid_leaf,
+            energy_leaf,
+            prosumer_leaf,
+            appliance_leaf,
+            total_min_wh: m(TOTAL_MIN),
+            total_max_wh: m(TOTAL_MAX),
+            energy_flex_wh: m(ENERGY_FLEX),
+            time_flex_slots: m(TIME_FLEX),
+            profile_len: self.slice_offsets[k + 1] - self.slice_offsets[k],
+            scheduled_wh: m(SCHEDULED),
+            executed_wh: m(EXECUTED),
+            deviation_wh: m(DEVIATION),
+            price_cents: m(PRICE),
+            balancing_potential_wh: m(BALANCING),
         }
     }
 
-    /// Materializes every fact in order — the row-oriented reference
-    /// iterator.
-    pub fn rows(&self) -> impl Iterator<Item = FactRow> + '_ {
-        (0..self.len()).map(|i| self.row(i))
+    /// The per-slice energy bounds of offset `k`.
+    pub fn slices(&self, k: usize) -> ColumnSlice<'_> {
+        let (lo, hi) = (self.slice_offsets[k], self.slice_offsets[k + 1]);
+        ColumnSlice { min_wh: &self.slice_min_wh[lo..hi], max_wh: &self.slice_max_wh[lo..hi] }
     }
 
-    /// The per-slice energy bounds of fact `idx`, borrowed from the CSR
-    /// columns.
-    pub fn slices(&self, idx: usize) -> ColumnSlice<'_> {
-        let (lo, hi) = (self.slice_offsets[idx], self.slice_offsets[idx + 1]);
-        ColumnSlice { min_wh: &self.slice_min_wh[lo..hi], max_wh: &self.slice_max_wh[lo..hi] }
+    /// Length in slots of offset `k`'s flexibility window `[earliest
+    /// start, latest end)`: its start flexibility plus its profile
+    /// duration, at least one slot.
+    pub(crate) fn extent_len(&self, k: usize) -> i64 {
+        self.measures[TIME_FLEX][k] + (self.slice_offsets[k + 1] - self.slice_offsets[k]) as i64
+    }
+
+    /// The facts' offers, shared with every epoch holding this segment.
+    pub fn offers(&self) -> &[Arc<FlexOffer>] {
+        &self.offers
     }
 
     /// Offer-id column.
@@ -654,93 +532,391 @@ impl ColumnStore {
         &self.earliest_start
     }
 
-    /// Start-time flexibility column (slots) — the TFT input of
-    /// columnar aggregation grouping.
-    pub fn time_flex(&self) -> &[i64] {
-        &self.time_flex_slots
+    /// The leaf-key column of `dimension`.
+    pub fn leaves(&self, dimension: Dimension) -> &[MemberId] {
+        &self.leaves[dimension as usize]
     }
 
-    /// Length in slots of fact `idx`'s flexibility window `[earliest
-    /// start, latest end)`: its start flexibility plus its profile
-    /// duration, at least one slot.
-    pub(crate) fn extent_len(&self, idx: usize) -> i64 {
-        self.time_flex_slots[idx] + (self.slice_offsets[idx + 1] - self.slice_offsets[idx]) as i64
+    /// The dictionary codes of `dimension`'s leaf keys (see
+    /// [`ColumnStore::dict`]).
+    pub fn codes(&self, dimension: Dimension) -> &[u32] {
+        &self.codes[dimension as usize]
+    }
+
+    /// The six code columns, in [`Dimension::ALL`] order.
+    pub(crate) fn all_codes(&self) -> [&[u32]; 6] {
+        self.codes.each_ref().map(Vec::as_slice)
+    }
+
+    /// Canonical runs of the status codes ([`status_code`]), with
+    /// segment-local ends.
+    pub fn status_runs(&self) -> &[Run] {
+        self.status_rle.runs()
+    }
+
+    /// Start-time flexibility column (slots).
+    pub fn time_flex(&self) -> &[i64] {
+        &self.measures[TIME_FLEX]
     }
 
     /// Scheduled-energy column (Wh).
     pub fn scheduled_wh(&self) -> &[i64] {
-        &self.scheduled_wh
+        &self.measures[SCHEDULED]
     }
 
     /// Executed-energy column (Wh).
     pub fn executed_wh(&self) -> &[i64] {
-        &self.executed_wh
+        &self.measures[EXECUTED]
     }
 
     /// Plan-deviation column (Wh).
     pub fn deviation_wh(&self) -> &[i64] {
-        &self.deviation_wh
+        &self.measures[DEVIATION]
     }
 
     /// Σ min-bound column (Wh).
     pub fn total_min_wh(&self) -> &[i64] {
-        &self.total_min_wh
+        &self.measures[TOTAL_MIN]
     }
 
     /// Σ max-bound column (Wh).
     pub fn total_max_wh(&self) -> &[i64] {
-        &self.total_max_wh
+        &self.measures[TOTAL_MAX]
     }
 
     /// Energy-flexibility column (Wh).
     pub fn energy_flex_wh(&self) -> &[i64] {
-        &self.energy_flex_wh
+        &self.measures[ENERGY_FLEX]
     }
 
     /// Price column (euro-cents per kWh).
     pub fn price_cents(&self) -> &[i64] {
-        &self.price_cents
+        &self.measures[PRICE]
     }
 
     /// Balancing-potential column (Wh).
     pub fn balancing_potential_wh(&self) -> &[i64] {
-        &self.balancing_potential_wh
+        &self.measures[BALANCING]
+    }
+}
+
+impl Clone for Segment {
+    /// A copy with room for a full segment, at the source's slices per
+    /// fact: appending to a copied tail never reallocates its columns.
+    fn clone(&self) -> Segment {
+        let mut copy = Segment::empty();
+        copy.extend_from(self, 0..self.len());
+        let room = (SEGMENT_FACTS - self.len()) * self.slice_min_wh.len().div_ceil(self.len().max(1));
+        copy.slice_min_wh.reserve(room);
+        copy.slice_max_wh.reserve(room);
+        copy
+    }
+}
+
+/// Struct-of-arrays fact storage in copy-on-write [`Segment`]s plus the
+/// six shared leaf dictionaries. See the module docs (`columns.rs`) for
+/// why.
+///
+/// Invariants are upheld by the mutators (push, lifecycle refresh,
+/// compaction) and spot-checked by the live warehouse's torn-epoch
+/// probe: every segment but the last is full, and no segment is empty.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ColumnStore {
+    segments: Vec<Arc<Segment>>,
+    /// Dictionaries of the six leaf-key columns, in [`Dimension::ALL`]
+    /// order; unshared only when a push meets a new member.
+    dicts: Arc<[DictColumn; 6]>,
+}
+
+impl ColumnStore {
+    /// An empty store.
+    pub fn new() -> ColumnStore {
+        ColumnStore::default()
     }
 
-    /// Geography leaf column.
-    pub fn geo_leaves(&self) -> &[MemberId] {
-        &self.geo_leaf
+    /// An empty store with room for the segment handles of `n` facts.
+    pub fn with_capacity(n: usize) -> ColumnStore {
+        ColumnStore { segments: Vec::with_capacity(n.div_ceil(SEGMENT_FACTS)), ..Default::default() }
     }
 
-    /// The leaf-key column of `dimension`.
-    pub fn leaves(&self, dimension: Dimension) -> &[MemberId] {
-        match dimension {
-            Dimension::Time => &self.time_leaf,
-            Dimension::Geography => &self.geo_leaf,
-            Dimension::Grid => &self.grid_leaf,
-            Dimension::EnergyType => &self.energy_leaf,
-            Dimension::ProsumerType => &self.prosumer_leaf,
-            Dimension::Appliance => &self.appliance_leaf,
+    /// Number of facts.
+    pub fn len(&self) -> usize {
+        self.segments.last().map_or(0, |tail| (self.segments.len() - 1) * SEGMENT_FACTS + tail.len())
+    }
+
+    /// `true` when no facts are loaded.
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// Total slice entries across all facts (the CSR payload length).
+    pub fn slice_count(&self) -> usize {
+        self.segments.iter().map(|s| s.slice_min_wh.len()).sum()
+    }
+
+    /// The segments in fact order: segment `s` holds the facts from
+    /// `s * SEGMENT_FACTS` on.
+    pub fn segments(&self) -> &[Arc<Segment>] {
+        &self.segments
+    }
+
+    /// Appends one offer's fact with pre-resolved dimension leaf keys
+    /// (same key order as [`FactRow::extract`]), unsharing the tail
+    /// segment.
+    pub(crate) fn push(&mut self, fo: &FlexOffer, keys: LeafKeys) {
+        let mut codes = [0; 6];
+        for (d, &key) in keys.iter().enumerate() {
+            codes[d] = match self.dicts[d].code(key) {
+                Some(code) => code,
+                None => Arc::make_mut(&mut self.dicts)[d].intern(key),
+            };
+        }
+        if self.segments.last().is_none_or(|tail| tail.len() == SEGMENT_FACTS) {
+            self.segments.push(Arc::new(Segment::empty()));
+        }
+        let tail = self.segments.last_mut().expect("a tail segment with room");
+        Arc::make_mut(tail).push(Arc::new(fo.clone()), keys, codes);
+    }
+
+    /// Mutates fact `idx`'s offer through `change`, unsharing its segment
+    /// and its offer, and refreshes the fact's scalar columns when
+    /// `change` returns `true`.
+    pub(crate) fn update(&mut self, idx: usize, change: impl FnOnce(&mut FlexOffer) -> bool) {
+        let (s, k) = locate(idx);
+        let segment = Arc::make_mut(&mut self.segments[s]);
+        if change(Arc::make_mut(&mut segment.offers[k])) {
+            segment.refresh(k);
         }
     }
 
-    /// The dictionary encoding of `dimension`'s leaf-key column.
-    pub fn dict(&self, dimension: Dimension) -> &DictColumn {
-        &self.dicts[match dimension {
-            Dimension::Time => 0,
-            Dimension::Geography => 1,
-            Dimension::Grid => 2,
-            Dimension::EnergyType => 3,
-            Dimension::ProsumerType => 4,
-            Dimension::Appliance => 5,
-        }]
+    /// Drops the facts at the ascending, distinct positions `dead`,
+    /// preserving survivor order — the columnar half of withdraw
+    /// compaction. The segments before the first dead fact stay shared;
+    /// the survivors from that segment on are copied, one slice per
+    /// column and survivor range, into fresh full segments, whose status
+    /// runs are re-derived from the surviving runs. The dictionaries are
+    /// append-only (see [`DictColumn`]), so only codes move.
+    pub(crate) fn compact(&mut self, dead: &[usize]) {
+        let Some(&first) = dead.first() else { return };
+        assert!(
+            dead.windows(2).all(|w| w[0] < w[1]) && dead[dead.len() - 1] < self.len(),
+            "dead positions must be ascending, distinct and in range"
+        );
+        let (from, _) = locate(first);
+        let old = self.segments.split_off(from);
+        let mut dead = dead.iter().copied().peekable();
+        let mut out = Segment::empty();
+        for (j, segment) in old.iter().enumerate() {
+            let base = (from + j) * SEGMENT_FACTS;
+            let mut lo = 0;
+            loop {
+                let hi = dead.next_if(|&d| d < base + segment.len()).map_or(segment.len(), |d| d - base);
+                let mut at = lo;
+                while at < hi {
+                    let take = (hi - at).min(SEGMENT_FACTS - out.len());
+                    out.extend_from(segment, at..at + take);
+                    at += take;
+                    if out.len() == SEGMENT_FACTS {
+                        self.segments.push(Arc::new(std::mem::replace(&mut out, Segment::empty())));
+                    }
+                }
+                if hi == segment.len() {
+                    break;
+                }
+                lo = hi + 1;
+            }
+        }
+        if !out.is_empty() {
+            self.segments.push(Arc::new(out));
+        }
     }
 
-    /// Canonical runs of the status codes ([`status_code`]).
-    pub fn status_runs(&self) -> &[Run] {
-        self.status_rle.runs()
+    /// Materializes fact `idx` as a row — the gather that keeps
+    /// [`FactRow`] as the common currency of row-shaped consumers and
+    /// the columnar ≡ row equality gates.
+    pub fn row(&self, idx: usize) -> FactRow {
+        let (s, k) = locate(idx);
+        self.segments[s].row(k)
+    }
+
+    /// Materializes every fact in order — the row-oriented reference
+    /// iterator.
+    pub fn rows(&self) -> impl Iterator<Item = FactRow> + '_ {
+        self.segments.iter().flat_map(|s| (0..s.len()).map(move |k| s.row(k)))
+    }
+
+    /// The per-slice energy bounds of fact `idx`, borrowed from its
+    /// segment's CSR columns.
+    pub fn slices(&self, idx: usize) -> ColumnSlice<'_> {
+        let (s, k) = locate(idx);
+        self.segments[s].slices(k)
+    }
+
+    /// The offer of fact `idx`.
+    pub(crate) fn offer(&self, idx: usize) -> &Arc<FlexOffer> {
+        let (s, k) = locate(idx);
+        &self.segments[s].offers[k]
+    }
+
+    fn column<T>(&self, field: fn(&Segment) -> &[T]) -> FactColumn<'_, T> {
+        FactColumn { segments: &self.segments, field, len: self.len() }
+    }
+
+    /// The offers, shared with the detail views (see
+    /// [`Warehouse::offers`](crate::Warehouse::offers)).
+    pub fn offers(&self) -> FactColumn<'_, Arc<FlexOffer>> {
+        self.column(Segment::offers)
+    }
+
+    /// Offer-id column.
+    pub fn offer_ids(&self) -> FactColumn<'_, FlexOfferId> {
+        self.column(Segment::offer_ids)
+    }
+
+    /// Prosumer column.
+    pub fn prosumers(&self) -> FactColumn<'_, ProsumerId> {
+        self.column(Segment::prosumers)
+    }
+
+    /// Direction column.
+    pub fn directions(&self) -> FactColumn<'_, Direction> {
+        self.column(Segment::directions)
+    }
+
+    /// Lifecycle-status column.
+    pub fn statuses(&self) -> FactColumn<'_, OfferState> {
+        self.column(Segment::statuses)
+    }
+
+    /// Earliest-start column.
+    pub fn earliest_starts(&self) -> FactColumn<'_, TimeSlot> {
+        self.column(Segment::earliest_starts)
+    }
+
+    /// Executed-energy column (Wh).
+    pub fn executed_wh(&self) -> FactColumn<'_, i64> {
+        self.column(Segment::executed_wh)
+    }
+
+    /// Geography leaf column.
+    pub fn geo_leaves(&self) -> FactColumn<'_, MemberId> {
+        self.leaves(Dimension::Geography)
+    }
+
+    /// The leaf-key column of `dimension`.
+    pub fn leaves(&self, dimension: Dimension) -> FactColumn<'_, MemberId> {
+        let field: fn(&Segment) -> &[MemberId] = match dimension {
+            Dimension::Time => |s| &s.leaves[0],
+            Dimension::Geography => |s| &s.leaves[1],
+            Dimension::Grid => |s| &s.leaves[2],
+            Dimension::EnergyType => |s| &s.leaves[3],
+            Dimension::ProsumerType => |s| &s.leaves[4],
+            Dimension::Appliance => |s| &s.leaves[5],
+        };
+        self.column(field)
+    }
+
+    /// The dictionary of `dimension`'s leaf-key column; the per-fact
+    /// codes live in the segments ([`Segment::codes`]).
+    pub fn dict(&self, dimension: Dimension) -> &DictColumn {
+        &self.dicts[dimension as usize]
     }
 }
+
+/// One fact column read across a store's segments: by fact position
+/// (`column[i]`) or in fact order. Kernels walk
+/// [`ColumnStore::segments`] over plain slices instead.
+pub struct FactColumn<'a, T> {
+    segments: &'a [Arc<Segment>],
+    field: fn(&Segment) -> &[T],
+    len: usize,
+}
+
+impl<T> Clone for FactColumn<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for FactColumn<'_, T> {}
+
+impl<T> fmt::Debug for FactColumn<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FactColumn").field("len", &self.len).finish_non_exhaustive()
+    }
+}
+
+impl<'a, T> FactColumn<'a, T> {
+    /// Number of facts.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the store holds no facts.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value of fact `idx`, if there is one.
+    pub fn get(&self, idx: usize) -> Option<&'a T> {
+        let (s, k) = locate(idx);
+        (self.field)(self.segments.get(s)?).get(k)
+    }
+
+    /// The values in fact order.
+    pub fn iter(&self) -> FactIter<'a, T> {
+        FactIter { segments: self.segments.iter(), field: self.field, current: [].iter(), left: self.len }
+    }
+}
+
+impl<T> Index<usize> for FactColumn<'_, T> {
+    type Output = T;
+
+    fn index(&self, idx: usize) -> &T {
+        let (s, k) = locate(idx);
+        &(self.field)(&self.segments[s])[k]
+    }
+}
+
+impl<'a, T: 'a> IntoIterator for FactColumn<'a, T> {
+    type Item = &'a T;
+    type IntoIter = FactIter<'a, T>;
+
+    fn into_iter(self) -> FactIter<'a, T> {
+        self.iter()
+    }
+}
+
+/// A [`FactColumn`]'s values in fact order, one segment slice at a
+/// time.
+pub struct FactIter<'a, T> {
+    segments: std::slice::Iter<'a, Arc<Segment>>,
+    field: fn(&Segment) -> &[T],
+    current: std::slice::Iter<'a, T>,
+    left: usize,
+}
+
+impl<'a, T> Iterator for FactIter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        loop {
+            if let Some(value) = self.current.next() {
+                self.left -= 1;
+                return Some(value);
+            }
+            self.current = (self.field)(self.segments.next()?).iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T> ExactSizeIterator for FactIter<'_, T> {}
+
+impl<T> FusedIterator for FactIter<'_, T> {}
 
 /// The three lifecycle measures extracted together (shared by push and
 /// refresh so the columnar store and [`FactRow::extract`] can never
@@ -755,35 +931,28 @@ fn lifecycle_measures(fo: &FlexOffer) -> (i64, i64, i64) {
     (scheduled_wh, executed_wh, deviation_wh)
 }
 
-/// Removes the ascending, disjoint index ranges `gaps` from `column`,
-/// preserving the order of what remains. Nothing before the first gap
-/// moves; each survivor range after it shifts down with one
-/// `copy_within`.
-fn excise<T: Copy>(column: &mut Vec<T>, gaps: impl Iterator<Item = Range<usize>>) {
-    let mut gaps = gaps.peekable();
-    let Some(mut write) = gaps.peek().map(|g| g.start) else { return };
-    let len = column.len();
-    while let Some(gap) = gaps.next() {
-        let keep = gap.end..gaps.peek().map_or(len, |next| next.start);
-        let n = keep.len();
-        column.copy_within(keep, write);
-        write += n;
+/// Groups the positions `0..keys.len()` by their key below `groups`,
+/// with one counting sort: CSR bounds (`groups + 1` entries; group `g`
+/// holds `positions[bounds[g]..bounds[g + 1]]`) and the positions,
+/// ascending within each group. The derived indices over one version's
+/// facts are built with it.
+pub(crate) fn group_by_key(keys: &[u32], groups: usize) -> (Vec<u32>, Vec<u32>) {
+    assert!(u32::try_from(keys.len()).is_ok(), "a derived index holds fewer than 2^32 facts");
+    let mut bounds = vec![0u32; groups + 1];
+    for &key in keys {
+        bounds[key as usize + 1] += 1;
     }
-    column.truncate(write);
-}
-
-/// Withdraw's old→new position map, kept as the batch's ascending
-/// `dead` positions rather than one entry per fact: moves the fact
-/// position `idx` to where it lands once `dead` is compacted away (down
-/// by the dead positions before it) and returns `false` when `idx` is
-/// itself dead.
-pub(crate) fn remap(dead: &[usize], idx: &mut usize) -> bool {
-    let below = dead.partition_point(|&d| d < *idx);
-    if dead.get(below) == Some(idx) {
-        return false;
+    for g in 1..bounds.len() {
+        bounds[g] += bounds[g - 1];
     }
-    *idx -= below;
-    true
+    let mut cursor = bounds[..groups].to_vec();
+    let mut positions = vec![0u32; keys.len()];
+    for (i, &key) in keys.iter().enumerate() {
+        let next = &mut cursor[key as usize];
+        positions[*next as usize] = i as u32;
+        *next += 1;
+    }
+    (bounds, positions)
 }
 
 /// A set of fact positions below a bound, filled in any order and read
@@ -825,14 +994,6 @@ impl FactBitmap {
     }
 }
 
-/// `column` copied into an allocation with room for `extra` more
-/// entries.
-fn copy_with_room<T: Copy>(column: &[T], extra: usize) -> Vec<T> {
-    let mut copy = Vec::with_capacity(column.len() + extra);
-    copy.extend_from_slice(column);
-    copy
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,6 +1011,10 @@ mod tests {
             .slices(len, Energy::from_wh(min), Energy::from_wh(max))
             .build()
             .unwrap()
+    }
+
+    fn ids(cs: &ColumnStore) -> Vec<FlexOfferId> {
+        cs.offer_ids().iter().copied().collect()
     }
 
     #[test]
@@ -887,19 +1052,26 @@ mod tests {
     #[test]
     fn refresh_rewrites_only_lifecycle_scalars() {
         let mut cs = ColumnStore::new();
-        let mut fo = offer(7, 0, 2, 0, 1_000);
-        cs.push(&fo, keys());
-        fo.accept().unwrap();
-        fo.assign(Schedule::new(TimeSlot::new(1), vec![Energy::from_wh(600); 2])).unwrap();
-        cs.refresh(0, &fo);
+        cs.push(&offer(7, 0, 2, 0, 1_000), keys());
+        cs.update(0, |fo| {
+            fo.accept().unwrap();
+            fo.assign(Schedule::new(TimeSlot::new(1), vec![Energy::from_wh(600); 2])).unwrap();
+            true
+        });
         assert_eq!(cs.statuses()[0], OfferState::Scheduled);
-        assert_eq!(cs.scheduled_wh()[0], 1_200);
+        assert_eq!(cs.segments()[0].scheduled_wh()[0], 1_200);
         // Keys and profile columns untouched.
         assert_eq!(cs.leaves(Dimension::Time)[0], MemberId(1));
         assert_eq!(cs.slices(0).max_wh, &[1_000, 1_000]);
         // The materialized row agrees with a fresh extract.
         let [t, g, gr, e, p, a] = keys();
-        assert_eq!(cs.row(0), FactRow::extract(&fo, t, g, gr, e, p, a));
+        assert_eq!(cs.row(0), FactRow::extract(cs.offer(0), t, g, gr, e, p, a));
+        // A change that reports no refresh leaves the columns alone.
+        cs.update(0, |fo| {
+            fo.reject().ok();
+            false
+        });
+        assert_eq!(cs.statuses()[0], OfferState::Scheduled);
     }
 
     #[test]
@@ -911,7 +1083,7 @@ mod tests {
         }
         cs.compact(&[1]);
         assert_eq!(cs.len(), 2);
-        assert_eq!(cs.offer_ids(), &[FlexOfferId(1), FlexOfferId(3)]);
+        assert_eq!(ids(&cs), [FlexOfferId(1), FlexOfferId(3)]);
         assert_eq!(cs.slice_count(), 4);
         assert_eq!(cs.slices(1).min_wh, &[5, 5, 5]);
         assert_eq!(cs.row(1).profile_len, 3);
@@ -919,6 +1091,9 @@ mod tests {
         let before = cs.clone();
         cs.compact(&[]);
         assert_eq!(cs, before);
+        // Compacting everything leaves no segment behind.
+        cs.compact(&[0, 1]);
+        assert!(cs.is_empty() && cs.segments().is_empty());
     }
 
     #[test]
@@ -928,7 +1103,8 @@ mod tests {
         assert_eq!(cs.len(), 0);
         assert_eq!(cs.slice_count(), 0);
         assert_eq!(cs.rows().count(), 0);
-        assert!(cs.status_runs().is_empty());
+        assert_eq!(cs.offer_ids().iter().len(), 0);
+        assert_eq!(cs.statuses().get(0), None);
         let with_cap = ColumnStore::with_capacity(64);
         assert!(with_cap.is_empty());
     }
@@ -949,51 +1125,66 @@ mod tests {
         out
     }
 
-    /// Asserts every encoded column decodes to its plain twin and the
-    /// runs are canonical (adjacent runs distinct, ends ascending).
+    /// Asserts the segment layout (every segment but the last full, none
+    /// empty), that every segment's codes decode to its plain leaves and
+    /// its runs to its statuses in canonical form, and that per-fact
+    /// reads agree with the segment slices.
     fn assert_encoded_consistent(cs: &ColumnStore) {
-        for dim in Dimension::ALL {
-            let dc = cs.dict(dim);
-            assert_eq!(dc.codes().len(), cs.len());
-            let decoded: Vec<MemberId> = (0..cs.len()).map(|i| dc.member(i)).collect();
-            assert_eq!(decoded, cs.leaves(dim), "{dim:?} dictionary decode diverged");
-            for (code, &m) in dc.dict().iter().enumerate() {
-                assert_eq!(dc.code(m), Some(code as u32));
+        let segments = cs.segments();
+        for (s, seg) in segments.iter().enumerate() {
+            assert!(!seg.is_empty(), "segment {s} is empty");
+            assert!(s + 1 == segments.len() || seg.len() == SEGMENT_FACTS, "segment {s} not full");
+            for dim in Dimension::ALL {
+                let dc = cs.dict(dim);
+                assert_eq!(seg.codes(dim).len(), seg.len());
+                let decoded: Vec<MemberId> =
+                    seg.codes(dim).iter().map(|&c| dc.dict()[c as usize]).collect();
+                assert_eq!(decoded, seg.leaves(dim), "{dim:?} dictionary decode diverged");
+                for (code, &m) in dc.dict().iter().enumerate() {
+                    assert_eq!(dc.code(m), Some(code as u32));
+                }
             }
+            let runs = seg.status_runs();
+            let plain: Vec<u32> = seg.statuses().iter().map(|&s| status_code(s)).collect();
+            assert_eq!(decode(runs), plain);
+            for w in runs.windows(2) {
+                assert!(w[0].value != w[1].value, "non-canonical adjacent runs: {runs:?}");
+                assert!(w[0].end < w[1].end);
+            }
+            assert_eq!(runs.last().map_or(0, |r| r.end as usize), seg.len());
+            assert_eq!(seg.slice_offsets.len(), seg.len() + 1);
+            assert_eq!(seg.slice_offsets[seg.len()], seg.slice_min_wh.len());
         }
-        let runs = cs.status_runs();
-        let plain: Vec<u32> = cs.statuses().iter().map(|&s| status_code(s)).collect();
-        assert_eq!(decode(runs), plain);
-        for w in runs.windows(2) {
-            assert!(w[0].value != w[1].value, "non-canonical adjacent runs: {runs:?}");
-            assert!(w[0].end < w[1].end);
+        let flat: Vec<FlexOfferId> = segments.iter().flat_map(|s| s.offer_ids()).copied().collect();
+        assert_eq!(ids(cs), flat);
+        for (i, id) in flat.iter().enumerate() {
+            assert_eq!(cs.offer_ids()[i], *id);
+            assert_eq!(cs.offer(i).id(), *id);
         }
-        assert_eq!(runs.last().map(|r| r.end as usize).unwrap_or(0), cs.len());
     }
 
     #[test]
     fn encoded_columns_track_push_refresh_and_compact() {
         let mut cs = ColumnStore::new();
-        let mut offers: Vec<FlexOffer> =
-            (0..8).map(|i| offer(i + 1, i as i64, 2, 0, 1_000)).collect();
+        let offers: Vec<FlexOffer> = (0..8).map(|i| offer(i + 1, i as i64, 2, 0, 1_000)).collect();
         for fo in &offers {
             cs.push(fo, keys());
         }
         assert_encoded_consistent(&cs);
         // All Offered: one status run.
-        assert_eq!(cs.status_runs().len(), 1);
+        assert_eq!(cs.segments()[0].status_runs().len(), 1);
 
         // Point updates split and re-merge runs canonically.
         for &i in &[3usize, 4, 0, 7] {
-            offers[i].accept().unwrap();
-            cs.refresh(i, &offers[i]);
+            cs.update(i, |fo| fo.accept().is_ok());
             assert_encoded_consistent(&cs);
         }
         // 3 and 4 merged into one Accepted run.
-        assert_eq!(decode(cs.status_runs())[3..5], [1, 1]);
+        assert_eq!(decode(cs.segments()[0].status_runs())[3..5], [1, 1]);
 
-        // Flipping one back exercises the same-value early return too.
-        cs.refresh(3, &offers[3]);
+        // Refreshing an unchanged fact exercises the same-value early
+        // return too.
+        cs.update(3, |_| true);
         assert_encoded_consistent(&cs);
 
         // Compaction drops codes and re-derives runs from the survivors.
@@ -1004,6 +1195,61 @@ mod tests {
         let before = cs.clone();
         cs.compact(&[]);
         assert_eq!(cs, before, "no-op compact must be a structural no-op");
+    }
+
+    /// A seeded store of `n` facts with mixed directions, statuses,
+    /// profile lengths and keys.
+    fn seeded_store(n: usize, next: &mut impl FnMut(u64) -> u64) -> ColumnStore {
+        let mut cs = ColumnStore::new();
+        for i in 0..n {
+            let direction = Direction::ALL[next(2) as usize];
+            let mut fo = FlexOffer::builder(i as u64 + 1, i as u64 + 1)
+                .earliest_start(TimeSlot::new(i as i64))
+                .direction(direction)
+                .slices(next(4) as usize + 1, Energy::from_wh(0), Energy::from_wh(90))
+                .build()
+                .unwrap();
+            if next(3) == 0 {
+                fo.accept().unwrap();
+            }
+            let k = next(5) as u32;
+            cs.push(&fo, [k, k + 1, k % 2, 7, k + 3, 1].map(MemberId));
+        }
+        cs
+    }
+
+    /// Compacts `dead` out of `original` and checks the result against
+    /// the survivor filter; returns the compacted store.
+    fn assert_compacts_to_the_survivors(original: &ColumnStore, dead: &[usize], context: &str) {
+        let n = original.len();
+        let mut cs = original.clone();
+        cs.compact(dead);
+        let survivors: Vec<usize> = (0..n).filter(|i| dead.binary_search(i).is_err()).collect();
+        let rows: Vec<FactRow> = survivors.iter().map(|&i| original.row(i)).collect();
+        assert_eq!(cs.rows().collect::<Vec<_>>(), rows, "{context}: rows");
+        for (k, &i) in survivors.iter().enumerate() {
+            assert_eq!(cs.slices(k), original.slices(i), "{context}: slices of fact {i}");
+            assert!(Arc::ptr_eq(cs.offer(k), original.offer(i)), "{context}: offer {i} copied");
+        }
+        assert_eq!(cs.slice_count(), survivors.iter().map(|&i| original.slices(i).len()).sum());
+        for dim in Dimension::ALL {
+            let codes: Vec<u32> = survivors
+                .iter()
+                .map(|&i| {
+                    let (s, k) = locate(i);
+                    original.segments()[s].codes(dim)[k]
+                })
+                .collect();
+            let got: Vec<u32> = cs.segments().iter().flat_map(|s| s.codes(dim)).copied().collect();
+            assert_eq!(got, codes, "{context}: {dim:?} codes");
+            assert_eq!(cs.dict(dim), original.dict(dim), "{context}: append-only dictionary");
+        }
+        assert_encoded_consistent(&cs);
+        // The segments before the first dead fact are still shared.
+        let kept = dead.first().map_or(original.segments().len(), |&d| locate(d).0);
+        for s in 0..kept {
+            assert!(Arc::ptr_eq(&cs.segments()[s], &original.segments()[s]), "{context}: {s}");
+        }
     }
 
     #[test]
@@ -1017,60 +1263,70 @@ mod tests {
         };
         for round in 0..200 {
             let n = next(24) as usize + 1;
-            let mut cs = ColumnStore::new();
-            for i in 0..n {
-                let direction = Direction::ALL[next(2) as usize];
-                let mut fo = FlexOffer::builder(i as u64 + 1, i as u64 + 1)
-                    .earliest_start(TimeSlot::new(i as i64))
-                    .direction(direction)
-                    .slices(next(4) as usize + 1, Energy::from_wh(0), Energy::from_wh(90))
-                    .build()
-                    .unwrap();
-                if next(3) == 0 {
-                    fo.accept().unwrap();
-                }
-                let k = next(5) as u32;
-                cs.push(&fo, [k, k + 1, k % 2, 7, k + 3, 1].map(MemberId));
-            }
+            let original = seeded_store(n, &mut next);
             let dead: Vec<usize> = (0..n).filter(|_| next(4) == 0).collect();
-            let original = cs.clone();
-            cs.compact(&dead);
-
-            let survivors: Vec<usize> = (0..n).filter(|i| !dead.contains(i)).collect();
-            let rows: Vec<FactRow> = survivors.iter().map(|&i| original.row(i)).collect();
-            assert_eq!(cs.rows().collect::<Vec<_>>(), rows, "round {round}: rows");
-            for (k, &i) in survivors.iter().enumerate() {
-                assert_eq!(cs.slices(k), original.slices(i), "round {round}: slices of fact {i}");
+            assert_compacts_to_the_survivors(&original, &dead, &format!("round {round}"));
+        }
+        // Stores around segment boundaries, with dead sets that straddle
+        // them, empty a segment or hit only the tail.
+        const S: usize = SEGMENT_FACTS;
+        for n in [S - 1, S, S + 1, 2 * S + 1] {
+            let original = seeded_store(n, &mut next);
+            assert_encoded_consistent(&original);
+            let dead_sets: [Vec<usize>; 5] = [
+                (S.saturating_sub(3)..(S + 2).min(n)).collect(),
+                vec![0, n - 1],
+                vec![n - 1],
+                (0..n).filter(|i| i % 7 == 3).collect(),
+                (0..S.min(n)).collect(),
+            ];
+            for dead in dead_sets {
+                assert_compacts_to_the_survivors(&original, &dead, &format!("{n} facts"));
             }
-            assert_eq!(cs.slice_count(), survivors.iter().map(|&i| original.slices(i).len()).sum());
-            for dim in Dimension::ALL {
-                let codes: Vec<u32> =
-                    survivors.iter().map(|&i| original.dict(dim).codes()[i]).collect();
-                assert_eq!(cs.dict(dim).codes(), codes, "round {round}: {dim:?} codes");
-                assert_eq!(
-                    cs.dict(dim).dict(),
-                    original.dict(dim).dict(),
-                    "append-only dictionary"
-                );
-            }
-            assert_encoded_consistent(&cs);
-            // A copy with room compacts to the same store.
-            let mut roomy = original.clone_with_room(5, 9);
-            assert_eq!(roomy, original);
-            roomy.compact(&dead);
-            assert_eq!(roomy, cs, "round {round}: compacting a copy with room");
         }
     }
 
     #[test]
-    fn rle_truncate_keeps_the_canonical_prefix() {
-        let values = [1u32, 1, 2, 2, 2, 0, 1, 1];
-        let full = RleColumn::from_values(values.into_iter());
-        for len in 0..=values.len() {
-            let mut cut = full.clone();
-            cut.truncate(len);
-            assert_eq!(cut, RleColumn::from_values(values[..len].iter().copied()), "len {len}");
-        }
+    fn writes_unshare_only_the_segments_they_write() {
+        let mut next = {
+            let mut state = 7u64;
+            move |bound: u64| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 33) % bound
+            }
+        };
+        let published = seeded_store(2 * SEGMENT_FACTS + 10, &mut next);
+        let shared = |cs: &ColumnStore| -> Vec<bool> {
+            let old = published.segments();
+            cs.segments().iter().zip(old).map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+        };
+        // An append copies the tail alone.
+        let mut cs = published.clone();
+        cs.push(&offer(99_999, 0, 1, 0, 1), keys());
+        assert_eq!(shared(&cs), [true, true, false]);
+        // A refresh copies its fact's segment alone.
+        let mut cs = published.clone();
+        cs.update(5, |fo| fo.accept().is_ok());
+        assert_eq!(shared(&cs), [false, true, true]);
+        // A withdrawal copies from its first dead fact's segment on.
+        let mut cs = published.clone();
+        cs.compact(&[SEGMENT_FACTS + 3, 2 * SEGMENT_FACTS + 1]);
+        assert_eq!(shared(&cs), [true, false, false]);
+        // A copied tail has room for a full segment.
+        let tail = Segment::clone(&published.segments()[2]);
+        assert!(tail.offer.capacity() >= SEGMENT_FACTS);
+        assert_eq!(&tail, published.segments()[2].as_ref());
+    }
+
+    #[test]
+    fn rle_push_run_keeps_runs_canonical() {
+        let mut rle = RleColumn::new();
+        rle.push_run(1, 2);
+        rle.push_run(1, 3);
+        rle.push_run(2, 1);
+        assert_eq!(rle.runs(), &[Run { value: 1, end: 5 }, Run { value: 2, end: 6 }]);
+        assert_eq!(rle, RleColumn::from_values([1, 1, 1, 1, 1, 2].into_iter()));
+        assert_eq!((rle.len(), rle.value(4), rle.value(5)), (6, 1, 2));
     }
 
     #[test]
@@ -1091,5 +1347,12 @@ mod tests {
         let mut rle = RleColumn::from_values([2u32, 9, 2].into_iter());
         rle.set(1, 2);
         assert_eq!(rle.runs(), &[Run { value: 2, end: 3 }]);
+    }
+
+    #[test]
+    fn groups_ascend_within_each_key() {
+        let (bounds, positions) = group_by_key(&[2, 0, 2, 1, 0], 4);
+        assert_eq!(bounds, [0, 2, 3, 5, 5]);
+        assert_eq!(positions, [1, 4, 3, 0, 2]);
     }
 }

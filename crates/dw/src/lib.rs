@@ -15,10 +15,11 @@
 //! * [`Hierarchy`]/[`Member`] — dimension hierarchies built from the
 //!   geography, grid topology, attribute enums and the loaded time window;
 //! * [`Warehouse`] — the star schema, stored struct-of-arrays: one
-//!   [`ColumnStore`] holding a contiguous column per dimension leaf key
-//!   and per measure input (plus CSR per-slice energy bounds), with the
-//!   original offers retained for the detail views; [`FactRow`] is the
-//!   row-shaped view materialized on demand;
+//!   [`ColumnStore`] holding a column per dimension leaf key and per
+//!   measure input (plus CSR per-slice energy bounds) and the original
+//!   offers for the detail views, cut into copy-on-write [`Segment`]s of
+//!   [`SEGMENT_FACTS`] facts; [`FactRow`] is the row-shaped view
+//!   materialized on demand;
 //! * [`OfferView`]/[`WarehouseRead`] — the redesigned read surface:
 //!   loader queries answer as borrowed views over the epoch's columns
 //!   (with [`OfferView::materialize`] as the owned-handle escape
@@ -36,15 +37,16 @@
 //!   absolute time interval, get flex-offers; region-scoped queries
 //!   ([`LoaderQuery::for_region`]) answer from the per-region fact index
 //!   in O(offers-in-subtree) (see [`spatial`]), and window-only queries
-//!   from a per-version time index over the fact extents in
-//!   O(selected), which also feeds the Figure 6 dashboard
-//!   ([`Warehouse::for_each_start_in`]);
-//! * [`spatial`] — the spatial dimension's per-region posting lists and
-//!   the per-prosumer point-in-region membership cache;
+//!   from a time index over the fact extents in O(selected), which also
+//!   feeds the Figure 6 dashboard ([`Warehouse::for_each_start_in`]).
+//!   Every such index is derived from one warehouse version by its first
+//!   read, never maintained by the writer;
+//! * [`spatial`] — the spatial dimension's per-region posting lists;
 //! * [`LiveWarehouse`] — streaming ingest: batched
 //!   ingest/withdraw/advance-day deltas applied incrementally to a
 //!   working copy, published as immutable [`EpochSnapshot`]s so readers
-//!   are wait-free (see [`live`]).
+//!   are wait-free; a batch copies only the segments it writes (see
+//!   [`live`]).
 //!
 //! Design note: the time dimension uses All → Year → Month → Day as its
 //! member tree (compact and sufficient for pivots), while quarter-hour
@@ -67,7 +69,10 @@ mod time_index;
 mod view;
 mod warehouse;
 
-pub use columns::{status_code, ColumnSlice, ColumnStore, DictColumn, LeafKeys, RleColumn, Run};
+pub use columns::{
+    status_code, ColumnSlice, ColumnStore, DictColumn, FactColumn, FactIter, LeafKeys, RleColumn,
+    Run, Segment, SEGMENT_FACTS,
+};
 pub use fact::FactRow;
 pub use hierarchy::{Dimension, Hierarchy, Member, MemberId};
 pub use live::{EpochSnapshot, LiveWarehouse, PendingDeltas};

@@ -10,8 +10,8 @@
 //!   [`LiveWarehouse::withdraw`] and [`LiveWarehouse::advance_day`]
 //!   apply deltas to a private working copy under one writer lock,
 //!   incrementally (fact columns append, the time hierarchy extends in
-//!   place, withdrawn offers are compacted away at once and the indices
-//!   remapped in place — never a full [`Warehouse::load`] rebuild);
+//!   place, withdrawn offers are compacted away at once — never a full
+//!   [`Warehouse::load`] rebuild);
 //! * **readers are wait-free** — [`LiveWarehouse::snapshot`] hands out
 //!   the current immutable [`EpochSnapshot`] behind an `Arc`; a reader
 //!   holds it for as long as it likes and never blocks a writer, and a
@@ -24,18 +24,19 @@
 //!
 //! # What a write costs
 //!
-//! A publish shares the working copy's fact columns, offer list and
-//! indices with the new epoch (copy-on-write `Arc`s), so the first batch
-//! after it copies what it touches, once: an ingest copies every fact
-//! column and the offer list with spare capacity for its batch, plus the
-//! per-id, per-prosumer and per-region indices. Past that copy a batch
-//! costs what it changes. Appends push into the spare capacity, and a
-//! withdrawal shifts only the facts behind the first withdrawn one and
-//! remaps the indices in place. Two costs stay proportional to the fact
-//! count: that copy, and freeing the epoch a publish replaces once its
-//! last reader lets go. `DESIGN.md` records the measured split. The time
-//! index behind window reads costs the writer nothing: a batch only
-//! drops it, and each epoch's first window read builds that epoch's own.
+//! The fact columns and the offer handles live in copy-on-write
+//! segments of 1,024 facts (see `columns.rs`). A publish shares the
+//! working copy's segments with the new epoch: it clones the vector of
+//! segment handles and the small hierarchies, nothing per fact. A batch
+//! then copies only the segments it writes — the tail for appends, the
+//! segment of each refreshed fact, and for a withdrawal the segments
+//! from the first withdrawn fact on, because compaction keeps fact
+//! order — and a replaced epoch frees only those. Nothing keyed by fact
+//! position is maintained for readers: the per-prosumer, per-region, id
+//! and time indices are derived by each version's first read that needs
+//! them. The writer keeps its own id → position map (updated for the
+//! facts a batch moves) and its prosumer → district cache, neither of
+//! which an epoch shares. `DESIGN.md` records the measured split.
 //!
 //! [`ConcurrentPool::publish`]: https://docs.rs/mirabel-session (see `mirabel_session::ConcurrentPool`)
 
@@ -45,6 +46,7 @@ use mirabel_flexoffer::{FlexOffer, FlexOfferId, Schedule};
 use mirabel_timeseries::SlotSpan;
 use mirabel_workload::Population;
 
+use crate::columns::SEGMENT_FACTS;
 use crate::warehouse::{IngestOutcome, ScheduleOutcome, Warehouse};
 
 /// One immutable published state of the live warehouse: a frozen
@@ -213,14 +215,14 @@ impl LiveWarehouse {
     /// all future readers. In-flight readers keep the snapshot they
     /// hold; nobody ever observes a partially applied batch.
     ///
-    /// Cost: one clone of the working warehouse (the fact columns,
-    /// offer store and secondary indices are all copy-on-write `Arc`
-    /// handles shared with every previous epoch) plus a pointer swap —
-    /// the working copy itself is **not** rebuilt, so publish latency is
-    /// O(hierarchies), independent of both the fact count and how the
-    /// batch was composed. The swap drops this handle on the previous
-    /// epoch; if no reader still holds it, the structures the batch
-    /// unshared are freed here. Returns the new snapshot.
+    /// Cost: one clone of the working warehouse — its hierarchies and
+    /// the vector of segment handles, each an `Arc` shared with every
+    /// epoch that has not been written since — plus a pointer swap. The
+    /// working copy itself is **not** rebuilt and no index is copied, so
+    /// publish latency is O(hierarchies + segments). The swap drops this
+    /// handle on the previous epoch; if no reader still holds it, the
+    /// segments the batch replaced are freed here, and nothing else.
+    /// Returns the new snapshot.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
         let mut w = self.writer.lock().expect("writer lock");
         let epoch = self.published.read().expect("published lock").epoch + 1;
@@ -235,15 +237,22 @@ impl LiveWarehouse {
     /// Sanity invariants of the current published snapshot — the bench
     /// harness's torn-epoch probe. Panics (with context) on violation.
     pub fn validate_snapshot(snapshot: &EpochSnapshot) {
-        let dw = snapshot.warehouse();
-        assert_eq!(
-            dw.columns().len(),
-            dw.offers().len(),
-            "epoch {}: fact columns/offer store out of step",
-            snapshot.epoch()
-        );
-        for (&id, fo) in dw.columns().offer_ids().iter().zip(dw.offers()) {
-            assert_eq!(id, fo.id(), "epoch {}: fact keyed to the wrong offer", snapshot.epoch());
+        let epoch = snapshot.epoch();
+        let segments = snapshot.warehouse().columns().segments();
+        for (s, seg) in segments.iter().enumerate() {
+            assert!(
+                !seg.is_empty() && (s + 1 == segments.len() || seg.len() == SEGMENT_FACTS),
+                "epoch {epoch}: segment {s} holds {} facts",
+                seg.len()
+            );
+            assert_eq!(
+                seg.offer_ids().len(),
+                seg.offers().len(),
+                "epoch {epoch}: fact columns/offer store out of step"
+            );
+            for (&id, fo) in seg.offer_ids().iter().zip(seg.offers()) {
+                assert_eq!(id, fo.id(), "epoch {epoch}: fact keyed to the wrong offer");
+            }
         }
     }
 }

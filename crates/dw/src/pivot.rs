@@ -1,5 +1,6 @@
 //! Pivot-table computation for the Figure 5 view.
 
+use crate::columns::Segment;
 use crate::hierarchy::{Dimension, MemberId};
 use crate::query::{measure_value, DwError, Query, Restrictions};
 use crate::warehouse::Warehouse;
@@ -124,8 +125,8 @@ impl PivotTable {
 /// descendant (`{[Geography].[Denmark], [Geography].[Denmark].[Midtjylland]}`)
 /// gives a code several.
 struct AxisCodes<'a> {
+    dimension: Dimension,
     dict: &'a [MemberId],
-    codes: &'a [u32],
     offsets: Vec<usize>,
     positions: Vec<usize>,
 }
@@ -133,11 +134,11 @@ struct AxisCodes<'a> {
 impl<'a> AxisCodes<'a> {
     fn resolve(dw: &'a Warehouse, axis: &PivotAxis) -> AxisCodes<'a> {
         let h = dw.hierarchy(axis.dimension);
-        let dc = dw.columns().dict(axis.dimension);
-        let mut offsets = Vec::with_capacity(dc.dict().len() + 1);
+        let dict = dw.columns().dict(axis.dimension).dict();
+        let mut offsets = Vec::with_capacity(dict.len() + 1);
         let mut positions = Vec::new();
         offsets.push(0);
-        for &leaf in dc.dict() {
+        for &leaf in dict {
             positions.extend(
                 axis.members
                     .iter()
@@ -147,7 +148,7 @@ impl<'a> AxisCodes<'a> {
             );
             offsets.push(positions.len());
         }
-        AxisCodes { dict: dc.dict(), codes: dc.codes(), offsets, positions }
+        AxisCodes { dimension: axis.dimension, dict, offsets, positions }
     }
 
     /// The dictionary leaves with at least one axis position: a fact
@@ -161,10 +162,10 @@ impl<'a> AxisCodes<'a> {
             .collect()
     }
 
-    /// The axis positions fact `idx` belongs to, ascending.
+    /// The axis positions offset `k` of `seg` belongs to, ascending.
     #[inline]
-    fn positions_of(&self, idx: usize) -> &[usize] {
-        let code = self.codes[idx] as usize;
+    fn positions_of(&self, seg: &Segment, k: usize) -> &[usize] {
+        let code = seg.codes(self.dimension)[k] as usize;
         &self.positions[self.offsets[code]..self.offsets[code + 1]]
     }
 }
@@ -212,9 +213,9 @@ impl Warehouse {
                         restrictions.narrow_to_leaves(self.spatial_index(), &codes.leaves());
                     }
                 }
-                restrictions.for_each_value(|idx, v| {
-                    for &r in rows.positions_of(idx) {
-                        for &c in cols.positions_of(idx) {
+                restrictions.for_each_value(|seg, k, v| {
+                    for &r in rows.positions_of(seg, k) {
+                        for &c in cols.positions_of(seg, k) {
                             let cell = &mut sums[r * n_cols + c];
                             cell.0 += v;
                             cell.1 += 1;

@@ -6,7 +6,7 @@ use std::fmt;
 use mirabel_flexoffer::OfferState;
 use mirabel_timeseries::TimeSlot;
 
-use crate::columns::ColumnStore;
+use crate::columns::{locate, status_code, Segment, SEGMENT_FACTS};
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, MemberId};
 use crate::spatial::SpatialIndex;
@@ -93,22 +93,33 @@ impl Measure {
         }
     }
 
-    /// The contribution of fact `idx` read straight from the measure
-    /// columns — the columnar counterpart of [`Measure::value_of`]
-    /// (evaluation touches exactly one contiguous column per measure
-    /// instead of striding over whole rows).
-    pub fn value_at(self, cols: &ColumnStore, idx: usize) -> f64 {
-        match self {
-            Measure::Count => 1.0,
-            Measure::ScheduledEnergy => cols.scheduled_wh()[idx] as f64 / 1_000.0,
-            Measure::ExecutedEnergy => cols.executed_wh()[idx] as f64 / 1_000.0,
-            Measure::PlanDeviation => cols.deviation_wh()[idx] as f64 / 1_000.0,
-            Measure::BalancingPotential => cols.balancing_potential_wh()[idx] as f64 / 1_000.0,
-            Measure::TotalMaxEnergy => cols.total_max_wh()[idx] as f64 / 1_000.0,
-            Measure::EnergyFlexibility => cols.energy_flex_wh()[idx] as f64 / 1_000.0,
-            Measure::AvgPrice => cols.price_cents()[idx] as f64,
-            Measure::AvgTimeFlexibility => cols.time_flex()[idx] as f64,
+    /// The contribution of offset `k` of `seg` read straight from the
+    /// measure columns — the columnar counterpart of
+    /// [`Measure::value_of`] (evaluation touches exactly one contiguous
+    /// column per measure instead of striding over whole rows).
+    pub fn value_at(self, seg: &Segment, k: usize) -> f64 {
+        match self.column() {
+            None => 1.0,
+            Some((column, divisor)) => column(seg)[k] as f64 / divisor,
         }
+    }
+
+    /// The measure's input column and its divisor; `None` for `Count`.
+    /// The divisor (not a reciprocal multiply: `x / 1000.0` and
+    /// `x * 0.001` round differently) reproduces [`Measure::value_of`]
+    /// exactly.
+    fn column(self) -> Option<(fn(&Segment) -> &[i64], f64)> {
+        Some(match self {
+            Measure::Count => return None,
+            Measure::ScheduledEnergy => (Segment::scheduled_wh, 1_000.0),
+            Measure::ExecutedEnergy => (Segment::executed_wh, 1_000.0),
+            Measure::PlanDeviation => (Segment::deviation_wh, 1_000.0),
+            Measure::BalancingPotential => (Segment::balancing_potential_wh, 1_000.0),
+            Measure::TotalMaxEnergy => (Segment::total_max_wh, 1_000.0),
+            Measure::EnergyFlexibility => (Segment::energy_flex_wh, 1_000.0),
+            Measure::AvgPrice => (Segment::price_cents, 1.0),
+            Measure::AvgTimeFlexibility => (Segment::time_flex, 1.0),
+        })
     }
 }
 
@@ -252,21 +263,19 @@ impl Warehouse {
         let Some(restrictions) = Restrictions::resolve(self, query) else {
             return Ok(finalise(query, Default::default(), 0.0, 0));
         };
-        let cols = self.columns();
-        let group: Option<(&[u32], Vec<Option<MemberId>>)> = query.group_by.map(|(dim, level)| {
+        let group: Option<(Dimension, Vec<Option<MemberId>>)> = query.group_by.map(|(dim, level)| {
             let h = self.hierarchy(dim);
-            let dc = cols.dict(dim);
-            let map = dc.dict().iter().map(|&leaf| h.ancestor_at_level(leaf, level)).collect();
-            (dc.codes(), map)
+            let dict = self.columns().dict(dim).dict();
+            (dim, dict.iter().map(|&leaf| h.ancestor_at_level(leaf, level)).collect())
         });
         let mut groups: std::collections::BTreeMap<MemberId, (f64, usize)> = Default::default();
         let mut total = 0.0;
         let mut count = 0usize;
-        restrictions.for_each_value(|idx, v| {
+        restrictions.for_each_value(|seg, k, v| {
             total += v;
             count += 1;
-            if let Some((codes, map)) = &group {
-                if let Some(g) = map[codes[idx] as usize] {
+            if let Some((dim, map)) = &group {
+                if let Some(g) = map[seg.codes(*dim)[k] as usize] {
                     let e = groups.entry(g).or_insert((0.0, 0));
                     e.0 += v;
                     e.1 += 1;
@@ -283,23 +292,24 @@ impl Warehouse {
     /// [`Warehouse::eval`] bit for bit).
     pub fn eval_scan(&self, query: &Query) -> Result<QueryResult, DwError> {
         self.validate(query)?;
-        let cols = self.columns();
         let mut groups: std::collections::BTreeMap<MemberId, (f64, usize)> = Default::default();
         let mut total = 0.0;
         let mut count = 0usize;
-        for idx in 0..cols.len() {
-            if !self.matches_at(cols, idx, query) {
-                continue;
-            }
-            let v = query.measure.value_at(cols, idx);
-            total += v;
-            count += 1;
-            if let Some((dim, level)) = query.group_by {
-                let leaf = cols.leaves(dim)[idx];
-                if let Some(g) = self.hierarchy(dim).ancestor_at_level(leaf, level) {
-                    let e = groups.entry(g).or_insert((0.0, 0));
-                    e.0 += v;
-                    e.1 += 1;
+        for seg in self.columns().segments() {
+            for k in 0..seg.len() {
+                if !self.matches_at(seg, k, query) {
+                    continue;
+                }
+                let v = query.measure.value_at(seg, k);
+                total += v;
+                count += 1;
+                if let Some((dim, level)) = query.group_by {
+                    let leaf = seg.leaves(dim)[k];
+                    if let Some(g) = self.hierarchy(dim).ancestor_at_level(leaf, level) {
+                        let e = groups.entry(g).or_insert((0.0, 0));
+                        e.0 += v;
+                        e.1 += 1;
+                    }
                 }
             }
         }
@@ -371,21 +381,22 @@ impl Warehouse {
     }
 
     /// Columnar twin of [`Warehouse::matches`]: the same predicate
-    /// reading individual columns at `idx` instead of a materialized row.
-    fn matches_at(&self, cols: &ColumnStore, idx: usize, query: &Query) -> bool {
+    /// reading individual columns at offset `k` of `seg` instead of a
+    /// materialized row.
+    fn matches_at(&self, seg: &Segment, k: usize, query: &Query) -> bool {
         if let Some((from, to)) = query.time_range {
-            let est = cols.earliest_starts()[idx];
+            let est = seg.earliest_starts()[k];
             if est < from || est >= to {
                 return false;
             }
         }
         if let Some(statuses) = &query.statuses {
-            if !statuses.contains(&cols.statuses()[idx]) {
+            if !statuses.contains(&seg.statuses()[k]) {
                 return false;
             }
         }
         for f in &query.filters {
-            let leaf = cols.leaves(f.dimension)[idx];
+            let leaf = seg.leaves(f.dimension)[k];
             if !self.hierarchy(f.dimension).is_descendant(leaf, f.member) {
                 return false;
             }
@@ -427,16 +438,20 @@ pub(crate) fn measure_value(measure: Measure, sum: f64, n: usize) -> f64 {
 ///   touched dimension's dictionary codes, so the per-fact test is one
 ///   array load instead of a hierarchy walk.
 /// * A status restriction becomes a mask over the six status codes that
-///   skips whole runs of the status RLE column.
+///   skips whole runs of each segment's status RLE column.
 /// * The measure dispatch is hoisted into a `(column, divisor)` pair, so
 ///   the per-fact value is one load from one contiguous `i64` column.
+///
+/// A pass walks the segments in fact order over their plain slices.
 pub(crate) struct Restrictions<'a> {
-    cols: &'a ColumnStore,
-    masks: Vec<(&'a [u32], Vec<bool>)>,
+    segments: &'a [std::sync::Arc<Segment>],
+    facts: usize,
+    /// Per filtered dimension (as its [`Dimension::ALL`] index), the mask
+    /// over its dictionary codes.
+    masks: Vec<(Dimension, Vec<bool>)>,
     statuses: Option<[bool; 6]>,
     time_range: Option<(TimeSlot, TimeSlot)>,
-    measure_col: Option<&'a [i64]>,
-    divisor: f64,
+    measure: Option<(fn(&Segment) -> &[i64], f64)>,
     spatial_hits: Option<Vec<usize>>,
 }
 
@@ -454,36 +469,20 @@ impl<'a> Restrictions<'a> {
                 continue;
             }
             let h = dw.hierarchy(dim);
-            let dc = cols.dict(dim);
-            let mask = dc.mask(|leaf| members.iter().all(|&m| h.is_descendant(leaf, m)));
+            let mask = cols.dict(dim).mask(|leaf| members.iter().all(|&m| h.is_descendant(leaf, m)));
             if !mask.iter().any(|&b| b) {
                 return None;
             }
-            masks.push((dc.codes(), mask));
+            masks.push((dim, mask));
         }
 
         let statuses = query.statuses.as_ref().map(|statuses| {
             let mut mask = [false; 6];
             for &s in statuses {
-                mask[crate::columns::status_code(s) as usize] = true;
+                mask[status_code(s) as usize] = true;
             }
             mask
         });
-
-        // The divisor (not a reciprocal multiply: `x / 1000.0` and
-        // `x * 0.001` round differently) reproduces `Measure::value_at`
-        // exactly.
-        let (measure_col, divisor) = match query.measure {
-            Measure::Count => (None, 1.0),
-            Measure::ScheduledEnergy => (Some(cols.scheduled_wh()), 1_000.0),
-            Measure::ExecutedEnergy => (Some(cols.executed_wh()), 1_000.0),
-            Measure::PlanDeviation => (Some(cols.deviation_wh()), 1_000.0),
-            Measure::BalancingPotential => (Some(cols.balancing_potential_wh()), 1_000.0),
-            Measure::TotalMaxEnergy => (Some(cols.total_max_wh()), 1_000.0),
-            Measure::EnergyFlexibility => (Some(cols.energy_flex_wh()), 1_000.0),
-            Measure::AvgPrice => (Some(cols.price_cents()), 1.0),
-            Measure::AvgTimeFlexibility => (Some(cols.time_flex()), 1.0),
-        };
 
         // A selective geography filter (below the All root) is answered
         // from the spatial per-region posting lists instead of a full
@@ -503,12 +502,12 @@ impl<'a> Restrictions<'a> {
             .map(|f| dw.spatial_index().indices_under(geography, f.member));
 
         Some(Restrictions {
-            cols,
+            segments: cols.segments(),
+            facts: cols.len(),
             masks,
             statuses,
             time_range: query.time_range,
-            measure_col,
-            divisor,
+            measure: query.measure.column(),
             spatial_hits,
         })
     }
@@ -524,88 +523,102 @@ impl<'a> Restrictions<'a> {
     /// coverage and lost 1.25× at 95 %, hence the ¾.
     pub(crate) fn narrow_to_leaves(&mut self, spatial: &SpatialIndex, leaves: &[MemberId]) {
         let n: usize = leaves.iter().map(|&leaf| spatial.indices(leaf).len()).sum();
-        let candidates = self.spatial_hits.as_ref().map_or(self.cols.len(), Vec::len);
+        let candidates = self.spatial_hits.as_ref().map_or(self.facts, Vec::len);
         if 4 * n <= 3 * candidates {
             self.spatial_hits = Some(spatial.indices_of(leaves));
         }
     }
 
-    /// Calls `visit` with every matching fact (ascending, as
-    /// [`Restrictions::for_each_match`]) and its measure contribution —
-    /// [`Measure::value_at`] with the dispatch hoisted out of the loop.
-    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(usize, f64)) {
-        match self.measure_col {
-            None => self.for_each_match(|idx| visit(idx, 1.0)),
-            Some(col) => {
-                let divisor = self.divisor;
-                self.for_each_match(|idx| visit(idx, col[idx] as f64 / divisor));
+    /// Calls `visit(segment, offset, value)` with every matching fact
+    /// (ascending, as [`Restrictions::for_each_match`]) and its measure
+    /// contribution — [`Measure::value_at`] with the dispatch hoisted out
+    /// of the loop.
+    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(&Segment, usize, f64)) {
+        match self.measure {
+            None => self.for_each_match(|seg, _, k| visit(seg, k, 1.0)),
+            Some((_, divisor)) => {
+                self.for_each_match(|seg, values, k| visit(seg, k, values[k] as f64 / divisor));
             }
         }
     }
 
-    /// Calls `visit` with every fact that meets the restrictions, in
-    /// ascending fact order whichever candidate set drives the pass.
-    fn for_each_match(&self, mut visit: impl FnMut(usize)) {
-        let starts = self.cols.earliest_starts();
-        let mut check = |idx: usize| {
-            if let Some((from, to)) = self.time_range {
-                let est = starts[idx];
-                if est < from || est >= to {
-                    return;
-                }
-            }
-            for (codes, mask) in &self.masks {
-                if !mask[codes[idx] as usize] {
-                    return;
-                }
-            }
-            visit(idx);
+    /// Calls `visit(segment, measure column, offset)` with every fact
+    /// that meets the restrictions, in ascending fact order whichever
+    /// candidate set drives the pass. The columns a fact test reads are
+    /// looked up once per segment.
+    fn for_each_match(&self, mut visit: impl FnMut(&Segment, &[i64], usize)) {
+        let time_range = self.time_range;
+        let columns = |seg: &'a Segment| {
+            let values = self.measure.map_or(&[][..], |(column, _)| column(seg));
+            (values, seg.earliest_starts(), seg.all_codes())
         };
-        match (&self.spatial_hits, &self.statuses) {
-            (Some(hits), None) => {
-                for &idx in hits {
-                    check(idx);
+        let check = |starts: &[TimeSlot], codes: &[&[u32]; 6], k: usize| -> bool {
+            if let Some((from, to)) = time_range {
+                if starts[k] < from || starts[k] >= to {
+                    return false;
                 }
             }
-            (Some(hits), Some(mask)) => {
-                // Per-fact status test on the already-small candidate
-                // set; ascending, so equal to the run-sliced order.
-                let statuses = self.cols.statuses();
-                for &idx in hits {
-                    if mask[crate::columns::status_code(statuses[idx]) as usize] {
-                        check(idx);
+            self.masks.iter().all(|(dim, mask)| mask[codes[*dim as usize][k] as usize])
+        };
+        if let Some(hits) = &self.spatial_hits {
+            // Ascending positions, taken one segment's run at a time; a
+            // per-fact status test on the already-small candidate set is
+            // in the same order as the run-sliced pass.
+            let mut rest = hits.as_slice();
+            while let Some(&first) = rest.first() {
+                let (s, _) = locate(first);
+                let seg = &self.segments[s];
+                let (values, starts, codes) = columns(seg);
+                let statuses = seg.statuses();
+                let base = s * SEGMENT_FACTS;
+                let here = rest.partition_point(|&i| i < base + seg.len());
+                for &i in &rest[..here] {
+                    let k = i - base;
+                    let wanted = self
+                        .statuses
+                        .is_none_or(|mask| mask[status_code(statuses[k]) as usize]);
+                    if wanted && check(starts, &codes, k) {
+                        visit(seg, values, k);
                     }
                 }
+                rest = &rest[here..];
             }
-            (None, None) => {
-                if let ([(codes, mask)], None) = (self.masks.as_slice(), self.time_range) {
+            return;
+        }
+        for seg in self.segments {
+            let (values, starts, codes) = columns(seg);
+            match (&self.statuses, self.masks.as_slice(), time_range) {
+                (None, [(dim, mask)], None) => {
                     // The hot shape — one dictionary filter, no time
                     // bound — iterates the code column directly: one
-                    // predictable load-and-test per fact, with the full
-                    // `check` (which re-tests the mask, harmlessly) only
-                    // entered on matches.
+                    // predictable load-and-test per fact.
                     let mask = mask.as_slice();
-                    for (idx, &c) in codes.iter().enumerate() {
+                    for (k, &c) in codes[*dim as usize].iter().enumerate() {
                         if mask[c as usize] {
-                            check(idx);
+                            visit(seg, values, k);
                         }
-                    }
-                } else {
-                    for idx in 0..self.cols.len() {
-                        check(idx);
                     }
                 }
-            }
-            (None, Some(mask)) => {
-                let mut lo = 0usize;
-                for run in self.cols.status_runs() {
-                    let hi = run.end as usize;
-                    if mask[run.value as usize] {
-                        for idx in lo..hi {
-                            check(idx);
+                (None, _, _) => {
+                    for k in 0..seg.len() {
+                        if check(starts, &codes, k) {
+                            visit(seg, values, k);
                         }
                     }
-                    lo = hi;
+                }
+                (Some(mask), _, _) => {
+                    let mut lo = 0usize;
+                    for run in seg.status_runs() {
+                        let hi = run.end as usize;
+                        if mask[run.value as usize] {
+                            for k in lo..hi {
+                                if check(starts, &codes, k) {
+                                    visit(seg, values, k);
+                                }
+                            }
+                        }
+                        lo = hi;
+                    }
                 }
             }
         }
@@ -706,7 +719,13 @@ mod tests {
         let dw = warehouse();
         let q = Query::new(Measure::TotalMaxEnergy);
         let r = dw.eval(&q).unwrap();
-        let expected: f64 = dw.columns().total_max_wh().iter().map(|&wh| wh as f64 / 1_000.0).sum();
+        let expected: f64 = dw
+            .columns()
+            .segments()
+            .iter()
+            .flat_map(|s| s.total_max_wh())
+            .map(|&wh| wh as f64 / 1_000.0)
+            .sum();
         assert!((r.total - expected).abs() < 1e-6);
         // Balancing potential and flexibility are non-negative.
         assert!(dw.eval(&Query::new(Measure::BalancingPotential)).unwrap().total >= 0.0);
@@ -717,8 +736,9 @@ mod tests {
     fn averages_divide_by_count() {
         let dw = warehouse();
         let r = dw.eval(&Query::new(Measure::AvgTimeFlexibility)).unwrap();
-        let expected: f64 = dw.columns().time_flex().iter().map(|&t| t as f64).sum::<f64>()
-            / dw.columns().len() as f64;
+        let expected: f64 =
+            dw.columns().segments().iter().flat_map(|s| s.time_flex()).map(|&t| t as f64).sum::<f64>()
+                / dw.columns().len() as f64;
         assert!((r.total - expected).abs() < 1e-9);
         // Per-group averages also divide by group counts.
         let grouped =

@@ -24,7 +24,7 @@
 
 use mirabel_timeseries::TimeSlot;
 
-use crate::columns::ColumnStore;
+use crate::columns::{group_by_key, ColumnStore};
 
 /// Fact positions bucketed by (earliest-start slot, extent-length
 /// class) in one CSR table; see the [module docs](self).
@@ -53,42 +53,32 @@ fn class_of(len: i64) -> usize {
 }
 
 impl TimeIndex {
-    /// Buckets every fact of `columns` by one counting sort: a pass for
-    /// the slot range and classes, a pass counting bucket sizes, and a
-    /// pass placing positions, ascending, so each bucket ascends.
+    /// Buckets every fact of `columns` with one counting sort: a walk
+    /// over the segments for the slot range and classes, a walk keying
+    /// each fact to its bucket, and the sort placing positions, ascending,
+    /// so each bucket ascends.
     pub(crate) fn build(columns: &ColumnStore) -> TimeIndex {
-        let n = columns.len();
-        assert!(u32::try_from(n).is_ok(), "a time index holds fewer than 2^32 facts");
-        let starts = columns.earliest_starts();
         let (mut first, mut last, mut classes) = (i64::MAX, i64::MIN, 0);
-        for (i, start) in starts.iter().enumerate() {
-            first = first.min(start.index());
-            last = last.max(start.index());
-            classes = classes.max(class_of(columns.extent_len(i)) + 1);
+        for seg in columns.segments() {
+            for (k, start) in seg.earliest_starts().iter().enumerate() {
+                first = first.min(start.index());
+                last = last.max(start.index());
+                classes = classes.max(class_of(seg.extent_len(k)) + 1);
+            }
         }
-        let rows = if n == 0 { 0 } else { (last - first + 1) as usize };
-        let bucket = |i: usize| {
-            class_of(columns.extent_len(i)) * rows + (starts[i].index() - first) as usize
-        };
-
+        let rows = if columns.is_empty() { 0 } else { (last - first + 1) as usize };
         let mut longest = vec![0; classes];
-        let mut offsets = vec![0u32; classes * rows + 1];
-        for i in 0..n {
-            let len = columns.extent_len(i);
-            let class = &mut longest[class_of(len)];
-            *class = (*class).max(len);
-            offsets[bucket(i) + 1] += 1;
+        let mut buckets = Vec::with_capacity(columns.len());
+        for seg in columns.segments() {
+            for (k, start) in seg.earliest_starts().iter().enumerate() {
+                let len = seg.extent_len(k);
+                let class = class_of(len);
+                longest[class] = longest[class].max(len);
+                let bucket = class * rows + (start.index() - first) as usize;
+                buckets.push(u32::try_from(bucket).expect("fewer than 2^32 time buckets"));
+            }
         }
-        for b in 1..offsets.len() {
-            offsets[b] += offsets[b - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut facts = vec![0u32; n];
-        for i in 0..n {
-            let next = &mut cursor[bucket(i)];
-            facts[*next as usize] = i as u32;
-            *next += 1;
-        }
+        let (offsets, facts) = group_by_key(&buckets, classes * rows);
         TimeIndex { first, rows, longest, offsets, facts }
     }
 
@@ -168,19 +158,21 @@ mod tests {
         cs
     }
 
+    /// Fact `i`'s earliest start and extent end, as slot indices.
+    fn extent(cs: &ColumnStore, i: usize) -> (i64, i64) {
+        let (s, k) = crate::columns::locate(i);
+        let seg = &cs.segments()[s];
+        let lo = seg.earliest_starts()[k].index();
+        (lo, lo + seg.extent_len(k))
+    }
+
     /// The window's facts through the index, with the lookback facts
     /// extent-tested as the warehouse does, sorted.
     fn window(cs: &ColumnStore, from: i64, to: i64) -> Vec<usize> {
         let index = TimeIndex::build(cs);
         let mut out = Vec::new();
         for (lookback, inside) in index.window(TimeSlot::new(from), TimeSlot::new(to)) {
-            let starts = cs.earliest_starts();
-            out.extend(
-                lookback
-                    .iter()
-                    .map(|&i| i as usize)
-                    .filter(|&i| from < starts[i].index() + cs.extent_len(i)),
-            );
+            out.extend(lookback.iter().map(|&i| i as usize).filter(|&i| from < extent(cs, i).1));
             out.extend(inside.iter().map(|&i| i as usize));
         }
         out.sort_unstable();
@@ -189,11 +181,10 @@ mod tests {
 
     /// The same selection by testing every fact's extent.
     fn scan(cs: &ColumnStore, from: i64, to: i64) -> Vec<usize> {
-        let starts = cs.earliest_starts();
         (0..cs.len())
             .filter(|&i| {
-                let lo = starts[i].index();
-                from < to && lo < to && from < lo + cs.extent_len(i)
+                let (lo, hi) = extent(cs, i);
+                from < to && lo < to && from < hi
             })
             .collect()
     }

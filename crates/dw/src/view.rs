@@ -5,9 +5,10 @@
 //! even when the caller only wanted ids or per-slice bounds. The
 //! [`OfferView`] returned by [`Warehouse::view`](crate::Warehouse::view)
 //! instead borrows the snapshot's [`ColumnStore`]: it owns nothing but
-//! the selected indices, so diffing a standing plan against an epoch,
-//! grouping offers for aggregation, or merging load curves iterates
-//! contiguous columns without touching an `Arc`. Callers that truly
+//! the selected indices (ascending fact positions), so diffing a
+//! standing plan against an epoch, grouping offers for aggregation, or
+//! merging load curves reads the segments' columns without touching an
+//! `Arc`. Callers that truly
 //! need owned offers (a view tab outliving the borrow, a planner
 //! cloning arrivals) use the explicit [`OfferView::materialize`] escape
 //! hatch, which hands out the warehouse's *own* allocations, so many
@@ -29,9 +30,9 @@ use crate::warehouse::Warehouse;
 
 /// A borrowed query result: the selected fact indices over one
 /// warehouse's columns. Cheap to produce (no per-offer refcounting),
-/// cheap to iterate (columns are contiguous), and explicit about the
-/// one operation that allocates shared handles
-/// ([`OfferView::materialize`]).
+/// cheap to iterate (each index is a segment and an offset into its
+/// plain columns), and explicit about the one operation that allocates
+/// shared handles ([`OfferView::materialize`]).
 ///
 /// Index space: positions `0..len()` address the *selection*; each maps
 /// to a fact index in the underlying store ([`OfferView::indices`]).

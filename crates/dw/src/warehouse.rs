@@ -8,9 +8,9 @@ use mirabel_flexoffer::{
 };
 use mirabel_geo::Geography;
 use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
-use mirabel_workload::Population;
+use mirabel_workload::{Population, Prosumer};
 
-use crate::columns::{remap, ColumnStore, FactBitmap, LeafKeys};
+use crate::columns::{group_by_key, locate, ColumnStore, FactBitmap, FactColumn, LeafKeys, Segment};
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, Hierarchy, MemberId};
 use crate::spatial::SpatialIndex;
@@ -20,29 +20,28 @@ use crate::view::OfferView;
 /// The in-memory MIRABEL data warehouse.
 ///
 /// Loading keys the offers into the columnar fact store
-/// ([`ColumnStore`], struct-of-arrays — one contiguous column per
-/// measure and per dimension leaf key); the original offers are
-/// retained for the detail views and the Figure 7 loader. A loaded
-/// warehouse is not frozen: [`Warehouse::ingest`]
+/// ([`ColumnStore`], struct-of-arrays in copy-on-write segments — one
+/// contiguous column per measure and per dimension leaf key), which also
+/// keeps the original offers for the detail views and the Figure 7
+/// loader. A loaded warehouse is not frozen: [`Warehouse::ingest`]
 /// appends newly arrived offers (extending the time hierarchy in place)
 /// and [`Warehouse::withdraw`] compacts retracted ones away — the
 /// incremental deltas behind [`LiveWarehouse`](crate::LiveWarehouse).
 ///
-/// The heavy state — fact columns, offer store, the per-id / per-prosumer /
-/// per-region indices — sits behind [`Arc`] with copy-on-write semantics:
-/// cloning the warehouse (the live warehouse's epoch publish, which
-/// happens under the writer lock) costs O(hierarchies), independent of
-/// the fact count. The price moves to the first mutating batch after a
-/// publish, which copies each structure it touches once — an ingest
-/// copies every fact column, the offer list and all three indices. The
-/// rest of a batch costs what it changes: appends push onto that copy's
-/// spare capacity, and a withdrawal shifts only the facts behind the
-/// first withdrawn one and remaps the indices in place.
+/// Cloning the warehouse (the live warehouse's epoch publish) copies the
+/// hierarchies and the vector of segment handles; a write then copies
+/// only the segments it writes (see `columns.rs`). Nothing keyed by fact
+/// position is maintained per write:
 ///
-/// Window reads answer from a time index over the fact extents (see
-/// `time_index.rs`), which belongs to one warehouse version: the first
-/// time-selective read builds it, clones of the version share it, and
-/// `ingest` and `withdraw` drop it. The writer never builds one.
+/// * the loaders' indices — per prosumer, per region (see
+///   `spatial.rs`), per id and over time (see `time_index.rs`) — belong
+///   to one version: the first read that needs one builds it, clones of
+///   the version share it, and `ingest` and `withdraw` drop them all.
+///   The writer never builds one;
+/// * the writer keeps its own id → position map, updated for the facts a
+///   batch moves, and the prosumer → district membership cache. A clone
+///   does not share them: it rebuilds them from its columns on its first
+///   write.
 #[derive(Debug, Clone)]
 pub struct Warehouse {
     time: Hierarchy,
@@ -60,21 +59,86 @@ pub struct Warehouse {
     /// The geometric geography model (polygons, city sites), kept for
     /// point-in-region membership resolution and the heatmap view.
     geo_model: Geography,
-    /// Per-region fact index + per-prosumer membership cache
-    /// (copy-on-write — shared with published epochs until mutated).
-    spatial: Arc<SpatialIndex>,
     /// Grid node id → grid member, kept for incremental keying.
     node_members: Vec<MemberId>,
-    columns: Arc<ColumnStore>,
-    offers: Arc<Vec<Arc<FlexOffer>>>,
-    by_id: Arc<HashMap<FlexOfferId, usize>>,
-    /// Prosumer → fact indices (ascending): makes entity-restricted
-    /// loader queries O(k in the entity's offers) instead of a scan of
-    /// the whole population.
-    by_prosumer: Arc<HashMap<ProsumerId, Vec<usize>>>,
-    /// This version's facts by earliest-start slot and extent-length
-    /// class, built on the first time-selective read.
-    time_index: OnceLock<Arc<TimeIndex>>,
+    columns: ColumnStore,
+    derived: Derived,
+    writer: WriterIndex,
+}
+
+/// The indices derived from one warehouse version's facts, each built by
+/// the first read that needs it. Clones share what is built; `ingest`
+/// and `withdraw` drop them all. Statuses and measures are not indexed,
+/// so schedule assignment and metering keep them.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    /// Facts by earliest-start slot and extent-length class.
+    time: OnceLock<Arc<TimeIndex>>,
+    /// Facts per prosumer.
+    prosumers: OnceLock<Arc<ProsumerIndex>>,
+    /// Facts per geography leaf.
+    regions: OnceLock<Arc<SpatialIndex>>,
+    /// Fact id → position.
+    ids: OnceLock<Arc<HashMap<FlexOfferId, u32>>>,
+}
+
+/// One version's facts grouped by prosumer: ascending positions per
+/// prosumer in one CSR table. This makes entity-restricted loader queries
+/// O(k in the entity's offers) instead of a scan of the whole population.
+#[derive(Debug)]
+struct ProsumerIndex {
+    /// Prosumer → its group.
+    group: HashMap<ProsumerId, u32>,
+    /// Group `g` holds `facts[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<u32>,
+    facts: Vec<u32>,
+}
+
+impl ProsumerIndex {
+    fn build(columns: &ColumnStore) -> ProsumerIndex {
+        let mut group = HashMap::new();
+        let mut keys = Vec::with_capacity(columns.len());
+        for seg in columns.segments() {
+            for &p in seg.prosumers() {
+                let next = group.len() as u32;
+                keys.push(*group.entry(p).or_insert(next));
+            }
+        }
+        let (bounds, facts) = group_by_key(&keys, group.len());
+        ProsumerIndex { group, bounds, facts }
+    }
+
+    /// Positions of `prosumer`'s facts, ascending (empty when unknown).
+    fn facts(&self, prosumer: ProsumerId) -> &[u32] {
+        self.group.get(&prosumer).map_or(&[], |&g| {
+            &self.facts[self.bounds[g as usize] as usize..self.bounds[g as usize + 1] as usize]
+        })
+    }
+}
+
+/// What the writer reads itself: the fact id → position map and the
+/// prosumer → district membership cache. It is never shared with a
+/// clone (a published epoch answers [`Warehouse::offer`] from its own
+/// derived index), so a clone starts without it and rebuilds it from its
+/// columns on its first write.
+#[derive(Debug, Default)]
+struct WriterIndex {
+    /// Fact id → position; `None` until this copy's first write needs it
+    /// (a bulk load has no use for it).
+    ids: Option<HashMap<FlexOfferId, u32>>,
+    /// Prosumer → resolved district leaf.
+    membership: HashMap<ProsumerId, MemberId>,
+}
+
+impl Clone for WriterIndex {
+    fn clone(&self) -> WriterIndex {
+        WriterIndex::default()
+    }
+}
+
+/// A fact position as the indices store it.
+fn position(idx: usize) -> u32 {
+    u32::try_from(idx).expect("a warehouse holds fewer than 2^32 facts")
 }
 
 /// What one [`Warehouse::ingest`] batch did — every skipped offer is
@@ -137,41 +201,38 @@ impl Warehouse {
             district_leaves,
             unassigned_leaf,
             geo_model: population.geography().clone(),
-            spatial: Arc::new(SpatialIndex::new()),
             node_members,
-            columns: Arc::new(ColumnStore::with_capacity(offers.len())),
-            offers: Arc::new(Vec::with_capacity(offers.len())),
-            by_id: Arc::new(HashMap::with_capacity(offers.len())),
-            by_prosumer: Arc::new(HashMap::new()),
-            time_index: OnceLock::new(),
+            columns: ColumnStore::with_capacity(offers.len()),
+            derived: Derived::default(),
+            writer: WriterIndex::default(),
         };
         for fo in offers {
-            dw.append_offer(population, fo);
+            if let Some(p) = population.prosumer(fo.prosumer()) {
+                dw.append_offer(p, fo);
+            }
         }
         dw
     }
 
-    /// Appends one offer (already inside the time window) to the fact
-    /// columns and every index. Returns `false` when the prosumer is
-    /// unknown.
+    /// Appends one offer (already inside the time window, issued by `p`)
+    /// to the fact columns and, once built, the writer's id map.
     ///
     /// Spatial membership comes from point-in-region over the prosumer's
-    /// meter location, resolved once per prosumer and cached (see
-    /// [`SpatialIndex::leaf_for`]); unresolvable locations key to the
-    /// `Unassigned` district leaf.
-    fn append_offer(&mut self, population: &Population, fo: &FlexOffer) -> bool {
-        let Some(p) = population.prosumer(fo.prosumer()) else { return false };
+    /// meter location, resolved once per prosumer and cached by the
+    /// writer; unresolvable locations key to the `Unassigned` district
+    /// leaf.
+    fn append_offer(&mut self, p: &Prosumer, fo: &FlexOffer) {
         let day_idx = (fo.earliest_start().index().div_euclid(SLOTS_PER_DAY) * SLOTS_PER_DAY
             - self.first_day.index())
             / SLOTS_PER_DAY;
         let time_leaf = self.day_leaves[day_idx as usize];
-        // Unshare the copy-on-write state (no-op while this writer is
-        // the sole owner; a full copy right after an epoch publish —
-        // `ingest` has already unshared the columns and offers with room
-        // for its batch).
-        let spatial = Arc::make_mut(&mut self.spatial);
-        let geo_leaf =
-            spatial.leaf_for(&self.geo_model, &self.district_leaves, self.unassigned_leaf, p);
+        let (geo, districts, unassigned) =
+            (&self.geo_model, &self.district_leaves, self.unassigned_leaf);
+        let geo_leaf = *self.writer.membership.entry(p.id).or_insert_with(|| {
+            geo.resolve_district(p.location)
+                .and_then(|r| districts.get(r.district.0 as usize).copied())
+                .unwrap_or(unassigned)
+        });
         let keys: LeafKeys = [
             time_leaf,
             geo_leaf,
@@ -180,14 +241,28 @@ impl Warehouse {
             Hierarchy::prosumer_leaf(fo.prosumer_type()),
             Hierarchy::appliance_leaf(fo.appliance_type()),
         ];
-        let offers = Arc::make_mut(&mut self.offers);
-        let idx = offers.len();
-        Arc::make_mut(&mut self.by_id).insert(fo.id(), idx);
-        Arc::make_mut(&mut self.by_prosumer).entry(fo.prosumer()).or_default().push(idx);
-        spatial.insert(geo_leaf, idx);
-        Arc::make_mut(&mut self.columns).push(fo, keys);
-        offers.push(Arc::new(fo.clone()));
-        true
+        if let Some(ids) = &mut self.writer.ids {
+            ids.insert(fo.id(), position(self.columns.len()));
+        }
+        self.columns.push(fo, keys);
+    }
+
+    /// The writer's id → position map, built from the columns (with the
+    /// membership cache) on this copy's first write that needs it.
+    fn writer_ids(&mut self) -> &mut HashMap<FlexOfferId, u32> {
+        let WriterIndex { ids, membership } = &mut self.writer;
+        ids.get_or_insert_with(|| {
+            let mut ids = HashMap::with_capacity(self.columns.len());
+            for (s, seg) in self.columns.segments().iter().enumerate() {
+                let base = s * crate::columns::SEGMENT_FACTS;
+                let keyed = seg.prosumers().iter().zip(seg.leaves(Dimension::Geography));
+                for (k, (&id, (&p, &leaf))) in seg.offer_ids().iter().zip(keyed).enumerate() {
+                    ids.insert(id, position(base + k));
+                    membership.entry(p).or_insert(leaf);
+                }
+            }
+            ids
+        })
     }
 
     /// First slot *after* the covered day window.
@@ -218,20 +293,17 @@ impl Warehouse {
     }
 
     /// Ingests a batch of newly arrived offers **incrementally**: fact
-    /// rows are appended, the per-id and per-prosumer indices are
-    /// extended, and the time hierarchy grows in place when a batch
-    /// reaches into new days — no existing row, member id or index entry
-    /// is rebuilt. Skipped offers are itemised in the returned
-    /// [`IngestOutcome`].
-    ///
-    /// The first append after a publish copies the fact columns and the
-    /// offer list once, with spare capacity for the rest of the batch,
-    /// so the batch's pushes never reallocate them. An append drops the
-    /// version's time index; the next window read rebuilds it.
+    /// rows are appended to the tail segment (copying it once if a
+    /// published epoch shares it), the writer's id map is extended, and
+    /// the time hierarchy grows in place when a batch reaches into new
+    /// days — no existing row, member id or segment before the tail is
+    /// touched. Skipped offers are itemised in the returned
+    /// [`IngestOutcome`]. An append drops the version's derived indices;
+    /// the next read that needs one rebuilds it.
     pub fn ingest(&mut self, population: &Population, offers: &[FlexOffer]) -> IngestOutcome {
         let mut out = IngestOutcome::default();
-        for (k, fo) in offers.iter().enumerate() {
-            if self.by_id.contains_key(&fo.id()) {
+        for fo in offers {
+            if self.writer_ids().contains_key(&fo.id()) {
                 out.skipped_duplicate += 1;
                 continue;
             }
@@ -242,36 +314,18 @@ impl Warehouse {
                 out.skipped_before_window += 1;
                 continue;
             }
-            if population.prosumer(fo.prosumer()).is_none() {
+            let Some(p) = population.prosumer(fo.prosumer()) else {
                 out.skipped_unknown_prosumer += 1;
                 continue;
-            }
+            };
             out.days_added += self.extend_to(day + SlotSpan::days(1));
-            self.make_room(&offers[k..]);
-            self.time_index.take();
-            self.append_offer(population, fo);
+            self.append_offer(p, fo);
             out.ingested += 1;
         }
+        if out.ingested > 0 {
+            self.derived = Derived::default();
+        }
         out
-    }
-
-    /// Unshares the fact columns and the offer list ahead of appending
-    /// (at most) `upcoming`. A structure still shared with a published
-    /// epoch is copied once, with spare capacity for those offers;
-    /// [`Arc::make_mut`] would clone it at exact size, and the first push
-    /// would then reallocate and copy it a second time. A no-op while
-    /// the writer is the sole owner.
-    fn make_room(&mut self, upcoming: &[FlexOffer]) {
-        let facts = upcoming.len();
-        unshare(&mut self.columns, |columns| {
-            let slices = upcoming.iter().map(|fo| fo.profile().len()).sum();
-            columns.clone_with_room(facts, slices)
-        });
-        unshare(&mut self.offers, |offers| {
-            let mut copy = Vec::with_capacity(offers.len() + facts);
-            copy.extend(offers.iter().cloned());
-            copy
-        });
     }
 
     /// Withdraws offers by id (the SAREF4ENER *withdrawn* transition),
@@ -279,77 +333,55 @@ impl Warehouse {
     /// survivors. Unknown and repeated ids are ignored. Returns the
     /// number of offers removed.
     ///
-    /// The batch's sorted dead positions are the old→new position map: a
-    /// survivor moves down by the number of dead positions before it.
-    /// The fact columns and the offer list shift only what lies behind
-    /// the first dead fact ([`ColumnStore::compact`]); `by_id`,
-    /// `by_prosumer` and the spatial postings are remapped in place —
-    /// dead entries drop out, survivors shift down, emptied lists are
-    /// removed — which leaves them exactly as a rebuild from the
-    /// compacted facts would. The time index is dropped, not remapped;
-    /// the next window read rebuilds it.
+    /// The segments before the first withdrawn fact stay shared with any
+    /// published epoch; the survivors from there on move down into fresh
+    /// segments ([`ColumnStore`]'s compaction), and the writer re-points
+    /// the id map entries of exactly those facts. The derived indices are
+    /// dropped, not patched; the next read that needs one rebuilds it.
     pub fn withdraw(&mut self, ids: &[FlexOfferId]) -> usize {
-        let mut dead: Vec<usize> =
-            ids.iter().filter_map(|id| self.by_id.get(id).copied()).collect();
+        let index = self.writer_ids();
+        let mut dead: Vec<usize> = ids.iter().filter_map(|id| index.remove(id)).map(|p| p as usize).collect();
         dead.sort_unstable();
-        dead.dedup();
         let Some(&first) = dead.first() else { return 0 };
-        self.time_index.take();
-        Arc::make_mut(&mut self.columns).compact(&dead);
-        // `Arc`s are not `Copy`: survivors behind the first dead fact
-        // swap down over the dead ones, which the truncate then drops.
-        let offers = Arc::make_mut(&mut self.offers);
-        let mut write = first;
-        for read in first..offers.len() {
-            if dead.binary_search(&read).is_err() {
-                offers.swap(write, read);
-                write += 1;
-            }
+        self.derived = Derived::default();
+        self.columns.compact(&dead);
+        let moved = self.columns.offer_ids();
+        let index = self.writer.ids.as_mut().expect("built above");
+        for idx in first..moved.len() {
+            index.insert(moved[idx], position(idx));
         }
-        offers.truncate(write);
-        Arc::make_mut(&mut self.by_id).retain(|_, idx| remap(&dead, idx));
-        Arc::make_mut(&mut self.by_prosumer).retain(|_, list| {
-            list.retain_mut(|idx| remap(&dead, idx));
-            !list.is_empty()
-        });
-        Arc::make_mut(&mut self.spatial).remap(&dead);
         dead.len()
     }
 
     /// Applies enterprise schedule assignments to loaded offers **in
     /// place**: a still-`Offered` offer is accepted first (assignment
     /// implies acceptance), the schedule is feasibility-checked by the
-    /// offer itself, and only the lifecycle measure columns are
-    /// rewritten — no hierarchy work, no re-keying, no index
-    /// rebuild. Unknown ids and terminal-state offers are itemised in
-    /// the returned [`ScheduleOutcome`].
+    /// offer itself, and only the lifecycle measure columns of its
+    /// segment are rewritten — no hierarchy work, no re-keying, no index
+    /// rebuild. Unknown ids and terminal-state offers are itemised in the
+    /// returned [`ScheduleOutcome`].
     pub fn assign_schedules(&mut self, assignments: &[(FlexOfferId, Schedule)]) -> ScheduleOutcome {
         let mut out = ScheduleOutcome::default();
         for (id, schedule) in assignments {
-            let Some(&idx) = self.by_id.get(id) else {
+            let Some(&idx) = self.writer_ids().get(id) else {
                 out.skipped_unknown += 1;
                 continue;
             };
-            {
-                let offers = Arc::make_mut(&mut self.offers);
-                let fo = Arc::make_mut(&mut offers[idx]);
+            self.columns.update(idx as usize, |fo| {
                 if fo.status() == OfferState::Offered {
                     fo.accept().expect("offered offers accept");
                 }
-                match fo.status() {
-                    OfferState::Accepted | OfferState::Scheduled => {}
-                    _ => {
-                        out.skipped_state += 1;
-                        continue;
-                    }
+                if !matches!(fo.status(), OfferState::Accepted | OfferState::Scheduled) {
+                    out.skipped_state += 1;
+                    return false;
                 }
                 if fo.assign(schedule.clone()).is_err() {
                     out.skipped_infeasible += 1;
-                    continue;
+                    return false;
                 }
-            }
-            self.refresh_fact(idx);
-            out.scheduled += 1;
+                out.scheduled += 1;
+                true
+            });
         }
         out
     }
@@ -366,10 +398,11 @@ impl Warehouse {
     /// — a wire replay and an in-process replay of the same trace meter
     /// bit-identically. When nothing is due this is a no-op: no
     /// copy-on-write unsharing, published epochs keep their shared
-    /// allocations.
+    /// segments.
     pub fn execute_due(&mut self, now: TimeSlot) -> usize {
         let due: Vec<usize> = self
-            .offers
+            .columns
+            .offers()
             .iter()
             .enumerate()
             .filter(|(_, fo)| {
@@ -379,22 +412,13 @@ impl Warehouse {
             .map(|(i, _)| i)
             .collect();
         for &idx in &due {
-            let execution = synth_execution(&self.offers[idx]);
-            let offers = Arc::make_mut(&mut self.offers);
-            let fo = Arc::make_mut(&mut offers[idx]);
-            fo.record_execution(execution).expect("synthesised executions cover the schedule");
-            self.refresh_fact(idx);
+            let execution = synth_execution(self.columns.offer(idx));
+            self.columns.update(idx, |fo| {
+                fo.record_execution(execution).expect("synthesised executions cover the schedule");
+                true
+            });
         }
         due.len()
-    }
-
-    /// Refreshes fact `idx`'s lifecycle measure columns from its
-    /// (mutated) offer. Dimension keys, flexibility measures and the
-    /// slice columns are immutable over an offer's lifecycle and stay
-    /// untouched.
-    fn refresh_fact(&mut self, idx: usize) {
-        let fo = Arc::clone(&self.offers[idx]);
-        Arc::make_mut(&mut self.columns).refresh(idx, &fo);
     }
 
     /// The hierarchy of `dimension`.
@@ -410,7 +434,7 @@ impl Warehouse {
     }
 
     /// The columnar fact store: every measure and every dimension leaf
-    /// key as a contiguous column, in fact order (see
+    /// key as columns of copy-on-write segments, in fact order (see
     /// [`ColumnStore`]). Row-shaped consumers materialize individual
     /// [`FactRow`]s via [`ColumnStore::row`] / [`ColumnStore::rows`].
     pub fn columns(&self) -> &ColumnStore {
@@ -420,13 +444,13 @@ impl Warehouse {
     /// All loaded offers (fact order). Offers are stored behind [`Arc`]
     /// so loaders can hand them to view tabs without cloning the payload
     /// (see [`crate::OfferView::materialize`]).
-    pub fn offers(&self) -> &[Arc<FlexOffer>] {
-        &self.offers
+    pub fn offers(&self) -> FactColumn<'_, Arc<FlexOffer>> {
+        self.columns.offers()
     }
 
-    /// Looks up an offer by id.
+    /// Looks up an offer by id, from the version's id index.
     pub fn offer(&self, id: FlexOfferId) -> Option<&FlexOffer> {
-        self.by_id.get(&id).map(|&i| self.offers[i].as_ref())
+        self.id_index().get(&id).map(|&i| self.columns.offer(i as usize).as_ref())
     }
 
     /// First day slot of the time hierarchy.
@@ -456,12 +480,6 @@ impl Warehouse {
         }
     }
 
-    /// Fact indices of one prosumer's offers, ascending (empty for an
-    /// unknown prosumer) — the index behind the entity-restricted loader.
-    fn prosumer_indices(&self, prosumer: ProsumerId) -> &[usize] {
-        self.by_prosumer.get(&prosumer).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// The geometric geography model the warehouse was loaded on
     /// (polygons and city sites — what the heatmap view projects).
     pub fn geography_model(&self) -> &Geography {
@@ -473,16 +491,44 @@ impl Warehouse {
         self.unassigned_leaf
     }
 
-    /// The per-region fact index (read access for diagnostics and the
-    /// spatial bench harness).
+    /// The version's per-region fact index, built by the first read that
+    /// needs it (read access for diagnostics, the heatmap and the spatial
+    /// bench harness).
     pub fn spatial_index(&self) -> &SpatialIndex {
-        &self.spatial
+        self.derived.regions.get_or_init(|| Arc::new(SpatialIndex::build(&self.columns)))
+    }
+
+    /// This version's time index, built by the first read that needs it.
+    fn time_index(&self) -> &TimeIndex {
+        self.derived.time.get_or_init(|| Arc::new(TimeIndex::build(&self.columns)))
+    }
+
+    /// This version's per-prosumer index, built by the first read that
+    /// needs it.
+    fn prosumer_index(&self) -> &ProsumerIndex {
+        self.derived.prosumers.get_or_init(|| Arc::new(ProsumerIndex::build(&self.columns)))
+    }
+
+    /// This version's id → position index, built by the first read that
+    /// needs it. Fact order is walked ascending, so a repeated id (a bulk
+    /// load does not deduplicate) resolves to its last fact.
+    fn id_index(&self) -> &HashMap<FlexOfferId, u32> {
+        self.derived.ids.get_or_init(|| {
+            let mut ids = HashMap::with_capacity(self.columns.len());
+            for (s, seg) in self.columns.segments().iter().enumerate() {
+                let base = s * crate::columns::SEGMENT_FACTS;
+                for (k, &id) in seg.offer_ids().iter().enumerate() {
+                    ids.insert(id, position(base + k));
+                }
+            }
+            Arc::new(ids)
+        })
     }
 
     /// The geography leaf the fact of offer `id` is keyed to — how the
     /// session folds a standing plan into per-region heatmap cells.
     pub fn geo_leaf_of(&self, id: FlexOfferId) -> Option<MemberId> {
-        self.by_id.get(&id).map(|&i| self.columns.geo_leaves()[i])
+        self.id_index().get(&id).map(|&i| self.columns.geo_leaves()[i as usize])
     }
 
     /// `true` when fact `idx` lies in the subtree of `member` in the
@@ -506,7 +552,13 @@ impl Warehouse {
     /// The warehouse's own shared handle for fact `idx` (for the view
     /// layer's borrow/materialize split).
     pub(crate) fn shared_offer(&self, idx: usize) -> &Arc<FlexOffer> {
-        &self.offers[idx]
+        self.columns.offer(idx)
+    }
+
+    /// The segment of fact `idx` and the fact's offset in it.
+    fn fact(&self, idx: usize) -> (&Segment, usize) {
+        let (s, k) = locate(idx);
+        (&self.columns.segments()[s], k)
     }
 
     /// The [`LoaderQuery::matches`] predicate evaluated off the fact
@@ -521,33 +573,14 @@ impl Warehouse {
     /// contiguous arrays, which is what keeps selection cache-friendly
     /// at the million-fact scale.
     fn loader_matches_at(&self, i: usize, query: &LoaderQuery) -> bool {
-        let c = &self.columns;
-        if let Some(p) = query.prosumer {
-            if c.prosumers()[i] != p {
-                return false;
-            }
+        let (seg, k) = self.fact(i);
+        if query.prosumer.is_some_and(|p| seg.prosumers()[k] != p) {
+            return false;
         }
-        if let Some(d) = query.direction {
-            if c.directions()[i] != d {
-                return false;
-            }
+        if query.direction.is_some_and(|d| seg.directions()[k] != d) {
+            return false;
         }
-        self.loader_extent_at(i, query)
-    }
-
-    /// The interval half of [`Warehouse::loader_matches_at`]: the extent
-    /// test alone, which the time index's lookback candidates take too.
-    /// Like [`LoaderQuery::matches`], an empty or inverted window matches
-    /// nothing.
-    fn loader_extent_at(&self, i: usize, query: &LoaderQuery) -> bool {
-        let lo = self.columns.earliest_starts()[i];
-        let hi = lo + SlotSpan::slots(self.columns.extent_len(i));
-        query.from < query.to && lo < query.to && query.from < hi
-    }
-
-    /// This version's time index, built by the first read that needs it.
-    fn time_index(&self) -> &TimeIndex {
-        self.time_index.get_or_init(|| Arc::new(TimeIndex::build(&self.columns)))
+        loader_extent_at(seg, k, query)
     }
 
     /// Fact indices satisfying every part of `query`, ascending. Picks
@@ -561,28 +594,41 @@ impl Warehouse {
         match (query.prosumer, query.region) {
             (Some(p), region) => {
                 let geo_mask = region.map(|m| self.geo_code_mask(m));
-                let geo_codes = self.columns.dict(Dimension::Geography).codes();
-                self.prosumer_indices(p)
+                self.prosumer_index()
+                    .facts(p)
                     .iter()
-                    .copied()
-                    .filter(|&i| geo_mask.as_ref().is_none_or(|mask| mask[geo_codes[i] as usize]))
+                    .map(|&i| i as usize)
+                    .filter(|&i| {
+                        geo_mask.as_ref().is_none_or(|mask| {
+                            let (seg, k) = self.fact(i);
+                            mask[seg.codes(Dimension::Geography)[k] as usize]
+                        })
+                    })
                     .filter(|&i| self.loader_matches_at(i, query))
                     .collect()
             }
             (None, Some(m)) => {
-                let mut indices = self.spatial.indices_under(&self.geography, m);
+                let mut indices = self.spatial_index().indices_under(&self.geography, m);
                 indices.retain(|&i| self.loader_matches_at(i, query));
                 indices
             }
             (None, None) => {
-                let directions = self.columns.directions();
-                let wanted = |i: usize| query.direction.is_none_or(|d| directions[i] == d);
-                let mut hits = FactBitmap::new(self.offers.len());
+                let wanted = |seg: &Segment, k: usize| {
+                    query.direction.is_none_or(|d| seg.directions()[k] == d)
+                };
+                let mut hits = FactBitmap::new(self.columns.len());
                 for (lookback, inside) in self.time_index().window(query.from, query.to) {
-                    let reaching =
-                        lookback.iter().filter(|&&i| self.loader_extent_at(i as usize, query));
-                    for &i in reaching.chain(inside).filter(|&&i| wanted(i as usize)) {
-                        hits.insert(i as usize);
+                    for &i in lookback {
+                        let (seg, k) = self.fact(i as usize);
+                        if loader_extent_at(seg, k, query) && wanted(seg, k) {
+                            hits.insert(i as usize);
+                        }
+                    }
+                    for &i in inside {
+                        let (seg, k) = self.fact(i as usize);
+                        if wanted(seg, k) {
+                            hits.insert(i as usize);
+                        }
                     }
                 }
                 hits.into_ascending()
@@ -598,11 +644,12 @@ impl Warehouse {
     /// Entity-restricted queries walk the per-prosumer index — O(k in
     /// that entity's offers); region-restricted queries merge the
     /// per-region posting lists — O(offers-in-subtree); window-only
-    /// queries read the version's time index — O(selected) plus a short
-    /// lookback, after a one-off build per warehouse version. None scans
-    /// the whole population, and results are in fact order either way.
+    /// queries read the time index — O(selected) plus a short lookback.
+    /// Each index is built once per warehouse version, by its first
+    /// read. None scans the whole population, and results are in fact
+    /// order either way.
     pub fn load_offers(&self, query: &LoaderQuery) -> Vec<&FlexOffer> {
-        self.selected_indices(query).into_iter().map(|i| self.offers[i].as_ref()).collect()
+        self.selected_indices(query).into_iter().map(|i| self.columns.offer(i).as_ref()).collect()
     }
 
     /// The redesigned loader: the same selection as
@@ -635,12 +682,25 @@ impl Warehouse {
     /// equality-regression tests and the spatial bench harness compare
     /// the indexed loaders against this.
     pub fn load_offers_scan(&self, query: &LoaderQuery) -> Vec<&FlexOffer> {
-        (0..self.offers.len())
-            .filter(|&i| query.region.is_none_or(|m| self.in_region(i, m)))
-            .filter(|&i| query.matches(&self.offers[i]))
-            .map(|i| self.offers[i].as_ref())
+        self.columns
+            .offers()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| query.region.is_none_or(|m| self.in_region(i, m)))
+            .filter(|(_, fo)| query.matches(fo))
+            .map(|(_, fo)| fo.as_ref())
             .collect()
     }
+}
+
+/// The interval half of [`Warehouse`]'s column-side loader predicate:
+/// the extent test alone, which the time index's lookback candidates take
+/// too. Like [`LoaderQuery::matches`], an empty or inverted window matches
+/// nothing.
+fn loader_extent_at(seg: &Segment, k: usize, query: &LoaderQuery) -> bool {
+    let lo = seg.earliest_starts()[k];
+    let hi = lo + SlotSpan::slots(seg.extent_len(k));
+    query.from < query.to && lo < query.to && query.from < hi
 }
 
 /// The loader tab's selection (Figure 7): a legal entity (optional), a
@@ -766,14 +826,6 @@ impl LoaderQueryBuilder {
     /// a valid query (an inverted window simply matches nothing).
     pub fn build(self) -> LoaderQuery {
         self.query
-    }
-}
-
-/// Gives `shared` a sole owner, as [`Arc::make_mut`] does, but makes the
-/// copy of a shared value with `copy` rather than [`Clone`].
-fn unshare<T>(shared: &mut Arc<T>, copy: impl FnOnce(&T) -> T) {
-    if Arc::get_mut(shared).is_none() {
-        *shared = Arc::new(copy(shared));
     }
 }
 
@@ -1043,7 +1095,7 @@ mod tests {
         for (i, id) in member_ids_before.iter().enumerate() {
             assert_eq!(dw.hierarchy(Dimension::Time).members()[i].id, *id);
         }
-        assert_eq!(dw.day_leaf(far), dw.columns().leaves(Dimension::Time).last().copied());
+        assert_eq!(dw.day_leaf(far), dw.columns().leaves(Dimension::Time).iter().last().copied());
     }
 
     #[test]
@@ -1133,7 +1185,7 @@ mod tests {
     fn region_index_matches_full_scan() {
         let (pop, offers) = setup();
         let mut dw = Warehouse::load(&pop, &offers);
-        // Exercise the index across mutations too (withdraw remaps it).
+        // Exercise the index across mutations too (withdraw moves facts).
         let victims: Vec<FlexOfferId> = offers.iter().step_by(4).map(|fo| fo.id()).collect();
         dw.withdraw(&victims);
         let geo = dw.hierarchy(Dimension::Geography);
@@ -1199,12 +1251,57 @@ mod tests {
         // not one per fact.
         let distinct: std::collections::BTreeSet<ProsumerId> =
             dw.offers().iter().map(|fo| fo.prosumer()).collect();
-        assert_eq!(dw.spatial_index().cached_memberships(), distinct.len());
+        assert_eq!(dw.writer.membership.len(), distinct.len());
         assert!(dw.columns().len() > distinct.len());
         // Generated locations resolve to the declared district, so no
         // fact lands on the unassigned leaf.
         assert!(dw.columns().geo_leaves().iter().all(|&g| g != dw.unassigned_leaf()));
         assert!(dw.load_offers(&everywhere().region(dw.unassigned_leaf()).build()).is_empty());
+    }
+
+    #[test]
+    fn membership_is_resolved_once_and_cached() {
+        let (pop, offers) = setup();
+        let dw = Warehouse::load(&pop, &offers);
+        // One resolution per distinct prosumer, agreeing with the
+        // declared placement.
+        let distinct: std::collections::BTreeSet<ProsumerId> =
+            offers.iter().map(FlexOffer::prosumer).collect();
+        assert_eq!(dw.writer.membership.len(), distinct.len());
+        for (&p, &leaf) in &dw.writer.membership {
+            let prosumer = pop.prosumer(p).unwrap();
+            assert_eq!(leaf, dw.district_leaves[prosumer.district.0 as usize], "{}", prosumer.name);
+        }
+        // Every fact of a prosumer carries the cached leaf.
+        for (p, leaf) in dw.columns().prosumers().iter().zip(dw.columns().geo_leaves()) {
+            assert_eq!(dw.writer.membership[p], *leaf);
+        }
+    }
+
+    #[test]
+    fn a_clone_rebuilds_the_writer_index_on_its_first_write() {
+        let (pop, offers) = setup();
+        let dw = Warehouse::load(&pop, &offers);
+        // Neither the load nor a clone builds an id map.
+        assert!(dw.writer.ids.is_none());
+        let mut copy = dw.clone();
+        assert!(copy.writer.ids.is_none() && copy.writer.membership.is_empty());
+        // The first write rebuilds both from the columns.
+        let out = copy.ingest(&pop, &offers[..3]);
+        assert_eq!(out.skipped_duplicate, 3);
+        assert_eq!(copy.writer.ids.as_ref().map(HashMap::len), Some(offers.len()));
+        assert_eq!(copy.writer.membership, dw.writer.membership);
+        // Withdrawing re-points exactly the facts that moved.
+        let victims = [offers[1].id(), offers[offers.len() / 2].id()];
+        assert_eq!(copy.withdraw(&victims), 2);
+        let ids = copy.writer.ids.as_ref().unwrap();
+        assert_eq!(ids.len(), offers.len() - 2);
+        for (i, &id) in copy.columns().offer_ids().iter().enumerate() {
+            assert_eq!(ids[&id] as usize, i);
+        }
+        // The original never saw those writes.
+        assert_eq!(dw.columns().len(), offers.len());
+        assert!(victims.iter().all(|&id| dw.offer(id).is_some() && copy.offer(id).is_none()));
     }
 
     #[test]

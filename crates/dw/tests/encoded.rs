@@ -1,30 +1,39 @@
 //! Property tests for the encoded column path and the write path.
 //!
-//! Two invariants from the encoded-columns work are pinned here, against
-//! the public crate surface only:
+//! The invariants pinned here, against the public crate surface only:
 //!
 //! 1. **encode/decode ≡ plain columns** — after every mutation of a
-//!    seeded ingest/refresh/withdraw churn trace, the per-dimension
-//!    dictionaries and the status run-length column decode to exactly
-//!    the plain leaf-key and lifecycle columns, in canonical
-//!    (maximal-run) form. The same trace also checks the write path:
-//!    a clone held as the published epoch stays frozen while the working
-//!    copy moves on, and every secondary index (per id, per prosumer,
-//!    per region, the time index behind window-only loads) agrees with
-//!    the fact columns and the index-free scan;
+//!    seeded ingest/refresh/withdraw churn trace, each segment's
+//!    dictionary codes and status run-length column decode to exactly
+//!    its plain leaf-key and lifecycle columns, in canonical
+//!    (maximal-run) form, and every segment but the last is full. The
+//!    same trace also checks the write path: a clone held as the
+//!    published epoch stays frozen while the working copy moves on, and
+//!    every derived index (per id, per prosumer, per region, the time
+//!    index behind window-only loads) agrees with the fact columns and
+//!    the index-free scan — on the working copy, on the epoch held since
+//!    the last publish and on one held across the whole trace;
 //! 2. **pushdown ≡ the row oracle** — `Warehouse::eval` (dictionary-mask
 //!    pushdown) agrees bit-for-bit with both `eval_scan` (the plain
 //!    columnar scan) and `eval_rows` (the row-shaped reference) for
 //!    every dimension × hierarchy level × operator (filter, group-by,
-//!    status restriction, time range, conjunctions) × measure.
+//!    status restriction, time range, conjunctions) × measure;
+//! 3. **segment boundaries** — at one fact either side of a segment
+//!    boundary, after withdrawals that straddle it, `eval`, `pivot` and
+//!    `mdx` match their oracles bit for bit, and the store equals a fresh
+//!    load of the survivors;
+//! 4. **a write copies what it writes** — across a live trace, every
+//!    segment a batch neither appended to, refreshed nor compacted is
+//!    the very segment the previous epoch holds.
 //!
 //! The state space is walked deterministically from fixed seeds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use mirabel_dw::{
-    status_code, ColumnStore, Dimension, FactRow, LoaderQuery, Measure, MemberId, Query, Run,
-    Warehouse,
+    status_code, ColumnStore, Dimension, FactRow, LiveWarehouse, LoaderQuery, Measure, MemberId,
+    PivotAxis, PivotSpec, Query, Run, Warehouse, SEGMENT_FACTS,
 };
 use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, ProsumerId, Schedule};
 use mirabel_timeseries::{SlotSpan, TimeSlot};
@@ -58,27 +67,33 @@ fn decode_runs(runs: &[Run], len: usize) -> Vec<u32> {
     out
 }
 
-/// The encode→decode property: dictionaries and the status RLE column
-/// reproduce the plain columns exactly, in canonical form.
+/// The encode→decode property: each segment's codes and status RLE
+/// column reproduce its plain columns exactly, in canonical form, and
+/// every segment but the last is full.
 fn assert_encoded_consistent(cols: &ColumnStore) {
-    for dim in Dimension::ALL {
-        let dc = cols.dict(dim);
-        let plain = cols.leaves(dim);
-        assert_eq!(dc.codes().len(), plain.len(), "{dim:?}: one code per fact");
-        for (idx, (code, leaf)) in dc.codes().iter().zip(plain).enumerate() {
-            assert_eq!(dc.dict()[*code as usize], *leaf, "{dim:?}: codes decode to plain leaves");
-            assert_eq!(dc.member(idx), *leaf, "{dim:?}: fact {idx} decodes to its plain leaf");
-            assert_eq!(dc.code(*leaf), Some(*code), "{dim:?}: leaves encode back to their code");
+    let segments = cols.segments();
+    for (s, seg) in segments.iter().enumerate() {
+        assert!(!seg.is_empty(), "segment {s} is empty");
+        assert!(s + 1 == segments.len() || seg.len() == SEGMENT_FACTS, "segment {s} is not full");
+        for dim in Dimension::ALL {
+            let dc = cols.dict(dim);
+            let plain = seg.leaves(dim);
+            assert_eq!(seg.codes(dim).len(), plain.len(), "{dim:?}: one code per fact");
+            for (code, leaf) in seg.codes(dim).iter().zip(plain) {
+                assert_eq!(dc.dict()[*code as usize], *leaf, "{dim:?}: codes decode to plain leaves");
+                assert_eq!(dc.code(*leaf), Some(*code), "{dim:?}: leaves encode back to their code");
+            }
+            let mut seen = HashSet::new();
+            assert!(dc.dict().iter().all(|m| seen.insert(*m)), "{dim:?}: dictionary values are unique");
         }
-        let mut seen = std::collections::HashSet::new();
-        assert!(dc.dict().iter().all(|m| seen.insert(*m)), "{dim:?}: dictionary values are unique");
+        let statuses: Vec<u32> = seg.statuses().iter().map(|&s| status_code(s)).collect();
+        let runs = seg.status_runs();
+        assert_eq!(decode_runs(runs, seg.len()), statuses, "status: RLE decodes to plain codes");
+        for w in runs.windows(2) {
+            assert_ne!(w[0].value, w[1].value, "status: adjacent runs are distinct (canonical)");
+        }
     }
-    let statuses: Vec<u32> = cols.statuses().iter().map(|&s| status_code(s)).collect();
-    let runs = cols.status_runs();
-    assert_eq!(decode_runs(runs, cols.len()), statuses, "status: RLE decodes to plain codes");
-    for w in runs.windows(2) {
-        assert_ne!(w[0].value, w[1].value, "status: adjacent runs are distinct (canonical)");
-    }
+    assert_eq!(cols.len(), segments.iter().map(|s| s.len()).sum::<usize>());
 }
 
 /// What a published epoch shows: every fact row, the unfiltered
@@ -193,10 +208,14 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
     let mut dw = Warehouse::load(&population, &initial);
     assert_encoded_consistent(dw.columns());
     // The published epoch: held across each batch, so every batch's
-    // first mutation unshares the copy-on-write state.
+    // first mutation unshares the copy-on-write state. `first` is held
+    // across the whole trace.
     let mut held = dw.clone();
     let mut held_state = published_state(&held);
+    let first = dw.clone();
+    let first_state = published_state(&first);
     let mut withdrawn: Vec<FlexOfferId> = Vec::new();
+    let mut held_withdrawn: Vec<FlexOfferId> = Vec::new();
 
     // Every arrived offer, retained so schedule churn can synthesise a
     // feasible assignment for it later in the trace.
@@ -242,6 +261,7 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
         assert_encoded_consistent(dw.columns());
         let context = format!("after event {step}");
         assert!(published_state(&held) == held_state, "{context}: the held epoch moved");
+        assert!(published_state(&first) == first_state, "{context}: the first epoch moved");
         let sample: Vec<ProsumerId> = population
             .prosumers()
             .iter()
@@ -249,9 +269,12 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
             .map(|p| p.id)
             .collect();
         assert_indices_match_columns(&dw, &withdrawn, &sample, &context);
+        assert_indices_match_columns(&held, &held_withdrawn, &sample, &format!("{context}, held"));
+        assert_indices_match_columns(&first, &[], &sample, &format!("{context}, first"));
         if is_publish {
             held = dw.clone();
             held_state = published_state(&held);
+            held_withdrawn.clone_from(&withdrawn);
         }
     }
 
@@ -370,4 +393,196 @@ fn pushdown_eval_matches_the_row_oracle_for_every_dimension_level_and_operator()
     let disjoint =
         Query::new(Measure::Count).filter(Dimension::Geography, a).filter(Dimension::Geography, b);
     assert_oracle_equal(&dw, &disjoint, "disjoint same-dimension filters");
+}
+
+/// Every cell of `dw`'s pivot of `spec` equals, bit for bit, the `eval`
+/// total of its row member ∧ column member ∧ base query.
+fn assert_pivot_equals_per_cell_eval(dw: &Warehouse, spec: &PivotSpec, context: &str) {
+    let table = dw.pivot(spec).expect(context);
+    for (r, &row) in spec.rows.members.iter().enumerate() {
+        for (c, &col) in spec.columns.members.iter().enumerate() {
+            let q = spec.base.clone().filter(spec.rows.dimension, row).filter(spec.columns.dimension, col);
+            let expected = dw.eval(&q).expect(context).total;
+            assert_eq!(table.cells[r][c].to_bits(), expected.to_bits(), "{context}: cell ({r}, {c})");
+        }
+    }
+}
+
+#[test]
+fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
+    const S: usize = SEGMENT_FACTS;
+    let population =
+        Population::generate(&PopulationConfig { size: 900, seed: 0x5E6, household_share: 0.8 });
+    let mut offers = generate_offers(
+        &population,
+        &OfferConfig { window_start: TimeSlot::new(0), days: 2, seed: 0x5E6 },
+    );
+    // Half the offers scheduled, so the status runs and the lifecycle
+    // measures have structure on both sides of a boundary.
+    for fo in offers.iter_mut().step_by(2) {
+        fo.accept().unwrap();
+        fo.assign(min_schedule(fo)).unwrap();
+    }
+    // Withdrawals never take an offer that sets the time window, so the
+    // survivors load onto the same hierarchies.
+    let lo = offers.iter().map(|fo| fo.extent().0).min().unwrap();
+    let hi = offers.iter().map(|fo| fo.extent().1).max().unwrap();
+    let movable = |fo: &FlexOffer| fo.extent().0 != lo && fo.extent().1 != hi;
+    let geography = Dimension::Geography;
+
+    for facts in [S - 1, S, S + 1, 2 * S + 1] {
+        // Withdraw seven facts around position S (three before the
+        // boundary, four after) and one just before 2S, from a load just
+        // long enough to leave `facts`.
+        let around: Vec<usize> =
+            (S - 3..).filter(|&i| movable(&offers[i])).take(7).chain([2 * S - 1]).collect();
+        let mut n = facts;
+        while n - around.iter().filter(|&&i| i < n).count() < facts {
+            n += 1;
+        }
+        let loaded: Vec<FlexOffer> = offers[..n].to_vec();
+        let mut dw = Warehouse::load(&population, &loaded);
+        let gone: Vec<FlexOfferId> =
+            around.iter().filter(|&&i| i < n).map(|&i| loaded[i].id()).collect();
+        assert_eq!(dw.withdraw(&gone), gone.len());
+        let survivors: Vec<FlexOffer> =
+            loaded.iter().filter(|fo| !gone.contains(&fo.id())).cloned().collect();
+        let fresh = Warehouse::load(&population, &survivors);
+        assert_eq!(dw.columns().len(), facts);
+        let context = format!("{facts} facts");
+        assert_encoded_consistent(dw.columns());
+
+        // The same store, fact for fact and segment for segment.
+        assert_eq!(dw.columns().len(), fresh.columns().len(), "{context}");
+        assert!(dw.columns().rows().eq(fresh.columns().rows()), "{context}: rows differ");
+        let lengths = |w: &Warehouse| w.columns().segments().iter().map(|s| s.len()).collect::<Vec<_>>();
+        assert_eq!(lengths(&dw), lengths(&fresh), "{context}: segment layout");
+        for (a, b) in dw.offers().iter().zip(fresh.offers()) {
+            assert_eq!(a.as_ref(), b.as_ref(), "{context}: offers differ");
+        }
+
+        // eval ≡ eval_scan ≡ eval_rows, and equal to the fresh load's.
+        let region = dw.hierarchy(geography).at_level(1).next().unwrap().id;
+        let mut queries = Vec::new();
+        for measure in Measure::ALL {
+            queries.push(Query::new(measure));
+            queries.push(Query::new(measure).group_by(geography, 2));
+            queries.push(Query::new(measure).filter(geography, region));
+            queries.push(Query::new(measure).statuses(vec![OfferState::Scheduled]));
+            queries.push(Query::new(measure).time_range(TimeSlot::new(20), TimeSlot::new(70)));
+        }
+        for q in &queries {
+            assert_oracle_equal(&dw, q, &format!("{context}: {q:?}"));
+            assert_eq!(dw.eval(q), fresh.eval(q), "{context}: {q:?} against a fresh load");
+        }
+
+        // One-pass pivots ≡ per-cell eval; MDX ≡ its pivot.
+        let cities = PivotAxis::children_of(&dw, geography, region);
+        let types = PivotAxis::level(&dw, Dimension::ProsumerType, 1);
+        let appliances = PivotAxis::level(&dw, Dimension::Appliance, 1);
+        for (rows, columns) in [(cities, types.clone()), (appliances, types)] {
+            for base in [
+                Query::new(Measure::TotalMaxEnergy),
+                Query::new(Measure::AvgPrice).statuses(vec![OfferState::Offered]),
+            ] {
+                let spec = PivotSpec { rows: rows.clone(), columns: columns.clone(), base };
+                assert_pivot_equals_per_cell_eval(&dw, &spec, &context);
+                assert_eq!(dw.pivot(&spec), fresh.pivot(&spec), "{context}: pivot vs a fresh load");
+            }
+        }
+        let mdx = "SELECT { [Prosumer].Children } ON COLUMNS, { [Geography].Children } ON ROWS \
+                   FROM [FlexOffers] WHERE ( [Measures].[ScheduledEnergy] )";
+        let table = dw.mdx(mdx).expect(&context);
+        let spec = PivotSpec {
+            rows: PivotAxis { dimension: geography, members: table.row_members.clone() },
+            columns: PivotAxis { dimension: Dimension::ProsumerType, members: table.col_members.clone() },
+            base: Query::new(Measure::ScheduledEnergy),
+        };
+        assert_eq!(Ok(table.clone()), dw.pivot(&spec), "{context}: mdx vs pivot");
+        assert_pivot_equals_per_cell_eval(&dw, &spec, &context);
+        assert_eq!(Ok(table), fresh.mdx(mdx), "{context}: mdx vs a fresh load");
+    }
+}
+
+#[test]
+fn a_live_write_copies_only_the_segments_it_writes() {
+    let population =
+        Population::generate(&PopulationConfig { size: 1_200, seed: 0x5E9, household_share: 0.8 });
+    let window_start = TimeSlot::new(0);
+    let initial = generate_offers(&population, &OfferConfig { window_start, days: 3, seed: 0x5E9 });
+    let trace = generate_ingest_trace(
+        &population,
+        &IngestTraceConfig { days: 2, batches_per_day: 6, withdraw_fraction: 0.15, seed: 0x5E9 },
+        initial.len() as u64 + 1,
+        window_start + SlotSpan::days(3),
+    );
+    let live = LiveWarehouse::new(population, &initial);
+    let mut previous = live.snapshot();
+    assert!(previous.warehouse().columns().segments().len() >= 6, "a multi-segment warehouse");
+
+    // What the current batch touched, as facts of the previous epoch:
+    // ids it withdrew or refreshed, and whether it appended.
+    let mut withdrawn: Vec<FlexOfferId> = Vec::new();
+    let mut refreshed: Vec<FlexOfferId> = Vec::new();
+    let mut appended = false;
+    let (mut publishes, mut shared_checked) = (0, 0);
+    let mut rng = 0x5EED_u64;
+    for event in trace {
+        match event {
+            IngestEvent::Arrive { offers } => appended |= live.ingest(&offers).ingested > 0,
+            IngestEvent::Withdraw { ids } => {
+                live.withdraw(&ids);
+                withdrawn.extend(ids);
+            }
+            IngestEvent::AdvanceDay => {
+                live.advance_day();
+            }
+            IngestEvent::Publish => {
+                // Refresh churn: schedule two facts of the previous
+                // epoch (skipped unless still Offered).
+                let offers = previous.warehouse().offers();
+                let picks: Vec<(FlexOfferId, Schedule)> = (0..2)
+                    .map(|_| &offers[splitmix(&mut rng) as usize % offers.len()])
+                    .map(|fo| (fo.id(), min_schedule(fo)))
+                    .collect();
+                live.assign_schedules(&picks);
+                refreshed.extend(picks.iter().map(|(id, _)| *id));
+
+                let next = live.publish();
+                publishes += 1;
+                let (old, new) = (previous.warehouse(), next.warehouse());
+                // Metering shows as a status change.
+                let status_of = |dw: &Warehouse, id| dw.offer(id).map(FlexOffer::status);
+                refreshed.extend(
+                    old.offers().iter().map(|fo| fo.id()).filter(|&id| {
+                        status_of(new, id).is_some_and(|s| Some(s) != status_of(old, id))
+                    }),
+                );
+                let position: HashMap<FlexOfferId, usize> =
+                    old.columns().offer_ids().iter().enumerate().map(|(i, &id)| (id, i)).collect();
+                let segment_of = |id: &FlexOfferId| position.get(id).map(|&i| i / SEGMENT_FACTS);
+                let written: HashSet<usize> = refreshed.iter().filter_map(segment_of).collect();
+                let mut keep = old.columns().segments().len();
+                if appended {
+                    keep = keep.min(old.columns().len() / SEGMENT_FACTS);
+                }
+                if let Some(first) = withdrawn.iter().filter_map(segment_of).min() {
+                    keep = keep.min(first);
+                }
+                for s in (0..keep).filter(|s| !written.contains(s)) {
+                    assert!(
+                        Arc::ptr_eq(&old.columns().segments()[s], &new.columns().segments()[s]),
+                        "epoch {}: segment {s} was copied but not written",
+                        next.epoch()
+                    );
+                    shared_checked += 1;
+                }
+                LiveWarehouse::validate_snapshot(&next);
+                (withdrawn, refreshed, appended) = (Vec::new(), Vec::new(), false);
+                previous = next;
+            }
+        }
+    }
+    assert!(publishes >= 10, "{publishes} publishes");
+    assert!(shared_checked >= 2 * publishes, "only {shared_checked} shared segments checked");
 }

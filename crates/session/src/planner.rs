@@ -157,34 +157,33 @@ pub fn day_ahead_target(dw: &Warehouse, window_start: TimeSlot, horizon: usize) 
         return TimeSeries::zeros(window_start, horizon);
     }
     let mut history = TimeSeries::zeros(first, span as usize);
-    // Columnar sweep: the common (never-executed) case reads only the
-    // earliest-start, direction, status and CSR slice-max columns; the
-    // offer store is consulted only for metered executions, whose
-    // curves live on the offer.
-    let cols = dw.columns();
-    let starts = cols.earliest_starts();
-    let directions = cols.directions();
-    let statuses = cols.statuses();
-    for idx in 0..cols.len() {
-        let est = starts[idx];
-        if est >= window_start {
-            continue;
-        }
-        let sign = directions[idx].sign();
-        if statuses[idx] == OfferState::Executed {
-            // Metered: the execution is the ground truth the forecast
-            // should learn from.
-            let fo = &dw.offers()[idx];
-            let (execution, schedule) =
-                (fo.execution().expect("executed"), fo.schedule().expect("executed"));
-            for (i, energy) in execution.energies().iter().enumerate() {
-                history.add_at(schedule.start() + SlotSpan::slots(i as i64), sign * energy.kwh());
+    // Columnar sweep, segment by segment in fact order: the common
+    // (never-executed) case reads only the earliest-start, direction,
+    // status and CSR slice-max columns; the offer store is consulted
+    // only for metered executions, whose curves live on the offer.
+    for seg in dw.columns().segments() {
+        let facts = seg.earliest_starts().iter().zip(seg.directions()).zip(seg.statuses());
+        for (k, ((&est, direction), &status)) in facts.enumerate() {
+            if est >= window_start {
+                continue;
             }
-        } else {
-            // Not (yet) executed: the maximum envelope at the earliest
-            // start is the best available stand-in.
-            for (i, &max_wh) in cols.slices(idx).max_wh.iter().enumerate() {
-                history.add_at(est + SlotSpan::slots(i as i64), sign * max_wh as f64 / 1_000.0);
+            let sign = direction.sign();
+            if status == OfferState::Executed {
+                // Metered: the execution is the ground truth the forecast
+                // should learn from.
+                let fo = &seg.offers()[k];
+                let (execution, schedule) =
+                    (fo.execution().expect("executed"), fo.schedule().expect("executed"));
+                for (i, energy) in execution.energies().iter().enumerate() {
+                    history
+                        .add_at(schedule.start() + SlotSpan::slots(i as i64), sign * energy.kwh());
+                }
+            } else {
+                // Not (yet) executed: the maximum envelope at the earliest
+                // start is the best available stand-in.
+                for (i, &max_wh) in seg.slices(k).max_wh.iter().enumerate() {
+                    history.add_at(est + SlotSpan::slots(i as i64), sign * max_wh as f64 / 1_000.0);
+                }
             }
         }
     }
