@@ -40,7 +40,6 @@
 //! [`ColumnStore::row`] gathers one — so row-shaped consumers and the
 //! columnar ≡ row equality gates keep a common currency.
 
-use std::fmt;
 use std::iter::FusedIterator;
 use std::ops::{Index, Range};
 use std::sync::Arc;
@@ -299,7 +298,7 @@ const BALANCING: usize = 8;
 /// One copy-on-write block of up to [`SEGMENT_FACTS`] consecutive facts:
 /// every fact column of those facts (offsets in its CSR slice columns and
 /// status runs are local to the segment) and their offer handles. See
-/// the [module docs](self).
+/// the [`ColumnStore`] docs.
 ///
 /// All per-fact columns share one length ([`Segment::len`]); the CSR
 /// offsets column has `len + 1` entries, starting at 0.
@@ -606,7 +605,8 @@ impl Clone for Segment {
     fn clone(&self) -> Segment {
         let mut copy = Segment::empty();
         copy.extend_from(self, 0..self.len());
-        let room = (SEGMENT_FACTS - self.len()) * self.slice_min_wh.len().div_ceil(self.len().max(1));
+        let room =
+            (SEGMENT_FACTS - self.len()) * self.slice_min_wh.len().div_ceil(self.len().max(1));
         copy.slice_min_wh.reserve(room);
         copy.slice_max_wh.reserve(room);
         copy
@@ -636,12 +636,17 @@ impl ColumnStore {
 
     /// An empty store with room for the segment handles of `n` facts.
     pub fn with_capacity(n: usize) -> ColumnStore {
-        ColumnStore { segments: Vec::with_capacity(n.div_ceil(SEGMENT_FACTS)), ..Default::default() }
+        ColumnStore {
+            segments: Vec::with_capacity(n.div_ceil(SEGMENT_FACTS)),
+            ..Default::default()
+        }
     }
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.segments.last().map_or(0, |tail| (self.segments.len() - 1) * SEGMENT_FACTS + tail.len())
+        self.segments
+            .last()
+            .map_or(0, |tail| (self.segments.len() - 1) * SEGMENT_FACTS + tail.len())
     }
 
     /// `true` when no facts are loaded.
@@ -710,7 +715,8 @@ impl ColumnStore {
             let base = (from + j) * SEGMENT_FACTS;
             let mut lo = 0;
             loop {
-                let hi = dead.next_if(|&d| d < base + segment.len()).map_or(segment.len(), |d| d - base);
+                let hi =
+                    dead.next_if(|&d| d < base + segment.len()).map_or(segment.len(), |d| d - base);
                 let mut at = lo;
                 while at < hi {
                     let take = (hi - at).min(SEGMENT_FACTS - out.len());
@@ -759,7 +765,7 @@ impl ColumnStore {
     }
 
     fn column<T>(&self, field: fn(&Segment) -> &[T]) -> FactColumn<'_, T> {
-        FactColumn { segments: &self.segments, field, len: self.len() }
+        FactColumn { slices: self.segments.iter().map(|s| field(s)).collect(), len: self.len() }
     }
 
     /// The offers, shared with the detail views (see
@@ -824,26 +830,13 @@ impl ColumnStore {
 }
 
 /// One fact column read across a store's segments: by fact position
-/// (`column[i]`) or in fact order. Kernels walk
-/// [`ColumnStore::segments`] over plain slices instead.
+/// (`column[i]`) or in fact order. It holds one slice per segment, so a
+/// read by position is two loads from a small, hot table; kernels that
+/// scan walk [`ColumnStore::segments`] over plain slices instead.
+#[derive(Debug, Clone)]
 pub struct FactColumn<'a, T> {
-    segments: &'a [Arc<Segment>],
-    field: fn(&Segment) -> &[T],
+    slices: Vec<&'a [T]>,
     len: usize,
-}
-
-impl<T> Clone for FactColumn<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for FactColumn<'_, T> {}
-
-impl<T> fmt::Debug for FactColumn<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FactColumn").field("len", &self.len).finish_non_exhaustive()
-    }
 }
 
 impl<'a, T> FactColumn<'a, T> {
@@ -860,38 +853,39 @@ impl<'a, T> FactColumn<'a, T> {
     /// The value of fact `idx`, if there is one.
     pub fn get(&self, idx: usize) -> Option<&'a T> {
         let (s, k) = locate(idx);
-        (self.field)(self.segments.get(s)?).get(k)
+        self.slices.get(s)?.get(k)
     }
 
     /// The values in fact order.
     pub fn iter(&self) -> FactIter<'a, T> {
-        FactIter { segments: self.segments.iter(), field: self.field, current: [].iter(), left: self.len }
+        FactIter { slices: self.slices.clone().into_iter(), current: [].iter(), left: self.len }
     }
 }
 
 impl<T> Index<usize> for FactColumn<'_, T> {
     type Output = T;
 
+    #[inline]
     fn index(&self, idx: usize) -> &T {
         let (s, k) = locate(idx);
-        &(self.field)(&self.segments[s])[k]
+        &self.slices[s][k]
     }
 }
 
-impl<'a, T: 'a> IntoIterator for FactColumn<'a, T> {
+impl<'a, T> IntoIterator for FactColumn<'a, T> {
     type Item = &'a T;
     type IntoIter = FactIter<'a, T>;
 
     fn into_iter(self) -> FactIter<'a, T> {
-        self.iter()
+        FactIter { slices: self.slices.into_iter(), current: [].iter(), left: self.len }
     }
 }
 
 /// A [`FactColumn`]'s values in fact order, one segment slice at a
 /// time.
+#[derive(Debug)]
 pub struct FactIter<'a, T> {
-    segments: std::slice::Iter<'a, Arc<Segment>>,
-    field: fn(&Segment) -> &[T],
+    slices: std::vec::IntoIter<&'a [T]>,
     current: std::slice::Iter<'a, T>,
     left: usize,
 }
@@ -899,13 +893,14 @@ pub struct FactIter<'a, T> {
 impl<'a, T> Iterator for FactIter<'a, T> {
     type Item = &'a T;
 
+    #[inline]
     fn next(&mut self) -> Option<&'a T> {
         loop {
             if let Some(value) = self.current.next() {
                 self.left -= 1;
                 return Some(value);
             }
-            self.current = (self.field)(self.segments.next()?).iter();
+            self.current = self.slices.next()?.iter();
         }
     }
 

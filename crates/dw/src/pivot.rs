@@ -1,6 +1,5 @@
 //! Pivot-table computation for the Figure 5 view.
 
-use crate::columns::Segment;
 use crate::hierarchy::{Dimension, MemberId};
 use crate::query::{measure_value, DwError, Query, Restrictions};
 use crate::warehouse::Warehouse;
@@ -162,10 +161,11 @@ impl<'a> AxisCodes<'a> {
             .collect()
     }
 
-    /// The axis positions offset `k` of `seg` belongs to, ascending.
+    /// The axis positions offset `k` belongs to, given its segment's
+    /// code columns, ascending.
     #[inline]
-    fn positions_of(&self, seg: &Segment, k: usize) -> &[usize] {
-        let code = seg.codes(self.dimension)[k] as usize;
+    fn positions_of(&self, codes: &[&[u32]; 6], k: usize) -> &[usize] {
+        let code = codes[self.dimension as usize][k] as usize;
         &self.positions[self.offsets[code]..self.offsets[code + 1]]
     }
 }
@@ -213,9 +213,9 @@ impl Warehouse {
                         restrictions.narrow_to_leaves(self.spatial_index(), &codes.leaves());
                     }
                 }
-                restrictions.for_each_value(|seg, k, v| {
-                    for &r in rows.positions_of(seg, k) {
-                        for &c in cols.positions_of(seg, k) {
+                restrictions.for_each_value(|codes, k, v| {
+                    for &r in rows.positions_of(codes, k) {
+                        for &c in cols.positions_of(codes, k) {
                             let cell = &mut sums[r * n_cols + c];
                             cell.0 += v;
                             cell.1 += 1;

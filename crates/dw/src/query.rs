@@ -108,7 +108,7 @@ impl Measure {
     /// The divisor (not a reciprocal multiply: `x / 1000.0` and
     /// `x * 0.001` round differently) reproduces [`Measure::value_of`]
     /// exactly.
-    fn column(self) -> Option<(fn(&Segment) -> &[i64], f64)> {
+    fn column(self) -> Option<(MeasureColumn, f64)> {
         Some(match self {
             Measure::Count => return None,
             Measure::ScheduledEnergy => (Segment::scheduled_wh, 1_000.0),
@@ -122,6 +122,9 @@ impl Measure {
         })
     }
 }
+
+/// Reads one measure-input column of a segment.
+type MeasureColumn = fn(&Segment) -> &[i64];
 
 impl fmt::Display for Measure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -263,19 +266,20 @@ impl Warehouse {
         let Some(restrictions) = Restrictions::resolve(self, query) else {
             return Ok(finalise(query, Default::default(), 0.0, 0));
         };
-        let group: Option<(Dimension, Vec<Option<MemberId>>)> = query.group_by.map(|(dim, level)| {
-            let h = self.hierarchy(dim);
-            let dict = self.columns().dict(dim).dict();
-            (dim, dict.iter().map(|&leaf| h.ancestor_at_level(leaf, level)).collect())
-        });
+        let group: Option<(Dimension, Vec<Option<MemberId>>)> =
+            query.group_by.map(|(dim, level)| {
+                let h = self.hierarchy(dim);
+                let dict = self.columns().dict(dim).dict();
+                (dim, dict.iter().map(|&leaf| h.ancestor_at_level(leaf, level)).collect())
+            });
         let mut groups: std::collections::BTreeMap<MemberId, (f64, usize)> = Default::default();
         let mut total = 0.0;
         let mut count = 0usize;
-        restrictions.for_each_value(|seg, k, v| {
+        restrictions.for_each_value(|codes, k, v| {
             total += v;
             count += 1;
             if let Some((dim, map)) = &group {
-                if let Some(g) = map[seg.codes(*dim)[k] as usize] {
+                if let Some(g) = map[codes[*dim as usize][k] as usize] {
                     let e = groups.entry(g).or_insert((0.0, 0));
                     e.0 += v;
                     e.1 += 1;
@@ -451,7 +455,7 @@ pub(crate) struct Restrictions<'a> {
     masks: Vec<(Dimension, Vec<bool>)>,
     statuses: Option<[bool; 6]>,
     time_range: Option<(TimeSlot, TimeSlot)>,
-    measure: Option<(fn(&Segment) -> &[i64], f64)>,
+    measure: Option<(MeasureColumn, f64)>,
     spatial_hits: Option<Vec<usize>>,
 }
 
@@ -469,7 +473,8 @@ impl<'a> Restrictions<'a> {
                 continue;
             }
             let h = dw.hierarchy(dim);
-            let mask = cols.dict(dim).mask(|leaf| members.iter().all(|&m| h.is_descendant(leaf, m)));
+            let mask =
+                cols.dict(dim).mask(|leaf| members.iter().all(|&m| h.is_descendant(leaf, m)));
             if !mask.iter().any(|&b| b) {
                 return None;
             }
@@ -529,24 +534,25 @@ impl<'a> Restrictions<'a> {
         }
     }
 
-    /// Calls `visit(segment, offset, value)` with every matching fact
-    /// (ascending, as [`Restrictions::for_each_match`]) and its measure
+    /// Calls `visit(codes, offset, value)` with every matching fact
+    /// (ascending, as [`Restrictions::for_each_match`]), its segment's
+    /// six code columns ([`Dimension::ALL`] order) and its measure
     /// contribution — [`Measure::value_at`] with the dispatch hoisted out
     /// of the loop.
-    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(&Segment, usize, f64)) {
+    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(&[&[u32]; 6], usize, f64)) {
         match self.measure {
-            None => self.for_each_match(|seg, _, k| visit(seg, k, 1.0)),
+            None => self.for_each_match(|codes, _, k| visit(codes, k, 1.0)),
             Some((_, divisor)) => {
-                self.for_each_match(|seg, values, k| visit(seg, k, values[k] as f64 / divisor));
+                self.for_each_match(|codes, values, k| visit(codes, k, values[k] as f64 / divisor));
             }
         }
     }
 
-    /// Calls `visit(segment, measure column, offset)` with every fact
-    /// that meets the restrictions, in ascending fact order whichever
+    /// Calls `visit(codes, measure column, offset)` with every fact that
+    /// meets the restrictions, in ascending fact order whichever
     /// candidate set drives the pass. The columns a fact test reads are
     /// looked up once per segment.
-    fn for_each_match(&self, mut visit: impl FnMut(&Segment, &[i64], usize)) {
+    fn for_each_match(&self, mut visit: impl FnMut(&[&[u32]; 6], &[i64], usize)) {
         let time_range = self.time_range;
         let columns = |seg: &'a Segment| {
             let values = self.measure.map_or(&[][..], |(column, _)| column(seg));
@@ -574,11 +580,10 @@ impl<'a> Restrictions<'a> {
                 let here = rest.partition_point(|&i| i < base + seg.len());
                 for &i in &rest[..here] {
                     let k = i - base;
-                    let wanted = self
-                        .statuses
-                        .is_none_or(|mask| mask[status_code(statuses[k]) as usize]);
+                    let wanted =
+                        self.statuses.is_none_or(|mask| mask[status_code(statuses[k]) as usize]);
                     if wanted && check(starts, &codes, k) {
-                        visit(seg, values, k);
+                        visit(&codes, values, k);
                     }
                 }
                 rest = &rest[here..];
@@ -595,14 +600,14 @@ impl<'a> Restrictions<'a> {
                     let mask = mask.as_slice();
                     for (k, &c) in codes[*dim as usize].iter().enumerate() {
                         if mask[c as usize] {
-                            visit(seg, values, k);
+                            visit(&codes, values, k);
                         }
                     }
                 }
                 (None, _, _) => {
                     for k in 0..seg.len() {
                         if check(starts, &codes, k) {
-                            visit(seg, values, k);
+                            visit(&codes, values, k);
                         }
                     }
                 }
@@ -613,7 +618,7 @@ impl<'a> Restrictions<'a> {
                         if mask[run.value as usize] {
                             for k in lo..hi {
                                 if check(starts, &codes, k) {
-                                    visit(seg, values, k);
+                                    visit(&codes, values, k);
                                 }
                             }
                         }
@@ -736,9 +741,14 @@ mod tests {
     fn averages_divide_by_count() {
         let dw = warehouse();
         let r = dw.eval(&Query::new(Measure::AvgTimeFlexibility)).unwrap();
-        let expected: f64 =
-            dw.columns().segments().iter().flat_map(|s| s.time_flex()).map(|&t| t as f64).sum::<f64>()
-                / dw.columns().len() as f64;
+        let expected: f64 = dw
+            .columns()
+            .segments()
+            .iter()
+            .flat_map(|s| s.time_flex())
+            .map(|&t| t as f64)
+            .sum::<f64>()
+            / dw.columns().len() as f64;
         assert!((r.total - expected).abs() < 1e-9);
         // Per-group averages also divide by group counts.
         let grouped =

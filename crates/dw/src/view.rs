@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use mirabel_flexoffer::{FlexOffer, FlexOfferId};
 
-use crate::columns::{ColumnSlice, ColumnStore};
+use crate::columns::{locate, ColumnSlice, ColumnStore};
 use crate::fact::FactRow;
 use crate::live::EpochSnapshot;
 use crate::warehouse::Warehouse;
@@ -70,7 +70,8 @@ impl<'a> OfferView<'a> {
 
     /// Offer id of selection position `k`.
     pub fn id(&self, k: usize) -> FlexOfferId {
-        self.columns().offer_ids()[self.indices[k]]
+        let (s, offset) = locate(self.indices[k]);
+        self.columns().segments()[s].offer_ids()[offset]
     }
 
     /// Ids of every selected offer, in selection order.

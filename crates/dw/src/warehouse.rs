@@ -10,7 +10,9 @@ use mirabel_geo::Geography;
 use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
 use mirabel_workload::{Population, Prosumer};
 
-use crate::columns::{group_by_key, locate, ColumnStore, FactBitmap, FactColumn, LeafKeys, Segment};
+use crate::columns::{
+    group_by_key, locate, ColumnStore, FactBitmap, FactColumn, LeafKeys, Segment,
+};
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, Hierarchy, MemberId};
 use crate::spatial::SpatialIndex;
@@ -340,7 +342,8 @@ impl Warehouse {
     /// dropped, not patched; the next read that needs one rebuilds it.
     pub fn withdraw(&mut self, ids: &[FlexOfferId]) -> usize {
         let index = self.writer_ids();
-        let mut dead: Vec<usize> = ids.iter().filter_map(|id| index.remove(id)).map(|p| p as usize).collect();
+        let mut dead: Vec<usize> =
+            ids.iter().filter_map(|id| index.remove(id)).map(|p| p as usize).collect();
         dead.sort_unstable();
         let Some(&first) = dead.first() else { return 0 };
         self.derived = Derived::default();
@@ -528,7 +531,10 @@ impl Warehouse {
     /// The geography leaf the fact of offer `id` is keyed to — how the
     /// session folds a standing plan into per-region heatmap cells.
     pub fn geo_leaf_of(&self, id: FlexOfferId) -> Option<MemberId> {
-        self.id_index().get(&id).map(|&i| self.columns.geo_leaves()[i as usize])
+        self.id_index().get(&id).map(|&i| {
+            let (seg, k) = self.fact(i as usize);
+            seg.leaves(Dimension::Geography)[k]
+        })
     }
 
     /// `true` when fact `idx` lies in the subtree of `member` in the
@@ -537,7 +543,8 @@ impl Warehouse {
     /// loaders resolve the region once via [`Warehouse::geo_code_mask`]
     /// instead.
     fn in_region(&self, idx: usize, member: MemberId) -> bool {
-        self.geography.is_descendant(self.columns.geo_leaves()[idx], member)
+        let (seg, k) = self.fact(idx);
+        self.geography.is_descendant(seg.leaves(Dimension::Geography)[k], member)
     }
 
     /// Resolves a region filter to a mask over the geography
@@ -613,22 +620,17 @@ impl Warehouse {
                 indices
             }
             (None, None) => {
-                let wanted = |seg: &Segment, k: usize| {
-                    query.direction.is_none_or(|d| seg.directions()[k] == d)
-                };
+                let directions = query.direction.map(|d| (d, self.columns.directions()));
+                let wanted =
+                    |i: usize| directions.as_ref().is_none_or(|(d, column)| column[i] == *d);
                 let mut hits = FactBitmap::new(self.columns.len());
                 for (lookback, inside) in self.time_index().window(query.from, query.to) {
-                    for &i in lookback {
+                    let reaching = lookback.iter().filter(|&&i| {
                         let (seg, k) = self.fact(i as usize);
-                        if loader_extent_at(seg, k, query) && wanted(seg, k) {
-                            hits.insert(i as usize);
-                        }
-                    }
-                    for &i in inside {
-                        let (seg, k) = self.fact(i as usize);
-                        if wanted(seg, k) {
-                            hits.insert(i as usize);
-                        }
+                        loader_extent_at(seg, k, query)
+                    });
+                    for &i in reaching.chain(inside).filter(|&&i| wanted(i as usize)) {
+                        hits.insert(i as usize);
                     }
                 }
                 hits.into_ascending()

@@ -80,11 +80,22 @@ fn assert_encoded_consistent(cols: &ColumnStore) {
             let plain = seg.leaves(dim);
             assert_eq!(seg.codes(dim).len(), plain.len(), "{dim:?}: one code per fact");
             for (code, leaf) in seg.codes(dim).iter().zip(plain) {
-                assert_eq!(dc.dict()[*code as usize], *leaf, "{dim:?}: codes decode to plain leaves");
-                assert_eq!(dc.code(*leaf), Some(*code), "{dim:?}: leaves encode back to their code");
+                assert_eq!(
+                    dc.dict()[*code as usize],
+                    *leaf,
+                    "{dim:?}: codes decode to plain leaves"
+                );
+                assert_eq!(
+                    dc.code(*leaf),
+                    Some(*code),
+                    "{dim:?}: leaves encode back to their code"
+                );
             }
             let mut seen = HashSet::new();
-            assert!(dc.dict().iter().all(|m| seen.insert(*m)), "{dim:?}: dictionary values are unique");
+            assert!(
+                dc.dict().iter().all(|m| seen.insert(*m)),
+                "{dim:?}: dictionary values are unique"
+            );
         }
         let statuses: Vec<u32> = seg.statuses().iter().map(|&s| status_code(s)).collect();
         let runs = seg.status_runs();
@@ -401,9 +412,17 @@ fn assert_pivot_equals_per_cell_eval(dw: &Warehouse, spec: &PivotSpec, context: 
     let table = dw.pivot(spec).expect(context);
     for (r, &row) in spec.rows.members.iter().enumerate() {
         for (c, &col) in spec.columns.members.iter().enumerate() {
-            let q = spec.base.clone().filter(spec.rows.dimension, row).filter(spec.columns.dimension, col);
+            let q = spec
+                .base
+                .clone()
+                .filter(spec.rows.dimension, row)
+                .filter(spec.columns.dimension, col);
             let expected = dw.eval(&q).expect(context).total;
-            assert_eq!(table.cells[r][c].to_bits(), expected.to_bits(), "{context}: cell ({r}, {c})");
+            assert_eq!(
+                table.cells[r][c].to_bits(),
+                expected.to_bits(),
+                "{context}: cell ({r}, {c})"
+            );
         }
     }
 }
@@ -455,7 +474,8 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
         // The same store, fact for fact and segment for segment.
         assert_eq!(dw.columns().len(), fresh.columns().len(), "{context}");
         assert!(dw.columns().rows().eq(fresh.columns().rows()), "{context}: rows differ");
-        let lengths = |w: &Warehouse| w.columns().segments().iter().map(|s| s.len()).collect::<Vec<_>>();
+        let lengths =
+            |w: &Warehouse| w.columns().segments().iter().map(|s| s.len()).collect::<Vec<_>>();
         assert_eq!(lengths(&dw), lengths(&fresh), "{context}: segment layout");
         for (a, b) in dw.offers().iter().zip(fresh.offers()) {
             assert_eq!(a.as_ref(), b.as_ref(), "{context}: offers differ");
@@ -495,7 +515,10 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
         let table = dw.mdx(mdx).expect(&context);
         let spec = PivotSpec {
             rows: PivotAxis { dimension: geography, members: table.row_members.clone() },
-            columns: PivotAxis { dimension: Dimension::ProsumerType, members: table.col_members.clone() },
+            columns: PivotAxis {
+                dimension: Dimension::ProsumerType,
+                members: table.col_members.clone(),
+            },
             base: Query::new(Measure::ScheduledEnergy),
         };
         assert_eq!(Ok(table.clone()), dw.pivot(&spec), "{context}: mdx vs pivot");
@@ -553,11 +576,9 @@ fn a_live_write_copies_only_the_segments_it_writes() {
                 let (old, new) = (previous.warehouse(), next.warehouse());
                 // Metering shows as a status change.
                 let status_of = |dw: &Warehouse, id| dw.offer(id).map(FlexOffer::status);
-                refreshed.extend(
-                    old.offers().iter().map(|fo| fo.id()).filter(|&id| {
-                        status_of(new, id).is_some_and(|s| Some(s) != status_of(old, id))
-                    }),
-                );
+                refreshed.extend(old.offers().iter().map(|fo| fo.id()).filter(|&id| {
+                    status_of(new, id).is_some_and(|s| Some(s) != status_of(old, id))
+                }));
                 let position: HashMap<FlexOfferId, usize> =
                     old.columns().offer_ids().iter().enumerate().map(|(i, &id)| (id, i)).collect();
                 let segment_of = |id: &FlexOfferId| position.get(id).map(|&i| i / SEGMENT_FACTS);

@@ -9,8 +9,8 @@
 //! * `cargo xtask lint` — clippy, rustfmt, rustdoc (the `lint` job),
 //!   with clippy and rustfmt also run over `perfbench/`, which is a
 //!   workspace of its own;
-//! * `cargo xtask test` — release build + workspace tests (the first
-//!   half of `build-test`);
+//! * `cargo xtask test` — release build + workspace tests, plus
+//!   `mirabel-dw`'s tests in release (the first half of `build-test`);
 //! * `cargo xtask examples` — *run* the smoke examples and the
 //!   `figures` binary that regenerates the paper's Figures 1–11 (clippy
 //!   only proves they compile; CI's `examples` job runs exactly this, so
@@ -92,6 +92,15 @@ const TEST: &[Step] = &[
         name: "doc-tests",
         program: "cargo",
         args: &["test", "--workspace", "--doc", "--locked"],
+        env: &[],
+    },
+    // The warehouse's segment arithmetic (shift/mask, `u32` positions)
+    // overflows and asserts differently per profile, so its tests also
+    // run optimized.
+    Step {
+        name: "test (release, mirabel-dw)",
+        program: "cargo",
+        args: &["test", "--release", "-p", "mirabel-dw", "--locked"],
         env: &[],
     },
 ];
