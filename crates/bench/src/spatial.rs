@@ -297,9 +297,9 @@ pub fn run_spatial(config: &SpatialBenchConfig) -> Json {
     let live = LiveWarehouse::from_warehouse(population.clone(), dw.clone());
     let shared_offers: Vec<Arc<FlexOffer>> = dw.offers().iter().take(1_000).cloned().collect();
     drop(dw);
-    // Best of max(repeats, 5) rounds: a publish is a few milliseconds at
-    // city scale (before segmented copy-on-write it was ~40 ms of Arc
-    // bookkeeping), so one slow round on a contended CI runner must not
+    // Best of max(repeats, 5) rounds: a publish shares every segment and
+    // frees only the replaced epoch's copied tail, ~0.1 ms at city scale
+    // on a 2-core VM, so one slow round on a contended CI runner must not
     // set the reading — extra rounds are nearly free next to the fixture
     // build above.
     let mut publish_ms = f64::INFINITY;

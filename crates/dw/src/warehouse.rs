@@ -11,7 +11,7 @@ use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
 use mirabel_workload::{Population, Prosumer};
 
 use crate::columns::{
-    group_by_key, locate, ColumnStore, FactBitmap, FactColumn, LeafKeys, Segment,
+    group_by_key, locate, ColumnStore, FactBitmap, FactColumn, LeafKeys, Segment, SEGMENT_FACTS,
 };
 use crate::fact::FactRow;
 use crate::hierarchy::{Dimension, Hierarchy, MemberId};
@@ -143,6 +143,19 @@ fn position(idx: usize) -> u32 {
     u32::try_from(idx).expect("a warehouse holds fewer than 2^32 facts")
 }
 
+/// Fact id → position over `columns`, walked in fact order, so a
+/// repeated id (a bulk load does not deduplicate) resolves to its last
+/// fact.
+fn id_positions(columns: &ColumnStore) -> HashMap<FlexOfferId, u32> {
+    let mut ids = HashMap::with_capacity(columns.len());
+    for (s, seg) in columns.segments().iter().enumerate() {
+        for (k, &id) in seg.offer_ids().iter().enumerate() {
+            ids.insert(id, position(s * SEGMENT_FACTS + k));
+        }
+    }
+    ids
+}
+
 /// What one [`Warehouse::ingest`] batch did — every skipped offer is
 /// accounted for, so a live feed can see (and alert on) malformed input
 /// instead of silently losing it.
@@ -254,16 +267,12 @@ impl Warehouse {
     fn writer_ids(&mut self) -> &mut HashMap<FlexOfferId, u32> {
         let WriterIndex { ids, membership } = &mut self.writer;
         ids.get_or_insert_with(|| {
-            let mut ids = HashMap::with_capacity(self.columns.len());
-            for (s, seg) in self.columns.segments().iter().enumerate() {
-                let base = s * crate::columns::SEGMENT_FACTS;
-                let keyed = seg.prosumers().iter().zip(seg.leaves(Dimension::Geography));
-                for (k, (&id, (&p, &leaf))) in seg.offer_ids().iter().zip(keyed).enumerate() {
-                    ids.insert(id, position(base + k));
+            for seg in self.columns.segments() {
+                for (&p, &leaf) in seg.prosumers().iter().zip(seg.leaves(Dimension::Geography)) {
                     membership.entry(p).or_insert(leaf);
                 }
             }
-            ids
+            id_positions(&self.columns)
         })
     }
 
@@ -513,19 +522,9 @@ impl Warehouse {
     }
 
     /// This version's id → position index, built by the first read that
-    /// needs it. Fact order is walked ascending, so a repeated id (a bulk
-    /// load does not deduplicate) resolves to its last fact.
+    /// needs it.
     fn id_index(&self) -> &HashMap<FlexOfferId, u32> {
-        self.derived.ids.get_or_init(|| {
-            let mut ids = HashMap::with_capacity(self.columns.len());
-            for (s, seg) in self.columns.segments().iter().enumerate() {
-                let base = s * crate::columns::SEGMENT_FACTS;
-                for (k, &id) in seg.offer_ids().iter().enumerate() {
-                    ids.insert(id, position(base + k));
-                }
-            }
-            Arc::new(ids)
-        })
+        self.derived.ids.get_or_init(|| Arc::new(id_positions(&self.columns)))
     }
 
     /// The geography leaf the fact of offer `id` is keyed to — how the
