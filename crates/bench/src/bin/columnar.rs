@@ -17,7 +17,7 @@
 //!   than the plain columnar scan on the filtered probe battery;
 //! * **pivot equality**: every one-pass `pivot` cell over the bulk pool
 //!   equals its per-cell `eval` bit for bit;
-//! * **pivot speedup**: the one-pass pivot is ≥ 3× faster than one
+//! * **pivot speedup**: the one-pass pivot is ≥ 4.7× faster than one
 //!   `eval` per cell on the pivot battery;
 //! * **window speedup**: the time-indexed window-only `view` is ≥ 25×
 //!   faster than `load_offers_scan` on selective windows over the bulk

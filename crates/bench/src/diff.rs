@@ -1159,7 +1159,7 @@ mod tests {
                     ("pivot_equality_ok", false.into()),
                     ("eval_speedup", 1.99.into()),
                     ("filtered_speedup", 2.99.into()),
-                    ("pivot_speedup", 2.99.into()),
+                    ("pivot_speedup", 4.69.into()),
                     ("window_view_speedup", 24.99.into()),
                 ],
                 vec![("eval_speedup", 2.0.into()), ("window_view_speedup", 25.0.into())],

@@ -1,7 +1,7 @@
 //! Pivot-table computation for the Figure 5 view.
 
 use crate::hierarchy::{Dimension, MemberId};
-use crate::query::{measure_value, DwError, Query, Restrictions};
+use crate::query::{CellKey, Cells, DwError, Query, Restrictions, Sink};
 use crate::warehouse::Warehouse;
 
 /// One axis of a pivot: explicit members of one dimension (the swimlanes
@@ -119,12 +119,15 @@ impl PivotTable {
 /// One pivot axis resolved against its dimension's dictionary: for each
 /// dictionary code, the axis positions whose member the code's leaf
 /// descends from, as per-code offsets into one positions array. A
-/// `.Children` or drilled axis has disjoint members, so a code has at
-/// most one position; an axis that lists a member beside its own
+/// `.Children`, level or drilled axis is disjoint — a code has at most
+/// one position — and becomes one code → slot table
+/// ([`AxisCodes::slots`]); an axis that lists a member beside its own
 /// descendant (`{[Geography].[Denmark], [Geography].[Denmark].[Midtjylland]}`)
-/// gives a code several.
+/// gives a code several, and its pivot adds each fact through the
+/// positions instead.
 struct AxisCodes<'a> {
     dimension: Dimension,
+    members: usize,
     dict: &'a [MemberId],
     offsets: Vec<usize>,
     positions: Vec<usize>,
@@ -147,7 +150,13 @@ impl<'a> AxisCodes<'a> {
             );
             offsets.push(positions.len());
         }
-        AxisCodes { dimension: axis.dimension, dict, offsets, positions }
+        AxisCodes {
+            dimension: axis.dimension,
+            members: axis.members.len(),
+            dict,
+            offsets,
+            positions,
+        }
     }
 
     /// The dictionary leaves with at least one axis position: a fact
@@ -161,12 +170,47 @@ impl<'a> AxisCodes<'a> {
             .collect()
     }
 
+    /// For a disjoint axis, each code's slot times `stride`: its axis
+    /// position, or the "no member" slot after the last position for a
+    /// code no member covers. `None` when a code has several positions.
+    fn slots(&self, stride: usize) -> Option<Vec<usize>> {
+        self.offsets
+            .windows(2)
+            .map(|w| match w[1] - w[0] {
+                0 => Some(self.members * stride),
+                1 => Some(self.positions[w[0]] * stride),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// The axis positions offset `k` belongs to, given its segment's
     /// code columns, ascending.
     #[inline]
     fn positions_of(&self, codes: &[&[u32]; 6], k: usize) -> &[usize] {
         let code = codes[self.dimension as usize][k] as usize;
         &self.positions[self.offsets[code]..self.offsets[code + 1]]
+    }
+}
+
+/// The positions fallback for a pivot with an overlapping axis: each fact
+/// adds into every cell of its row positions × column positions.
+struct Overlapping<'a> {
+    rows: &'a AxisCodes<'a>,
+    cols: &'a AxisCodes<'a>,
+    stride: usize,
+    cells: &'a mut Cells,
+    divisor: Option<f64>,
+}
+
+impl Sink for Overlapping<'_> {
+    fn add(&mut self, codes: &[&[u32]; 6], values: &[i64], k: usize) {
+        let value = self.divisor.map(|divisor| values[k] as f64 / divisor);
+        for &r in self.rows.positions_of(codes, k) {
+            for &c in self.cols.positions_of(codes, k) {
+                self.cells.add(r * self.stride + c, value);
+            }
+        }
     }
 }
 
@@ -192,13 +236,17 @@ impl Warehouse {
             }
         }
 
+        let measure = spec.base.measure;
         let n_rows = spec.rows.members.len();
         let n_cols = spec.columns.members.len();
-        // One ascending pass over the facts that meet the base query's
-        // restrictions adds each fact into every cell it belongs to, so
-        // each cell sums its facts in the same order a per-cell `eval`
-        // would, and the `f64` totals are bit-identical.
-        let mut sums = vec![(0.0, 0usize); n_rows * n_cols];
+        // One dense (rows + 1) × (columns + 1) accumulator: the last row
+        // and column take the facts no member covers. One ascending pass
+        // over the facts that meet the base query's restrictions adds each
+        // fact into its cell, so each cell sums its facts in the same
+        // order a per-cell `eval` would, and the `f64` totals are
+        // bit-identical.
+        let stride = n_cols + 1;
+        let mut cells = Cells::new(measure, (n_rows + 1) * stride);
         if n_rows > 0 && n_cols > 0 {
             let base = Query { group_by: None, ..spec.base.clone() };
             self.validate(&base)?;
@@ -213,25 +261,26 @@ impl Warehouse {
                         restrictions.narrow_to_leaves(self.spatial_index(), &codes.leaves());
                     }
                 }
-                restrictions.for_each_value(|codes, k, v| {
-                    for &r in rows.positions_of(codes, k) {
-                        for &c in cols.positions_of(codes, k) {
-                            let cell = &mut sums[r * n_cols + c];
-                            cell.0 += v;
-                            cell.1 += 1;
-                        }
+                match (rows.slots(stride), cols.slots(1)) {
+                    (Some(row_slots), Some(col_slots)) => {
+                        let key = CellKey([
+                            (rows.dimension, row_slots.as_slice()),
+                            (cols.dimension, col_slots.as_slice()),
+                        ]);
+                        restrictions.accumulate(&mut cells, key);
                     }
-                });
+                    _ => restrictions.drive(&mut Overlapping {
+                        rows: &rows,
+                        cols: &cols,
+                        stride,
+                        cells: &mut cells,
+                        divisor: restrictions.divisor(),
+                    }),
+                }
             }
         }
-        let measure = spec.base.measure;
         let cells = (0..n_rows)
-            .map(|r| {
-                sums[r * n_cols..(r + 1) * n_cols]
-                    .iter()
-                    .map(|&(sum, n)| measure_value(measure, sum, n))
-                    .collect()
-            })
+            .map(|r| (0..n_cols).map(|c| cells.value(measure, r * stride + c)).collect())
             .collect();
         let row_labels = spec.rows.members.iter().map(|&m| row_h.path(m).join(" / ")).collect();
         let col_labels = spec

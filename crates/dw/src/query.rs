@@ -254,39 +254,82 @@ impl Warehouse {
     /// that skips whole runs of the status RLE column; and the
     /// measure dispatch is hoisted out of the loop into a
     /// `(column, divisor)` pair, so the inner loop is a monomorphic
-    /// sequential reduction over one contiguous `i64` column.
+    /// sequential reduction over one contiguous `i64` column. A group-by
+    /// is a table from the grouped dimension's codes to dense slots, so a
+    /// fact costs one table load and one add, and the groups come out in
+    /// member-id order without the empty ones.
     ///
-    /// Accumulation stays strictly sequential in fact order (no chunked
-    /// multi-accumulator tricks): `f64` addition is non-associative, and
-    /// the result must stay bit-identical to [`Warehouse::eval_rows`]
-    /// (the row oracle) and [`Warehouse::eval_scan`] (the plain columnar
-    /// scan both are gated against).
+    /// `f64` accumulation stays strictly sequential in fact order (no
+    /// chunked multi-accumulator tricks): `f64` addition is
+    /// non-associative, and the result must stay bit-identical to
+    /// [`Warehouse::eval_rows`] (the row oracle) and
+    /// [`Warehouse::eval_scan`] (the plain columnar scan both are gated
+    /// against). `Count` counts in integers, which is exact: `n`
+    /// additions of `1.0` give `n as f64` below 2^53.
     pub fn eval(&self, query: &Query) -> Result<QueryResult, DwError> {
         self.validate(query)?;
+        let measure = query.measure;
         let Some(restrictions) = Restrictions::resolve(self, query) else {
-            return Ok(finalise(query, Default::default(), 0.0, 0));
+            return Ok(QueryResult { groups: Vec::new(), total: 0.0, matching_facts: 0 });
         };
-        let group: Option<(Dimension, Vec<Option<MemberId>>)> =
-            query.group_by.map(|(dim, level)| {
-                let h = self.hierarchy(dim);
-                let dict = self.columns().dict(dim).dict();
-                (dim, dict.iter().map(|&leaf| h.ancestor_at_level(leaf, level)).collect())
-            });
-        let mut groups: std::collections::BTreeMap<MemberId, (f64, usize)> = Default::default();
-        let mut total = 0.0;
-        let mut count = 0usize;
-        restrictions.for_each_value(|codes, k, v| {
-            total += v;
-            count += 1;
-            if let Some((dim, map)) = &group {
-                if let Some(g) = map[codes[*dim as usize][k] as usize] {
-                    let e = groups.entry(g).or_insert((0.0, 0));
-                    e.0 += v;
-                    e.1 += 1;
+        let Some((dim, level)) = query.group_by else {
+            let (total, matching_facts) = match restrictions.divisor() {
+                None => {
+                    let mut tally = Tally(0);
+                    restrictions.drive(&mut tally);
+                    (tally.0 as f64, tally.0)
                 }
+                Some(divisor) => {
+                    let mut total = Total { sum: 0.0, n: 0, divisor };
+                    restrictions.drive(&mut total);
+                    (measure_value(measure, total.sum, total.n), total.n)
+                }
+            };
+            return Ok(QueryResult { groups: Vec::new(), total, matching_facts });
+        };
+        // One slot per distinct group member, in member-id order, and a
+        // last one for the codes above the level, which no group takes.
+        let h = self.hierarchy(dim);
+        let ancestors: Vec<Option<MemberId>> = self
+            .columns()
+            .dict(dim)
+            .dict()
+            .iter()
+            .map(|&leaf| h.ancestor_at_level(leaf, level))
+            .collect();
+        let mut members: Vec<MemberId> = ancestors.iter().flatten().copied().collect();
+        members.sort_unstable();
+        members.dedup();
+        let slots: Vec<usize> = ancestors
+            .iter()
+            .map(|a| a.map_or(members.len(), |m| members.binary_search(&m).expect("collected")))
+            .collect();
+        let key = CellKey([(dim, slots.as_slice())]);
+        let mut cells = Cells::new(measure, members.len() + 1);
+        let (total, matching_facts) = match restrictions.divisor() {
+            None => {
+                restrictions.accumulate(&mut cells, key);
+                let n = (0..=members.len()).map(|slot| cells.count(slot)).sum();
+                (n as f64, n)
             }
-        });
-        Ok(finalise(query, groups, total, count))
+            Some(divisor) => {
+                // The total runs beside the groups: its own sum in fact
+                // order over every matching fact.
+                let groups =
+                    SumInto { counts: &mut cells.counts, sums: &mut cells.sums, divisor, key };
+                let mut sinks = (groups, Total { sum: 0.0, n: 0, divisor });
+                restrictions.drive(&mut sinks);
+                let total = sinks.1;
+                (measure_value(measure, total.sum, total.n), total.n)
+            }
+        };
+        let groups = members
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| cells.count(slot) > 0)
+            .map(|(slot, &m)| (m, cells.value(measure, slot)))
+            .collect();
+        Ok(QueryResult { groups, total, matching_facts })
     }
 
     /// The PR-8 plain columnar scan: per-fact predicate tests over the
@@ -446,7 +489,8 @@ pub(crate) fn measure_value(measure: Measure, sum: f64, n: usize) -> f64 {
 /// * The measure dispatch is hoisted into a `(column, divisor)` pair, so
 ///   the per-fact value is one load from one contiguous `i64` column.
 ///
-/// A pass walks the segments in fact order over their plain slices.
+/// A pass ([`Restrictions::drive`]) walks the segments in fact order over
+/// their plain slices and hands each matching fact to a [`Sink`].
 pub(crate) struct Restrictions<'a> {
     segments: &'a [std::sync::Arc<Segment>],
     facts: usize,
@@ -534,25 +578,31 @@ impl<'a> Restrictions<'a> {
         }
     }
 
-    /// Calls `visit(codes, offset, value)` with every matching fact
-    /// (ascending, as [`Restrictions::for_each_match`]), its segment's
-    /// six code columns ([`Dimension::ALL`] order) and its measure
-    /// contribution — [`Measure::value_at`] with the dispatch hoisted out
-    /// of the loop.
-    pub(crate) fn for_each_value(&self, mut visit: impl FnMut(&[&[u32]; 6], usize, f64)) {
-        match self.measure {
-            None => self.for_each_match(|codes, _, k| visit(codes, k, 1.0)),
-            Some((_, divisor)) => {
-                self.for_each_match(|codes, values, k| visit(codes, k, values[k] as f64 / divisor));
-            }
+    /// The measure's divisor; `None` for `Count`, which counts.
+    pub(crate) fn divisor(&self) -> Option<f64> {
+        self.measure.map(|(_, divisor)| divisor)
+    }
+
+    /// Adds every matching fact into its `key` cell of `cells`, in
+    /// ascending fact order.
+    pub(crate) fn accumulate<const N: usize>(&self, cells: &mut Cells, key: CellKey<'_, N>) {
+        match self.divisor() {
+            None => self.drive(&mut CountInto { counts: &mut cells.counts, key }),
+            Some(divisor) => self.drive(&mut SumInto {
+                counts: &mut cells.counts,
+                sums: &mut cells.sums,
+                divisor,
+                key,
+            }),
         }
     }
 
-    /// Calls `visit(codes, measure column, offset)` with every fact that
-    /// meets the restrictions, in ascending fact order whichever
-    /// candidate set drives the pass. The columns a fact test reads are
-    /// looked up once per segment.
-    fn for_each_match(&self, mut visit: impl FnMut(&[&[u32]; 6], &[i64], usize)) {
+    /// Hands `sink` every fact that meets the restrictions, in ascending
+    /// fact order whichever candidate set drives the pass, with its
+    /// segment's code columns and measure column. The columns are looked
+    /// up once per segment. With no restriction at all the pass is bare:
+    /// it adds every offset of every segment and tests nothing.
+    pub(crate) fn drive(&self, sink: &mut impl Sink) {
         let time_range = self.time_range;
         let columns = |seg: &'a Segment| {
             let values = self.measure.map_or(&[][..], |(column, _)| column(seg));
@@ -582,9 +632,7 @@ impl<'a> Restrictions<'a> {
                     let k = i - base;
                     let wanted =
                         self.statuses.is_none_or(|mask| mask[status_code(statuses[k]) as usize]);
-                    if wanted && check(starts, &codes, k) {
-                        visit(&codes, values, k);
-                    }
+                    sink.add_if(wanted && check(starts, &codes, k), &codes, values, k);
                 }
                 rest = &rest[here..];
             }
@@ -593,22 +641,16 @@ impl<'a> Restrictions<'a> {
         for seg in self.segments {
             let (values, starts, codes) = columns(seg);
             match (&self.statuses, self.masks.as_slice(), time_range) {
+                (None, [], None) => sink.add_all(&codes, values, seg.len()),
                 (None, [(dim, mask)], None) => {
-                    // The hot shape — one dictionary filter, no time
-                    // bound — iterates the code column directly: one
-                    // predictable load-and-test per fact.
-                    let mask = mask.as_slice();
-                    for (k, &c) in codes[*dim as usize].iter().enumerate() {
-                        if mask[c as usize] {
-                            visit(&codes, values, k);
-                        }
-                    }
+                    // The hot filtered shape — one dictionary filter, no
+                    // time bound — tests the code column directly: one
+                    // load-and-test per fact.
+                    sink.add_masked(&codes, values, codes[*dim as usize], mask);
                 }
                 (None, _, _) => {
                     for k in 0..seg.len() {
-                        if check(starts, &codes, k) {
-                            visit(&codes, values, k);
-                        }
+                        sink.add_if(check(starts, &codes, k), &codes, values, k);
                     }
                 }
                 (Some(mask), _, _) => {
@@ -617,15 +659,262 @@ impl<'a> Restrictions<'a> {
                         let hi = run.end as usize;
                         if mask[run.value as usize] {
                             for k in lo..hi {
-                                if check(starts, &codes, k) {
-                                    visit(&codes, values, k);
-                                }
+                                sink.add_if(check(starts, &codes, k), &codes, values, k);
                             }
                         }
                         lo = hi;
                     }
                 }
             }
+        }
+    }
+}
+
+/// What a pass does with each matching fact: [`Restrictions::drive`]
+/// hands it the fact's segment code columns ([`Dimension::ALL`] order),
+/// the segment's measure column (empty for `Count`) and the fact's
+/// offset in the segment.
+pub(crate) trait Sink {
+    /// Adds offset `k`.
+    fn add(&mut self, codes: &[&[u32]; 6], values: &[i64], k: usize);
+
+    /// Adds offsets `0..len`: the bare pass, when nothing restricts.
+    #[inline]
+    fn add_all(&mut self, codes: &[&[u32]; 6], values: &[i64], len: usize) {
+        for k in 0..len {
+            self.add(codes, values, k);
+        }
+    }
+
+    /// Adds offset `k` when `keep` holds. A count adds `keep` itself, so
+    /// a filtered count takes no branch per fact.
+    #[inline]
+    fn add_if(&mut self, keep: bool, codes: &[&[u32]; 6], values: &[i64], k: usize) {
+        if keep {
+            self.add(codes, values, k);
+        }
+    }
+
+    /// Adds the offsets whose code in `column` the `mask` keeps: the
+    /// one-filter shape. The test writes every offset into a selection
+    /// and advances past it only when it passes, so selecting takes no
+    /// branch per fact at any selectivity; the adds then run over the
+    /// selection. A count adds the mask bits instead.
+    #[inline]
+    fn add_masked(&mut self, codes: &[&[u32]; 6], values: &[i64], column: &[u32], mask: &[bool]) {
+        let mut selection = [0u16; SEGMENT_FACTS];
+        let mut n = 0;
+        for (k, &c) in column.iter().enumerate() {
+            selection[n] = k as u16;
+            n += usize::from(mask[c as usize]);
+        }
+        for &k in &selection[..n] {
+            self.add(codes, values, usize::from(k));
+        }
+    }
+}
+
+impl<A: Sink, B: Sink> Sink for (A, B) {
+    #[inline]
+    fn add(&mut self, codes: &[&[u32]; 6], values: &[i64], k: usize) {
+        self.0.add(codes, values, k);
+        self.1.add(codes, values, k);
+    }
+
+    #[inline]
+    fn add_all(&mut self, codes: &[&[u32]; 6], values: &[i64], len: usize) {
+        self.0.add_all(codes, values, len);
+        self.1.add_all(codes, values, len);
+    }
+}
+
+/// An ungrouped `Count`.
+struct Tally(usize);
+
+impl Sink for Tally {
+    #[inline]
+    fn add(&mut self, _: &[&[u32]; 6], _: &[i64], _: usize) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn add_if(&mut self, keep: bool, _: &[&[u32]; 6], _: &[i64], _: usize) {
+        self.0 += usize::from(keep);
+    }
+
+    #[inline]
+    fn add_all(&mut self, _: &[&[u32]; 6], _: &[i64], len: usize) {
+        self.0 += len;
+    }
+
+    #[inline]
+    fn add_masked(&mut self, _: &[&[u32]; 6], _: &[i64], column: &[u32], mask: &[bool]) {
+        self.0 += column.iter().filter(|&&c| mask[c as usize]).count();
+    }
+}
+
+/// An ungrouped measure: its contributions summed in fact order, and how
+/// many there were.
+struct Total {
+    sum: f64,
+    n: usize,
+    divisor: f64,
+}
+
+impl Sink for Total {
+    #[inline]
+    fn add(&mut self, _: &[&[u32]; 6], values: &[i64], k: usize) {
+        self.sum += values[k] as f64 / self.divisor;
+        self.n += 1;
+    }
+
+    #[inline]
+    fn add_all(&mut self, _: &[&[u32]; 6], values: &[i64], len: usize) {
+        for &v in &values[..len] {
+            self.sum += v as f64 / self.divisor;
+        }
+        self.n += len;
+    }
+}
+
+/// The dense accumulator of one pass: per cell, how many facts fell in it
+/// and, for every measure but `Count`, the sum of their contributions in
+/// fact order. A pass finds a fact's cell through tables from dictionary
+/// code to slot, one per keyed dimension, built once per query: a
+/// group-by reads one slot, a pivot adds a row slot (times the row
+/// stride) to a column slot. Codes that no group or axis member covers
+/// share a last "no member" slot, so the pass never tests for them.
+///
+/// The counts come in two halves of one counter per cell. The bare count
+/// pass adds even offsets into the first half and odd ones into the
+/// second, so a run of facts in one cell alternates between two counters
+/// instead of waiting on each store of one; the other passes use the
+/// first half. Integer counts add up exactly in any order.
+pub(crate) struct Cells {
+    counts: Vec<usize>,
+    sums: Vec<f64>,
+}
+
+impl Cells {
+    /// `n` empty cells for `measure` (`Count` keeps no sums).
+    pub(crate) fn new(measure: Measure, n: usize) -> Cells {
+        let sums = if measure.column().is_some() { vec![0.0; n] } else { Vec::new() };
+        Cells { counts: vec![0; 2 * n], sums }
+    }
+
+    /// Adds one fact into `cell`: its contribution `value`, or a count
+    /// alone for `Count` (`None`).
+    #[inline]
+    pub(crate) fn add(&mut self, cell: usize, value: Option<f64>) {
+        self.counts[cell] += 1;
+        if let Some(v) = value {
+            self.sums[cell] += v;
+        }
+    }
+
+    /// The facts in `cell`.
+    pub(crate) fn count(&self, cell: usize) -> usize {
+        self.counts[cell] + self.counts[self.counts.len() / 2 + cell]
+    }
+
+    /// The value of `measure` over `cell` — bit for bit what an `eval`
+    /// restricted to the cell's facts totals.
+    pub(crate) fn value(&self, measure: Measure, cell: usize) -> f64 {
+        match self.sums.get(cell) {
+            None => self.count(cell) as f64,
+            Some(&sum) => measure_value(measure, sum, self.count(cell)),
+        }
+    }
+}
+
+/// Where a fact lands in [`Cells`]: the sum, over `N` keyed dimensions,
+/// of a table entry indexed by the fact's dictionary code in that
+/// dimension. A group-by keys one dimension to its slots; a pivot keys
+/// the row dimension to its slots times the row stride and the column
+/// dimension to its slots.
+pub(crate) struct CellKey<'t, const N: usize>(pub(crate) [(Dimension, &'t [usize]); N]);
+
+impl<const N: usize> CellKey<'_, N> {
+    /// The keyed code columns of a segment.
+    #[inline]
+    fn columns<'c>(&self, codes: &[&'c [u32]; 6]) -> [&'c [u32]; N] {
+        self.0.map(|(dim, _)| codes[dim as usize])
+    }
+
+    /// The cell of offset `k`, given the keyed code columns.
+    #[inline]
+    fn cell(&self, columns: &[&[u32]; N], k: usize) -> usize {
+        (0..N).map(|i| self.0[i].1[columns[i][k] as usize]).sum()
+    }
+}
+
+/// `Count` into [`Cells`]: one integer add per fact.
+struct CountInto<'c, 't, const N: usize> {
+    counts: &'c mut [usize],
+    key: CellKey<'t, N>,
+}
+
+impl<const N: usize> Sink for CountInto<'_, '_, N> {
+    #[inline]
+    fn add(&mut self, codes: &[&[u32]; 6], _: &[i64], k: usize) {
+        self.counts[self.key.cell(&self.key.columns(codes), k)] += 1;
+    }
+
+    #[inline]
+    fn add_if(&mut self, keep: bool, codes: &[&[u32]; 6], _: &[i64], k: usize) {
+        self.counts[self.key.cell(&self.key.columns(codes), k)] += usize::from(keep);
+    }
+
+    #[inline]
+    fn add_masked(&mut self, codes: &[&[u32]; 6], _: &[i64], column: &[u32], mask: &[bool]) {
+        let columns = self.key.columns(codes);
+        for (k, &c) in column.iter().enumerate() {
+            self.counts[self.key.cell(&columns, k)] += usize::from(mask[c as usize]);
+        }
+    }
+
+    #[inline]
+    fn add_all(&mut self, codes: &[&[u32]; 6], _: &[i64], len: usize) {
+        let columns = self.key.columns(codes).map(|column| &column[..len]);
+        let (even, odd) = self.counts.split_at_mut(self.counts.len() / 2);
+        for k in (0..len & !1).step_by(2) {
+            even[self.key.cell(&columns, k)] += 1;
+            odd[self.key.cell(&columns, k + 1)] += 1;
+        }
+        if len % 2 == 1 {
+            even[self.key.cell(&columns, len - 1)] += 1;
+        }
+    }
+}
+
+/// A measure column into [`Cells`]: one `f64` add per fact into its
+/// cell's sum, in fact order, and a count for the averages.
+struct SumInto<'c, 't, const N: usize> {
+    counts: &'c mut [usize],
+    sums: &'c mut [f64],
+    divisor: f64,
+    key: CellKey<'t, N>,
+}
+
+impl<const N: usize> SumInto<'_, '_, N> {
+    #[inline]
+    fn add_to(&mut self, cell: usize, value: i64) {
+        self.sums[cell] += value as f64 / self.divisor;
+        self.counts[cell] += 1;
+    }
+}
+
+impl<const N: usize> Sink for SumInto<'_, '_, N> {
+    #[inline]
+    fn add(&mut self, codes: &[&[u32]; 6], values: &[i64], k: usize) {
+        self.add_to(self.key.cell(&self.key.columns(codes), k), values[k]);
+    }
+
+    #[inline]
+    fn add_all(&mut self, codes: &[&[u32]; 6], values: &[i64], len: usize) {
+        let columns = self.key.columns(codes).map(|column| &column[..len]);
+        for (k, &value) in values[..len].iter().enumerate() {
+            self.add_to(self.key.cell(&columns, k), value);
         }
     }
 }

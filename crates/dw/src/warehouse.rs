@@ -370,8 +370,10 @@ impl Warehouse {
     /// implies acceptance), the schedule is feasibility-checked by the
     /// offer itself, and only the lifecycle measure columns of its
     /// segment are rewritten — no hierarchy work, no re-keying, no index
-    /// rebuild. Unknown ids and terminal-state offers are itemised in the
-    /// returned [`ScheduleOutcome`].
+    /// rebuild. Unknown ids, terminal-state offers and infeasible
+    /// schedules are itemised in the returned [`ScheduleOutcome`]; a
+    /// skipped assignment changes nothing, not even the sharing of the
+    /// fact's segment, because it is checked on the shared offer first.
     pub fn assign_schedules(&mut self, assignments: &[(FlexOfferId, Schedule)]) -> ScheduleOutcome {
         let mut out = ScheduleOutcome::default();
         for (id, schedule) in assignments {
@@ -379,21 +381,26 @@ impl Warehouse {
                 out.skipped_unknown += 1;
                 continue;
             };
+            let fo = self.columns.offer(idx as usize);
+            if !matches!(
+                fo.status(),
+                OfferState::Offered | OfferState::Accepted | OfferState::Scheduled
+            ) {
+                out.skipped_state += 1;
+                continue;
+            }
+            if fo.check_schedule(schedule).is_err() {
+                out.skipped_infeasible += 1;
+                continue;
+            }
             self.columns.update(idx as usize, |fo| {
                 if fo.status() == OfferState::Offered {
                     fo.accept().expect("offered offers accept");
                 }
-                if !matches!(fo.status(), OfferState::Accepted | OfferState::Scheduled) {
-                    out.skipped_state += 1;
-                    return false;
-                }
-                if fo.assign(schedule.clone()).is_err() {
-                    out.skipped_infeasible += 1;
-                    return false;
-                }
-                out.scheduled += 1;
+                fo.assign(schedule.clone()).expect("a checked schedule assigns");
                 true
             });
+            out.scheduled += 1;
         }
         out
     }
@@ -1396,8 +1403,16 @@ mod tests {
         assert_eq!(out.skipped_infeasible, 1);
         assert_eq!(out.skipped_unknown, 2); // withdrawn offers leave the table
         assert_eq!(out.scheduled, 0);
-        // The infeasible attempt left the offer untouched.
-        assert_eq!(dw2.offer(fo.id()).unwrap().status(), OfferState::Accepted);
+        // The infeasible attempt left the offer untouched: still offered,
+        // counted as offered by the status column, and its segment still
+        // the one the pre-call clone shares.
+        assert_eq!(dw2.offer(fo.id()).unwrap().status(), OfferState::Offered);
+        let offered = crate::Query::new(crate::Measure::Count).statuses([OfferState::Offered]);
+        let by_offer = dw2.offers().iter().filter(|o| o.status() == OfferState::Offered).count();
+        assert_eq!(dw2.eval(&offered).unwrap().matching_facts, by_offer);
+        let idx = dw2.columns().offer_ids().iter().position(|&id| id == fo.id()).unwrap();
+        let (s, _) = locate(idx);
+        assert!(Arc::ptr_eq(&dw2.columns().segments()[s], &dw.columns().segments()[s]));
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //!    every dimension × hierarchy level × operator (filter, group-by,
 //!    status restriction, time range, conjunctions) × measure;
 //! 3. **segment boundaries** — at one fact either side of a segment
-//!    boundary, after withdrawals that straddle it, `eval`, `pivot` and
-//!    `mdx` match their oracles bit for bit, and the store equals a fresh
-//!    load of the survivors;
+//!    boundary, after withdrawals that straddle it, `eval` (plain and
+//!    grouped on every dimension), `pivot` (every pass shape: the bare
+//!    pass over the six benchmark MDX shapes, an axis that leaves codes
+//!    uncovered, an overlapping axis, both axes on one dimension, filtered
+//!    and postings-driven passes) and `mdx` match their oracles bit for
+//!    bit, and the store equals a fresh load of the survivors;
 //! 4. **a write copies what it writes** — across a live trace, every
 //!    segment a batch neither appended to, refreshed nor compacted is
 //!    the very segment the previous epoch holds.
@@ -491,6 +494,16 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
             queries.push(Query::new(measure).statuses(vec![OfferState::Scheduled]));
             queries.push(Query::new(measure).time_range(TimeSlot::new(20), TimeSlot::new(70)));
         }
+        // Group-bys on every dimension, bare and under one filter.
+        for measure in Measure::ALL {
+            for dim in Dimension::ALL {
+                let deepest = dw.hierarchy(dim).depth() as u8 - 1;
+                for level in [1.min(deepest), deepest] {
+                    queries.push(Query::new(measure).group_by(dim, level));
+                }
+                queries.push(Query::new(measure).filter(geography, region).group_by(dim, deepest));
+            }
+        }
         for q in &queries {
             assert_oracle_equal(&dw, q, &format!("{context}: {q:?}"));
             assert_eq!(dw.eval(q), fresh.eval(q), "{context}: {q:?} against a fresh load");
@@ -500,7 +513,51 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
         let cities = PivotAxis::children_of(&dw, geography, region);
         let types = PivotAxis::level(&dw, Dimension::ProsumerType, 1);
         let appliances = PivotAxis::level(&dw, Dimension::Appliance, 1);
-        for (rows, columns) in [(cities, types.clone()), (appliances, types)] {
+        // Every pass shape with no restriction (the bare pass): the six
+        // benchmark MDX shapes; an axis that leaves codes to the "no
+        // member" slot; an overlapping axis (the positions fallback); rows
+        // and columns on one dimension.
+        let children = |dim: Dimension| {
+            let root = dw.hierarchy(dim).all().id;
+            PivotAxis::children_of(&dw, dim, root)
+        };
+        let mut shapes: Vec<(PivotAxis, PivotAxis)> = [
+            (geography, Dimension::Time),
+            (Dimension::Time, Dimension::ProsumerType),
+            (Dimension::Grid, Dimension::Appliance),
+            (geography, Dimension::EnergyType),
+            (Dimension::ProsumerType, geography),
+            (Dimension::EnergyType, Dimension::Time),
+        ]
+        .into_iter()
+        .map(|(rows, columns)| (children(rows), children(columns)))
+        .collect();
+        let some_appliances = PivotAxis {
+            dimension: Dimension::Appliance,
+            members: appliances.members[..2].to_vec(),
+        };
+        let city = cities.members[0];
+        let overlapping = PivotAxis { dimension: geography, members: vec![region, city] };
+        shapes.push((some_appliances, children(Dimension::Grid)));
+        shapes.push((overlapping, types.clone()));
+        shapes.push((children(geography), PivotAxis::level(&dw, geography, 2)));
+        for (rows, columns) in &shapes {
+            for measure in [Measure::Count, Measure::ScheduledEnergy, Measure::AvgPrice] {
+                let spec = PivotSpec {
+                    rows: rows.clone(),
+                    columns: columns.clone(),
+                    base: Query::new(measure),
+                };
+                let shape =
+                    format!("{context}: {measure} by {} x {}", rows.dimension, columns.dimension);
+                assert_pivot_equals_per_cell_eval(&dw, &spec, &shape);
+                assert_eq!(dw.pivot(&spec), fresh.pivot(&spec), "{shape}: pivot vs a fresh load");
+            }
+        }
+        // Base filters, statuses and postings-driven passes.
+        for (rows, columns) in
+            [(cities.clone(), types.clone()), (appliances.clone(), types.clone())]
+        {
             for base in [
                 Query::new(Measure::TotalMaxEnergy),
                 Query::new(Measure::AvgPrice).statuses(vec![OfferState::Offered]),
