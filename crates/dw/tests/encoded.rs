@@ -20,11 +20,12 @@
 //!    status restriction, time range, conjunctions) × measure;
 //! 3. **segment boundaries** — at one fact either side of a segment
 //!    boundary, after withdrawals that straddle it, `eval` (plain and
-//!    grouped on every dimension), `pivot` (every pass shape: the bare
-//!    pass over the six benchmark MDX shapes, an axis that leaves codes
-//!    uncovered, an overlapping axis, both axes on one dimension, filtered
-//!    and postings-driven passes) and `mdx` match their oracles bit for
-//!    bit, and the store equals a fresh load of the survivors;
+//!    grouped on every dimension; bare, one-mask and postings-driven
+//!    passes), `pivot` (every pass shape: the bare pass over the six
+//!    benchmark MDX shapes, an axis that leaves codes uncovered, an
+//!    overlapping axis, both axes on one dimension, status-restricted,
+//!    one-mask and postings-driven passes) and `mdx` match their oracles
+//!    bit for bit, and the store equals a fresh load of the survivors;
 //! 4. **a write copies what it writes** — across a live trace, every
 //!    segment a batch neither appended to, refreshed nor compacted is
 //!    the very segment the previous epoch holds.
@@ -494,14 +495,32 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
             queries.push(Query::new(measure).statuses(vec![OfferState::Scheduled]));
             queries.push(Query::new(measure).time_range(TimeSlot::new(20), TimeSlot::new(70)));
         }
-        // Group-bys on every dimension, bare and under one filter.
+        // Group-bys on every dimension: bare, under a geography filter
+        // (its postings drive the pass) and under one appliance filter
+        // (the one-mask pass), a broad and a narrow one that each keep
+        // some facts but not all.
+        let appliance_h = dw.hierarchy(Dimension::Appliance);
+        let one_mask = [1, appliance_h.depth() as u8 - 1]
+            .map(|level| appliance_h.at_level(level).next().unwrap().id);
+        for appliance in one_mask {
+            let kept = dw.eval(&Query::new(Measure::Count).filter(Dimension::Appliance, appliance));
+            let kept = kept.unwrap().matching_facts;
+            assert!(0 < kept && kept < facts, "{context}: {appliance:?} keeps {kept}");
+        }
         for measure in Measure::ALL {
+            for appliance in one_mask {
+                queries.push(Query::new(measure).filter(Dimension::Appliance, appliance));
+            }
             for dim in Dimension::ALL {
                 let deepest = dw.hierarchy(dim).depth() as u8 - 1;
                 for level in [1.min(deepest), deepest] {
                     queries.push(Query::new(measure).group_by(dim, level));
                 }
                 queries.push(Query::new(measure).filter(geography, region).group_by(dim, deepest));
+                for appliance in one_mask {
+                    let filtered = Query::new(measure).filter(Dimension::Appliance, appliance);
+                    queries.push(filtered.group_by(dim, deepest));
+                }
             }
         }
         for q in &queries {
@@ -554,14 +573,21 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
                 assert_eq!(dw.pivot(&spec), fresh.pivot(&spec), "{shape}: pivot vs a fresh load");
             }
         }
-        // Base filters, statuses and postings-driven passes.
+        // Base filters, statuses, one-mask and postings-driven passes.
         for (rows, columns) in
             [(cities.clone(), types.clone()), (appliances.clone(), types.clone())]
         {
+            let one_mask_bases = one_mask.into_iter().flat_map(|appliance| {
+                [Measure::Count, Measure::ScheduledEnergy]
+                    .map(|measure| Query::new(measure).filter(Dimension::Appliance, appliance))
+            });
             for base in [
                 Query::new(Measure::TotalMaxEnergy),
                 Query::new(Measure::AvgPrice).statuses(vec![OfferState::Offered]),
-            ] {
+            ]
+            .into_iter()
+            .chain(one_mask_bases)
+            {
                 let spec = PivotSpec { rows: rows.clone(), columns: columns.clone(), base };
                 assert_pivot_equals_per_cell_eval(&dw, &spec, &context);
                 assert_eq!(dw.pivot(&spec), fresh.pivot(&spec), "{context}: pivot vs a fresh load");
