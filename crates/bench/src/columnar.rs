@@ -266,13 +266,12 @@ fn replay_churn(population: &Population, config: &ColumnarConfig) -> (LiveWareho
     (live, tally)
 }
 
-/// The filtered probe battery: selective predicates whose dictionary
-/// masks and status runs let pushdown skip most facts — a city
-/// (geography level 2), a concrete appliance type (the deepest
-/// appliance level), a region × time-window conjunction, and
-/// status-restricted probes that skip whole runs of the status RLE
-/// column (the probe warehouse schedules a contiguous quarter of the
-/// pool precisely so those runs exist).
+/// The filtered probe battery: selective predicates that pushdown
+/// resolves to dictionary and status masks — a city (geography level
+/// 2), a concrete appliance type (the deepest appliance level), a
+/// region × time-window conjunction, and status-restricted probes whose
+/// restriction keeps a contiguous quarter of the facts (the probe
+/// warehouse schedules that quarter of the pool).
 fn filtered_battery(w: &Warehouse) -> Vec<Query> {
     let geo = w.hierarchy(Dimension::Geography);
     let mut qs = Vec::new();
@@ -382,8 +381,8 @@ fn per_cell_pivot(w: &Warehouse, spec: &PivotSpec) -> Vec<Vec<f64>> {
 }
 
 /// The bulk-loaded probe warehouse: `filter_facts` offers, a contiguous
-/// quarter of them scheduled so the status RLE column has real run
-/// structure for the status-restricted probes to skip.
+/// quarter of them scheduled, which is what the status-restricted
+/// probes keep.
 fn probe_warehouse(population: &Population, config: &ColumnarConfig) -> Warehouse {
     let pool = generate_offer_pool(
         population,

@@ -10,11 +10,11 @@
 //!
 //! * a measure scan ([`crate::Measure::value_at`]) touches exactly the
 //!   column it aggregates;
-//! * per-slice energy bounds live in one CSR-shaped triple
-//!   (`slice_offsets` + `slice_min_wh` / `slice_max_wh`) instead of a
-//!   `Vec` allocation per offer — profiles are immutable for an offer's
-//!   whole lifecycle, so these columns are written once at ingest and
-//!   only moved by withdraw compaction;
+//! * per-slice maximum energies live in one CSR-shaped pair
+//!   (`slice_offsets` + `slice_max_wh`) instead of a `Vec` allocation
+//!   per offer — profiles are immutable for an offer's whole lifecycle,
+//!   so these columns are written once at ingest and only moved by
+//!   withdraw compaction;
 //! * lifecycle mutations (schedule assignment, execution metering)
 //!   rewrite only the handful of scalar columns that actually change.
 //!
@@ -22,12 +22,14 @@
 //!
 //! The columns are cut into [`Segment`]s of [`SEGMENT_FACTS`] facts, each
 //! behind its own `Arc`. A segment holds every column of its facts —
-//! measures, keys, dictionary codes, status runs and the CSR slice
-//! payload — plus their `Arc<FlexOffer>` handles. Every segment but the
-//! last is full, so fact `i` sits at offset `i % SEGMENT_FACTS` of
-//! segment `i / SEGMENT_FACTS`. The six leaf dictionaries
-//! ([`DictColumn`]) are shared by all segments and append-only, so a code
-//! names the same member in every segment and in every epoch.
+//! measures, identity and status, the dictionary codes of the leaf keys
+//! and the CSR slice payload — plus their `Arc<FlexOffer>` handles.
+//! Every segment but the last is full, so fact `i` sits at offset
+//! `i % SEGMENT_FACTS` of segment `i / SEGMENT_FACTS`. The six leaf
+//! dictionaries ([`DictColumn`]) are shared by all segments and
+//! append-only, so a code names the same member in every segment and in
+//! every epoch; a leaf key is stored once, as its code, and
+//! [`ColumnStore::leaf`] decodes it.
 //!
 //! Cloning the store (the live warehouse's epoch publish) copies the
 //! vector of segment handles. A write unshares only the segments it
@@ -69,8 +71,8 @@ pub(crate) fn locate(idx: usize) -> (usize, usize) {
 }
 
 /// Dense code of a lifecycle status: its position in
-/// [`OfferState::ALL`]. The codes are what the status run-length
-/// column stores and what status predicates resolve to.
+/// [`OfferState::ALL`]. Status predicates resolve to a mask over these
+/// codes.
 pub fn status_code(status: OfferState) -> u32 {
     match status {
         OfferState::Offered => 0,
@@ -140,149 +142,6 @@ impl DictColumn {
     }
 }
 
-/// One maximal run of equal codes: `value` repeated up to (exclusive)
-/// segment offset `end`. The run's start is the previous run's `end` (0
-/// for the first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
-    /// The repeated code.
-    pub value: u32,
-    /// Exclusive end offset of the run.
-    pub end: u32,
-}
-
-/// A run-length-encoded code column for the low-cardinality lifecycle
-/// status (6 values), one per segment. Runs are kept in **canonical
-/// maximal form** — adjacent runs always hold distinct values — so the
-/// representation is a pure function of the decoded sequence and the
-/// derived `PartialEq` compares encodings the way it compares values.
-///
-/// Point updates (`RleColumn::set`, the status flips of a lifecycle
-/// refresh) split the containing run into at most three and re-merge
-/// equal-valued neighbours; withdraw compaction re-derives the runs of
-/// the segments it rebuilds from the surviving runs ("run invalidation
-/// on compact"), because removing facts can splice arbitrary run
-/// fragments together.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RleColumn {
-    runs: Vec<Run>,
-    len: u32,
-}
-
-impl RleColumn {
-    fn new() -> RleColumn {
-        RleColumn { runs: Vec::new(), len: 0 }
-    }
-
-    /// Rebuilds the canonical runs of `values` from scratch.
-    #[cfg(test)]
-    fn from_values(values: impl Iterator<Item = u32>) -> RleColumn {
-        let mut rle = RleColumn::new();
-        for v in values {
-            rle.push_run(v, 1);
-        }
-        rle
-    }
-
-    /// Appends `count` copies of `value`, extending the last run when it
-    /// matches.
-    fn push_run(&mut self, value: u32, count: u32) {
-        self.len += count;
-        match self.runs.last_mut() {
-            Some(run) if run.value == value => run.end = self.len,
-            _ => self.runs.push(Run { value, end: self.len }),
-        }
-    }
-
-    /// Index of the run containing offset `idx` (binary search over the
-    /// ascending exclusive ends).
-    fn run_index(&self, idx: u32) -> usize {
-        self.runs.partition_point(|r| r.end <= idx)
-    }
-
-    /// Decoded value at offset `idx`.
-    pub fn value(&self, idx: usize) -> u32 {
-        self.runs[self.run_index(idx as u32)].value
-    }
-
-    /// Point update: rewrite offset `idx` to `value`, restoring canonical
-    /// maximal form (split the containing run, then merge with
-    /// equal-valued neighbours).
-    fn set(&mut self, idx: usize, value: u32) {
-        let idx = idx as u32;
-        let k = self.run_index(idx);
-        let run = self.runs[k];
-        if run.value == value {
-            return;
-        }
-        let start = if k == 0 { 0 } else { self.runs[k - 1].end };
-        // Replace run k with up to three fragments [start..idx),
-        // [idx..idx+1), [idx+1..end) ...
-        let mut fragments = Vec::with_capacity(3);
-        if idx > start {
-            fragments.push(Run { value: run.value, end: idx });
-        }
-        fragments.push(Run { value, end: idx + 1 });
-        if idx + 1 < run.end {
-            fragments.push(Run { value: run.value, end: run.end });
-        }
-        let f = fragments.len();
-        self.runs.splice(k..=k, fragments);
-        // ... then re-merge the two splice boundaries to keep adjacent
-        // runs distinct (interior fragment boundaries always separate
-        // distinct values). Right first, so the left merge's indices
-        // stay valid.
-        let right = k + f;
-        if right < self.runs.len() && self.runs[right].value == self.runs[right - 1].value {
-            self.runs[right - 1].end = self.runs[right].end;
-            self.runs.remove(right);
-        }
-        if k > 0 && self.runs[k].value == self.runs[k - 1].value {
-            self.runs[k - 1].end = self.runs[k].end;
-            self.runs.remove(k);
-        }
-    }
-
-    /// The canonical maximal runs.
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
-    }
-
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// `true` when nothing is encoded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// One offer's per-slice energy bounds, borrowed straight from the CSR
-/// slice columns — what the aggregator and the planner's load-curve
-/// merge iterate instead of chasing an `Arc<FlexOffer>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnSlice<'a> {
-    /// Per-slice minimum bounds (Wh), one entry per profile slot.
-    pub min_wh: &'a [i64],
-    /// Per-slice maximum bounds (Wh), one entry per profile slot.
-    pub max_wh: &'a [i64],
-}
-
-impl ColumnSlice<'_> {
-    /// Number of profile slots.
-    pub fn len(&self) -> usize {
-        self.min_wh.len()
-    }
-
-    /// `true` for a zero-length profile (never produced by the loader,
-    /// but total for the API).
-    pub fn is_empty(&self) -> bool {
-        self.min_wh.is_empty()
-    }
-}
-
 /// Positions of the nine measure-input columns in [`Segment`]'s
 /// `measures` array.
 const TOTAL_MIN: usize = 0;
@@ -296,9 +155,9 @@ const PRICE: usize = 7;
 const BALANCING: usize = 8;
 
 /// One copy-on-write block of up to [`SEGMENT_FACTS`] consecutive facts:
-/// every fact column of those facts (offsets in its CSR slice columns and
-/// status runs are local to the segment) and their offer handles. See
-/// the [`ColumnStore`] docs.
+/// every fact column of those facts (offsets in its CSR slice columns are
+/// local to the segment) and their offer handles. See the
+/// [`ColumnStore`] docs.
 ///
 /// All per-fact columns share one length ([`Segment::len`]); the CSR
 /// offsets column has `len + 1` entries, starting at 0.
@@ -309,10 +168,8 @@ pub struct Segment {
     direction: Vec<Direction>,
     status: Vec<OfferState>,
     earliest_start: Vec<TimeSlot>,
-    /// Plain leaf keys in [`Dimension::ALL`] order: the decode surface.
-    leaves: [Vec<MemberId>; 6],
-    /// The same keys as codes of the store's dictionaries: what
-    /// predicate pushdown tests.
+    /// Leaf keys in [`Dimension::ALL`] order, as codes of the store's
+    /// dictionaries.
     codes: [Vec<u32>; 6],
     /// Σ min, Σ max, energy flexibility, time flexibility, scheduled,
     /// executed, deviation, price and balancing potential (see the
@@ -321,10 +178,7 @@ pub struct Segment {
     /// CSR offsets into the slice columns: the slices of offset `k` live
     /// at `slice_offsets[k]..slice_offsets[k + 1]`.
     slice_offsets: Vec<usize>,
-    slice_min_wh: Vec<i64>,
     slice_max_wh: Vec<i64>,
-    /// Run-length postings over [`status_code`]s.
-    status_rle: RleColumn,
     offers: Vec<Arc<FlexOffer>>,
 }
 
@@ -342,13 +196,10 @@ impl Segment {
             direction: column(),
             status: column(),
             earliest_start: column(),
-            leaves: std::array::from_fn(|_| column()),
             codes: std::array::from_fn(|_| column()),
             measures: std::array::from_fn(|_| column()),
             slice_offsets,
-            slice_min_wh: Vec::new(),
             slice_max_wh: Vec::new(),
-            status_rle: RleColumn::new(),
             offers: column(),
         }
     }
@@ -363,18 +214,16 @@ impl Segment {
         self.offer.is_empty()
     }
 
-    /// Appends one fact with its resolved leaf keys and their codes.
-    fn push(&mut self, fo: Arc<FlexOffer>, keys: LeafKeys, codes: [u32; 6]) {
+    /// Appends one fact with the codes of its leaf keys.
+    fn push(&mut self, fo: Arc<FlexOffer>, codes: [u32; 6]) {
         self.offer.push(fo.id());
         self.prosumer.push(fo.prosumer());
         self.direction.push(fo.direction());
         self.status.push(fo.status());
         self.earliest_start.push(fo.earliest_start());
-        for d in 0..6 {
-            self.leaves[d].push(keys[d]);
-            self.codes[d].push(codes[d]);
+        for (column, code) in self.codes.iter_mut().zip(codes) {
+            column.push(code);
         }
-        self.status_rle.push_run(status_code(fo.status()), 1);
         let (scheduled_wh, executed_wh, deviation_wh) = lifecycle_measures(&fo);
         let values = [
             fo.total_min_energy().wh(),
@@ -390,11 +239,8 @@ impl Segment {
         for (column, value) in self.measures.iter_mut().zip(values) {
             column.push(value);
         }
-        for s in fo.profile().slices() {
-            self.slice_min_wh.push(s.min.wh());
-            self.slice_max_wh.push(s.max.wh());
-        }
-        self.slice_offsets.push(self.slice_min_wh.len());
+        self.slice_max_wh.extend(fo.profile().slices().iter().map(|s| s.max.wh()));
+        self.slice_offsets.push(self.slice_max_wh.len());
         self.offers.push(fo);
     }
 
@@ -409,32 +255,14 @@ impl Segment {
         self.direction.extend_from_slice(&src.direction[range.clone()]);
         self.status.extend_from_slice(&src.status[range.clone()]);
         self.earliest_start.extend_from_slice(&src.earliest_start[range.clone()]);
-        for (to, from) in self.leaves.iter_mut().zip(&src.leaves) {
-            to.extend_from_slice(&from[range.clone()]);
-        }
         for (to, from) in self.codes.iter_mut().zip(&src.codes) {
             to.extend_from_slice(&from[range.clone()]);
         }
         for (to, from) in self.measures.iter_mut().zip(&src.measures) {
             to.extend_from_slice(&from[range.clone()]);
         }
-        // The runs overlapping the range, clipped to it; `push_run`
-        // merges equal neighbours, so the result stays canonical.
-        let (lo, hi) = (range.start as u32, range.end as u32);
-        let mut start = 0;
-        for run in src.status_rle.runs() {
-            let (from, to) = (start.max(lo), run.end.min(hi));
-            if from < to {
-                self.status_rle.push_run(run.value, to - from);
-            }
-            if run.end >= hi {
-                break;
-            }
-            start = run.end;
-        }
         let (first, last) = (src.slice_offsets[range.start], src.slice_offsets[range.end]);
-        let base = self.slice_min_wh.len();
-        self.slice_min_wh.extend_from_slice(&src.slice_min_wh[first..last]);
+        let base = self.slice_max_wh.len();
         self.slice_max_wh.extend_from_slice(&src.slice_max_wh[first..last]);
         self.slice_offsets.extend(
             src.slice_offsets[range.start + 1..=range.end].iter().map(|&end| end - first + base),
@@ -451,17 +279,17 @@ impl Segment {
         let fo = Arc::clone(&self.offers[k]);
         let (scheduled_wh, executed_wh, deviation_wh) = lifecycle_measures(&fo);
         self.status[k] = fo.status();
-        self.status_rle.set(k, status_code(fo.status()));
         self.measures[SCHEDULED][k] = scheduled_wh;
         self.measures[EXECUTED][k] = executed_wh;
         self.measures[DEVIATION][k] = deviation_wh;
         self.measures[BALANCING][k] = fo.balancing_potential().wh();
     }
 
-    /// Materializes offset `k` as a row.
-    pub fn row(&self, k: usize) -> FactRow {
+    /// Materializes offset `k` as a row, decoding its leaf keys through
+    /// `dicts`.
+    fn row(&self, k: usize, dicts: &[DictColumn; 6]) -> FactRow {
         let [time_leaf, geo_leaf, grid_leaf, energy_leaf, prosumer_leaf, appliance_leaf] =
-            self.leaves.each_ref().map(|column| column[k]);
+            std::array::from_fn(|d| dicts[d].dict[self.codes[d][k] as usize]);
         let m = |column: usize| self.measures[column][k];
         FactRow {
             offer: self.offer[k],
@@ -488,10 +316,10 @@ impl Segment {
         }
     }
 
-    /// The per-slice energy bounds of offset `k`.
-    pub fn slices(&self, k: usize) -> ColumnSlice<'_> {
-        let (lo, hi) = (self.slice_offsets[k], self.slice_offsets[k + 1]);
-        ColumnSlice { min_wh: &self.slice_min_wh[lo..hi], max_wh: &self.slice_max_wh[lo..hi] }
+    /// The per-slice maximum energies of offset `k` (Wh), one entry per
+    /// profile slot.
+    pub fn slice_max_wh(&self, k: usize) -> &[i64] {
+        &self.slice_max_wh[self.slice_offsets[k]..self.slice_offsets[k + 1]]
     }
 
     /// Length in slots of offset `k`'s flexibility window `[earliest
@@ -531,11 +359,6 @@ impl Segment {
         &self.earliest_start
     }
 
-    /// The leaf-key column of `dimension`.
-    pub fn leaves(&self, dimension: Dimension) -> &[MemberId] {
-        &self.leaves[dimension as usize]
-    }
-
     /// The dictionary codes of `dimension`'s leaf keys (see
     /// [`ColumnStore::dict`]).
     pub fn codes(&self, dimension: Dimension) -> &[u32] {
@@ -545,12 +368,6 @@ impl Segment {
     /// The six code columns, in [`Dimension::ALL`] order.
     pub(crate) fn all_codes(&self) -> [&[u32]; 6] {
         self.codes.each_ref().map(Vec::as_slice)
-    }
-
-    /// Canonical runs of the status codes ([`status_code`]), with
-    /// segment-local ends.
-    pub fn status_runs(&self) -> &[Run] {
-        self.status_rle.runs()
     }
 
     /// Start-time flexibility column (slots).
@@ -606,8 +423,7 @@ impl Clone for Segment {
         let mut copy = Segment::empty();
         copy.extend_from(self, 0..self.len());
         let room =
-            (SEGMENT_FACTS - self.len()) * self.slice_min_wh.len().div_ceil(self.len().max(1));
-        copy.slice_min_wh.reserve(room);
+            (SEGMENT_FACTS - self.len()) * self.slice_max_wh.len().div_ceil(self.len().max(1));
         copy.slice_max_wh.reserve(room);
         copy
     }
@@ -656,7 +472,7 @@ impl ColumnStore {
 
     /// Total slice entries across all facts (the CSR payload length).
     pub fn slice_count(&self) -> usize {
-        self.segments.iter().map(|s| s.slice_min_wh.len()).sum()
+        self.segments.iter().map(|s| s.slice_max_wh.len()).sum()
     }
 
     /// The segments in fact order: segment `s` holds the facts from
@@ -680,7 +496,7 @@ impl ColumnStore {
             self.segments.push(Arc::new(Segment::empty()));
         }
         let tail = self.segments.last_mut().expect("a tail segment with room");
-        Arc::make_mut(tail).push(Arc::new(fo.clone()), keys, codes);
+        Arc::make_mut(tail).push(Arc::new(fo.clone()), codes);
     }
 
     /// Mutates fact `idx`'s offer through `change`, unsharing its segment
@@ -698,9 +514,9 @@ impl ColumnStore {
     /// preserving survivor order — the columnar half of withdraw
     /// compaction. The segments before the first dead fact stay shared;
     /// the survivors from that segment on are copied, one slice per
-    /// column and survivor range, into fresh full segments, whose status
-    /// runs are re-derived from the surviving runs. The dictionaries are
-    /// append-only (see [`DictColumn`]), so only codes move.
+    /// column and survivor range, into fresh full segments. The
+    /// dictionaries are append-only (see [`DictColumn`]), so only codes
+    /// move.
     pub(crate) fn compact(&mut self, dead: &[usize]) {
         let Some(&first) = dead.first() else { return };
         assert!(
@@ -742,20 +558,22 @@ impl ColumnStore {
     /// the columnar ≡ row equality gates.
     pub fn row(&self, idx: usize) -> FactRow {
         let (s, k) = locate(idx);
-        self.segments[s].row(k)
+        self.segments[s].row(k, &self.dicts)
     }
 
     /// Materializes every fact in order — the row-oriented reference
     /// iterator.
     pub fn rows(&self) -> impl Iterator<Item = FactRow> + '_ {
-        self.segments.iter().flat_map(|s| (0..s.len()).map(move |k| s.row(k)))
+        let dicts = &*self.dicts;
+        self.segments.iter().flat_map(move |s| (0..s.len()).map(move |k| s.row(k, dicts)))
     }
 
-    /// The per-slice energy bounds of fact `idx`, borrowed from its
-    /// segment's CSR columns.
-    pub fn slices(&self, idx: usize) -> ColumnSlice<'_> {
+    /// The leaf key of fact `idx` in `dimension`: its code decoded
+    /// through the dimension's dictionary.
+    pub fn leaf(&self, idx: usize, dimension: Dimension) -> MemberId {
         let (s, k) = locate(idx);
-        self.segments[s].slices(k)
+        let d = dimension as usize;
+        self.dicts[d].dict[self.segments[s].codes[d][k] as usize]
     }
 
     /// The offer of fact `idx`.
@@ -802,24 +620,6 @@ impl ColumnStore {
     /// Executed-energy column (Wh).
     pub fn executed_wh(&self) -> FactColumn<'_, i64> {
         self.column(Segment::executed_wh)
-    }
-
-    /// Geography leaf column.
-    pub fn geo_leaves(&self) -> FactColumn<'_, MemberId> {
-        self.leaves(Dimension::Geography)
-    }
-
-    /// The leaf-key column of `dimension`.
-    pub fn leaves(&self, dimension: Dimension) -> FactColumn<'_, MemberId> {
-        let field: fn(&Segment) -> &[MemberId] = match dimension {
-            Dimension::Time => |s| &s.leaves[0],
-            Dimension::Geography => |s| &s.leaves[1],
-            Dimension::Grid => |s| &s.leaves[2],
-            Dimension::EnergyType => |s| &s.leaves[3],
-            Dimension::ProsumerType => |s| &s.leaves[4],
-            Dimension::Appliance => |s| &s.leaves[5],
-        };
-        self.column(field)
     }
 
     /// The dictionary of `dimension`'s leaf-key column; the per-fact
@@ -1035,13 +835,9 @@ mod tests {
         let mut cs = ColumnStore::new();
         cs.push(&offer(1, 0, 2, 10, 40), keys());
         cs.push(&offer(2, 5, 3, 1, 2), keys());
-        let s0 = cs.slices(0);
-        assert_eq!(s0.len(), 2);
-        assert!(!s0.is_empty());
-        assert_eq!(s0.min_wh, &[10, 10]);
-        assert_eq!(s0.max_wh, &[40, 40]);
-        let s1 = cs.slices(1);
-        assert_eq!((s1.min_wh, s1.max_wh), (&[1i64, 1, 1][..], &[2i64, 2, 2][..]));
+        let segment = &cs.segments()[0];
+        assert_eq!(segment.slice_max_wh(0), &[40, 40]);
+        assert_eq!(segment.slice_max_wh(1), &[2, 2, 2]);
     }
 
     #[test]
@@ -1056,8 +852,8 @@ mod tests {
         assert_eq!(cs.statuses()[0], OfferState::Scheduled);
         assert_eq!(cs.segments()[0].scheduled_wh()[0], 1_200);
         // Keys and profile columns untouched.
-        assert_eq!(cs.leaves(Dimension::Time)[0], MemberId(1));
-        assert_eq!(cs.slices(0).max_wh, &[1_000, 1_000]);
+        assert_eq!(cs.leaf(0, Dimension::Time), MemberId(1));
+        assert_eq!(cs.segments()[0].slice_max_wh(0), &[1_000, 1_000]);
         // The materialized row agrees with a fresh extract.
         let [t, g, gr, e, p, a] = keys();
         assert_eq!(cs.row(0), FactRow::extract(cs.offer(0), t, g, gr, e, p, a));
@@ -1080,7 +876,7 @@ mod tests {
         assert_eq!(cs.len(), 2);
         assert_eq!(ids(&cs), [FlexOfferId(1), FlexOfferId(3)]);
         assert_eq!(cs.slice_count(), 4);
-        assert_eq!(cs.slices(1).min_wh, &[5, 5, 5]);
+        assert_eq!(cs.segments()[0].slice_max_wh(1), &[6, 6, 6]);
         assert_eq!(cs.row(1).profile_len, 3);
         // Compacting nothing is a structural no-op.
         let before = cs.clone();
@@ -1111,19 +907,9 @@ mod tests {
         }
     }
 
-    /// Decodes an RLE column back to one value per fact.
-    fn decode(runs: &[Run]) -> Vec<u32> {
-        let mut out = Vec::new();
-        for r in runs {
-            out.resize(r.end as usize, r.value);
-        }
-        out
-    }
-
     /// Asserts the segment layout (every segment but the last full, none
-    /// empty), that every segment's codes decode to its plain leaves and
-    /// its runs to its statuses in canonical form, and that per-fact
-    /// reads agree with the segment slices.
+    /// empty), one code per fact that its dictionary round-trips, and
+    /// that per-fact reads agree with the segment slices.
     fn assert_encoded_consistent(cs: &ColumnStore) {
         let segments = cs.segments();
         for (s, seg) in segments.iter().enumerate() {
@@ -1132,23 +918,13 @@ mod tests {
             for dim in Dimension::ALL {
                 let dc = cs.dict(dim);
                 assert_eq!(seg.codes(dim).len(), seg.len());
-                let decoded: Vec<MemberId> =
-                    seg.codes(dim).iter().map(|&c| dc.dict()[c as usize]).collect();
-                assert_eq!(decoded, seg.leaves(dim), "{dim:?} dictionary decode diverged");
                 for (code, &m) in dc.dict().iter().enumerate() {
                     assert_eq!(dc.code(m), Some(code as u32));
                 }
             }
-            let runs = seg.status_runs();
-            let plain: Vec<u32> = seg.statuses().iter().map(|&s| status_code(s)).collect();
-            assert_eq!(decode(runs), plain);
-            for w in runs.windows(2) {
-                assert!(w[0].value != w[1].value, "non-canonical adjacent runs: {runs:?}");
-                assert!(w[0].end < w[1].end);
-            }
-            assert_eq!(runs.last().map_or(0, |r| r.end as usize), seg.len());
+            assert_eq!(seg.statuses().len(), seg.len());
             assert_eq!(seg.slice_offsets.len(), seg.len() + 1);
-            assert_eq!(seg.slice_offsets[seg.len()], seg.slice_min_wh.len());
+            assert_eq!(seg.slice_offsets[seg.len()], seg.slice_max_wh.len());
         }
         let flat: Vec<FlexOfferId> = segments.iter().flat_map(|s| s.offer_ids()).copied().collect();
         assert_eq!(ids(cs), flat);
@@ -1166,26 +942,26 @@ mod tests {
             cs.push(fo, keys());
         }
         assert_encoded_consistent(&cs);
-        // All Offered: one status run.
-        assert_eq!(cs.segments()[0].status_runs().len(), 1);
+        let accepted = |cs: &ColumnStore| -> Vec<bool> {
+            cs.statuses().iter().map(|&s| s == OfferState::Accepted).collect()
+        };
 
-        // Point updates split and re-merge runs canonically.
+        // Point updates rewrite the status column in place.
         for &i in &[3usize, 4, 0, 7] {
             cs.update(i, |fo| fo.accept().is_ok());
             assert_encoded_consistent(&cs);
         }
-        // 3 and 4 merged into one Accepted run.
-        assert_eq!(decode(cs.segments()[0].status_runs())[3..5], [1, 1]);
+        assert_eq!(accepted(&cs), [true, false, false, true, true, false, false, true]);
 
-        // Refreshing an unchanged fact exercises the same-value early
-        // return too.
+        // Refreshing an unchanged fact rewrites the same values.
         cs.update(3, |_| true);
         assert_encoded_consistent(&cs);
 
-        // Compaction drops codes and re-derives runs from the survivors.
+        // Compaction drops the dead facts' codes and statuses.
         cs.compact(&[0, 3]);
         assert_eq!(cs.len(), 6);
         assert_encoded_consistent(&cs);
+        assert_eq!(accepted(&cs), [false, false, true, false, false, true]);
         // The dictionary never renumbers: surviving codes still decode.
         let before = cs.clone();
         cs.compact(&[]);
@@ -1222,11 +998,16 @@ mod tests {
         let survivors: Vec<usize> = (0..n).filter(|i| dead.binary_search(i).is_err()).collect();
         let rows: Vec<FactRow> = survivors.iter().map(|&i| original.row(i)).collect();
         assert_eq!(cs.rows().collect::<Vec<_>>(), rows, "{context}: rows");
+        let slice_max_wh = |cs: &ColumnStore, idx: usize| -> Vec<i64> {
+            let (s, k) = locate(idx);
+            cs.segments()[s].slice_max_wh(k).to_vec()
+        };
         for (k, &i) in survivors.iter().enumerate() {
-            assert_eq!(cs.slices(k), original.slices(i), "{context}: slices of fact {i}");
+            assert_eq!(slice_max_wh(&cs, k), slice_max_wh(original, i), "{context}: slices of {i}");
             assert!(Arc::ptr_eq(cs.offer(k), original.offer(i)), "{context}: offer {i} copied");
         }
-        assert_eq!(cs.slice_count(), survivors.iter().map(|&i| original.slices(i).len()).sum());
+        let slices = survivors.iter().map(|&i| slice_max_wh(original, i).len()).sum();
+        assert_eq!(cs.slice_count(), slices);
         for dim in Dimension::ALL {
             let codes: Vec<u32> = survivors
                 .iter()
@@ -1311,37 +1092,6 @@ mod tests {
         let tail = Segment::clone(&published.segments()[2]);
         assert!(tail.offer.capacity() >= SEGMENT_FACTS);
         assert_eq!(&tail, published.segments()[2].as_ref());
-    }
-
-    #[test]
-    fn rle_push_run_keeps_runs_canonical() {
-        let mut rle = RleColumn::new();
-        rle.push_run(1, 2);
-        rle.push_run(1, 3);
-        rle.push_run(2, 1);
-        assert_eq!(rle.runs(), &[Run { value: 1, end: 5 }, Run { value: 2, end: 6 }]);
-        assert_eq!(rle, RleColumn::from_values([1, 1, 1, 1, 1, 2].into_iter()));
-        assert_eq!((rle.len(), rle.value(4), rle.value(5)), (6, 1, 2));
-    }
-
-    #[test]
-    fn rle_point_updates_cover_all_split_shapes() {
-        // One run of five, then hit head, tail, middle, and re-merge.
-        let mut rle = RleColumn::from_values([7u32; 5].into_iter());
-        rle.set(0, 1); // head split
-        rle.set(4, 1); // tail split
-        rle.set(2, 1); // middle split
-        assert_eq!(rle.runs().len(), 5);
-        rle.set(1, 1); // merges 0..2
-        rle.set(3, 1); // merges everything
-        assert_eq!(rle.runs(), &[Run { value: 1, end: 5 }]);
-        for i in 0..5 {
-            assert_eq!(rle.value(i), 1);
-        }
-        // Single-element three-way merge.
-        let mut rle = RleColumn::from_values([2u32, 9, 2].into_iter());
-        rle.set(1, 2);
-        assert_eq!(rle.runs(), &[Run { value: 2, end: 3 }]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`Hierarchy`]/[`Member`] — dimension hierarchies built from the
 //!   geography, grid topology, attribute enums and the loaded time window;
 //! * [`Warehouse`] — the star schema, stored struct-of-arrays: one
-//!   [`ColumnStore`] holding a column per dimension leaf key and per
-//!   measure input (plus CSR per-slice energy bounds) and the original
+//!   [`ColumnStore`] holding a column per dimension leaf key (as
+//!   dictionary codes) and per measure input (plus CSR per-slice maximum
+//!   energies) and the original
 //!   offers for the detail views, cut into copy-on-write [`Segment`]s of
 //!   [`SEGMENT_FACTS`] facts; [`FactRow`] is the row-shaped view
 //!   materialized on demand;
@@ -70,8 +71,7 @@ mod view;
 mod warehouse;
 
 pub use columns::{
-    status_code, ColumnSlice, ColumnStore, DictColumn, FactColumn, FactIter, LeafKeys, RleColumn,
-    Run, Segment, SEGMENT_FACTS,
+    status_code, ColumnStore, DictColumn, FactColumn, FactIter, LeafKeys, Segment, SEGMENT_FACTS,
 };
 pub use fact::FactRow;
 pub use hierarchy::{Dimension, Hierarchy, Member, MemberId};

@@ -250,9 +250,8 @@ impl Warehouse {
     /// Every hierarchical filter is resolved **once** against the
     /// touched dimension's dictionary — a mask over its dense codes —
     /// so the per-fact test is one array load instead of a hierarchy
-    /// walk; a status restriction becomes a mask over the status codes
-    /// that skips whole runs of the status RLE column; and the
-    /// measure dispatch is hoisted out of the loop into a
+    /// walk; a status restriction becomes a mask over the six status
+    /// codes; and the measure dispatch is hoisted out of the loop into a
     /// `(column, divisor)` pair, so the inner loop is a monomorphic
     /// sequential reduction over one contiguous `i64` column. A group-by
     /// is a table from the grouped dimension's codes to dense slots, so a
@@ -332,9 +331,9 @@ impl Warehouse {
         Ok(QueryResult { groups, total, matching_facts })
     }
 
-    /// The PR-8 plain columnar scan: per-fact predicate tests over the
-    /// unencoded columns, no dictionary or run skipping. Kept public as
-    /// the baseline the filtered-query bench probe measures pushdown
+    /// The plain columnar scan: per-fact predicate tests that decode
+    /// each leaf key and walk its hierarchy, no code masks. Kept public
+    /// as the baseline the filtered-query bench probe measures pushdown
     /// against (and as a second equality oracle — it must agree with
     /// [`Warehouse::eval`] bit for bit).
     pub fn eval_scan(&self, query: &Query) -> Result<QueryResult, DwError> {
@@ -351,7 +350,7 @@ impl Warehouse {
                 total += v;
                 count += 1;
                 if let Some((dim, level)) = query.group_by {
-                    let leaf = seg.leaves(dim)[k];
+                    let leaf = self.columns().dict(dim).dict()[seg.codes(dim)[k] as usize];
                     if let Some(g) = self.hierarchy(dim).ancestor_at_level(leaf, level) {
                         let e = groups.entry(g).or_insert((0.0, 0));
                         e.0 += v;
@@ -443,7 +442,7 @@ impl Warehouse {
             }
         }
         for f in &query.filters {
-            let leaf = seg.leaves(f.dimension)[k];
+            let leaf = self.columns().dict(f.dimension).dict()[seg.codes(f.dimension)[k] as usize];
             if !self.hierarchy(f.dimension).is_descendant(leaf, f.member) {
                 return false;
             }
@@ -484,8 +483,7 @@ pub(crate) fn measure_value(measure: Measure, sum: f64, n: usize) -> f64 {
 /// * Every hierarchical filter becomes one AND-combined mask over the
 ///   touched dimension's dictionary codes, so the per-fact test is one
 ///   array load instead of a hierarchy walk.
-/// * A status restriction becomes a mask over the six status codes that
-///   skips whole runs of each segment's status RLE column.
+/// * A status restriction becomes a mask over the six status codes.
 /// * The measure dispatch is hoisted into a `(column, divisor)` pair, so
 ///   the per-fact value is one load from one contiguous `i64` column.
 ///
@@ -600,46 +598,48 @@ impl<'a> Restrictions<'a> {
     /// Hands `sink` every fact that meets the restrictions, in ascending
     /// fact order whichever candidate set drives the pass, with its
     /// segment's code columns and measure column. The columns are looked
-    /// up once per segment. With no restriction at all the pass is bare:
-    /// it adds every offset of every segment and tests nothing.
+    /// up once per segment, and the postings-driven and the general pass
+    /// test each fact with one predicate. With no restriction at all the
+    /// pass is bare: it adds every offset of every segment and tests
+    /// nothing.
     pub(crate) fn drive(&self, sink: &mut impl Sink) {
         let time_range = self.time_range;
         let columns = |seg: &'a Segment| {
             let values = self.measure.map_or(&[][..], |(column, _)| column(seg));
-            (values, seg.earliest_starts(), seg.all_codes())
+            (values, seg.earliest_starts(), seg.statuses(), seg.all_codes())
         };
-        let check = |starts: &[TimeSlot], codes: &[&[u32]; 6], k: usize| -> bool {
+        let check = |starts: &[TimeSlot], statuses: &[OfferState], codes: &[&[u32]; 6], k| {
             if let Some((from, to)) = time_range {
                 if starts[k] < from || starts[k] >= to {
+                    return false;
+                }
+            }
+            if let Some(mask) = &self.statuses {
+                if !mask[status_code(statuses[k]) as usize] {
                     return false;
                 }
             }
             self.masks.iter().all(|(dim, mask)| mask[codes[*dim as usize][k] as usize])
         };
         if let Some(hits) = &self.spatial_hits {
-            // Ascending positions, taken one segment's run at a time; a
-            // per-fact status test on the already-small candidate set is
-            // in the same order as the run-sliced pass.
+            // Ascending positions, taken one segment's run at a time.
             let mut rest = hits.as_slice();
             while let Some(&first) = rest.first() {
                 let (s, _) = locate(first);
                 let seg = &self.segments[s];
-                let (values, starts, codes) = columns(seg);
-                let statuses = seg.statuses();
+                let (values, starts, statuses, codes) = columns(seg);
                 let base = s * SEGMENT_FACTS;
                 let here = rest.partition_point(|&i| i < base + seg.len());
                 for &i in &rest[..here] {
                     let k = i - base;
-                    let wanted =
-                        self.statuses.is_none_or(|mask| mask[status_code(statuses[k]) as usize]);
-                    sink.add_if(wanted && check(starts, &codes, k), &codes, values, k);
+                    sink.add_if(check(starts, statuses, &codes, k), &codes, values, k);
                 }
                 rest = &rest[here..];
             }
             return;
         }
         for seg in self.segments {
-            let (values, starts, codes) = columns(seg);
+            let (values, starts, statuses, codes) = columns(seg);
             match (&self.statuses, self.masks.as_slice(), time_range) {
                 (None, [], None) => sink.add_all(&codes, values, seg.len()),
                 (None, [(dim, mask)], None) => {
@@ -648,21 +648,9 @@ impl<'a> Restrictions<'a> {
                     // load-and-test per fact.
                     sink.add_masked(&codes, values, codes[*dim as usize], mask);
                 }
-                (None, _, _) => {
+                _ => {
                     for k in 0..seg.len() {
-                        sink.add_if(check(starts, &codes, k), &codes, values, k);
-                    }
-                }
-                (Some(mask), _, _) => {
-                    let mut lo = 0usize;
-                    for run in seg.status_runs() {
-                        let hi = run.end as usize;
-                        if mask[run.value as usize] {
-                            for k in lo..hi {
-                                sink.add_if(check(starts, &codes, k), &codes, values, k);
-                            }
-                        }
-                        lo = hi;
+                        sink.add_if(check(starts, statuses, &codes, k), &codes, values, k);
                     }
                 }
             }

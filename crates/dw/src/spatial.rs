@@ -45,9 +45,10 @@ impl SpatialIndex {
     /// Groups the facts of `columns` by geography leaf, walking the
     /// segments in fact order.
     pub(crate) fn build(columns: &ColumnStore) -> SpatialIndex {
+        let dict = columns.dict(Dimension::Geography).dict();
         let mut leaves = Vec::with_capacity(columns.len());
         for seg in columns.segments() {
-            leaves.extend(seg.leaves(Dimension::Geography).iter().map(|leaf| leaf.0));
+            leaves.extend(seg.codes(Dimension::Geography).iter().map(|&c| dict[c as usize].0));
         }
         let groups = leaves.iter().max().map_or(0, |&m| m as usize + 1);
         let (bounds, facts) = group_by_key(&leaves, groups);

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use mirabel_flexoffer::{FlexOffer, FlexOfferId};
 
-use crate::columns::{locate, ColumnSlice, ColumnStore};
+use crate::columns::{locate, ColumnStore};
 use crate::fact::FactRow;
 use crate::live::EpochSnapshot;
 use crate::warehouse::Warehouse;
@@ -104,12 +104,6 @@ impl<'a> OfferView<'a> {
     pub fn rows(&self) -> impl Iterator<Item = FactRow> + '_ {
         let cols = self.columns();
         self.indices.iter().map(move |&i| cols.row(i))
-    }
-
-    /// Per-slice energy bounds of selection position `k`, borrowed from
-    /// the CSR slice columns.
-    pub fn slices(&self, k: usize) -> ColumnSlice<'a> {
-        self.columns().slices(self.indices[k])
     }
 
     /// The escape hatch: owned shared handles for every selected offer,
@@ -230,11 +224,11 @@ mod tests {
         let q = LoaderQuery::builder().build();
         let view = dw.view(&q);
         for (k, row) in view.rows().enumerate() {
+            let (s, offset) = locate(view.indices()[k]);
             assert_eq!(row, dw.columns().row(view.indices()[k]));
-            let s = view.slices(k);
-            assert_eq!(s.len(), row.profile_len);
-            assert_eq!(s.min_wh.iter().sum::<i64>(), row.total_min_wh);
-            assert_eq!(s.max_wh.iter().sum::<i64>(), row.total_max_wh);
+            let max_wh = dw.columns().segments()[s].slice_max_wh(offset);
+            assert_eq!(max_wh.len(), row.profile_len);
+            assert_eq!(max_wh.iter().sum::<i64>(), row.total_max_wh);
         }
     }
 

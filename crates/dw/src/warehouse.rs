@@ -267,9 +267,10 @@ impl Warehouse {
     fn writer_ids(&mut self) -> &mut HashMap<FlexOfferId, u32> {
         let WriterIndex { ids, membership } = &mut self.writer;
         ids.get_or_insert_with(|| {
+            let dict = self.columns.dict(Dimension::Geography).dict();
             for seg in self.columns.segments() {
-                for (&p, &leaf) in seg.prosumers().iter().zip(seg.leaves(Dimension::Geography)) {
-                    membership.entry(p).or_insert(leaf);
+                for (&p, &code) in seg.prosumers().iter().zip(seg.codes(Dimension::Geography)) {
+                    membership.entry(p).or_insert(dict[code as usize]);
                 }
             }
             id_positions(&self.columns)
@@ -537,10 +538,7 @@ impl Warehouse {
     /// The geography leaf the fact of offer `id` is keyed to — how the
     /// session folds a standing plan into per-region heatmap cells.
     pub fn geo_leaf_of(&self, id: FlexOfferId) -> Option<MemberId> {
-        self.id_index().get(&id).map(|&i| {
-            let (seg, k) = self.fact(i as usize);
-            seg.leaves(Dimension::Geography)[k]
-        })
+        self.id_index().get(&id).map(|&i| self.columns.leaf(i as usize, Dimension::Geography))
     }
 
     /// `true` when fact `idx` lies in the subtree of `member` in the
@@ -549,8 +547,7 @@ impl Warehouse {
     /// loaders resolve the region once via [`Warehouse::geo_code_mask`]
     /// instead.
     fn in_region(&self, idx: usize, member: MemberId) -> bool {
-        let (seg, k) = self.fact(idx);
-        self.geography.is_descendant(seg.leaves(Dimension::Geography)[k], member)
+        self.geography.is_descendant(self.columns.leaf(idx, Dimension::Geography), member)
     }
 
     /// Resolves a region filter to a mask over the geography
@@ -1103,7 +1100,8 @@ mod tests {
         for (i, id) in member_ids_before.iter().enumerate() {
             assert_eq!(dw.hierarchy(Dimension::Time).members()[i].id, *id);
         }
-        assert_eq!(dw.day_leaf(far), dw.columns().leaves(Dimension::Time).iter().last().copied());
+        let last = dw.columns().len() - 1;
+        assert_eq!(dw.day_leaf(far), Some(dw.columns().leaf(last, Dimension::Time)));
     }
 
     #[test]
@@ -1263,7 +1261,8 @@ mod tests {
         assert!(dw.columns().len() > distinct.len());
         // Generated locations resolve to the declared district, so no
         // fact lands on the unassigned leaf.
-        assert!(dw.columns().geo_leaves().iter().all(|&g| g != dw.unassigned_leaf()));
+        let geo_leaf = |i| dw.columns().leaf(i, Dimension::Geography);
+        assert!((0..dw.columns().len()).all(|i| geo_leaf(i) != dw.unassigned_leaf()));
         assert!(dw.load_offers(&everywhere().region(dw.unassigned_leaf()).build()).is_empty());
     }
 
@@ -1281,8 +1280,8 @@ mod tests {
             assert_eq!(leaf, dw.district_leaves[prosumer.district.0 as usize], "{}", prosumer.name);
         }
         // Every fact of a prosumer carries the cached leaf.
-        for (p, leaf) in dw.columns().prosumers().iter().zip(dw.columns().geo_leaves()) {
-            assert_eq!(dw.writer.membership[p], *leaf);
+        for (i, p) in dw.columns().prosumers().iter().enumerate() {
+            assert_eq!(dw.writer.membership[p], dw.columns().leaf(i, Dimension::Geography));
         }
     }
 

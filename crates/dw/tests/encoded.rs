@@ -2,12 +2,11 @@
 //!
 //! The invariants pinned here, against the public crate surface only:
 //!
-//! 1. **encode/decode ≡ plain columns** — after every mutation of a
-//!    seeded ingest/refresh/withdraw churn trace, each segment's
-//!    dictionary codes and status run-length column decode to exactly
-//!    its plain leaf-key and lifecycle columns, in canonical
-//!    (maximal-run) form, and every segment but the last is full. The
-//!    same trace also checks the write path: a clone held as the
+//! 1. **dictionary round-trip** — after every mutation of a seeded
+//!    ingest/refresh/withdraw churn trace, each segment holds one code
+//!    per fact that round-trips through its dimension's dictionary, the
+//!    dictionaries hold distinct members, and every segment but the last
+//!    is full. The same trace also checks the write path: a clone held as the
 //!    published epoch stays frozen while the working copy moves on, and
 //!    every derived index (per id, per prosumer, per region, the time
 //!    index behind window-only loads) agrees with the fact columns and
@@ -21,11 +20,12 @@
 //! 3. **segment boundaries** — at one fact either side of a segment
 //!    boundary, after withdrawals that straddle it, `eval` (plain and
 //!    grouped on every dimension; bare, one-mask and postings-driven
-//!    passes), `pivot` (every pass shape: the bare pass over the six
-//!    benchmark MDX shapes, an axis that leaves codes uncovered, an
-//!    overlapping axis, both axes on one dimension, status-restricted,
-//!    one-mask and postings-driven passes) and `mdx` match their oracles
-//!    bit for bit, and the store equals a fresh load of the survivors;
+//!    passes, and a status restriction under a time range), `pivot`
+//!    (every pass shape: the bare pass over the six benchmark MDX
+//!    shapes, an axis that leaves codes uncovered, an overlapping axis,
+//!    both axes on one dimension, status-restricted, one-mask and
+//!    postings-driven passes) and `mdx` match their oracles bit for bit,
+//!    and the store equals a fresh load of the survivors;
 //! 4. **a write copies what it writes** — across a live trace, every
 //!    segment a batch neither appended to, refreshed nor compacted is
 //!    the very segment the previous epoch holds.
@@ -36,8 +36,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mirabel_dw::{
-    status_code, ColumnStore, Dimension, FactRow, LiveWarehouse, LoaderQuery, Measure, MemberId,
-    PivotAxis, PivotSpec, Query, Run, Warehouse, SEGMENT_FACTS,
+    ColumnStore, Dimension, FactRow, LiveWarehouse, LoaderQuery, Measure, MemberId, PivotAxis,
+    PivotSpec, Query, Warehouse, SEGMENT_FACTS,
 };
 use mirabel_flexoffer::{Direction, FlexOffer, FlexOfferId, OfferState, ProsumerId, Schedule};
 use mirabel_timeseries::{SlotSpan, TimeSlot};
@@ -59,21 +59,9 @@ fn min_schedule(fo: &FlexOffer) -> Schedule {
     Schedule::new(fo.earliest_start(), fo.profile().slices().iter().map(|s| s.min).collect())
 }
 
-fn decode_runs(runs: &[Run], len: usize) -> Vec<u32> {
-    let mut out = Vec::with_capacity(len);
-    let mut lo = 0u32;
-    for r in runs {
-        assert!(r.end > lo, "runs have non-empty, strictly ascending extents");
-        out.extend(std::iter::repeat_n(r.value, (r.end - lo) as usize));
-        lo = r.end;
-    }
-    assert_eq!(out.len(), len, "the last run ends at the column length");
-    out
-}
-
-/// The encode→decode property: each segment's codes and status RLE
-/// column reproduce its plain columns exactly, in canonical form, and
-/// every segment but the last is full.
+/// The dictionary round-trip: each segment holds one code per fact,
+/// every code decodes to a leaf that encodes back to it, the dictionary
+/// values are unique, and every segment but the last is full.
 fn assert_encoded_consistent(cols: &ColumnStore) {
     let segments = cols.segments();
     for (s, seg) in segments.iter().enumerate() {
@@ -81,19 +69,10 @@ fn assert_encoded_consistent(cols: &ColumnStore) {
         assert!(s + 1 == segments.len() || seg.len() == SEGMENT_FACTS, "segment {s} is not full");
         for dim in Dimension::ALL {
             let dc = cols.dict(dim);
-            let plain = seg.leaves(dim);
-            assert_eq!(seg.codes(dim).len(), plain.len(), "{dim:?}: one code per fact");
-            for (code, leaf) in seg.codes(dim).iter().zip(plain) {
-                assert_eq!(
-                    dc.dict()[*code as usize],
-                    *leaf,
-                    "{dim:?}: codes decode to plain leaves"
-                );
-                assert_eq!(
-                    dc.code(*leaf),
-                    Some(*code),
-                    "{dim:?}: leaves encode back to their code"
-                );
+            assert_eq!(seg.codes(dim).len(), seg.len(), "{dim:?}: one code per fact");
+            for &code in seg.codes(dim) {
+                let leaf = dc.dict()[code as usize];
+                assert_eq!(dc.code(leaf), Some(code), "{dim:?}: leaves encode back to their code");
             }
             let mut seen = HashSet::new();
             assert!(
@@ -101,12 +80,7 @@ fn assert_encoded_consistent(cols: &ColumnStore) {
                 "{dim:?}: dictionary values are unique"
             );
         }
-        let statuses: Vec<u32> = seg.statuses().iter().map(|&s| status_code(s)).collect();
-        let runs = seg.status_runs();
-        assert_eq!(decode_runs(runs, seg.len()), statuses, "status: RLE decodes to plain codes");
-        for w in runs.windows(2) {
-            assert_ne!(w[0].value, w[1].value, "status: adjacent runs are distinct (canonical)");
-        }
+        assert_eq!(seg.statuses().len(), seg.len(), "status: one per fact");
     }
     assert_eq!(cols.len(), segments.iter().map(|s| s.len()).sum::<usize>());
 }
@@ -182,7 +156,8 @@ fn assert_indices_match_columns(
         let fo = dw.offer(id).unwrap_or_else(|| panic!("{context}: live {id:?} has no offer"));
         assert!(std::ptr::eq(fo, dw.offers()[i].as_ref()), "{context}: {id:?} is not fact {i}");
         assert_eq!(fo.prosumer(), cols.prosumers()[i], "{context}: prosumer of fact {i}");
-        assert_eq!(dw.geo_leaf_of(id), Some(cols.geo_leaves()[i]), "{context}: leaf of fact {i}");
+        let leaf = cols.leaf(i, Dimension::Geography);
+        assert_eq!(dw.geo_leaf_of(id), Some(leaf), "{context}: leaf of fact {i}");
     }
     for &id in withdrawn {
         assert!(dw.offer(id).is_none(), "{context}: withdrawn {id:?} still resolves");
@@ -259,8 +234,8 @@ fn encoded_columns_decode_to_plain_under_seeded_churn() {
             IngestEvent::Publish => {
                 publishes += 1;
                 // Refresh churn: schedule a pseudo-random third of the
-                // still-Offered facts (in-place status rewrites exercise
-                // the RLE point updates), then execute whatever is due.
+                // still-Offered facts (in-place status rewrites), then
+                // execute whatever is due.
                 let picks: Vec<(FlexOfferId, Schedule)> = dw
                     .offers()
                     .iter()
@@ -321,7 +296,7 @@ fn pushdown_eval_matches_the_row_oracle_for_every_dimension_level_and_operator()
 
     // Mixed lifecycle states: schedule every third offer, execute the
     // early ones, withdraw every eleventh (forcing a compaction), so the
-    // status RLE has real run structure.
+    // status restrictions keep some facts but not all.
     let picks: Vec<(FlexOfferId, Schedule)> = offers
         .iter()
         .enumerate()
@@ -440,8 +415,8 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
         &population,
         &OfferConfig { window_start: TimeSlot::new(0), days: 2, seed: 0x5E6 },
     );
-    // Half the offers scheduled, so the status runs and the lifecycle
-    // measures have structure on both sides of a boundary.
+    // Half the offers scheduled, so the statuses and the lifecycle
+    // measures vary on both sides of a boundary.
     for fo in offers.iter_mut().step_by(2) {
         fo.accept().unwrap();
         fo.assign(min_schedule(fo)).unwrap();
@@ -487,6 +462,7 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
 
         // eval ≡ eval_scan ≡ eval_rows, and equal to the fresh load's.
         let region = dw.hierarchy(geography).at_level(1).next().unwrap().id;
+        let districts = dw.hierarchy(geography).depth() as u8 - 1;
         let mut queries = Vec::new();
         for measure in Measure::ALL {
             queries.push(Query::new(measure));
@@ -494,6 +470,11 @@ fn segment_boundaries_answer_like_a_fresh_load_of_the_survivors() {
             queries.push(Query::new(measure).filter(geography, region));
             queries.push(Query::new(measure).statuses(vec![OfferState::Scheduled]));
             queries.push(Query::new(measure).time_range(TimeSlot::new(20), TimeSlot::new(70)));
+            let scheduled_in_range = Query::new(measure)
+                .statuses(vec![OfferState::Scheduled])
+                .time_range(TimeSlot::new(20), TimeSlot::new(70));
+            queries.push(scheduled_in_range.clone());
+            queries.push(scheduled_in_range.group_by(geography, districts));
         }
         // Group-bys on every dimension: bare, under a geography filter
         // (its postings drive the pass) and under one appliance filter

@@ -103,8 +103,7 @@ use mirabel_session::{ConcurrentPool, SessionId};
 use crate::protocol::{greeting, Reply, Request, PROTOCOL_VERSION, RESUME_TOKEN_EXPIRED};
 use crate::sys::{Event, Interest, Poller};
 
-/// Bounds on the parking lot of resumable sessions, plus the worker
-/// pool size.
+/// Bounds on the parking lot of resumable sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetServerConfig {
     /// Most sessions parked at once; beyond it the oldest parked
@@ -120,11 +119,6 @@ pub struct NetServerConfig {
     /// resuming it then requires a fresh `hello`). See PROTOCOL.md,
     /// "Resumable sessions".
     pub resume_token_ttl: Duration,
-    /// Worker threads executing commands off the reactor; `0` (the
-    /// default) sizes the pool from the machine's parallelism, clamped
-    /// to a small range — connection count is bounded by fds, not
-    /// threads.
-    pub workers: usize,
 }
 
 impl Default for NetServerConfig {
@@ -133,7 +127,6 @@ impl Default for NetServerConfig {
             park_capacity: 1_024,
             park_ttl: Duration::from_secs(300),
             resume_token_ttl: Duration::from_secs(150),
-            workers: 0,
         }
     }
 }
@@ -235,7 +228,7 @@ impl NetServer {
 
         let mut txs = Vec::new();
         let mut workers = Vec::new();
-        for i in 0..worker_threads(&config) {
+        for i in 0..worker_threads() {
             let (tx, rx) = std::sync::mpsc::channel::<Job>();
             txs.push(tx);
             let worker_inner = Arc::clone(&inner);
@@ -317,13 +310,11 @@ impl Drop for NetServer {
     }
 }
 
-/// Worker pool size for `config` (see [`NetServerConfig::workers`]).
-fn worker_threads(config: &NetServerConfig) -> usize {
-    if config.workers > 0 {
-        config.workers
-    } else {
-        std::thread::available_parallelism().map_or(2, |n| n.get()).clamp(2, 8)
-    }
+/// Worker threads executing commands off the reactor: the machine's
+/// parallelism, clamped to a small range — connection count is bounded
+/// by fds, not threads.
+fn worker_threads() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get()).clamp(2, 8)
 }
 
 // ---------------------------------------------------------------------
@@ -1703,13 +1694,5 @@ mod tests {
         buf.consume(150 * 1024);
         assert_eq!(buf.len(), 50 * 1024);
         assert!(buf.start < 150 * 1024, "compaction should have run");
-    }
-
-    #[test]
-    fn worker_threads_respects_explicit_config() {
-        let mut config = NetServerConfig::default();
-        assert!(worker_threads(&config) >= 2);
-        config.workers = 5;
-        assert_eq!(worker_threads(&config), 5);
     }
 }

@@ -181,7 +181,7 @@ pub fn day_ahead_target(dw: &Warehouse, window_start: TimeSlot, horizon: usize) 
             } else {
                 // Not (yet) executed: the maximum envelope at the earliest
                 // start is the best available stand-in.
-                for (i, &max_wh) in seg.slices(k).max_wh.iter().enumerate() {
+                for (i, &max_wh) in seg.slice_max_wh(k).iter().enumerate() {
                     history.add_at(est + SlotSpan::slots(i as i64), sign * max_wh as f64 / 1_000.0);
                 }
             }

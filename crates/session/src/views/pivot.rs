@@ -160,11 +160,10 @@ pub fn build_swimlane_offers(
 
         // Offers of this member, aggregated to fit the lane.
         let leaf_offers: Vec<mirabel_flexoffer::FlexOffer> = dw
-            .columns()
-            .leaves(dimension)
+            .offers()
             .iter()
-            .zip(dw.offers())
-            .filter(|(&leaf, _)| h.is_descendant(leaf, member))
+            .enumerate()
+            .filter(|&(i, _)| h.is_descendant(dw.columns().leaf(i, dimension), member))
             .map(|(_, fo)| fo.as_ref().clone())
             .collect();
         let result = aggregator
