@@ -1,11 +1,13 @@
 //! The bench harnesses, their reports and gate tables, and the shared
 //! fixtures behind them and the `figures` binary.
 //!
-//! Each harness module (`stress`, `ingest`, `planning`, `spatial`,
-//! `net`, `forecast`, `columnar`) runs one workload, builds its report
-//! as a [`diff::Json`] tree and declares the [`diff::Gate`] table that
-//! judges it; its binary under `src/bin/` writes the report and
-//! enforces every row of the table on every run.
+//! Each harness module (`planning`, `spatial`, `forecast`, `columnar`)
+//! runs one workload, builds its report as a [`diff::Json`] tree and
+//! declares the [`diff::Gate`] table that judges it; its binary under
+//! `src/bin/` writes the report and enforces every row of the table on
+//! every run. Serving, wire and live-writer timings are not measured
+//! here: the repository benchmark (`perfbench/`) drives that traffic
+//! over the wire and checks every reply.
 //!
 //! Everything here is deterministic: the same sizes and seeds always
 //! produce the same offers, scenes and warehouses, so bench numbers and
@@ -18,11 +20,8 @@ pub mod cli;
 pub mod columnar;
 pub mod diff;
 pub mod forecast;
-pub mod ingest;
-pub mod net;
 pub mod planning;
 pub mod spatial;
-pub mod stress;
 
 use mirabel_dw::Warehouse;
 use mirabel_flexoffer::FlexOffer;
@@ -86,8 +85,7 @@ pub fn visual_offers(n: usize) -> Vec<VisualOffer> {
 }
 
 /// `std::thread::available_parallelism()` on this host (1 when
-/// unknown) — every report records it, and [`diff::Policy::Cores`] rows
-/// read it.
+/// unknown) — every report records it.
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -99,37 +97,6 @@ pub fn ratio(slow: f64, fast: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Nearest-rank percentile over sorted per-command latencies, reported
-/// in microseconds — the single estimator every harness (stress, net)
-/// reports its p50 and p99 with, shared so the numbers cannot drift
-/// apart across harnesses.
-pub fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
-}
-
-/// The tail-latency estimator the reports record: drop the highest
-/// ⌈n/4⌉ rounds and average the rest (a one-sided trimmed mean).
-/// Worst-round spikes on shared CI runners are almost always a noisy
-/// neighbour, not a regression — but unlike best-of-N, the surviving
-/// rounds still have to *agree* that the tail is low, so a real
-/// regression shows up in every kept round.
-///
-/// With a single round this is the identity; an empty slice yields 0.
-pub fn trimmed_tail_mean(rounds: &[f64]) -> f64 {
-    if rounds.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = rounds.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let drop = rounds.len().div_ceil(4).min(rounds.len() - 1);
-    let kept = &sorted[..sorted.len() - drop];
-    kept.iter().sum::<f64>() / kept.len() as f64
 }
 
 /// Writes `content` under `out/figures/`, creating the directory.
@@ -154,19 +121,6 @@ mod tests {
         let (_, w1) = warehouse(100, 1);
         let (_, w2) = warehouse(100, 1);
         assert_eq!(w1.columns().len(), w2.columns().len());
-    }
-
-    #[test]
-    fn trimmed_tail_mean_drops_only_the_top_quarter() {
-        assert_eq!(trimmed_tail_mean(&[]), 0.0);
-        assert_eq!(trimmed_tail_mean(&[7.0]), 7.0);
-        // Two rounds: ⌈2/4⌉ = 1 dropped — the spike goes, the floor stays.
-        assert_eq!(trimmed_tail_mean(&[100.0, 3.0]), 3.0);
-        // Four rounds: one dropped, mean of the remaining three.
-        assert_eq!(trimmed_tail_mean(&[1.0, 2.0, 3.0, 1000.0]), 2.0);
-        // A consistent tail survives trimming — regressions still gate.
-        let consistent = trimmed_tail_mean(&[50.0, 52.0, 51.0, 49.0]);
-        assert!((consistent - 50.0).abs() < 1.0, "{consistent}");
     }
 
     #[test]

@@ -9,12 +9,7 @@ fn a_zero_thread_count_exits_2_with_the_usage_line() {
     // it would still finish quickly, and its `--out` directory does not
     // exist, so nothing is written either way.
     let out = ["--out", "/nonexistent-dir/report.json"];
-    let binaries: [(&str, &[&str]); 4] = [
-        (env!("CARGO_BIN_EXE_stress"), &["--users", "1", "--commands", "1", "--prosumers", "5"]),
-        (
-            env!("CARGO_BIN_EXE_ingest"),
-            &["--readers", "1", "--commands", "1", "--prosumers", "5", "--bulk-offers", "10"],
-        ),
+    let binaries: [(&str, &[&str]); 2] = [
         (env!("CARGO_BIN_EXE_planning"), &["--offers", "10", "--partitions", "1"]),
         (env!("CARGO_BIN_EXE_spatial"), &["--prosumers", "5", "--trace-prosumers", "5"]),
     ];

@@ -75,7 +75,7 @@ pub use columns::{
 };
 pub use fact::FactRow;
 pub use hierarchy::{Dimension, Hierarchy, Member, MemberId};
-pub use live::{EpochSnapshot, LiveWarehouse, PendingDeltas};
+pub use live::{EpochSnapshot, LiveWarehouse};
 pub use pivot::{PivotAxis, PivotSpec, PivotTable};
 pub use query::{DwError, Filter, Measure, Query, QueryResult};
 pub use spatial::{region_leaves, SpatialIndex};

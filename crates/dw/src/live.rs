@@ -70,41 +70,12 @@ impl EpochSnapshot {
     }
 }
 
-/// Pending-delta counters since the last publish — what the next epoch
-/// will contain beyond the current one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PendingDeltas {
-    /// Offers ingested into the working copy since the last publish.
-    pub ingested: usize,
-    /// Offers withdrawn from the working copy since the last publish.
-    pub withdrawn: usize,
-    /// Days appended to the working copy since the last publish.
-    pub days_added: usize,
-    /// Offers scheduled in the working copy since the last publish.
-    pub scheduled: usize,
-    /// Offers executed (metered) in the working copy since the last
-    /// publish.
-    pub executed: usize,
-}
-
-impl PendingDeltas {
-    /// `true` when a publish would change nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ingested == 0
-            && self.withdrawn == 0
-            && self.days_added == 0
-            && self.scheduled == 0
-            && self.executed == 0
-    }
-}
-
-/// The writer side: the working copy plus batch accounting, all under
-/// one lock so delta application is serialized and cheap.
+/// The writer side: the working copy and the population that keys
+/// ingests, under one lock so delta application is serialized.
 #[derive(Debug)]
 struct Writer {
     population: Population,
     working: Warehouse,
-    pending: PendingDeltas,
 }
 
 /// A `Send + Sync` warehouse that accepts streaming deltas and serves
@@ -127,7 +98,7 @@ impl LiveWarehouse {
         let working = Warehouse::load(&population, offers);
         let snapshot = Arc::new(EpochSnapshot { epoch: 0, warehouse: Arc::new(working.clone()) });
         LiveWarehouse {
-            writer: Mutex::new(Writer { population, working, pending: PendingDeltas::default() }),
+            writer: Mutex::new(Writer { population, working }),
             published: RwLock::new(snapshot),
         }
     }
@@ -136,11 +107,7 @@ impl LiveWarehouse {
     pub fn from_warehouse(population: Population, warehouse: Warehouse) -> LiveWarehouse {
         let snapshot = Arc::new(EpochSnapshot { epoch: 0, warehouse: Arc::new(warehouse.clone()) });
         LiveWarehouse {
-            writer: Mutex::new(Writer {
-                population,
-                working: warehouse,
-                pending: PendingDeltas::default(),
-            }),
+            writer: Mutex::new(Writer { population, working: warehouse }),
             published: RwLock::new(snapshot),
         }
     }
@@ -156,43 +123,27 @@ impl LiveWarehouse {
         self.published.read().expect("published lock").epoch
     }
 
-    /// Deltas applied to the working copy but not yet published.
-    pub fn pending(&self) -> PendingDeltas {
-        self.writer.lock().expect("writer lock").pending
-    }
-
     /// Ingests a batch of arrived offers into the working copy (not yet
     /// visible to readers — call [`LiveWarehouse::publish`] to freeze an
     /// epoch). Incremental: appends facts, extends the time hierarchy in
     /// place.
     pub fn ingest(&self, offers: &[FlexOffer]) -> IngestOutcome {
         let mut w = self.writer.lock().expect("writer lock");
-        let out = {
-            let Writer { population, working, .. } = &mut *w;
-            working.ingest(population, offers)
-        };
-        w.pending.ingested += out.ingested;
-        w.pending.days_added += out.days_added;
-        out
+        let Writer { population, working } = &mut *w;
+        working.ingest(population, offers)
     }
 
     /// Withdraws offers by id from the working copy, compacting them
     /// away at once (see [`Warehouse::withdraw`]). Unknown ids are
     /// ignored; returns the number actually removed.
     pub fn withdraw(&self, ids: &[FlexOfferId]) -> usize {
-        let mut w = self.writer.lock().expect("writer lock");
-        let removed = w.working.withdraw(ids);
-        w.pending.withdrawn += removed;
-        removed
+        self.writer.lock().expect("writer lock").working.withdraw(ids)
     }
 
     /// Applies enterprise schedule assignments to the working copy (see
     /// [`Warehouse::assign_schedules`]; not yet visible to readers).
     pub fn assign_schedules(&self, assignments: &[(FlexOfferId, Schedule)]) -> ScheduleOutcome {
-        let mut w = self.writer.lock().expect("writer lock");
-        let out = w.working.assign_schedules(assignments);
-        w.pending.scheduled += out.scheduled;
-        out
+        self.writer.lock().expect("writer lock").working.assign_schedules(assignments)
     }
 
     /// Appends one day to the working copy's time window (the midnight
@@ -204,11 +155,8 @@ impl LiveWarehouse {
     pub fn advance_day(&self) -> usize {
         let mut w = self.writer.lock().expect("writer lock");
         w.working.advance_day();
-        w.pending.days_added += 1;
         let now = w.working.window_end() - SlotSpan::days(1);
-        let executed = w.working.execute_due(now);
-        w.pending.executed += executed;
-        executed
+        w.working.execute_due(now)
     }
 
     /// Freezes the working copy into the next epoch and swaps it in for
@@ -224,18 +172,19 @@ impl LiveWarehouse {
     /// segments the batch replaced are freed here, and nothing else.
     /// Returns the new snapshot.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
-        let mut w = self.writer.lock().expect("writer lock");
+        let w = self.writer.lock().expect("writer lock");
         let epoch = self.published.read().expect("published lock").epoch + 1;
         let snapshot = Arc::new(EpochSnapshot { epoch, warehouse: Arc::new(w.working.clone()) });
-        w.pending = PendingDeltas::default();
         // Writer lock is still held: publishes are totally ordered and
         // the epoch counter cannot skew from the published snapshot.
         *self.published.write().expect("published lock") = Arc::clone(&snapshot);
         snapshot
     }
 
-    /// Sanity invariants of the current published snapshot — the bench
-    /// harness's torn-epoch probe. Panics (with context) on violation.
+    /// Sanity invariants of a published snapshot: every segment full but
+    /// the last, and fact columns keyed to their offers. The repository
+    /// benchmark's `live` writer checks every epoch it publishes with it.
+    /// Panics (with context) on violation.
     pub fn validate_snapshot(snapshot: &EpochSnapshot) {
         let epoch = snapshot.epoch();
         let segments = snapshot.warehouse().columns().segments();
@@ -296,14 +245,12 @@ mod tests {
 
         let out = live.ingest(&day2);
         assert_eq!(out.ingested, day2.len());
-        assert!(!live.pending().is_empty());
         // Not yet visible: readers still see epoch 0.
         assert_eq!(live.snapshot().epoch(), 0);
         assert_eq!(live.snapshot().warehouse().columns().len(), day1.len());
 
         let e1 = live.publish();
         assert_eq!(e1.epoch(), 1);
-        assert!(live.pending().is_empty());
         assert_eq!(e1.warehouse().columns().len(), day1.len() + day2.len());
         // The old snapshot is untouched — a reader holding it is safe.
         assert_eq!(e0.warehouse().columns().len(), day1.len());
@@ -317,7 +264,6 @@ mod tests {
         let live = LiveWarehouse::new(pop, &day1);
         let victims: Vec<FlexOfferId> = day1.iter().take(5).map(|fo| fo.id()).collect();
         assert_eq!(live.withdraw(&victims), 5);
-        assert_eq!(live.pending().withdrawn, 5);
         assert_eq!(live.snapshot().warehouse().columns().len(), day1.len());
         let e1 = live.publish();
         assert_eq!(e1.warehouse().columns().len(), day1.len() - 5);
@@ -419,14 +365,12 @@ mod tests {
             .collect();
         let out = live.assign_schedules(&assignments);
         assert_eq!(out.scheduled, 6);
-        assert_eq!(live.pending().scheduled, 6);
         let before = live.publish();
 
         // The midnight tick executes everything that elapsed within the
         // covered window.
         let executed = live.advance_day();
         assert_eq!(executed, 6);
-        assert_eq!(live.pending().executed, 6);
         let after = live.publish();
 
         for (id, _) in &assignments {

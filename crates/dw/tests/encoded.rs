@@ -670,4 +670,13 @@ fn a_live_write_copies_only_the_segments_it_writes() {
     }
     assert!(publishes >= 10, "{publishes} publishes");
     assert!(shared_checked >= 2 * publishes, "only {shared_checked} shared segments checked");
+
+    // A publish with no write since the last one copies nothing.
+    let again = live.publish();
+    let (old, new) =
+        (previous.warehouse().columns().segments(), again.warehouse().columns().segments());
+    assert_eq!(old.len(), new.len());
+    for (s, (a, b)) in old.iter().zip(new).enumerate() {
+        assert!(Arc::ptr_eq(a, b), "segment {s} was copied by a publish with no write");
+    }
 }

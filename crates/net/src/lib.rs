@@ -8,7 +8,7 @@
 //! number of sessions from any number of threads. This crate adds the thin
 //! part that was missing: **PROTOCOL.md** (the normative grammar this
 //! crate's tests quote), a [`NetServer`] where *each connection is a
-//! session*, and a blocking client for harnesses and tests
+//! session*, and a blocking client for the benchmark and the tests
 //! ([`NetClient`], the attached state of a [`Connection`]).
 //!
 //! Connections live in a typestate machine ([`Connection<S>`] — see
@@ -27,7 +27,8 @@
 //! * **determinism** — replies embed frame content hashes, and the
 //!   `hashes` request returns a session's per-tab hashes, so a client
 //!   can verify that a replayed command stream rendered bit-identically
-//!   to an in-process replay (`BENCH_net.json` gates exactly this);
+//!   to an in-process replay (the repository benchmark's `explore` and
+//!   `city` runs check exactly this on every reply);
 //! * **liveness** — warehouse epoch publishes reach connected clients
 //!   as asynchronous `epoch <e>` notifications, pushed via
 //!   [`ConcurrentPool::on_publish`](mirabel_session::ConcurrentPool::on_publish),

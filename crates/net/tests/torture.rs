@@ -144,14 +144,20 @@ fn parked_session_ttl_expires_exactly_once() {
 }
 
 #[test]
-fn shutdown_under_100_live_connections_is_notification_driven_fast() {
+fn shutdown_under_256_live_connections_is_notification_driven_fast() {
     let mut server = NetServer::bind("127.0.0.1:0", pool(10, 0x57D)).unwrap();
     let addr = server.local_addr();
-    let clients: Vec<NetClient> = (0..100).map(|_| NetClient::connect(addr).unwrap()).collect();
-    assert_eq!(server.connections(), 100);
+    let mut clients: Vec<NetClient> = (0..256).map(|_| NetClient::connect(addr).unwrap()).collect();
+    assert_eq!(server.connections(), 256);
+    // Every connection is live at once: each answers a request while
+    // all the others stay open.
+    for client in &mut clients {
+        assert_eq!(client.hashes().unwrap(), Vec::<u64>::new(), "a fresh session has no tabs");
+    }
+    assert_eq!(server.connections(), 256);
 
     // The old serial server ticked 50 ms sleep-polls per joined
-    // connection; notification-driven shutdown of 100 live connections
+    // connection; notification-driven shutdown of 256 live connections
     // must come in far under that regime's multi-second worst case.
     let start = Instant::now();
     server.shutdown();

@@ -24,11 +24,10 @@
 //! Commands never cross sessions and every warehouse snapshot is
 //! immutable, so replaying the same per-session streams over any number
 //! of threads — in any interleaving — produces the same per-session
-//! frame hashes as a sequential replay. The stress harness in
-//! `mirabel-bench` and the `concurrent.rs` integration tests hold this
-//! bar at every thread count; the ingest harness holds it per epoch
-//! while [`ConcurrentPool::publish`] swaps live snapshots underneath
-//! the readers.
+//! frame hashes as a sequential replay. The `concurrent.rs` integration
+//! tests hold this bar at 2, 4 and 8 threads, and `epoch.rs` holds it
+//! per epoch while [`ConcurrentPool::publish`] swaps live snapshots
+//! underneath the readers.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -92,8 +91,7 @@ pub struct ConcurrentPool {
     /// Mirror of `current.epoch` for the per-command fast path: a
     /// relaxed-cost atomic load answers "did an epoch change since this
     /// session's last command?" without touching the pool-global
-    /// `RwLock`, so the hot path stays contention-free between publishes
-    /// (the PR2 scaling property the stress gate enforces).
+    /// `RwLock`, so the hot path stays contention-free between publishes.
     epoch: AtomicU64,
     shards: [Shard; SHARDS],
     /// Monotone id source; [`ConcurrentPool::open`] skips live ids, so

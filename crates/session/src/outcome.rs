@@ -153,7 +153,7 @@ impl Outcome {
     }
 
     /// The frame's content hash, without consuming the outcome — the
-    /// one number the stress harness compares across thread counts.
+    /// one number a replay compares across thread counts and runs.
     pub fn frame_hash(&self) -> Option<u64> {
         match self {
             Outcome::Frame(f) => Some(f.hash),

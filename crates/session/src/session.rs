@@ -218,8 +218,8 @@ impl Session {
     /// Content hashes of every tab's current frame, in tab order — the
     /// whole observable rendering of the session in one comparable
     /// value. Two sessions with equal `frame_hashes()` draw pixel-
-    /// identical windows; the concurrency tests and the stress harness
-    /// use this to assert that parallel replay matches sequential.
+    /// identical windows; the concurrency tests use this to assert that
+    /// parallel replay matches sequential.
     pub fn frame_hashes(&self) -> Vec<u64> {
         self.tabs.iter().map(|t| t.frame().hash).collect()
     }

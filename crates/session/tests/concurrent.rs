@@ -1,10 +1,14 @@
 //! Concurrency properties of [`ConcurrentPool`]: parallel replay is
-//! observationally identical to sequential replay, and open/close under
-//! contention never panics, leaks or double-issues ids.
+//! observationally identical to sequential replay, a command holds no
+//! lock another session needs, and open/close under contention never
+//! panics, leaks or double-issues ids.
 
 use std::collections::HashSet;
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use mirabel_aggregation::AggregationParams;
 use mirabel_dw::{LoaderQuery, Warehouse};
 use mirabel_session::{Command, ConcurrentPool, Session, SessionId, ViewMode};
 use mirabel_timeseries::{Granularity, TimeSlot};
@@ -25,7 +29,8 @@ fn wide() -> LoaderQuery {
 }
 
 /// A seeded per-user command stream: a load, then a mixed interactive
-/// workload (hovers, clicks, drags, mode/tab changes, MDX, dashboards).
+/// workload (hovers, clicks, drags, mode/tab changes, MDX, dashboards,
+/// window loads, aggregation and renders).
 fn user_stream(user: u64, len: usize) -> Vec<Command> {
     let mut rng = StdRng::seed_from_u64(0xFEED ^ (user.wrapping_mul(0x9E37_79B9)));
     let mut cmds = vec![
@@ -34,7 +39,7 @@ fn user_stream(user: u64, len: usize) -> Vec<Command> {
     ];
     while cmds.len() < len {
         let p = Point::new(rng.gen_range(0.0..960.0), rng.gen_range(0.0..540.0));
-        cmds.push(match rng.gen_range(0u32..12) {
+        let cmd = match rng.gen_range(0u32..15) {
             0..=4 => Command::PointerMove(p),
             5 => Command::Click(p),
             6 => Command::DragStart(p),
@@ -46,12 +51,27 @@ fn user_stream(user: u64, len: usize) -> Vec<Command> {
             }),
             9 => Command::ActivateTab(rng.gen_range(0usize..3)),
             10 => Command::Mdx("SELECT { [Time].Children } ON COLUMNS FROM [FlexOffers]".into()),
-            _ => Command::Dashboard {
+            11 => Command::Dashboard {
                 from: TimeSlot::new(0),
                 to: TimeSlot::new(96),
                 granularity: Granularity::Hour,
             },
-        });
+            12 => {
+                let from = rng.gen_range(0i64..96);
+                let to = from + rng.gen_range(1i64..96);
+                let query =
+                    LoaderQuery::builder().window(TimeSlot::new(from), TimeSlot::new(to)).build();
+                Command::Load { query, title: format!("user {user} window {from}") }
+            }
+            13 => {
+                let params =
+                    AggregationParams::new(rng.gen_range(2i64..=12), rng.gen_range(1i64..=6));
+                cmds.push(Command::SetAggregationParams(params));
+                Command::Aggregate
+            }
+            _ => Command::Render,
+        };
+        cmds.push(cmd);
     }
     cmds
 }
@@ -62,13 +82,15 @@ fn user_stream(user: u64, len: usize) -> Vec<Command> {
 #[test]
 fn parallel_replay_matches_sequential_frame_hashes() {
     let dw = warehouse();
-    let users = 6;
+    let users = 8;
     let streams: Vec<Vec<Command>> = (0..users).map(|u| user_stream(u, 120)).collect();
 
     let sequential: Vec<Vec<u64>> =
         streams.iter().map(|s| Session::replay(Arc::clone(&dw), s).frame_hashes()).collect();
+    // Mid-stream loads open more tabs than the first.
+    assert!(sequential.iter().all(|tabs| tabs.len() > 1), "{sequential:?}");
 
-    for threads in [2usize, 4] {
+    for threads in [2usize, 4, 8] {
         let pool = ConcurrentPool::new(Arc::clone(&dw));
         let ids: Vec<SessionId> = (0..users).map(|_| pool.open()).collect();
         std::thread::scope(|scope| {
@@ -91,6 +113,44 @@ fn parallel_replay_matches_sequential_frame_hashes() {
             .collect();
         assert_eq!(parallel, sequential, "{threads}-thread replay diverged");
     }
+}
+
+/// A command holds no lock that another session needs: while one thread
+/// holds session A's lock inside `with_session` and a second thread's
+/// command to A waits for it, a command to session B on A's shard
+/// returns. The waits are bounded, so a pool that shares a lock between
+/// the two sessions fails here instead of hanging.
+#[test]
+fn a_command_waiting_on_one_session_blocks_no_other_session_on_its_shard() {
+    let pool = ConcurrentPool::new(warehouse());
+    let ids: Vec<SessionId> = (0..17).map(|_| pool.open()).collect();
+    // Ids 16 apart map to the same one of the pool's 16 shards.
+    let (a, b) = (ids[0], ids[16]);
+    assert_eq!(b.0 - a.0, 16);
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (answer_tx, answer_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let pool = &pool;
+        scope.spawn(move || {
+            pool.with_session(a, |_| {
+                held_tx.send(()).expect("the test waits for the hold");
+                let _ = release_rx.recv_timeout(Duration::from_secs(30));
+            })
+        });
+        held_rx.recv().expect("the holder takes A's lock");
+        // A command to A queues behind the holder. Nothing shows when it
+        // reaches A's lock, so it gets a head start: one too short can
+        // only let a pool that shares a lock pass, never fail a sound one.
+        scope.spawn(move || pool.apply(a, Command::Render));
+        std::thread::sleep(Duration::from_millis(100));
+        scope.spawn(move || {
+            let _ = answer_tx.send(pool.apply(b, Command::Render).is_some());
+        });
+        let answered = answer_rx.recv_timeout(Duration::from_secs(10));
+        let _ = release_tx.send(());
+        assert_eq!(answered, Ok(true), "a command to B waited while A's lock was held");
+    });
 }
 
 /// Interleaving sessions *within* one thread and *across* threads must

@@ -1,13 +1,17 @@
 //! The epoch protocol end to end: a `LiveWarehouse` publishing into a
 //! `ConcurrentPool` while sessions keep serving commands.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mirabel_dw::{LiveWarehouse, LoaderQuery, Warehouse};
 use mirabel_flexoffer::{FlexOffer, FlexOfferId};
-use mirabel_session::{Command, ConcurrentPool, Outcome};
-use mirabel_timeseries::SLOTS_PER_DAY;
-use mirabel_workload::{generate_offers, OfferConfig, Population, PopulationConfig};
+use mirabel_session::{Command, ConcurrentPool, Outcome, SessionId};
+use mirabel_timeseries::{SlotSpan, TimeSlot, SLOTS_PER_DAY};
+use mirabel_workload::{
+    generate_ingest_trace, generate_offers, IngestEvent, IngestTraceConfig, OfferConfig,
+    Population, PopulationConfig,
+};
 
 fn setup() -> (Population, Vec<FlexOffer>, Vec<FlexOffer>) {
     let pop =
@@ -226,6 +230,102 @@ fn concurrent_publishes_and_commands_keep_sessions_consistent() {
             pool.with_session(u, |s| s.active_tab().unwrap().offers.len()).unwrap(),
             expected
         );
+    }
+}
+
+/// Reader command `j` of reader `user` in `epoch`: a hover, click and
+/// render mix over the live tab, the same at every thread count.
+fn reader_command(user: usize, epoch: u64, j: usize) -> Command {
+    let frac = |a: usize, b: usize| ((a * 37 + b * 53 + 11) % 100) as f64 / 100.0;
+    let p = mirabel_viz::Point::new(
+        frac(j + user, epoch as usize) * 960.0,
+        frac(j, user + epoch as usize) * 540.0,
+    );
+    match j % 5 {
+        1 | 2 => Command::PointerMove(p),
+        3 => Command::Click(p),
+        _ => Command::Render,
+    }
+}
+
+/// Replays a seeded arrival/withdrawal/day-tick trace into a live
+/// warehouse publishing into a pool of readers, which run a round of
+/// commands after every publish on `threads` threads. Returns each
+/// epoch's per-reader frame hashes.
+fn replay_ingest_trace(threads: usize) -> BTreeMap<u64, Vec<Vec<u64>>> {
+    let (readers, commands_per_epoch, days) = (4, 10, 2);
+    let population =
+        Population::generate(&PopulationConfig { size: 40, seed: 0x11FE, household_share: 0.8 });
+    let initial =
+        generate_offers(&population, &OfferConfig { days: 1, seed: 11, ..Default::default() });
+    let trace = generate_ingest_trace(
+        &population,
+        &IngestTraceConfig { days, batches_per_day: 3, withdraw_fraction: 0.2, seed: 11 },
+        initial.len() as u64 + 1,
+        TimeSlot::EPOCH + SlotSpan::days(1),
+    );
+    let live = LiveWarehouse::new(population, &initial);
+    let pool = ConcurrentPool::new(Arc::clone(live.snapshot().warehouse()));
+    let window = LoaderQuery::builder()
+        .window(TimeSlot::EPOCH, TimeSlot::EPOCH + SlotSpan::days(days as i64 + 3))
+        .build();
+    let ids: Vec<SessionId> = (0..readers).map(|_| pool.open()).collect();
+    for (u, &id) in ids.iter().enumerate() {
+        pool.apply(id, Command::SetCanvas { width: 960.0, height: 540.0 });
+        pool.apply(id, Command::Load { query: window, title: format!("reader {u}") });
+    }
+    let mut hashes = BTreeMap::new();
+    for event in trace {
+        match event {
+            IngestEvent::Arrive { offers } => {
+                live.ingest(&offers);
+            }
+            IngestEvent::Withdraw { ids } => {
+                live.withdraw(&ids);
+            }
+            IngestEvent::AdvanceDay => {
+                live.advance_day();
+            }
+            IngestEvent::Publish => {
+                let snapshot = live.publish();
+                LiveWarehouse::validate_snapshot(&snapshot);
+                let epoch = pool.publish(&snapshot);
+                std::thread::scope(|scope| {
+                    for t in 0..threads {
+                        let (pool, ids) = (&pool, &ids);
+                        scope.spawn(move || {
+                            for (u, &id) in ids.iter().enumerate().skip(t).step_by(threads) {
+                                for j in 0..commands_per_epoch {
+                                    pool.apply(id, reader_command(u, epoch, j)).expect("open");
+                                }
+                            }
+                        });
+                    }
+                });
+                let per_reader: Vec<Vec<u64>> = ids
+                    .iter()
+                    .map(|&id| pool.with_session(id, |s| s.frame_hashes()).expect("open"))
+                    .collect();
+                hashes.insert(epoch, per_reader);
+            }
+        }
+    }
+    hashes
+}
+
+/// Each reader's frame hashes after every epoch of an ingest trace are
+/// the same at 1, 2 and 4 reader threads: no reader observes a torn
+/// epoch, and the thread count changes nothing a reader sees.
+#[test]
+fn per_epoch_hashes_are_stable_across_thread_counts() {
+    let reference = replay_ingest_trace(1);
+    // One entry per publish, epochs 1, 2, ... in order.
+    let epochs: Vec<u64> = reference.keys().copied().collect();
+    assert!(epochs.len() >= 6, "{epochs:?}");
+    assert_eq!(epochs, (1..=epochs.len() as u64).collect::<Vec<_>>());
+    assert_ne!(reference.values().next(), reference.values().last(), "the live tabs moved");
+    for threads in [2, 4] {
+        assert_eq!(replay_ingest_trace(threads), reference, "{threads} reader threads");
     }
 }
 

@@ -18,13 +18,14 @@
 //! * [`curves`] — diurnal base-load and RES supply curves (solar bell +
 //!   autocorrelated wind) for the Figure 1 balancing experiment;
 //! * [`trace`] — seeded multi-user interaction traces (hover storms,
-//!   selections, tab switches, MDX/dashboard/aggregation operations)
-//!   for the concurrent-serving stress harness;
+//!   selections, tab switches, MDX/dashboard/aggregation operations),
+//!   the steps the network traces are woven from;
 //! * [`ingest`] — seeded flex-offer arrival/withdrawal/day-tick streams
-//!   (the SAREF4ENER lifecycle) for the live-warehouse ingest harness;
+//!   (the SAREF4ENER lifecycle) for the live warehouse's tests, the
+//!   columnar harness and the repository benchmark's `live` writer;
 //! * [`net`] — seeded multi-client network traces (interaction steps
-//!   plus connection-lifecycle reconnects) for the wire-protocol
-//!   harness (`BENCH_net.json`);
+//!   plus connection-lifecycle reconnects and resumes) behind the
+//!   repository benchmark's `explore` workload;
 //! * [`spatial`] — city-scale density-skewed populations and
 //!   region-scoped drill traces for the spatial-dimension harness
 //!   (`BENCH_spatial.json`).
@@ -58,7 +59,7 @@ mod scenario;
 pub mod spatial;
 pub mod trace;
 
-pub use ingest::{generate_ingest_trace, IngestEvent, IngestTraceConfig, IngestTraceStats};
+pub use ingest::{generate_ingest_trace, IngestEvent, IngestTraceConfig};
 pub use net::{generate_net_traces, NetClientTrace, NetEvent, NetTraceConfig};
 pub use offers::{generate_offer_pool, generate_offers, OfferConfig, OfferStats};
 pub use population::{Population, PopulationConfig, Prosumer};

@@ -22,12 +22,13 @@
 //!   anyway — no forced load.
 //!
 //! Like every workload generator, the traces are engine-agnostic and
-//! fully deterministic in the seed: `mirabel-bench` binds the steps to
-//! session commands and replays the same trace once in-process and once
-//! over loopback TCP, asserting bit-identical outcomes — reconnects
-//! and resumes included (an in-process "reconnect" closes the session
-//! and opens a fresh one; an in-process "resume" is a no-op, exactly
-//! what a parked-and-resumed session observes server-side).
+//! fully deterministic in the seed: the repository benchmark binds the
+//! steps to session commands, sends them over loopback TCP and checks
+//! every reply against an in-process replay of the same stream —
+//! reconnects and resumes included (an in-process "reconnect" closes
+//! the session and opens a fresh one; an in-process "resume" is a
+//! no-op, exactly what a parked-and-resumed session observes
+//! server-side).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,8 +71,7 @@ impl NetClientTrace {
     }
 }
 
-/// Parameters of a multi-client network trace; `Default` is the net
-/// harness's smoke shape.
+/// Parameters of a multi-client network trace; `Default` is a small smoke shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetTraceConfig {
     /// Number of concurrent clients (K).
@@ -115,7 +115,7 @@ pub fn generate_net_traces(config: &NetTraceConfig) -> Vec<NetClientTrace> {
     let steps = crate::trace::generate_traces(&TraceConfig {
         users: config.clients,
         steps_per_user: config.steps_per_client.max(1),
-        seed: config.seed ^ 0x4E54_5752_4143_4531, // distinct stream from the stress traces
+        seed: config.seed ^ 0x4E54_5752_4143_4531, // distinct stream from plain traces
     });
     steps
         .into_iter()

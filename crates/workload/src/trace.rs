@@ -8,11 +8,11 @@
 //!
 //! The steps are deliberately engine-agnostic (unit-square coordinates,
 //! index slots, day offsets) so this crate stays a pure behaviour
-//! model: `mirabel-bench` binds them to concrete session `Command`s.
+//! model: the consumer binds them to concrete session `Command`s (the
+//! repository benchmark does, through [`crate::net`]'s traces).
 //! Like every other workload generator, traces are fully deterministic
 //! in the seed — the same [`TraceConfig`] always produces the same
-//! steps for every user, which is what lets the stress harness assert
-//! frame-hash equality across thread counts.
+//! steps for every user, so a replay can be checked hash for hash.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,8 +79,7 @@ pub enum InteractionStep {
     Render,
 }
 
-/// Parameters of a multi-user trace; `Default` is the stress harness's
-/// smoke shape.
+/// Parameters of a multi-user trace; `Default` is a small smoke shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Number of concurrent users (K).

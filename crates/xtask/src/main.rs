@@ -24,9 +24,9 @@
 //!   `BENCHMARK.json` command (a run exits 1 when `"correct"` is false;
 //!   CI's `build-test` job runs exactly this, so the workload list lives
 //!   only here);
-//! * `cargo xtask bench-gate` — the stress/ingest/planning/spatial/net/
-//!   forecast/columnar harnesses, each of which enforces its whole gate
-//!   table (the second half; CI's `build-test` job runs exactly this).
+//! * `cargo xtask bench-gate` — the planning/spatial/forecast/columnar
+//!   harnesses, each of which enforces its whole gate table (the second
+//!   half; CI's `build-test` job runs exactly this).
 
 use std::process::{Command, ExitCode};
 
@@ -161,7 +161,9 @@ macro_rules! perfbench_run {
 /// The repository benchmark (`perfbench/`, declared in
 /// `BENCHMARK.json`) as a correctness check: its tests, then a short
 /// run of each workload. Every run checks its replies, published
-/// snapshots and final plan, and exits 1 when `"correct"` is false.
+/// snapshots and final plan, and exits 1 when `"correct"` is false;
+/// `explore` and `city` hold every wire reply and the final frame hashes,
+/// across reconnects and resumes, to an in-process replay.
 const PERFBENCH: &[Step] = &[
     Step {
         name: "perfbench tests",
@@ -194,22 +196,10 @@ macro_rules! harness {
 /// The harnesses as CI's `build-test` job runs them.
 const HARNESSES: &[Step] = &[
     harness!(
-        "stress harness (determinism, 4-thread speedup >= 2x, warm hover >= 10x cold)",
-        "stress", "--users", "8", "--commands", "300", "--threads", "1,2,4,8"
-    ),
-    harness!(
-        "ingest harness (epoch integrity, 1k-batch and 100k-bulk publish < 100 ms)",
-        "ingest", "--readers", "4", "--commands", "24", "--threads", "1,2,4,8"
-    ),
-    harness!(
         "planning harness (incremental >= 10x, bundled >= 5.76x, warm cell re-plan >= 5.44x, determinism)",
         "planning", "--offers", "10000", "--partitions", "64", "--threads", "1,2,4,8"
     ),
     harness!("spatial harness (O(region) >= 10x, heatmap determinism, publish < 100 ms)", "spatial"),
-    harness!(
-        "net harness (wire == in-process, 256-connection storm held, >= 200 accepts/s on >= 4 cores)",
-        "net", "--clients", "256", "--commands", "20", "--repeats", "2"
-    ),
     harness!(
         "forecast harness (executions beat the envelope)",
         "forecast", "--prosumers", "120", "--days", "5", "--eval-days", "3"
@@ -220,37 +210,6 @@ const HARNESSES: &[Step] = &[
         "1000000"
     ),
 ];
-
-/// The nightly connection-scale run, runnable locally: 1000
-/// simultaneous connections against the event-loop server (mirrors the
-/// `BENCH_net_scale_nightly.json` CI step).
-const NET_SCALE: &[Step] = &[Step {
-    name: "net harness (connection scale: 1000 simultaneous connections)",
-    program: "cargo",
-    args: &[
-        "run",
-        "--release",
-        "--locked",
-        "-p",
-        "mirabel-bench",
-        "--bin",
-        "net",
-        "--",
-        "--clients",
-        "1000",
-        "--commands",
-        "12",
-        "--reconnect-rate",
-        "0.0",
-        "--resume-share",
-        "0.0",
-        "--repeats",
-        "1",
-        "--out",
-        "BENCH_net_scale.json",
-    ],
-    env: &[],
-}];
 
 /// One example, run in release mode.
 macro_rules! example {
@@ -323,7 +282,6 @@ fn main() -> ExitCode {
         "api-check" => run(&[API_CHECK]),
         "perfbench" => run(&[PERFBENCH]),
         "bench-gate" => run(&[HARNESSES]),
-        "net-scale" => run(&[NET_SCALE]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <task>\n\n\
@@ -334,8 +292,7 @@ fn main() -> ExitCode {
                  \x20 api-check   typestate compile-fail doctests + API rustdoc -D warnings\n\
                  \x20 perfbench   the repository benchmark's tests + a checked 3 s run of each workload\n\
                  \x20 examples    run (not just compile) the smoke examples and the figures binary\n\
-                 \x20 bench-gate  the stress/ingest/planning/spatial/net/forecast/columnar harnesses, each enforcing its gate table\n\
-                 \x20 net-scale   the nightly 1000-connection storm against the event-loop server"
+                 \x20 bench-gate  the planning/spatial/forecast/columnar harnesses, each enforcing its gate table"
             );
             ExitCode::FAILURE
         }
