@@ -6,7 +6,7 @@
 //! server lifecycle leaks not a single file descriptor.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mirabel_dw::Warehouse;
@@ -168,6 +168,36 @@ fn shutdown_under_256_live_connections_is_notification_driven_fast() {
     );
     assert_eq!(server.pool().len(), 0, "shutdown must close every session");
     drop(clients);
+}
+
+#[test]
+fn a_simultaneous_connect_storm_holds_every_connection_open_at_once() {
+    const CLIENTS: usize = 48;
+    let server = NetServer::bind("127.0.0.1:0", pool(10, 0x5707)).unwrap();
+    let addr = server.local_addr();
+    // Every client connects at the same instant, each from its own
+    // thread, and hands its open connection back.
+    let start = Barrier::new(CLIENTS);
+    let mut clients: Vec<NetClient> = std::thread::scope(|scope| {
+        let storm: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    NetClient::connect(addr)
+                })
+            })
+            .collect();
+        storm.into_iter().map(|c| c.join().unwrap().expect("storm connect")).collect()
+    });
+    assert_eq!(server.connections(), CLIENTS, "a storm connect was dropped");
+    for client in &mut clients {
+        assert_eq!(client.hashes().unwrap(), Vec::<u64>::new(), "a fresh session has no tabs");
+    }
+    assert_eq!(server.connections(), CLIENTS);
+    for client in clients {
+        client.bye().unwrap();
+    }
+    assert!(eventually(|| server.connections() == 0), "{} still open", server.connections());
 }
 
 #[cfg(target_os = "linux")]

@@ -76,42 +76,95 @@ fn user_stream(user: u64, len: usize) -> Vec<Command> {
     cmds
 }
 
+/// How each replay thread orders the commands of the users it drives.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// Each user's whole stream, then the next user's.
+    UserAfterUser,
+    /// One command of each user in turn, so every user stays live for
+    /// the whole run, as under real serving.
+    Interleaved,
+}
+
+/// Each stream's frame hashes after a replay in a [`Session`] of its own.
+fn sequential_hashes(dw: &Arc<Warehouse>, streams: &[Vec<Command>]) -> Vec<Vec<u64>> {
+    streams.iter().map(|s| Session::replay(Arc::clone(dw), s).frame_hashes()).collect()
+}
+
+/// Replays `streams` over a fresh pool on `threads` threads, thread `t`
+/// driving users `t`, `t + threads`, ... in `schedule` order, and
+/// returns each user's frame hashes.
+fn pool_hashes(
+    dw: &Arc<Warehouse>,
+    streams: &[Vec<Command>],
+    threads: usize,
+    schedule: Schedule,
+) -> Vec<Vec<u64>> {
+    let pool = ConcurrentPool::new(Arc::clone(dw));
+    let ids: Vec<SessionId> = streams.iter().map(|_| pool.open()).collect();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (pool, ids) = (&pool, &ids);
+            scope.spawn(move || {
+                let mine: Vec<usize> = (t..streams.len()).step_by(threads).collect();
+                let apply = |u: usize, cmd: &Command| {
+                    pool.apply(ids[u], cmd.clone()).expect("session open");
+                };
+                match schedule {
+                    Schedule::UserAfterUser => {
+                        for &u in &mine {
+                            for cmd in &streams[u] {
+                                apply(u, cmd);
+                            }
+                        }
+                    }
+                    Schedule::Interleaved => {
+                        let longest = mine.iter().map(|&u| streams[u].len()).max().unwrap_or(0);
+                        for j in 0..longest {
+                            for &u in &mine {
+                                if let Some(cmd) = streams[u].get(j) {
+                                    apply(u, cmd);
+                                }
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+    ids.iter()
+        .map(|&id| pool.with_session(id, |s| s.frame_hashes()).expect("session open"))
+        .collect()
+}
+
 /// Parallel replay over the pool must produce, per session, exactly the
 /// frame hashes a sequential `Session::replay` of the same stream
 /// produces — threading changes wall-clock, never pixels.
 #[test]
 fn parallel_replay_matches_sequential_frame_hashes() {
     let dw = warehouse();
-    let users = 8;
-    let streams: Vec<Vec<Command>> = (0..users).map(|u| user_stream(u, 120)).collect();
-
-    let sequential: Vec<Vec<u64>> =
-        streams.iter().map(|s| Session::replay(Arc::clone(&dw), s).frame_hashes()).collect();
+    let streams: Vec<Vec<Command>> = (0..8).map(|u| user_stream(u, 120)).collect();
+    let sequential = sequential_hashes(&dw, &streams);
     // Mid-stream loads open more tabs than the first.
     assert!(sequential.iter().all(|tabs| tabs.len() > 1), "{sequential:?}");
 
     for threads in [2usize, 4, 8] {
-        let pool = ConcurrentPool::new(Arc::clone(&dw));
-        let ids: Vec<SessionId> = (0..users).map(|_| pool.open()).collect();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let pool = &pool;
-                let ids = &ids;
-                let streams = &streams;
-                scope.spawn(move || {
-                    for u in (t..streams.len()).step_by(threads) {
-                        for cmd in &streams[u] {
-                            pool.apply(ids[u], cmd.clone()).expect("session open");
-                        }
-                    }
-                });
-            }
-        });
-        let parallel: Vec<Vec<u64>> = ids
-            .iter()
-            .map(|&id| pool.with_session(id, |s| s.frame_hashes()).expect("session open"))
-            .collect();
+        let parallel = pool_hashes(&dw, &streams, threads, Schedule::UserAfterUser);
         assert_eq!(parallel, sequential, "{threads}-thread replay diverged");
+    }
+}
+
+/// Sessions that one thread serves command by command in turn share
+/// nothing either: the interleaved replay matches the sequential one at
+/// 1, 2 and 4 threads.
+#[test]
+fn interleaved_replay_matches_sequential_frame_hashes() {
+    let dw = warehouse();
+    let streams: Vec<Vec<Command>> = (0..4).map(|u| user_stream(u, 80)).collect();
+    let sequential = sequential_hashes(&dw, &streams);
+    for threads in [1usize, 2, 4] {
+        let interleaved = pool_hashes(&dw, &streams, threads, Schedule::Interleaved);
+        assert_eq!(interleaved, sequential, "{threads}-thread interleaved replay diverged");
     }
 }
 

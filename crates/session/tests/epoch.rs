@@ -1,7 +1,7 @@
 //! The epoch protocol end to end: a `LiveWarehouse` publishing into a
 //! `ConcurrentPool` while sessions keep serving commands.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use mirabel_dw::{LiveWarehouse, LoaderQuery, Warehouse};
@@ -248,28 +248,52 @@ fn reader_command(user: usize, epoch: u64, j: usize) -> Command {
     }
 }
 
-/// Replays a seeded arrival/withdrawal/day-tick trace into a live
-/// warehouse publishing into a pool of readers, which run a round of
-/// commands after every publish on `threads` threads. Returns each
-/// epoch's per-reader frame hashes.
-fn replay_ingest_trace(threads: usize) -> BTreeMap<u64, Vec<Vec<u64>>> {
-    let (readers, commands_per_epoch, days) = (4, 10, 2);
+/// Readers, reader commands per epoch and days of arrivals in the
+/// ingest-trace replays.
+const READERS: usize = 4;
+const COMMANDS_PER_EPOCH: usize = 10;
+const INGEST_DAYS: usize = 2;
+
+/// A seeded arrival/withdrawal/day-tick trace ending in a publish, with
+/// the population and the day of offers it starts from.
+fn ingest_trace() -> (Population, Vec<FlexOffer>, Vec<IngestEvent>) {
     let population =
         Population::generate(&PopulationConfig { size: 40, seed: 0x11FE, household_share: 0.8 });
     let initial =
         generate_offers(&population, &OfferConfig { days: 1, seed: 11, ..Default::default() });
     let trace = generate_ingest_trace(
         &population,
-        &IngestTraceConfig { days, batches_per_day: 3, withdraw_fraction: 0.2, seed: 11 },
+        &IngestTraceConfig {
+            days: INGEST_DAYS,
+            batches_per_day: 3,
+            withdraw_fraction: 0.2,
+            seed: 11,
+        },
         initial.len() as u64 + 1,
         TimeSlot::EPOCH + SlotSpan::days(1),
     );
+    (population, initial, trace)
+}
+
+/// What the readers of one ingest-trace replay saw.
+struct IngestReplay {
+    /// Each epoch's per-reader frame hashes.
+    hashes: BTreeMap<u64, Vec<Vec<u64>>>,
+    /// Each reader's epoch and warehouse after its last round.
+    last_seen: Vec<(u64, Arc<Warehouse>)>,
+}
+
+/// Replays [`ingest_trace`] into a live warehouse publishing into a pool
+/// of readers, which run a round of commands after every publish on
+/// `threads` threads.
+fn replay_ingest_trace(threads: usize) -> IngestReplay {
+    let (population, initial, trace) = ingest_trace();
     let live = LiveWarehouse::new(population, &initial);
     let pool = ConcurrentPool::new(Arc::clone(live.snapshot().warehouse()));
     let window = LoaderQuery::builder()
-        .window(TimeSlot::EPOCH, TimeSlot::EPOCH + SlotSpan::days(days as i64 + 3))
+        .window(TimeSlot::EPOCH, TimeSlot::EPOCH + SlotSpan::days(INGEST_DAYS as i64 + 3))
         .build();
-    let ids: Vec<SessionId> = (0..readers).map(|_| pool.open()).collect();
+    let ids: Vec<SessionId> = (0..READERS).map(|_| pool.open()).collect();
     for (u, &id) in ids.iter().enumerate() {
         pool.apply(id, Command::SetCanvas { width: 960.0, height: 540.0 });
         pool.apply(id, Command::Load { query: window, title: format!("reader {u}") });
@@ -295,7 +319,7 @@ fn replay_ingest_trace(threads: usize) -> BTreeMap<u64, Vec<Vec<u64>>> {
                         let (pool, ids) = (&pool, &ids);
                         scope.spawn(move || {
                             for (u, &id) in ids.iter().enumerate().skip(t).step_by(threads) {
-                                for j in 0..commands_per_epoch {
+                                for j in 0..COMMANDS_PER_EPOCH {
                                     pool.apply(id, reader_command(u, epoch, j)).expect("open");
                                 }
                             }
@@ -310,7 +334,14 @@ fn replay_ingest_trace(threads: usize) -> BTreeMap<u64, Vec<Vec<u64>>> {
             }
         }
     }
-    hashes
+    let last_seen = ids
+        .iter()
+        .map(|&id| {
+            pool.with_session(id, |s| (s.epoch(), Arc::clone(s.warehouse().expect("shared"))))
+                .expect("open")
+        })
+        .collect();
+    IngestReplay { hashes, last_seen }
 }
 
 /// Each reader's frame hashes after every epoch of an ingest trace are
@@ -318,14 +349,48 @@ fn replay_ingest_trace(threads: usize) -> BTreeMap<u64, Vec<Vec<u64>>> {
 /// epoch, and the thread count changes nothing a reader sees.
 #[test]
 fn per_epoch_hashes_are_stable_across_thread_counts() {
-    let reference = replay_ingest_trace(1);
+    let reference = replay_ingest_trace(1).hashes;
     // One entry per publish, epochs 1, 2, ... in order.
     let epochs: Vec<u64> = reference.keys().copied().collect();
     assert!(epochs.len() >= 6, "{epochs:?}");
     assert_eq!(epochs, (1..=epochs.len() as u64).collect::<Vec<_>>());
     assert_ne!(reference.values().next(), reference.values().last(), "the live tabs moved");
     for threads in [2, 4] {
-        assert_eq!(replay_ingest_trace(threads), reference, "{threads} reader threads");
+        assert_eq!(replay_ingest_trace(threads).hashes, reference, "{threads} reader threads");
+    }
+}
+
+/// Every reader runs a round in every epoch the trace publishes, and by
+/// the last one it has synced to that epoch, whose warehouse holds every
+/// offer that arrived and was not withdrawn, and no withdrawn one.
+#[test]
+fn readers_see_every_arrival_by_the_final_epoch() {
+    let (_, initial, trace) = ingest_trace();
+    let mut publishes = 0;
+    let mut arrived = Vec::new();
+    let mut withdrawn = HashSet::new();
+    for event in &trace {
+        match event {
+            IngestEvent::Arrive { offers } => arrived.extend(offers.iter().map(FlexOffer::id)),
+            IngestEvent::Withdraw { ids } => withdrawn.extend(ids.iter().copied()),
+            IngestEvent::AdvanceDay => {}
+            IngestEvent::Publish => publishes += 1,
+        }
+    }
+    assert!(!withdrawn.is_empty() && withdrawn.len() < arrived.len(), "{withdrawn:?}");
+
+    let replay = replay_ingest_trace(2);
+    let epochs: Vec<u64> = replay.hashes.keys().copied().collect();
+    assert_eq!(epochs, (1..=publishes).collect::<Vec<_>>());
+    assert!(replay.hashes.values().all(|per_reader| per_reader.len() == READERS));
+    assert_eq!(replay.last_seen.len(), READERS);
+    for (reader, (epoch, warehouse)) in replay.last_seen.iter().enumerate() {
+        assert_eq!(*epoch, publishes, "reader {reader} never reached the final epoch");
+        assert_eq!(warehouse.offers().len(), initial.len() + arrived.len() - withdrawn.len());
+        for &id in &arrived {
+            let live = !withdrawn.contains(&id);
+            assert_eq!(warehouse.offer(id).is_some(), live, "reader {reader}, {id:?}");
+        }
     }
 }
 
