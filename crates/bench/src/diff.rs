@@ -430,7 +430,6 @@ pub(crate) fn gates_for(bench: &str) -> Option<&'static [Gate]> {
     Some(match bench {
         "planning" => crate::planning::GATES,
         "spatial" => crate::spatial::GATES,
-        "forecast" => crate::forecast::GATES,
         "columnar" => crate::columnar::GATES,
         _ => return None,
     })
@@ -647,36 +646,13 @@ mod tests {
         assert!(fails_on("planning", &broken, "planning.bundle_replan_roundtrip_ok"));
     }
 
-    fn forecast_json(ms: f64, beats: bool) -> Json {
-        Json::parse(&format!(
-            r#"{{"mape_executions": 0.2, "mape_envelope": 2.0,
-                 "executions_beat_envelope": {beats}, "forecast_ms": {ms}}}"#,
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn forecast_diff_gates_quality_hard_and_wall_time_soft() {
-        let ok = binary("forecast", &forecast_json(50.0, true));
-        assert!(ok.iter().all(|c| c.ok), "{ok:?}");
-        assert_eq!(ok.len(), 1);
-
-        let lost = forecast_json(50.0, false);
-        assert!(fails_on("forecast", &lost, "forecast.executions_beat_envelope"));
-        // The wall time is reported, not gated; the MAPEs are pinned
-        // exactly by the forecast harness test.
-        assert!(!binary_fails("forecast", &forecast_json(5_000.0, true)));
-        assert!(binary_fails("forecast", &Json::parse("{}").unwrap()));
-    }
-
     fn spatial_json(speedup: f64, publish: f64, cores: usize, matches: bool, frames: bool) -> Json {
         Json::parse(&format!(
             r#"{{"min_facts": 1000000, "publish_bound_ms": 100,
                  "facts": 1017100, "available_parallelism": {cores},
                  "results_match": {matches}, "frame_hash_stable": {frames},
                  "indexed_total_ms": 30.0, "scan_total_ms": 900.0,
-                 "query_speedup": {speedup}, "parallel_speedup": 1.4,
-                 "publish_ms": {publish}}}"#,
+                 "query_speedup": {speedup}, "publish_ms": {publish}}}"#,
         ))
         .unwrap()
     }
@@ -698,9 +674,6 @@ mod tests {
         assert!(fails_on("spatial", &publish, "spatial.publish_ms"));
         let toy = with(spatial_json(30.0, 40.0, 8, true, true), "facts", 999_999.0);
         assert!(fails_on("spatial", &toy, "spatial.facts"));
-        // The planner's thread scaling is reported, not gated.
-        let flat = with(spatial_json(30.0, 40.0, 8, true, true), "parallel_speedup", 0.3);
-        assert!(!binary_fails("spatial", &flat));
 
         assert!(binary_fails("spatial", &Json::parse("{}").unwrap()));
     }
@@ -820,7 +793,7 @@ mod tests {
         // its bar must fail it (and together the failing cases must
         // cover every row of the table); the passing changes must not.
         type Changes = Vec<(&'static str, Json)>;
-        let cases: [(&str, Changes, Changes); 4] = [
+        let cases: [(&str, Changes, Changes); 3] = [
             (
                 r#"{"bench": "planning", "determinism_ok": true, "frame_hash_stable": true,
                     "bundle_roundtrip_ok": true, "bundle_replan_roundtrip_ok": true,
@@ -840,7 +813,7 @@ mod tests {
             (
                 r#"{"bench": "spatial", "min_facts": 1000000, "publish_bound_ms": 100,
                     "facts": 1017100, "results_match": true, "frame_hash_stable": true,
-                    "query_speedup": 12, "parallel_speedup": 0.2, "publish_ms": 50}"#,
+                    "query_speedup": 12, "publish_ms": 50}"#,
                 vec![
                     ("results_match", false.into()),
                     ("frame_hash_stable", false.into()),
@@ -849,11 +822,6 @@ mod tests {
                     ("publish_ms", 100.01.into()),
                 ],
                 vec![("publish_bound_ms", 200.0.into()), ("query_speedup", 10.0.into())],
-            ),
-            (
-                r#"{"bench": "forecast", "executions_beat_envelope": true}"#,
-                vec![("executions_beat_envelope", false.into())],
-                vec![],
             ),
             (
                 r#"{"bench": "columnar", "equality_ok": true, "views_ok": true,

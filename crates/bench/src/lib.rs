@@ -1,7 +1,7 @@
 //! The bench harnesses, their reports and gate tables, and the shared
 //! fixtures behind them and the `figures` binary.
 //!
-//! Each harness module (`planning`, `spatial`, `forecast`, `columnar`)
+//! Each harness module (`planning`, `spatial`, `columnar`)
 //! runs one workload, builds its report as a [`diff::Json`] tree and
 //! declares the [`diff::Gate`] table that judges it; its binary under
 //! `src/bin/` writes the report and enforces every row of the table on
@@ -19,7 +19,6 @@
 pub mod cli;
 pub mod columnar;
 pub mod diff;
-pub mod forecast;
 pub mod planning;
 pub mod spatial;
 

@@ -220,12 +220,12 @@ fn bind_step(
 }
 
 /// Replays every analyst trace through its own session at one planner
-/// thread count; returns (frame hashes in replay order, wall-clock ms).
+/// thread count; returns the frame hashes in replay order.
 fn replay_traces(
     snapshot_dw: &Arc<Warehouse>,
     config: &SpatialBenchConfig,
     threads: usize,
-) -> (Vec<u64>, f64) {
+) -> Vec<u64> {
     let traces = generate_spatial_traces(&SpatialTraceConfig {
         users: config.trace_users,
         steps_per_user: config.trace_steps,
@@ -234,7 +234,6 @@ fn replay_traces(
     let root = snapshot_dw.hierarchy(Dimension::Geography).all().id;
     let pool = ConcurrentPool::new(Arc::clone(snapshot_dw));
     let mut hashes = Vec::new();
-    let t0 = Instant::now();
     for trace in &traces {
         let id = pool.open();
         pool.apply(
@@ -259,7 +258,7 @@ fn replay_traces(
             hashes.push(hash);
         }
     }
-    (hashes, t0.elapsed().as_secs_f64() * 1e3)
+    hashes
 }
 
 /// A 1 000-offer batch with ids disjoint from the warehouse (and from
@@ -324,31 +323,14 @@ pub fn run_spatial(config: &SpatialBenchConfig) -> Json {
     let snapshot = trace_live.publish();
     let mut frame_hash_stable = true;
     let mut reference: Option<Vec<u64>> = None;
-    let mut replay_1t_ms = f64::INFINITY;
-    let mut replay_max_t_ms = f64::INFINITY;
-    let max_threads = config.threads.iter().copied().max().unwrap_or(1);
     for &threads in &config.threads {
-        for _ in 0..config.repeats.max(1) {
-            let (hashes, ms) = replay_traces(snapshot.warehouse(), config, threads);
-            match &reference {
-                None => reference = Some(hashes),
-                Some(r) => frame_hash_stable &= *r == hashes,
-            }
-            if threads == 1 {
-                replay_1t_ms = replay_1t_ms.min(ms);
-            }
-            if threads == max_threads {
-                replay_max_t_ms = replay_max_t_ms.min(ms);
-            }
+        let hashes = replay_traces(snapshot.warehouse(), config, threads);
+        match &reference {
+            None => reference = Some(hashes),
+            Some(r) => frame_hash_stable &= *r == hashes,
         }
     }
     let trace_frames = reference.as_ref().map_or(0, Vec::len);
-    if !replay_1t_ms.is_finite() {
-        replay_1t_ms = replay_max_t_ms;
-    }
-    if !replay_max_t_ms.is_finite() {
-        replay_max_t_ms = replay_1t_ms;
-    }
 
     let levels = levels.iter().map(|l| {
         Json::obj([
@@ -379,13 +361,9 @@ pub fn run_spatial(config: &SpatialBenchConfig) -> Json {
         ("query_speedup", Json::Num(crate::ratio(scan_total_ms, indexed_total_ms))),
         ("levels", Json::Arr(levels.collect())),
         // Drill-trace frame hashes matched at every planner thread
-        // count; the replay at 1 thread vs the most threads is a
-        // parallel speedup, meaningful only on runners with real cores.
+        // count.
         ("frame_hash_stable", frame_hash_stable.into()),
         ("trace_frames", trace_frames.into()),
-        ("replay_1t_ms", Json::Num(replay_1t_ms)),
-        ("replay_max_t_ms", Json::Num(replay_max_t_ms)),
-        ("parallel_speedup", Json::Num(crate::ratio(replay_1t_ms, replay_max_t_ms))),
         ("publish_ms", Json::Num(publish_ms)),
     ])
 }
@@ -442,8 +420,8 @@ mod tests {
             ..Default::default()
         });
         let dw = Arc::new(Warehouse::load(&pop, &offers));
-        let (a, _) = replay_traces(&dw, &config, 1);
-        let (b, _) = replay_traces(&dw, &config, 1);
+        let a = replay_traces(&dw, &config, 1);
+        let b = replay_traces(&dw, &config, 1);
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }

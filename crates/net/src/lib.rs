@@ -9,7 +9,10 @@
 //! part that was missing: **PROTOCOL.md** (the normative grammar this
 //! crate's tests quote), a [`NetServer`] where *each connection is a
 //! session*, and a blocking client for the benchmark and the tests
-//! ([`NetClient`], the attached state of a [`Connection`]).
+//! ([`NetClient`], the attached state of a [`Connection`]). The server
+//! runs a few event-loop shards; each owns the sockets of the
+//! connections pinned to it and runs every request to completion on its
+//! own thread (see [`server`]).
 //!
 //! Connections live in a typestate machine ([`Connection<S>`] — see
 //! [`conn`]): the compiler rejects requests before the handshake, after

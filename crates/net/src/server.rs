@@ -1,33 +1,38 @@
 //! The TCP server: one connection = one session over a shared
-//! [`ConcurrentPool`] — served by a readiness-polled event loop with a
-//! parking lot for resumable sessions.
+//! [`ConcurrentPool`] — served by readiness-polled event-loop shards
+//! with a parking lot for resumable sessions.
 //!
 //! The server owns no sessions and no warehouse — it is a thin framing
-//! layer. Since the event-loop rewrite it is built from three pieces:
+//! layer. It runs N **shards** (the machine's parallelism, clamped to
+//! 2..=8), each one thread with its own readiness poller
+//! (`crate::sys`: `epoll` on Linux, `poll(2)` elsewhere):
 //!
-//! * a **reactor** thread that owns the listener, every connection
-//!   socket (all nonblocking) and the readiness poller
-//!   (`crate::sys`: `epoll` on Linux, `poll(2)` elsewhere). It
-//!   accepts, reads raw bytes, reassembles request lines across read
-//!   boundaries, flushes per-connection write buffers, and enforces
-//!   backpressure and write-stall timeouts. The reactor never parses a
-//!   command and never touches a session;
-//! * a small **sharded worker pool** that executes requests off the
-//!   reactor: each connection is pinned to one worker
-//!   (`token % workers`), so one connection's requests stay FIFO while
-//!   a long-running plan on one connection cannot stall another
-//!   connection's worker — and can never stall I/O at all. Workers
-//!   run each command through [`ConcurrentPool::apply_with_epoch`] by
-//!   session id, which holds a pool shard lock only for the lookup;
-//! * per-connection **outboxes**: every reply and epoch notification is
-//!   appended to the connection's buffer under its own lock and pushed
-//!   out by whoever can make progress (the appending worker
-//!   opportunistically, the reactor whenever the socket is writable).
-//!   A slow client fills its own outbox and nothing else: past a
-//!   high-water mark the reactor stops *reading* from that client, and
-//!   a client that accepts no bytes for `WRITE_TIMEOUT` is dropped.
-//!   Epoch publishes only append to outboxes — a publisher never
-//!   performs socket I/O, so `publish` cannot block on any client.
+//! * connection token `t` lives on shard `t % N` for its whole life.
+//!   Its shard alone reads its nonblocking socket, reassembles request
+//!   lines across read boundaries, runs each line to completion through
+//!   the connection's phase machine (commands go to
+//!   [`ConcurrentPool::apply_with_epoch`] by session id, which holds a
+//!   pool shard lock only for the lookup), appends the replies to the
+//!   connection's outbox and flushes once per read. One connection's
+//!   requests therefore stay FIFO, and a long-running plan stalls only
+//!   the connections that share its shard;
+//! * shard 0 also owns the listener: it accepts, numbers each socket
+//!   and hands it to its shard;
+//! * every reply and epoch notification is appended to the
+//!   connection's **outbox** under its own lock. A slow client fills
+//!   its own outbox and nothing else: past a high-water mark its shard
+//!   stops *reading* from it, and a client that accepts no bytes for
+//!   `WRITE_TIMEOUT` is dropped.
+//!
+//! The few paths that cross threads — a socket handed over by shard 0,
+//! a resume completed or refused by another shard, a listener to re-arm
+//! after an accept error — change shared state under the phase, outbox,
+//! lot and registry locks and end with one write to the owning shard's
+//! wake pipe. A woken shard adopts the sockets handed to it, re-arms
+//! the listener (shard 0) and flushes its connections. The one socket
+//! write off the owning shard is the publish hook's: an `epoch` line
+//! for an empty outbox is written at once, nonblocking, so a push never
+//! waits behind the command its shard is running.
 //!
 //! The protocol surface is bit-for-bit the one PROTOCOL.md specifies
 //! for the old thread-per-connection server: same grammar, same error
@@ -48,12 +53,15 @@
 //! The MAC is keyed per server process ([`RandomState`]), so tokens
 //! cannot be forged or replayed across server restarts.
 //!
+//! An EOF parks the session at once: every line read before it has
+//! already run on the same shard.
+//!
 //! A resume that races the old connection's teardown (the client
-//! reconnected before the server noticed the drop) no longer polls:
+//! reconnected before the server noticed the drop) does not poll:
 //! the resuming connection registers a **waiter** on the lot entry and
-//! goes idle; the moment the old connection parks, the parking thread
-//! hands the session straight to the waiter and writes its session
-//! reply. If nothing parks within `RESUME_ATTACH_WAIT`, the reactor's
+//! goes idle; the moment the old connection parks, the parking shard
+//! hands the session straight to the waiter and appends its session
+//! reply. If nothing parks within `RESUME_ATTACH_WAIT`, a shard's
 //! housekeeping tick fails the waiter with `err session is still
 //! attached`.
 //!
@@ -92,8 +100,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -139,8 +146,7 @@ impl Default for NetServerConfig {
 pub struct NetServer {
     addr: SocketAddr,
     inner: Arc<Inner>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    shards: Vec<JoinHandle<()>>,
 }
 
 /// How long a resume request waits for the token's session to finish
@@ -160,19 +166,19 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// command line (titles, MDX) comes anywhere near 64 KiB.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// Outbox high-water mark: past this many buffered bytes the reactor
+/// Outbox high-water mark: past this many buffered bytes the shard
 /// stops reading from the connection (backpressure), resuming below
 /// [`OUTBOX_LOW_WATER`].
 const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 const OUTBOX_LOW_WATER: usize = 64 * 1024;
 
-/// Reactor housekeeping cadence: write-stall detection, resume-waiter
+/// Shard housekeeping cadence: write-stall detection, resume-waiter
 /// deadlines and parked-session TTL sweeps run at this granularity.
 const TICK: Duration = Duration::from_millis(100);
 
-/// Poller token of the listening socket.
+/// Poller token of the listening socket (shard 0).
 const TOKEN_LISTENER: u64 = 0;
-/// Poller token of the reactor's wake pipe.
+/// Poller token of a shard's wake pipe.
 const TOKEN_WAKE: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -196,21 +202,26 @@ impl NetServer {
         crate::sys::listen_deep(&listener)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        // The wake pipe: anyone holding `Inner` can nudge the reactor
-        // out of its poll wait (worker replies, publish broadcasts,
-        // shutdown). Writes to a full pipe fail with `WouldBlock`,
-        // which is fine — a wake is already pending.
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
+        // One wake pipe per shard: anyone holding `Inner` can nudge a
+        // shard out of its poll wait. Writes to a full pipe fail with
+        // `WouldBlock`, which is fine — a wake is already pending.
+        let mut mailboxes = Vec::new();
+        let mut wake_rxs = Vec::new();
+        for _ in 0..shard_count() {
+            let (wake_rx, wake_tx) = UnixStream::pair()?;
+            wake_rx.set_nonblocking(true)?;
+            wake_tx.set_nonblocking(true)?;
+            mailboxes.push(Mailbox { wake_tx, handoff: Mutex::new(Vec::new()) });
+            wake_rxs.push(wake_rx);
+        }
 
         let inner = Arc::new(Inner {
             pool: Arc::clone(&pool),
             config,
             shutdown: AtomicBool::new(false),
             registry: Mutex::new(HashMap::new()),
-            flushq: Mutex::new(Vec::new()),
-            wake_tx,
+            mailboxes,
+            accept_paused: AtomicBool::new(false),
             lot: Mutex::new(HashMap::new()),
             mac_key: RandomState::new(),
             nonce: AtomicU64::new(0),
@@ -226,25 +237,19 @@ impl NetServer {
             }
         });
 
-        let mut txs = Vec::new();
-        let mut workers = Vec::new();
-        for i in 0..worker_threads() {
-            let (tx, rx) = std::sync::mpsc::channel::<Job>();
-            txs.push(tx);
-            let worker_inner = Arc::clone(&inner);
-            workers.push(
+        // Should a later shard fail to start, dropping `server` shuts
+        // down and joins the ones already running.
+        let mut server = NetServer { addr, inner, shards: Vec::new() };
+        let mut listener = Some(listener);
+        for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
+            let shard = Shard::new(index, Arc::clone(&server.inner), wake_rx, listener.take())?;
+            server.shards.push(
                 std::thread::Builder::new()
-                    .name(format!("mirabel-net-worker-{i}"))
-                    .spawn(move || worker_loop(worker_inner, rx))?,
+                    .name(format!("mirabel-net-shard-{index}"))
+                    .spawn(move || shard.run())?,
             );
         }
-
-        let reactor = Reactor::new(Arc::clone(&inner), listener, wake_rx, txs)?;
-        let handle = std::thread::Builder::new()
-            .name("mirabel-net-reactor".into())
-            .spawn(move || reactor.run())?;
-
-        Ok(NetServer { addr, inner, reactor: Some(handle), workers })
+        Ok(server)
     }
 
     /// The bound address (the one to hand to
@@ -278,24 +283,21 @@ impl NetServer {
 
     /// Stops accepting, closes every connection and every parked
     /// session, and joins all server threads. Idempotent; also runs on
-    /// drop. Notification-driven: the reactor is woken through its
+    /// drop. Notification-driven: every shard is woken through its
     /// wake pipe and drains immediately — no sleep-polling, no
     /// throwaway connection.
     pub fn shutdown(&mut self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.inner.wake();
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
+        for shard in 0..self.inner.mailboxes.len() {
+            self.inner.wake(shard);
         }
-        // The reactor dropped the job senders on exit; workers drain
-        // their queues (running any final teardowns) and exit.
-        for handle in self.workers.drain(..) {
+        for handle in self.shards.drain(..) {
             let _ = handle.join();
         }
         // Every remaining lot entry — parked sessions, plus any a
-        // worker parked while we were joining — dies with the server.
+        // shard parked while we were joining — dies with the server.
         let drained: Vec<u64> =
             self.inner.lot.lock().expect("lot lock").drain().map(|(id, _)| id).collect();
         for id in drained {
@@ -310,10 +312,9 @@ impl Drop for NetServer {
     }
 }
 
-/// Worker threads executing commands off the reactor: the machine's
-/// parallelism, clamped to a small range — connection count is bounded
-/// by fds, not threads.
-fn worker_threads() -> usize {
+/// Event-loop shards: the machine's parallelism, clamped to a small
+/// range — connection count is bounded by fds, not threads.
+fn shard_count() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get()).clamp(2, 8)
 }
 
@@ -321,22 +322,22 @@ fn worker_threads() -> usize {
 // Shared state
 // ---------------------------------------------------------------------
 
-/// State shared between the server handle, the reactor, the workers
-/// and the pool's publish hook.
+/// State shared between the server handle, the shards and the pool's
+/// publish hook.
 struct Inner {
     pool: Arc<ConcurrentPool>,
     config: NetServerConfig,
     shutdown: AtomicBool,
     /// Live connections by token — the broadcast fan-out list. A
-    /// connection leaves the registry the moment its socket dies, even
-    /// if its final jobs are still draining through a worker.
+    /// connection leaves the registry the moment its socket reads EOF
+    /// or dies.
     registry: Mutex<HashMap<u64, Arc<Conn>>>,
-    /// Connections with freshly appended outbox bytes, waiting for the
-    /// reactor to flush/re-arm them. Deduplicated via
-    /// [`Conn::flush_queued`].
-    flushq: Mutex<Vec<Arc<Conn>>>,
-    /// Write half of the reactor's wake pipe.
-    wake_tx: UnixStream,
+    /// Each shard's cross-thread inbox, indexed by shard.
+    mailboxes: Vec<Mailbox>,
+    /// Shard 0 took the listener out of its poller after an accept
+    /// error (fd exhaustion); a connection closing on any shard wakes
+    /// shard 0 to re-arm it — notification-driven, not a backoff sleep.
+    accept_paused: AtomicBool,
     /// Every open session's lot entry — attached or parked. The key is
     /// the raw session id; the entry holds the nonce of the one valid
     /// resume token.
@@ -345,6 +346,14 @@ struct Inner {
     mac_key: RandomState,
     /// Token nonce counter (nonces are unique per process).
     nonce: AtomicU64,
+}
+
+/// What other threads hand one shard: accepted sockets to adopt, and
+/// the write half of its wake pipe.
+struct Mailbox {
+    wake_tx: UnixStream,
+    /// Sockets shard 0 accepted for this shard, with their tokens.
+    handoff: Mutex<Vec<(u64, TcpStream)>>,
 }
 
 /// One session's entry in the parking lot.
@@ -379,29 +388,14 @@ struct Waiter {
     deadline: Instant,
 }
 
-/// One connection: the nonblocking socket plus everything the reactor
-/// and the workers share about it.
+/// One connection: the nonblocking socket plus what its shard shares
+/// with the other threads that may append to it.
 struct Conn {
-    /// Poller token; also selects the worker shard.
+    /// Poller token; also selects the owning shard.
     token: u64,
     stream: TcpStream,
     out: Mutex<Outbox>,
     phase: Mutex<Phase>,
-    /// Requests dispatched to the worker but not yet completed. The
-    /// teardown protocol: whoever observes EOF sets [`Conn::hangup`],
-    /// and whichever side sees `pending == 0` *after* that runs the
-    /// session teardown — so every request read before the EOF is
-    /// fully processed before the session parks, exactly like the old
-    /// serial server.
-    pending: AtomicUsize,
-    /// The socket hit EOF or an error; tear down once `pending` drains.
-    hangup: AtomicBool,
-    /// Deduplicates entries in [`Inner::flushq`].
-    flush_queued: AtomicBool,
-    /// Mirror of the reactor's backpressure gate, readable by workers:
-    /// while set, a worker that fully flushed must still ping the
-    /// reactor so it can re-arm read interest.
-    read_paused: AtomicBool,
 }
 
 /// Where a connection is in the protocol lifecycle. Guarded by a
@@ -422,7 +416,7 @@ enum Phase {
     Done,
 }
 
-/// One reassembled input line, as dispatched to a worker.
+/// One reassembled input line.
 enum LineIn {
     /// A complete, UTF-8, non-blank, non-comment request line.
     Line(String),
@@ -431,12 +425,6 @@ enum LineIn {
     Oversized,
     /// A complete line that was not valid UTF-8.
     BadUtf8,
-}
-
-/// One unit of worker work: a line to process on a connection.
-struct Job {
-    conn: Arc<Conn>,
-    line: LineIn,
 }
 
 /// A connection's buffered output plus the epoch high-water mark,
@@ -455,6 +443,29 @@ struct Outbox {
     dead: bool,
     /// Last time a write syscall moved bytes; drives [`WRITE_TIMEOUT`].
     last_progress: Instant,
+}
+
+impl Outbox {
+    /// Writes as much of the buffer as `stream` accepts right now
+    /// (nonblocking). The caller holds the outbox lock, so writes to
+    /// one socket never interleave.
+    fn write_to(&mut self, mut stream: &TcpStream) {
+        while !self.buf.is_empty() && !self.dead {
+            match stream.write(self.buf.pending()) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    self.buf.consume(n);
+                    self.last_progress = Instant::now();
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+        }
+        if self.dead {
+            self.buf.clear();
+        }
+    }
 }
 
 /// An append-at-back, consume-at-front byte buffer that compacts
@@ -520,84 +531,72 @@ enum ResumeStart {
 }
 
 impl Inner {
-    /// Nudges the reactor out of its poll wait.
-    fn wake(&self) {
+    /// Nudges shard `shard` out of its poll wait.
+    fn wake(&self, shard: usize) {
         // A full pipe (`WouldBlock`) means a wake is already pending.
-        let _ = (&self.wake_tx).write(&[1]);
+        let _ = (&self.mailboxes[shard].wake_tx).write(&[1]);
     }
 
-    /// Queues `conn` for the reactor to flush/re-arm, deduplicated.
-    fn enqueue_flush(&self, conn: &Arc<Conn>) {
-        if !conn.flush_queued.swap(true, Ordering::SeqCst) {
-            self.flushq.lock().expect("flushq lock").push(Arc::clone(conn));
-        }
+    /// The shard that owns connection `token`.
+    fn shard_of(&self, token: u64) -> usize {
+        (token % self.mailboxes.len() as u64) as usize
     }
 
-    /// [`Inner::enqueue_flush`] plus a reactor wake — the worker-side
-    /// "I appended bytes" signal.
-    fn signal_flush(&self, conn: &Arc<Conn>) {
-        self.enqueue_flush(conn);
-        self.wake();
+    /// Wakes the shard that owns `conn`, to flush what another thread
+    /// appended to its outbox.
+    fn wake_owner(&self, conn: &Conn) {
+        self.wake(self.shard_of(conn.token));
     }
 
     /// Appends `epoch <e>` to every attached connection's outbox
-    /// (dedup'd against the per-connection high-water mark) and wakes
-    /// the reactor once. **Never writes to a socket**: a publisher
-    /// cannot be blocked — or even slowed — by any client.
+    /// (dedup'd against the per-connection high-water mark). Into an
+    /// empty outbox the line is written at once — one nonblocking write
+    /// under the outbox lock, so the push never waits behind the command
+    /// the connection's shard is running, and a publisher can never be
+    /// blocked by a client. Anything else wakes the owning shard.
     fn broadcast_epoch(&self, epoch: u64) {
         let conns: Vec<Arc<Conn>> =
             { self.registry.lock().expect("registry lock").values().map(Arc::clone).collect() };
-        let mut any = false;
         for conn in conns {
-            let fresh = {
+            let wake = {
                 let mut out = conn.out.lock().expect("outbox lock");
-                if out.attached && !out.dead && epoch > out.announced {
-                    out.announced = epoch;
-                    out.buf.extend(format!("epoch {epoch}\n").as_bytes());
-                    true
-                } else {
-                    false
+                if !out.attached || out.dead || epoch <= out.announced {
+                    continue;
                 }
+                out.announced = epoch;
+                let was_empty = out.buf.is_empty();
+                out.buf.extend(format!("epoch {epoch}\n").as_bytes());
+                if was_empty {
+                    out.write_to(&conn.stream);
+                }
+                !out.buf.is_empty() || out.dead
             };
-            if fresh {
-                self.enqueue_flush(&conn);
-                any = true;
+            if wake {
+                self.wake_owner(&conn);
             }
-        }
-        if any {
-            self.wake();
         }
     }
 
     /// Appends one reply frame (with its `epoch` notification injected
-    /// first if news) to `conn`'s outbox and flushes what it can.
-    /// `close` marks the connection for orderly close-after-drain.
-    /// Returns `false` if the outbox is already dead (client gone) —
-    /// the reply was dropped.
-    fn reply(&self, conn: &Arc<Conn>, reply: &Reply, epoch: Option<u64>, close: bool) -> bool {
-        let queued = {
-            let mut out = conn.out.lock().expect("outbox lock");
-            if out.dead {
-                false
-            } else {
-                if let Some(e) = epoch {
-                    if e > out.announced {
-                        out.announced = e;
-                        out.buf.extend(format!("epoch {e}\n").as_bytes());
-                    }
-                }
-                out.buf.extend(reply.encode().as_bytes());
-                out.buf.extend(b"\n");
-                if close {
-                    out.closing = true;
-                }
-                true
-            }
-        };
-        if queued {
-            self.flush_and_signal(conn);
+    /// first if news) to `conn`'s outbox; the owning shard flushes it.
+    /// `close` marks the connection for orderly close-after-drain. A
+    /// dead outbox (client gone) drops the reply.
+    fn reply(&self, conn: &Conn, reply: &Reply, epoch: Option<u64>, close: bool) {
+        let mut out = conn.out.lock().expect("outbox lock");
+        if out.dead {
+            return;
         }
-        queued
+        if let Some(e) = epoch {
+            if e > out.announced {
+                out.announced = e;
+                out.buf.extend(format!("epoch {e}\n").as_bytes());
+            }
+        }
+        out.buf.extend(reply.encode().as_bytes());
+        out.buf.extend(b"\n");
+        if close {
+            out.closing = true;
+        }
     }
 
     /// The session reply for a fresh open or a resume: joins the
@@ -606,36 +605,17 @@ impl Inner {
     /// the reported epoch can never move backwards and nothing at or
     /// below it is ever pushed again. Marks the outbox attached, which
     /// starts the epoch pushes.
-    fn reply_session(&self, conn: &Arc<Conn>, session: u64, floor: u64, token: String) -> bool {
-        let queued = {
-            let mut out = conn.out.lock().expect("outbox lock");
-            if out.dead {
-                false
-            } else {
-                out.announced = out.announced.max(floor).max(self.pool.epoch());
-                out.attached = true;
-                let reply = Reply::Session { session, epoch: out.announced, resume: token };
-                out.buf.extend(reply.encode().as_bytes());
-                out.buf.extend(b"\n");
-                true
-            }
-        };
-        if queued {
-            self.flush_and_signal(conn);
+    fn reply_session(&self, conn: &Conn, session: u64, floor: u64, token: String) -> bool {
+        let mut out = conn.out.lock().expect("outbox lock");
+        if out.dead {
+            return false;
         }
-        queued
-    }
-
-    /// Opportunistic worker-side flush: push what the socket accepts
-    /// right now, and ping the reactor if anything still needs it
-    /// (leftover bytes to re-arm write interest for, an orderly close
-    /// to finish, a dead socket to reap, or a paused read gate to
-    /// reopen).
-    fn flush_and_signal(&self, conn: &Arc<Conn>) {
-        let state = flush_outbox(conn);
-        if !state.empty || state.closing || state.dead || conn.read_paused.load(Ordering::SeqCst) {
-            self.signal_flush(conn);
-        }
+        out.announced = out.announced.max(floor).max(self.pool.epoch());
+        out.attached = true;
+        let reply = Reply::Session { session, epoch: out.announced, resume: token };
+        out.buf.extend(reply.encode().as_bytes());
+        out.buf.extend(b"\n");
+        true
     }
 
     // -- parking lot ---------------------------------------------------
@@ -794,9 +774,10 @@ impl Inner {
 
     /// Finishes a waiter-based resume: the old connection just parked
     /// `session`, and `conn` has been idling in `Resuming` phase for
-    /// it. Writes the session reply and replays any requests the
-    /// client pipelined behind the resume — in order, under the phase
-    /// lock, so nothing the reactor dispatches later can overtake them.
+    /// it. Appends the session reply, replays any requests the client
+    /// pipelined behind the resume — in order, under the phase lock, so
+    /// nothing its shard reads later can overtake them — and wakes the
+    /// shard that owns `conn` to flush the replies.
     fn complete_resume(&self, conn: Arc<Conn>, session: u64, announced: u64, token: String) {
         let mut phase = conn.phase.lock().expect("phase lock");
         let backlog = match std::mem::replace(&mut *phase, Phase::Done) {
@@ -833,21 +814,23 @@ impl Inner {
                 }
             }
         }
+        self.wake_owner(&conn);
     }
 
     /// Fails a connection idling in `Resuming` phase with `err reason`
-    /// and an orderly close. No-op if it already moved on (attached or
-    /// died).
-    fn refuse_waiting(&self, conn: &Arc<Conn>, reason: &str) {
+    /// and an orderly close, and wakes its shard to send it. No-op if
+    /// it already moved on (attached or died).
+    fn refuse_waiting(&self, conn: &Conn, reason: &str) {
         let mut phase = conn.phase.lock().expect("phase lock");
         if matches!(&*phase, Phase::Resuming { .. }) {
             *phase = Phase::Done;
             drop(phase);
             self.reply(conn, &Reply::Error(reason.into()), None, true);
+            self.wake_owner(conn);
         }
     }
 
-    /// Takes every waiter whose deadline has passed (reactor tick).
+    /// Takes every waiter whose deadline has passed (shard tick).
     fn take_overdue_waiters(&self, now: Instant) -> Vec<Arc<Conn>> {
         let mut lot = self.lot.lock().expect("lot lock");
         let mut overdue = Vec::new();
@@ -908,7 +891,7 @@ impl Inner {
         }
     }
 
-    // -- request processing (worker side) ------------------------------
+    // -- request processing --------------------------------------------
 
     /// Routes one reassembled line through the connection's phase
     /// machine. All processing happens under the phase lock, which is
@@ -1080,9 +1063,9 @@ impl Inner {
         }
     }
 
-    /// The exactly-once session teardown for a dead connection:
-    /// parks an attached session (with the announced mark it had),
-    /// cancels a pending resume waiter, and is a no-op for a
+    /// The exactly-once session teardown for a connection that read
+    /// EOF or died: parks an attached session (with the announced mark
+    /// it had), cancels a pending resume waiter, and is a no-op for a
     /// connection that already finished (bye) or never attached.
     fn teardown(&self, conn: &Arc<Conn>) {
         let prev = {
@@ -1097,105 +1080,61 @@ impl Inner {
                 self.park(session, announced);
             }
         }
-        // A worker-side teardown of a draining connection must nudge
-        // the reactor so it can close the socket.
-        self.signal_flush(conn);
-    }
-}
-
-/// Result of pushing an outbox at its socket.
-struct FlushState {
-    empty: bool,
-    closing: bool,
-    dead: bool,
-}
-
-/// Writes as much pending outbox as the socket accepts right now
-/// (nonblocking). Any holder of the outbox lock may call this — the
-/// reactor on writability, a worker right after appending a reply.
-fn flush_outbox(conn: &Conn) -> FlushState {
-    let mut out = conn.out.lock().expect("outbox lock");
-    while !out.buf.is_empty() && !out.dead {
-        match (&conn.stream).write(out.buf.pending()) {
-            Ok(0) => out.dead = true,
-            Ok(n) => {
-                out.buf.consume(n);
-                out.last_progress = Instant::now();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => out.dead = true,
-        }
-    }
-    if out.dead {
-        out.buf.clear();
-    }
-    FlushState { empty: out.buf.is_empty(), closing: out.closing, dead: out.dead }
-}
-
-/// One worker: executes jobs for the connections sharded to it, in
-/// FIFO order, and runs the deferred session teardown when it
-/// completes the last job of a hung-up connection.
-fn worker_loop(inner: Arc<Inner>, rx: Receiver<Job>) {
-    while let Ok(Job { conn, line }) = rx.recv() {
-        inner.handle_line(&conn, line);
-        if conn.pending.fetch_sub(1, Ordering::SeqCst) == 1 && conn.hangup.load(Ordering::SeqCst) {
-            inner.teardown(&conn);
-        }
     }
 }
 
 // ---------------------------------------------------------------------
-// The reactor
+// The shards
 // ---------------------------------------------------------------------
 
-/// The reactor's per-connection bookkeeping (single-threaded state;
+/// A shard's per-connection bookkeeping (single-threaded state;
 /// everything shared lives in [`Conn`]).
-struct ReactorConn {
+struct ShardConn {
     conn: Arc<Conn>,
     assembler: LineAssembler,
     /// Read gate closed (outbox over the high-water mark).
     paused: bool,
     /// EOF seen: no more reads; close the socket once the outbox
-    /// drains and the last dispatched job completes.
+    /// drains.
     draining: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
 }
 
-struct Reactor {
+/// One event-loop thread: reads, runs and flushes every request of the
+/// connections it owns.
+struct Shard {
+    index: usize,
     inner: Arc<Inner>,
     poller: Poller,
-    listener: TcpListener,
     wake_rx: UnixStream,
-    txs: Vec<Sender<Job>>,
-    conns: HashMap<u64, ReactorConn>,
+    /// The listening socket: shard 0's alone.
+    listener: Option<TcpListener>,
+    conns: HashMap<u64, ShardConn>,
+    /// Token of the next accepted connection (shard 0 numbers them).
     next_token: u64,
-    /// Accepting is paused after an accept error (fd exhaustion): the
-    /// listener is re-armed when a connection closes — notification-
-    /// driven, not a backoff sleep.
-    accept_paused: bool,
 }
 
-impl Reactor {
+impl Shard {
     fn new(
+        index: usize,
         inner: Arc<Inner>,
-        listener: TcpListener,
         wake_rx: UnixStream,
-        txs: Vec<Sender<Job>>,
-    ) -> std::io::Result<Reactor> {
+        listener: Option<TcpListener>,
+    ) -> std::io::Result<Shard> {
         let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        if let Some(listener) = &listener {
+            poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        }
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        Ok(Reactor {
+        Ok(Shard {
+            index,
             inner,
             poller,
-            listener,
             wake_rx,
-            txs,
+            listener,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
-            accept_paused: false,
         })
     }
 
@@ -1206,10 +1145,14 @@ impl Reactor {
             if self.poller.wait(&mut events, Some(TICK)).is_err() {
                 break;
             }
+            let mut woken = false;
             for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => drain_wake(&self.wake_rx),
+                    TOKEN_WAKE => {
+                        drain_wake(&self.wake_rx);
+                        woken = true;
+                    }
                     token => {
                         if ev.writable {
                             self.flush_conn(token);
@@ -1220,34 +1163,45 @@ impl Reactor {
                     }
                 }
             }
-            self.run_flush_queue();
+            if woken {
+                self.woken();
+            }
             if last_tick.elapsed() >= TICK {
                 last_tick = Instant::now();
                 self.tick();
-                self.run_flush_queue();
             }
         }
         self.drain();
     }
 
-    /// Accepts until the listener would block. Accept errors (EMFILE
-    /// above all) pause the listener instead of spinning or sleeping;
-    /// [`Reactor::finish_conn`] re-arms it when an fd frees up.
+    /// Accepts until the listener would block, handing each socket to
+    /// the shard its token selects. Accept errors (EMFILE above all)
+    /// pause the listener instead of spinning or sleeping; a connection
+    /// closing on any shard wakes shard 0 to re-arm it.
     fn accept_ready(&mut self) {
         loop {
-            match self.listener.accept() {
+            let Some(listener) = &self.listener else { return };
+            match listener.accept() {
                 Ok((stream, _)) => {
                     if self.inner.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    self.add_conn(stream);
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    let owner = self.inner.shard_of(token);
+                    if owner == self.index {
+                        self.add_conn(token, stream);
+                    } else {
+                        let mailbox = &self.inner.mailboxes[owner];
+                        mailbox.handoff.lock().expect("handoff lock").push((token, stream));
+                        self.inner.wake(owner);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    if !self.accept_paused {
-                        self.accept_paused = true;
-                        let _ = self.poller.deregister(self.listener.as_raw_fd());
+                    if !self.inner.accept_paused.swap(true, Ordering::SeqCst) {
+                        let _ = self.poller.deregister(listener.as_raw_fd());
                     }
                     return;
                 }
@@ -1255,12 +1209,36 @@ impl Reactor {
         }
     }
 
-    fn add_conn(&mut self, stream: TcpStream) {
+    /// Handles a wake: adopts the sockets shard 0 handed over, re-arms
+    /// a paused listener, and flushes every connection — whatever
+    /// another thread appended to an outbox goes out now.
+    fn woken(&mut self) {
+        let handed = std::mem::take(
+            &mut *self.inner.mailboxes[self.index].handoff.lock().expect("handoff lock"),
+        );
+        for (token, stream) in handed {
+            self.add_conn(token, stream);
+        }
+        if let Some(listener) = &self.listener {
+            if self.inner.accept_paused.swap(false, Ordering::SeqCst)
+                && self
+                    .poller
+                    .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
+                    .is_ok()
+            {
+                self.accept_ready();
+            }
+        }
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        for token in tokens {
+            self.flush_conn(token);
+        }
+    }
+
+    fn add_conn(&mut self, token: u64, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return;
         }
-        let token = self.next_token;
-        self.next_token += 1;
         // The greeting is pre-filled into the outbox; the publish hook
         // skips the connection until its session reply marks the outbox
         // attached, so no epoch push precedes `mirabel-net 1` or the
@@ -1279,10 +1257,6 @@ impl Reactor {
                 last_progress: Instant::now(),
             }),
             phase: Mutex::new(Phase::Greeting),
-            pending: AtomicUsize::new(0),
-            hangup: AtomicBool::new(false),
-            flush_queued: AtomicBool::new(false),
-            read_paused: AtomicBool::new(false),
         });
         if self.poller.register(conn.stream.as_raw_fd(), token, Interest::READ).is_err() {
             return;
@@ -1290,7 +1264,7 @@ impl Reactor {
         self.inner.registry.lock().expect("registry lock").insert(token, Arc::clone(&conn));
         self.conns.insert(
             token,
-            ReactorConn {
+            ShardConn {
                 conn,
                 assembler: LineAssembler::default(),
                 paused: false,
@@ -1303,158 +1277,98 @@ impl Reactor {
 
     /// One bounded read per readiness event (level-triggered polling
     /// re-fires while bytes remain, which keeps one firehose client
-    /// from starving the rest), then line reassembly and dispatch.
+    /// from starving the rest), then line reassembly, every completed
+    /// line run to completion in order, and one flush.
     fn read_conn(&mut self, token: u64) {
-        let lines = {
-            let Some(rc) = self.conns.get_mut(&token) else { return };
-            if rc.paused || rc.draining {
-                return;
-            }
-            let mut buf = [0u8; 16 * 1024];
-            loop {
-                match (&rc.conn.stream).read(&mut buf) {
-                    Ok(0) => {
-                        self.eof_conn(token);
-                        return;
-                    }
-                    Ok(n) => break rc.assembler.push(&buf[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.finish_conn(token);
-                        return;
-                    }
-                }
+        let Some(sc) = self.conns.get_mut(&token) else { return };
+        if sc.paused || sc.draining {
+            return;
+        }
+        let mut buf = [0u8; 16 * 1024];
+        let lines = loop {
+            match (&sc.conn.stream).read(&mut buf) {
+                Ok(0) => return self.eof_conn(token),
+                Ok(n) => break sc.assembler.push(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return self.finish_conn(token),
             }
         };
-        if !lines.is_empty() {
-            let conn = Arc::clone(&self.conns[&token].conn);
-            let shard = (token % self.txs.len() as u64) as usize;
-            for line in lines {
-                conn.pending.fetch_add(1, Ordering::SeqCst);
-                if self.txs[shard].send(Job { conn: Arc::clone(&conn), line }).is_err() {
-                    conn.pending.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-        }
-        self.sync_gates(token);
-    }
-
-    /// Flushes a connection's outbox and settles its fate: reap dead
-    /// sockets, finish orderly closes whose buffer drained, finish
-    /// drained EOF connections whose last job completed, otherwise
-    /// re-arm interest (write iff bytes pending, read iff not gated).
-    fn flush_conn(&mut self, token: u64) {
-        let Some(rc) = self.conns.get(&token) else { return };
-        let conn = Arc::clone(&rc.conn);
-        let draining = rc.draining;
-        let state = flush_outbox(&conn);
-        if state.dead || (state.empty && state.closing) {
-            self.finish_conn(token);
-            return;
-        }
-        if state.empty && draining && conn.pending.load(Ordering::SeqCst) == 0 {
-            self.finish_conn(token);
-            return;
-        }
-        self.sync_gates(token);
-    }
-
-    /// Recomputes the read gate (backpressure) and poller interest for
-    /// one connection.
-    fn sync_gates(&mut self, token: u64) {
-        let Reactor { conns, poller, .. } = self;
-        let Some(rc) = conns.get_mut(&token) else { return };
-        let len = rc.conn.out.lock().expect("outbox lock").buf.len();
-        if !rc.paused && len >= OUTBOX_HIGH_WATER {
-            rc.paused = true;
-        } else if rc.paused && len <= OUTBOX_LOW_WATER {
-            rc.paused = false;
-        }
-        rc.conn.read_paused.store(rc.paused, Ordering::SeqCst);
-        let want = Interest { read: !rc.paused && !rc.draining, write: len > 0 };
-        if want != rc.interest {
-            rc.interest = want;
-            let _ = poller.modify(rc.conn.stream.as_raw_fd(), token, want);
-        }
-    }
-
-    /// Orderly EOF: stop reading, leave the registry (broadcasts and
-    /// `connections()` drop it now), run the hangup/pending teardown
-    /// protocol, but keep the socket until pending replies flush — a
-    /// client may half-close after `bye` and still expect `ok bye`.
-    fn eof_conn(&mut self, token: u64) {
-        {
-            let Some(rc) = self.conns.get_mut(&token) else { return };
-            rc.draining = true;
-        }
-        self.inner.registry.lock().expect("registry lock").remove(&token);
-        let conn = Arc::clone(&self.conns[&token].conn);
-        conn.hangup.store(true, Ordering::SeqCst);
-        if conn.pending.load(Ordering::SeqCst) == 0 {
-            self.inner.teardown(&conn);
+        let conn = Arc::clone(&sc.conn);
+        for line in lines {
+            self.inner.handle_line(&conn, line);
         }
         self.flush_conn(token);
     }
 
-    /// Hard connection end: socket gone from the poller, the registry
-    /// and the reactor; outbox dead; session teardown run here or — if
-    /// jobs are still pending — by the worker completing the last one.
-    fn finish_conn(&mut self, token: u64) {
-        let Some(rc) = self.conns.remove(&token) else { return };
-        let _ = self.poller.deregister(rc.conn.stream.as_raw_fd());
+    /// Flushes a connection's outbox and settles its fate: reap dead
+    /// sockets, finish orderly closes and drained EOF connections whose
+    /// buffer emptied, otherwise recompute the read gate (backpressure)
+    /// and re-arm interest (write iff bytes pending, read iff not gated).
+    fn flush_conn(&mut self, token: u64) {
+        let Some(sc) = self.conns.get_mut(&token) else { return };
+        let (len, closing, dead) = {
+            let mut out = sc.conn.out.lock().expect("outbox lock");
+            out.write_to(&sc.conn.stream);
+            (out.buf.len(), out.closing, out.dead)
+        };
+        if dead || (len == 0 && (closing || sc.draining)) {
+            return self.finish_conn(token);
+        }
+        if !sc.paused && len >= OUTBOX_HIGH_WATER {
+            sc.paused = true;
+        } else if sc.paused && len <= OUTBOX_LOW_WATER {
+            sc.paused = false;
+        }
+        let want = Interest { read: !sc.paused && !sc.draining, write: len > 0 };
+        if want != sc.interest {
+            sc.interest = want;
+            let _ = self.poller.modify(sc.conn.stream.as_raw_fd(), token, want);
+        }
+    }
+
+    /// Orderly EOF: stop reading, leave the registry (broadcasts and
+    /// `connections()` drop it now) and tear the session down — every
+    /// line read before the EOF has already run — but keep the socket
+    /// until pending replies flush: a client may half-close after `bye`
+    /// and still expect `ok bye`.
+    fn eof_conn(&mut self, token: u64) {
+        let Some(sc) = self.conns.get_mut(&token) else { return };
+        sc.draining = true;
+        let conn = Arc::clone(&sc.conn);
         self.inner.registry.lock().expect("registry lock").remove(&token);
-        rc.conn.hangup.store(true, Ordering::SeqCst);
+        self.inner.teardown(&conn);
+        self.flush_conn(token);
+    }
+
+    /// Hard connection end: socket gone from the poller, the registry
+    /// and the shard; outbox dead; session teardown run (a no-op after
+    /// an EOF's).
+    fn finish_conn(&mut self, token: u64) {
+        let Some(sc) = self.conns.remove(&token) else { return };
+        let _ = self.poller.deregister(sc.conn.stream.as_raw_fd());
+        self.inner.registry.lock().expect("registry lock").remove(&token);
         {
-            let mut out = rc.conn.out.lock().expect("outbox lock");
+            let mut out = sc.conn.out.lock().expect("outbox lock");
             out.dead = true;
             out.buf.clear();
         }
-        let _ = rc.conn.stream.shutdown(Shutdown::Both);
-        if rc.conn.pending.load(Ordering::SeqCst) == 0 {
-            self.inner.teardown(&rc.conn);
-        }
-        if self.accept_paused {
-            self.accept_paused = false;
-            if self
-                .poller
-                .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-                .is_ok()
-            {
-                self.accept_ready();
-            }
+        let _ = sc.conn.stream.shutdown(Shutdown::Both);
+        self.inner.teardown(&sc.conn);
+        if self.inner.accept_paused.load(Ordering::SeqCst) {
+            self.inner.wake(0);
         }
     }
 
-    /// Drains [`Inner::flushq`] — connections whose outboxes grew off
-    /// the reactor thread (worker replies, epoch broadcasts).
-    fn run_flush_queue(&mut self) {
-        loop {
-            let batch: Vec<Arc<Conn>> = {
-                let mut q = self.inner.flushq.lock().expect("flushq lock");
-                std::mem::take(&mut *q)
-            };
-            if batch.is_empty() {
-                return;
-            }
-            for conn in batch {
-                // Clear the dedup flag *before* flushing: an append
-                // racing this point re-queues and is covered next round.
-                conn.flush_queued.store(false, Ordering::SeqCst);
-                self.flush_conn(conn.token);
-            }
-        }
-    }
-
-    /// Housekeeping: kill write-stalled connections, fail overdue
-    /// resume waiters, expire parked sessions.
+    /// Housekeeping: kill this shard's write-stalled connections, fail
+    /// overdue resume waiters, expire parked sessions.
     fn tick(&mut self) {
         let now = Instant::now();
         let stalled: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, rc)| {
-                let out = rc.conn.out.lock().expect("outbox lock");
+            .filter(|(_, sc)| {
+                let out = sc.conn.out.lock().expect("outbox lock");
                 !out.buf.is_empty() && now.duration_since(out.last_progress) > WRITE_TIMEOUT
             })
             .map(|(&token, _)| token)
@@ -1469,40 +1383,25 @@ impl Reactor {
     }
 
     /// Shutdown: tear every connection down (sessions retire — the
-    /// shutdown flag is set), drop the flush queue, and exit. Dropping
-    /// `self` drops the job senders, which lets the workers drain and
-    /// exit.
+    /// shutdown flag is set) and exit.
     fn drain(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.finish_conn(token);
         }
-        self.inner.flushq.lock().expect("flushq lock").clear();
     }
 }
 
-/// Drains the reactor's wake pipe.
-fn drain_wake(wake_rx: &UnixStream) {
+/// Drains a shard's wake pipe.
+fn drain_wake(mut wake_rx: &UnixStream) {
     let mut buf = [0u8; 256];
     loop {
-        match wake_rx.read_at(&mut buf) {
+        match wake_rx.read(&mut buf) {
             Ok(0) => return,
             Ok(_) => continue,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
-    }
-}
-
-/// `Read` adapter for `&UnixStream` without importing a second trait
-/// name into scope.
-trait ReadAt {
-    fn read_at(&self, buf: &mut [u8]) -> std::io::Result<usize>;
-}
-
-impl ReadAt for UnixStream {
-    fn read_at(&self, buf: &mut [u8]) -> std::io::Result<usize> {
-        (&mut &*self).read(buf)
     }
 }
 

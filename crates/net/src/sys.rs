@@ -1,8 +1,8 @@
 //! A thin readiness-polling binding for the event-loop server.
 //!
-//! The reactor needs exactly one OS facility: "tell me which of these
-//! file descriptors are readable/writable". On Linux that is `epoll`;
-//! everywhere else Unix-y it is `poll(2)`. Both are declared by hand
+//! Each server shard needs exactly one OS facility: "tell me which of
+//! these file descriptors are readable/writable". On Linux that is
+//! `epoll`; everywhere else Unix-y it is `poll(2)`. Both are declared by hand
 //! against the libc the Rust std already links — no new crates — and
 //! wrapped in the same safe [`Poller`] API:
 //!
@@ -13,7 +13,7 @@
 //!   [`Event`]s — token plus readable/writable/hang-up flags.
 //!
 //! Both backends are **level-triggered**: an fd that stays readable
-//! keeps reporting, so the reactor may read as little as it likes per
+//! keeps reporting, so a shard may read as little as it likes per
 //! wake-up without ever losing an edge. `EINTR` surfaces as an empty
 //! wait, never an error. This module is the only one in the crate
 //! allowed to contain `unsafe` (the crate root is `deny(unsafe_code)`),
@@ -76,7 +76,7 @@ pub(crate) struct Event {
 }
 
 /// A level-triggered readiness poller over raw fds; see the module
-/// docs. One instance belongs to one reactor thread — the type is
+/// docs. One instance belongs to one shard thread — the type is
 /// deliberately not `Sync` to keep registration single-threaded (the
 /// `poll(2)` backend's registration table is plain state).
 #[derive(Debug)]

@@ -578,3 +578,108 @@ fn wire_replay_matches_session_pool_replay_of_a_recorded_log() {
     assert_eq!(client.hashes().unwrap(), reference);
     client.bye().unwrap();
 }
+
+#[test]
+fn requests_pipelined_before_a_half_close_all_run_before_the_session_parks() {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+
+    use mirabel_net::{greeting, Connection};
+    use mirabel_session::encode_script;
+
+    let reference_pool = pool(30, 0x4A1F);
+    let ref_id = reference_pool.open();
+    let reference: Vec<String> = script()
+        .into_iter()
+        .map(|cmd| Reply::Outcome(reference_pool.apply(ref_id, cmd).unwrap().to_wire()).encode())
+        .collect();
+    let ref_hashes = reference_pool.with_session(ref_id, |s| s.frame_hashes()).unwrap();
+
+    let server = NetServer::bind("127.0.0.1:0", pool(30, 0x4A1F)).unwrap();
+    for with_bye in [false, true] {
+        // Every request, then the half-close, in one go: nothing is
+        // read before the server has seen the EOF.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut requests = format!("hello 1\n{}", encode_script(&script()));
+        if with_bye {
+            requests.push_str("bye\n");
+        }
+        stream.write_all(requests.as_bytes()).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut text = String::new();
+        stream.read_to_string(&mut text).unwrap();
+
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], greeting());
+        let Ok(Reply::Session { resume, .. }) = Reply::decode(lines[1]) else {
+            panic!("expected the session reply, got {:?}", lines[1]);
+        };
+        assert_eq!(lines[2..2 + reference.len()], reference, "every pipelined command must run");
+        let rest = &lines[2 + reference.len()..];
+        if with_bye {
+            assert_eq!(rest, ["ok bye"]);
+            continue;
+        }
+        assert!(rest.is_empty(), "nothing may follow the last reply: {rest:?}");
+
+        // Without bye the session parked after the last command ran.
+        let mut resumed =
+            Connection::open(server.local_addr()).unwrap().resume_with(&resume).unwrap();
+        assert_eq!(resumed.hashes().unwrap(), ref_hashes);
+        resumed.bye().unwrap();
+    }
+}
+
+#[test]
+fn a_command_stuck_on_one_connection_stalls_no_connection_on_another_shard() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::mpsc;
+
+    use mirabel_session::SessionId;
+
+    let server = NetServer::bind("127.0.0.1:0", pool(10, 0x57C)).unwrap();
+    // Consecutive tokens: the two connections sit on different shards.
+    // The first speaks raw lines, so a request can be sent without
+    // waiting for its reply.
+    let mut stuck = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut replies = BufReader::new(stuck.try_clone().unwrap());
+    let mut line = String::new();
+    replies.read_line(&mut line).unwrap(); // greeting
+    stuck.write_all(b"hello 1\n").unwrap();
+    line.clear();
+    replies.read_line(&mut line).unwrap();
+    let Ok(Reply::Session { session, .. }) = Reply::decode(&line) else {
+        panic!("expected the session reply, got {line:?}");
+    };
+    let mut other = NetClient::connect(server.local_addr()).unwrap();
+
+    // Hold the first session's lock: its next command blocks its shard
+    // inside the pool. The command is on the wire before the other
+    // client's request, so a single shard would take it first.
+    let (locked_tx, locked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let pool = Arc::clone(server.pool());
+    let holder = std::thread::spawn(move || {
+        pool.with_session_mut(SessionId(session), |_| {
+            locked_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        })
+    });
+    locked_rx.recv().unwrap();
+    stuck.write_all(b"render\n").unwrap();
+
+    let (answered_tx, answered_rx) = mpsc::channel();
+    let other = std::thread::spawn(move || {
+        answered_tx.send(other.hashes().unwrap()).unwrap();
+        other
+    });
+    let answered = answered_rx.recv_timeout(Duration::from_secs(10));
+    release_tx.send(()).unwrap();
+    holder.join().unwrap().unwrap();
+    assert_eq!(answered, Ok(Vec::new()), "the other shard's connection must answer meanwhile");
+
+    line.clear();
+    replies.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ok "), "the stuck render must answer once released: {line:?}");
+    other.join().unwrap().bye().unwrap();
+}

@@ -100,14 +100,14 @@ fn storms_from_eight_threads_never_double_issue_or_lose_a_session() {
         server.parked(),
         server.pool().len()
     );
-    // `ok bye` reaches the client a hair before the worker closes the
+    // `ok bye` reaches the client a hair before its shard closes the
     // pool session; let the last retire land.
     assert!(
         eventually(|| server.pool().len() == expect_parked),
         "pool len {} ≠ parked {expect_parked}: a session was lost or leaked",
         server.pool().len()
     );
-    // The reactor reaps a bye'd socket a beat after the client reads
+    // A shard reaps a bye'd socket a beat after the client reads
     // `ok bye`; give the last reap a moment.
     assert!(eventually(|| server.connections() == 0), "{} connections lingered", {
         server.connections()
@@ -128,7 +128,7 @@ fn parked_session_ttl_expires_exactly_once() {
     assert!(eventually(|| server.parked() == 1), "the dropped session never parked");
     assert_eq!(server.pool().len(), 1);
 
-    // The reactor's tick sweeps the lot: past the TTL the session is
+    // The shards' tick sweeps the lot: past the TTL the session is
     // closed on the pool — exactly once, with no thrashing after.
     assert!(eventually(|| server.parked() == 0), "the parked session never expired");
     assert!(

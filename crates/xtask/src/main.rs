@@ -24,7 +24,7 @@
 //!   `BENCHMARK.json` command (a run exits 1 when `"correct"` is false;
 //!   CI's `build-test` job runs exactly this, so the workload list lives
 //!   only here);
-//! * `cargo xtask bench-gate` — the planning/spatial/forecast/columnar
+//! * `cargo xtask bench-gate` — the planning/spatial/columnar
 //!   harnesses, each of which enforces its whole gate table (the second
 //!   half; CI's `build-test` job runs exactly this).
 
@@ -201,10 +201,6 @@ const HARNESSES: &[Step] = &[
     ),
     harness!("spatial harness (O(region) >= 10x, heatmap determinism, publish < 100 ms)", "spatial"),
     harness!(
-        "forecast harness (executions beat the envelope)",
-        "forecast", "--prosumers", "120", "--days", "5", "--eval-days", "3"
-    ),
-    harness!(
         "columnar harness (equality gates, encoded eval >= 2x the rows, filtered pushdown >= 3x the plain scan, one-pass pivot >= 4.7x per-cell eval, time-indexed window load >= 25x the scan)",
         "columnar", "--prosumers", "150", "--days", "2", "--repeats", "3", "--filter-facts",
         "1000000"
@@ -292,7 +288,7 @@ fn main() -> ExitCode {
                  \x20 api-check   typestate compile-fail doctests + API rustdoc -D warnings\n\
                  \x20 perfbench   the repository benchmark's tests + a checked 3 s run of each workload\n\
                  \x20 examples    run (not just compile) the smoke examples and the figures binary\n\
-                 \x20 bench-gate  the planning/spatial/forecast/columnar harnesses, each enforcing its gate table"
+                 \x20 bench-gate  the planning/spatial/columnar harnesses, each enforcing its gate table"
             );
             ExitCode::FAILURE
         }
